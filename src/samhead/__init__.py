@@ -106,7 +106,6 @@ from .routing import (
     MissingLayerError,
     RoutingTable,
     ScaleBin,
-    assemble_descriptor,
     default_routing_table,
     route,
 )

@@ -309,7 +309,7 @@ def realboost_fit(
     without priors), are renormalized to sum to one every round, and margins
     are clamped to ``+/- margin_clamp`` before exponentiation (occurrences
     are counted in the log).  The recorded exponential loss is non-increasing
-    round over round; this is asserted.
+    round over round; an increase raises TrainingError.
     """
     X = np.asarray(X, dtype=np.float32)
     y = np.asarray(y, dtype=np.float64)
@@ -351,9 +351,8 @@ def realboost_fit(
         trees.append(tree)
         margins += y * tree.apply(X)
         loss = float(np.mean(np.exp(-clamped(margins))))
-        assert loss <= prev_loss + 1e-12, (
-            f"exponential loss increased: {prev_loss} -> {loss}"
-        )
+        if loss > prev_loss + 1e-12:
+            raise TrainingError(f"exponential loss increased: {prev_loss} -> {loss}")
         log.losses.append(loss)
         prev_loss = loss
 

@@ -188,48 +188,24 @@ class _DatasetSource:
         return self._pool
 
     def background_negatives(self, count: int, seed) -> tuple[np.ndarray, np.ndarray, list]:
-        rng = np.random.default_rng(seed)
         table = self._extractor.table
-        lo = table.bins[0].min_height
-        hi_cap = table.bins[-1].max_height
         samples = [s for s, _ in self._top]
-        usable = [i for i, s in enumerate(samples) if s.record.image_h - 2.0 > lo]
-        if not usable:
-            raise TrainingError(
-                f"no image is tall enough to hold a height->{lo} background box"
-            )
-        boxes_per_image: list[list[Box]] = [[] for _ in samples]
         gt_cache = [[g.box for g in s.ground_truth] for s in samples]
-        made, attempts = 0, 0
-        max_attempts = 200 * count + 1000
-        while made < count and attempts < max_attempts:
-            attempts += 1
-            i = usable[int(rng.integers(len(usable)))]
-            rec = samples[i].record
-            hmax = min(hi_cap if hi_cap is not None else rec.image_h - 2.0, rec.image_h - 2.0)
-            if hmax <= lo:
-                continue
-            h = float(rng.uniform(lo, hmax))
-            w = _BG_ASPECT * h
-            if w >= rec.image_w - 2.0:
-                continue
-            box = Box(
-                float(rng.uniform(0.0, rec.image_w - w - 1.0)),
-                float(rng.uniform(0.0, rec.image_h - h - 1.0)),
-                w,
-                h,
-            )
-            if max((iou(box, g) for g in gt_cache[i]), default=0.0) >= self._neg_iou:
-                continue
+
+        def clear_of_annotations(i: int, box: Box) -> bool:
+            return max((iou(box, g) for g in gt_cache[i]), default=0.0) < self._neg_iou
+
+        drawn = _draw_background_boxes(
+            np.random.default_rng(seed),
+            [s.record for s in samples],
+            table.bins[0].min_height,
+            table.bins[-1].max_height,
+            count,
+            keep=clear_of_annotations,
+        )
+        boxes_per_image: list[list[Box]] = [[] for _ in samples]
+        for i, box in drawn:
             boxes_per_image[i].append(box)
-            made += 1
-        if made == 0:
-            raise TrainingError("could not place a single background box clear of annotations")
-        if made < count:
-            warnings.warn(
-                f"background sampling placed {made} of {count} requested boxes",
-                stacklevel=2,
-            )
         rows = [
             self._extractor.extract_many(samples[i].record, bs)
             for i, bs in enumerate(boxes_per_image)
@@ -241,6 +217,64 @@ class _DatasetSource:
         priors = np.full(X.shape[0], prior, dtype=np.float64)
         keys = [("bg", i) for i in range(X.shape[0])]
         return X, priors, keys
+
+
+def _draw_background_boxes(
+    rng: np.random.Generator,
+    records: list[ImageRecord],
+    min_height: float,
+    max_height: float | None,
+    count: int,
+    keep=None,
+) -> list[tuple[int, Box]]:
+    """Rejection-sample up to ``count`` random boxes, as (record index, box) in draw order.
+
+    Each attempt picks an image tall enough for ``min_height``, a height in
+    [min_height, max_height) capped by the image, a width of ``_BG_ASPECT``
+    times the height, and a position inside the image; ``keep(i, box)`` may
+    still reject the box.  Attempts are capped at ``200 * count + 1000``;
+    placing no box at all is a TrainingError, placing fewer than ``count``
+    a warning.
+    """
+    usable = [i for i, rec in enumerate(records) if rec.image_h - 2.0 > min_height]
+    if not usable:
+        raise TrainingError(
+            f"no image is tall enough to hold a height->{min_height} background box"
+        )
+    drawn: list[tuple[int, Box]] = []
+    attempts, max_attempts = 0, 200 * count + 1000
+    while len(drawn) < count and attempts < max_attempts:
+        attempts += 1
+        i = usable[int(rng.integers(len(usable)))]
+        rec = records[i]
+        hmax = min(max_height if max_height is not None else rec.image_h - 2.0,
+                   rec.image_h - 2.0)
+        if hmax <= min_height:
+            continue
+        h = float(rng.uniform(min_height, hmax))
+        w = _BG_ASPECT * h
+        if w >= rec.image_w - 2.0:
+            continue
+        box = Box(
+            float(rng.uniform(0.0, rec.image_w - w - 1.0)),
+            float(rng.uniform(0.0, rec.image_h - h - 1.0)),
+            w,
+            h,
+        )
+        if keep is not None and not keep(i, box):
+            continue
+        drawn.append((i, box))
+    if count > 0 and not drawn:
+        raise TrainingError(
+            f"could not place a single background box of height >= {min_height} "
+            f"in {max_attempts} attempts"
+        )
+    if len(drawn) < count:
+        warnings.warn(
+            f"background sampling placed {len(drawn)} of {count} requested boxes",
+            stacklevel=3,
+        )
+    return drawn
 
 
 def _collect_pca_samples(
@@ -279,34 +313,13 @@ def _collect_pca_samples(
     bg_needed = max(pos.shape[0], min_total - pos.shape[0])
     bg_needed = min(bg_needed, settings.pca_sample_cap - pos.shape[0])
 
-    lo = spec.min_height
-    usable = [s for s in dataset if s.record.image_h - 2.0 > lo]
-    if not usable:
-        raise TrainingError(
-            f"no image can hold a background box for scale bin {spec.projector_id!r}"
-        )
+    # Every background box adds one row per grid cell.
     cells = table.grid.cells
-    bg_rows = []
-    got = 0
-    while got < bg_needed:
-        s = usable[int(rng.integers(len(usable)))]
-        rec = s.record
-        hmax = min(spec.max_height if spec.max_height is not None else rec.image_h - 2.0,
-                   rec.image_h - 2.0)
-        if hmax <= lo:
-            continue
-        h = float(rng.uniform(lo, hmax))
-        w = _BG_ASPECT * h
-        if w >= rec.image_w - 2.0:
-            continue
-        box = Box(
-            float(rng.uniform(0.0, rec.image_w - w - 1.0)),
-            float(rng.uniform(0.0, rec.image_h - h - 1.0)),
-            w,
-            h,
-        )
-        bg_rows.append(pool_bin_cells(rec, box, table, bin_index))
-        got += cells
+    records = [s.record for s in dataset]
+    drawn = _draw_background_boxes(
+        rng, records, spec.min_height, spec.max_height, max(0, -(-bg_needed // cells))
+    )
+    bg_rows = [pool_bin_cells(records[i], box, table, bin_index) for i, box in drawn]
     bg = np.vstack(bg_rows) if bg_rows else np.empty((0, bin_dim), dtype=np.float32)
     return np.vstack([pos, bg]).astype(np.float64), pos.shape[0]
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
+from xml.sax.saxutils import escape
 
 from .errors import DataError
 from .evaluation import EvalCurve
@@ -43,7 +44,7 @@ def _frame(title: str, x_label: str, y_label: str) -> list[str]:
     parts = [
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
         f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15" fill="#222222">{title}</text>',
+        f'font-family="sans-serif" font-size="15" fill="#222222">{escape(title)}</text>',
         f'<text x="{_fmt(_plot_x(0.5))}" y="{HEIGHT - 12}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" fill="{_AXIS_COLOR}">{x_label}</text>',
         f'<text x="16" y="{_fmt(_plot_y(0.5))}" text-anchor="middle" '

@@ -1,10 +1,30 @@
-"""RoI pooling over strided maps: max pooling, class histograms, edge statistics.
+"""RoI pooling over strided maps: one batched grid primitive for every box of an image.
 
 A box in image pixels is first mapped to a half-open cell rectangle on the
-target map (stride-aware, clamped, never empty), then the rectangle is split
-into an m x n grid.  Grid boundaries along an extent ``e`` are
-``floor(i * e / k)``: an exact partition when ``e >= k``, and clamped,
-possibly overlapping one-cell windows when ``e < k``.
+target map (stride-aware, clamped, never empty); ``map_boxes_to_feature_coords``
+does this for all boxes at once.  Each rectangle is then split into an m x n
+grid.  Along an extent ``e`` split into ``k`` slots, slot ``i`` covers
+``[floor(i * e / k), floor((i + 1) * e / k))``: an exact partition when
+``e >= k``.  When ``e < k`` a slot can come out empty, and it is then pinned
+to the single cell at its start, so slots overlap rather than go empty.
+``grid_bounds`` computes these windows for all boxes as ``(N, k)`` start and
+end arrays.
+
+Two reductions run over those windows, each for all boxes in one call:
+
+* ``grid_max_pool`` gathers, from a channel-last copy of the map, every
+  window member of every box in one ``take`` and reduces over the member
+  axis.  Windows are padded to the largest one by repeating their last
+  member, which cannot change a maximum; max is exact in any order, so the
+  result is bit-equal to a per-cell scan.
+* ``grid_histogram_pool`` counts integer codes (class labels, quantized edge
+  strengths) with one ``bincount`` per box keyed by ``cell * bins + code``.
+  Counts are exact integers; they are divided in float32 by float32 cell
+  sizes (or by the cell count), the same division a per-cell count makes.
+
+The single-box functions ``roi_max_pool``, ``pool_max_2d``,
+``roi_histogram_pool`` and ``roi_edge_pool`` are batch-of-one wrappers over
+these two reductions.
 """
 
 from __future__ import annotations
@@ -17,6 +37,9 @@ import numpy as np
 from .errors import DataError
 from .geometry import Box
 from .maps import EdgeMap, FeatureMap, LabelMap
+
+# Largest gather grid_max_pool makes at once, in floats (16 MiB).
+_GATHER_FLOATS = 1 << 22
 
 
 class DegenerateRoiError(DataError):
@@ -57,12 +80,45 @@ class FeatureRect:
         return self.col_end - self.col_start
 
 
-def map_to_feature_coords(box: Box, stride: int, map_h: int, map_w: int) -> FeatureRect:
-    """Project an image-pixel box onto a map of the given stride.
+def box_array(boxes: list[Box]) -> np.ndarray:
+    """Boxes as an (N, 4) float64 array of (x, y, w, h) rows."""
+    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
 
-    Start cells are ``floor(coord / stride)``, end cells ``ceil of the far
-    edge``, clamped to the map and forced to span at least one cell.  A box
-    with no overlap at all with the map extent is degenerate.
+
+def map_boxes_to_feature_coords(
+    boxes: np.ndarray, stride: int, map_h: int, map_w: int
+) -> np.ndarray:
+    """Project (x, y, w, h) image-pixel boxes onto a map of the given stride.
+
+    Returns an (N, 4) int64 array of (row_start, row_end, col_start,
+    col_end) rects.  Start cells are ``floor(coord / stride)``, end cells the
+    ceiling of the far edge, clamped to the map and forced to span at least
+    one cell.  A box with no overlap at all with the map extent is
+    degenerate.
+    """
+    if stride < 1 or map_h < 1 or map_w < 1:
+        raise ValueError(f"bad map geometry: stride={stride}, shape=({map_h}, {map_w})")
+    x, y, w, h = np.asarray(boxes, dtype=np.float64).reshape(-1, 4).T
+    x2, y2 = x + w, y + h
+    outside = (x >= map_w * stride) | (y >= map_h * stride) | (x2 <= 0) | (y2 <= 0)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise DegenerateRoiError(
+            f"box {tuple(float(v) for v in (x[i], y[i], w[i], h[i]))} lies outside a "
+            f"stride-{stride} map of ({map_h}, {map_w}) cells"
+        )
+    rs = np.clip(np.floor(y / stride).astype(np.int64), 0, map_h - 1)
+    cs = np.clip(np.floor(x / stride).astype(np.int64), 0, map_w - 1)
+    re = np.minimum(np.maximum(np.ceil(y2 / stride).astype(np.int64), rs + 1), map_h)
+    ce = np.minimum(np.maximum(np.ceil(x2 / stride).astype(np.int64), cs + 1), map_w)
+    return np.stack([rs, re, cs, ce], axis=1)
+
+
+def map_to_feature_coords(box: Box, stride: int, map_h: int, map_w: int) -> FeatureRect:
+    """One box's rect, by the rule of ``map_boxes_to_feature_coords``.
+
+    Scalar code rather than a batch of one: synthesis maps boxes one at a
+    time, and numpy's per-call overhead would dominate there.
     """
     if stride < 1 or map_h < 1 or map_w < 1:
         raise ValueError(f"bad map geometry: stride={stride}, shape=({map_h}, {map_w})")
@@ -70,31 +126,148 @@ def map_to_feature_coords(box: Box, stride: int, map_h: int, map_w: int) -> Feat
         raise DegenerateRoiError(
             f"box {box.as_tuple()} lies outside a stride-{stride} map of ({map_h}, {map_w}) cells"
         )
-    rs = math.floor(box.y / stride)
-    re = math.ceil(box.y2 / stride)
-    cs = math.floor(box.x / stride)
-    ce = math.ceil(box.x2 / stride)
-    rs = min(max(rs, 0), map_h - 1)
-    cs = min(max(cs, 0), map_w - 1)
-    re = min(max(re, rs + 1), map_h)
-    ce = min(max(ce, cs + 1), map_w)
+    rs = min(max(math.floor(box.y / stride), 0), map_h - 1)
+    cs = min(max(math.floor(box.x / stride), 0), map_w - 1)
+    re = min(max(math.ceil(box.y2 / stride), rs + 1), map_h)
+    ce = min(max(math.ceil(box.x2 / stride), cs + 1), map_w)
     return FeatureRect(rs, re, cs, ce)
 
 
-def _window(extent: int, k: int, i: int) -> tuple[int, int]:
-    start = (i * extent) // k
-    end = ((i + 1) * extent) // k
-    if end <= start:
-        start = min(start, extent - 1)
-        end = start + 1
-    return start, end
+def grid_bounds(start: np.ndarray, extent: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Half-open windows of ``k`` slots over each ``[start, start + extent)``.
+
+    Returns ``(lo, hi)``, both (N, k), in the coordinates of ``start``.
+    """
+    i = np.arange(k)
+    e = np.asarray(extent, dtype=np.int64)[:, None]
+    lo = (i * e) // k
+    hi = ((i + 1) * e) // k
+    empty = hi <= lo
+    lo = np.where(empty, np.minimum(lo, e - 1), lo)
+    hi = np.where(empty, lo + 1, hi)
+    start = np.asarray(start, dtype=np.int64)[:, None]
+    return start + lo, start + hi
 
 
 def grid_windows(extent: int, k: int) -> list[tuple[int, int]]:
     """Half-open windows assigning ``extent`` source cells to ``k`` grid slots."""
     if extent < 1 or k < 1:
         raise ValueError(f"extent and grid size must be positive, got {extent}, {k}")
-    return [_window(extent, k, i) for i in range(k)]
+    lo, hi = grid_bounds(np.zeros(1), np.array([extent]), k)
+    return list(zip(lo[0].tolist(), hi[0].tolist()))
+
+
+def _check_rects(rects: np.ndarray, map_h: int, map_w: int) -> np.ndarray:
+    rects = np.asarray(rects, dtype=np.int64).reshape(-1, 4)
+    rs, re, cs, ce = rects.T
+    bad = ~((0 <= rs) & (rs < re) & (re <= map_h) & (0 <= cs) & (cs < ce) & (ce <= map_w))
+    if bad.any():
+        rect = FeatureRect(*(int(v) for v in rects[int(np.argmax(bad))]))
+        raise DataError(f"rect {rect} does not fit a ({map_h}, {map_w}) map")
+    return rects
+
+
+def _windows(rects: np.ndarray, grid: PoolGrid):
+    r0, r1 = grid_bounds(rects[:, 0], rects[:, 1] - rects[:, 0], grid.m)
+    c0, c1 = grid_bounds(rects[:, 2], rects[:, 3] - rects[:, 2], grid.n)
+    return r0, r1, c0, c1
+
+
+def grid_max_pool(data: np.ndarray, rects: np.ndarray, grid: PoolGrid) -> np.ndarray:
+    """Per-cell channel-wise max of a (C, H, W) map for every rect: (N, C, m*n)."""
+    channels, map_h, map_w = data.shape
+    rects = _check_rects(rects, map_h, map_w)
+    n_box = rects.shape[0]
+    out = np.empty((n_box, grid.m, grid.n, channels), dtype=np.float32)
+    if n_box:
+        # Channel-last copy of the part of the map the rects cover, so each
+        # gathered member is one contiguous row of C floats.
+        top, left = int(rects[:, 0].min()), int(rects[:, 2].min())
+        bottom, right = int(rects[:, 1].max()), int(rects[:, 3].max())
+        crop = data[:, top:bottom, left:right]
+        width = right - left
+        flat = np.ascontiguousarray(np.moveaxis(crop, 0, -1)).reshape(-1, channels)
+        r0, r1, c0, c1 = _windows(rects - [top, top, left, left], grid)
+        span_r, span_c = int((r1 - r0).max()), int((c1 - c0).max())
+        # Member a of a window is min(lo + a, hi - 1): short windows repeat
+        # their last member up to the longest window's span.
+        rows = np.minimum(r0 + np.arange(span_r)[:, None, None], r1 - 1)  # (span_r, N, m)
+        cols = np.minimum(c0 + np.arange(span_c)[:, None, None], c1 - 1)  # (span_c, N, n)
+        step = max(1, _GATHER_FLOATS // (span_r * span_c * grid.cells * channels))
+        for a in range(0, n_box, step):
+            b = min(a + step, n_box)
+            pix = rows[:, None, a:b, :, None] * width + cols[None, :, a:b, None, :]
+            members = flat.take(pix.reshape(-1), axis=0).reshape(
+                span_r * span_c, b - a, grid.m, grid.n, channels
+            )
+            out[a:b] = members.max(axis=0)
+    return out.reshape(n_box, grid.cells, channels).transpose(0, 2, 1)
+
+
+def grid_histogram_pool(
+    codes: np.ndarray,
+    rects: np.ndarray,
+    grid: PoolGrid,
+    bins: int,
+    norm: str = "cell",
+) -> np.ndarray:
+    """Per-cell histograms of an (H, W) map of codes in [0, bins): (N, m*n*bins).
+
+    Rows are cell-major (cell (i, j)'s ``bins`` values contiguous).
+    ``norm="cell"`` divides each count by its cell's pixel count, so a cell
+    sums to one; ``norm="grid"`` divides by m*n instead.
+    """
+    if norm not in ("cell", "grid"):
+        raise ValueError(f"unknown histogram norm {norm!r}")
+    map_h, map_w = codes.shape
+    rects = _check_rects(rects, map_h, map_w)
+    if codes.size and int(codes.max()) >= bins:
+        raise DataError(f"map holds code {int(codes.max())} outside [0, {bins - 1}]")
+    n_box, m, n = rects.shape[0], grid.m, grid.n
+    r0, r1, c0, c1 = _windows(rects, grid)
+    rows, row_key, row_split = _members(r0, r1, n * bins)
+    cols, col_key, col_split = _members(c0, c1, bins)
+    counts = np.empty((n_box, m * n * bins), dtype=np.float32)
+    for i, (rs, re, cs, ce) in enumerate(rects.tolist()):
+        ra, rb = row_split[i], row_split[i + 1]
+        ca, cb = col_split[i], col_split[i + 1]
+        sub = codes[rs:re, cs:ce]
+        # Members outnumber the extent only where slots overlap (extent < k).
+        if rb - ra != re - rs:
+            sub = sub[rows[ra:rb] - rs]
+        if cb - ca != ce - cs:
+            sub = sub[:, cols[ca:cb] - cs]
+        key = sub + (row_key[ra:rb, None] + col_key[ca:cb])
+        counts[i] = np.bincount(key.reshape(-1), minlength=m * n * bins)
+    counts = counts.reshape(n_box, m, n, bins)
+    if norm == "cell":
+        size = (r1 - r0)[:, :, None] * (c1 - c0)[:, None, :]
+        counts /= size[..., None].astype(np.float32)
+    else:
+        counts /= np.float32(m * n)
+    return counts.reshape(n_box, m * n * bins)
+
+
+def _members(lo: np.ndarray, hi: np.ndarray, key_step: int):
+    """Every window's members, box by box: (index, slot * key_step, box offsets)."""
+    n_box, k = lo.shape
+    size = (hi - lo).reshape(-1)
+    end = np.cumsum(size)
+    index = np.arange(size.sum()) + np.repeat(lo.reshape(-1) - (end - size), size)
+    key = np.repeat(np.tile(np.arange(k) * key_step, n_box), size)
+    split = [0] + end.reshape(n_box, k)[:, -1].tolist()
+    return index, key, split
+
+
+def edge_codes(edges: np.ndarray, bins: int) -> np.ndarray:
+    """Edge strengths in [0, 1] quantized to ``bins`` uniform bins; 1.0 lands in the top bin."""
+    if bins < 1:
+        raise ValueError(f"edge histogram needs at least 1 bin, got {bins}")
+    return np.minimum((edges * bins).astype(np.int64), bins - 1)
+
+
+def _one_rect(rect: FeatureRect) -> np.ndarray:
+    return np.array([[rect.row_start, rect.row_end, rect.col_start, rect.col_end]])
 
 
 def roi_max_pool(fmap: FeatureMap, rect: FeatureRect, grid: PoolGrid) -> np.ndarray:
@@ -103,15 +276,7 @@ def roi_max_pool(fmap: FeatureMap, rect: FeatureRect, grid: PoolGrid) -> np.ndar
     Output has length ``C * m * n``, ordered as out[c, i, j] raveled with the
     channel index slowest.
     """
-    _check_rect(rect, fmap.height, fmap.width)
-    sub = fmap.data[:, rect.row_start : rect.row_end, rect.col_start : rect.col_end]
-    out = np.empty((fmap.channels, grid.m, grid.n), dtype=np.float32)
-    rows = grid_windows(rect.rows, grid.m)
-    cols = grid_windows(rect.cols, grid.n)
-    for i, (r0, r1) in enumerate(rows):
-        for j, (c0, c1) in enumerate(cols):
-            out[:, i, j] = sub[:, r0:r1, c0:c1].max(axis=(1, 2))
-    return out.reshape(-1)
+    return grid_max_pool(fmap.data, _one_rect(rect), grid)[0].reshape(-1)
 
 
 def roi_histogram_pool(
@@ -123,40 +288,15 @@ def roi_histogram_pool(
 ) -> np.ndarray:
     """Per-cell class histograms over a label map, concatenated cell-major.
 
-    ``norm="cell"`` divides each histogram by its cell pixel count so that it
-    sums to one; ``norm="grid"`` divides by m*n instead (a count-based variant
-    kept behind this switch).  Output length is ``num_classes * m * n`` with
-    cell (i, j)'s histogram contiguous.
+    Output length is ``num_classes * m * n``; see ``grid_histogram_pool``
+    for ``norm``.
     """
-    if norm not in ("cell", "grid"):
-        raise ValueError(f"unknown histogram norm {norm!r}")
-    _check_rect(rect, lmap.height, lmap.width)
-    sub = lmap.data[rect.row_start : rect.row_end, rect.col_start : rect.col_end]
-    out = np.empty((grid.m, grid.n, num_classes), dtype=np.float32)
-    rows = grid_windows(rect.rows, grid.m)
-    cols = grid_windows(rect.cols, grid.n)
-    for i, (r0, r1) in enumerate(rows):
-        for j, (c0, c1) in enumerate(cols):
-            cell = sub[r0:r1, c0:c1]
-            counts = np.bincount(cell.reshape(-1), minlength=num_classes).astype(np.float32)
-            if norm == "cell":
-                out[i, j] = counts / cell.size
-            else:
-                out[i, j] = counts / (grid.m * grid.n)
-    return out.reshape(-1)
+    return grid_histogram_pool(lmap.data, _one_rect(rect), grid, num_classes, norm)[0]
 
 
 def pool_max_2d(data: np.ndarray, rect: FeatureRect, grid: PoolGrid) -> np.ndarray:
     """Per-cell max over a single-channel map, length m*n, row-major cells."""
-    _check_rect(rect, data.shape[0], data.shape[1])
-    sub = data[rect.row_start : rect.row_end, rect.col_start : rect.col_end]
-    out = np.empty((grid.m, grid.n), dtype=np.float32)
-    rows = grid_windows(rect.rows, grid.m)
-    cols = grid_windows(rect.cols, grid.n)
-    for i, (r0, r1) in enumerate(rows):
-        for j, (c0, c1) in enumerate(cols):
-            out[i, j] = sub[r0:r1, c0:c1].max()
-    return out.reshape(-1)
+    return grid_max_pool(data[None], _one_rect(rect), grid)[0, 0]
 
 
 def roi_edge_pool(
@@ -170,34 +310,11 @@ def roi_edge_pool(
     """Per-cell edge statistics: either the max strength or a B-bin histogram.
 
     ``mode="max"`` yields one value per cell (length m*n).  ``mode="hist"``
-    quantizes strengths into ``bins`` uniform bins over [0, 1] (value 1.0
-    lands in the top bin) and pools like the class histogram, length
-    ``bins * m * n``, cell-major.
+    quantizes strengths with ``edge_codes`` and pools like the class
+    histogram, length ``bins * m * n``, cell-major.
     """
     if mode not in ("max", "hist"):
         raise ValueError(f"unknown edge pooling mode {mode!r}")
-    if mode == "hist" and bins < 1:
-        raise ValueError(f"edge histogram needs at least 1 bin, got {bins}")
     if mode == "max":
         return pool_max_2d(emap.data, rect, grid)
-    _check_rect(rect, emap.height, emap.width)
-    sub = emap.data[rect.row_start : rect.row_end, rect.col_start : rect.col_end]
-    rows = grid_windows(rect.rows, grid.m)
-    cols = grid_windows(rect.cols, grid.n)
-    out = np.empty((grid.m, grid.n, bins), dtype=np.float32)
-    for i, (r0, r1) in enumerate(rows):
-        for j, (c0, c1) in enumerate(cols):
-            cell = sub[r0:r1, c0:c1]
-            q = np.minimum((cell * bins).astype(np.int64), bins - 1)
-            counts = np.bincount(q.reshape(-1), minlength=bins).astype(np.float32)
-            if norm == "cell":
-                out[i, j] = counts / cell.size
-            else:
-                out[i, j] = counts / (grid.m * grid.n)
-    return out.reshape(-1)
-
-
-def _check_rect(rect: FeatureRect, map_h: int, map_w: int) -> None:
-    if not (0 <= rect.row_start < rect.row_end <= map_h
-            and 0 <= rect.col_start < rect.col_end <= map_w):
-        raise DataError(f"rect {rect} does not fit a ({map_h}, {map_w}) map")
+    return grid_histogram_pool(edge_codes(emap.data, bins), _one_rect(rect), grid, bins, norm)[0]

@@ -17,10 +17,16 @@ from .errors import ConfigError, DataError
 from .geometry import Box
 from .maps import ImageRecord, NUM_LABEL_CLASSES
 from .pca import PcaProjector
-from .pooling import (
+# roi_edge_pool, roi_histogram_pool and roi_max_pool are not called here:
+# descriptors use the batched grid_* functions.  They stay importable from
+# this module because perfbench/tracing.py hooks them here.
+from .pooling import (  # noqa: F401
     PoolGrid,
-    map_to_feature_coords,
-    pool_max_2d,
+    box_array,
+    edge_codes,
+    grid_histogram_pool,
+    grid_max_pool,
+    map_boxes_to_feature_coords,
     roi_edge_pool,
     roi_histogram_pool,
     roi_max_pool,
@@ -104,11 +110,13 @@ def default_routing_table(grid: PoolGrid | None = None, target_dim: int = 0) -> 
     )
 
 
-def pool_bin_cells(
-    record: ImageRecord, box: Box, table: RoutingTable, bin_index: int
+def pool_bin_stacks(
+    record: ImageRecord, boxes: np.ndarray, table: RoutingTable, bin_index: int
 ) -> np.ndarray:
-    """Per-cell stacked channel vectors for one bin's layers, shape (m*n, D_bin)."""
-    grid = table.grid
+    """Channel-major pooled stacks of one bin's layers for (x, y, w, h) boxes.
+
+    Shape (N, D_bin, m*n): layer blocks in bin order, each (C_layer, m*n).
+    """
     parts = []
     for name in table.bins[bin_index].layers:
         try:
@@ -117,10 +125,16 @@ def pool_bin_cells(
             raise MissingLayerError(
                 f"image {record.image_id!r} lacks routed layer {name!r}"
             ) from None
-        rect = map_to_feature_coords(box, fmap.stride, fmap.height, fmap.width)
-        pooled = roi_max_pool(fmap, rect, grid).reshape(fmap.channels, grid.cells)
-        parts.append(pooled)
-    return np.concatenate(parts, axis=0).T  # (cells, D_bin)
+        rects = map_boxes_to_feature_coords(boxes, fmap.stride, fmap.height, fmap.width)
+        parts.append(grid_max_pool(fmap.data, rects, table.grid))
+    return np.concatenate(parts, axis=1)
+
+
+def pool_bin_cells(
+    record: ImageRecord, box: Box, table: RoutingTable, bin_index: int
+) -> np.ndarray:
+    """Per-cell stacked channel vectors for one bin's layers, shape (m*n, D_bin)."""
+    return pool_bin_stacks(record, box_array([box]), table, bin_index)[0].T
 
 
 @dataclass(frozen=True)
@@ -190,72 +204,64 @@ class DescriptorExtractor:
         grid = self.table.grid
         return self.cell_dim * grid.cells + self.channels.block_length(grid)
 
-    def pooled_cells(self, record: ImageRecord, box: Box, bin_index: int) -> np.ndarray:
-        """Per-cell stacked channel vectors for a bin's layers, shape (m*n, D_bin)."""
-        return pool_bin_cells(record, box, self.table, bin_index)
-
-    def _aux_blocks(self, record: ImageRecord, box: Box) -> list[np.ndarray]:
+    def _aux_blocks(self, record: ImageRecord, boxes: np.ndarray) -> list[np.ndarray]:
         grid = self.table.grid
+        ch = self.channels
         blocks = []
-        if self.channels.semantic:
-            if record.label_map is None:
+        if ch.semantic:
+            lmap = record.label_map
+            if lmap is None:
                 raise MissingLayerError(f"image {record.image_id!r} lacks a label map")
-            rect = map_to_feature_coords(box, 1, record.label_map.height, record.label_map.width)
-            if self.channels.semantic_pooling == "hist":
-                blocks.append(
-                    roi_histogram_pool(
-                        record.label_map, rect, grid,
-                        num_classes=self.channels.label_classes,
-                        norm=self.channels.histogram_norm,
-                    )
-                )
+            rects = map_boxes_to_feature_coords(boxes, 1, lmap.height, lmap.width)
+            if ch.semantic_pooling == "hist":
+                blocks.append(grid_histogram_pool(
+                    lmap.data, rects, grid, ch.label_classes, ch.histogram_norm
+                ))
             else:
                 # Max over raw class indices per cell; kept for comparison runs.
-                blocks.append(
-                    pool_max_2d(record.label_map.data.astype(np.float32), rect, grid)
-                )
-        if self.channels.edge:
-            if record.edge_map is None:
+                blocks.append(grid_max_pool(lmap.data.astype(np.float32)[None], rects, grid))
+        if ch.edge:
+            emap = record.edge_map
+            if emap is None:
                 raise MissingLayerError(f"image {record.image_id!r} lacks an edge map")
-            rect = map_to_feature_coords(box, 1, record.edge_map.height, record.edge_map.width)
-            blocks.append(
-                roi_edge_pool(
-                    record.edge_map, rect, grid,
-                    mode=self.channels.edge_pooling,
-                    bins=self.channels.edge_bins,
-                    norm=self.channels.histogram_norm,
-                )
-            )
-        return blocks
+            rects = map_boxes_to_feature_coords(boxes, 1, emap.height, emap.width)
+            if ch.edge_pooling == "hist":
+                blocks.append(grid_histogram_pool(
+                    edge_codes(emap.data, ch.edge_bins), rects, grid, ch.edge_bins,
+                    ch.histogram_norm,
+                ))
+            else:
+                blocks.append(grid_max_pool(emap.data[None], rects, grid))
+        return [b.reshape(len(boxes), -1) for b in blocks]
 
     def extract(self, record: ImageRecord, box: Box) -> np.ndarray:
-        bin_index = route(self.table, box.h)
-        proj = self.projectors[self.table.bins[bin_index].projector_id]
-        cells = self.pooled_cells(record, box, bin_index)
-        if cells.shape[1] != proj.input_dim:
-            raise ConfigError(
-                f"bin {bin_index} pools {cells.shape[1]} channels per cell but its "
-                f"projector expects {proj.input_dim}"
-            )
-        cnn = proj.project(cells).reshape(-1)  # cell-major
-        blocks = [cnn.astype(np.float32)] + [b.astype(np.float32) for b in self._aux_blocks(record, box)]
-        out = np.concatenate(blocks)
-        assert out.shape[0] == self.length
-        return out
+        return self.extract_many(record, [box])[0]
 
     def extract_many(self, record: ImageRecord, boxes: list[Box]) -> np.ndarray:
+        """Descriptors for all boxes of one image, pooled bin by bin."""
         out = np.empty((len(boxes), self.length), dtype=np.float32)
-        for i, b in enumerate(boxes):
-            out[i] = self.extract(record, b)
+        if not boxes:
+            return out
+        xywh = box_array(boxes)
+        bins = np.array([route(self.table, b.h) for b in boxes])
+        cnn = self.cell_dim * self.table.grid.cells
+        for i, spec in enumerate(self.table.bins):
+            sel = np.flatnonzero(bins == i)
+            if not sel.size:
+                continue
+            proj = self.projectors[spec.projector_id]
+            stacks = pool_bin_stacks(record, xywh[sel], self.table, i)
+            if stacks.shape[1] != proj.input_dim:
+                raise ConfigError(
+                    f"bin {i} pools {stacks.shape[1]} channels per cell but its "
+                    f"projector expects {proj.input_dim}"
+                )
+            # Each box's (cells, D) block is the transpose of its C-ordered
+            # (D, cells) stack.  The block's memory order picks the BLAS
+            # kernel, and with it the last bits of a real PCA projection.
+            out[sel, :cnn] = proj.project(stacks.transpose(0, 2, 1)).reshape(sel.size, -1)
+        col = cnn
+        for block in self._aux_blocks(record, xywh):
+            out[:, col : col + block.shape[1]] = block
+            col += block.shape[1]
         return out
-
-
-def assemble_descriptor(
-    record: ImageRecord,
-    box: Box,
-    table: RoutingTable,
-    projectors: dict[str, PcaProjector],
-    channels: ChannelConfig = ChannelConfig(),
-) -> np.ndarray:
-    """One-shot descriptor assembly (see DescriptorExtractor for the layout)."""
-    return DescriptorExtractor(table, projectors, channels).extract(record, box)

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from samhead.errors import ConfigError, DataError
+import samhead.forest as forest_module
 from samhead.forest import (
     BoostConfig,
     FeatureBinner,
     Forest,
     TrainConfig,
     TrainingError,
+    Tree,
     basic_training_config,
     bootstrap_train,
     full_training_config,
@@ -142,6 +144,23 @@ class TestRealboost:
         X, y = separable_blobs(seed=9)
         _, log = realboost_fit(X, y, rounds=24, config=BoostConfig(max_depth=1))
         assert all(b <= a + 1e-12 for a, b in zip(log.losses, log.losses[1:]))
+
+    def test_loss_increase_raises_training_error(self, monkeypatch):
+        # A stump that votes against every label drives the loss up.
+        X, y = separable_blobs(n_per_class=10)
+
+        def anti_tree(binner, w, y, max_depth, eps):
+            return Tree(
+                feature=np.array([0, -1, -1]),
+                threshold=np.array([0.0, 0.0, 0.0]),
+                left=np.array([1, -1, -1]),
+                right=np.array([2, -1, -1]),
+                value=np.array([0.0, 1.0, -1.0]),
+            )
+
+        monkeypatch.setattr(forest_module, "train_tree", anti_tree)
+        with pytest.raises(TrainingError, match="exponential loss increased"):
+            realboost_fit(X, y, rounds=1)
 
     def test_priors_act_as_round_zero_margin(self):
         X, y = separable_blobs(n_per_class=10)

@@ -19,7 +19,12 @@ from samhead.pooling import (
     DegenerateRoiError,
     FeatureRect,
     PoolGrid,
+    box_array,
+    edge_codes,
+    grid_histogram_pool,
+    grid_max_pool,
     grid_windows,
+    map_boxes_to_feature_coords,
     map_to_feature_coords,
     pool_max_2d,
     roi_edge_pool,
@@ -257,3 +262,75 @@ def test_one_pixel_cells_return_the_raw_map(m, n, seed):
     rect = FeatureRect(0, m, 0, n)
     out = roi_max_pool(fmap, rect, PoolGrid(m, n))
     np.testing.assert_array_equal(out, data.reshape(-1))
+
+
+def random_boxes(rng, fmap, count):
+    """Boxes that overlap the map, many overhanging it, some under one cell."""
+    w_px, h_px = fmap.width * fmap.stride, fmap.height * fmap.stride
+    boxes = []
+    while len(boxes) < count:
+        x = float(rng.uniform(-0.3 * w_px, 0.95 * w_px))
+        y = float(rng.uniform(-0.3 * h_px, 0.95 * h_px))
+        bw = float(rng.uniform(0.5, 1.1 * w_px))
+        bh = float(rng.uniform(0.5, 1.1 * h_px))
+        if x + bw > 0 and y + bh > 0:
+            boxes.append(Box(x, y, bw, bh))
+    return boxes
+
+
+class TestBatchedGridPool:
+    """All boxes of a map in one call, bit-equal to the per-box oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 12))
+    def test_every_box_matches_the_oracles(self, seed, count):
+        rng = np.random.default_rng(seed)
+        fmap, labels, edges, _, grid = random_pool_instance(rng)
+        boxes = random_boxes(rng, fmap, count)
+        rects = map_boxes_to_feature_coords(box_array(boxes), fmap.stride,
+                                            fmap.height, fmap.width)
+        pooled = grid_max_pool(fmap.data, rects, grid)
+        hist = grid_histogram_pool(labels.data, rects, grid, 21)
+        hist_grid = grid_histogram_pool(labels.data, rects, grid, 21, norm="grid")
+        edge_hist = grid_histogram_pool(edge_codes(edges.data, 16), rects, grid, 16)
+        assert pooled.shape == (count, fmap.channels, grid.cells)
+        for i, box in enumerate(boxes):
+            rect = map_to_feature_coords(box, fmap.stride, fmap.height, fmap.width)
+            assert FeatureRect(*rects[i].tolist()) == rect
+            m, n = grid.m, grid.n
+            assert np.array_equal(pooled[i].reshape(-1),
+                                  oracle_max_pool(fmap.data, rect, m, n))
+            assert np.array_equal(hist[i], oracle_histogram_pool(labels.data, rect, m, n, 21))
+            assert np.array_equal(
+                hist_grid[i], oracle_histogram_pool(labels.data, rect, m, n, 21, norm="grid")
+            )
+            assert np.array_equal(edge_hist[i],
+                                  oracle_edge_hist_pool(edges.data, rect, m, n, 16))
+
+    def test_large_batches_split_into_chunks_without_changing_results(self, monkeypatch):
+        import samhead.pooling as pooling
+
+        rng = np.random.default_rng(11)
+        fmap = FeatureMap("conv3", 4, rng.normal(size=(3, 12, 9)).astype(np.float32))
+        boxes = random_boxes(rng, fmap, 40)
+        rects = map_boxes_to_feature_coords(box_array(boxes), 4, 12, 9)
+        whole = grid_max_pool(fmap.data, rects, PoolGrid(3, 2))
+        monkeypatch.setattr(pooling, "_GATHER_FLOATS", 1)
+        assert np.array_equal(grid_max_pool(fmap.data, rects, PoolGrid(3, 2)), whole)
+
+    def test_empty_batch(self):
+        fmap = FeatureMap("conv3", 4, np.zeros((2, 4, 4), dtype=np.float32))
+        rects = np.empty((0, 4), dtype=np.int64)
+        assert grid_max_pool(fmap.data, rects, PoolGrid(2, 2)).shape == (0, 2, 4)
+        labels = np.zeros((4, 4), dtype=np.uint8)
+        assert grid_histogram_pool(labels, rects, PoolGrid(2, 2), 21).shape == (0, 84)
+
+    def test_one_box_outside_the_map_is_degenerate(self):
+        boxes = box_array([Box(0, 0, 5, 5), Box(-10, -10, 5, 5)])
+        with pytest.raises(DegenerateRoiError, match="-10.0"):
+            map_boxes_to_feature_coords(boxes, 4, 10, 10)
+
+    def test_codes_outside_the_bins_are_rejected(self):
+        labels = np.array([[0, 5]], dtype=np.uint8)
+        with pytest.raises(DataError, match="code 5"):
+            grid_histogram_pool(labels, np.array([[0, 1, 0, 2]]), PoolGrid(1, 1), 5)

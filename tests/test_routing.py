@@ -16,7 +16,6 @@ from samhead.routing import (
     MissingLayerError,
     RoutingTable,
     ScaleBin,
-    assemble_descriptor,
     default_routing_table,
     pool_bin_cells,
     route,
@@ -345,6 +344,23 @@ class TestDescriptorExtractor:
         assert extractor.length == 2 * GRID.cells
         assert np.array_equal(got, expected.astype(np.float32))
 
+    def test_extract_many_projects_each_box_like_one_box(self):
+        record = make_record(seed=3)
+        table = two_bin_table()
+        boxes = [Box(2.0 + 3 * i, 1.0 + 2 * i, 20.0, 55.0 + 7 * i) for i in range(8)]
+        projectors = {}
+        for i, pid in enumerate(("small", "large")):
+            training = np.concatenate([pool_bin_cells(record, b, table, i) for b in boxes])
+            projectors[pid] = fit_pca(training, components=2)
+        extractor = DescriptorExtractor(table, projectors, ChannelConfig(semantic=True))
+        got = extractor.extract_many(record, boxes)
+        for k, b in enumerate(boxes):
+            i = route(table, b.h)
+            proj = projectors[table.bins[i].projector_id]
+            expected = proj.project(pool_bin_cells(record, b, table, i)).reshape(-1)
+            assert np.array_equal(got[k, : 2 * GRID.cells], expected.astype(np.float32))
+            assert np.array_equal(got[k], extractor.extract(record, b))
+
     def test_extract_many_stacks_extract(self):
         record = make_record()
         extractor = DescriptorExtractor(
@@ -357,13 +373,15 @@ class TestDescriptorExtractor:
         for i, b in enumerate(boxes):
             assert np.array_equal(got[i], extractor.extract(record, b))
 
-    def test_assemble_descriptor_matches_extractor(self):
+    def test_fresh_extractor_matches_batched_extract(self):
         record = make_record()
         table = one_bin_table()
         projectors = {"only": PcaProjector.identity(5)}
         channels = ChannelConfig(semantic=True)
-        one_shot = assemble_descriptor(record, SMALL_BOX, table, projectors, channels)
-        extracted = DescriptorExtractor(table, projectors, channels).extract(record, SMALL_BOX)
+        one_shot = DescriptorExtractor(table, projectors, channels).extract(record, SMALL_BOX)
+        extracted = DescriptorExtractor(table, projectors, channels).extract_many(
+            record, [LARGE_BOX, SMALL_BOX]
+        )[1]
         assert np.array_equal(one_shot, extracted)
 
     def test_requires_projector_for_every_bin(self):
