@@ -80,7 +80,6 @@ from .pipeline import (
     detect_dataset,
     detect_image,
     load_model,
-    mine_hard_negatives,
     model_from_dict,
     model_to_dict,
     save_manifest,

@@ -5,6 +5,35 @@ the split that minimizes Z = 2 * sum_leaves sqrt(W+ * W-).  Leaf scores are
 half log-odds with additive smoothing.  A forest scores a sample as
 ``prior_weight * prior + sum_t f_t(x)``; the proposal prior therefore acts as
 a fixed round-zero margin, and boosting weights are initialized from it.
+
+Layout and exactness.  The binned features, the split search and the scores
+are computed so that every cut, bin and tree array is bit-equal to a plain
+per-column, per-node reference (``tests/oracles.py``):
+
+- ``FeatureBinner`` sorts each column once, a block of columns at a time.
+  Distinct values are counted from adjacent differences of the sorted rows,
+  as ``np.unique`` counts them, and the quantile cuts of dense columns repeat
+  ``np.quantile``'s linear rule on the sorted rows operation for operation
+  (see ``_sorted_quantiles``).  Bins are stored feature-major, ``(features,
+  samples)`` uint8, so a node reads each feature's bins for its samples as
+  one contiguous row.
+- ``train_tree`` builds a node's histograms ``SCAN_BLOCK`` features at a
+  time with one ``bincount`` per block.  The key of a sample's bin carries
+  the label as a plane offset (negatives first, positives one plane on), so
+  one pass yields both W- and W+.  ``bincount`` adds each bin's weights in
+  sample order, the order a sample-major histogram adds them in; a plane
+  only skips the other label's samples, whose weights would add 0.0 there,
+  which leaves a nonnegative sum unchanged.
+- The split scan runs per block too: cumulative sums along the bins, Z, the
+  mask of unusable cuts and an argmin over the whole bin width (the last bin
+  is never a cut, so it is masked rather than sliced off).  A block's minimum
+  replaces the best so far only when strictly smaller, so among equal Z the
+  lowest feature and then the lowest cut win, as one argmin over all
+  features would choose; a NaN Z anywhere ends the node as a leaf, as that
+  argmin would.  Each block's arrays stay in cache where one whole-node pass
+  streamed megabytes through memory.
+- ``apply_trees`` walks all of a forest's trees at once; ``Forest.score``
+  still adds the trees' values one tree at a time, in order.
 """
 
 from __future__ import annotations
@@ -35,19 +64,7 @@ class Tree:
     value: np.ndarray
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X)
-        n = X.shape[0]
-        node = np.zeros(n, dtype=np.int64)
-        while True:
-            feat = self.feature[node]
-            live = feat >= 0
-            if not live.any():
-                break
-            rows = np.flatnonzero(live)
-            cur = node[rows]
-            goes_left = X[rows, feat[rows]] <= self.threshold[cur]
-            node[rows] = np.where(goes_left, self.left[cur], self.right[cur])
-        return self.value[node]
+        return apply_trees([self], X)[0]
 
     @property
     def n_nodes(self) -> int:
@@ -73,13 +90,43 @@ class Tree:
         )
 
 
+def apply_trees(trees: list[Tree], X: np.ndarray) -> np.ndarray:
+    """Every tree's leaf value for every sample, shape (trees, samples).
+
+    All trees are walked at once over their concatenated node arrays: each
+    (tree, sample) pair descends one level per step until every pair sits at
+    a leaf.
+    """
+    X = np.asarray(X)
+    if not trees:
+        return np.empty((0, X.shape[0]), dtype=np.float64)
+    offsets = np.cumsum([0] + [t.n_nodes for t in trees[:-1]])
+    feature = np.concatenate([t.feature for t in trees])
+    threshold = np.concatenate([t.threshold for t in trees])
+    left = np.concatenate([t.left + o for t, o in zip(trees, offsets)])
+    right = np.concatenate([t.right + o for t, o in zip(trees, offsets)])
+    value = np.concatenate([t.value for t in trees])
+    rows = np.arange(X.shape[0])[None, :]
+    node = np.repeat(offsets[:, None], X.shape[0], axis=1)
+    while True:
+        feat = feature[node]
+        live = feat >= 0
+        if not live.any():
+            return value[node]
+        goes_left = X[rows, np.where(live, feat, 0)] <= threshold[node]
+        node = np.where(live, np.where(goes_left, left[node], right[node]), node)
+
+
 class FeatureBinner:
     """Per-feature threshold candidates: unique-value midpoints, capped by quantiles.
 
     Features with at most ``max_bins`` distinct values get the midpoints of
     consecutive unique values as candidate thresholds (exact search); denser
     features fall back to at most ``max_bins - 1`` deterministic quantile cut
-    points.
+    points.  Features must be finite.
+
+    ``bins_by_feature`` holds the bin of every sample feature-major, shape
+    (features, samples); ``bins`` is its sample-major transposed view.
     """
 
     def __init__(self, X: np.ndarray, max_bins: int = 256):
@@ -91,24 +138,75 @@ class FeatureBinner:
         n, n_features = X.shape
         self.n_features = n_features
         self.cuts: list[np.ndarray] = []
-        bins = np.empty((n, n_features), dtype=np.uint8)
-        interior = np.linspace(0.0, 1.0, max_bins + 1)[1:-1]
-        for f in range(n_features):
-            col = X[:, f].astype(np.float64)
-            uniq = np.unique(col)
-            if uniq.size <= max_bins:
-                cuts = (uniq[:-1] + uniq[1:]) / 2.0
-            else:
-                cuts = np.unique(np.quantile(col, interior))
-            self.cuts.append(cuts)
-            bins[:, f] = np.searchsorted(cuts, col, side="left")
-        self.bins = bins
+        bins = np.empty((n_features, n), dtype=np.uint8)
+        # Columns are converted and sorted a block at a time, which bounds
+        # the float64 copies alive at once.
+        for f0 in range(0, n_features, _BINNER_BLOCK):
+            columns = np.array(X[:, f0 : f0 + _BINNER_BLOCK].T, dtype=np.float64, order="C")
+            for f, (col, cuts) in enumerate(zip(columns, _column_cuts(columns, max_bins))):
+                self.cuts.append(cuts)
+                bins[f0 + f] = np.searchsorted(cuts, col, side="left")
+        self.bins_by_feature = bins
+        self.bins = bins.T
         self.n_cuts = np.array([c.size for c in self.cuts], dtype=np.int64)
         self.width = int(self.n_cuts.max(initial=0)) + 1
 
 
+#: Features converted and sorted together by ``FeatureBinner``.
+_BINNER_BLOCK = 256
+
+
+def _column_cuts(columns: np.ndarray, max_bins: int) -> list[np.ndarray]:
+    """Candidate cuts of each row of ``columns`` (one feature per row)."""
+    ordered = np.sort(columns, axis=1)
+    # Sorted rows put -inf first and +inf and NaN last.
+    if ordered.shape[1] and not np.isfinite(ordered[:, [0, -1]]).all():
+        raise TrainingError("features must be finite")
+    first_of_run = np.ones(ordered.shape, dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=first_of_run[:, 1:])
+    dense = first_of_run.sum(axis=1) > max_bins
+    quantiles = iter(_sorted_quantiles(ordered[dense], max_bins) if dense.any() else ())
+    cuts = []
+    for row, first, is_dense in zip(ordered, first_of_run, dense):
+        if is_dense:
+            cuts.append(np.unique(next(quantiles)))
+        else:
+            uniq = row[first]
+            cuts.append((uniq[:-1] + uniq[1:]) / 2.0)
+    return cuts
+
+
+def _sorted_quantiles(ordered: np.ndarray, max_bins: int) -> np.ndarray:
+    """The ``max_bins - 1`` interior quantiles of each sorted row, as ``np.quantile``.
+
+    Repeats numpy's default ("linear") rule operation for operation, so every
+    value is bit-equal to ``np.quantile(row, q)``: with ``v = (n - 1) * q``,
+    ``lo = floor(v)`` and ``g = v - lo``, the quantile is ``a + (b - a) * g``,
+    or ``b - (b - a) * (1 - g)`` where ``g >= 0.5``, for ``a, b`` the sorted
+    values at ``lo`` and ``lo + 1``.  Interior ``q`` keep ``lo + 1 < n``.
+    (``np.quantile`` partitions where this sorts, and the two may order -0.0
+    and +0.0 differently, so in a column holding both a quantile inside the
+    run of zeros can differ in the sign of its zero.)
+    """
+    interior = np.linspace(0.0, 1.0, max_bins + 1)[1:-1]
+    virtual = (ordered.shape[1] - 1) * interior
+    lo = np.floor(virtual).astype(np.intp)
+    g = virtual - lo
+    a = ordered[:, lo]
+    diff = ordered[:, lo + 1] - a
+    out = a + diff * g
+    np.subtract(ordered[:, lo + 1], diff * (1 - g), out=out, where=g >= 0.5)
+    return out
+
+
 def _leaf_score(wp: float, wn: float, eps: float) -> float:
     return 0.5 * math.log((wp + eps) / (wn + eps))
+
+
+#: Features per block of the histogram and split scan.  A block's keys,
+#: weights and Z temporaries stay in cache, and its histogram keys fit in
+#: uint16: two label planes of SCAN_BLOCK * 256 bins are 2**15 keys.
+SCAN_BLOCK = 64
 
 
 def train_tree(
@@ -122,27 +220,61 @@ def train_tree(
 
     ``w`` must be nonnegative; ``y`` in {-1, +1}.  Ties between equally good
     splits resolve to the smallest feature index, then smallest threshold.
+    A node where no feature has a usable cut becomes a leaf.
     """
     if max_depth < 1:
         raise ConfigError(f"tree depth must be >= 1, got {max_depth}")
     w = np.asarray(w, dtype=np.float64)
     y = np.asarray(y)
-    if w.shape != y.shape or w.shape[0] != binner.bins.shape[0]:
+    bins = binner.bins_by_feature
+    if w.shape != y.shape or w.shape[0] != bins.shape[1]:
         raise TrainingError("weights, labels, and features disagree on sample count")
     pos = y > 0
     w_pos = np.where(pos, w, 0.0)
     w_neg = np.where(pos, 0.0, w)
     B = binner.width
     F = binner.n_features
-    col_offset = np.arange(F, dtype=np.int64) * B
-    # Candidate cut b of feature f is only meaningful when b < n_cuts[f].
-    invalid = np.arange(B - 1, dtype=np.int64)[None, :] >= binner.n_cuts[:, None]
+    # Histogram key of bin b of the block's k-th feature: k * B + b for a
+    # negative sample, one plane of SCAN_BLOCK * B keys further for a positive.
+    block_offset = (np.arange(SCAN_BLOCK, dtype=np.uint16) * B)[:, None]
+    plane = np.where(pos, SCAN_BLOCK * B, 0).astype(np.uint16)
+    # Candidate cut b of feature f is only meaningful when b < n_cuts[f]; the
+    # last bin, b = B - 1, never is.
+    invalid = np.arange(B, dtype=np.int64)[None, :] >= binner.n_cuts[:, None]
 
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
     right: list[int] = []
     value: list[float] = []
+
+    def best_split(idx: np.ndarray, wp: float, wn: float) -> tuple[int, int] | None:
+        key_base = block_offset + plane[idx]
+        weights = np.tile(w[idx], SCAN_BLOCK)
+        best_z, best = np.inf, None
+        for f0 in range(0, F, SCAN_BLOCK):
+            block = slice(f0, f0 + SCAN_BLOCK)
+            keys = np.add(bins[block, idx], key_base[: min(F - f0, SCAN_BLOCK)])
+            hist = np.bincount(keys.reshape(-1), weights=weights[: keys.size],
+                               minlength=2 * SCAN_BLOCK * B)
+            hn, hp = hist.reshape(2, SCAN_BLOCK, B)[:, : keys.shape[0]]
+            cp = np.cumsum(hp, axis=1)
+            cn = np.cumsum(hn, axis=1)
+            # Right-side masses are differences of nearly equal sums; roundoff
+            # can push them a hair below zero, which sqrt would turn into NaN.
+            rp = np.maximum(wp - cp, 0.0)
+            rn = np.maximum(wn - cn, 0.0)
+            z = 2.0 * (np.sqrt(cp * cn) + np.sqrt(rp * rn))
+            z[invalid[block] | ((cp + cn) <= 0.0) | ((rp + rn) <= 0.0)] = np.inf
+            k = int(np.argmin(z))
+            if z.flat[k] < best_z:
+                f, b = divmod(k, B)
+                best_z, best = z.flat[k], (f0 + f, b)
+            elif np.isnan(z.flat[k]):
+                # A NaN Z anywhere is what a single argmin over all features
+                # would have picked; it ends the node as a leaf.
+                return None
+        return best
 
     def build(idx: np.ndarray, depth: int) -> int:
         node = len(feature)
@@ -154,37 +286,21 @@ def train_tree(
 
         wp = float(w_pos[idx].sum())
         wn = float(w_neg[idx].sum())
-        if depth >= max_depth or idx.size < 2 or wp == 0.0 or wn == 0.0:
+        split = None
+        if depth < max_depth and idx.size >= 2 and wp != 0.0 and wn != 0.0:
+            split = best_split(idx, wp, wn)
+        if split is None:
             value[node] = _leaf_score(wp, wn, eps)
             return node
-
-        flat = (binner.bins[idx].astype(np.int64) + col_offset[None, :]).reshape(-1)
-        hp = np.bincount(flat, weights=np.repeat(w_pos[idx], F), minlength=F * B)
-        hn = np.bincount(flat, weights=np.repeat(w_neg[idx], F), minlength=F * B)
-        cp = np.cumsum(hp.reshape(F, B), axis=1)[:, : B - 1]
-        cn = np.cumsum(hn.reshape(F, B), axis=1)[:, : B - 1]
-        # Right-side masses are differences of nearly equal sums; roundoff can
-        # push them a hair below zero, which sqrt would turn into NaN.
-        rp = np.maximum(wp - cp, 0.0)
-        rn = np.maximum(wn - cn, 0.0)
-        z = 2.0 * (np.sqrt(cp * cn) + np.sqrt(rp * rn))
-        bad = invalid | ((cp + cn) <= 0.0) | ((rp + rn) <= 0.0)
-        z[bad] = np.inf
-        best = int(np.argmin(z))
-        if not np.isfinite(z.reshape(-1)[best]):
-            value[node] = _leaf_score(wp, wn, eps)
-            return node
-        f, b = divmod(best, B - 1)
-        cut = float(binner.cuts[f][b])
-
+        f, b = split
         feature[node] = f
-        threshold[node] = cut
-        goes_left = binner.bins[idx, f] <= b
+        threshold[node] = float(binner.cuts[f][b])
+        goes_left = bins[f, idx] <= b
         left[node] = build(idx[goes_left], depth + 1)
         right[node] = build(idx[~goes_left], depth + 1)
         return node
 
-    build(np.arange(binner.bins.shape[0], dtype=np.int64), 0)
+    build(np.arange(bins.shape[1], dtype=np.int64), 0)
     return Tree(
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=np.float64),
@@ -253,6 +369,10 @@ class StageLog:
         }
 
 
+#: Bound on trees * samples that ``Forest.score`` walks at once.
+_TREE_VALUES_PER_SLICE = 1 << 20
+
+
 @dataclass
 class Forest:
     """Additive tree ensemble with a weighted proposal prior."""
@@ -273,8 +393,12 @@ class Forest:
             if priors.shape[0] != X.shape[0]:
                 raise DataError("priors and samples disagree on count")
             out = self.prior_weight * priors.copy()
-        for t in self.trees:
-            out += t.apply(X)
+        # Samples are scored in slices that keep (trees, samples) arrays small.
+        step = max(1, _TREE_VALUES_PER_SLICE // max(1, len(self.trees)))
+        for start in range(0, X.shape[0], step):
+            part = out[start : start + step]
+            for values in apply_trees(self.trees, X[start : start + step]):
+                part += values
         return out
 
     def to_dict(self) -> dict:
@@ -454,28 +578,14 @@ def select_hard_negatives(
     return out
 
 
-class BootstrapSource:
-    """Interface bootstrap_train consumes (duck-typed; subclassing optional).
-
-    ``positives()`` -> (X, priors) for all positive samples.
-    ``background_negatives(count, seed)`` -> (X, priors, keys) random
-    background samples.
-    ``negative_pool()`` -> (X, priors, keys) every candidate eligible as a
-    hard negative (already overlap-filtered against ground truth).
-    """
-
-    def positives(self) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
-
-    def background_negatives(self, count: int, seed: int) -> tuple[np.ndarray, np.ndarray, list]:
-        raise NotImplementedError
-
-    def negative_pool(self) -> tuple[np.ndarray, np.ndarray, list]:
-        raise NotImplementedError
-
-
 def bootstrap_train(source, cfg: TrainConfig) -> Forest:
     """Run the staged schedule: train, mine false positives, retrain from scratch.
+
+    ``source`` is duck-typed and provides ``positives()`` -> (X, priors) for
+    all positive samples, ``background_negatives(count, seed)`` -> (X, priors,
+    keys) random background samples, and ``negative_pool()`` -> (X, priors,
+    keys) every candidate eligible as a hard negative (already
+    overlap-filtered against ground truth).
 
     The returned forest is the final stage's; its ``stage_history`` records
     per-stage tree counts, negative-set sizes, and how many mined negatives

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigError
 
 
@@ -120,6 +122,23 @@ def iou(a: Box, b: Box) -> float:
     return inter / (a.area + b.area - inter)
 
 
+def pairwise_iou(boxes: list[Box]) -> np.ndarray:
+    """IoU of every pair of boxes, each entry bit-equal to ``iou(boxes[i], boxes[j])``.
+
+    Uses ``iou``'s formula in float64 with the same operation order, including
+    its rule that boxes whose overlap has no positive width or height have
+    IoU 0.
+    """
+    x, y, w, h = np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4).T
+    x2, y2, area = x + w, y + h, w * h
+    ix = np.minimum(x2[:, None], x2[None, :]) - np.maximum(x[:, None], x[None, :])
+    iy = np.minimum(y2[:, None], y2[None, :]) - np.maximum(y[:, None], y[None, :])
+    inter = ix * iy
+    out = np.zeros_like(inter)
+    np.divide(inter, area[:, None] + area[None, :] - inter, out=out, where=(ix > 0) & (iy > 0))
+    return out
+
+
 def nms(detections: list[Detection], threshold: float) -> list[Detection]:
     """Greedy non-maximum suppression.
 
@@ -130,11 +149,13 @@ def nms(detections: list[Detection], threshold: float) -> list[Detection]:
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"nms threshold must be in [0, 1], got {threshold}")
     order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
+    overlaps = pairwise_iou([detections[i].box for i in order]) > threshold
+    suppressed = np.zeros(len(order), dtype=bool)
     kept: list[Detection] = []
-    for i in order:
-        d = detections[i]
-        if all(iou(d.box, k.box) <= threshold for k in kept):
-            kept.append(d)
+    for rank, i in enumerate(order):
+        if not suppressed[rank]:
+            kept.append(detections[i])
+            suppressed |= overlaps[rank]
     return kept
 
 

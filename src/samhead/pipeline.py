@@ -26,7 +26,6 @@ from .forest import (
     TrainingError,
     bootstrap_train,
     full_training_config,
-    select_hard_negatives,
 )
 from .geometry import Box, Candidate, Detection, iou, nms
 from .maps import ImageRecord
@@ -442,35 +441,6 @@ def train_detector(dataset: Dataset, settings: TrainSettings) -> tuple[DetectorM
     return model, manifest
 
 
-def mine_hard_negatives(
-    model: DetectorModel,
-    dataset: Dataset,
-    count: int,
-    exclude: set = frozenset(),
-    settings: TrainSettings | None = None,
-) -> tuple[np.ndarray, np.ndarray, list]:
-    """Top-count scoring negatives from the dataset's proposal pool.
-
-    Returns (descriptors, priors, keys); keys identify (image, proposal) so
-    repeat mining rounds can exclude what previous rounds already took.
-    """
-    if settings is None:
-        settings = TrainSettings(
-            routing=model.table,
-            channels=model.channels,
-            caps=model.caps,
-            prior_logit_clamp=model.prior_logit_clamp,
-            nms_threshold=model.nms_threshold,
-        )
-    source = _DatasetSource(dataset, model.extractor, settings)
-    X, priors, keys = source.negative_pool()
-    if X.shape[0] == 0:
-        return X, priors, []
-    scores = model.forest.score(X, priors)
-    sel = select_hard_negatives(scores, keys, count, set(exclude))
-    return X[sel], priors[sel], [keys[i] for i in sel]
-
-
 # --- inference ----------------------------------------------------------------
 
 
@@ -687,16 +657,3 @@ def write_sweep_csv(path, rows: list[dict]) -> None:
         w.writerow(["combination", "subset", "mr4"])
         for r in rows:
             w.writerow([r["combination"], r["subset"], repr(float(r["mr4"]))])
-
-
-def read_sweep_csv(path) -> list[dict]:
-    import csv
-
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["combination", "subset", "mr4"]:
-            raise DataError(f"unexpected sweep header {header}")
-        return [
-            {"combination": c, "subset": s, "mr4": float(v)} for c, s, v in reader
-        ]

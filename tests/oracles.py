@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from samhead.forest import Tree
 from samhead.geometry import Box, Detection, GroundTruthBox, iou
 from samhead.maps import EdgeMap, FeatureMap, LabelMap
 from samhead.pooling import PoolGrid
@@ -195,3 +196,106 @@ def oracle_greedy_match(detections, ground_truth, iou_threshold, eligible_flags)
     scores = [detections[idx].score for idx in order]
     eligible = sum(1 for f in eligible_flags if f)
     return scores, flags, eligible
+
+
+def oracle_binner(X, max_bins):
+    """Reference binning, one column at a time: (cuts per feature, sample-major uint8 bins).
+
+    Columns with at most ``max_bins`` distinct values cut at the midpoints of
+    consecutive distinct values; denser columns cut at the distinct values
+    among the ``max_bins - 1`` interior ``np.quantile`` points.  A value
+    falls in the bin of the first cut it does not exceed.
+    """
+    X = np.asarray(X)
+    n, n_features = X.shape
+    cuts = []
+    bins = np.empty((n, n_features), dtype=np.uint8)
+    interior = np.linspace(0.0, 1.0, max_bins + 1)[1:-1]
+    for f in range(n_features):
+        col = X[:, f].astype(np.float64)
+        uniq = np.unique(col)
+        if uniq.size <= max_bins:
+            c = (uniq[:-1] + uniq[1:]) / 2.0
+        else:
+            c = np.unique(np.quantile(col, interior))
+        cuts.append(c)
+        bins[:, f] = np.searchsorted(c, col, side="left")
+    return cuts, bins
+
+
+def oracle_train_tree(cuts, bins, w, y, max_depth, eps):
+    """Reference greedy tree growth on sample-major bins, minimizing Z.
+
+    Every node builds its positive and negative histograms from scratch and
+    scans all (feature, cut) pairs at once; ``np.argmin`` over the
+    feature-major flattening picks the lowest feature, then the lowest cut,
+    among equal Z.  Needs at least one feature with a cut.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    pos = np.asarray(y) > 0
+    w_pos = np.where(pos, w, 0.0)
+    w_neg = np.where(pos, 0.0, w)
+    n_cuts = np.array([c.size for c in cuts], dtype=np.int64)
+    B = int(n_cuts.max(initial=0)) + 1
+    F = len(cuts)
+    col_offset = np.arange(F, dtype=np.int64) * B
+    invalid = np.arange(B - 1, dtype=np.int64)[None, :] >= n_cuts[:, None]
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def leaf_score(wp, wn):
+        return 0.5 * math.log((wp + eps) / (wn + eps))
+
+    def build(idx, depth):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        wp = float(w_pos[idx].sum())
+        wn = float(w_neg[idx].sum())
+        if depth >= max_depth or idx.size < 2 or wp == 0.0 or wn == 0.0:
+            value[node] = leaf_score(wp, wn)
+            return node
+        flat = (bins[idx].astype(np.int64) + col_offset[None, :]).reshape(-1)
+        hp = np.bincount(flat, weights=np.repeat(w_pos[idx], F), minlength=F * B)
+        hn = np.bincount(flat, weights=np.repeat(w_neg[idx], F), minlength=F * B)
+        cp = np.cumsum(hp.reshape(F, B), axis=1)[:, : B - 1]
+        cn = np.cumsum(hn.reshape(F, B), axis=1)[:, : B - 1]
+        rp = np.maximum(wp - cp, 0.0)
+        rn = np.maximum(wn - cn, 0.0)
+        z = 2.0 * (np.sqrt(cp * cn) + np.sqrt(rp * rn))
+        bad = invalid | ((cp + cn) <= 0.0) | ((rp + rn) <= 0.0)
+        z[bad] = np.inf
+        best = int(np.argmin(z))
+        if not np.isfinite(z.reshape(-1)[best]):
+            value[node] = leaf_score(wp, wn)
+            return node
+        f, b = divmod(best, B - 1)
+        feature[node] = f
+        threshold[node] = float(cuts[f][b])
+        goes_left = bins[idx, f] <= b
+        left[node] = build(idx[goes_left], depth + 1)
+        right[node] = build(idx[~goes_left], depth + 1)
+        return node
+
+    build(np.arange(bins.shape[0], dtype=np.int64), 0)
+    return Tree(
+        feature=np.asarray(feature, dtype=np.int64),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int64),
+        right=np.asarray(right, dtype=np.int64),
+        value=np.asarray(value, dtype=np.float64),
+    )
+
+
+def oracle_tree_apply(tree, X):
+    """Leaf value of each sample, walking the tree one sample at a time."""
+    out = []
+    for x in np.asarray(X):
+        node = 0
+        while tree.feature[node] >= 0:
+            goes_left = x[tree.feature[node]] <= tree.threshold[node]
+            node = tree.left[node] if goes_left else tree.right[node]
+        out.append(tree.value[node])
+    return np.array(out, dtype=np.float64)

@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import oracle_binner, oracle_train_tree, oracle_tree_apply
 from samhead.errors import ConfigError, DataError
 import samhead.forest as forest_module
 from samhead.forest import (
@@ -17,10 +18,12 @@ from samhead.forest import (
     TrainConfig,
     TrainingError,
     Tree,
+    apply_trees,
     basic_training_config,
     bootstrap_train,
     full_training_config,
     realboost_fit,
+    SCAN_BLOCK,
     select_hard_negatives,
     train_tree,
 )
@@ -76,6 +79,35 @@ class TestFeatureBinner:
         with pytest.raises(TrainingError):
             FeatureBinner(np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_features(self, bad):
+        X = np.arange(12.0).reshape(6, 2)
+        X[3, 1] = bad
+        with pytest.raises(TrainingError, match="finite"):
+            FeatureBinner(X)
+        y = np.array([1.0, -1.0] * 3)
+        with pytest.raises(TrainingError, match="finite"):
+            realboost_fit(X, y, rounds=1)
+
+    @pytest.mark.parametrize("max_bins", [3, 32, 256])
+    def test_dense_cuts_match_oracle_bitwise(self, max_bins):
+        # Wide-ranged values make both branches of np.quantile's linear rule
+        # round differently from each other.
+        rng = np.random.default_rng(max_bins)
+        X = (rng.standard_cauchy(size=(1001, 40)) * 1e3).astype(np.float32)
+        binner = FeatureBinner(X, max_bins=max_bins)
+        cuts, bins = oracle_binner(X, max_bins)
+        for got, want in zip(binner.cuts, cuts):
+            assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(binner.bins, bins)
+
+    def test_bins_are_a_view_of_the_feature_major_matrix(self):
+        X, _ = separable_blobs(n_per_class=5)
+        binner = FeatureBinner(X, max_bins=4)
+        assert binner.bins_by_feature.shape == (2, 10)
+        assert binner.bins_by_feature.flags.c_contiguous
+        assert binner.bins.base is binner.bins_by_feature
+
 
 class TestTrainTree:
     def test_stump_finds_the_separating_threshold(self):
@@ -118,6 +150,65 @@ class TestTrainTree:
         tree = train_tree(FeatureBinner(X), np.full(3, 1 / 3), y, max_depth=4, eps=0.01)
         assert tree.n_nodes == 1
         assert tree.feature[0] == -1
+
+    def test_feature_tie_across_scan_blocks_breaks_to_smaller_index(self):
+        # Features 63 and 64 split equally well and sit in different blocks.
+        rng = np.random.default_rng(5)
+        X = np.full((40, SCAN_BLOCK + 3), 1.0)
+        X[:, SCAN_BLOCK - 1] = X[:, SCAN_BLOCK] = np.arange(40.0)
+        y = np.where(np.arange(40) < 17, -1.0, 1.0)
+        w = rng.random(40)
+        tree = train_tree(FeatureBinner(X), w / w.sum(), y, max_depth=1, eps=0.01)
+        assert tree.feature[0] == SCAN_BLOCK - 1
+        assert tree.threshold[0] == 16.5
+
+    def test_no_feature_with_a_cut_gives_a_single_leaf(self):
+        X = np.full((10, 3), 2.0, dtype=np.float32)
+        y = np.array([1.0, -1.0] * 5)
+        forest, log = realboost_fit(X, y, rounds=1)
+        (tree,) = forest.trees
+        assert tree.n_nodes == 1
+        assert tree.feature[0] == -1
+        assert tree.value[0] == 0.0  # equal class weights
+        assert log.losses == [1.0]
+
+    @given(
+        n=st.integers(2, 400),
+        n_features=st.integers(1, 200),
+        max_bins=st.sampled_from([2, 3, 8, 32, 256]),
+        depth=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_binner_and_tree_match_oracles_bitwise(self, n, n_features, max_bins, depth, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, n_features))
+        kinds = rng.integers(0, 4, size=n_features)
+        for f in np.flatnonzero(kinds == 1):
+            X[:, f] = rng.integers(0, int(rng.integers(1, 2 * max_bins + 2)), size=n)
+        X[:, kinds == 2] = 3.0  # constant
+        if n_features > SCAN_BLOCK:
+            X[:, SCAN_BLOCK] = X[:, SCAN_BLOCK - 1]
+        X = X.astype(np.float32)
+        y = np.where(rng.random(n) < rng.uniform(0.1, 0.9), 1.0, -1.0)
+        w = rng.random(n)
+        w[rng.random(n) < 0.2] = 0.0
+
+        binner = FeatureBinner(X, max_bins=max_bins)
+        cuts, bins = oracle_binner(X, max_bins)
+        assert len(binner.cuts) == len(cuts)
+        for got, want in zip(binner.cuts, cuts):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert binner.bins.dtype == np.uint8
+        np.testing.assert_array_equal(binner.bins, bins)
+
+        assume(binner.width > 1)  # the oracle needs at least one cut
+        eps = 1.0 / (2.0 * n)
+        got = train_tree(binner, w, y, depth, eps)
+        want = oracle_train_tree(cuts, bins, w, y, depth, eps)
+        for name in ("feature", "threshold", "left", "right", "value"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
     def test_validation(self):
         binner = FeatureBinner(XOR_X)
@@ -207,6 +298,29 @@ class TestForest:
         for tree in forest.trees:
             manual = manual + tree.apply(X)
         np.testing.assert_array_equal(forest.score(X, priors), manual)
+
+    def test_apply_trees_matches_a_per_sample_walk(self, monkeypatch):
+        X, y = separable_blobs(seed=13)
+        X = X.astype(np.float32)
+        forest, _ = realboost_fit(X, y, rounds=5, config=BoostConfig(max_depth=3))
+        leaf = Tree(*(np.array([v]) for v in (-1, 0.0, -1, -1, 0.25)))
+        forest.trees.append(leaf)
+        values = apply_trees(forest.trees, X)
+        assert values.shape == (6, X.shape[0])
+        for row, tree in zip(values, forest.trees):
+            assert row.tobytes() == oracle_tree_apply(tree, X).tobytes()
+            assert tree.apply(X).tobytes() == row.tobytes()
+        # Scoring in slices of a few samples gives the same bits.
+        whole = forest.score(X)
+        monkeypatch.setattr(forest_module, "_TREE_VALUES_PER_SLICE", 13)
+        assert forest.score(X).tobytes() == whole.tobytes()
+
+    def test_empty_forest_scores_the_prior(self):
+        forest = Forest(trees=[], prior_weight=2.0)
+        X = np.zeros((3, 2))
+        assert apply_trees([], X).shape == (0, 3)
+        np.testing.assert_array_equal(forest.score(X, np.array([0.5, 1.0, -1.0])),
+                                      [1.0, 2.0, -2.0])
 
     def test_feature_count_enforced(self):
         X, y = separable_blobs(n_per_class=5)

@@ -21,6 +21,7 @@ from samhead.geometry import (
     in_eval_region,
     iou,
     nms,
+    pairwise_iou,
 )
 
 
@@ -121,6 +122,40 @@ class TestNms:
             ]
             thr = float(rng.uniform(0.0, 1.0))
             assert nms(dets, thr) == nms_oracle(dets, thr)
+
+    @given(
+        n=st.integers(0, 200),
+        threshold=st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle_on_crowded_sets(self, n, threshold, seed):
+        # Integer grid coordinates make touching edges, duplicate boxes and
+        # tied scores common.
+        rng = np.random.default_rng(seed)
+        dets = []
+        for _ in range(n):
+            if dets and rng.random() < 0.2:
+                box = dets[int(rng.integers(0, len(dets)))].box
+            else:
+                box = Box(*(float(v) for v in rng.integers(0, 40, size=2)),
+                          *(float(v) for v in rng.integers(1, 20, size=2)))
+            dets.append(Detection(box, float(rng.integers(0, 8)) / 4.0))
+        got = nms(dets, threshold)
+        want = nms_oracle(dets, threshold)
+        assert [id(d) for d in got] == [id(d) for d in want]
+
+    def test_pairwise_iou_equals_iou_exactly(self):
+        rng = np.random.default_rng(12)
+        boxes = [Box(float(rng.uniform(-20, 60)), float(rng.uniform(-20, 60)),
+                     float(rng.uniform(0.5, 40)), float(rng.uniform(0.5, 40)))
+                 for _ in range(40)]
+        boxes += [Box(0.0, 0.0, 10.0, 10.0), Box(10.0, 0.0, 5.0, 10.0), Box(0, 0, 10, 10)]
+        matrix = pairwise_iou(boxes)
+        for i, a in enumerate(boxes):
+            for j, b in enumerate(boxes):
+                assert matrix[i, j] == iou(a, b)
+        assert pairwise_iou([]).shape == (0, 0)
 
     def test_keeps_all_at_threshold_one(self):
         dets = [Detection(Box(0, 0, 10, 10), 1.0), Detection(Box(1, 1, 10, 10), 0.5)]
