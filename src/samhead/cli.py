@@ -108,27 +108,17 @@ def _train_config(section: dict) -> TrainConfig:
 
 
 def _train_settings(section: dict, seed: int | None) -> TrainSettings:
-    allowed = {"routing", "channels", "forest", "caps", "pca_sample_cap",
-               "pca_min_samples", "prior_logit_clamp", "background_prior_score",
-               "nms_threshold"}
-    unknown = sorted(set(section) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown train keys {unknown}; allowed: {sorted(allowed)}")
-    kw: dict = {}
-    if "routing" in section:
+    kw = _kwargs(TrainSettings, section, "train")
+    if "routing" in kw:
         try:
-            kw["routing"] = routing_table_from_dict(section["routing"])
+            kw["routing"] = routing_table_from_dict(kw["routing"])
         except DataError as e:
             raise ConfigError(str(e)) from e
-    if "channels" in section:
-        kw["channels"] = ChannelConfig(**_kwargs(ChannelConfig, section["channels"], "channels"))
-    kw["forest"] = _train_config(section.get("forest", {}))
-    if "caps" in section:
-        kw["caps"] = Caps(**_kwargs(Caps, section["caps"], "caps"))
-    for name in ("pca_sample_cap", "pca_min_samples", "prior_logit_clamp",
-                 "background_prior_score", "nms_threshold"):
-        if name in section:
-            kw[name] = section[name]
+    if "channels" in kw:
+        kw["channels"] = ChannelConfig(**_kwargs(ChannelConfig, kw["channels"], "channels"))
+    kw["forest"] = _train_config(kw.get("forest", {}))
+    if "caps" in kw:
+        kw["caps"] = Caps(**_kwargs(Caps, kw["caps"], "caps"))
     settings = TrainSettings(**kw)
     if seed is not None:
         settings = dataclasses.replace(

@@ -2,7 +2,8 @@
 
 Directory layout::
 
-    <root>/meta.json            image ids, sizes, layer geometry, generator echo
+    <root>/meta.json            image ids, per-image (w, h) sizes, layer geometry,
+                                generator echo
     <root>/annotations.jsonl    one row per image (possibly empty box list)
     <root>/proposals.jsonl      one row per image
     <root>/maps/<id>.fmap       CNN feature maps
@@ -109,6 +110,7 @@ class Dataset:
         meta.update(
             {
                 "image_ids": ids,
+                "image_sizes": [[s.record.image_w, s.record.image_h] for s in self.samples],
                 "image_w": first.image_w if first else 0,
                 "image_h": first.image_h if first else 0,
             }
@@ -125,15 +127,21 @@ class Dataset:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
         gts = read_ground_truth_jsonl(root / "annotations.jsonl")
         props = read_proposals_jsonl(root / "proposals.jsonl")
+        ids = meta["image_ids"]
+        # Directories written before sizes were stored per image give one
+        # size for all.
+        sizes = meta.get("image_sizes", [[meta["image_w"], meta["image_h"]]] * len(ids))
+        if len(sizes) != len(ids):
+            raise DataError(f"{meta_path}: {len(sizes)} image sizes for {len(ids)} images")
         samples = []
-        for image_id in meta["image_ids"]:
+        for image_id, (image_w, image_h) in zip(ids, sizes):
             layers = read_feature_maps(root / "maps" / f"{image_id}.fmap")
             lmap_path = root / "maps" / f"{image_id}.lmap"
             emap_path = root / "maps" / f"{image_id}.emap"
             record = ImageRecord(
                 image_id=image_id,
-                image_w=int(meta["image_w"]),
-                image_h=int(meta["image_h"]),
+                image_w=int(image_w),
+                image_h=int(image_h),
                 feature_maps={fm.layer_name: fm for fm in layers},
                 label_map=read_label_map(lmap_path) if lmap_path.exists() else None,
                 edge_map=read_edge_map(emap_path) if emap_path.exists() else None,

@@ -12,7 +12,6 @@ EMAP: magic ``EMAP`` | version u32 | H u32 | W u32 | H*W float32 in [0, 1].
 from __future__ import annotations
 
 import csv
-import io
 import json
 import struct
 from pathlib import Path
@@ -26,6 +25,7 @@ from .maps import EdgeMap, FeatureMap, LabelMap
 FORMAT_VERSION = 1
 
 _U32 = struct.Struct("<I")
+_HEADER4 = struct.Struct("<4I")
 
 
 class FormatError(DataError):
@@ -57,12 +57,14 @@ class ValueRangeError(FormatError):
 
 
 class _Reader:
+    """Cursor over a file's bytes; ``take`` hands out views, never copies."""
+
     def __init__(self, data: bytes, what: str):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
         self.what = what
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise TruncatedPayloadError(
                 f"{self.what}: needed {n} bytes at offset {self.pos}, "
@@ -76,7 +78,7 @@ class _Reader:
         return _U32.unpack(self.take(4))[0]
 
     def expect_magic(self, magic: bytes) -> None:
-        got = self.take(4)
+        got = bytes(self.take(4))
         if got != magic:
             raise BadMagicError(f"{self.what}: expected magic {magic!r}, got {got!r}")
 
@@ -92,22 +94,20 @@ class _Reader:
             )
 
 
+def _write_chunks(path: str | Path, chunks: list) -> None:
+    """Write bytes and C-contiguous arrays back to back, without joining them first."""
+    with open(path, "wb") as f:
+        f.writelines(chunks)
+
+
 def write_feature_maps(path: str | Path, layers: list[FeatureMap]) -> None:
-    buf = io.BytesIO()
-    buf.write(b"FMAP")
-    buf.write(_U32.pack(FORMAT_VERSION))
-    buf.write(_U32.pack(len(layers)))
+    chunks: list = [b"FMAP", _U32.pack(FORMAT_VERSION), _U32.pack(len(layers))]
     for fm in layers:
         name = fm.layer_name.encode("utf-8")
-        buf.write(_U32.pack(len(name)))
-        buf.write(name)
-        buf.write(_U32.pack(fm.stride))
         c, h, w = fm.data.shape
-        buf.write(_U32.pack(c))
-        buf.write(_U32.pack(h))
-        buf.write(_U32.pack(w))
-        buf.write(np.ascontiguousarray(fm.data, dtype="<f4").tobytes())
-    Path(path).write_bytes(buf.getvalue())
+        chunks += [_U32.pack(len(name)), name, _HEADER4.pack(fm.stride, c, h, w),
+                   np.ascontiguousarray(fm.data, dtype="<f4")]
+    _write_chunks(path, chunks)
 
 
 def read_feature_maps(path: str | Path) -> list[FeatureMap]:
@@ -118,34 +118,31 @@ def read_feature_maps(path: str | Path) -> list[FeatureMap]:
     layers: list[FeatureMap] = []
     for _ in range(count):
         name_len = r.u32()
-        name = r.take(name_len).decode("utf-8")
+        name = bytes(r.take(name_len)).decode("utf-8")
         stride = r.u32()
         c = r.u32()
         h = r.u32()
         w = r.u32()
         if min(c, h, w) < 1:
             raise DimensionError(f"{path}: layer {name!r} declares shape ({c}, {h}, {w})")
-        raw = r.take(4 * c * h * w)
-        data = np.frombuffer(raw, dtype="<f4").reshape(c, h, w)
-        bad = np.flatnonzero(~np.isfinite(data))
-        if bad.size:
-            raise ValueRangeError(f"{path}: layer {name!r} has non-finite value", int(bad[0]))
+        data = np.frombuffer(r.take(4 * c * h * w), dtype="<f4").reshape(c, h, w)
+        # FeatureMap scans for non-finite values; only a rejected layer is
+        # scanned again, to name the first offending index.
         try:
             layers.append(FeatureMap(name, stride, data))
         except DataError as e:
+            bad = np.flatnonzero(~np.isfinite(data))
+            if bad.size:
+                raise ValueRangeError(f"{path}: layer {name!r} has non-finite value",
+                                      int(bad[0])) from None
             raise DimensionError(f"{path}: {e}") from None
     r.done()
     return layers
 
 
 def write_label_map(path: str | Path, lmap: LabelMap) -> None:
-    buf = io.BytesIO()
-    buf.write(b"LMAP")
-    buf.write(_U32.pack(FORMAT_VERSION))
-    buf.write(_U32.pack(lmap.height))
-    buf.write(_U32.pack(lmap.width))
-    buf.write(lmap.data.tobytes())
-    Path(path).write_bytes(buf.getvalue())
+    _write_chunks(path, [b"LMAP", _U32.pack(FORMAT_VERSION),
+                         _U32.pack(lmap.height), _U32.pack(lmap.width), lmap.data])
 
 
 def read_label_map(path: str | Path, num_classes: int = 21) -> LabelMap:
@@ -158,23 +155,21 @@ def read_label_map(path: str | Path, num_classes: int = 21) -> LabelMap:
         raise DimensionError(f"{path}: label map declares shape ({h}, {w})")
     data = np.frombuffer(r.take(h * w), dtype=np.uint8).reshape(h, w)
     r.done()
-    bad = np.flatnonzero(data >= num_classes)
-    if bad.size:
+    # LabelMap checks the class range; a rejected map is scanned again for
+    # the first offending index.
+    try:
+        return LabelMap(data, num_classes)
+    except DataError:
+        bad = np.flatnonzero(data >= num_classes)
         raise ValueRangeError(
             f"{path}: class index {int(data.flat[bad[0]])} outside [0, {num_classes - 1}]",
             int(bad[0]),
-        )
-    return LabelMap(data, num_classes)
+        ) from None
 
 
 def write_edge_map(path: str | Path, emap: EdgeMap) -> None:
-    buf = io.BytesIO()
-    buf.write(b"EMAP")
-    buf.write(_U32.pack(FORMAT_VERSION))
-    buf.write(_U32.pack(emap.height))
-    buf.write(_U32.pack(emap.width))
-    buf.write(np.ascontiguousarray(emap.data, dtype="<f4").tobytes())
-    Path(path).write_bytes(buf.getvalue())
+    _write_chunks(path, [b"EMAP", _U32.pack(FORMAT_VERSION), _U32.pack(emap.height),
+                         _U32.pack(emap.width), np.ascontiguousarray(emap.data, dtype="<f4")])
 
 
 def read_edge_map(path: str | Path) -> EdgeMap:
@@ -187,10 +182,13 @@ def read_edge_map(path: str | Path) -> EdgeMap:
         raise DimensionError(f"{path}: edge map declares shape ({h}, {w})")
     data = np.frombuffer(r.take(4 * h * w), dtype="<f4").reshape(h, w)
     r.done()
-    bad = np.flatnonzero(~((data >= 0.0) & (data <= 1.0)))
-    if bad.size:
-        raise ValueRangeError(f"{path}: edge value outside [0, 1]", int(bad[0]))
-    return EdgeMap(data)
+    # EdgeMap checks finiteness and range; a rejected map is scanned again
+    # for the first offending index.
+    try:
+        return EdgeMap(data)
+    except DataError:
+        bad = np.flatnonzero(~((data >= 0.0) & (data <= 1.0)))
+        raise ValueRangeError(f"{path}: edge value outside [0, 1]", int(bad[0])) from None
 
 
 # --- JSON-lines box files -------------------------------------------------

@@ -20,7 +20,8 @@ class Box:
     h: float
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.w, self.h)):
+        if not (math.isfinite(self.x) and math.isfinite(self.y)
+                and math.isfinite(self.w) and math.isfinite(self.h)):
             raise ValueError(f"box coordinates must be finite, got {self!r}")
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"box extent must be positive, got w={self.w} h={self.h}")
@@ -122,21 +123,37 @@ def iou(a: Box, b: Box) -> float:
     return inter / (a.area + b.area - inter)
 
 
-def pairwise_iou(boxes: list[Box]) -> np.ndarray:
-    """IoU of every pair of boxes, each entry bit-equal to ``iou(boxes[i], boxes[j])``.
+def _corners(boxes: list[Box]) -> tuple[np.ndarray, ...]:
+    """(x, y, x2, y2, area) arrays, each computed as ``Box`` computes it."""
+    x, y, w, h = np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4).T
+    return x, y, x + w, y + h, w * h
+
+
+def _iou_matrix(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> np.ndarray:
+    x, y, x2, y2, area = a
+    bx, by, bx2, by2, b_area = b
+    ix = np.minimum(x2[:, None], bx2[None, :]) - np.maximum(x[:, None], bx[None, :])
+    iy = np.minimum(y2[:, None], by2[None, :]) - np.maximum(y[:, None], by[None, :])
+    inter = ix * iy
+    out = np.zeros_like(inter)
+    np.divide(inter, area[:, None] + b_area[None, :] - inter, out=out, where=(ix > 0) & (iy > 0))
+    return out
+
+
+def iou_matrix(a: list[Box], b: list[Box]) -> np.ndarray:
+    """IoU of each box of ``a`` with each box of ``b``, entry (i, j) bit-equal to ``iou(a[i], b[j])``.
 
     Uses ``iou``'s formula in float64 with the same operation order, including
     its rule that boxes whose overlap has no positive width or height have
     IoU 0.
     """
-    x, y, w, h = np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4).T
-    x2, y2, area = x + w, y + h, w * h
-    ix = np.minimum(x2[:, None], x2[None, :]) - np.maximum(x[:, None], x[None, :])
-    iy = np.minimum(y2[:, None], y2[None, :]) - np.maximum(y[:, None], y[None, :])
-    inter = ix * iy
-    out = np.zeros_like(inter)
-    np.divide(inter, area[:, None] + area[None, :] - inter, out=out, where=(ix > 0) & (iy > 0))
-    return out
+    return _iou_matrix(_corners(a), _corners(b))
+
+
+def pairwise_iou(boxes: list[Box]) -> np.ndarray:
+    """``iou_matrix(boxes, boxes)``: IoU of every pair of boxes."""
+    corners = _corners(boxes)
+    return _iou_matrix(corners, corners)
 
 
 def nms(detections: list[Detection], threshold: float) -> list[Detection]:

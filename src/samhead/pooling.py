@@ -114,23 +114,31 @@ def map_boxes_to_feature_coords(
     return np.stack([rs, re, cs, ce], axis=1)
 
 
-def map_to_feature_coords(box: Box, stride: int, map_h: int, map_w: int) -> FeatureRect:
-    """One box's rect, by the rule of ``map_boxes_to_feature_coords``.
+def feature_rect(x: float, y: float, w: float, h: float, stride: int,
+                 map_h: int, map_w: int) -> tuple[int, int, int, int]:
+    """One (x, y, w, h) box's ``(row_start, row_end, col_start, col_end)``,
+    by the rule of ``map_boxes_to_feature_coords``.
 
     Scalar code rather than a batch of one: synthesis maps boxes one at a
     time, and numpy's per-call overhead would dominate there.
     """
     if stride < 1 or map_h < 1 or map_w < 1:
         raise ValueError(f"bad map geometry: stride={stride}, shape=({map_h}, {map_w})")
-    if box.x >= map_w * stride or box.y >= map_h * stride or box.x2 <= 0 or box.y2 <= 0:
+    x2, y2 = x + w, y + h
+    if x >= map_w * stride or y >= map_h * stride or x2 <= 0 or y2 <= 0:
         raise DegenerateRoiError(
-            f"box {box.as_tuple()} lies outside a stride-{stride} map of ({map_h}, {map_w}) cells"
+            f"box {(x, y, w, h)} lies outside a stride-{stride} map of ({map_h}, {map_w}) cells"
         )
-    rs = min(max(math.floor(box.y / stride), 0), map_h - 1)
-    cs = min(max(math.floor(box.x / stride), 0), map_w - 1)
-    re = min(max(math.ceil(box.y2 / stride), rs + 1), map_h)
-    ce = min(max(math.ceil(box.x2 / stride), cs + 1), map_w)
-    return FeatureRect(rs, re, cs, ce)
+    rs = min(max(math.floor(y / stride), 0), map_h - 1)
+    cs = min(max(math.floor(x / stride), 0), map_w - 1)
+    re = min(max(math.ceil(y2 / stride), rs + 1), map_h)
+    ce = min(max(math.ceil(x2 / stride), cs + 1), map_w)
+    return rs, re, cs, ce
+
+
+def map_to_feature_coords(box: Box, stride: int, map_h: int, map_w: int) -> FeatureRect:
+    """``feature_rect`` of a ``Box``, as a ``FeatureRect``."""
+    return FeatureRect(*feature_rect(box.x, box.y, box.w, box.h, stride, map_h, map_w))
 
 
 def grid_bounds(start: np.ndarray, extent: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -14,6 +14,32 @@ one channel assignment, so descriptors concatenated from different layer
 pairs line up dimension-for-dimension.  Proposal scores correlate with
 ground-truth overlap but stay deliberately noisy, so the classifier has to
 earn the ranking.
+
+Draw order.  The channel assignment comes from a generator seeded with
+``pattern_seed``; each image draws from its own generator, spawned from
+``seed``.  Within an image the draws come in this order, and the bytes of a
+dataset rest on it:
+
+1. the pedestrian and distractor counts, then per object a height and a
+   position, redrawn while it overlaps an earlier object;
+2. per layer, in name order: the background map (one normal per value),
+   then per object, in placement order, its deposit: the amplitude (one
+   standard normal), then the noise of the shared channels (each a block
+   over the object's cells, row-major), of each class channel (a block over
+   its part-band slab) and of each contour channel (a block over its
+   silhouette strip), channel by channel in pattern order;
+3. the label map's clutter rects, then each distractor's label;
+4. the edge map's background, its noise segments, then one outline strength
+   per object;
+5. each pedestrian's occlusion and truncation;
+6. the proposals' jitter (per pedestrian its fine then its rough copies,
+   then per distractor), then the background proposals;
+7. one prior-score noise value per proposal, in proposal order.
+
+One draw of ``n`` values gives the same values as ``n`` single draws, so a
+step may batch its draws (the deposit draws all its noise at once, the
+proposals all their noise at once) as long as this order stays.
+``tests/oracles.py`` keeps the draw-by-draw generator as the referee.
 """
 
 from __future__ import annotations
@@ -25,9 +51,9 @@ import numpy as np
 
 from .dataset import Dataset, ImageSample
 from .errors import ConfigError
-from .geometry import Box, Candidate, GroundTruthBox, iou
+from .geometry import Box, Candidate, GroundTruthBox, iou, iou_matrix
 from .maps import EdgeMap, FeatureMap, ImageRecord, LabelMap, NUM_LABEL_CLASSES
-from .pooling import map_to_feature_coords
+from .pooling import feature_rect
 
 PED_WIDTH_RATIO = 0.41
 
@@ -165,11 +191,17 @@ class _Object:
 
 @dataclass
 class _Pattern:
-    class_idx: np.ndarray
-    class_sign: np.ndarray
-    class_part: np.ndarray  # (class_channels, 2) vertical sub-band fractions
+    """Which channels of a layer carry which signal.
+
+    ``_deposit`` walks the class and contour channels one at a time, so they
+    are lists; it updates all shared channels at once through ``shared_idx``.
+    """
+
+    class_idx: list[int]
+    class_sign: list[float]
+    class_band: list[int]  # index into _PART_BANDS, per class channel
     shared_idx: np.ndarray
-    contour_idx: np.ndarray
+    contour_idx: list[int]
 
 
 # Class channels are part-selective: each responds to one vertical slab of
@@ -188,16 +220,16 @@ def _draw_patterns(cfg: SynthConfig, rng: np.random.Generator) -> dict[str, _Pat
         width = cfg.layers[name].channels
         if width not in by_width:
             perm = rng.permutation(width)
-            part = np.empty((cfg.class_channels, 2))
-            for slot, ch in enumerate(rng.permutation(cfg.class_channels)):
-                part[ch] = _PART_BANDS[slot % len(_PART_BANDS)]
+            band = [0] * cfg.class_channels
+            for slot, ch in enumerate(rng.permutation(cfg.class_channels).tolist()):
+                band[ch] = slot % len(_PART_BANDS)
             n_cs = cfg.class_channels + cfg.shared_channels
             by_width[width] = _Pattern(
-                class_idx=perm[: cfg.class_channels].copy(),
-                class_sign=rng.choice((-1.0, 1.0), size=cfg.class_channels),
-                class_part=part,
+                class_idx=perm[: cfg.class_channels].tolist(),
+                class_sign=rng.choice((-1.0, 1.0), size=cfg.class_channels).tolist(),
+                class_band=band,
                 shared_idx=perm[cfg.class_channels : n_cs].copy(),
-                contour_idx=perm[n_cs : n_cs + cfg.contour_channels].copy(),
+                contour_idx=perm[n_cs : n_cs + cfg.contour_channels].tolist(),
             )
         patterns[name] = by_width[width]
     return patterns
@@ -224,67 +256,117 @@ def _place_box(cfg: SynthConfig, h: float, rng: np.random.Generator) -> Box:
     return Box(x, y, w, h)
 
 
-def _taper(coords: np.ndarray, lo: float, hi: float) -> np.ndarray:
+def _taper(coords: np.ndarray, lo: float | np.ndarray, hi: float | np.ndarray) -> np.ndarray:
     """Flat-top window over [lo, hi]: 1 in the middle, cosine to 0 at edges.
 
     Gives deposits a boundary falloff so a badly aligned box pools a visibly
-    degraded pattern instead of riding the full-strength interior.
+    degraded pattern instead of riding the full-strength interior.  ``lo``
+    and ``hi`` are scalars or arrays shaped like ``coords``.
     """
-    t = (coords - lo) / max(hi - lo, 1e-9)
+    t = (coords - lo) / np.maximum(hi - lo, 1e-9)
     edge = np.minimum(t, 1.0 - t)  # distance to nearer box edge, in box units
     w = 0.5 * (1.0 - np.cos(np.pi * np.clip(edge / 0.35, 0.0, 1.0)))
     w[(t < 0.0) | (t > 1.0)] = 0.0
     return w
 
 
-def _deposit(data: np.ndarray, spec: LayerSpec, pat: _Pattern, obj: _Object,
-             cfg: SynthConfig, rng: np.random.Generator) -> None:
-    H, W = data.shape[1], data.shape[2]
-    rect = map_to_feature_coords(obj.box, spec.stride, H, W)
-    g = band_gain(obj.box.h, spec.band_center, cfg.band_log_width, spec.quality)
-    amp = float(np.clip(1.0 + 0.1 * rng.standard_normal(), 0.7, 1.3))
-    rows = slice(rect.row_start, rect.row_end)
-    cols = slice(rect.col_start, rect.col_end)
-    shape = (rect.rows, rect.cols)
-    prof_x = _taper(np.arange(rect.col_start, rect.col_end) + 0.5,
-                    obj.box.x / spec.stride, obj.box.x2 / spec.stride)
-    prof_y = _taper(np.arange(rect.row_start, rect.row_end) + 0.5,
-                    obj.box.y / spec.stride, obj.box.y2 / spec.stride)
-    for idx in pat.shared_idx:
-        data[idx, rows, cols] += (cfg.shared_amp * g * amp * np.outer(prof_y, prof_x)
-                                  + rng.normal(0.0, cfg.fg_sigma, shape))
-    for sign, idx, (plo, phi) in zip(pat.class_sign, pat.class_idx, pat.class_part):
-        slab_y0 = obj.box.y + plo * obj.box.h
-        slab_y1 = obj.box.y + phi * obj.box.h
-        slab = Box(obj.box.x, slab_y0, obj.box.w, slab_y1 - slab_y0)
-        sr = map_to_feature_coords(slab, spec.stride, H, W)
-        slab_prof = np.outer(
-            _taper(np.arange(sr.row_start, sr.row_end) + 0.5,
-                   slab_y0 / spec.stride, slab_y1 / spec.stride),
-            prof_x[sr.col_start - rect.col_start : sr.col_end - rect.col_start],
-        )
-        data[idx, sr.row_start : sr.row_end, sr.col_start : sr.col_end] += (
-            obj.sign * sign * cfg.class_amp * g * amp * slab_prof
-            + rng.normal(0.0, cfg.fg_sigma, (sr.rows, sr.cols))
-        )
+def _tapers(spans: list[tuple[int, int, float, float]]) -> list[np.ndarray]:
+    """``_taper`` of cell centers ``start + 0.5 .. end - 0.5`` over ``[lo, hi]``
+    for each ``(start, end, lo, hi)`` span, computed in one pass."""
+    coords: list[int] = []
+    los: list[float] = []
+    his: list[float] = []
+    for start, end, lo, hi in spans:
+        coords += range(start, end)
+        los += [lo] * (end - start)
+        his += [hi] * (end - start)
+    w = _taper(np.array(coords) + 0.5, np.array(los), np.array(his))
+    out, at = [], 0
+    for start, end, _, _ in spans:
+        out.append(w[at : at + end - start])
+        at += end - start
+    return out
+
+
+@dataclass(frozen=True)
+class _Footprint:
+    """Where one object deposits on a map of one stride.
+
+    Rects are cell rects ``(row_start, row_end, col_start, col_end)``.  The
+    shared channels cover ``rect`` with ``profile``; a class channel covers
+    its part band's slab with the slab's profile, a contour channel its
+    silhouette strip.
+    """
+
+    rect: tuple[int, int, int, int]
+    profile: np.ndarray
+    slab_rects: list[tuple[int, int, int, int]]
+    slab_profiles: list[np.ndarray]
+    strip_rects: list[tuple[int, int, int, int]]
+
+
+def _footprint(box: Box, stride: int, H: int, W: int) -> _Footprint:
+    # One slab per part band, shared by the band's class channels.
+    slabs = [(box.y + plo * box.h, box.y + phi * box.h) for plo, phi in _PART_BANDS]
     # Silhouette strips, orientation-split: contour channel k fires along one
     # side of the object (top, bottom, left, right in turn), for pedestrians
     # and distractors alike.  A crop pinned to one corner keeps only that
     # corner's sides; a centered interior crop keeps none, and max pooling
     # cannot counterfeit the absent sides.
-    t = max(1.25 * spec.stride, 0.06 * obj.box.h)
-    strips = (
-        Box(obj.box.x, obj.box.y, obj.box.w, t),
-        Box(obj.box.x, obj.box.y2 - t, obj.box.w, t),
-        Box(obj.box.x, obj.box.y, t, obj.box.h),
-        Box(obj.box.x2 - t, obj.box.y, t, obj.box.h),
+    t = max(1.25 * stride, 0.06 * box.h)
+    strips = [
+        (box.x, box.y, box.w, t),
+        (box.x, box.y2 - t, box.w, t),
+        (box.x, box.y, t, box.h),
+        (box.x2 - t, box.y, t, box.h),
+    ]
+    rect = rs, re, cs, ce = feature_rect(box.x, box.y, box.w, box.h, stride, H, W)
+    slab_rects = [feature_rect(box.x, y0, box.w, y1 - y0, stride, H, W) for y0, y1 in slabs]
+    prof_x, prof_y, *slab_ys = _tapers(
+        [(cs, ce, box.x / stride, box.x2 / stride), (rs, re, box.y / stride, box.y2 / stride)]
+        + [(r0, r1, y0 / stride, y1 / stride) for (r0, r1, _, _), (y0, y1) in zip(slab_rects, slabs)]
     )
-    for k, idx in enumerate(pat.contour_idx):
-        rr = map_to_feature_coords(strips[k % 4], spec.stride, H, W)
-        data[idx, rr.row_start : rr.row_end, rr.col_start : rr.col_end] += (
-            cfg.contour_amp * g * amp
-            + rng.normal(0.0, cfg.fg_sigma, (rr.rows, rr.cols))
+    return _Footprint(
+        rect=rect,
+        profile=np.outer(prof_y, prof_x),
+        slab_rects=slab_rects,
+        slab_profiles=[np.outer(y, prof_x[c0 - cs : c1 - cs])
+                       for y, (_, _, c0, c1) in zip(slab_ys, slab_rects)],
+        strip_rects=[feature_rect(*strip, stride, H, W) for strip in strips],
+    )
+
+
+def _deposit(data: np.ndarray, fp: _Footprint, spec: LayerSpec, pat: _Pattern, obj: _Object,
+             cfg: SynthConfig, rng: np.random.Generator) -> None:
+    g = band_gain(obj.box.h, spec.band_center, cfg.band_log_width, spec.quality)
+    amp = min(max(1.0 + 0.1 * rng.standard_normal(), 0.7), 1.3)
+    # The deposit's noise comes from one draw, cut into one block per channel
+    # in the draw order of the module docstring.
+    rs, re, cs, ce = fp.rect
+    class_rects = [fp.slab_rects[b] for b in pat.class_band]
+    contour_rects = [fp.strip_rects[k % 4] for k in range(len(pat.contour_idx))]
+    n_shared = len(pat.shared_idx) * (re - rs) * (ce - cs)
+    noise = rng.normal(0.0, cfg.fg_sigma, n_shared + sum(
+        (r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in class_rects + contour_rects))
+
+    data[pat.shared_idx, rs:re, cs:ce] += (
+        cfg.shared_amp * g * amp * fp.profile + noise[:n_shared].reshape(-1, re - rs, ce - cs)
+    )
+    at = n_shared
+    for sign, idx, band, (r0, r1, c0, c1) in zip(pat.class_sign, pat.class_idx,
+                                                 pat.class_band, class_rects):
+        n = (r1 - r0) * (c1 - c0)
+        data[idx, r0:r1, c0:c1] += (
+            obj.sign * sign * cfg.class_amp * g * amp * fp.slab_profiles[band]
+            + noise[at : at + n].reshape(r1 - r0, c1 - c0)
         )
+        at += n
+    for idx, (r0, r1, c0, c1) in zip(pat.contour_idx, contour_rects):
+        n = (r1 - r0) * (c1 - c0)
+        data[idx, r0:r1, c0:c1] += (
+            cfg.contour_amp * g * amp + noise[at : at + n].reshape(r1 - r0, c1 - c0)
+        )
+        at += n
 
 
 def _paint_rect(arr: np.ndarray, box: Box, value: int) -> None:
@@ -366,13 +448,16 @@ def generate_dataset(cfg: SynthConfig, seed: int) -> Dataset:
         distractors = [o for o in objects if o.sign < 0]
 
         feature_maps = {}
+        footprints: dict[int, list[_Footprint]] = {}  # layers of one stride share them
         for name in sorted(cfg.layers):
             spec = cfg.layers[name]
             H = -(-cfg.image_h // spec.stride)
             W = -(-cfg.image_w // spec.stride)
             data = rng.normal(0.0, cfg.bg_sigma, (spec.channels, H, W)).astype(np.float32)
-            for obj in objects:
-                _deposit(data, spec, patterns[name], obj, cfg, rng)
+            if spec.stride not in footprints:
+                footprints[spec.stride] = [_footprint(o.box, spec.stride, H, W) for o in objects]
+            for obj, fp in zip(objects, footprints[spec.stride]):
+                _deposit(data, fp, spec, patterns[name], obj, cfg, rng)
             feature_maps[name] = FeatureMap(name, spec.stride, data)
 
         label = np.zeros((cfg.image_h, cfg.image_w), dtype=np.uint8)
@@ -436,12 +521,14 @@ def generate_dataset(cfg: SynthConfig, seed: int) -> Dataset:
         for _ in range(cfg.background_proposals):
             boxes.append(_random_box(cfg, rng))
             bonuses.append(0.0)
-        proposals = []
-        for box, bonus in zip(boxes, bonuses):
-            best = max((iou(box, g.box) for g in ground_truth), default=0.0)
-            score = (cfg.prior_base + cfg.prior_iou_weight * best + bonus
-                     + float(rng.normal(0.0, cfg.prior_noise)))
-            proposals.append(Candidate(box, float(np.clip(score, 0.01, 0.99))))
+        if ground_truth:
+            best = iou_matrix(boxes, [g.box for g in ground_truth]).max(axis=1)
+        else:
+            best = np.zeros(len(boxes))
+        scores = (cfg.prior_base + cfg.prior_iou_weight * best + np.array(bonuses)
+                  + rng.normal(0.0, cfg.prior_noise, len(boxes)))
+        proposals = [Candidate(box, min(max(score, 0.01), 0.99))
+                     for box, score in zip(boxes, scores.tolist())]
 
         record = ImageRecord(
             image_id=image_id,

@@ -10,10 +10,12 @@ import math
 
 import numpy as np
 
+from samhead.dataset import Dataset, ImageSample
 from samhead.forest import Tree
-from samhead.geometry import Box, Detection, GroundTruthBox, iou
-from samhead.maps import EdgeMap, FeatureMap, LabelMap
-from samhead.pooling import PoolGrid
+from samhead.geometry import Box, Candidate, Detection, GroundTruthBox, iou
+from samhead.maps import NUM_LABEL_CLASSES, EdgeMap, FeatureMap, ImageRecord, LabelMap
+from samhead.pooling import FeatureRect, PoolGrid
+from samhead.synth import PED_WIDTH_RATIO
 
 
 def oracle_windows(extent, k):
@@ -299,3 +301,297 @@ def oracle_tree_apply(tree, X):
             node = tree.left[node] if goes_left else tree.right[node]
         out.append(tree.value[node])
     return np.array(out, dtype=np.float64)
+
+
+# --- the synthetic generator as it was before its draws were batched ------
+#
+# A verbatim copy of ``samhead.synth.generate_dataset`` and its helpers: one
+# numpy update and one noise draw per channel, a taper per class slab, and a
+# Python ``iou`` per proposal and ground-truth pair.  The batched generator
+# must reproduce it bit for bit, with the same draws in the same order.
+
+_ORACLE_PART_BANDS = ((0.0, 0.4), (0.3, 0.7), (0.6, 1.0))
+
+
+class _OraclePattern:
+    def __init__(self, class_idx, class_sign, class_part, shared_idx, contour_idx):
+        self.class_idx = class_idx
+        self.class_sign = class_sign
+        self.class_part = class_part
+        self.shared_idx = shared_idx
+        self.contour_idx = contour_idx
+
+
+class _OracleObject:
+    def __init__(self, box, sign):
+        self.box = box
+        self.sign = sign
+
+
+def _oracle_draw_patterns(cfg, rng):
+    by_width = {}
+    patterns = {}
+    for name in sorted(cfg.layers):
+        width = cfg.layers[name].channels
+        if width not in by_width:
+            perm = rng.permutation(width)
+            part = np.empty((cfg.class_channels, 2))
+            for slot, ch in enumerate(rng.permutation(cfg.class_channels)):
+                part[ch] = _ORACLE_PART_BANDS[slot % len(_ORACLE_PART_BANDS)]
+            n_cs = cfg.class_channels + cfg.shared_channels
+            by_width[width] = _OraclePattern(
+                class_idx=perm[: cfg.class_channels].copy(),
+                class_sign=rng.choice((-1.0, 1.0), size=cfg.class_channels),
+                class_part=part,
+                shared_idx=perm[cfg.class_channels : n_cs].copy(),
+                contour_idx=perm[n_cs : n_cs + cfg.contour_channels].copy(),
+            )
+        patterns[name] = by_width[width]
+    return patterns
+
+
+def _oracle_band_gain(height, band_center, log_width, quality=1.0):
+    return quality * math.exp(-((math.log(height / band_center) / log_width) ** 2))
+
+
+def _oracle_sample_height(cfg, rng):
+    if rng.random() < cfg.small_fraction:
+        lo, hi = cfg.small_heights
+    else:
+        lo, hi = cfg.large_heights
+    return float(rng.uniform(lo, hi))
+
+
+def _oracle_place_box(cfg, h, rng):
+    w = PED_WIDTH_RATIO * h
+    x = float(rng.uniform(1.0, cfg.image_w - w - 1.0))
+    y = float(rng.uniform(1.0, cfg.image_h - h - 1.0))
+    return Box(x, y, w, h)
+
+
+def _oracle_feature_rect(box, stride, map_h, map_w):
+    rs = min(max(math.floor(box.y / stride), 0), map_h - 1)
+    cs = min(max(math.floor(box.x / stride), 0), map_w - 1)
+    re = min(max(math.ceil(box.y2 / stride), rs + 1), map_h)
+    ce = min(max(math.ceil(box.x2 / stride), cs + 1), map_w)
+    return FeatureRect(rs, re, cs, ce)
+
+
+def _oracle_taper(coords, lo, hi):
+    t = (coords - lo) / max(hi - lo, 1e-9)
+    edge = np.minimum(t, 1.0 - t)
+    w = 0.5 * (1.0 - np.cos(np.pi * np.clip(edge / 0.35, 0.0, 1.0)))
+    w[(t < 0.0) | (t > 1.0)] = 0.0
+    return w
+
+
+def _oracle_deposit(data, spec, pat, obj, cfg, rng):
+    H, W = data.shape[1], data.shape[2]
+    rect = _oracle_feature_rect(obj.box, spec.stride, H, W)
+    g = _oracle_band_gain(obj.box.h, spec.band_center, cfg.band_log_width, spec.quality)
+    amp = float(np.clip(1.0 + 0.1 * rng.standard_normal(), 0.7, 1.3))
+    rows = slice(rect.row_start, rect.row_end)
+    cols = slice(rect.col_start, rect.col_end)
+    shape = (rect.rows, rect.cols)
+    prof_x = _oracle_taper(np.arange(rect.col_start, rect.col_end) + 0.5,
+                           obj.box.x / spec.stride, obj.box.x2 / spec.stride)
+    prof_y = _oracle_taper(np.arange(rect.row_start, rect.row_end) + 0.5,
+                           obj.box.y / spec.stride, obj.box.y2 / spec.stride)
+    for idx in pat.shared_idx:
+        data[idx, rows, cols] += (cfg.shared_amp * g * amp * np.outer(prof_y, prof_x)
+                                  + rng.normal(0.0, cfg.fg_sigma, shape))
+    for sign, idx, (plo, phi) in zip(pat.class_sign, pat.class_idx, pat.class_part):
+        slab_y0 = obj.box.y + plo * obj.box.h
+        slab_y1 = obj.box.y + phi * obj.box.h
+        slab = Box(obj.box.x, slab_y0, obj.box.w, slab_y1 - slab_y0)
+        sr = _oracle_feature_rect(slab, spec.stride, H, W)
+        slab_prof = np.outer(
+            _oracle_taper(np.arange(sr.row_start, sr.row_end) + 0.5,
+                          slab_y0 / spec.stride, slab_y1 / spec.stride),
+            prof_x[sr.col_start - rect.col_start : sr.col_end - rect.col_start],
+        )
+        data[idx, sr.row_start : sr.row_end, sr.col_start : sr.col_end] += (
+            obj.sign * sign * cfg.class_amp * g * amp * slab_prof
+            + rng.normal(0.0, cfg.fg_sigma, (sr.rows, sr.cols))
+        )
+    t = max(1.25 * spec.stride, 0.06 * obj.box.h)
+    strips = (
+        Box(obj.box.x, obj.box.y, obj.box.w, t),
+        Box(obj.box.x, obj.box.y2 - t, obj.box.w, t),
+        Box(obj.box.x, obj.box.y, t, obj.box.h),
+        Box(obj.box.x2 - t, obj.box.y, t, obj.box.h),
+    )
+    for k, idx in enumerate(pat.contour_idx):
+        rr = _oracle_feature_rect(strips[k % 4], spec.stride, H, W)
+        data[idx, rr.row_start : rr.row_end, rr.col_start : rr.col_end] += (
+            cfg.contour_amp * g * amp
+            + rng.normal(0.0, cfg.fg_sigma, (rr.rows, rr.cols))
+        )
+
+
+def _oracle_paint_rect(arr, box, value):
+    x0 = max(int(box.x), 0)
+    y0 = max(int(box.y), 0)
+    x1 = min(int(math.ceil(box.x2)), arr.shape[1])
+    y1 = min(int(math.ceil(box.y2)), arr.shape[0])
+    if x1 > x0 and y1 > y0:
+        arr[y0:y1, x0:x1] = value
+
+
+def _oracle_outline(arr, box, value):
+    x0 = max(int(box.x), 0)
+    y0 = max(int(box.y), 0)
+    x1 = min(int(math.ceil(box.x2)), arr.shape[1]) - 1
+    y1 = min(int(math.ceil(box.y2)), arr.shape[0]) - 1
+    if x1 <= x0 or y1 <= y0:
+        return
+    arr[y0, x0 : x1 + 1] = np.maximum(arr[y0, x0 : x1 + 1], value)
+    arr[y1, x0 : x1 + 1] = np.maximum(arr[y1, x0 : x1 + 1], value)
+    arr[y0 : y1 + 1, x0] = np.maximum(arr[y0 : y1 + 1, x0], value)
+    arr[y0 : y1 + 1, x1] = np.maximum(arr[y0 : y1 + 1, x1], value)
+
+
+def _oracle_jittered(box, rel, cfg, rng):
+    if rel <= 0.0:
+        return box
+    w = box.w * math.exp(rng.normal(0.0, rel))
+    h = box.h * math.exp(rng.normal(0.0, rel))
+    x = box.x + rng.normal(0.0, rel * box.w)
+    y = box.y + rng.normal(0.0, rel * box.h)
+    w = min(max(w, 4.0), cfg.image_w - 1.0)
+    h = min(max(h, 4.0), cfg.image_h - 1.0)
+    x = min(max(x, 0.0), cfg.image_w - w)
+    y = min(max(y, 0.0), cfg.image_h - h)
+    return Box(float(x), float(y), float(w), float(h))
+
+
+def _oracle_random_box(cfg, rng):
+    h = float(rng.uniform(cfg.small_heights[0], cfg.large_heights[1]))
+    h = min(h, cfg.image_h - 2.0)
+    w = min(PED_WIDTH_RATIO * h, cfg.image_w - 2.0)
+    x = float(rng.uniform(0.0, cfg.image_w - w - 1.0))
+    y = float(rng.uniform(0.0, cfg.image_h - h - 1.0))
+    return Box(x, y, w, h)
+
+
+def oracle_generate_dataset(cfg, seed):
+    """Reference ``generate_dataset``: the per-channel, per-proposal original."""
+    cfg.validate()
+    patterns = _oracle_draw_patterns(
+        cfg, np.random.default_rng(np.random.SeedSequence(cfg.pattern_seed))
+    )
+    children = np.random.SeedSequence(seed).spawn(cfg.num_images)
+
+    samples = []
+    for i in range(cfg.num_images):
+        rng = np.random.default_rng(children[i])
+        image_id = f"img{i:04d}"
+
+        n_ped = int(rng.integers(cfg.peds_per_image[0], cfg.peds_per_image[1] + 1))
+        n_dis = int(rng.integers(cfg.distractors_per_image[0], cfg.distractors_per_image[1] + 1))
+        objects = []
+        for sign, count in ((1.0, n_ped), (-1.0, n_dis)):
+            for _ in range(count):
+                for _attempt in range(40):
+                    box = _oracle_place_box(cfg, _oracle_sample_height(cfg, rng), rng)
+                    if all(iou(box, o.box) <= cfg.placement_max_iou for o in objects):
+                        objects.append(_OracleObject(box, sign))
+                        break
+        peds = [o for o in objects if o.sign > 0]
+        distractors = [o for o in objects if o.sign < 0]
+
+        feature_maps = {}
+        for name in sorted(cfg.layers):
+            spec = cfg.layers[name]
+            H = -(-cfg.image_h // spec.stride)
+            W = -(-cfg.image_w // spec.stride)
+            data = rng.normal(0.0, cfg.bg_sigma, (spec.channels, H, W)).astype(np.float32)
+            for obj in objects:
+                _oracle_deposit(data, spec, patterns[name], obj, cfg, rng)
+            feature_maps[name] = FeatureMap(name, spec.stride, data)
+
+        label = np.zeros((cfg.image_h, cfg.image_w), dtype=np.uint8)
+        other = [c for c in range(1, NUM_LABEL_CLASSES) if c != cfg.ped_class]
+        for _ in range(cfg.clutter_rects):
+            cw = int(rng.integers(cfg.image_w // 8, cfg.image_w // 3 + 1))
+            chh = int(rng.integers(cfg.image_h // 8, cfg.image_h // 3 + 1))
+            cx = int(rng.integers(0, cfg.image_w - cw + 1))
+            cy = int(rng.integers(0, cfg.image_h - chh + 1))
+            label[cy : cy + chh, cx : cx + cw] = int(rng.choice(other))
+        for obj in distractors:
+            if rng.random() < cfg.distractor_mislabel_rate:
+                cls = cfg.ped_class
+            else:
+                cls = int(rng.choice(cfg.distractor_classes))
+            _oracle_paint_rect(label, obj.box, cls)
+        for obj in peds:
+            _oracle_paint_rect(label, obj.box, cfg.ped_class)
+
+        edge = rng.uniform(0.0, 0.12, (cfg.image_h, cfg.image_w)).astype(np.float32)
+        for _ in range(cfg.edge_noise_segments):
+            length = int(rng.integers(8, 41))
+            strength = float(rng.uniform(0.3, 1.0))
+            if rng.random() < 0.5:
+                yy = int(rng.integers(0, cfg.image_h))
+                xx = int(rng.integers(0, max(cfg.image_w - length, 1)))
+                edge[yy, xx : xx + length] = np.maximum(edge[yy, xx : xx + length], strength)
+            else:
+                yy = int(rng.integers(0, max(cfg.image_h - length, 1)))
+                xx = int(rng.integers(0, cfg.image_w))
+                edge[yy : yy + length, xx] = np.maximum(edge[yy : yy + length, xx], strength)
+        for obj in objects:
+            _oracle_outline(edge, obj.box, float(rng.uniform(0.6, 1.0)))
+
+        ground_truth = []
+        for obj in peds:
+            if rng.random() < cfg.occluded_fraction:
+                occl = float(rng.uniform(0.45, 0.7))
+            else:
+                occl = float(rng.uniform(0.0, 0.1))
+            ground_truth.append(
+                GroundTruthBox(obj.box, occlusion=occl,
+                               truncation=float(rng.uniform(0.0, 0.08)))
+            )
+
+        boxes = []
+        bonuses = []
+        for obj in peds:
+            for _ in range(cfg.proposals_per_gt):
+                boxes.append(_oracle_jittered(obj.box, cfg.proposal_jitter, cfg, rng))
+                bonuses.append(0.0)
+            for _ in range(cfg.rough_proposals_per_gt):
+                boxes.append(_oracle_jittered(obj.box, cfg.rough_jitter, cfg, rng))
+                bonuses.append(0.0)
+        for obj in distractors:
+            for _ in range(cfg.distractor_proposals):
+                boxes.append(_oracle_jittered(obj.box, cfg.proposal_jitter, cfg, rng))
+                bonuses.append(cfg.distractor_prior_bonus)
+        for _ in range(cfg.background_proposals):
+            boxes.append(_oracle_random_box(cfg, rng))
+            bonuses.append(0.0)
+        proposals = []
+        for box, bonus in zip(boxes, bonuses):
+            best = max((iou(box, g.box) for g in ground_truth), default=0.0)
+            score = (cfg.prior_base + cfg.prior_iou_weight * best + bonus
+                     + float(rng.normal(0.0, cfg.prior_noise)))
+            proposals.append(Candidate(box, float(np.clip(score, 0.01, 0.99))))
+
+        record = ImageRecord(
+            image_id=image_id,
+            image_w=cfg.image_w,
+            image_h=cfg.image_h,
+            feature_maps=feature_maps,
+            label_map=LabelMap(label),
+            edge_map=EdgeMap(edge),
+        )
+        samples.append(ImageSample(record=record, ground_truth=ground_truth,
+                                   proposals=proposals))
+
+    meta = {
+        "generator": "samhead.synth",
+        "seed": seed,
+        "config": cfg.to_dict(),
+        "layers": {name: {"stride": spec.stride, "channels": spec.channels}
+                   for name, spec in sorted(cfg.layers.items())},
+    }
+    return Dataset(samples=samples, meta=meta)

@@ -1,0 +1,163 @@
+"""The command-line entry points: exit codes, diagnostics and outputs."""
+
+import dataclasses
+import json
+
+import pytest
+
+from conftest import fast_train_settings, tiny_synth_config
+from samhead.cli import EXIT_CONFIG, EXIT_DATA, _train_settings, main
+from samhead.dataset import Dataset
+from samhead.errors import ConfigError
+from samhead.pipeline import TrainSettings, save_model, train_detector
+from samhead.synth import generate_dataset
+
+SYNTH_SECTION = {"num_images": 2, "peds_per_image": [2, 3], "background_proposals": 30}
+
+
+def _write_config(tmp_path, config, name="config.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return str(path)
+
+
+def _one_json_line(text):
+    lines = text.strip().splitlines()
+    assert len(lines) == 1, text
+    return json.loads(lines[0])
+
+
+def _assert_failed(capsys, code, want_code, error):
+    assert code == want_code
+    out, err = capsys.readouterr()
+    assert out == ""
+    payload = _one_json_line(err)
+    assert set(payload) == {"error", "message"}
+    assert payload["error"] == error
+    return payload
+
+
+@pytest.fixture
+def synth_dir(tmp_path, capsys):
+    out = tmp_path / "data"
+    config = _write_config(tmp_path, {"synth": SYNTH_SECTION})
+    assert main(["synth", "--config", config, "--out", str(out), "--seed", "3"]) == 0
+    capsys.readouterr()
+    return out
+
+
+@pytest.fixture(scope="module")
+def model_path(tmp_path_factory, tiny_train_set):
+    model, _ = train_detector(tiny_train_set, fast_train_settings())
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(path, model)
+    return path
+
+
+class TestSynth:
+    def test_output_loads_equal_to_generate_dataset(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        config = _write_config(tmp_path, {"synth": SYNTH_SECTION})
+        assert main(["synth", "--config", config, "--out", str(out), "--seed", "3"]) == 0
+        stdout, stderr = capsys.readouterr()
+        assert stderr == ""
+        assert _one_json_line(stdout) == {"command": "synth", "out": str(out),
+                                          "images": 2, "seed": 3}
+
+        want = generate_dataset(tiny_synth_config(num_images=2), seed=3)
+        got = Dataset.load(out)
+        assert got.image_ids == want.image_ids
+        assert got.ground_truth_by_image() == want.ground_truth_by_image()
+        assert got.proposals_by_image() == want.proposals_by_image()
+        for a, b in zip(got.samples, want.samples):
+            ra, rb = a.record, b.record
+            assert (ra.image_w, ra.image_h) == (rb.image_w, rb.image_h)
+            for name, fm in rb.feature_maps.items():
+                assert ra.feature_maps[name].data.tobytes() == fm.data.tobytes()
+            assert ra.label_map.data.tobytes() == rb.label_map.data.tobytes()
+            assert ra.edge_map.data.tobytes() == rb.edge_map.data.tobytes()
+
+    def test_unknown_key_exits_2(self, tmp_path, capsys):
+        config = _write_config(tmp_path, {"synth": {"num_images": 1, "bogus": 1}})
+        code = main(["synth", "--config", config, "--out", str(tmp_path / "data")])
+        payload = _assert_failed(capsys, code, EXIT_CONFIG, "ConfigError")
+        assert "bogus" in payload["message"]
+        assert not (tmp_path / "data").exists()
+
+    def test_invalid_json_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"synth": {"num_images": 1,', encoding="utf-8")
+        code = main(["synth", "--config", str(path), "--out", str(tmp_path / "data")])
+        _assert_failed(capsys, code, EXIT_CONFIG, "ConfigError")
+
+
+class TestMissingOrBrokenData:
+    def test_train_without_meta_exits_3(self, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        code = main(["train", "--data", str(empty), "--out", str(tmp_path / "m.json")])
+        payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
+        assert "meta.json" in payload["message"]
+
+    def test_detect_without_meta_exits_3(self, tmp_path, capsys, model_path):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        code = main(["detect", "--data", str(empty), "--model", str(model_path),
+                     "--out", str(tmp_path / "dets.csv")])
+        payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
+        assert "meta.json" in payload["message"]
+        assert not (tmp_path / "dets.csv").exists()
+
+    def test_truncated_fmap_exits_3(self, synth_dir, tmp_path, capsys, model_path):
+        fmap = synth_dir / "maps" / "img0001.fmap"
+        fmap.write_bytes(fmap.read_bytes()[:-7])
+        code = main(["detect", "--data", str(synth_dir), "--model", str(model_path),
+                     "--out", str(tmp_path / "dets.csv")])
+        payload = _assert_failed(capsys, code, EXIT_DATA, "TruncatedPayloadError")
+        assert "img0001.fmap" in payload["message"]
+
+    def test_detect_on_intact_data_exits_0(self, synth_dir, tmp_path, capsys, model_path):
+        out = tmp_path / "dets.csv"
+        code = main(["detect", "--data", str(synth_dir), "--model", str(model_path),
+                     "--out", str(out)])
+        assert code == 0
+        stdout, stderr = capsys.readouterr()
+        assert stderr == ""
+        assert _one_json_line(stdout)["images"] == 2
+        assert out.exists()
+
+
+class TestTrainKeys:
+    def test_every_settings_field_is_accepted(self):
+        routing = {"grid": {"m": 3, "n": 2},
+                   "bins": [{"min_height": 1.0, "max_height": None,
+                             "layers": ["conv4a"], "projector_id": "all"}]}
+        section = {"pca_sample_cap": 500, "pca_min_samples": 4, "prior_logit_clamp": 5.0,
+                   "background_prior_score": 0.2, "nms_threshold": 0.4,
+                   "routing": routing, "channels": {"semantic": True}, "forest": {},
+                   "caps": {"test_top_k": 7}}
+        assert set(section) == {f.name for f in dataclasses.fields(TrainSettings)}
+        settings = _train_settings(section, seed=9)
+        assert settings.pca_sample_cap == 500
+        assert settings.pca_min_samples == 4
+        assert settings.prior_logit_clamp == 5.0
+        assert settings.background_prior_score == 0.2
+        assert settings.nms_threshold == 0.4
+        assert (settings.routing.grid.m, settings.routing.grid.n) == (3, 2)
+        assert settings.routing.bins[0].layers == ("conv4a",)
+        assert settings.channels.semantic
+        assert settings.caps.test_top_k == 7
+        assert settings.forest.seed == 9
+
+    def test_unknown_key_is_rejected_with_the_allowed_list(self):
+        allowed = sorted(f.name for f in dataclasses.fields(TrainSettings))
+        with pytest.raises(ConfigError) as info:
+            _train_settings({"nms_threshold": 0.4, "bogus": 1, "alpha": 2}, seed=None)
+        assert str(info.value) == f"unknown train keys ['alpha', 'bogus']; allowed: {allowed}"
+
+    def test_unknown_key_exits_2(self, synth_dir, tmp_path, capsys):
+        config = _write_config(tmp_path, {"train": {"bogus": 1}})
+        code = main(["train", "--config", config, "--data", str(synth_dir),
+                     "--out", str(tmp_path / "m.json")])
+        payload = _assert_failed(capsys, code, EXIT_CONFIG, "ConfigError")
+        assert "unknown train keys ['bogus']" in payload["message"]

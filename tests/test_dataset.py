@@ -1,5 +1,7 @@
 """Dataset container: disk round trip, height-restricted views, validation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,46 @@ class TestRoundTrip:
     def test_load_requires_meta(self, tmp_path):
         with pytest.raises(DataError):
             Dataset.load(tmp_path)
+
+
+def _sized_record(image_id, image_w, image_h):
+    fm = FeatureMap("conv3", 4, np.full((2, -(-image_h // 4), -(-image_w // 4)), 0.5,
+                                        dtype=np.float32))
+    return ImageRecord(image_id=image_id, image_w=image_w, image_h=image_h,
+                       feature_maps={"conv3": fm})
+
+
+class TestPerImageSizes:
+    def test_round_trip_keeps_each_images_size(self, tmp_path):
+        ds = Dataset(samples=[ImageSample(record=_sized_record("wide", 64, 40)),
+                              ImageSample(record=_sized_record("tall", 36, 80))])
+        ds.save(tmp_path / "ds")
+        meta = json.loads((tmp_path / "ds" / "meta.json").read_text(encoding="utf-8"))
+        assert meta["image_sizes"] == [[64, 40], [36, 80]]
+        loaded = Dataset.load(tmp_path / "ds")
+        assert [(s.record.image_w, s.record.image_h) for s in loaded] == [(64, 40), (36, 80)]
+        assert loaded.samples[1].record.feature_maps["conv3"].data.shape == (2, 20, 9)
+
+    def test_directory_without_sizes_falls_back_to_one_size(self, disk_set, tmp_path):
+        root = tmp_path / "ds"
+        disk_set.save(root)
+        meta_path = root / "meta.json"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        del meta["image_sizes"]
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        loaded = Dataset.load(root)
+        for s in loaded:
+            assert (s.record.image_w, s.record.image_h) == (meta["image_w"], meta["image_h"])
+
+    def test_size_count_must_match_image_count(self, disk_set, tmp_path):
+        root = tmp_path / "ds"
+        disk_set.save(root)
+        meta_path = root / "meta.json"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta["image_sizes"] = meta["image_sizes"][:-1]
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(DataError, match="image sizes"):
+            Dataset.load(root)
 
 
 class TestSubsetByHeight:

@@ -93,6 +93,40 @@ class TestFeatureMapFile:
             read_feature_maps(path)
         assert exc.value.index == 0
 
+    def test_file_bytes_follow_the_documented_layout(self, fmap_path):
+        path, layers = fmap_path
+        want = b"FMAP" + struct.pack("<II", 1, len(layers))
+        for fm in layers:
+            name = fm.layer_name.encode("utf-8")
+            want += struct.pack("<I", len(name)) + name
+            want += struct.pack("<4I", fm.stride, *fm.data.shape)
+            want += fm.data.astype("<f4").tobytes()
+        assert path.read_bytes() == want
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_value_in_a_later_layer_reports_its_index(self, fmap_path, bad):
+        path, layers = fmap_path
+        raw = bytearray(path.read_bytes())
+        conv5a = 12 + (4 + len(b"conv3") + 16) + 4 * layers[0].data.size
+        offset = conv5a + 4 + len(b"conv5a") + 16 + 4 * 17
+        raw[offset : offset + 4] = struct.pack("<f", bad)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueRangeError, match="conv5a") as exc:
+            read_feature_maps(path)
+        assert exc.value.index == 17
+
+    def test_non_finite_value_wins_over_a_bad_stride(self, tmp_path):
+        path = tmp_path / "bad.fmap"
+        header = b"FMAP" + struct.pack("<II", 1, 1) + struct.pack("<I", 1) + b"x"
+        payload = struct.pack("<4f", 0.0, 1.0, float("nan"), 2.0)
+        path.write_bytes(header + struct.pack("<4I", 3, 1, 2, 2) + payload)
+        with pytest.raises(ValueRangeError) as exc:
+            read_feature_maps(path)
+        assert exc.value.index == 2
+        path.write_bytes(header + struct.pack("<4I", 3, 1, 2, 2) + struct.pack("<4f", 0, 1, 2, 3))
+        with pytest.raises(DimensionError, match="stride"):
+            read_feature_maps(path)
+
     def test_zero_dimension_rejected(self, tmp_path):
         path = tmp_path / "bad.fmap"
         buf = b"FMAP" + struct.pack("<I", 1) + struct.pack("<I", 1)
@@ -120,6 +154,16 @@ class TestLabelAndEdgeFiles:
             read_label_map(path, num_classes=15)
         assert exc.value.index == 0
 
+    def test_label_class_out_of_range_reports_first_index(self, tmp_path):
+        data = np.zeros((3, 4), dtype=np.uint8)
+        data[1, 2] = 17
+        data[2, 3] = 19
+        path = tmp_path / "a.lmap"
+        write_label_map(path, LabelMap(data))
+        with pytest.raises(ValueRangeError, match="class index 17") as exc:
+            read_label_map(path, num_classes=15)
+        assert exc.value.index == 6
+
     def test_edge_round_trip(self, tmp_path):
         emap = EdgeMap(np.linspace(0.0, 1.0, 12, dtype=np.float32).reshape(3, 4))
         path = tmp_path / "a.emap"
@@ -135,6 +179,15 @@ class TestLabelAndEdgeFiles:
         with pytest.raises(ValueRangeError) as exc:
             read_edge_map(path)
         assert exc.value.index == 1
+
+    def test_edge_non_finite_value_reports_index(self, tmp_path):
+        path = tmp_path / "a.emap"
+        buf = b"EMAP" + struct.pack("<I", 1) + struct.pack("<II", 2, 2)
+        buf += struct.pack("<4f", 0.5, 0.25, float("nan"), 2.0)
+        path.write_bytes(buf)
+        with pytest.raises(ValueRangeError) as exc:
+            read_edge_map(path)
+        assert exc.value.index == 2
 
     def test_edge_magic_mismatch(self, tmp_path):
         path = tmp_path / "a.emap"

@@ -20,6 +20,7 @@ from samhead.geometry import (
     generate_anchors,
     in_eval_region,
     iou,
+    iou_matrix,
     nms,
     pairwise_iou,
 )
@@ -49,6 +50,14 @@ class TestBox:
             Box(float("nan"), 0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             Box(0.0, 0.0, float("inf"), 1.0)
+
+    @pytest.mark.parametrize("field", range(4))
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_in_any_field(self, field, bad):
+        coords = [0.0, 0.0, 1.0, 1.0]
+        coords[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Box(*coords)
 
     def test_candidate_score_range(self):
         Candidate(Box(0, 0, 1, 1), 0.0)
@@ -156,6 +165,21 @@ class TestNms:
             for j, b in enumerate(boxes):
                 assert matrix[i, j] == iou(a, b)
         assert pairwise_iou([]).shape == (0, 0)
+
+    def test_iou_matrix_equals_iou_exactly(self):
+        rng = np.random.default_rng(13)
+        def boxes(n):
+            return [Box(float(rng.uniform(-20, 60)), float(rng.uniform(-20, 60)),
+                        float(rng.uniform(0.5, 40)), float(rng.uniform(0.5, 40)))
+                    for _ in range(n)]
+        a, b = boxes(30) + [Box(0.0, 0.0, 10.0, 10.0)], boxes(7) + [Box(10.0, 0.0, 5.0, 10.0)]
+        matrix = iou_matrix(a, b)
+        assert matrix.shape == (31, 8)
+        for i, p in enumerate(a):
+            for j, q in enumerate(b):
+                assert matrix[i, j] == iou(p, q)
+        assert iou_matrix(a, []).shape == (31, 0)
+        assert iou_matrix([], b).shape == (0, 8)
 
     def test_keeps_all_at_threshold_one(self):
         dets = [Detection(Box(0, 0, 10, 10), 1.0), Detection(Box(1, 1, 10, 10), 0.5)]

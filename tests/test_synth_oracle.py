@@ -1,0 +1,135 @@
+"""The batched generator against the per-channel original in ``tests/oracles.py``.
+
+Both outputs must agree bit for bit: every feature, label and edge map,
+every ground-truth box and proposal, and every file ``Dataset.save`` writes.
+"""
+
+from dataclasses import replace
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import tiny_synth_config
+from oracles import oracle_generate_dataset
+from samhead.synth import LayerSpec, SynthConfig, default_synth_layers, generate_dataset
+
+
+def _assert_bit_equal(got, want):
+    assert got.meta == want.meta
+    assert got.image_ids == want.image_ids
+    for a, b in zip(got.samples, want.samples):
+        assert a.ground_truth == b.ground_truth
+        assert a.proposals == b.proposals
+        ra, rb = a.record, b.record
+        assert (ra.image_w, ra.image_h) == (rb.image_w, rb.image_h)
+        assert list(ra.feature_maps) == list(rb.feature_maps)
+        for name, fm in ra.feature_maps.items():
+            other = rb.feature_maps[name]
+            assert fm.stride == other.stride
+            assert fm.data.shape == other.data.shape
+            assert fm.data.tobytes() == other.data.tobytes(), name
+        assert ra.label_map.data.tobytes() == rb.label_map.data.tobytes()
+        assert ra.edge_map.data.tobytes() == rb.edge_map.data.tobytes()
+
+
+def _assert_same_files(got, want, tmp_path):
+    one, two = tmp_path / "batched", tmp_path / "oracle"
+    got.save(one)
+    want.save(two)
+    files = sorted(p.relative_to(one) for p in one.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(two) for p in two.rglob("*") if p.is_file())
+    assert len(files) == 3 + 3 * len(got)
+    for rel in files:
+        assert (one / rel).read_bytes() == (two / rel).read_bytes(), str(rel)
+
+
+def _hard_synth():
+    """The benchmark's test-set synth: low amplitudes, denser scenes, conv3 at 32 channels."""
+    layers = dict(default_synth_layers())
+    layers["conv3"] = replace(layers["conv3"], channels=32)
+    return SynthConfig(num_images=3, class_amp=0.9, contour_amp=1.2, peds_per_image=(3, 5),
+                       layers=layers)
+
+
+CONFIGS = {
+    "tiny": lambda: tiny_synth_config(num_images=3),
+    "hard_conv3_32": _hard_synth,
+    "strides_1_2_16": lambda: tiny_synth_config(
+        num_images=2,
+        layers={
+            "fine": LayerSpec(stride=1, channels=24, band_center=40.0),
+            "mid": LayerSpec(stride=2, channels=32, band_center=70.0),
+            "coarse": LayerSpec(stride=16, channels=24, band_center=120.0),
+        },
+    ),
+    "quality_below_1": lambda: tiny_synth_config(
+        num_images=2,
+        layers={
+            "conv3": LayerSpec(stride=4, channels=64, band_center=56.0, quality=0.4),
+            "conv5a": LayerSpec(stride=8, channels=48, band_center=124.0, quality=0.75),
+        },
+    ),
+    "all_occluded": lambda: tiny_synth_config(num_images=3, occluded_fraction=1.0),
+    "no_distractors": lambda: tiny_synth_config(num_images=3, distractors_per_image=(0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_batched_generator_writes_the_oracles_files(name, tmp_path):
+    cfg = CONFIGS[name]()
+    got = generate_dataset(cfg, seed=31)
+    want = oracle_generate_dataset(cfg, seed=31)
+    _assert_bit_equal(got, want)
+    _assert_same_files(got, want, tmp_path)
+
+
+_SMALL_LAYERS = {
+    "conv3": LayerSpec(stride=4, channels=32, band_center=56.0),
+    "conv4a": LayerSpec(stride=4, channels=32, band_center=84.0, quality=0.8),
+    "conv5a": LayerSpec(stride=8, channels=40, band_center=124.0),
+}
+
+
+@st.composite
+def synth_configs(draw):
+    def count_range(lo, hi):
+        a = draw(st.integers(lo, hi))
+        return (a, draw(st.integers(a, hi)))
+
+    unit = st.floats(0.0, 1.0)
+    return SynthConfig(
+        num_images=draw(st.integers(1, 2)),
+        layers=_SMALL_LAYERS,
+        peds_per_image=(draw(st.integers(0, 3)), draw(st.integers(1, 4)) + 3),
+        distractors_per_image=count_range(0, 4),
+        small_fraction=draw(unit),
+        occluded_fraction=draw(unit),
+        proposals_per_gt=draw(st.integers(1, 8)),
+        rough_proposals_per_gt=draw(st.integers(0, 3)),
+        distractor_proposals=draw(st.integers(0, 4)),
+        background_proposals=draw(st.integers(0, 80)),
+        proposal_jitter=draw(st.sampled_from([0.0, 0.02, 0.06, 0.3])),
+        rough_jitter=draw(st.sampled_from([0.0, 0.25, 0.8])),
+        prior_base=draw(st.floats(-0.5, 1.5)),
+        prior_iou_weight=draw(st.floats(0.0, 1.0)),
+        prior_noise=draw(st.floats(0.0, 0.5)),
+        distractor_prior_bonus=draw(st.floats(-0.2, 0.2)),
+        class_channels=draw(st.integers(0, 10)),
+        shared_channels=draw(st.integers(0, 10)),
+        contour_channels=draw(st.integers(0, 9)),
+        class_amp=draw(st.floats(-3.0, 3.0)),
+        shared_amp=draw(st.floats(0.0, 2.0)),
+        contour_amp=draw(st.floats(0.0, 4.0)),
+        fg_sigma=draw(st.floats(0.0, 1.0)),
+        band_log_width=draw(st.floats(0.1, 1.0)),
+        pattern_seed=draw(st.integers(0, 3)),
+        placement_max_iou=draw(st.sampled_from([0.0, 0.1, 0.5])),
+    )
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=synth_configs(), seed=st.integers(0, 2**32 - 1))
+def test_batched_generator_matches_oracle_on_random_knobs(cfg, seed):
+    _assert_bit_equal(generate_dataset(cfg, seed), oracle_generate_dataset(cfg, seed))
+
