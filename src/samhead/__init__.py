@@ -27,7 +27,6 @@ from .evaluation import (
     write_curve_csv,
 )
 from .forest import (
-    BoostConfig,
     Forest,
     StageLog,
     TrainConfig,
@@ -35,7 +34,6 @@ from .forest import (
     Tree,
     basic_training_config,
     bootstrap_train,
-    full_training_config,
     realboost_fit,
     select_hard_negatives,
 )
@@ -57,15 +55,12 @@ from .formats import (
     write_proposals_jsonl,
 )
 from .geometry import (
-    AnchorConfig,
     Box,
     Candidate,
     DEFAULT_EVAL_REGION,
     Detection,
     GroundTruthBox,
     RegionBounds,
-    default_anchor_heights,
-    generate_anchors,
     in_eval_region,
     iou,
     nms,
@@ -93,7 +88,6 @@ from .pooling import (
     DegenerateRoiError,
     FeatureRect,
     PoolGrid,
-    grid_windows,
     map_to_feature_coords,
     roi_edge_pool,
     roi_histogram_pool,

@@ -27,7 +27,7 @@ from .evaluation import (
     read_curve_csv,
     write_curve_csv,
 )
-from .forest import TrainConfig, basic_training_config, full_training_config
+from .forest import TrainConfig, basic_training_config
 from .formats import read_detections_csv, write_detections_csv, write_metrics_json
 from .geometry import RegionBounds
 from .pipeline import (
@@ -67,12 +67,20 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _kwargs(cls, section: dict, what: str) -> dict:
+def _object(section, what: str) -> dict:
+    """A copy of a config section, which must be a JSON object."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{what} section must be a JSON object, got {type(section).__name__}")
+    return dict(section)
+
+
+def _kwargs(cls, section, what: str) -> dict:
+    section = _object(section, what)
     allowed = {f.name for f in dataclasses.fields(cls)}
     unknown = sorted(set(section) - allowed)
     if unknown:
         raise ConfigError(f"unknown {what} keys {unknown}; allowed: {sorted(allowed)}")
-    return dict(section)
+    return section
 
 
 def _as_tuple(d: dict, *names: str) -> None:
@@ -87,17 +95,17 @@ def _synth_config(section: dict) -> SynthConfig:
               "distractors_per_image", "distractor_classes")
     if "layers" in kw:
         layers = {}
-        for name, spec in kw["layers"].items():
+        for name, spec in _object(kw["layers"], "synth layers").items():
             layers[name] = LayerSpec(**_kwargs(LayerSpec, spec, f"layer {name!r}"))
         kw["layers"] = layers
     return SynthConfig(**kw)
 
 
-def _train_config(section: dict) -> TrainConfig:
-    section = dict(section)
+def _train_config(section) -> TrainConfig:
+    section = _object(section, "forest")
     schedule = section.pop("schedule", "full")
     if schedule == "full":
-        base = full_training_config()
+        base = TrainConfig()
     elif schedule == "basic":
         base = basic_training_config()
     else:
@@ -245,7 +253,7 @@ def _default_combinations(ds: Dataset) -> list[tuple[str, ...]]:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    section = cfg.get("sweep", {})
+    section = _object(cfg.get("sweep", {}), "sweep")
     unknown = sorted(set(section) - {"combinations", "subsets"})
     if unknown:
         raise ConfigError(f"unknown sweep keys {unknown}")

@@ -314,16 +314,40 @@ def train_tree(
 
 
 @dataclass(frozen=True)
-class BoostConfig:
-    """Knobs for one RealBoost run."""
+class TrainConfig:
+    """Staged training schedule plus boosting knobs.
 
+    ``stage_tree_counts[s]`` trees are trained from scratch at stage s; stage
+    0 uses ``initial_negatives`` randomly sampled background boxes and every
+    later stage appends up to ``hard_negatives_per_stage`` mined false
+    positives before retraining.  The defaults are the paper's six-stage
+    schedule: 64..2048 trees, 30k initial negatives, +5k per stage.
+    ``leaf_smoothing`` of None means ``1 / (2 * sample count)``.
+    """
+
+    stage_tree_counts: tuple[int, ...] = (64, 128, 256, 512, 1024, 2048)
+    initial_negatives: int = 30000
+    hard_negatives_per_stage: int = 5000
     max_depth: int = 5
-    leaf_smoothing: float | None = None  # default 1 / (2 * sample count)
+    pos_iou: float = 0.5
+    neg_iou: float = 0.3
+    prior_weight: float = 1.0
     margin_clamp: float = 50.0
     max_bins: int = 256
-    prior_weight: float = 1.0
+    leaf_smoothing: float | None = None
+    seed: int = 0
 
     def __post_init__(self) -> None:
+        if not self.stage_tree_counts or any(t < 1 for t in self.stage_tree_counts):
+            raise ConfigError(f"bad stage tree counts {self.stage_tree_counts}")
+        if self.initial_negatives < 1:
+            raise ConfigError("initial_negatives must be >= 1")
+        if self.hard_negatives_per_stage < 0:
+            raise ConfigError("hard_negatives_per_stage must be >= 0")
+        if not (0.0 <= self.neg_iou <= self.pos_iou <= 1.0):
+            raise ConfigError(
+                f"need 0 <= neg_iou <= pos_iou <= 1, got {self.neg_iou}, {self.pos_iou}"
+            )
         if self.max_depth < 1:
             raise ConfigError(f"max_depth must be >= 1, got {self.max_depth}")
         if self.leaf_smoothing is not None and self.leaf_smoothing <= 0:
@@ -423,12 +447,14 @@ def realboost_fit(
     X: np.ndarray,
     y: np.ndarray,
     rounds: int,
-    config: BoostConfig = BoostConfig(),
+    config: TrainConfig = TrainConfig(),
     priors: np.ndarray | None = None,
     binner: FeatureBinner | None = None,
 ) -> tuple[Forest, RoundLog]:
     """Fit ``rounds`` trees by RealBoost.
 
+    Of ``config`` only the boosting knobs are read: ``max_depth``,
+    ``leaf_smoothing``, ``margin_clamp``, ``max_bins`` and ``prior_weight``.
     Sample weights start at ``exp(-y * prior_weight * prior)`` (uniform
     without priors), are renormalized to sum to one every round, and margins
     are clamped to ``+/- margin_clamp`` before exponentiation (occurrences
@@ -485,61 +511,6 @@ def realboost_fit(
 
 
 # --- hard-negative bootstrapping ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Staged training schedule plus boosting knobs.
-
-    ``stage_tree_counts[s]`` trees are trained from scratch at stage s; stage
-    0 uses ``initial_negatives`` randomly sampled background boxes and every
-    later stage appends up to ``hard_negatives_per_stage`` mined false
-    positives before retraining.
-    """
-
-    stage_tree_counts: tuple[int, ...] = (64, 128, 256, 512, 1024, 2048)
-    initial_negatives: int = 30000
-    hard_negatives_per_stage: int = 5000
-    max_depth: int = 5
-    pos_iou: float = 0.5
-    neg_iou: float = 0.3
-    prior_weight: float = 1.0
-    margin_clamp: float = 50.0
-    max_bins: int = 256
-    leaf_smoothing: float | None = None
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.stage_tree_counts or any(t < 1 for t in self.stage_tree_counts):
-            raise ConfigError(f"bad stage tree counts {self.stage_tree_counts}")
-        if self.initial_negatives < 1:
-            raise ConfigError("initial_negatives must be >= 1")
-        if self.hard_negatives_per_stage < 0:
-            raise ConfigError("hard_negatives_per_stage must be >= 0")
-        if not (0.0 <= self.neg_iou <= self.pos_iou <= 1.0):
-            raise ConfigError(
-                f"need 0 <= neg_iou <= pos_iou <= 1, got {self.neg_iou}, {self.pos_iou}"
-            )
-
-    def boost_config(self) -> BoostConfig:
-        return BoostConfig(
-            max_depth=self.max_depth,
-            leaf_smoothing=self.leaf_smoothing,
-            margin_clamp=self.margin_clamp,
-            max_bins=self.max_bins,
-            prior_weight=self.prior_weight,
-        )
-
-
-def full_training_config(**overrides) -> TrainConfig:
-    """Six-stage schedule: 64..2048 trees, 30k initial negatives, +5k per stage."""
-    defaults = dict(
-        stage_tree_counts=(64, 128, 256, 512, 1024, 2048),
-        initial_negatives=30000,
-        hard_negatives_per_stage=5000,
-    )
-    defaults.update(overrides)
-    return TrainConfig(**defaults)
 
 
 def basic_training_config(**overrides) -> TrainConfig:
@@ -622,7 +593,7 @@ def bootstrap_train(source, cfg: TrainConfig) -> Forest:
         y = np.concatenate([np.ones(Xp.shape[0]), -np.ones(Xn.shape[0])])
         priors = np.concatenate([np.asarray(pp, dtype=np.float64),
                                  np.asarray(pn, dtype=np.float64)])
-        forest, log = realboost_fit(X, y, tree_count, cfg.boost_config(), priors=priors)
+        forest, log = realboost_fit(X, y, tree_count, cfg, priors=priors)
         history.append(
             StageLog(
                 stage=stage,

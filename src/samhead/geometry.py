@@ -1,9 +1,9 @@
-"""Boxes, overlap, greedy suppression, anchor grids, and evaluation-region tests."""
+"""Boxes, overlap, greedy suppression, and evaluation-region tests."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,30 +89,6 @@ class Detection:
             raise ValueError(f"detection score must be finite, got {self.score}")
 
 
-def default_anchor_heights(base: float = 40.0, factor: float = 1.3, count: int = 9) -> tuple[float, ...]:
-    """Geometric series of anchor heights, ``base * factor**k`` for k in [0, count)."""
-    return tuple(base * factor**k for k in range(count))
-
-
-@dataclass(frozen=True)
-class AnchorConfig:
-    """Single-aspect anchor grid: width is ``ratio * height`` at every scale."""
-
-    ratio: float = 0.41
-    scales: tuple[float, ...] = field(default_factory=default_anchor_heights)
-    stride: int = 16
-
-    def __post_init__(self) -> None:
-        if self.ratio <= 0:
-            raise ConfigError(f"anchor ratio must be positive, got {self.ratio}")
-        if self.stride <= 0:
-            raise ConfigError(f"anchor stride must be positive, got {self.stride}")
-        if not self.scales:
-            raise ConfigError("anchor scales must be non-empty")
-        if any(b <= a for a, b in zip(self.scales, self.scales[1:])):
-            raise ConfigError(f"anchor scales must be strictly increasing, got {self.scales}")
-
-
 def iou(a: Box, b: Box) -> float:
     """Intersection over union of two boxes."""
     ix = min(a.x2, b.x2) - max(a.x, b.x)
@@ -174,28 +150,6 @@ def nms(detections: list[Detection], threshold: float) -> list[Detection]:
             kept.append(detections[i])
             suppressed |= overlaps[rank]
     return kept
-
-
-def generate_anchors(cfg: AnchorConfig, image_w: int, image_h: int) -> list[Box]:
-    """Enumerate anchors centered on a stride-spaced grid covering the image.
-
-    The grid has ceil(image / stride) cells per axis and anchors sit at cell
-    centers, one per scale, unclipped.  Ordering is row-major over the grid
-    with scales innermost.
-    """
-    if image_w <= 0 or image_h <= 0:
-        raise ConfigError(f"image size must be positive, got {image_w}x{image_h}")
-    grid_w = -(-image_w // cfg.stride)
-    grid_h = -(-image_h // cfg.stride)
-    anchors: list[Box] = []
-    for gy in range(grid_h):
-        cy = (gy + 0.5) * cfg.stride
-        for gx in range(grid_w):
-            cx = (gx + 0.5) * cfg.stride
-            for h in cfg.scales:
-                w = cfg.ratio * h
-                anchors.append(Box(cx - 0.5 * w, cy - 0.5 * h, w, h))
-    return anchors
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import ConfigError, DataError
 from .evaluation import EvalProtocol, evaluate_detections, log_average_miss_rate
-from .forest import (
-    Forest,
-    TrainConfig,
-    TrainingError,
-    bootstrap_train,
-    full_training_config,
-)
+from .forest import Forest, TrainConfig, TrainingError, bootstrap_train
 from .geometry import Box, Candidate, Detection, iou, nms
 from .maps import ImageRecord
 from .pca import PcaProjector, fit_pca
@@ -41,7 +35,7 @@ from .routing import (
 )
 
 MODEL_FORMAT = "samhead-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 _BG_ASPECT = 0.41  # width/height of sampled background boxes
 
@@ -64,7 +58,7 @@ class TrainSettings:
 
     routing: RoutingTable = field(default_factory=default_routing_table)
     channels: ChannelConfig = field(default_factory=ChannelConfig)
-    forest: TrainConfig = field(default_factory=full_training_config)
+    forest: TrainConfig = field(default_factory=TrainConfig)
     caps: Caps = field(default_factory=Caps)
     pca_sample_cap: int = 100000
     pca_min_samples: int = 0  # 0 = max(2 * target_dim, 512)
@@ -488,6 +482,8 @@ def routing_table_from_dict(r: dict) -> RoutingTable:
     """Build a routing table from its JSON form; grid and target_dim optional."""
     from .pooling import PoolGrid
 
+    if not isinstance(r, dict):
+        raise DataError(f"routing table must be a JSON object, got {type(r).__name__}")
     try:
         grid = r.get("grid")
         bins = tuple(
@@ -547,7 +543,9 @@ def model_from_dict(d: dict) -> DetectorModel:
     if d.get("format") != MODEL_FORMAT:
         raise DataError(f"not a detector model file (format {d.get('format')!r})")
     if d.get("version") != MODEL_VERSION:
-        raise DataError(f"unsupported model version {d.get('version')!r}")
+        raise DataError(
+            f"unsupported model version {d.get('version')!r}; this build reads {MODEL_VERSION}"
+        )
     try:
         table = routing_table_from_dict(d["routing"])
         projectors = {
@@ -650,6 +648,7 @@ def ablation_sweep(
 
 
 def write_sweep_csv(path, rows: list[dict]) -> None:
+    """One ``combination,subset,mr4`` header line, then one line per row."""
     import csv
 
     with open(path, "w", newline="", encoding="utf-8") as f:

@@ -20,11 +20,10 @@ Two reductions run over those windows, each for all boxes in one call:
 * ``grid_histogram_pool`` counts integer codes (class labels, quantized edge
   strengths) with one ``bincount`` per box keyed by ``cell * bins + code``.
   Counts are exact integers; they are divided in float32 by float32 cell
-  sizes (or by the cell count), the same division a per-cell count makes.
+  sizes, the same division a per-cell count makes, so each cell sums to one.
 
-The single-box functions ``roi_max_pool``, ``pool_max_2d``,
-``roi_histogram_pool`` and ``roi_edge_pool`` are batch-of-one wrappers over
-these two reductions.
+The single-box functions ``roi_max_pool``, ``roi_histogram_pool`` and
+``roi_edge_pool`` are batch-of-one wrappers over these two reductions.
 """
 
 from __future__ import annotations
@@ -157,14 +156,6 @@ def grid_bounds(start: np.ndarray, extent: np.ndarray, k: int) -> tuple[np.ndarr
     return start + lo, start + hi
 
 
-def grid_windows(extent: int, k: int) -> list[tuple[int, int]]:
-    """Half-open windows assigning ``extent`` source cells to ``k`` grid slots."""
-    if extent < 1 or k < 1:
-        raise ValueError(f"extent and grid size must be positive, got {extent}, {k}")
-    lo, hi = grid_bounds(np.zeros(1), np.array([extent]), k)
-    return list(zip(lo[0].tolist(), hi[0].tolist()))
-
-
 def _check_rects(rects: np.ndarray, map_h: int, map_w: int) -> np.ndarray:
     rects = np.asarray(rects, dtype=np.int64).reshape(-1, 4)
     rs, re, cs, ce = rects.T
@@ -213,20 +204,13 @@ def grid_max_pool(data: np.ndarray, rects: np.ndarray, grid: PoolGrid) -> np.nda
 
 
 def grid_histogram_pool(
-    codes: np.ndarray,
-    rects: np.ndarray,
-    grid: PoolGrid,
-    bins: int,
-    norm: str = "cell",
+    codes: np.ndarray, rects: np.ndarray, grid: PoolGrid, bins: int
 ) -> np.ndarray:
     """Per-cell histograms of an (H, W) map of codes in [0, bins): (N, m*n*bins).
 
-    Rows are cell-major (cell (i, j)'s ``bins`` values contiguous).
-    ``norm="cell"`` divides each count by its cell's pixel count, so a cell
-    sums to one; ``norm="grid"`` divides by m*n instead.
+    Rows are cell-major (cell (i, j)'s ``bins`` values contiguous).  Each
+    count is divided by its cell's pixel count, so a cell sums to one.
     """
-    if norm not in ("cell", "grid"):
-        raise ValueError(f"unknown histogram norm {norm!r}")
     map_h, map_w = codes.shape
     rects = _check_rects(rects, map_h, map_w)
     if codes.size and int(codes.max()) >= bins:
@@ -248,11 +232,8 @@ def grid_histogram_pool(
         key = sub + (row_key[ra:rb, None] + col_key[ca:cb])
         counts[i] = np.bincount(key.reshape(-1), minlength=m * n * bins)
     counts = counts.reshape(n_box, m, n, bins)
-    if norm == "cell":
-        size = (r1 - r0)[:, :, None] * (c1 - c0)[:, None, :]
-        counts /= size[..., None].astype(np.float32)
-    else:
-        counts /= np.float32(m * n)
+    size = (r1 - r0)[:, :, None] * (c1 - c0)[:, None, :]
+    counts /= size[..., None].astype(np.float32)
     return counts.reshape(n_box, m * n * bins)
 
 
@@ -288,23 +269,13 @@ def roi_max_pool(fmap: FeatureMap, rect: FeatureRect, grid: PoolGrid) -> np.ndar
 
 
 def roi_histogram_pool(
-    lmap: LabelMap,
-    rect: FeatureRect,
-    grid: PoolGrid,
-    num_classes: int = 21,
-    norm: str = "cell",
+    lmap: LabelMap, rect: FeatureRect, grid: PoolGrid, num_classes: int = 21
 ) -> np.ndarray:
     """Per-cell class histograms over a label map, concatenated cell-major.
 
-    Output length is ``num_classes * m * n``; see ``grid_histogram_pool``
-    for ``norm``.
+    Output length is ``num_classes * m * n``; each cell sums to one.
     """
-    return grid_histogram_pool(lmap.data, _one_rect(rect), grid, num_classes, norm)[0]
-
-
-def pool_max_2d(data: np.ndarray, rect: FeatureRect, grid: PoolGrid) -> np.ndarray:
-    """Per-cell max over a single-channel map, length m*n, row-major cells."""
-    return grid_max_pool(data[None], _one_rect(rect), grid)[0, 0]
+    return grid_histogram_pool(lmap.data, _one_rect(rect), grid, num_classes)[0]
 
 
 def roi_edge_pool(
@@ -313,16 +284,15 @@ def roi_edge_pool(
     grid: PoolGrid,
     mode: str = "max",
     bins: int = 16,
-    norm: str = "cell",
 ) -> np.ndarray:
     """Per-cell edge statistics: either the max strength or a B-bin histogram.
 
-    ``mode="max"`` yields one value per cell (length m*n).  ``mode="hist"``
-    quantizes strengths with ``edge_codes`` and pools like the class
-    histogram, length ``bins * m * n``, cell-major.
+    ``mode="max"`` yields one value per cell (length m*n, row-major cells).
+    ``mode="hist"`` quantizes strengths with ``edge_codes`` and pools like the
+    class histogram, length ``bins * m * n``, cell-major.
     """
     if mode not in ("max", "hist"):
         raise ValueError(f"unknown edge pooling mode {mode!r}")
     if mode == "max":
-        return pool_max_2d(emap.data, rect, grid)
-    return grid_histogram_pool(edge_codes(emap.data, bins), _one_rect(rect), grid, bins, norm)[0]
+        return grid_max_pool(emap.data[None], _one_rect(rect), grid)[0, 0]
+    return grid_histogram_pool(edge_codes(emap.data, bins), _one_rect(rect), grid, bins)[0]

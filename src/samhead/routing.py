@@ -139,30 +139,29 @@ def pool_bin_cells(
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Which auxiliary channels to append and how to pool them."""
+    """Which auxiliary channels to append and how to pool them.
+
+    The semantic channel is a per-cell class histogram; the edge channel is
+    a per-cell max strength or a per-cell histogram of quantized strengths.
+    Every histogram cell sums to one.
+    """
 
     semantic: bool = False
-    semantic_pooling: str = "hist"  # "hist" | "max"
     edge: bool = False
     edge_pooling: str = "max"  # "max" | "hist"
     edge_bins: int = 16
     label_classes: int = NUM_LABEL_CLASSES
-    histogram_norm: str = "cell"  # "cell" | "grid"
 
     def __post_init__(self) -> None:
-        if self.semantic_pooling not in ("hist", "max"):
-            raise ConfigError(f"unknown semantic pooling {self.semantic_pooling!r}")
         if self.edge_pooling not in ("hist", "max"):
             raise ConfigError(f"unknown edge pooling {self.edge_pooling!r}")
         if self.edge_bins < 1:
             raise ConfigError(f"edge_bins must be >= 1, got {self.edge_bins}")
-        if self.histogram_norm not in ("cell", "grid"):
-            raise ConfigError(f"unknown histogram norm {self.histogram_norm!r}")
 
     def block_length(self, grid: PoolGrid) -> int:
         n = 0
         if self.semantic:
-            n += (self.label_classes if self.semantic_pooling == "hist" else 1) * grid.cells
+            n += self.label_classes * grid.cells
         if self.edge:
             n += (self.edge_bins if self.edge_pooling == "hist" else 1) * grid.cells
         return n
@@ -213,13 +212,7 @@ class DescriptorExtractor:
             if lmap is None:
                 raise MissingLayerError(f"image {record.image_id!r} lacks a label map")
             rects = map_boxes_to_feature_coords(boxes, 1, lmap.height, lmap.width)
-            if ch.semantic_pooling == "hist":
-                blocks.append(grid_histogram_pool(
-                    lmap.data, rects, grid, ch.label_classes, ch.histogram_norm
-                ))
-            else:
-                # Max over raw class indices per cell; kept for comparison runs.
-                blocks.append(grid_max_pool(lmap.data.astype(np.float32)[None], rects, grid))
+            blocks.append(grid_histogram_pool(lmap.data, rects, grid, ch.label_classes))
         if ch.edge:
             emap = record.edge_map
             if emap is None:
@@ -227,8 +220,7 @@ class DescriptorExtractor:
             rects = map_boxes_to_feature_coords(boxes, 1, emap.height, emap.width)
             if ch.edge_pooling == "hist":
                 blocks.append(grid_histogram_pool(
-                    edge_codes(emap.data, ch.edge_bins), rects, grid, ch.edge_bins,
-                    ch.histogram_norm,
+                    edge_codes(emap.data, ch.edge_bins), rects, grid, ch.edge_bins
                 ))
             else:
                 blocks.append(grid_max_pool(emap.data[None], rects, grid))

@@ -4,6 +4,9 @@ The tiny dataset is generated once per session; tests that mutate nothing
 share it to keep the suite quick.
 """
 
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from samhead.forest import TrainConfig
@@ -39,6 +42,21 @@ def fast_train_settings(**forest_overrides) -> TrainSettings:
         routing=default_routing_table(grid=PoolGrid(4, 2)),
         forest=TrainConfig(**forest),
     )
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail the test instead of hanging past ``seconds``."""
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

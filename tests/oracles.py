@@ -50,8 +50,8 @@ def oracle_max_pool(data, rect, m, n):
     return np.array(out, dtype=np.float32)
 
 
-def oracle_histogram_pool(labels, rect, m, n, num_classes, norm="cell"):
-    """Cell-major per-cell class histograms via per-pixel counting."""
+def oracle_histogram_pool(labels, rect, m, n, num_classes):
+    """Cell-major per-cell class histograms via per-pixel counting, each cell summing to one."""
     rows = oracle_windows(rect.row_end - rect.row_start, m)
     cols = oracle_windows(rect.col_end - rect.col_start, n)
     out = []
@@ -63,8 +63,7 @@ def oracle_histogram_pool(labels, rect, m, n, num_classes, norm="cell"):
                 for cc in range(rect.col_start + c0, rect.col_start + c1):
                     counts[int(labels[r, cc])] += 1
                     pixels += 1
-            denom = pixels if norm == "cell" else m * n
-            hist = np.array(counts, dtype=np.float32) / np.float32(denom)
+            hist = np.array(counts, dtype=np.float32) / np.float32(pixels)
             out.extend(hist.tolist())
     return np.array(out, dtype=np.float32)
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from conftest import fast_train_settings, tiny_synth_config
+from conftest import fast_train_settings, time_limit, tiny_synth_config
 from samhead.cli import EXIT_CONFIG, EXIT_DATA, _train_settings, main
 from samhead.dataset import Dataset
 from samhead.errors import ConfigError
@@ -126,6 +126,19 @@ class TestMissingOrBrokenData:
         assert _one_json_line(stdout)["images"] == 2
         assert out.exists()
 
+    def test_version_1_model_exits_3(self, synth_dir, tmp_path, capsys, model_path):
+        # Version 1 files still carried "semantic_pooling" and "histogram_norm".
+        model = json.loads(model_path.read_text(encoding="utf-8"))
+        model["version"] = 1
+        model["channels"].update(semantic_pooling="hist", histogram_norm="cell")
+        old = tmp_path / "v1.json"
+        old.write_text(json.dumps(model), encoding="utf-8")
+        code = main(["detect", "--data", str(synth_dir), "--model", str(old),
+                     "--out", str(tmp_path / "dets.csv")])
+        payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
+        assert "unsupported model version 1" in payload["message"]
+        assert not (tmp_path / "dets.csv").exists()
+
 
 class TestTrainKeys:
     def test_every_settings_field_is_accepted(self):
@@ -161,3 +174,51 @@ class TestTrainKeys:
                      "--out", str(tmp_path / "m.json")])
         payload = _assert_failed(capsys, code, EXIT_CONFIG, "ConfigError")
         assert "unknown train keys ['bogus']" in payload["message"]
+
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            ([], "train section must be a JSON object, got list"),
+            (None, "train section must be a JSON object, got NoneType"),
+            ({"channels": ["semantic"]}, "channels section must be a JSON object"),
+            ({"routing": []}, "routing table must be a JSON object, got list"),
+            ({"forest": []}, "forest section must be a JSON object"),
+            ({"forest": {"max_depth": 0}}, "max_depth must be >= 1, got 0"),
+            ({"forest": {"leaf_smoothing": 0.0}}, "leaf_smoothing must be positive"),
+            ({"forest": {"margin_clamp": 0.0}}, "margin_clamp must be positive"),
+            ({"channels": {"semantic_pooling": "max"}},
+             "unknown channels keys ['semantic_pooling']"),
+            ({"channels": {"histogram_norm": "grid"}}, "unknown channels keys ['histogram_norm']"),
+        ],
+        ids=["train-list", "train-null", "channels-list", "routing-list", "forest-list",
+             "max_depth", "leaf_smoothing", "margin_clamp", "semantic_pooling",
+             "histogram_norm"],
+    )
+    def test_bad_section_exits_2(self, tmp_path, capsys, section, message):
+        # The data directory does not exist: a bad section must be rejected
+        # when the config is parsed, before any data is read or trained on.
+        config = _write_config(tmp_path, {"train": section})
+        code = main(["train", "--config", config, "--data", str(tmp_path / "missing"),
+                     "--out", str(tmp_path / "m.json")])
+        payload = _assert_failed(capsys, code, EXIT_CONFIG, "ConfigError")
+        assert message in payload["message"]
+
+
+class TestSweep:
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            ({"combinations": [["conv4a"]], "subsets": ["tiny"]}, "unknown subset 'tiny'"),
+            ({"bogus": 1}, "unknown sweep keys ['bogus']"),
+            ([], "sweep section must be a JSON object"),
+        ],
+        ids=["unknown-subset", "unknown-key", "sweep-list"],
+    )
+    def test_bad_sweep_section_exits_2(self, synth_dir, tmp_path, capsys, section, message):
+        config = _write_config(tmp_path, {"sweep": section})
+        with time_limit(20):
+            code = main(["sweep", "--config", config, "--train-data", str(synth_dir),
+                         "--test-data", str(synth_dir), "--out", str(tmp_path / "sweep.csv")])
+        payload = _assert_failed(capsys, code, EXIT_CONFIG, "ConfigError")
+        assert message in payload["message"]
+        assert not (tmp_path / "sweep.csv").exists()

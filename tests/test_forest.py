@@ -12,7 +12,6 @@ from oracles import oracle_binner, oracle_train_tree, oracle_tree_apply
 from samhead.errors import ConfigError, DataError
 import samhead.forest as forest_module
 from samhead.forest import (
-    BoostConfig,
     FeatureBinner,
     Forest,
     TrainConfig,
@@ -21,7 +20,6 @@ from samhead.forest import (
     apply_trees,
     basic_training_config,
     bootstrap_train,
-    full_training_config,
     realboost_fit,
     SCAN_BLOCK,
     select_hard_negatives,
@@ -221,19 +219,19 @@ class TestTrainTree:
 class TestRealboost:
     def test_separable_data_drives_loss_down(self):
         X, y = separable_blobs()
-        forest, log = realboost_fit(X, y, rounds=32, config=BoostConfig(max_depth=2))
+        forest, log = realboost_fit(X, y, rounds=32, config=TrainConfig(max_depth=2))
         assert log.losses[-1] < 0.05
         assert np.all(np.sign(forest.score(X)) == y)
 
     def test_weight_sums_stay_normalized(self):
         X, y = separable_blobs(seed=7)
-        _, log = realboost_fit(X, y, rounds=16, config=BoostConfig(max_depth=2))
+        _, log = realboost_fit(X, y, rounds=16, config=TrainConfig(max_depth=2))
         assert len(log.weight_sum_errors) == 16
         assert max(log.weight_sum_errors) < 1e-9
 
     def test_loss_never_increases(self):
         X, y = separable_blobs(seed=9)
-        _, log = realboost_fit(X, y, rounds=24, config=BoostConfig(max_depth=1))
+        _, log = realboost_fit(X, y, rounds=24, config=TrainConfig(max_depth=1))
         assert all(b <= a + 1e-12 for a, b in zip(log.losses, log.losses[1:]))
 
     def test_loss_increase_raises_training_error(self, monkeypatch):
@@ -257,7 +255,7 @@ class TestRealboost:
         X, y = separable_blobs(n_per_class=10)
         priors = np.linspace(-1.0, 1.0, 20)
         forest, _ = realboost_fit(
-            X, y, rounds=0, config=BoostConfig(prior_weight=2.5), priors=priors
+            X, y, rounds=0, config=TrainConfig(prior_weight=2.5), priors=priors
         )
         np.testing.assert_array_equal(forest.score(X, priors), 2.5 * priors)
 
@@ -270,8 +268,8 @@ class TestRealboost:
 
     def test_deterministic(self):
         X, y = separable_blobs(seed=3)
-        a, _ = realboost_fit(X, y, rounds=8, config=BoostConfig(max_depth=2))
-        b, _ = realboost_fit(X, y, rounds=8, config=BoostConfig(max_depth=2))
+        a, _ = realboost_fit(X, y, rounds=8, config=TrainConfig(max_depth=2))
+        b, _ = realboost_fit(X, y, rounds=8, config=TrainConfig(max_depth=2))
         assert a.to_dict() == b.to_dict()
 
     def test_validation(self):
@@ -291,7 +289,7 @@ class TestForest:
         X, y = separable_blobs(seed=11)
         priors = np.tanh(X[:, 0])
         forest, _ = realboost_fit(
-            X, y, rounds=6, config=BoostConfig(max_depth=2, prior_weight=1.7),
+            X, y, rounds=6, config=TrainConfig(max_depth=2, prior_weight=1.7),
             priors=priors,
         )
         manual = 1.7 * priors.copy()
@@ -302,7 +300,7 @@ class TestForest:
     def test_apply_trees_matches_a_per_sample_walk(self, monkeypatch):
         X, y = separable_blobs(seed=13)
         X = X.astype(np.float32)
-        forest, _ = realboost_fit(X, y, rounds=5, config=BoostConfig(max_depth=3))
+        forest, _ = realboost_fit(X, y, rounds=5, config=TrainConfig(max_depth=3))
         leaf = Tree(*(np.array([v]) for v in (-1, 0.0, -1, -1, 0.25)))
         forest.trees.append(leaf)
         values = apply_trees(forest.trees, X)
@@ -332,7 +330,7 @@ class TestForest:
 
     def test_dict_round_trip_preserves_scores_bitwise(self):
         X, y = separable_blobs(seed=17)
-        forest, _ = realboost_fit(X, y, rounds=10, config=BoostConfig(max_depth=3))
+        forest, _ = realboost_fit(X, y, rounds=10, config=TrainConfig(max_depth=3))
         clone = Forest.from_dict(json.loads(json.dumps(forest.to_dict())))
         rng = np.random.default_rng(0)
         probe = rng.normal(size=(50, 2)).astype(np.float32)
@@ -343,7 +341,7 @@ class TestForest:
 
 class TestSchedules:
     def test_full_schedule_constants(self):
-        cfg = full_training_config()
+        cfg = TrainConfig()
         assert cfg.stage_tree_counts == (64, 128, 256, 512, 1024, 2048)
         assert cfg.initial_negatives == 30000
         assert cfg.hard_negatives_per_stage == 5000
@@ -355,7 +353,7 @@ class TestSchedules:
         assert cfg.hard_negatives_per_stage == 1000
 
     def test_overrides(self):
-        cfg = full_training_config(seed=9, max_depth=3)
+        cfg = TrainConfig(seed=9, max_depth=3)
         assert cfg.seed == 9
         assert cfg.max_depth == 3
         assert cfg.stage_tree_counts == (64, 128, 256, 512, 1024, 2048)
@@ -369,6 +367,12 @@ class TestSchedules:
             TrainConfig(initial_negatives=0)
         with pytest.raises(ConfigError):
             TrainConfig(pos_iou=0.3, neg_iou=0.5)
+        with pytest.raises(ConfigError):
+            TrainConfig(max_depth=0)
+        with pytest.raises(ConfigError):
+            TrainConfig(leaf_smoothing=0.0)
+        with pytest.raises(ConfigError):
+            TrainConfig(margin_clamp=0.0)
 
 
 def hard_negative_oracle(scores, keys, k, exclude):

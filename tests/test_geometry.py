@@ -1,4 +1,4 @@
-"""Boxes, IoU, NMS, anchors, and the evaluation-region predicate."""
+"""Boxes, IoU, NMS, and the evaluation-region predicate."""
 
 import math
 
@@ -9,15 +9,12 @@ from hypothesis import strategies as st
 
 from samhead.errors import ConfigError
 from samhead.geometry import (
-    AnchorConfig,
     Box,
     Candidate,
     DEFAULT_EVAL_REGION,
     Detection,
     GroundTruthBox,
     RegionBounds,
-    default_anchor_heights,
-    generate_anchors,
     in_eval_region,
     iou,
     iou_matrix,
@@ -209,48 +206,6 @@ class TestNms:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             nms([], 1.5)
-
-
-class TestAnchors:
-    def test_default_heights_are_geometric(self):
-        hs = default_anchor_heights()
-        assert len(hs) == 9
-        assert hs[0] == 40.0
-        for a, b in zip(hs, hs[1:]):
-            assert b / a == pytest.approx(1.3)
-
-    def test_count_vga_image(self):
-        # 640x480 at stride 16 is a 40x30 grid; nine scales per cell.
-        anchors = generate_anchors(AnchorConfig(), 640, 480)
-        assert len(anchors) == 10800
-
-    def test_partial_cell_rounds_up(self):
-        anchors = generate_anchors(AnchorConfig(stride=16, scales=(40.0,)), 17, 16)
-        assert len(anchors) == 2
-
-    def test_centers_and_aspect(self):
-        cfg = AnchorConfig(ratio=0.5, scales=(10.0, 20.0), stride=8)
-        anchors = generate_anchors(cfg, 16, 8)
-        # One grid row, two columns, two scales each; scales innermost.
-        assert len(anchors) == 4
-        assert anchors[0].cx == pytest.approx(4.0)
-        assert anchors[1].cx == pytest.approx(4.0)
-        assert anchors[2].cx == pytest.approx(12.0)
-        for a in anchors:
-            assert a.cy == pytest.approx(4.0)
-            assert a.w == pytest.approx(0.5 * a.h)
-        assert anchors[0].h == 10.0
-        assert anchors[1].h == 20.0
-
-    def test_scale_ordering_enforced(self):
-        with pytest.raises(ConfigError):
-            AnchorConfig(scales=(40.0, 30.0))
-        with pytest.raises(ConfigError):
-            AnchorConfig(scales=())
-
-    def test_image_size_validated(self):
-        with pytest.raises(ConfigError):
-            generate_anchors(AnchorConfig(), 0, 480)
 
 
 class TestEvalRegion:

@@ -1,34 +1,24 @@
 """Training and detection end to end, plus background sampling limits."""
 
-import signal
-from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import fast_train_settings
+from conftest import fast_train_settings, time_limit
 from samhead.dataset import Dataset, ImageSample
 from samhead.forest import TrainingError
 from samhead.maps import FeatureMap, ImageRecord
-from samhead.pipeline import detect_dataset, load_model, save_model, train_detector
+from samhead.pipeline import (
+    ablation_sweep,
+    detect_dataset,
+    load_model,
+    save_model,
+    train_detector,
+    write_sweep_csv,
+)
 from samhead.pooling import PoolGrid
 from samhead.routing import ChannelConfig, RoutingTable, ScaleBin
-
-
-@contextmanager
-def time_limit(seconds):
-    """Fail the test instead of hanging past ``seconds``."""
-    def on_alarm(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, on_alarm)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 AUX = ChannelConfig(semantic=True, edge=True, edge_pooling="hist")
@@ -94,3 +84,23 @@ def test_pca_sampling_without_room_for_a_background_box_raises():
     )
     with time_limit(20), pytest.raises(TrainingError, match="background box"):
         train_detector(narrow_dataset(), settings)
+
+
+def test_ablation_sweep_gives_one_row_per_combination_and_subset(
+    tiny_train_set, tiny_test_set, tmp_path
+):
+    settings = fast_train_settings(stage_tree_counts=(4,))
+    combos = [("conv4a",), ("conv3", "conv4a")]
+    with time_limit(20):
+        rows = ablation_sweep(tiny_train_set, tiny_test_set, combos, settings=settings)
+    assert [(r["combination"], r["subset"]) for r in rows] == [
+        (name, subset)
+        for name in ("conv4a", "conv3+conv4a")
+        for subset in ("small", "large", "all")
+    ]
+    assert all(0.0 <= r["mr4"] <= 1.0 for r in rows)
+
+    write_sweep_csv(tmp_path / "sweep.csv", rows)
+    lines = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "combination,subset,mr4"
+    assert lines[1:] == [f"{r['combination']},{r['subset']},{float(r['mr4'])!r}" for r in rows]

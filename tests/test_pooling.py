@@ -21,12 +21,11 @@ from samhead.pooling import (
     PoolGrid,
     box_array,
     edge_codes,
+    grid_bounds,
     grid_histogram_pool,
     grid_max_pool,
-    grid_windows,
     map_boxes_to_feature_coords,
     map_to_feature_coords,
-    pool_max_2d,
     roi_edge_pool,
     roi_histogram_pool,
     roi_max_pool,
@@ -79,25 +78,25 @@ class TestMapToFeatureCoords:
         assert 0 <= rect.col_start < rect.col_end <= map_w
 
 
+def slot_windows(extent, k, start=0):
+    """``grid_bounds`` of one extent, as a list of (lo, hi) relative to ``start``."""
+    lo, hi = grid_bounds(np.array([start]), np.array([extent]), k)
+    return list(zip((lo[0] - start).tolist(), (hi[0] - start).tolist()))
+
+
 class TestGridWindows:
     def test_exact_partition(self):
-        assert grid_windows(7, 3) == [(0, 2), (2, 4), (4, 7)]
-        assert grid_windows(6, 3) == [(0, 2), (2, 4), (4, 6)]
+        assert slot_windows(7, 3) == [(0, 2), (2, 4), (4, 7)]
+        assert slot_windows(6, 3) == [(0, 2), (2, 4), (4, 6)]
 
     def test_fewer_cells_than_slots(self):
         # Slots overlap rather than going empty.
-        assert grid_windows(2, 3) == [(0, 1), (0, 1), (1, 2)]
-        assert grid_windows(1, 4) == [(0, 1)] * 4
+        assert slot_windows(2, 3) == [(0, 1), (0, 1), (1, 2)]
+        assert slot_windows(1, 4) == [(0, 1)] * 4
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            grid_windows(0, 3)
-        with pytest.raises(ValueError):
-            grid_windows(3, 0)
-
-    @given(extent=st.integers(1, 60), k=st.integers(1, 20))
-    def test_windows_cover_every_cell(self, extent, k):
-        windows = grid_windows(extent, k)
+    @given(extent=st.integers(1, 60), k=st.integers(1, 20), start=st.integers(0, 30))
+    def test_windows_cover_every_cell(self, extent, k, start):
+        windows = slot_windows(extent, k, start)
         assert windows == oracle_windows(extent, k)
         covered = set()
         for a, b in windows:
@@ -130,7 +129,7 @@ class TestRoiMaxPool:
         for c in range(3):
             np.testing.assert_array_equal(
                 out[c * grid.cells : (c + 1) * grid.cells],
-                pool_max_2d(data[c], FeatureRect(0, 6, 0, 6), grid),
+                grid_max_pool(data[c][None], [[0, 6, 0, 6]], grid)[0, 0],
             )
 
     def test_constant_map_pools_to_constant(self):
@@ -153,16 +152,6 @@ class TestRoiHistogramPool:
                                  num_classes=3)
         np.testing.assert_allclose(out, [0.25, 0.75, 0.0])
 
-    def test_hand_example_grid_norm(self):
-        labels = LabelMap(np.array([[0, 1], [2, 2]], dtype=np.uint8), num_classes=3)
-        out = roi_histogram_pool(labels, FeatureRect(0, 2, 0, 2), PoolGrid(2, 2),
-                                 num_classes=3, norm="grid")
-        # Each cell is a single pixel; counts are divided by the 4 grid cells.
-        expected = np.zeros(12, dtype=np.float32)
-        for cell, cls in enumerate([0, 1, 2, 2]):
-            expected[cell * 3 + cls] = 0.25
-        np.testing.assert_array_equal(out, expected)
-
     def test_cell_major_layout(self):
         labels = LabelMap(np.array([[4, 4, 7], [4, 4, 7]], dtype=np.uint8))
         out = roi_histogram_pool(labels, FeatureRect(0, 2, 0, 3), PoolGrid(1, 3))
@@ -180,12 +169,6 @@ class TestRoiHistogramPool:
             sums = out.reshape(grid.cells, 21).sum(axis=1)
             np.testing.assert_allclose(sums, 1.0, atol=1e-6)
 
-    def test_unknown_norm_rejected(self):
-        labels = LabelMap(np.zeros((2, 2), dtype=np.uint8))
-        with pytest.raises(ValueError):
-            roi_histogram_pool(labels, FeatureRect(0, 2, 0, 2), PoolGrid(1, 1),
-                               norm="image")
-
 
 class TestEdgePool:
     def test_max_mode_matches_single_channel_pool(self):
@@ -196,7 +179,7 @@ class TestEdgePool:
         grid = PoolGrid(3, 2)
         np.testing.assert_array_equal(
             roi_edge_pool(emap, rect, grid, mode="max"),
-            pool_max_2d(data, rect, grid),
+            grid_max_pool(data[None], [[1, 6, 0, 7]], grid)[0, 0],
         )
 
     def test_full_strength_lands_in_top_bin(self):
@@ -231,16 +214,6 @@ class TestAgainstOracles:
             want_hist = oracle_histogram_pool(labels.data, rect, grid.m, grid.n, 21)
             assert np.max(np.abs(got_hist.astype(np.float64)
                                  - want_hist.astype(np.float64))) <= 1e-12
-
-    def test_grid_norm_matches_brute_force(self):
-        rng = np.random.default_rng(7)
-        for _ in range(40):
-            fmap, labels, _, box, grid = random_pool_instance(rng)
-            rect = map_to_feature_coords(box, fmap.stride, labels.height, labels.width)
-            got = roi_histogram_pool(labels, rect, grid, norm="grid")
-            want = oracle_histogram_pool(labels.data, rect, grid.m, grid.n, 21,
-                                         norm="grid")
-            assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_edge_histogram_matches_brute_force(self):
         rng = np.random.default_rng(13)
@@ -291,7 +264,6 @@ class TestBatchedGridPool:
                                             fmap.height, fmap.width)
         pooled = grid_max_pool(fmap.data, rects, grid)
         hist = grid_histogram_pool(labels.data, rects, grid, 21)
-        hist_grid = grid_histogram_pool(labels.data, rects, grid, 21, norm="grid")
         edge_hist = grid_histogram_pool(edge_codes(edges.data, 16), rects, grid, 16)
         assert pooled.shape == (count, fmap.channels, grid.cells)
         for i, box in enumerate(boxes):
@@ -301,9 +273,6 @@ class TestBatchedGridPool:
             assert np.array_equal(pooled[i].reshape(-1),
                                   oracle_max_pool(fmap.data, rect, m, n))
             assert np.array_equal(hist[i], oracle_histogram_pool(labels.data, rect, m, n, 21))
-            assert np.array_equal(
-                hist_grid[i], oracle_histogram_pool(labels.data, rect, m, n, 21, norm="grid")
-            )
             assert np.array_equal(edge_hist[i],
                                   oracle_edge_hist_pool(edges.data, rect, m, n, 16))
 

@@ -231,7 +231,7 @@ class TestChannelConfig:
         [
             (ChannelConfig(), 0),
             (ChannelConfig(semantic=True), 21 * 6),
-            (ChannelConfig(semantic=True, semantic_pooling="max"), 6),
+            (ChannelConfig(edge=True, edge_pooling="hist", edge_bins=1), 6),
             (ChannelConfig(edge=True), 6),
             (ChannelConfig(edge=True, edge_pooling="hist"), 16 * 6),
             (ChannelConfig(edge=True, edge_pooling="hist", edge_bins=8), 8 * 6),
@@ -241,10 +241,6 @@ class TestChannelConfig:
     def test_block_length(self, cfg, expected):
         assert cfg.block_length(GRID) == expected
 
-    def test_rejects_unknown_semantic_pooling(self):
-        with pytest.raises(ConfigError):
-            ChannelConfig(semantic_pooling="mean")
-
     def test_rejects_unknown_edge_pooling(self):
         with pytest.raises(ConfigError):
             ChannelConfig(edge_pooling="avg")
@@ -252,10 +248,6 @@ class TestChannelConfig:
     def test_rejects_zero_edge_bins(self):
         with pytest.raises(ConfigError):
             ChannelConfig(edge_bins=0)
-
-    def test_rejects_unknown_histogram_norm(self):
-        with pytest.raises(ConfigError):
-            ChannelConfig(histogram_norm="l2")
 
 
 class TestDescriptorExtractor:
@@ -287,20 +279,6 @@ class TestDescriptorExtractor:
         ).astype(np.float32)
         assert got.dtype == np.float32
         assert np.array_equal(got, expected)
-
-    def test_semantic_max_block(self):
-        record = make_record()
-        extractor = DescriptorExtractor(
-            one_bin_table(),
-            {"only": PcaProjector.identity(5)},
-            ChannelConfig(semantic=True, semantic_pooling="max"),
-        )
-        got = extractor.extract(record, SMALL_BOX)
-        rect1 = map_to_feature_coords(SMALL_BOX, 1, 48, 64)
-        labels32 = record.label_map.data.astype(np.float32)
-        expected_aux = oracle_max_pool(labels32[None], rect1, GRID.m, GRID.n)
-        assert got.shape == (5 * 6 + 6,)
-        assert np.array_equal(got[30:], expected_aux)
 
     def test_edge_histogram_block(self):
         record = make_record()
