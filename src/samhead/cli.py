@@ -4,6 +4,18 @@ One JSON config file feeds every subcommand; each reads only its own
 section ("synth", "train", "eval", "sweep") and falls back to defaults for
 anything missing.  Errors exit 2 (bad config/usage), 3 (bad data), or 4
 (unexpected), with a one-line JSON diagnostic on stderr.
+
+Every section is read by ``config.read`` against its dataclass's field
+types: an object for each nested dataclass (``"forest"``, ``"routing"``,
+``"channels"``, ``"caps"``, a synth layer), a list for each tuple, a JSON
+integer for ``int``, true/false for ``bool``, a string for ``str``, and a
+number for ``float`` (an integer is read as a float).  Unknown keys and
+missing required keys are errors too, so a routing bin must spell all four
+of ``min_height``, ``max_height`` (null for the last bin), ``layers`` and
+``projector_id``.  Three keys have a form of their own: ``forest.schedule``
+("full" or "basic") picks the defaults the other forest keys override, the
+eval ``region`` is null or [x_min, x_max, y_min, y_max], and ``--seed``
+replaces ``forest.seed``.  Any such mistake exits 2 before data is read.
 """
 
 from __future__ import annotations
@@ -15,8 +27,9 @@ import os
 import sys
 from pathlib import Path
 
+from . import config
 from .dataset import Dataset
-from .errors import ConfigError, DataError, SamheadError
+from .errors import ConfigError, SamheadError
 from .evaluation import (
     EvalProtocol,
     KITTI_MODERATE,
@@ -29,22 +42,18 @@ from .evaluation import (
 )
 from .forest import TrainConfig, basic_training_config
 from .formats import read_detections_csv, write_detections_csv, write_metrics_json
-from .geometry import RegionBounds
 from .pipeline import (
-    Caps,
     TrainSettings,
     ablation_sweep,
     detect_dataset,
     load_model,
-    routing_table_from_dict,
     save_manifest,
     save_model,
     train_detector,
     write_sweep_csv,
 )
 from .plotting import write_curve_svg
-from .routing import ChannelConfig, default_routing_table
-from .synth import LayerSpec, SynthConfig, generate_dataset
+from .synth import SynthConfig, generate_dataset
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -67,86 +76,33 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _object(section, what: str) -> dict:
-    """A copy of a config section, which must be a JSON object."""
-    if not isinstance(section, dict):
-        raise ConfigError(f"{what} section must be a JSON object, got {type(section).__name__}")
-    return dict(section)
-
-
-def _kwargs(cls, section, what: str) -> dict:
-    section = _object(section, what)
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(section) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown {what} keys {unknown}; allowed: {sorted(allowed)}")
-    return section
-
-
-def _as_tuple(d: dict, *names: str) -> None:
-    for n in names:
-        if n in d and d[n] is not None:
-            d[n] = tuple(d[n])
-
-
-def _synth_config(section: dict) -> SynthConfig:
-    kw = _kwargs(SynthConfig, section, "synth")
-    _as_tuple(kw, "peds_per_image", "small_heights", "large_heights",
-              "distractors_per_image", "distractor_classes")
-    if "layers" in kw:
-        layers = {}
-        for name, spec in _object(kw["layers"], "synth layers").items():
-            layers[name] = LayerSpec(**_kwargs(LayerSpec, spec, f"layer {name!r}"))
-        kw["layers"] = layers
-    return SynthConfig(**kw)
-
-
-def _train_config(section) -> TrainConfig:
-    section = _object(section, "forest")
-    schedule = section.pop("schedule", "full")
-    if schedule == "full":
-        base = TrainConfig()
-    elif schedule == "basic":
-        base = basic_training_config()
-    else:
+def _train_settings(section, seed: int | None) -> TrainSettings:
+    """The train section; ``forest.schedule`` picks the defaults its keys override."""
+    section = config.section(section, "train")
+    forest = dict(config.section(section.get("forest", {}), "forest"))
+    schedule = config.read(str, forest.pop("schedule", "full"), "schedule")
+    presets = {"full": TrainConfig, "basic": basic_training_config}
+    if schedule not in presets:
         raise ConfigError(f"unknown forest schedule {schedule!r}; use 'full' or 'basic'")
-    kw = _kwargs(TrainConfig, section, "forest")
-    _as_tuple(kw, "stage_tree_counts")
-    return dataclasses.replace(base, **kw)
-
-
-def _train_settings(section: dict, seed: int | None) -> TrainSettings:
-    kw = _kwargs(TrainSettings, section, "train")
-    if "routing" in kw:
-        try:
-            kw["routing"] = routing_table_from_dict(kw["routing"])
-        except DataError as e:
-            raise ConfigError(str(e)) from e
-    if "channels" in kw:
-        kw["channels"] = ChannelConfig(**_kwargs(ChannelConfig, kw["channels"], "channels"))
-    kw["forest"] = _train_config(kw.get("forest", {}))
-    if "caps" in kw:
-        kw["caps"] = Caps(**_kwargs(Caps, kw["caps"], "caps"))
-    settings = TrainSettings(**kw)
+    forest = {**dataclasses.asdict(presets[schedule]()), **forest}
     if seed is not None:
-        settings = dataclasses.replace(
-            settings, forest=dataclasses.replace(settings.forest, seed=seed)
-        )
-    return settings
+        forest["seed"] = seed
+    return config.read(TrainSettings, {**section, "forest": forest}, "train")
 
 
-def _protocol(section: dict) -> EvalProtocol:
-    kw = _kwargs(EvalProtocol, section, "eval")
-    _as_tuple(kw, "fppi_exponents")
-    if "region" in kw:
-        region = kw["region"]
-        if region is not None:
-            if not (isinstance(region, (list, tuple)) and len(region) == 4):
-                raise ConfigError(
-                    f"region must be null or [x_min, x_max, y_min, y_max], got {region!r}"
-                )
-            kw["region"] = RegionBounds(*map(float, region))
-    return EvalProtocol(**kw)
+def _protocol(section) -> EvalProtocol:
+    """The eval section; ``region`` is null or [x_min, x_max, y_min, y_max]."""
+    section = dict(config.section(section, "eval"))
+    if section.get("region") is not None:
+        bounds = config.read(tuple[float, float, float, float], section["region"], "region")
+        section["region"] = dict(zip(("x_min", "x_max", "y_min", "y_max"), bounds))
+    return config.read(EvalProtocol, section, "eval")
+
+
+@dataclasses.dataclass(frozen=True)
+class _SweepSection:
+    combinations: tuple[tuple[str, ...], ...] | None = None  # None = every single and pair
+    subsets: tuple[str, ...] = ("small", "large", "all")
 
 
 def _resolve_threads(flag: int | None) -> int:
@@ -169,7 +125,7 @@ def _emit(payload: dict) -> None:
 
 
 def cmd_synth(args) -> int:
-    cfg = _synth_config(_load_config(args.config).get("synth", {}))
+    cfg = config.read(SynthConfig, _load_config(args.config).get("synth", {}), "synth")
     seed = 0 if args.seed is None else args.seed
     ds = generate_dataset(cfg, seed)
     ds.save(args.out)
@@ -253,21 +209,16 @@ def _default_combinations(ds: Dataset) -> list[tuple[str, ...]]:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    section = _object(cfg.get("sweep", {}), "sweep")
-    unknown = sorted(set(section) - {"combinations", "subsets"})
-    if unknown:
-        raise ConfigError(f"unknown sweep keys {unknown}")
-    train_ds = Dataset.load(args.train_data)
-    test_ds = Dataset.load(args.test_data)
-    combos = [tuple(c) for c in section.get("combinations", _default_combinations(train_ds))]
-    subsets = tuple(section.get("subsets", ("small", "large", "all")))
+    sweep = config.read(_SweepSection, cfg.get("sweep", {}), "sweep")
     settings = _train_settings(cfg.get("train", {}), args.seed)
     protocol = _protocol(cfg.get("eval", {}))
+    train_ds = Dataset.load(args.train_data)
+    test_ds = Dataset.load(args.test_data)
     rows = ablation_sweep(
         train_ds,
         test_ds,
-        combos,
-        subsets=subsets,
+        _default_combinations(train_ds) if sweep.combinations is None else sweep.combinations,
+        subsets=sweep.subsets,
         settings=settings,
         protocol=protocol,
         threads=_resolve_threads(args.threads),

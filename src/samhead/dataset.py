@@ -124,15 +124,24 @@ class Dataset:
         meta_path = root / "meta.json"
         if not meta_path.exists():
             raise DataError(f"{root} is not a dataset directory (missing meta.json)")
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        gts = read_ground_truth_jsonl(root / "annotations.jsonl")
-        props = read_proposals_jsonl(root / "proposals.jsonl")
+        try:
+            meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as e:
+            raise DataError(f"{meta_path} is not valid JSON: {e}") from None
+        if not (isinstance(meta, dict) and isinstance(meta.get("image_ids"), list)):
+            raise DataError(f"{meta_path} must hold a JSON object with an image_ids list")
         ids = meta["image_ids"]
-        # Directories written before sizes were stored per image give one
-        # size for all.
-        sizes = meta.get("image_sizes", [[meta["image_w"], meta["image_h"]]] * len(ids))
+        try:
+            # Directories written before sizes were stored per image give one
+            # size for all.
+            one_size = [[meta.get("image_w"), meta.get("image_h")]] * len(ids)
+            sizes = [(int(w), int(h)) for w, h in meta.get("image_sizes", one_size)]
+        except (TypeError, ValueError) as e:
+            raise DataError(f"{meta_path}: bad image sizes ({e!r})") from None
         if len(sizes) != len(ids):
             raise DataError(f"{meta_path}: {len(sizes)} image sizes for {len(ids)} images")
+        gts = read_ground_truth_jsonl(root / "annotations.jsonl")
+        props = read_proposals_jsonl(root / "proposals.jsonl")
         samples = []
         for image_id, (image_w, image_h) in zip(ids, sizes):
             layers = read_feature_maps(root / "maps" / f"{image_id}.fmap")
@@ -140,8 +149,8 @@ class Dataset:
             emap_path = root / "maps" / f"{image_id}.emap"
             record = ImageRecord(
                 image_id=image_id,
-                image_w=int(image_w),
-                image_h=int(image_h),
+                image_w=image_w,
+                image_h=image_h,
                 feature_maps={fm.layer_name: fm for fm in layers},
                 label_map=read_label_map(lmap_path) if lmap_path.exists() else None,
                 edge_map=read_edge_map(emap_path) if emap_path.exists() else None,

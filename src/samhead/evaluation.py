@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .geometry import (
     DEFAULT_EVAL_REGION,
     Detection,
@@ -49,13 +49,13 @@ class EvalProtocol:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.iou_threshold <= 1.0:
-            raise DataError(f"iou_threshold must be in (0, 1], got {self.iou_threshold}")
+            raise ConfigError(f"iou_threshold must be in (0, 1], got {self.iou_threshold}")
         if self.height_max is not None and self.height_max <= self.height_min:
-            raise DataError("height_max must exceed height_min")
+            raise ConfigError("height_max must exceed height_min")
         if self.fppi_exponents[0] >= self.fppi_exponents[1]:
-            raise DataError(f"bad fppi exponent range {self.fppi_exponents}")
+            raise ConfigError(f"bad fppi exponent range {self.fppi_exponents}")
         if self.num_points < 1:
-            raise DataError("num_points must be >= 1")
+            raise ConfigError("num_points must be >= 1")
 
     def eligible(self, gt: GroundTruthBox) -> bool:
         if gt.ignore:
@@ -377,13 +377,17 @@ def read_curve_csv(path) -> EvalCurve:
 
     with open(path, encoding="utf-8", newline="") as f:
         rows = list(csv.reader(f))
-    if len(rows) < 2 or rows[0][0] != "kind" or rows[0][1] not in _CURVE_HEADERS:
+    head = rows[0] if rows else []
+    if len(rows) < 2 or len(head) != 3 or head[0] != "kind" or head[1] not in _CURVE_HEADERS:
         raise DataError(f"{path}: not a curve file")
-    kind = rows[0][1]
+    kind = head[1]
     if rows[1] != _CURVE_HEADERS[kind]:
         raise DataError(f"{path}: unexpected columns {rows[1]}")
-    samples = [(float(a), float(b), float(c)) for a, b, c in rows[2:]]
-    summary = float(rows[0][2])
+    try:
+        samples = [(float(a), float(b), float(c)) for a, b, c in rows[2:]]
+        summary = float(head[2])
+    except ValueError as e:
+        raise DataError(f"{path}: malformed curve row ({e})") from None
     if math.isnan(summary) and samples:
         raise DataError(f"{path}: curve with samples but no summary")
     return EvalCurve(kind=kind, samples=samples, summary=summary)

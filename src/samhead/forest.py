@@ -39,7 +39,7 @@ per-column, per-node reference (``tests/oracles.py``):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -350,6 +350,8 @@ class TrainConfig:
             )
         if self.max_depth < 1:
             raise ConfigError(f"max_depth must be >= 1, got {self.max_depth}")
+        if not 2 <= self.max_bins <= 256:
+            raise ConfigError(f"max_bins must be in [2, 256], got {self.max_bins}")
         if self.leaf_smoothing is not None and self.leaf_smoothing <= 0:
             raise ConfigError("leaf_smoothing must be positive")
         if self.margin_clamp <= 0:
@@ -380,17 +382,6 @@ class StageLog:
     hard_requested: int
     final_loss: float
     clamp_events: int
-
-    def to_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "tree_count": self.tree_count,
-            "negatives": self.negatives,
-            "hard_added": self.hard_added,
-            "hard_requested": self.hard_requested,
-            "final_loss": self.final_loss,
-            "clamp_events": self.clamp_events,
-        }
 
 
 #: Bound on trees * samples that ``Forest.score`` walks at once.
@@ -430,7 +421,7 @@ class Forest:
             "prior_weight": self.prior_weight,
             "n_features": self.n_features,
             "trees": [t.to_arrays() for t in self.trees],
-            "stage_history": [s.to_dict() for s in self.stage_history],
+            "stage_history": [asdict(s) for s in self.stage_history],
         }
 
     @classmethod

@@ -223,8 +223,12 @@ def _jsonl_rows(path: str | Path):
                 row = json.loads(line)
             except json.JSONDecodeError as e:
                 raise FormatError(f"{path}:{lineno}: invalid JSON ({e})") from None
-            if not isinstance(row, dict) or "image_id" not in row or "boxes" not in row:
-                raise FormatError(f"{path}:{lineno}: expected image_id/boxes object")
+            if not (isinstance(row, dict) and "image_id" in row
+                    and isinstance(row.get("boxes"), list)
+                    and all(isinstance(b, dict) for b in row["boxes"])):
+                raise FormatError(
+                    f"{path}:{lineno}: expected an object with image_id and a list of box objects"
+                )
             yield lineno, row
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import config
 from .dataset import Dataset
 from .errors import ConfigError, DataError
 from .evaluation import EvalProtocol, evaluate_detections, log_average_miss_rate
@@ -430,7 +431,7 @@ def train_detector(dataset: Dataset, settings: TrainSettings) -> tuple[DetectorM
         },
         "caps": asdict(settings.caps),
         "pca": pca_report,
-        "stages": [h.to_dict() for h in forest.stage_history],
+        "stages": [asdict(h) for h in forest.stage_history],
     }
     return model, manifest
 
@@ -478,49 +479,11 @@ def detect_dataset(
 # --- model serialization --------------------------------------------------------
 
 
-def routing_table_from_dict(r: dict) -> RoutingTable:
-    """Build a routing table from its JSON form; grid and target_dim optional."""
-    from .pooling import PoolGrid
-
-    if not isinstance(r, dict):
-        raise DataError(f"routing table must be a JSON object, got {type(r).__name__}")
-    try:
-        grid = r.get("grid")
-        bins = tuple(
-            ScaleBin(
-                min_height=float(b["min_height"]),
-                max_height=None if b.get("max_height") is None else float(b["max_height"]),
-                layers=tuple(b["layers"]),
-                projector_id=b["projector_id"],
-            )
-            for b in r["bins"]
-        )
-        return RoutingTable(
-            bins=bins,
-            grid=PoolGrid(m=int(grid["m"]), n=int(grid["n"])) if grid else PoolGrid(),
-            target_dim=int(r.get("target_dim", 0)),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise DataError(f"malformed routing table: {e}") from e
-
-
 def model_to_dict(model: DetectorModel) -> dict:
     return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
-        "routing": {
-            "grid": {"m": model.table.grid.m, "n": model.table.grid.n},
-            "target_dim": model.table.target_dim,
-            "bins": [
-                {
-                    "min_height": b.min_height,
-                    "max_height": b.max_height,
-                    "layers": list(b.layers),
-                    "projector_id": b.projector_id,
-                }
-                for b in model.table.bins
-            ],
-        },
+        "routing": asdict(model.table),
         "channels": asdict(model.channels),
         "caps": asdict(model.caps),
         "prior_logit_clamp": model.prior_logit_clamp,
@@ -547,7 +510,6 @@ def model_from_dict(d: dict) -> DetectorModel:
             f"unsupported model version {d.get('version')!r}; this build reads {MODEL_VERSION}"
         )
     try:
-        table = routing_table_from_dict(d["routing"])
         projectors = {
             pid: PcaProjector(
                 mean=np.asarray(p["mean"], dtype=np.float64),
@@ -559,15 +521,15 @@ def model_from_dict(d: dict) -> DetectorModel:
             for pid, p in d["projectors"].items()
         }
         model = DetectorModel(
-            table=table,
+            table=config.read(RoutingTable, d["routing"], "routing"),
             projectors=projectors,
-            channels=ChannelConfig(**d["channels"]),
+            channels=config.read(ChannelConfig, d["channels"], "channels"),
             forest=Forest.from_dict(d["forest"]),
-            caps=Caps(**d["caps"]),
+            caps=config.read(Caps, d["caps"], "caps"),
             prior_logit_clamp=float(d["prior_logit_clamp"]),
             nms_threshold=float(d["nms_threshold"]),
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (ConfigError, KeyError, TypeError, ValueError) as e:
         raise DataError(f"malformed model file: {e}") from e
     return model
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .geometry import Box
 from .maps import EdgeMap, FeatureMap, LabelMap
 
@@ -54,7 +54,7 @@ class PoolGrid:
 
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
-            raise ValueError(f"pool grid must be at least 1x1, got {self.m}x{self.n}")
+            raise ConfigError(f"pool grid must be at least 1x1, got {self.m}x{self.n}")
 
     @property
     def cells(self) -> int:

@@ -9,6 +9,7 @@ from conftest import fast_train_settings, time_limit, tiny_synth_config
 from samhead.cli import EXIT_CONFIG, EXIT_DATA, _train_settings, main
 from samhead.dataset import Dataset
 from samhead.errors import ConfigError
+from samhead.forest import basic_training_config
 from samhead.pipeline import TrainSettings, save_model, train_detector
 from samhead.synth import generate_dataset
 
@@ -126,6 +127,33 @@ class TestMissingOrBrokenData:
         assert _one_json_line(stdout)["images"] == 2
         assert out.exists()
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (["caps", "test_top_k"], "5", "test_top_k must be an integer, got '5'"),
+            (["channels", "edge_bins"], "16", "edge_bins must be an integer, got '16'"),
+            (["channels", "semantic"], 1, "semantic must be true or false, got 1"),
+            (["routing", "target_dim"], 2.5, "target_dim must be an integer, got 2.5"),
+            (["routing", "bins", 0, "layers"], "conv4a",
+             "layers must be a JSON list, got 'conv4a'"),
+        ],
+        ids=["caps", "channels-int", "channels-bool", "routing", "bin-layers"],
+    )
+    def test_wrong_typed_model_section_exits_3(self, synth_dir, tmp_path, capsys, model_path,
+                                               path, value, message):
+        model = json.loads(model_path.read_text(encoding="utf-8"))
+        node = model
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(model), encoding="utf-8")
+        code = main(["detect", "--data", str(synth_dir), "--model", str(bad),
+                     "--out", str(tmp_path / "dets.csv")])
+        payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
+        assert payload["message"] == f"malformed model file: {message}"
+        assert not (tmp_path / "dets.csv").exists()
+
     def test_version_1_model_exits_3(self, synth_dir, tmp_path, capsys, model_path):
         # Version 1 files still carried "semantic_pooling" and "histogram_norm".
         model = json.loads(model_path.read_text(encoding="utf-8"))
@@ -181,7 +209,7 @@ class TestTrainKeys:
             ([], "train section must be a JSON object, got list"),
             (None, "train section must be a JSON object, got NoneType"),
             ({"channels": ["semantic"]}, "channels section must be a JSON object"),
-            ({"routing": []}, "routing table must be a JSON object, got list"),
+            ({"routing": []}, "routing section must be a JSON object, got list"),
             ({"forest": []}, "forest section must be a JSON object"),
             ({"forest": {"max_depth": 0}}, "max_depth must be >= 1, got 0"),
             ({"forest": {"leaf_smoothing": 0.0}}, "leaf_smoothing must be positive"),
@@ -189,10 +217,11 @@ class TestTrainKeys:
             ({"channels": {"semantic_pooling": "max"}},
              "unknown channels keys ['semantic_pooling']"),
             ({"channels": {"histogram_norm": "grid"}}, "unknown channels keys ['histogram_norm']"),
+            ({"forest": {"max_bins": 1}}, "max_bins must be in [2, 256], got 1"),
         ],
         ids=["train-list", "train-null", "channels-list", "routing-list", "forest-list",
              "max_depth", "leaf_smoothing", "margin_clamp", "semantic_pooling",
-             "histogram_norm"],
+             "histogram_norm", "max_bins"],
     )
     def test_bad_section_exits_2(self, tmp_path, capsys, section, message):
         # The data directory does not exist: a bad section must be rejected
@@ -222,3 +251,60 @@ class TestSweep:
         payload = _assert_failed(capsys, code, EXIT_CONFIG, "ConfigError")
         assert message in payload["message"]
         assert not (tmp_path / "sweep.csv").exists()
+
+
+_BIN = {"min_height": 1.0, "max_height": None, "layers": "conv4a", "projector_id": "all"}
+_LAYER = {"stride": "4", "channels": 64, "band_center": 56.0}
+
+
+class TestWrongJsonType:
+    @pytest.mark.parametrize(
+        "command, section, key",
+        [
+            ("train", {"forest": {"max_depth": "3"}}, "max_depth"),
+            ("train", {"forest": {"stage_tree_counts": 4}}, "stage_tree_counts"),
+            ("train", {"caps": {"test_top_k": "5"}}, "test_top_k"),
+            ("train", {"channels": {"edge_bins": "16"}}, "edge_bins"),
+            ("train", {"nms_threshold": "0.5"}, "nms_threshold"),
+            ("train", {"routing": {"bins": [_BIN]}}, "layers"),
+            ("synth", {"num_images": "2"}, "num_images"),
+            ("synth", {"peds_per_image": 3}, "peds_per_image"),
+            ("synth", {"layers": {"conv3": _LAYER}}, "stride"),
+            ("eval", {"iou_threshold": "0.5"}, "iou_threshold"),
+            ("eval", {"region": ["a", 1, 2, 3]}, "region"),
+            ("eval", {"fppi_exponents": "ab"}, "fppi_exponents"),
+            ("sweep", {"combinations": "conv4a"}, "combinations"),
+        ],
+        ids=["max_depth", "stage_tree_counts", "test_top_k", "edge_bins", "nms_threshold",
+             "bin-layers", "num_images", "peds_per_image", "layer-stride", "iou_threshold",
+             "region", "fppi_exponents", "combinations"],
+    )
+    def test_wrong_type_exits_2_naming_the_key(self, tmp_path, capsys, command, section, key):
+        # Every data path is missing: the value must be rejected when the
+        # config is parsed, before any data is read.
+        missing = str(tmp_path / "missing")
+        data_args = {
+            "synth": [],
+            "train": ["--data", missing],
+            "eval": ["--data", missing, "--dets", missing],
+            "sweep": ["--train-data", missing, "--test-data", missing],
+        }[command]
+        config = _write_config(tmp_path, {command: section})
+        code = main([command, "--config", config, "--out", str(tmp_path / "out"), *data_args])
+        payload = _assert_failed(capsys, code, EXIT_CONFIG, "ConfigError")
+        assert payload["message"].startswith(key)
+        assert not (tmp_path / "out").exists()
+
+    def test_routing_bin_must_spell_max_height(self):
+        bin_ = {k: v for k, v in _BIN.items() if k != "max_height"}
+        with pytest.raises(ConfigError, match=r"lacks required keys \['max_height'\]"):
+            _train_settings({"routing": {"bins": [{**bin_, "layers": ["conv4a"]}]}}, seed=None)
+
+    def test_integer_in_a_float_field_is_read_as_a_float(self):
+        settings = _train_settings({"nms_threshold": 1, "forest": {"pos_iou": 1}}, seed=None)
+        assert type(settings.nms_threshold) is float
+        assert type(settings.forest.pos_iou) is float
+
+    def test_basic_schedule_keeps_the_overridden_keys(self):
+        settings = _train_settings({"forest": {"schedule": "basic", "max_depth": 3}}, seed=4)
+        assert settings.forest == basic_training_config(max_depth=3, seed=4)

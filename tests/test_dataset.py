@@ -88,6 +88,27 @@ class TestPerImageSizes:
         with pytest.raises(DataError, match="image sizes"):
             Dataset.load(root)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda meta: json.dumps(meta)[:-3], "is not valid JSON"),
+            (lambda meta: json.dumps([meta]), "JSON object with an image_ids list"),
+            (lambda meta: json.dumps({k: v for k, v in meta.items() if k != "image_ids"}),
+             "JSON object with an image_ids list"),
+            (lambda meta: json.dumps({**meta, "image_sizes": [["wide", 40]] * 3}),
+             "bad image sizes"),
+        ],
+        ids=["invalid-json", "not-an-object", "no-image-ids", "non-numeric-size"],
+    )
+    def test_malformed_meta_is_a_data_error(self, disk_set, tmp_path, edit, message):
+        root = tmp_path / "ds"
+        disk_set.save(root)
+        meta_path = root / "meta.json"
+        meta_path.write_text(edit(json.loads(meta_path.read_text(encoding="utf-8"))),
+                             encoding="utf-8")
+        with pytest.raises(DataError, match=message):
+            Dataset.load(root)
+
 
 class TestSubsetByHeight:
     def test_out_of_range_becomes_ignore(self, disk_set):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import oracle_greedy_match, random_match_instance
-from samhead.errors import DataError
+from samhead.errors import ConfigError, DataError
 from samhead.evaluation import (
     FP,
     IGNORED,
@@ -188,13 +188,13 @@ class TestEligibility:
             assert not (flags[1] and not flags[2])
 
     def test_protocol_validation(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             EvalProtocol(iou_threshold=0.0)
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             EvalProtocol(height_min=50.0, height_max=50.0)
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             EvalProtocol(fppi_exponents=(0.0, -2.0))
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             EvalProtocol(num_points=0)
 
 
@@ -359,6 +359,25 @@ class TestCurveCsv:
             read_curve_csv(path)
         path.write_text("hello\n")
         with pytest.raises(DataError):
+            read_curve_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "not a curve file"),
+            ("kind,pr\nthreshold,recall,precision\n", "not a curve file"),
+            ("kind\nthreshold,recall,precision\n", "not a curve file"),
+            ("kind,pr,0.5\nthreshold,recall,precision\n0.9,0.1\n", "malformed curve row"),
+            ("kind,pr,0.5\nthreshold,recall,precision\n0.9,0.1,high\n", "malformed curve row"),
+            ("kind,pr,best\nthreshold,recall,precision\n0.9,0.1,1.0\n", "malformed curve row"),
+        ],
+        ids=["empty", "short-first-row", "one-field-first-row", "short-sample-row",
+             "non-numeric-sample", "non-numeric-summary"],
+    )
+    def test_malformed_rows_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=message):
             read_curve_csv(path)
 
     def test_empty_curve_with_nan_summary_survives(self, tmp_path):

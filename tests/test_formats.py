@@ -238,6 +238,17 @@ class TestJsonlBoxes:
         path.write_text('\n{"image_id": "a", "boxes": []}\n\n')
         assert read_ground_truth_jsonl(path) == {"a": []}
 
+    @pytest.mark.parametrize("reader", [read_ground_truth_jsonl, read_proposals_jsonl])
+    @pytest.mark.parametrize(
+        "boxes", ["5", '{"x": 1}', '"abc"', "[5]", '[[1, 2, 3, 4]]', '["x"]'],
+        ids=["number", "object", "string", "number-box", "list-box", "string-box"],
+    )
+    def test_boxes_must_be_a_list_of_objects(self, tmp_path, reader, boxes):
+        path = tmp_path / "boxes.jsonl"
+        path.write_text('{"image_id": "a", "boxes": []}\n{"image_id": "b", "boxes": %s}\n' % boxes)
+        with pytest.raises(FormatError, match=":2: expected an object with image_id"):
+            reader(path)
+
 
 class TestDetectionsCsv:
     def test_round_trip_is_exact(self, tmp_path):
