@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -105,18 +104,6 @@ class _SweepSection:
     subsets: tuple[str, ...] = ("small", "large", "all")
 
 
-def _resolve_threads(flag: int | None) -> int:
-    if flag is not None:
-        return flag
-    env = os.environ.get("SAMHEAD_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"SAMHEAD_THREADS must be an integer, got {env!r}") from None
-    return 1
-
-
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
@@ -155,7 +142,7 @@ def cmd_train(args) -> int:
 def cmd_detect(args) -> int:
     model = load_model(args.model)
     ds = Dataset.load(args.data)
-    dets = detect_dataset(model, ds, threads=_resolve_threads(args.threads))
+    dets = detect_dataset(model, ds)
     write_detections_csv(args.out, dets)
     _emit(
         {
@@ -221,7 +208,6 @@ def cmd_sweep(args) -> int:
         subsets=sweep.subsets,
         settings=settings,
         protocol=protocol,
-        threads=_resolve_threads(args.threads),
     )
     write_sweep_csv(args.out, rows)
     _emit({"command": "sweep", "out": str(args.out), "rows": len(rows)})
@@ -246,17 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, config=True, seed=False, threads=False):
+    def common(sp, config=True, seed=False):
         if config:
             sp.add_argument("--config", help="JSON config file (per-command sections)")
         if seed:
             sp.add_argument("--seed", type=int, help="override the run seed")
-        if threads:
-            sp.add_argument(
-                "--threads",
-                type=int,
-                help="worker threads (default: SAMHEAD_THREADS or 1; <1 = all cores)",
-            )
 
     sp = sub.add_parser("synth", help="generate a synthetic dataset directory")
     sp.add_argument("--out", required=True, help="dataset directory to create")
@@ -274,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--data", required=True, help="dataset directory")
     sp.add_argument("--model", required=True, help="model JSON path")
     sp.add_argument("--out", required=True, help="detections CSV path")
-    common(sp, config=False, threads=True)
+    common(sp, config=False)
     sp.set_defaults(func=cmd_detect)
 
     sp = sub.add_parser("eval", help="score detections against annotations")
@@ -289,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--train-data", required=True, help="training dataset directory")
     sp.add_argument("--test-data", required=True, help="test dataset directory")
     sp.add_argument("--out", required=True, help="sweep CSV path")
-    common(sp, seed=True, threads=True)
+    common(sp, seed=True)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("plot", help="render a curve CSV to SVG")

@@ -440,7 +440,6 @@ def realboost_fit(
     rounds: int,
     config: TrainConfig = TrainConfig(),
     priors: np.ndarray | None = None,
-    binner: FeatureBinner | None = None,
 ) -> tuple[Forest, RoundLog]:
     """Fit ``rounds`` trees by RealBoost.
 
@@ -472,8 +471,7 @@ def realboost_fit(
     margins = y * margins  # signed margin y * F(x)
 
     eps = config.leaf_smoothing if config.leaf_smoothing is not None else 1.0 / (2.0 * n)
-    if binner is None:
-        binner = FeatureBinner(X, max_bins=config.max_bins)
+    binner = FeatureBinner(X, max_bins=config.max_bins)
     log = RoundLog()
     clamp = config.margin_clamp
 

@@ -54,14 +54,6 @@ class PcaProjector:
     def output_dim(self) -> int:
         return self.basis.shape[0]
 
-    @property
-    def is_identity(self) -> bool:
-        return (
-            self.input_dim == self.output_dim
-            and not self.mean.any()
-            and np.array_equal(self.basis, np.eye(self.input_dim))
-        )
-
     def project(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
         if v.shape[-1] != self.input_dim:
@@ -78,19 +70,13 @@ class PcaProjector:
         )
 
 
-def fit_pca(
-    samples: np.ndarray,
-    components: int | None = None,
-    energy: float | None = None,
-) -> PcaProjector:
-    """Fit a projector by eigendecomposition of the sample covariance.
+def fit_pca(samples: np.ndarray, components: int) -> PcaProjector:
+    """Fit a ``components``-dim projector by eigendecomposition of the sample covariance.
 
-    Exactly one of ``components`` / ``energy`` selects the output dimension:
-    a fixed count, or the smallest count whose variance fraction reaches
-    ``energy``.  Components are ordered by decreasing eigenvalue and signed
-    so that each row's first nonzero entry is positive.  If the data rank is
-    below the requested count the projector is reduced to the rank and the
-    request recorded in ``requested_dim`` (a warning is emitted).
+    Components are ordered by decreasing eigenvalue and signed so that each
+    row's first nonzero entry is positive.  If the data rank is below the
+    requested count the projector is reduced to the rank and the request
+    recorded in ``requested_dim`` (a warning is emitted).
     """
     X = np.asarray(samples, dtype=np.float64)
     if X.ndim != 2:
@@ -98,12 +84,8 @@ def fit_pca(
     n, dim = X.shape
     if n < 2:
         raise PcaError(f"need at least 2 samples to fit, got {n}")
-    if (components is None) == (energy is None):
-        raise PcaError("specify exactly one of components / energy")
-    if components is not None and not (1 <= components <= dim):
+    if not (1 <= components <= dim):
         raise PcaError(f"components must be in [1, {dim}], got {components}")
-    if energy is not None and not (0.0 < energy <= 1.0):
-        raise PcaError(f"energy must be in (0, 1], got {energy}")
 
     mean = X.mean(axis=0)
     Xc = X - mean
@@ -117,24 +99,17 @@ def fit_pca(
     if total <= 0.0:
         # Constant data: no variance anywhere.  Fall back to leading
         # coordinate axes so the projector still has the asked-for shape.
-        d = components if components is not None else 1
-        return PcaProjector(mean=mean, basis=np.eye(dim)[:d], eigenvalues=np.zeros(d),
-                            energy=1.0)
+        return PcaProjector(mean=mean, basis=np.eye(dim)[:components],
+                            eigenvalues=np.zeros(components), energy=1.0)
 
     rank = int(np.sum(eigvals > eigvals[0] * 1e-12))
-    if components is not None:
-        d = components
-    else:
-        frac = np.cumsum(eigvals) / total
-        d = int(np.searchsorted(frac, energy - 1e-12) + 1)
-    requested = None
-    if d > rank:
+    d, requested = min(components, rank), None
+    if components > rank:
         warnings.warn(
-            f"requested {d} components but sample rank is {rank}; reducing",
+            f"requested {components} components but sample rank is {rank}; reducing",
             stacklevel=2,
         )
-        requested = d
-        d = rank
+        requested = components
 
     basis = eigvecs[:, :d].T.copy()
     for row in basis:

@@ -14,6 +14,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .dataset import Dataset
 from .errors import ConfigError, DataError
 from .evaluation import EvalProtocol, evaluate_detections, log_average_miss_rate
 from .forest import Forest, TrainConfig, TrainingError, bootstrap_train
-from .geometry import Box, Candidate, Detection, iou, nms
+from .geometry import Box, Candidate, Detection, iou_matrix, nms
 from .maps import ImageRecord
 from .pca import PcaProjector, fit_pca
 from .routing import (
@@ -92,24 +93,44 @@ def prior_logits(scores, clamp: float) -> np.ndarray:
     return np.clip(np.log(s / (1.0 - s)), -clamp, clamp)
 
 
-def _top_candidates(proposals: list[Candidate], k: int) -> list[Candidate]:
-    """Top-k proposals by score; ties keep input order."""
-    order = sorted(range(len(proposals)), key=lambda i: (-proposals[i].score, i))
-    return [proposals[i] for i in order[:k]]
+def _inside_image(box: Box, record: ImageRecord) -> bool:
+    return box.x < record.image_w and box.y < record.image_h and box.x2 > 0 and box.y2 > 0
 
 
-def _inside_image(box: Box, image_w: int, image_h: int) -> bool:
-    return box.x < image_w and box.y < image_h and box.x2 > 0 and box.y2 > 0
+class _Candidates(NamedTuple):
+    """The proposals of one image that get scored, best first."""
+
+    boxes: list[Box]
+    scores: np.ndarray
+    ranks: np.ndarray  # position of each box among the image's top k
+
+
+def _candidates(record: ImageRecord, proposals: list[Candidate], k: int) -> _Candidates:
+    """The image's top-k proposals by score (ties keep input order) that lie inside it."""
+    scores = np.array([c.score for c in proposals], dtype=np.float64)
+    top = np.argsort(-scores, kind="stable")[:k]
+    ranks = np.array(
+        [r for r, i in enumerate(top) if _inside_image(proposals[i].box, record)], dtype=np.int64
+    )
+    picked = top[ranks]
+    return _Candidates([proposals[i].box for i in picked], scores[picked], ranks)
+
+
+def _best_iou(boxes: list[Box], others: list[Box]) -> np.ndarray:
+    """Each box's highest IoU with any of ``others``; 0 when there are none."""
+    return iou_matrix(boxes, others).max(axis=1, initial=0.0)
 
 
 class _DatasetSource:
     """Bootstrap feed built from a dataset's proposals.
 
-    Positives are top proposals at IoU >= pos_iou against a non-ignored
-    annotation.  The hard-negative pool keeps proposals under neg_iou against
-    every annotation, ignored ones included, so don't-care regions seed no
-    negatives.  Background negatives are rejection-sampled random boxes under
-    the same overlap rule.
+    Training draws from the same candidates detection scores: each image's
+    top ``train_top_k`` proposals inside the image (see ``_candidates``).
+    Positives are those at IoU >= pos_iou with a non-ignored annotation.  The
+    hard-negative pool keeps those under neg_iou with every annotation,
+    ignored ones included, so don't-care regions seed no negatives; a pool
+    key is (image id, rank among the image's top k).  Background negatives
+    are rejection-sampled random boxes under the same overlap rule.
     """
 
     def __init__(self, dataset: Dataset, extractor: DescriptorExtractor, settings: TrainSettings):
@@ -117,37 +138,44 @@ class _DatasetSource:
         self._settings = settings
         self._pos_iou = settings.forest.pos_iou
         self._neg_iou = settings.forest.neg_iou
-        self._top: list[tuple] = [
-            (s, _top_candidates(s.proposals, settings.caps.train_top_k)) for s in dataset
+        self._images = [
+            (s, _candidates(s.record, s.proposals, settings.caps.train_top_k)) for s in dataset
         ]
+        self._positive, self._negative = [], []
+        for s, c in self._images:
+            real = [g.box for g in s.ground_truth if not g.ignore]
+            # An image without a real annotation gives no positive, even at pos_iou 0.
+            self._positive.append(
+                _best_iou(c.boxes, real) >= self._pos_iou if real else np.zeros(len(c.boxes), bool)
+            )
+            self._negative.append(
+                _best_iou(c.boxes, [g.box for g in s.ground_truth]) < self._neg_iou
+            )
         self._pool: tuple | None = None
+
+    def _select(self, masks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, list, list[Box]]:
+        """Descriptors, priors, keys and boxes of the candidates each image's mask keeps."""
+        rows, priors, keys, boxes = [], [], [], []
+        for (s, c), mask in zip(self._images, masks):
+            sel = np.flatnonzero(mask)
+            if not sel.size:
+                continue
+            picked = [c.boxes[j] for j in sel]
+            rows.append(self._extractor.extract_many(s.record, picked))
+            priors.extend(prior_logits(c.scores[sel], self._settings.prior_logit_clamp))
+            keys.extend((s.image_id, int(r)) for r in c.ranks[sel])
+            boxes.extend(picked)
+        X = np.vstack(rows) if rows else np.empty((0, self._extractor.length), dtype=np.float32)
+        return X, np.asarray(priors, dtype=np.float64), keys, boxes
 
     def positives(self) -> tuple[np.ndarray, np.ndarray]:
         table = self._extractor.table
-        per_bin: Counter = Counter()
-        rows: list[np.ndarray] = []
-        priors: list[float] = []
-        for s, cands in self._top:
-            real = [g.box for g in s.ground_truth if not g.ignore]
-            if not real:
-                continue
-            boxes, scores = [], []
-            for c in cands:
-                if not _inside_image(c.box, s.record.image_w, s.record.image_h):
-                    continue
-                if max((iou(c.box, g) for g in real), default=0.0) >= self._pos_iou:
-                    boxes.append(c.box)
-                    scores.append(c.score)
-            if not boxes:
-                continue
-            rows.append(self._extractor.extract_many(s.record, boxes))
-            priors.extend(prior_logits(scores, self._settings.prior_logit_clamp))
-            for b in boxes:
-                per_bin[route(table, b.h)] += 1
-        if not rows:
+        X, priors, _, boxes = self._select(self._positive)
+        if not boxes:
             raise TrainingError(
                 f"no proposal reaches IoU {self._pos_iou} with a non-ignored annotation"
             )
+        per_bin = Counter(route(table, b.h) for b in boxes)
         for i, b in enumerate(table.bins):
             if per_bin[i] == 0:
                 raise TrainingError(
@@ -155,39 +183,20 @@ class _DatasetSource:
                     "received no positive samples; restrict the routing table or widen "
                     "the training subset"
                 )
-        return np.vstack(rows), np.asarray(priors, dtype=np.float64)
+        return X, priors
 
     def negative_pool(self) -> tuple[np.ndarray, np.ndarray, list]:
         if self._pool is None:
-            rows, priors, keys = [], [], []
-            for s, cands in self._top:
-                gts = [g.box for g in s.ground_truth]
-                boxes, scores = [], []
-                for j, c in enumerate(cands):
-                    if not _inside_image(c.box, s.record.image_w, s.record.image_h):
-                        continue
-                    if max((iou(c.box, g) for g in gts), default=0.0) < self._neg_iou:
-                        boxes.append(c.box)
-                        scores.append(c.score)
-                        keys.append((s.image_id, j))
-                if boxes:
-                    rows.append(self._extractor.extract_many(s.record, boxes))
-                    priors.extend(prior_logits(scores, self._settings.prior_logit_clamp))
-            X = (
-                np.vstack(rows)
-                if rows
-                else np.empty((0, self._extractor.length), dtype=np.float32)
-            )
-            self._pool = (X, np.asarray(priors, dtype=np.float64), keys)
+            self._pool = self._select(self._negative)[:3]
         return self._pool
 
     def background_negatives(self, count: int, seed) -> tuple[np.ndarray, np.ndarray, list]:
         table = self._extractor.table
-        samples = [s for s, _ in self._top]
+        samples = [s for s, _ in self._images]
         gt_cache = [[g.box for g in s.ground_truth] for s in samples]
 
         def clear_of_annotations(i: int, box: Box) -> bool:
-            return max((iou(box, g) for g in gt_cache[i]), default=0.0) < self._neg_iou
+            return _best_iou([box], gt_cache[i])[0] < self._neg_iou
 
         drawn = _draw_background_boxes(
             np.random.default_rng(seed),
@@ -294,7 +303,7 @@ def _collect_pca_samples(
         for g in s.ground_truth:
             if g.ignore or route(table, g.box.h) != bin_index:
                 continue
-            if not _inside_image(g.box, s.record.image_w, s.record.image_h):
+            if not _inside_image(g.box, s.record):
                 continue
             pos_rows.append(pool_bin_cells(s.record, g.box, table, bin_index))
     pos = np.vstack(pos_rows) if pos_rows else np.empty((0, bin_dim), dtype=np.float32)
@@ -341,10 +350,6 @@ class DetectorModel:
     @property
     def extractor(self) -> DescriptorExtractor:
         return self._extractor
-
-    @property
-    def descriptor_length(self) -> int:
-        return self._extractor.length
 
 
 def train_detector(dataset: Dataset, settings: TrainSettings) -> tuple[DetectorModel, dict]:
@@ -442,18 +447,17 @@ def train_detector(dataset: Dataset, settings: TrainSettings) -> tuple[DetectorM
 def detect_image(
     model: DetectorModel, record: ImageRecord, proposals: list[Candidate]
 ) -> list[Detection]:
-    """Score the top proposals and return NMS survivors, best first."""
-    cands = _top_candidates(proposals, model.caps.test_top_k)
-    boxes, scores = [], []
-    for c in cands:
-        if _inside_image(c.box, record.image_w, record.image_h):
-            boxes.append(c.box)
-            scores.append(c.score)
-    if not boxes:
+    """Score the image's candidates and return NMS survivors, best first.
+
+    The candidates are the top ``caps.test_top_k`` proposals by score that
+    lie inside the image, the same rule training draws its samples by.
+    """
+    c = _candidates(record, proposals, model.caps.test_top_k)
+    if not c.boxes:
         return []
-    X = model.extractor.extract_many(record, boxes)
-    margins = model.forest.score(X, prior_logits(scores, model.prior_logit_clamp))
-    dets = [Detection(box=b, score=float(m)) for b, m in zip(boxes, margins)]
+    X = model.extractor.extract_many(record, c.boxes)
+    margins = model.forest.score(X, prior_logits(c.scores, model.prior_logit_clamp))
+    dets = [Detection(box=b, score=float(m)) for b, m in zip(c.boxes, margins)]
     return nms(dets, model.nms_threshold)
 
 
@@ -502,7 +506,12 @@ def model_to_dict(model: DetectorModel) -> dict:
     }
 
 
-def model_from_dict(d: dict) -> DetectorModel:
+def model_from_dict(d) -> DetectorModel:
+    """The model a parsed model file holds; any malformation is a DataError."""
+    if not isinstance(d, dict):
+        raise DataError(
+            f"malformed model file: top level must be a JSON object, got {type(d).__name__}"
+        )
     if d.get("format") != MODEL_FORMAT:
         raise DataError(f"not a detector model file (format {d.get('format')!r})")
     if d.get("version") != MODEL_VERSION:
@@ -510,16 +519,16 @@ def model_from_dict(d: dict) -> DetectorModel:
             f"unsupported model version {d.get('version')!r}; this build reads {MODEL_VERSION}"
         )
     try:
-        projectors = {
-            pid: PcaProjector(
+        projectors = {}
+        for pid, p in config.section(d["projectors"], "projectors").items():
+            p = config.section(p, f"projectors[{pid!r}]")
+            projectors[pid] = PcaProjector(
                 mean=np.asarray(p["mean"], dtype=np.float64),
                 basis=np.asarray(p["basis"], dtype=np.float64),
                 eigenvalues=np.asarray(p["eigenvalues"], dtype=np.float64),
                 energy=float(p["energy"]),
                 requested_dim=p.get("requested_dim"),
             )
-            for pid, p in d["projectors"].items()
-        }
         model = DetectorModel(
             table=config.read(RoutingTable, d["routing"], "routing"),
             projectors=projectors,
@@ -569,7 +578,6 @@ def ablation_sweep(
     subsets: tuple[str, ...] = ("small", "large", "all"),
     settings: TrainSettings | None = None,
     protocol: EvalProtocol = EvalProtocol(),
-    threads: int = 1,
 ) -> list[dict]:
     """Train one fixed-layer detector per (combination, subset) and report MR.
 
@@ -599,7 +607,7 @@ def ablation_sweep(
                 ),
             )
             model, _ = train_detector(train_set.subset_by_height(lo, hi), run_settings)
-            dets = detect_dataset(model, test_set, threads=threads)
+            dets = detect_dataset(model, test_set)
             proto = replace(
                 protocol, height_min=lo, height_max=hi, fppi_exponents=(-4.0, 0.0)
             )

@@ -226,9 +226,6 @@ class DescriptorExtractor:
                 blocks.append(grid_max_pool(emap.data[None], rects, grid))
         return [b.reshape(len(boxes), -1) for b in blocks]
 
-    def extract(self, record: ImageRecord, box: Box) -> np.ndarray:
-        return self.extract_many(record, [box])[0]
-
     def extract_many(self, record: ImageRecord, boxes: list[Box]) -> np.ndarray:
         """Descriptors for all boxes of one image, pooled bin by bin."""
         out = np.empty((len(boxes), self.length), dtype=np.float32)

@@ -199,6 +199,35 @@ def oracle_greedy_match(detections, ground_truth, iou_threshold, eligible_flags)
     return scores, flags, eligible
 
 
+def oracle_training_candidates(dataset, top_k, pos_iou, neg_iou):
+    """The bootstrap feed's sample choice, by sorting and scalar IoU scans.
+
+    Per image: rank the proposals by descending score (ties in input order),
+    keep the first ``top_k``, and drop those not overlapping the image.  A
+    kept proposal is a positive at IoU >= pos_iou with some non-ignored
+    annotation (so never in an image without one), and enters the
+    hard-negative pool at IoU < neg_iou with every annotation.  Returns
+    (positives, pool): lists of (image index, box, score) in image order,
+    then rank order; pool entries carry a fourth item, the key
+    (image id, rank among the top k).
+    """
+    positives, pool = [], []
+    for i, s in enumerate(dataset):
+        w, h = s.record.image_w, s.record.image_h
+        ranked = sorted(enumerate(s.proposals), key=lambda t: (-t[1].score, t[0]))[:top_k]
+        real = [g.box for g in s.ground_truth if not g.ignore]
+        every = [g.box for g in s.ground_truth]
+        for rank, (_, c) in enumerate(ranked):
+            b = c.box
+            if not (b.x < w and b.y < h and b.x + b.w > 0 and b.y + b.h > 0):
+                continue
+            if real and max(iou(b, g) for g in real) >= pos_iou:
+                positives.append((i, b, c.score))
+            if max((iou(b, g) for g in every), default=0.0) < neg_iou:
+                pool.append((i, b, c.score, (s.image_id, rank)))
+    return positives, pool
+
+
 def oracle_binner(X, max_bins):
     """Reference binning, one column at a time: (cuts per feature, sample-major uint8 bins).
 

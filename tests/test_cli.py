@@ -10,10 +10,17 @@ from samhead.cli import EXIT_CONFIG, EXIT_DATA, _train_settings, main
 from samhead.dataset import Dataset
 from samhead.errors import ConfigError
 from samhead.forest import basic_training_config
-from samhead.pipeline import TrainSettings, save_model, train_detector
+from samhead.pipeline import (
+    MODEL_FORMAT,
+    MODEL_VERSION,
+    TrainSettings,
+    save_model,
+    train_detector,
+)
 from samhead.synth import generate_dataset
 
 SYNTH_SECTION = {"num_images": 2, "peds_per_image": [2, 3], "background_proposals": 30}
+_MODEL_HEADER = {"format": MODEL_FORMAT, "version": MODEL_VERSION}
 
 
 def _write_config(tmp_path, config, name="config.json"):
@@ -149,6 +156,27 @@ class TestMissingOrBrokenData:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(model), encoding="utf-8")
         code = main(["detect", "--data", str(synth_dir), "--model", str(bad),
+                     "--out", str(tmp_path / "dets.csv")])
+        payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
+        assert payload["message"] == f"malformed model file: {message}"
+        assert not (tmp_path / "dets.csv").exists()
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ([1, 2], "top level must be a JSON object, got list"),
+            ("x", "top level must be a JSON object, got str"),
+            ({**_MODEL_HEADER, "projectors": [1]},
+             "projectors section must be a JSON object, got list"),
+            ({**_MODEL_HEADER, "projectors": {"small": 1}},
+             "projectors['small'] section must be a JSON object, got int"),
+        ],
+        ids=["list", "string", "projectors-list", "projector-entry"],
+    )
+    def test_non_object_model_exits_3(self, tmp_path, capsys, content, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(content), encoding="utf-8")
+        code = main(["detect", "--data", str(tmp_path / "data"), "--model", str(bad),
                      "--out", str(tmp_path / "dets.csv")])
         payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
         assert payload["message"] == f"malformed model file: {message}"

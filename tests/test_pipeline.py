@@ -6,19 +6,26 @@ import numpy as np
 import pytest
 
 from conftest import fast_train_settings, time_limit
+from oracles import oracle_training_candidates
 from samhead.dataset import Dataset, ImageSample
-from samhead.forest import TrainingError
+from samhead.forest import TrainConfig, TrainingError
+from samhead.geometry import Box, Candidate, GroundTruthBox
 from samhead.maps import FeatureMap, ImageRecord
+from samhead.pca import PcaProjector
 from samhead.pipeline import (
+    Caps,
+    TrainSettings,
+    _DatasetSource,
     ablation_sweep,
     detect_dataset,
     load_model,
+    prior_logits,
     save_model,
     train_detector,
     write_sweep_csv,
 )
 from samhead.pooling import PoolGrid
-from samhead.routing import ChannelConfig, RoutingTable, ScaleBin
+from samhead.routing import ChannelConfig, DescriptorExtractor, RoutingTable, ScaleBin
 
 
 AUX = ChannelConfig(semantic=True, edge=True, edge_pooling="hist")
@@ -104,3 +111,92 @@ def test_ablation_sweep_gives_one_row_per_combination_and_subset(
     lines = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "combination,subset,mr4"
     assert lines[1:] == [f"{r['combination']},{r['subset']},{float(r['mr4'])!r}" for r in rows]
+
+
+def hand_made_dataset():
+    """64x128 images covering the corners of the candidate rule."""
+    rng = np.random.default_rng(1)
+
+    def image(name, ground_truth, boxes_and_scores):
+        maps = {"conv4a": FeatureMap("conv4a", 4, rng.normal(size=(3, 32, 16)))}
+        return ImageSample(
+            ImageRecord(name, 64, 128, maps),
+            ground_truth,
+            [Candidate(Box(*b), score) for b, score in boxes_and_scores],
+        )
+
+    return Dataset([
+        image("annotated",
+              [GroundTruthBox(Box(10, 20, 20, 50)),
+               GroundTruthBox(Box(40, 60, 15, 40), ignore=True)],
+              [((11, 21, 20, 50), 0.9),
+               ((-30, 10, 20, 50), 0.95),  # best score, left of the image
+               ((10, 20, 20, 50), 0.9),  # ties with the first, comes after it
+               ((40, 60, 15, 40), 0.5),  # on the ignored annotation
+               ((16, 30, 20, 50), 0.6),  # IoU 0.389 with the annotation
+               ((64, 0, 10, 30), 0.7),  # starts at the right edge
+               ((5, 100, 20, 40), 0.3),  # runs past the bottom edge
+               ((30, 70, 20, 50), 0.4),
+               ((0, 0, 10, 30), 0.01)]),
+        image("unannotated", [],
+              [((0, 0, 20, 50), 0.8), ((10, -60, 20, 50), 0.9), ((30, 60, 20, 50), 0.2)]),
+        image("only-ignored", [GroundTruthBox(Box(20, 40, 20, 50), ignore=True)],
+              [((20, 40, 20, 50), 0.6), ((21, 42, 20, 50), 0.5), ((0, 70, 20, 50), 0.4)]),
+        image("no-proposals", [GroundTruthBox(Box(20, 40, 20, 50))], []),
+        image("tied", [GroundTruthBox(Box(20, 40, 20, 50))],  # eight boxes per score
+              [((2.0 * k, 3.0 * k, 20, 50), (0.3, 0.5, 0.7)[k % 3]) for k in range(24)]),
+    ])
+
+
+def _conv4a_source(dataset, settings):
+    """A feed whose descriptors are conv4a pooled on a 2x2 grid, for every height."""
+    extractor = DescriptorExtractor(
+        RoutingTable(bins=(ScaleBin(1.0, None, ("conv4a",), "only"),), grid=PoolGrid(2, 2)),
+        {"only": PcaProjector.identity(dataset.layer_channels()["conv4a"])},
+    )
+    return _DatasetSource(dataset, extractor, settings), extractor
+
+
+def _expected_samples(extractor, dataset, selected, clamp):
+    """Rows and priors of oracle picks, extracted image by image as the feed batches them."""
+    rows, priors = [], []
+    for i, s in enumerate(dataset):
+        mine = [pick for pick in selected if pick[0] == i]
+        if mine:
+            rows.append(extractor.extract_many(s.record, [pick[1] for pick in mine]))
+            priors.extend(prior_logits([pick[2] for pick in mine], clamp))
+    X = np.vstack(rows) if rows else np.empty((0, extractor.length), dtype=np.float32)
+    return X, np.asarray(priors, dtype=np.float64)
+
+
+@pytest.mark.parametrize("top_k", [6, 1000])
+@pytest.mark.parametrize("pos_iou, neg_iou", [(0.5, 0.3), (0.4, 0.4), (0.35, 0.2), (0.0, 0.0)])
+@pytest.mark.parametrize("data", ["tiny", "hand-made"])
+def test_training_samples_follow_the_candidate_rule(request, data, top_k, pos_iou, neg_iou):
+    dataset = request.getfixturevalue("tiny_train_set") if data == "tiny" else hand_made_dataset()
+    settings = TrainSettings(
+        forest=TrainConfig(pos_iou=pos_iou, neg_iou=neg_iou), caps=Caps(train_top_k=top_k)
+    )
+    source, extractor = _conv4a_source(dataset, settings)
+    positives, pool = oracle_training_candidates(dataset, top_k, pos_iou, neg_iou)
+    clamp = settings.prior_logit_clamp
+
+    assert positives
+    X, priors = source.positives()
+    want_X, want_priors = _expected_samples(extractor, dataset, positives, clamp)
+    assert np.array_equal(X, want_X)
+    assert np.array_equal(priors, want_priors)
+
+    X, priors, keys = source.negative_pool()
+    want_X, want_priors = _expected_samples(extractor, dataset, pool, clamp)
+    assert np.array_equal(X, want_X)
+    assert np.array_equal(priors, want_priors)
+    assert keys == [pick[3] for pick in pool]
+
+
+def test_images_without_a_real_annotation_give_no_positive():
+    unannotated = Dataset(hand_made_dataset().samples[1:3])
+    settings = TrainSettings(forest=TrainConfig(pos_iou=0.0, neg_iou=0.0))
+    source, _ = _conv4a_source(unannotated, settings)
+    with pytest.raises(TrainingError, match="no proposal reaches IoU 0.0"):
+        source.positives()

@@ -268,7 +268,7 @@ class TestDescriptorExtractor:
             {"only": PcaProjector.identity(5)},
             ChannelConfig(semantic=True, edge=True),
         )
-        got = extractor.extract(record, SMALL_BOX)
+        got = extractor.extract_many(record, [SMALL_BOX])[0]
         rect1 = map_to_feature_coords(SMALL_BOX, 1, 48, 64)
         expected = np.concatenate(
             [
@@ -287,7 +287,7 @@ class TestDescriptorExtractor:
             {"only": PcaProjector.identity(5)},
             ChannelConfig(edge=True, edge_pooling="hist", edge_bins=8),
         )
-        got = extractor.extract(record, SMALL_BOX)
+        got = extractor.extract_many(record, [SMALL_BOX])[0]
         rect1 = map_to_feature_coords(SMALL_BOX, 1, 48, 64)
         expected_aux = oracle_edge_hist_pool(record.edge_map.data, rect1, GRID.m, GRID.n, 8)
         assert got.shape == (5 * 6 + 8 * 6,)
@@ -299,8 +299,8 @@ class TestDescriptorExtractor:
             two_bin_table(),
             {"small": PcaProjector.identity(3), "large": PcaProjector.identity(3)},
         )
-        small = extractor.extract(record, SMALL_BOX)
-        large = extractor.extract(record, LARGE_BOX)
+        small = extractor.extract_many(record, [SMALL_BOX])[0]
+        large = extractor.extract_many(record, [LARGE_BOX])[0]
         exp_small = oracle_cells(record, SMALL_BOX, ("conv3",), GRID).reshape(-1)
         exp_large = oracle_cells(record, LARGE_BOX, ("conv4a", "conv5a"), GRID).reshape(-1)
         assert np.array_equal(small, exp_small.astype(np.float32))
@@ -316,7 +316,7 @@ class TestDescriptorExtractor:
         )
         proj = fit_pca(training, components=2)
         extractor = DescriptorExtractor(table, {"only": proj})
-        got = extractor.extract(record, boxes[0])
+        got = extractor.extract_many(record, [boxes[0]])[0]
         cells = pool_bin_cells(record, boxes[0], table, 0)
         expected = ((cells.astype(np.float64) - proj.mean) @ proj.basis.T).reshape(-1)
         assert extractor.length == 2 * GRID.cells
@@ -337,7 +337,7 @@ class TestDescriptorExtractor:
             proj = projectors[table.bins[i].projector_id]
             expected = proj.project(pool_bin_cells(record, b, table, i)).reshape(-1)
             assert np.array_equal(got[k, : 2 * GRID.cells], expected.astype(np.float32))
-            assert np.array_equal(got[k], extractor.extract(record, b))
+            assert np.array_equal(got[k], extractor.extract_many(record, [b])[0])
 
     def test_extract_many_stacks_extract(self):
         record = make_record()
@@ -349,14 +349,16 @@ class TestDescriptorExtractor:
         assert got.shape == (3, extractor.length)
         assert got.dtype == np.float32
         for i, b in enumerate(boxes):
-            assert np.array_equal(got[i], extractor.extract(record, b))
+            assert np.array_equal(got[i], extractor.extract_many(record, [b])[0])
 
     def test_fresh_extractor_matches_batched_extract(self):
         record = make_record()
         table = one_bin_table()
         projectors = {"only": PcaProjector.identity(5)}
         channels = ChannelConfig(semantic=True)
-        one_shot = DescriptorExtractor(table, projectors, channels).extract(record, SMALL_BOX)
+        one_shot = DescriptorExtractor(table, projectors, channels).extract_many(
+            record, [SMALL_BOX]
+        )[0]
         extracted = DescriptorExtractor(table, projectors, channels).extract_many(
             record, [LARGE_BOX, SMALL_BOX]
         )[1]
@@ -383,7 +385,7 @@ class TestDescriptorExtractor:
         record = make_record()
         extractor = DescriptorExtractor(one_bin_table(), {"only": PcaProjector.identity(4)})
         with pytest.raises(ConfigError, match="expects 4"):
-            extractor.extract(record, SMALL_BOX)
+            extractor.extract_many(record, [SMALL_BOX])[0]
 
     def test_missing_label_map_is_reported(self):
         record = make_record(with_label=False)
@@ -391,7 +393,7 @@ class TestDescriptorExtractor:
             one_bin_table(), {"only": PcaProjector.identity(5)}, ChannelConfig(semantic=True)
         )
         with pytest.raises(MissingLayerError, match="label map"):
-            extractor.extract(record, SMALL_BOX)
+            extractor.extract_many(record, [SMALL_BOX])[0]
 
     def test_missing_edge_map_is_reported(self):
         record = make_record(with_edge=False)
@@ -399,4 +401,4 @@ class TestDescriptorExtractor:
             one_bin_table(), {"only": PcaProjector.identity(5)}, ChannelConfig(edge=True)
         )
         with pytest.raises(MissingLayerError, match="edge map"):
-            extractor.extract(record, SMALL_BOX)
+            extractor.extract_many(record, [SMALL_BOX])[0]
