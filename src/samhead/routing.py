@@ -1,9 +1,10 @@
 """Scale-dependent routing of candidates to layer combinations, plus descriptor assembly.
 
-Each scale bin names the CNN layers pooled for candidates in its height range
-and a PCA projector that maps the pooled per-cell channel stack to the shared
-target dimension, so descriptors have one length no matter which bin produced
-them.  Optional semantic and edge channels are appended after the CNN block.
+Each scale bin names the CNN layers pooled for candidates in its height range.
+A bin whose layers pool the table's target dimension per cell keeps its pooled
+stack; PCA runs only where widths differ, mapping that bin's per-cell stack to
+the target, so descriptors have one length no matter which bin produced them.
+Optional semantic and edge channels are appended after the CNN block.
 """
 
 from __future__ import annotations
@@ -170,9 +171,11 @@ class ChannelConfig:
 class DescriptorExtractor:
     """Binds a routing table, fitted projectors, and channel config together.
 
-    Descriptor layout: the PCA-projected CNN block flattened cell-major
-    (cell (0,0)'s d values first), then the semantic block, then the edge
-    block.  Length is identical for every candidate.
+    A bin without a projector keeps its pooled stack, which must be the
+    target width: the table's ``target_dim``, or the projectors' output
+    width when that is 0.  Descriptor layout: the CNN block flattened
+    cell-major (cell (0,0)'s d values first), then the semantic block, then
+    the edge block.  Length is identical for every candidate.
     """
 
     def __init__(
@@ -184,18 +187,18 @@ class DescriptorExtractor:
         self.table = table
         self.projectors = projectors
         self.channels = channels
-        dims = set()
-        for b in table.bins:
-            if b.projector_id not in projectors:
-                raise ConfigError(f"no projector fitted for bin {b.projector_id!r}")
-            dims.add(projectors[b.projector_id].output_dim)
-        if len(dims) != 1:
-            raise ConfigError(f"bins project to differing dimensions: {sorted(dims)}")
-        self.cell_dim = dims.pop()
-        if table.target_dim and table.target_dim != self.cell_dim:
+        unknown = sorted(set(projectors) - {b.projector_id for b in table.bins})
+        if unknown:
+            raise ConfigError(f"projectors {unknown} belong to no routing bin")
+        dims = sorted({p.output_dim for p in projectors.values()})
+        if len(dims) > 1:
+            raise ConfigError(f"bins project to differing dimensions: {dims}")
+        if not (table.target_dim or dims):
+            raise ConfigError("no bin has a projector, so the routing table needs a target_dim")
+        self.cell_dim = table.target_dim or dims[0]
+        if dims and dims[0] != self.cell_dim:
             raise ConfigError(
-                f"projectors produce {self.cell_dim} dims per cell, "
-                f"table expects {table.target_dim}"
+                f"projectors produce {dims[0]} dims per cell, table expects {self.cell_dim}"
             )
 
     @property
@@ -238,17 +241,20 @@ class DescriptorExtractor:
             sel = np.flatnonzero(bins == i)
             if not sel.size:
                 continue
-            proj = self.projectors[spec.projector_id]
             stacks = pool_bin_stacks(record, xywh[sel], self.table, i)
-            if stacks.shape[1] != proj.input_dim:
+            proj = self.projectors.get(spec.projector_id)
+            width = proj.input_dim if proj else self.cell_dim
+            if stacks.shape[1] != width:
+                need = "its projector expects" if proj else "it has no projector and the target is"
                 raise ConfigError(
-                    f"bin {i} pools {stacks.shape[1]} channels per cell but its "
-                    f"projector expects {proj.input_dim}"
+                    f"bin {spec.projector_id!r} pools {stacks.shape[1]} channels per cell "
+                    f"but {need} {width}"
                 )
             # Each box's (cells, D) block is the transpose of its C-ordered
             # (D, cells) stack.  The block's memory order picks the BLAS
             # kernel, and with it the last bits of a real PCA projection.
-            out[sel, :cnn] = proj.project(stacks.transpose(0, 2, 1)).reshape(sel.size, -1)
+            cells = stacks.transpose(0, 2, 1)
+            out[sel, :cnn] = (proj.project(cells) if proj else cells).reshape(sel.size, -1)
         col = cnn
         for block in self._aux_blocks(record, xywh):
             out[:, col : col + block.shape[1]] = block

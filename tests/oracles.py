@@ -228,6 +228,69 @@ def oracle_training_candidates(dataset, top_k, pos_iou, neg_iou):
     return positives, pool
 
 
+def oracle_cnn_descriptor(record, box, table, projectors):
+    """The CNN block of ``box``'s descriptor, cell-major, as float32.
+
+    The box goes to the first bin whose height range holds it (the first bin
+    when it is shorter than all of them).  Its layers are max-pooled by
+    ``oracle_max_pool`` and stacked per cell; each cell is projected by the
+    bin's projector, or, for a bin without one, through an explicit
+    ``(v - 0) @ eye(D)``.
+    """
+    spec = next((b for b in table.bins if b.contains(box.h)), table.bins[0])
+    m, n = table.grid.m, table.grid.n
+    parts = []
+    for name in spec.layers:
+        fmap = record.layer(name)
+        rect = _oracle_feature_rect(box, fmap.stride, fmap.height, fmap.width)
+        parts.append(oracle_max_pool(fmap.data, rect, m, n).reshape(fmap.channels, m * n))
+    cells = np.concatenate(parts).T.astype(np.float64)  # (m*n, D)
+    proj = projectors.get(spec.projector_id)
+    if proj is None:
+        mean, basis = np.zeros(cells.shape[1]), np.eye(cells.shape[1])
+    else:
+        mean, basis = proj.mean, proj.basis
+    return ((cells - mean) @ basis.T).reshape(-1).astype(np.float32)
+
+
+def oracle_background_draws(dataset, min_height, max_height, count, neg_iou, seed):
+    """The training feed's background boxes, drawn attempt by attempt.
+
+    Each attempt draws, from ``default_rng(seed)``, an image among those
+    taller than ``min_height + 2``, a height in [min_height, max_height)
+    capped at the image height less 2, and a position inside the image; the
+    width is 0.41 times the height.  An attempt whose height range or width
+    does not fit is skipped; a box at IoU >= neg_iou with any annotation is
+    rejected.  Attempts stop at ``count`` kept boxes or ``200 * count + 1000``
+    attempts.  Returns (kept (image index, box) pairs in draw order, number
+    of boxes rejected for overlap).
+    """
+    rng = np.random.default_rng(seed)
+    samples = list(dataset)
+    usable = [i for i, s in enumerate(samples) if s.record.image_h - 2.0 > min_height]
+    kept, rejected, attempts = [], 0, 0
+    while len(kept) < count and attempts < 200 * count + 1000:
+        attempts += 1
+        i = usable[int(rng.integers(len(usable)))]
+        s = samples[i]
+        w_img, h_img = s.record.image_w, s.record.image_h
+        top = h_img - 2.0 if max_height is None else min(max_height, h_img - 2.0)
+        if top <= min_height:
+            continue
+        h = float(rng.uniform(min_height, top))
+        w = 0.41 * h
+        if w >= w_img - 2.0:
+            continue
+        x = float(rng.uniform(0.0, w_img - w - 1.0))
+        y = float(rng.uniform(0.0, h_img - h - 1.0))
+        box = Box(x, y, w, h)
+        if max((iou(box, g.box) for g in s.ground_truth), default=0.0) >= neg_iou:
+            rejected += 1
+            continue
+        kept.append((i, box))
+    return kept, rejected
+
+
 def oracle_binner(X, max_bins):
     """Reference binning, one column at a time: (cuts per feature, sample-major uint8 bins).
 

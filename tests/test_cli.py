@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from conftest import fast_train_settings, time_limit, tiny_synth_config
@@ -193,6 +194,24 @@ class TestMissingOrBrokenData:
                      "--out", str(tmp_path / "dets.csv")])
         payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
         assert "unsupported model version 1" in payload["message"]
+        assert not (tmp_path / "dets.csv").exists()
+
+
+    def test_version_2_model_exits_3(self, synth_dir, tmp_path, capsys, model_path):
+        # Version 2 files stored a dense identity projector for every bin
+        # whose layers already pool the target width.
+        model = json.loads(model_path.read_text(encoding="utf-8"))
+        model["version"] = 2
+        dim = model["routing"]["target_dim"]
+        identity = {"mean": [0.0] * dim, "basis": np.eye(dim).tolist(),
+                    "eigenvalues": [1.0] * dim, "energy": 1.0, "requested_dim": None}
+        model["projectors"] = {b["projector_id"]: identity for b in model["routing"]["bins"]}
+        old = tmp_path / "v2.json"
+        old.write_text(json.dumps(model), encoding="utf-8")
+        code = main(["detect", "--data", str(synth_dir), "--model", str(old),
+                     "--out", str(tmp_path / "dets.csv")])
+        payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
+        assert payload["message"] == "unsupported model version 2; this build reads 3"
         assert not (tmp_path / "dets.csv").exists()
 
 

@@ -95,7 +95,8 @@ class TestFit:
 
 class TestProjector:
     def test_identity(self):
-        proj = PcaProjector.identity(5)
+        proj = PcaProjector(mean=np.zeros(5), basis=np.eye(5), eigenvalues=np.ones(5),
+                            energy=1.0)
         assert proj.input_dim == proj.output_dim == 5
         v = np.arange(5.0)
         np.testing.assert_array_equal(proj.project(v), v)
@@ -107,7 +108,8 @@ class TestProjector:
         np.testing.assert_allclose(proj.project(np.array([3.0, 5.0])), [3.0, 2.0])
 
     def test_dimension_mismatch_rejected(self):
-        proj = PcaProjector.identity(4)
+        proj = PcaProjector(mean=np.zeros(4), basis=np.eye(4)[:2], eigenvalues=np.ones(2),
+                            energy=1.0)
         with pytest.raises(PcaError):
             proj.project(np.zeros(5))
 

@@ -1,17 +1,19 @@
 """Training and detection end to end, plus background sampling limits."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import fast_train_settings, time_limit
-from oracles import oracle_training_candidates
+from oracles import oracle_background_draws, oracle_training_candidates
+from samhead import pipeline
 from samhead.dataset import Dataset, ImageSample
 from samhead.forest import TrainConfig, TrainingError
+from samhead.formats import write_detections_csv
 from samhead.geometry import Box, Candidate, GroundTruthBox
 from samhead.maps import FeatureMap, ImageRecord
-from samhead.pca import PcaProjector
 from samhead.pipeline import (
     Caps,
     TrainSettings,
@@ -46,6 +48,34 @@ def test_saved_model_detects_like_the_trained_one(trained, tiny_test_set, tmp_pa
     save_model(tmp_path / "model.json", trained)
     loaded = load_model(tmp_path / "model.json")
     assert detect_dataset(loaded, tiny_test_set) == want
+
+
+def test_model_with_one_fitted_bin_round_trips(tiny_train_set, tiny_test_set, tmp_path):
+    # The small bin pools conv4a alone, the 64-channel target, so only the
+    # large bin (conv4a + conv5a, 128 channels) gets a fitted projector.
+    routing = RoutingTable(
+        bins=(
+            ScaleBin(50.0, 80.0, ("conv4a",), "small"),
+            ScaleBin(80.0, None, ("conv4a", "conv5a"), "large"),
+        ),
+        grid=PoolGrid(4, 2),
+    )
+    settings = replace(fast_train_settings(), routing=routing)
+    model, manifest = train_detector(tiny_train_set, settings)
+    assert list(model.projectors) == ["large"]
+    assert [manifest["pca"][pid]["identity"] for pid in ("small", "large")] == [True, False]
+    save_model(tmp_path / "model.json", model)
+    saved = json.loads((tmp_path / "model.json").read_text(encoding="utf-8"))
+    assert saved["version"] == 3
+    assert list(saved["projectors"]) == ["large"]
+
+    loaded = load_model(tmp_path / "model.json")
+    trained = detect_dataset(model, tiny_test_set)
+    write_detections_csv(tmp_path / "trained.csv", trained)
+    write_detections_csv(tmp_path / "loaded.csv", detect_dataset(loaded, tiny_test_set))
+    heights = [d.box.h for dets in trained.values() for d in dets]
+    assert min(heights) < 80.0 <= max(heights)
+    assert (tmp_path / "loaded.csv").read_bytes() == (tmp_path / "trained.csv").read_bytes()
 
 
 def test_thread_count_does_not_change_detections(trained, tiny_test_set):
@@ -151,8 +181,12 @@ def hand_made_dataset():
 def _conv4a_source(dataset, settings):
     """A feed whose descriptors are conv4a pooled on a 2x2 grid, for every height."""
     extractor = DescriptorExtractor(
-        RoutingTable(bins=(ScaleBin(1.0, None, ("conv4a",), "only"),), grid=PoolGrid(2, 2)),
-        {"only": PcaProjector.identity(dataset.layer_channels()["conv4a"])},
+        RoutingTable(
+            bins=(ScaleBin(1.0, None, ("conv4a",), "only"),),
+            grid=PoolGrid(2, 2),
+            target_dim=dataset.layer_channels()["conv4a"],
+        ),
+        {},
     )
     return _DatasetSource(dataset, extractor, settings), extractor
 
@@ -200,3 +234,30 @@ def test_images_without_a_real_annotation_give_no_positive():
     source, _ = _conv4a_source(unannotated, settings)
     with pytest.raises(TrainingError, match="no proposal reaches IoU 0.0"):
         source.positives()
+
+
+@pytest.mark.parametrize("neg_iou", [0.3, 0.05])
+def test_background_negatives_keep_the_oracle_draws(tiny_train_set, monkeypatch, neg_iou):
+    source, extractor = _conv4a_source(
+        tiny_train_set, TrainSettings(forest=TrainConfig(neg_iou=neg_iou))
+    )
+    drawn = []
+    draw = pipeline._draw_background_boxes
+
+    def recording_draw(*args, **kwargs):
+        drawn.append(draw(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(pipeline, "_draw_background_boxes", recording_draw)
+    X, priors, keys = source.background_negatives(300, seed=7)
+    want, rejected = oracle_background_draws(tiny_train_set, 1.0, None, 300, neg_iou, seed=7)
+    assert rejected > 0
+    assert drawn == [want]
+    samples = list(tiny_train_set)
+    rows = [
+        extractor.extract_many(s.record, [b for i, b in want if i == k])
+        for k, s in enumerate(samples)
+        if any(i == k for i, _ in want)
+    ]
+    assert np.array_equal(X, np.vstack(rows))
+    assert keys == [("bg", j) for j in range(len(want))]

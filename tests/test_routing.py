@@ -21,7 +21,12 @@ from samhead.routing import (
     route,
 )
 
-from oracles import oracle_edge_hist_pool, oracle_histogram_pool, oracle_max_pool
+from oracles import (
+    oracle_cnn_descriptor,
+    oracle_edge_hist_pool,
+    oracle_histogram_pool,
+    oracle_max_pool,
+)
 
 GRID = PoolGrid(3, 2)
 
@@ -49,8 +54,8 @@ def make_record(channels=(3, 2, 1), with_label=True, with_edge=True, seed=0):
 
 
 def two_bin_table(grid=GRID, target_dim=0):
-    # Both bins stack three channels with the default record, so identity
-    # projectors of dim 3 are valid on either side.
+    # Both bins stack three channels with the default record, so at
+    # target_dim 3 neither bin needs a projector.
     return RoutingTable(
         bins=(
             ScaleBin(50.0, 80.0, ("conv3",), "small"),
@@ -65,6 +70,11 @@ def one_bin_table(layers=("conv3", "conv4a"), grid=GRID, target_dim=0):
     return RoutingTable(
         bins=(ScaleBin(50.0, None, layers, "only"),), grid=grid, target_dim=target_dim
     )
+
+
+def axes_projector(dim, out):
+    """A projector onto the first ``out`` of ``dim`` coordinate axes."""
+    return PcaProjector(np.zeros(dim), np.eye(dim)[:out], np.ones(out), energy=1.0)
 
 
 def oracle_cells(record, box, layers, grid):
@@ -253,20 +263,16 @@ class TestChannelConfig:
 class TestDescriptorExtractor:
     def test_length_counts_cnn_and_aux_blocks(self):
         extractor = DescriptorExtractor(
-            one_bin_table(),
-            {"only": PcaProjector.identity(5)},
-            ChannelConfig(semantic=True, edge=True),
+            one_bin_table(target_dim=5), {}, ChannelConfig(semantic=True, edge=True)
         )
         assert extractor.cell_dim == 5
         assert extractor.length == 5 * 6 + 21 * 6 + 6
 
-    def test_identity_projector_descriptor_layout(self):
+    def test_projector_less_descriptor_layout(self):
         # CNN block first (cell-major), then semantic histograms, then edge max.
         record = make_record()
         extractor = DescriptorExtractor(
-            one_bin_table(),
-            {"only": PcaProjector.identity(5)},
-            ChannelConfig(semantic=True, edge=True),
+            one_bin_table(target_dim=5), {}, ChannelConfig(semantic=True, edge=True)
         )
         got = extractor.extract_many(record, [SMALL_BOX])[0]
         rect1 = map_to_feature_coords(SMALL_BOX, 1, 48, 64)
@@ -283,8 +289,7 @@ class TestDescriptorExtractor:
     def test_edge_histogram_block(self):
         record = make_record()
         extractor = DescriptorExtractor(
-            one_bin_table(),
-            {"only": PcaProjector.identity(5)},
+            one_bin_table(target_dim=5), {},
             ChannelConfig(edge=True, edge_pooling="hist", edge_bins=8),
         )
         got = extractor.extract_many(record, [SMALL_BOX])[0]
@@ -295,10 +300,7 @@ class TestDescriptorExtractor:
 
     def test_routing_switches_bins_by_box_height(self):
         record = make_record()
-        extractor = DescriptorExtractor(
-            two_bin_table(),
-            {"small": PcaProjector.identity(3), "large": PcaProjector.identity(3)},
-        )
+        extractor = DescriptorExtractor(two_bin_table(target_dim=3), {})
         small = extractor.extract_many(record, [SMALL_BOX])[0]
         large = extractor.extract_many(record, [LARGE_BOX])[0]
         exp_small = oracle_cells(record, SMALL_BOX, ("conv3",), GRID).reshape(-1)
@@ -341,9 +343,7 @@ class TestDescriptorExtractor:
 
     def test_extract_many_stacks_extract(self):
         record = make_record()
-        extractor = DescriptorExtractor(
-            one_bin_table(), {"only": PcaProjector.identity(5)}, ChannelConfig(edge=True)
-        )
+        extractor = DescriptorExtractor(one_bin_table(target_dim=5), {}, ChannelConfig(edge=True))
         boxes = [SMALL_BOX, LARGE_BOX, Box(0.0, 0.0, 30.0, 48.0)]
         got = extractor.extract_many(record, boxes)
         assert got.shape == (3, extractor.length)
@@ -353,8 +353,8 @@ class TestDescriptorExtractor:
 
     def test_fresh_extractor_matches_batched_extract(self):
         record = make_record()
-        table = one_bin_table()
-        projectors = {"only": PcaProjector.identity(5)}
+        table = one_bin_table(target_dim=5)
+        projectors = {}
         channels = ChannelConfig(semantic=True)
         one_shot = DescriptorExtractor(table, projectors, channels).extract_many(
             record, [SMALL_BOX]
@@ -364,41 +364,88 @@ class TestDescriptorExtractor:
         )[1]
         assert np.array_equal(one_shot, extracted)
 
-    def test_requires_projector_for_every_bin(self):
-        with pytest.raises(ConfigError, match="no projector"):
-            DescriptorExtractor(two_bin_table(), {"small": PcaProjector.identity(3)})
+    def test_projector_less_table_needs_a_target_dim(self):
+        with pytest.raises(ConfigError, match="needs a target_dim"):
+            DescriptorExtractor(two_bin_table(), {})
+
+    def test_rejects_projector_of_no_bin(self):
+        with pytest.raises(ConfigError, match=r"projectors \['spare'\] belong to no routing bin"):
+            DescriptorExtractor(two_bin_table(target_dim=2), {"spare": axes_projector(3, 2)})
 
     def test_rejects_mixed_projection_dims(self):
         with pytest.raises(ConfigError, match="differing dimensions"):
             DescriptorExtractor(
-                two_bin_table(),
-                {"small": PcaProjector.identity(3), "large": PcaProjector.identity(4)},
+                two_bin_table(), {"small": axes_projector(3, 2), "large": axes_projector(3, 3)}
             )
 
     def test_rejects_target_dim_mismatch(self):
         with pytest.raises(ConfigError, match="expects 2"):
-            DescriptorExtractor(
-                one_bin_table(target_dim=2), {"only": PcaProjector.identity(5)}
-            )
+            DescriptorExtractor(one_bin_table(target_dim=2), {"only": axes_projector(5, 3)})
 
     def test_projector_input_mismatch_fails_at_extract(self):
         record = make_record()
-        extractor = DescriptorExtractor(one_bin_table(), {"only": PcaProjector.identity(4)})
+        extractor = DescriptorExtractor(one_bin_table(), {"only": axes_projector(4, 2)})
         with pytest.raises(ConfigError, match="expects 4"):
             extractor.extract_many(record, [SMALL_BOX])[0]
+
+    def test_projector_less_bin_of_another_width_fails_at_extract(self):
+        record = make_record()
+        extractor = DescriptorExtractor(
+            two_bin_table(target_dim=2), {"large": axes_projector(3, 2)}
+        )
+        assert extractor.extract_many(record, [LARGE_BOX]).shape == (1, 2 * GRID.cells)
+        message = "bin 'small' pools 3 channels per cell but it has no projector and the target is 2"
+        with pytest.raises(ConfigError, match=message):
+            extractor.extract_many(record, [LARGE_BOX, SMALL_BOX])
+
+    def test_mixed_table_matches_the_oracle(self, monkeypatch):
+        # "small" pools conv3 alone (3 channels, the target) and has no
+        # projector; "large" pools 5 channels and gets a fitted PCA to 3.
+        record = make_record(seed=3)
+        table = RoutingTable(
+            bins=(
+                ScaleBin(50.0, 80.0, ("conv3",), "small"),
+                ScaleBin(80.0, None, ("conv3", "conv4a"), "large"),
+            ),
+            grid=GRID,
+            target_dim=3,
+        )
+        boxes = [Box(2.0 + 3 * i, 1.0 + 2 * i, 20.0, 41.0 + 7 * i) for i in range(10)]
+        training = np.concatenate([pool_bin_cells(record, b, table, 1) for b in boxes])
+        projectors = {"large": fit_pca(training, components=3)}
+        extractor = DescriptorExtractor(table, projectors)
+        calls = []
+        project = PcaProjector.project
+
+        def counting_project(self, v):
+            calls.append(self)
+            return project(self, v)
+
+        monkeypatch.setattr(PcaProjector, "project", counting_project)
+        got = extractor.extract_many(record, boxes)
+        bins = [route(table, b.h) for b in boxes]
+        assert 0 < bins.count(0) < len(boxes)
+        assert calls == [projectors["large"]]
+        for k, b in enumerate(boxes):
+            assert np.array_equal(got[k], oracle_cnn_descriptor(record, b, table, projectors))
+
+        calls.clear()
+        small_only = [b for b, i in zip(boxes, bins) if i == 0]
+        assert np.array_equal(
+            extractor.extract_many(record, small_only), got[np.array(bins) == 0]
+        )
+        assert calls == []
 
     def test_missing_label_map_is_reported(self):
         record = make_record(with_label=False)
         extractor = DescriptorExtractor(
-            one_bin_table(), {"only": PcaProjector.identity(5)}, ChannelConfig(semantic=True)
+            one_bin_table(target_dim=5), {}, ChannelConfig(semantic=True)
         )
         with pytest.raises(MissingLayerError, match="label map"):
             extractor.extract_many(record, [SMALL_BOX])[0]
 
     def test_missing_edge_map_is_reported(self):
         record = make_record(with_edge=False)
-        extractor = DescriptorExtractor(
-            one_bin_table(), {"only": PcaProjector.identity(5)}, ChannelConfig(edge=True)
-        )
+        extractor = DescriptorExtractor(one_bin_table(target_dim=5), {}, ChannelConfig(edge=True))
         with pytest.raises(MissingLayerError, match="edge map"):
             extractor.extract_many(record, [SMALL_BOX])[0]
