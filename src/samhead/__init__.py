@@ -32,7 +32,6 @@ from .forest import (
     TrainConfig,
     TrainingError,
     Tree,
-    basic_training_config,
     bootstrap_train,
     realboost_fit,
     select_hard_negatives,
@@ -88,7 +87,6 @@ from .pooling import (
     DegenerateRoiError,
     FeatureRect,
     PoolGrid,
-    map_to_feature_coords,
     roi_edge_pool,
     roi_histogram_pool,
     roi_max_pool,

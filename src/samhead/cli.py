@@ -12,10 +12,15 @@ integer for ``int``, true/false for ``bool``, a string for ``str``, and a
 number for ``float`` (an integer is read as a float).  Unknown keys and
 missing required keys are errors too, so a routing bin must spell all four
 of ``min_height``, ``max_height`` (null for the last bin), ``layers`` and
-``projector_id``.  Three keys have a form of their own: ``forest.schedule``
-("full" or "basic") picks the defaults the other forest keys override, the
-eval ``region`` is null or [x_min, x_max, y_min, y_max], and ``--seed``
-replaces ``forest.seed``.  Any such mistake exits 2 before data is read.
+``projector_id``.  Two keys have a form of their own: the eval ``region`` is
+null or [x_min, x_max, y_min, y_max], and ``--seed`` replaces
+``forest.seed``.  Any such mistake exits 2 before data is read.
+
+Values the paper fixes are constants, not config keys: the sample overlap
+thresholds, training proposal budget, PCA sample counts, prior clamp and
+background prior, and NMS overlap in ``samhead.pipeline``; the margin clamp
+and leaf smoothing in ``samhead.forest``; the edge histogram width in
+``samhead.routing`` and the label class count in ``samhead.maps``.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from .evaluation import (
     read_curve_csv,
     write_curve_csv,
 )
-from .forest import TrainConfig, basic_training_config
 from .formats import read_detections_csv, write_detections_csv, write_metrics_json
 from .pipeline import (
     TrainSettings,
@@ -76,17 +80,12 @@ def _load_config(path: str | None) -> dict:
 
 
 def _train_settings(section, seed: int | None) -> TrainSettings:
-    """The train section; ``forest.schedule`` picks the defaults its keys override."""
+    """The train section; ``seed``, unless None, replaces ``forest.seed``."""
     section = config.section(section, "train")
-    forest = dict(config.section(section.get("forest", {}), "forest"))
-    schedule = config.read(str, forest.pop("schedule", "full"), "schedule")
-    presets = {"full": TrainConfig, "basic": basic_training_config}
-    if schedule not in presets:
-        raise ConfigError(f"unknown forest schedule {schedule!r}; use 'full' or 'basic'")
-    forest = {**dataclasses.asdict(presets[schedule]()), **forest}
     if seed is not None:
-        forest["seed"] = seed
-    return config.read(TrainSettings, {**section, "forest": forest}, "train")
+        forest = config.section(section.get("forest", {}), "forest")
+        section = {**section, "forest": {**forest, "seed": seed}}
+    return config.read(TrainSettings, section, "train")
 
 
 def _protocol(section) -> EvalProtocol:

@@ -39,7 +39,7 @@ per-column, per-node reference (``tests/oracles.py``):
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -321,20 +321,18 @@ class TrainConfig:
     0 uses ``initial_negatives`` randomly sampled background boxes and every
     later stage appends up to ``hard_negatives_per_stage`` mined false
     positives before retraining.  The defaults are the paper's six-stage
-    schedule: 64..2048 trees, 30k initial negatives, +5k per stage.
-    ``leaf_smoothing`` of None means ``1 / (2 * sample count)``.
+    schedule: 64..2048 trees, 30k initial negatives, +5k per stage.  Leaf
+    smoothing (``1 / (2 * sample count)``) and the margin clamp
+    (``MARGIN_CLAMP``) are fixed; the sample overlap thresholds are
+    ``pipeline.POS_IOU`` and ``pipeline.NEG_IOU``.
     """
 
     stage_tree_counts: tuple[int, ...] = (64, 128, 256, 512, 1024, 2048)
     initial_negatives: int = 30000
     hard_negatives_per_stage: int = 5000
     max_depth: int = 5
-    pos_iou: float = 0.5
-    neg_iou: float = 0.3
     prior_weight: float = 1.0
-    margin_clamp: float = 50.0
     max_bins: int = 256
-    leaf_smoothing: float | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -344,18 +342,14 @@ class TrainConfig:
             raise ConfigError("initial_negatives must be >= 1")
         if self.hard_negatives_per_stage < 0:
             raise ConfigError("hard_negatives_per_stage must be >= 0")
-        if not (0.0 <= self.neg_iou <= self.pos_iou <= 1.0):
-            raise ConfigError(
-                f"need 0 <= neg_iou <= pos_iou <= 1, got {self.neg_iou}, {self.pos_iou}"
-            )
         if self.max_depth < 1:
             raise ConfigError(f"max_depth must be >= 1, got {self.max_depth}")
         if not 2 <= self.max_bins <= 256:
             raise ConfigError(f"max_bins must be in [2, 256], got {self.max_bins}")
-        if self.leaf_smoothing is not None and self.leaf_smoothing <= 0:
-            raise ConfigError("leaf_smoothing must be positive")
-        if self.margin_clamp <= 0:
-            raise ConfigError("margin_clamp must be positive")
+
+
+#: Bound on |margin| before exponentiation in RealBoost's sample weights and loss.
+MARGIN_CLAMP = 50.0
 
 
 @dataclass
@@ -395,7 +389,6 @@ class Forest:
     trees: list[Tree]
     prior_weight: float = 1.0
     n_features: int = 0
-    stage_history: list[StageLog] = field(default_factory=list)
 
     def score(self, X: np.ndarray, priors: np.ndarray | None = None) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X))
@@ -421,17 +414,50 @@ class Forest:
             "prior_weight": self.prior_weight,
             "n_features": self.n_features,
             "trees": [t.to_arrays() for t in self.trees],
-            "stage_history": [asdict(s) for s in self.stage_history],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Forest":
-        return cls(
+        """The forest ``to_dict`` wrote; a tree ``score`` could not walk is a DataError."""
+        forest = cls(
             trees=[Tree.from_arrays(t) for t in d["trees"]],
             prior_weight=float(d["prior_weight"]),
             n_features=int(d["n_features"]),
-            stage_history=[StageLog(**s) for s in d.get("stage_history", [])],
         )
+        for i, tree in enumerate(forest.trees):
+            _check_tree(tree, forest.n_features, i)
+        return forest
+
+
+def _check_tree(tree: Tree, n_features: int, index: int) -> None:
+    """Raise DataError naming tree ``index`` unless it has ``train_tree``'s layout.
+
+    Nodes are in preorder, so every child index exceeds its parent's and a
+    descent ends at a leaf.  A leaf has feature and children -1; a split
+    has a feature in [0, n_features).  Thresholds and values are finite.
+    """
+    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+    shape = tree.feature.shape
+    if len(shape) != 1 or not shape[0] or any(a.shape != shape for a in arrays):
+        raise DataError(f"tree {index}: node arrays must be nonempty lists of equal length")
+    n = shape[0]
+    node = np.arange(n)
+    leaf = tree.feature == -1
+    split_ok = (
+        (tree.feature >= 0) & (tree.feature < n_features)
+        & (node < tree.left) & (tree.left < n) & (node < tree.right) & (tree.right < n)
+    )
+    leaf_ok = (tree.left == -1) & (tree.right == -1)
+    bad = np.flatnonzero(~np.where(leaf, leaf_ok, split_ok))
+    if bad.size:
+        k = int(bad[0])
+        raise DataError(
+            f"tree {index}: node {k} (feature {tree.feature[k]}, children {tree.left[k]} and "
+            f"{tree.right[k]}) is neither a leaf (all -1) nor a split on a feature in "
+            f"[0, {n_features}) into nodes in ({k}, {n})"
+        )
+    if not (np.isfinite(tree.threshold).all() and np.isfinite(tree.value).all()):
+        raise DataError(f"tree {index}: thresholds and values must be finite")
 
 
 def realboost_fit(
@@ -444,12 +470,13 @@ def realboost_fit(
     """Fit ``rounds`` trees by RealBoost.
 
     Of ``config`` only the boosting knobs are read: ``max_depth``,
-    ``leaf_smoothing``, ``margin_clamp``, ``max_bins`` and ``prior_weight``.
-    Sample weights start at ``exp(-y * prior_weight * prior)`` (uniform
-    without priors), are renormalized to sum to one every round, and margins
-    are clamped to ``+/- margin_clamp`` before exponentiation (occurrences
-    are counted in the log).  The recorded exponential loss is non-increasing
-    round over round; an increase raises TrainingError.
+    ``max_bins`` and ``prior_weight``.  Sample weights start at
+    ``exp(-y * prior_weight * prior)`` (uniform without priors), are
+    renormalized to sum to one every round, and margins are clamped to
+    ``+/- MARGIN_CLAMP`` before exponentiation (occurrences are counted in
+    the log).  Leaf scores are smoothed by ``1 / (2 * sample count)``.  The
+    recorded exponential loss is non-increasing round over round; an
+    increase raises TrainingError.
     """
     X = np.asarray(X, dtype=np.float32)
     y = np.asarray(y, dtype=np.float64)
@@ -470,20 +497,19 @@ def realboost_fit(
         margins = config.prior_weight * priors * 1.0
     margins = y * margins  # signed margin y * F(x)
 
-    eps = config.leaf_smoothing if config.leaf_smoothing is not None else 1.0 / (2.0 * n)
+    eps = 1.0 / (2.0 * n)
     binner = FeatureBinner(X, max_bins=config.max_bins)
     log = RoundLog()
-    clamp = config.margin_clamp
 
     def clamped(m: np.ndarray) -> np.ndarray:
-        over = np.abs(m) > clamp
+        over = np.abs(m) > MARGIN_CLAMP
         log.clamp_events += int(over.sum())
-        return np.clip(m, -clamp, clamp)
+        return np.clip(m, -MARGIN_CLAMP, MARGIN_CLAMP)
 
     trees: list[Tree] = []
     prev_loss = float(np.mean(np.exp(-clamped(margins))))
     for _ in range(rounds):
-        w = np.exp(-np.clip(margins, -clamp, clamp))
+        w = np.exp(-np.clip(margins, -MARGIN_CLAMP, MARGIN_CLAMP))
         w /= w.sum()
         log.weight_sum_errors.append(abs(float(w.sum()) - 1.0))
         tree = train_tree(binner, w, y, config.max_depth, eps)
@@ -500,17 +526,6 @@ def realboost_fit(
 
 
 # --- hard-negative bootstrapping ---------------------------------------------
-
-
-def basic_training_config(**overrides) -> TrainConfig:
-    """Reduced five-stage schedule: 32..512 trees, 10k initial negatives, +1k per stage."""
-    defaults = dict(
-        stage_tree_counts=(32, 64, 128, 256, 512),
-        initial_negatives=10000,
-        hard_negatives_per_stage=1000,
-    )
-    defaults.update(overrides)
-    return TrainConfig(**defaults)
 
 
 def select_hard_negatives(
@@ -538,7 +553,7 @@ def select_hard_negatives(
     return out
 
 
-def bootstrap_train(source, cfg: TrainConfig) -> Forest:
+def bootstrap_train(source, cfg: TrainConfig) -> tuple[Forest, list[StageLog]]:
     """Run the staged schedule: train, mine false positives, retrain from scratch.
 
     ``source`` is duck-typed and provides ``positives()`` -> (X, priors) for
@@ -547,9 +562,9 @@ def bootstrap_train(source, cfg: TrainConfig) -> Forest:
     keys) every candidate eligible as a hard negative (already
     overlap-filtered against ground truth).
 
-    The returned forest is the final stage's; its ``stage_history`` records
-    per-stage tree counts, negative-set sizes, and how many mined negatives
-    were actually added (mining can come up short when the pool is small).
+    Returns the final stage's forest and one ``StageLog`` per stage: tree
+    count, negative-set size, and how many mined negatives were actually
+    added (mining can come up short when the pool is small).
     """
     Xp, pp = source.positives()
     Xp = np.asarray(Xp, dtype=np.float32)
@@ -594,5 +609,4 @@ def bootstrap_train(source, cfg: TrainConfig) -> Forest:
                 clamp_events=log.clamp_events,
             )
         )
-    forest.stage_history = history
-    return forest
+    return forest, history

@@ -37,21 +37,38 @@ from .routing import (
 )
 
 MODEL_FORMAT = "samhead-model"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 
 _BG_ASPECT = 0.41  # width/height of sampled background boxes
+
+# Training samples: a candidate at IoU >= POS_IOU with a non-ignored
+# annotation is a positive; one under NEG_IOU with every annotation may be a
+# negative.  Training draws from each image's top TRAIN_TOP_K proposals.
+POS_IOU = 0.5
+NEG_IOU = 0.3
+TRAIN_TOP_K = 1000
+# Rows per projector fit: at most PCA_SAMPLE_CAP, and at least
+# max(2 * target_dim, PCA_MIN_SAMPLES) where the background boxes allow.
+PCA_SAMPLE_CAP = 100000
+PCA_MIN_SAMPLES = 512
+# A proposal's score enters the forest as its log-odds, clamped to
+# +/- PRIOR_LOGIT_CLAMP; background boxes, which have no score, get
+# BACKGROUND_PRIOR_SCORE.
+PRIOR_LOGIT_CLAMP = 10.0
+BACKGROUND_PRIOR_SCORE = 0.1
+# NMS drops a detection whose IoU with a better-scored survivor exceeds this.
+NMS_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
 class Caps:
-    """Per-image proposal budgets."""
+    """Per-image proposal budget of detection."""
 
     test_top_k: int = 100
-    train_top_k: int = 1000
 
     def __post_init__(self) -> None:
-        if self.test_top_k < 1 or self.train_top_k < 1:
-            raise ConfigError(f"proposal caps must be >= 1, got {self}")
+        if self.test_top_k < 1:
+            raise ConfigError(f"test_top_k must be >= 1, got {self.test_top_k}")
 
 
 @dataclass(frozen=True)
@@ -62,23 +79,6 @@ class TrainSettings:
     channels: ChannelConfig = field(default_factory=ChannelConfig)
     forest: TrainConfig = field(default_factory=TrainConfig)
     caps: Caps = field(default_factory=Caps)
-    pca_sample_cap: int = 100000
-    pca_min_samples: int = 0  # 0 = max(2 * target_dim, 512)
-    prior_logit_clamp: float = 10.0
-    background_prior_score: float = 0.1
-    nms_threshold: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.pca_sample_cap < 2:
-            raise ConfigError("pca_sample_cap must be >= 2")
-        if not (0.0 < self.background_prior_score < 1.0):
-            raise ConfigError(
-                f"background_prior_score must be in (0, 1), got {self.background_prior_score}"
-            )
-        if self.prior_logit_clamp <= 0:
-            raise ConfigError("prior_logit_clamp must be positive")
-        if not (0.0 <= self.nms_threshold <= 1.0):
-            raise ConfigError(f"nms_threshold must be in [0, 1], got {self.nms_threshold}")
 
 
 def settings_hash(settings: TrainSettings) -> str:
@@ -87,10 +87,10 @@ def settings_hash(settings: TrainSettings) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def prior_logits(scores, clamp: float) -> np.ndarray:
-    """Proposal scores in (0, 1) mapped to clamped log-odds."""
+def prior_logits(scores) -> np.ndarray:
+    """Proposal scores in (0, 1) mapped to log-odds clamped to +/- PRIOR_LOGIT_CLAMP."""
     s = np.clip(np.asarray(scores, dtype=np.float64), 1e-9, 1.0 - 1e-9)
-    return np.clip(np.log(s / (1.0 - s)), -clamp, clamp)
+    return np.clip(np.log(s / (1.0 - s)), -PRIOR_LOGIT_CLAMP, PRIOR_LOGIT_CLAMP)
 
 
 def _inside_image(box: Box, record: ImageRecord) -> bool:
@@ -125,32 +125,26 @@ class _DatasetSource:
     """Bootstrap feed built from a dataset's proposals.
 
     Training draws from the same candidates detection scores: each image's
-    top ``train_top_k`` proposals inside the image (see ``_candidates``).
-    Positives are those at IoU >= pos_iou with a non-ignored annotation.  The
-    hard-negative pool keeps those under neg_iou with every annotation,
-    ignored ones included, so don't-care regions seed no negatives; a pool
-    key is (image id, rank among the image's top k).  Background negatives
-    are rejection-sampled random boxes under the same overlap rule.
+    top ``TRAIN_TOP_K`` proposals inside the image (see ``_candidates``).
+    Positives are those at IoU >= ``POS_IOU`` with a non-ignored annotation.
+    The hard-negative pool keeps those under ``NEG_IOU`` with every
+    annotation, ignored ones included, so don't-care regions seed no
+    negatives; a pool key is (image id, rank among the image's top k).
+    Background negatives are rejection-sampled random boxes under the same
+    overlap rule, with the prior of a ``BACKGROUND_PRIOR_SCORE`` proposal.
     """
 
-    def __init__(self, dataset: Dataset, extractor: DescriptorExtractor, settings: TrainSettings):
+    def __init__(self, dataset: Dataset, extractor: DescriptorExtractor):
         self._extractor = extractor
-        self._settings = settings
-        self._pos_iou = settings.forest.pos_iou
-        self._neg_iou = settings.forest.neg_iou
-        self._images = [
-            (s, _candidates(s.record, s.proposals, settings.caps.train_top_k)) for s in dataset
-        ]
+        self._images = [(s, _candidates(s.record, s.proposals, TRAIN_TOP_K)) for s in dataset]
         self._positive, self._negative = [], []
         for s, c in self._images:
             real = [g.box for g in s.ground_truth if not g.ignore]
-            # An image without a real annotation gives no positive, even at pos_iou 0.
+            # An image without a real annotation gives no positive, even at POS_IOU 0.
             self._positive.append(
-                _best_iou(c.boxes, real) >= self._pos_iou if real else np.zeros(len(c.boxes), bool)
+                _best_iou(c.boxes, real) >= POS_IOU if real else np.zeros(len(c.boxes), bool)
             )
-            self._negative.append(
-                _best_iou(c.boxes, [g.box for g in s.ground_truth]) < self._neg_iou
-            )
+            self._negative.append(_best_iou(c.boxes, [g.box for g in s.ground_truth]) < NEG_IOU)
         self._pool: tuple | None = None
 
     def _select(self, masks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, list, list[Box]]:
@@ -162,7 +156,7 @@ class _DatasetSource:
                 continue
             picked = [c.boxes[j] for j in sel]
             rows.append(self._extractor.extract_many(s.record, picked))
-            priors.extend(prior_logits(c.scores[sel], self._settings.prior_logit_clamp))
+            priors.extend(prior_logits(c.scores[sel]))
             keys.extend((s.image_id, int(r)) for r in c.ranks[sel])
             boxes.extend(picked)
         X = np.vstack(rows) if rows else np.empty((0, self._extractor.length), dtype=np.float32)
@@ -173,7 +167,7 @@ class _DatasetSource:
         X, priors, _, boxes = self._select(self._positive)
         if not boxes:
             raise TrainingError(
-                f"no proposal reaches IoU {self._pos_iou} with a non-ignored annotation"
+                f"no proposal reaches IoU {POS_IOU} with a non-ignored annotation"
             )
         per_bin = Counter(route(table, b.h) for b in boxes)
         for i, b in enumerate(table.bins):
@@ -197,7 +191,7 @@ class _DatasetSource:
 
         # One box per draw: the scalar ``iou`` beats a one-row ``iou_matrix`` 4x.
         def clear_of_annotations(i: int, box: Box) -> bool:
-            return max((iou(box, g) for g in gt_cache[i]), default=0.0) < self._neg_iou
+            return max((iou(box, g) for g in gt_cache[i]), default=0.0) < NEG_IOU
 
         drawn = _draw_background_boxes(
             np.random.default_rng(seed),
@@ -216,9 +210,7 @@ class _DatasetSource:
             if bs
         ]
         X = np.vstack(rows)
-        prior = float(prior_logits([self._settings.background_prior_score],
-                                   self._settings.prior_logit_clamp)[0])
-        priors = np.full(X.shape[0], prior, dtype=np.float64)
+        priors = np.full(X.shape[0], prior_logits(BACKGROUND_PRIOR_SCORE), dtype=np.float64)
         keys = [("bg", i) for i in range(X.shape[0])]
         return X, priors, keys
 
@@ -287,7 +279,6 @@ def _collect_pca_samples(
     bin_index: int,
     bin_dim: int,
     target_dim: int,
-    settings: TrainSettings,
     seed,
 ) -> tuple[np.ndarray, int]:
     """Per-cell channel vectors for fitting one bin's projector.
@@ -308,14 +299,14 @@ def _collect_pca_samples(
                 continue
             pos_rows.append(pool_bin_cells(s.record, g.box, table, bin_index))
     pos = np.vstack(pos_rows) if pos_rows else np.empty((0, bin_dim), dtype=np.float32)
-    half = settings.pca_sample_cap // 2
+    half = PCA_SAMPLE_CAP // 2
     if pos.shape[0] > half:
         sel = rng.choice(pos.shape[0], size=half, replace=False)
         sel.sort()
         pos = pos[sel]
-    min_total = settings.pca_min_samples or max(2 * target_dim, 512)
+    min_total = max(2 * target_dim, PCA_MIN_SAMPLES)
     bg_needed = max(pos.shape[0], min_total - pos.shape[0])
-    bg_needed = min(bg_needed, settings.pca_sample_cap - pos.shape[0])
+    bg_needed = min(bg_needed, PCA_SAMPLE_CAP - pos.shape[0])
 
     # Every background box adds one row per grid cell.
     cells = table.grid.cells
@@ -337,8 +328,6 @@ class DetectorModel:
     channels: ChannelConfig
     forest: Forest
     caps: Caps = field(default_factory=Caps)
-    prior_logit_clamp: float = 10.0
-    nms_threshold: float = 0.5
 
     def __post_init__(self) -> None:
         self._extractor = DescriptorExtractor(self.table, self.projectors, self.channels)
@@ -394,9 +383,7 @@ def train_detector(dataset: Dataset, settings: TrainSettings) -> tuple[DetectorM
                 "positive_samples": 0,
             }
             continue
-        samples, n_pos = _collect_pca_samples(
-            dataset, table, i, dim, target, settings, pca_seeds[i]
-        )
+        samples, n_pos = _collect_pca_samples(dataset, table, i, dim, target, pca_seeds[i])
         proj = fit_pca(samples, components=target)
         if proj.output_dim != target:
             raise TrainingError(
@@ -414,16 +401,13 @@ def train_detector(dataset: Dataset, settings: TrainSettings) -> tuple[DetectorM
         }
 
     extractor = DescriptorExtractor(table, projectors, settings.channels)
-    source = _DatasetSource(dataset, extractor, settings)
-    forest = bootstrap_train(source, settings.forest)
+    forest, history = bootstrap_train(_DatasetSource(dataset, extractor), settings.forest)
     model = DetectorModel(
         table=table,
         projectors=projectors,
         channels=settings.channels,
         forest=forest,
         caps=settings.caps,
-        prior_logit_clamp=settings.prior_logit_clamp,
-        nms_threshold=settings.nms_threshold,
     )
     manifest = {
         "config_hash": settings_hash(settings),
@@ -436,7 +420,7 @@ def train_detector(dataset: Dataset, settings: TrainSettings) -> tuple[DetectorM
         },
         "caps": asdict(settings.caps),
         "pca": pca_report,
-        "stages": [asdict(h) for h in forest.stage_history],
+        "stages": [asdict(h) for h in history],
     }
     return model, manifest
 
@@ -456,9 +440,9 @@ def detect_image(
     if not c.boxes:
         return []
     X = model.extractor.extract_many(record, c.boxes)
-    margins = model.forest.score(X, prior_logits(c.scores, model.prior_logit_clamp))
+    margins = model.forest.score(X, prior_logits(c.scores))
     dets = [Detection(box=b, score=float(m)) for b, m in zip(c.boxes, margins)]
-    return nms(dets, model.nms_threshold)
+    return nms(dets, NMS_THRESHOLD)
 
 
 def detect_dataset(
@@ -490,8 +474,6 @@ def model_to_dict(model: DetectorModel) -> dict:
         "routing": asdict(model.table),
         "channels": asdict(model.channels),
         "caps": asdict(model.caps),
-        "prior_logit_clamp": model.prior_logit_clamp,
-        "nms_threshold": model.nms_threshold,
         "projectors": {
             pid: {
                 "mean": p.mean.tolist(),
@@ -535,10 +517,8 @@ def model_from_dict(d) -> DetectorModel:
             channels=config.read(ChannelConfig, d["channels"], "channels"),
             forest=Forest.from_dict(d["forest"]),
             caps=config.read(Caps, d["caps"], "caps"),
-            prior_logit_clamp=float(d["prior_logit_clamp"]),
-            nms_threshold=float(d["nms_threshold"]),
         )
-    except (ConfigError, KeyError, TypeError, ValueError) as e:
+    except (ConfigError, DataError, KeyError, TypeError, ValueError) as e:
         raise DataError(f"malformed model file: {e}") from e
     return model
 

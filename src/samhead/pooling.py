@@ -135,11 +135,6 @@ def feature_rect(x: float, y: float, w: float, h: float, stride: int,
     return rs, re, cs, ce
 
 
-def map_to_feature_coords(box: Box, stride: int, map_h: int, map_w: int) -> FeatureRect:
-    """``feature_rect`` of a ``Box``, as a ``FeatureRect``."""
-    return FeatureRect(*feature_rect(box.x, box.y, box.w, box.h, stride, map_h, map_w))
-
-
 def grid_bounds(start: np.ndarray, extent: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Half-open windows of ``k`` slots over each ``[start, start + extent)``.
 

@@ -138,33 +138,34 @@ def pool_bin_cells(
     return pool_bin_stacks(record, box_array([box]), table, bin_index)[0].T
 
 
+#: Quantized edge strengths per cell of the edge histogram channel.
+EDGE_BINS = 16
+
+
 @dataclass(frozen=True)
 class ChannelConfig:
     """Which auxiliary channels to append and how to pool them.
 
-    The semantic channel is a per-cell class histogram; the edge channel is
-    a per-cell max strength or a per-cell histogram of quantized strengths.
-    Every histogram cell sums to one.
+    The semantic channel is a per-cell histogram of the ``NUM_LABEL_CLASSES``
+    label classes; the edge channel is a per-cell max strength or a per-cell
+    histogram of strengths quantized to ``EDGE_BINS`` levels.  Every
+    histogram cell sums to one.
     """
 
     semantic: bool = False
     edge: bool = False
     edge_pooling: str = "max"  # "max" | "hist"
-    edge_bins: int = 16
-    label_classes: int = NUM_LABEL_CLASSES
 
     def __post_init__(self) -> None:
         if self.edge_pooling not in ("hist", "max"):
             raise ConfigError(f"unknown edge pooling {self.edge_pooling!r}")
-        if self.edge_bins < 1:
-            raise ConfigError(f"edge_bins must be >= 1, got {self.edge_bins}")
 
     def block_length(self, grid: PoolGrid) -> int:
         n = 0
         if self.semantic:
-            n += self.label_classes * grid.cells
+            n += NUM_LABEL_CLASSES * grid.cells
         if self.edge:
-            n += (self.edge_bins if self.edge_pooling == "hist" else 1) * grid.cells
+            n += (EDGE_BINS if self.edge_pooling == "hist" else 1) * grid.cells
         return n
 
 
@@ -215,7 +216,7 @@ class DescriptorExtractor:
             if lmap is None:
                 raise MissingLayerError(f"image {record.image_id!r} lacks a label map")
             rects = map_boxes_to_feature_coords(boxes, 1, lmap.height, lmap.width)
-            blocks.append(grid_histogram_pool(lmap.data, rects, grid, ch.label_classes))
+            blocks.append(grid_histogram_pool(lmap.data, rects, grid, NUM_LABEL_CLASSES))
         if ch.edge:
             emap = record.edge_map
             if emap is None:
@@ -223,7 +224,7 @@ class DescriptorExtractor:
             rects = map_boxes_to_feature_coords(boxes, 1, emap.height, emap.width)
             if ch.edge_pooling == "hist":
                 blocks.append(grid_histogram_pool(
-                    edge_codes(emap.data, ch.edge_bins), rects, grid, ch.edge_bins
+                    edge_codes(emap.data, EDGE_BINS), rects, grid, EDGE_BINS
                 ))
             else:
                 blocks.append(grid_max_pool(emap.data[None], rects, grid))

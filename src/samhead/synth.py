@@ -177,11 +177,6 @@ class SynthConfig:
         if self.proposals_per_gt < 1:
             raise ConfigError("proposals_per_gt must be >= 1")
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["layers"] = {k: asdict(v) for k, v in self.layers.items()}
-        return d
-
 
 @dataclass(frozen=True)
 class _Object:
@@ -544,7 +539,7 @@ def generate_dataset(cfg: SynthConfig, seed: int) -> Dataset:
     meta = {
         "generator": "samhead.synth",
         "seed": seed,
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "layers": {name: {"stride": spec.stride, "channels": spec.channels}
                    for name, spec in sorted(cfg.layers.items())},
     }

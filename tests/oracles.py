@@ -7,6 +7,7 @@ in float32 so comparisons against the package can be exact.
 """
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 
@@ -681,7 +682,7 @@ def oracle_generate_dataset(cfg, seed):
     meta = {
         "generator": "samhead.synth",
         "seed": seed,
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "layers": {name: {"stride": spec.stride, "channels": spec.channels}
                    for name, spec in sorted(cfg.layers.items())},
     }

@@ -10,7 +10,7 @@ from conftest import fast_train_settings, time_limit, tiny_synth_config
 from samhead.cli import EXIT_CONFIG, EXIT_DATA, _train_settings, main
 from samhead.dataset import Dataset
 from samhead.errors import ConfigError
-from samhead.forest import basic_training_config
+from samhead.forest import Forest
 from samhead.pipeline import (
     MODEL_FORMAT,
     MODEL_VERSION,
@@ -139,7 +139,7 @@ class TestMissingOrBrokenData:
         "path, value, message",
         [
             (["caps", "test_top_k"], "5", "test_top_k must be an integer, got '5'"),
-            (["channels", "edge_bins"], "16", "edge_bins must be an integer, got '16'"),
+            (["channels", "edge_pooling"], 16, "edge_pooling must be a string, got 16"),
             (["channels", "semantic"], 1, "semantic must be true or false, got 1"),
             (["routing", "target_dim"], 2.5, "target_dim must be an integer, got 2.5"),
             (["routing", "bins", 0, "layers"], "conv4a",
@@ -211,7 +211,70 @@ class TestMissingOrBrokenData:
         code = main(["detect", "--data", str(synth_dir), "--model", str(old),
                      "--out", str(tmp_path / "dets.csv")])
         payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
-        assert payload["message"] == "unsupported model version 2; this build reads 3"
+        assert payload["message"] == "unsupported model version 2; this build reads 4"
+        assert not (tmp_path / "dets.csv").exists()
+
+    def test_version_3_model_exits_3(self, synth_dir, tmp_path, capsys, model_path):
+        # Version 3 files also stored settings detection does not read and
+        # the training history.
+        model = json.loads(model_path.read_text(encoding="utf-8"))
+        model.update(version=3, prior_logit_clamp=10.0, nms_threshold=0.5)
+        model["caps"]["train_top_k"] = 1000
+        model["channels"].update(edge_bins=16, label_classes=21)
+        model["forest"]["stage_history"] = []
+        old = tmp_path / "v3.json"
+        old.write_text(json.dumps(model), encoding="utf-8")
+        code = main(["detect", "--data", str(synth_dir), "--model", str(old),
+                     "--out", str(tmp_path / "dets.csv")])
+        payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
+        assert payload["message"] == "unsupported model version 3; this build reads 4"
+        assert not (tmp_path / "dets.csv").exists()
+
+    # Node 0 splits into node 1 (a split into leaves 2 and 3) and leaf 4.  Every
+    # sample descends 0 -> 1 -> 2, so a cycle on that path would never end.
+    _TREE = {"feature": [0, 1, -1, -1, -1], "threshold": [1e30, 1e30, 0.0, 0.0, 0.0],
+             "left": [1, 2, -1, -1, -1], "right": [4, 3, -1, -1, -1],
+             "value": [0.0, 0.0, 0.1, 0.2, -0.3]}
+
+    @pytest.mark.parametrize(
+        "key, index, value",
+        [
+            ("left", 0, 0),
+            ("left", 1, 0),
+            ("right", 0, 5),
+            ("left", 4, 2),
+            ("feature", 1, "n_features"),
+            ("feature", 1, -2),
+            ("value", None, [0.0, 0.0, 0.1, 0.2]),
+            ("value", 2, float("nan")),
+            ("threshold", 0, float("inf")),
+            (None, None, None),
+        ],
+        ids=["self-child", "cycle", "child-out-of-range", "leaf-with-child",
+             "feature-out-of-range", "negative-feature", "ragged", "nan-value",
+             "inf-threshold", "empty"],
+    )
+    def test_malformed_tree_exits_3(self, synth_dir, tmp_path, capsys, model_path,
+                                    key, index, value):
+        model = json.loads(model_path.read_text(encoding="utf-8"))
+        Forest.from_dict({**model["forest"], "trees": [self._TREE]})  # the base tree is valid
+        tree = {k: list(v) for k, v in self._TREE.items()}
+        if value == "n_features":
+            value = model["forest"]["n_features"]
+        if key is None:
+            tree = {k: [] for k in tree}
+        elif index is None:
+            tree[key] = value
+        else:
+            tree[key][index] = value
+        model["forest"]["trees"][0] = tree
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(model), encoding="utf-8")
+        with time_limit(20):
+            code = main(["detect", "--data", str(synth_dir), "--model", str(bad),
+                         "--out", str(tmp_path / "dets.csv")])
+        payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
+        assert payload["message"].startswith("malformed model file: tree 0: ")
         assert not (tmp_path / "dets.csv").exists()
 
 
@@ -220,17 +283,10 @@ class TestTrainKeys:
         routing = {"grid": {"m": 3, "n": 2},
                    "bins": [{"min_height": 1.0, "max_height": None,
                              "layers": ["conv4a"], "projector_id": "all"}]}
-        section = {"pca_sample_cap": 500, "pca_min_samples": 4, "prior_logit_clamp": 5.0,
-                   "background_prior_score": 0.2, "nms_threshold": 0.4,
-                   "routing": routing, "channels": {"semantic": True}, "forest": {},
+        section = {"routing": routing, "channels": {"semantic": True}, "forest": {},
                    "caps": {"test_top_k": 7}}
         assert set(section) == {f.name for f in dataclasses.fields(TrainSettings)}
         settings = _train_settings(section, seed=9)
-        assert settings.pca_sample_cap == 500
-        assert settings.pca_min_samples == 4
-        assert settings.prior_logit_clamp == 5.0
-        assert settings.background_prior_score == 0.2
-        assert settings.nms_threshold == 0.4
         assert (settings.routing.grid.m, settings.routing.grid.n) == (3, 2)
         assert settings.routing.bins[0].layers == ("conv4a",)
         assert settings.channels.semantic
@@ -240,7 +296,7 @@ class TestTrainKeys:
     def test_unknown_key_is_rejected_with_the_allowed_list(self):
         allowed = sorted(f.name for f in dataclasses.fields(TrainSettings))
         with pytest.raises(ConfigError) as info:
-            _train_settings({"nms_threshold": 0.4, "bogus": 1, "alpha": 2}, seed=None)
+            _train_settings({"caps": {}, "bogus": 1, "alpha": 2}, seed=None)
         assert str(info.value) == f"unknown train keys ['alpha', 'bogus']; allowed: {allowed}"
 
     def test_unknown_key_exits_2(self, synth_dir, tmp_path, capsys):
@@ -259,16 +315,29 @@ class TestTrainKeys:
             ({"routing": []}, "routing section must be a JSON object, got list"),
             ({"forest": []}, "forest section must be a JSON object"),
             ({"forest": {"max_depth": 0}}, "max_depth must be >= 1, got 0"),
-            ({"forest": {"leaf_smoothing": 0.0}}, "leaf_smoothing must be positive"),
-            ({"forest": {"margin_clamp": 0.0}}, "margin_clamp must be positive"),
+            ({"forest": {"leaf_smoothing": 0.0}}, "unknown forest keys ['leaf_smoothing']"),
+            ({"forest": {"margin_clamp": 0.0}}, "unknown forest keys ['margin_clamp']"),
             ({"channels": {"semantic_pooling": "max"}},
              "unknown channels keys ['semantic_pooling']"),
             ({"channels": {"histogram_norm": "grid"}}, "unknown channels keys ['histogram_norm']"),
             ({"forest": {"max_bins": 1}}, "max_bins must be in [2, 256], got 1"),
+            ({"pca_sample_cap": 500}, "unknown train keys ['pca_sample_cap']"),
+            ({"pca_min_samples": 4}, "unknown train keys ['pca_min_samples']"),
+            ({"prior_logit_clamp": 5.0}, "unknown train keys ['prior_logit_clamp']"),
+            ({"background_prior_score": 0.2}, "unknown train keys ['background_prior_score']"),
+            ({"nms_threshold": 0.4}, "unknown train keys ['nms_threshold']"),
+            ({"caps": {"train_top_k": 10}}, "unknown caps keys ['train_top_k']"),
+            ({"forest": {"pos_iou": 0.5}}, "unknown forest keys ['pos_iou']"),
+            ({"forest": {"neg_iou": 0.3}}, "unknown forest keys ['neg_iou']"),
+            ({"forest": {"schedule": "basic"}}, "unknown forest keys ['schedule']"),
+            ({"channels": {"edge_bins": 16}}, "unknown channels keys ['edge_bins']"),
+            ({"channels": {"label_classes": 21}}, "unknown channels keys ['label_classes']"),
         ],
         ids=["train-list", "train-null", "channels-list", "routing-list", "forest-list",
              "max_depth", "leaf_smoothing", "margin_clamp", "semantic_pooling",
-             "histogram_norm", "max_bins"],
+             "histogram_norm", "max_bins", "pca_sample_cap", "pca_min_samples",
+             "prior_logit_clamp", "background_prior_score", "nms_threshold", "train_top_k",
+             "pos_iou", "neg_iou", "schedule", "edge_bins", "label_classes"],
     )
     def test_bad_section_exits_2(self, tmp_path, capsys, section, message):
         # The data directory does not exist: a bad section must be rejected
@@ -311,8 +380,8 @@ class TestWrongJsonType:
             ("train", {"forest": {"max_depth": "3"}}, "max_depth"),
             ("train", {"forest": {"stage_tree_counts": 4}}, "stage_tree_counts"),
             ("train", {"caps": {"test_top_k": "5"}}, "test_top_k"),
-            ("train", {"channels": {"edge_bins": "16"}}, "edge_bins"),
-            ("train", {"nms_threshold": "0.5"}, "nms_threshold"),
+            ("train", {"channels": {"edge_pooling": 16}}, "edge_pooling"),
+            ("train", {"forest": {"prior_weight": "1.0"}}, "prior_weight"),
             ("train", {"routing": {"bins": [_BIN]}}, "layers"),
             ("synth", {"num_images": "2"}, "num_images"),
             ("synth", {"peds_per_image": 3}, "peds_per_image"),
@@ -322,7 +391,7 @@ class TestWrongJsonType:
             ("eval", {"fppi_exponents": "ab"}, "fppi_exponents"),
             ("sweep", {"combinations": "conv4a"}, "combinations"),
         ],
-        ids=["max_depth", "stage_tree_counts", "test_top_k", "edge_bins", "nms_threshold",
+        ids=["max_depth", "stage_tree_counts", "test_top_k", "edge_pooling", "prior_weight",
              "bin-layers", "num_images", "peds_per_image", "layer-stride", "iou_threshold",
              "region", "fppi_exponents", "combinations"],
     )
@@ -348,10 +417,9 @@ class TestWrongJsonType:
             _train_settings({"routing": {"bins": [{**bin_, "layers": ["conv4a"]}]}}, seed=None)
 
     def test_integer_in_a_float_field_is_read_as_a_float(self):
-        settings = _train_settings({"nms_threshold": 1, "forest": {"pos_iou": 1}}, seed=None)
-        assert type(settings.nms_threshold) is float
-        assert type(settings.forest.pos_iou) is float
-
-    def test_basic_schedule_keeps_the_overridden_keys(self):
-        settings = _train_settings({"forest": {"schedule": "basic", "max_depth": 3}}, seed=4)
-        assert settings.forest == basic_training_config(max_depth=3, seed=4)
+        bin_ = {**_BIN, "min_height": 1, "layers": ["conv4a"]}
+        settings = _train_settings(
+            {"forest": {"prior_weight": 2}, "routing": {"bins": [bin_]}}, seed=None
+        )
+        assert type(settings.forest.prior_weight) is float
+        assert type(settings.routing.bins[0].min_height) is float

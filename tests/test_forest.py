@@ -18,7 +18,6 @@ from samhead.forest import (
     TrainingError,
     Tree,
     apply_trees,
-    basic_training_config,
     bootstrap_train,
     realboost_fit,
     SCAN_BLOCK,
@@ -346,12 +345,6 @@ class TestSchedules:
         assert cfg.initial_negatives == 30000
         assert cfg.hard_negatives_per_stage == 5000
 
-    def test_basic_schedule_constants(self):
-        cfg = basic_training_config()
-        assert cfg.stage_tree_counts == (32, 64, 128, 256, 512)
-        assert cfg.initial_negatives == 10000
-        assert cfg.hard_negatives_per_stage == 1000
-
     def test_overrides(self):
         cfg = TrainConfig(seed=9, max_depth=3)
         assert cfg.seed == 9
@@ -366,13 +359,7 @@ class TestSchedules:
         with pytest.raises(ConfigError):
             TrainConfig(initial_negatives=0)
         with pytest.raises(ConfigError):
-            TrainConfig(pos_iou=0.3, neg_iou=0.5)
-        with pytest.raises(ConfigError):
             TrainConfig(max_depth=0)
-        with pytest.raises(ConfigError):
-            TrainConfig(leaf_smoothing=0.0)
-        with pytest.raises(ConfigError):
-            TrainConfig(margin_clamp=0.0)
 
 
 def hard_negative_oracle(scores, keys, k, exclude):
@@ -427,35 +414,35 @@ class _StubSource:
 
 
 class TestBootstrapTrain:
-    CFG = dict(max_depth=2, max_bins=32, leaf_smoothing=0.01)
+    CFG = dict(max_depth=2, max_bins=32)
 
     def test_stage_history_follows_schedule(self):
         source = _StubSource(pool_size=20)
         cfg = TrainConfig(stage_tree_counts=(2, 3, 4), initial_negatives=5,
                           hard_negatives_per_stage=3, seed=42, **self.CFG)
-        forest = bootstrap_train(source, cfg)
+        forest, history = bootstrap_train(source, cfg)
         assert len(forest.trees) == 4  # final stage only; earlier stages discarded
-        assert [s.stage for s in forest.stage_history] == [0, 1, 2]
-        assert [s.tree_count for s in forest.stage_history] == [2, 3, 4]
-        assert [s.negatives for s in forest.stage_history] == [5, 8, 11]
-        assert [s.hard_added for s in forest.stage_history] == [0, 3, 3]
-        assert [s.hard_requested for s in forest.stage_history] == [0, 3, 3]
+        assert [s.stage for s in history] == [0, 1, 2]
+        assert [s.tree_count for s in history] == [2, 3, 4]
+        assert [s.negatives for s in history] == [5, 8, 11]
+        assert [s.hard_added for s in history] == [0, 3, 3]
+        assert [s.hard_requested for s in history] == [0, 3, 3]
         assert source.bg_requests == [(5, 42)]
 
     def test_small_pool_comes_up_short(self):
         source = _StubSource(pool_size=4)
         cfg = TrainConfig(stage_tree_counts=(2, 2, 2), initial_negatives=5,
                           hard_negatives_per_stage=3, **self.CFG)
-        forest = bootstrap_train(source, cfg)
-        assert [s.hard_added for s in forest.stage_history] == [0, 3, 1]
-        assert [s.negatives for s in forest.stage_history] == [5, 8, 9]
+        _, history = bootstrap_train(source, cfg)
+        assert [s.hard_added for s in history] == [0, 3, 1]
+        assert [s.negatives for s in history] == [5, 8, 9]
 
     def test_exhausted_pool_adds_nothing(self):
         source = _StubSource(pool_size=2)
         cfg = TrainConfig(stage_tree_counts=(2, 2, 2), initial_negatives=4,
                           hard_negatives_per_stage=2, **self.CFG)
-        forest = bootstrap_train(source, cfg)
-        assert [s.hard_added for s in forest.stage_history] == [0, 2, 0]
+        _, history = bootstrap_train(source, cfg)
+        assert [s.hard_added for s in history] == [0, 2, 0]
 
     def test_needs_positives(self):
         source = _StubSource()

@@ -10,13 +10,11 @@ from conftest import fast_train_settings, time_limit
 from oracles import oracle_background_draws, oracle_training_candidates
 from samhead import pipeline
 from samhead.dataset import Dataset, ImageSample
-from samhead.forest import TrainConfig, TrainingError
+from samhead.forest import TrainingError
 from samhead.formats import write_detections_csv
 from samhead.geometry import Box, Candidate, GroundTruthBox
 from samhead.maps import FeatureMap, ImageRecord
 from samhead.pipeline import (
-    Caps,
-    TrainSettings,
     _DatasetSource,
     ablation_sweep,
     detect_dataset,
@@ -66,8 +64,20 @@ def test_model_with_one_fitted_bin_round_trips(tiny_train_set, tiny_test_set, tm
     assert [manifest["pca"][pid]["identity"] for pid in ("small", "large")] == [True, False]
     save_model(tmp_path / "model.json", model)
     saved = json.loads((tmp_path / "model.json").read_text(encoding="utf-8"))
-    assert saved["version"] == 3
+    assert saved["version"] == 4
     assert list(saved["projectors"]) == ["large"]
+    # The file holds what detection reads, and nothing else.
+    assert set(saved) == {"format", "version", "routing", "channels", "caps", "projectors",
+                          "forest"}
+    assert set(saved["routing"]) == {"bins", "grid", "target_dim"}
+    assert set(saved["channels"]) == {"semantic", "edge", "edge_pooling"}
+    assert set(saved["caps"]) == {"test_top_k"}
+    assert set(saved["projectors"]["large"]) == {"mean", "basis", "eigenvalues", "energy",
+                                                 "requested_dim"}
+    assert set(saved["forest"]) == {"prior_weight", "n_features", "trees"}
+    assert {frozenset(t) for t in saved["forest"]["trees"]} == {
+        frozenset({"feature", "threshold", "left", "right", "value"})
+    }
 
     loaded = load_model(tmp_path / "model.json")
     trained = detect_dataset(model, tiny_test_set)
@@ -178,7 +188,7 @@ def hand_made_dataset():
     ])
 
 
-def _conv4a_source(dataset, settings):
+def _conv4a_source(dataset):
     """A feed whose descriptors are conv4a pooled on a 2x2 grid, for every height."""
     extractor = DescriptorExtractor(
         RoutingTable(
@@ -188,17 +198,17 @@ def _conv4a_source(dataset, settings):
         ),
         {},
     )
-    return _DatasetSource(dataset, extractor, settings), extractor
+    return _DatasetSource(dataset, extractor), extractor
 
 
-def _expected_samples(extractor, dataset, selected, clamp):
+def _expected_samples(extractor, dataset, selected):
     """Rows and priors of oracle picks, extracted image by image as the feed batches them."""
     rows, priors = [], []
     for i, s in enumerate(dataset):
         mine = [pick for pick in selected if pick[0] == i]
         if mine:
             rows.append(extractor.extract_many(s.record, [pick[1] for pick in mine]))
-            priors.extend(prior_logits([pick[2] for pick in mine], clamp))
+            priors.extend(prior_logits([pick[2] for pick in mine]))
     X = np.vstack(rows) if rows else np.empty((0, extractor.length), dtype=np.float32)
     return X, np.asarray(priors, dtype=np.float64)
 
@@ -206,41 +216,42 @@ def _expected_samples(extractor, dataset, selected, clamp):
 @pytest.mark.parametrize("top_k", [6, 1000])
 @pytest.mark.parametrize("pos_iou, neg_iou", [(0.5, 0.3), (0.4, 0.4), (0.35, 0.2), (0.0, 0.0)])
 @pytest.mark.parametrize("data", ["tiny", "hand-made"])
-def test_training_samples_follow_the_candidate_rule(request, data, top_k, pos_iou, neg_iou):
+def test_training_samples_follow_the_candidate_rule(
+    request, monkeypatch, data, top_k, pos_iou, neg_iou
+):
     dataset = request.getfixturevalue("tiny_train_set") if data == "tiny" else hand_made_dataset()
-    settings = TrainSettings(
-        forest=TrainConfig(pos_iou=pos_iou, neg_iou=neg_iou), caps=Caps(train_top_k=top_k)
-    )
-    source, extractor = _conv4a_source(dataset, settings)
+    monkeypatch.setattr(pipeline, "POS_IOU", pos_iou)
+    monkeypatch.setattr(pipeline, "NEG_IOU", neg_iou)
+    monkeypatch.setattr(pipeline, "TRAIN_TOP_K", top_k)
+    source, extractor = _conv4a_source(dataset)
     positives, pool = oracle_training_candidates(dataset, top_k, pos_iou, neg_iou)
-    clamp = settings.prior_logit_clamp
 
     assert positives
     X, priors = source.positives()
-    want_X, want_priors = _expected_samples(extractor, dataset, positives, clamp)
+    want_X, want_priors = _expected_samples(extractor, dataset, positives)
     assert np.array_equal(X, want_X)
     assert np.array_equal(priors, want_priors)
 
     X, priors, keys = source.negative_pool()
-    want_X, want_priors = _expected_samples(extractor, dataset, pool, clamp)
+    want_X, want_priors = _expected_samples(extractor, dataset, pool)
     assert np.array_equal(X, want_X)
     assert np.array_equal(priors, want_priors)
     assert keys == [pick[3] for pick in pool]
 
 
-def test_images_without_a_real_annotation_give_no_positive():
+def test_images_without_a_real_annotation_give_no_positive(monkeypatch):
     unannotated = Dataset(hand_made_dataset().samples[1:3])
-    settings = TrainSettings(forest=TrainConfig(pos_iou=0.0, neg_iou=0.0))
-    source, _ = _conv4a_source(unannotated, settings)
+    monkeypatch.setattr(pipeline, "POS_IOU", 0.0)
+    monkeypatch.setattr(pipeline, "NEG_IOU", 0.0)
+    source, _ = _conv4a_source(unannotated)
     with pytest.raises(TrainingError, match="no proposal reaches IoU 0.0"):
         source.positives()
 
 
 @pytest.mark.parametrize("neg_iou", [0.3, 0.05])
 def test_background_negatives_keep_the_oracle_draws(tiny_train_set, monkeypatch, neg_iou):
-    source, extractor = _conv4a_source(
-        tiny_train_set, TrainSettings(forest=TrainConfig(neg_iou=neg_iou))
-    )
+    monkeypatch.setattr(pipeline, "NEG_IOU", neg_iou)
+    source, extractor = _conv4a_source(tiny_train_set)
     drawn = []
     draw = pipeline._draw_background_boxes
 

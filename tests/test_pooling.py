@@ -1,5 +1,7 @@
 """RoI pooling against per-pixel brute-force oracles, plus the coordinate mapping."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,8 +26,8 @@ from samhead.pooling import (
     grid_bounds,
     grid_histogram_pool,
     grid_max_pool,
+    feature_rect,
     map_boxes_to_feature_coords,
-    map_to_feature_coords,
     roi_edge_pool,
     roi_histogram_pool,
     roi_max_pool,
@@ -34,32 +36,28 @@ from samhead.pooling import (
 
 class TestMapToFeatureCoords:
     def test_small_box_spans_one_cell(self):
-        rect = map_to_feature_coords(Box(5, 5, 3, 3), stride=16, map_h=4, map_w=4)
-        assert rect == FeatureRect(0, 1, 0, 1)
+        assert feature_rect(5, 5, 3, 3, stride=16, map_h=4, map_w=4) == (0, 1, 0, 1)
 
     def test_cell_aligned_box(self):
-        rect = map_to_feature_coords(Box(16, 32, 16, 16), stride=16, map_h=8, map_w=8)
-        assert rect == FeatureRect(2, 3, 1, 2)
+        assert feature_rect(16, 32, 16, 16, stride=16, map_h=8, map_w=8) == (2, 3, 1, 2)
 
     def test_left_overhang_clamped(self):
-        rect = map_to_feature_coords(Box(-6, 2, 10, 6), stride=4, map_h=10, map_w=10)
-        assert rect == FeatureRect(0, 2, 0, 1)
+        assert feature_rect(-6, 2, 10, 6, stride=4, map_h=10, map_w=10) == (0, 2, 0, 1)
 
     def test_right_overhang_clamped(self):
-        rect = map_to_feature_coords(Box(38, 38, 10, 10), stride=4, map_h=10, map_w=10)
-        assert rect == FeatureRect(9, 10, 9, 10)
+        assert feature_rect(38, 38, 10, 10, stride=4, map_h=10, map_w=10) == (9, 10, 9, 10)
 
     def test_fully_outside_raises(self):
         with pytest.raises(DegenerateRoiError):
-            map_to_feature_coords(Box(-10, -10, 5, 5), stride=4, map_h=10, map_w=10)
+            feature_rect(-10, -10, 5, 5, stride=4, map_h=10, map_w=10)
         with pytest.raises(DegenerateRoiError):
-            map_to_feature_coords(Box(200, 0, 5, 5), stride=4, map_h=10, map_w=10)
+            feature_rect(200, 0, 5, 5, stride=4, map_h=10, map_w=10)
 
     def test_bad_geometry_rejected(self):
         with pytest.raises(ValueError):
-            map_to_feature_coords(Box(0, 0, 5, 5), stride=0, map_h=10, map_w=10)
+            feature_rect(0, 0, 5, 5, stride=0, map_h=10, map_w=10)
         with pytest.raises(ValueError):
-            map_to_feature_coords(Box(0, 0, 5, 5), stride=4, map_h=0, map_w=10)
+            feature_rect(0, 0, 5, 5, stride=4, map_h=0, map_w=10)
 
     @given(
         x=st.floats(-40, 150), y=st.floats(-40, 150),
@@ -68,14 +66,13 @@ class TestMapToFeatureCoords:
     )
     def test_overlapping_box_yields_valid_rect(self, x, y, w, h, stride):
         map_h, map_w = 10, 12
-        box = Box(x, y, w, h)
-        if x >= map_w * stride or y >= map_h * stride or box.x2 <= 0 or box.y2 <= 0:
+        if x >= map_w * stride or y >= map_h * stride or x + w <= 0 or y + h <= 0:
             with pytest.raises(DegenerateRoiError):
-                map_to_feature_coords(box, stride, map_h, map_w)
+                feature_rect(x, y, w, h, stride, map_h, map_w)
             return
-        rect = map_to_feature_coords(box, stride, map_h, map_w)
-        assert 0 <= rect.row_start < rect.row_end <= map_h
-        assert 0 <= rect.col_start < rect.col_end <= map_w
+        rs, re, cs, ce = feature_rect(x, y, w, h, stride, map_h, map_w)
+        assert 0 <= rs < re <= map_h
+        assert 0 <= cs < ce <= map_w
 
 
 def slot_windows(extent, k, start=0):
@@ -164,7 +161,9 @@ class TestRoiHistogramPool:
         rng = np.random.default_rng(9)
         for _ in range(20):
             fmap, labels, _, box, grid = random_pool_instance(rng)
-            rect = map_to_feature_coords(box, fmap.stride, labels.height, labels.width)
+            rect = FeatureRect(
+                *feature_rect(*astuple(box), fmap.stride, labels.height, labels.width)
+            )
             out = roi_histogram_pool(labels, rect, grid)
             sums = out.reshape(grid.cells, 21).sum(axis=1)
             np.testing.assert_allclose(sums, 1.0, atol=1e-6)
@@ -204,7 +203,7 @@ class TestAgainstOracles:
         rng = np.random.default_rng(20240817)
         for _ in range(150):
             fmap, labels, edges, box, grid = random_pool_instance(rng)
-            rect = map_to_feature_coords(box, fmap.stride, fmap.height, fmap.width)
+            rect = FeatureRect(*feature_rect(*astuple(box), fmap.stride, fmap.height, fmap.width))
 
             got_max = roi_max_pool(fmap, rect, grid)
             want_max = oracle_max_pool(fmap.data, rect, grid.m, grid.n)
@@ -219,7 +218,7 @@ class TestAgainstOracles:
         rng = np.random.default_rng(13)
         for _ in range(40):
             fmap, _, edges, box, grid = random_pool_instance(rng)
-            rect = map_to_feature_coords(box, fmap.stride, edges.height, edges.width)
+            rect = FeatureRect(*feature_rect(*astuple(box), fmap.stride, edges.height, edges.width))
             got = roi_edge_pool(edges, rect, grid, mode="hist", bins=16)
             want = oracle_edge_hist_pool(edges.data, rect, grid.m, grid.n, 16)
             assert np.max(np.abs(got - want)) <= 1e-12
@@ -267,7 +266,7 @@ class TestBatchedGridPool:
         edge_hist = grid_histogram_pool(edge_codes(edges.data, 16), rects, grid, 16)
         assert pooled.shape == (count, fmap.channels, grid.cells)
         for i, box in enumerate(boxes):
-            rect = map_to_feature_coords(box, fmap.stride, fmap.height, fmap.width)
+            rect = FeatureRect(*feature_rect(*astuple(box), fmap.stride, fmap.height, fmap.width))
             assert FeatureRect(*rects[i].tolist()) == rect
             m, n = grid.m, grid.n
             assert np.array_equal(pooled[i].reshape(-1),

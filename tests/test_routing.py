@@ -1,5 +1,7 @@
 """Scale-bin routing tables and descriptor assembly."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,7 +11,7 @@ from samhead.errors import ConfigError, DataError
 from samhead.geometry import Box
 from samhead.maps import EdgeMap, FeatureMap, ImageRecord, LabelMap
 from samhead.pca import PcaProjector, fit_pca
-from samhead.pooling import PoolGrid, map_to_feature_coords
+from samhead.pooling import FeatureRect, PoolGrid, feature_rect
 from samhead.routing import (
     ChannelConfig,
     DescriptorExtractor,
@@ -82,7 +84,7 @@ def oracle_cells(record, box, layers, grid):
     parts = []
     for name in layers:
         fmap = record.layer(name)
-        rect = map_to_feature_coords(box, fmap.stride, fmap.height, fmap.width)
+        rect = FeatureRect(*feature_rect(*astuple(box), fmap.stride, fmap.height, fmap.width))
         pooled = oracle_max_pool(fmap.data, rect, grid.m, grid.n)
         parts.append(pooled.reshape(fmap.channels, grid.cells))
     return np.concatenate(parts, axis=0).T
@@ -241,10 +243,10 @@ class TestChannelConfig:
         [
             (ChannelConfig(), 0),
             (ChannelConfig(semantic=True), 21 * 6),
-            (ChannelConfig(edge=True, edge_pooling="hist", edge_bins=1), 6),
+            (ChannelConfig(edge=True, edge_pooling="max"), 6),
             (ChannelConfig(edge=True), 6),
             (ChannelConfig(edge=True, edge_pooling="hist"), 16 * 6),
-            (ChannelConfig(edge=True, edge_pooling="hist", edge_bins=8), 8 * 6),
+            (ChannelConfig(semantic=True, edge=True, edge_pooling="hist"), 21 * 6 + 16 * 6),
             (ChannelConfig(semantic=True, edge=True), 21 * 6 + 6),
         ],
     )
@@ -254,10 +256,6 @@ class TestChannelConfig:
     def test_rejects_unknown_edge_pooling(self):
         with pytest.raises(ConfigError):
             ChannelConfig(edge_pooling="avg")
-
-    def test_rejects_zero_edge_bins(self):
-        with pytest.raises(ConfigError):
-            ChannelConfig(edge_bins=0)
 
 
 class TestDescriptorExtractor:
@@ -275,7 +273,7 @@ class TestDescriptorExtractor:
             one_bin_table(target_dim=5), {}, ChannelConfig(semantic=True, edge=True)
         )
         got = extractor.extract_many(record, [SMALL_BOX])[0]
-        rect1 = map_to_feature_coords(SMALL_BOX, 1, 48, 64)
+        rect1 = FeatureRect(*feature_rect(*astuple(SMALL_BOX), 1, 48, 64))
         expected = np.concatenate(
             [
                 oracle_cells(record, SMALL_BOX, ("conv3", "conv4a"), GRID).reshape(-1),
@@ -290,12 +288,12 @@ class TestDescriptorExtractor:
         record = make_record()
         extractor = DescriptorExtractor(
             one_bin_table(target_dim=5), {},
-            ChannelConfig(edge=True, edge_pooling="hist", edge_bins=8),
+            ChannelConfig(edge=True, edge_pooling="hist"),
         )
         got = extractor.extract_many(record, [SMALL_BOX])[0]
-        rect1 = map_to_feature_coords(SMALL_BOX, 1, 48, 64)
-        expected_aux = oracle_edge_hist_pool(record.edge_map.data, rect1, GRID.m, GRID.n, 8)
-        assert got.shape == (5 * 6 + 8 * 6,)
+        rect1 = FeatureRect(*feature_rect(*astuple(SMALL_BOX), 1, 48, 64))
+        expected_aux = oracle_edge_hist_pool(record.edge_map.data, rect1, GRID.m, GRID.n, 16)
+        assert got.shape == (5 * 6 + 16 * 6,)
         assert np.allclose(got[30:], expected_aux, rtol=0.0, atol=1e-12)
 
     def test_routing_switches_bins_by_box_height(self):
