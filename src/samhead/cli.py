@@ -20,7 +20,13 @@ Values the paper fixes are constants, not config keys: the sample overlap
 thresholds, training proposal budget, PCA sample counts, prior clamp and
 background prior, and NMS overlap in ``samhead.pipeline``; the margin clamp
 and leaf smoothing in ``samhead.forest``; the edge histogram width in
-``samhead.routing`` and the label class count in ``samhead.maps``.
+``samhead.routing`` and the label class count in ``samhead.maps``.  The
+synthetic world's fixed values (image size, object heights, distractors,
+proposal jitter and priors, channel roles, noise levels, label and edge
+clutter, the channel-assignment seed) are constants in ``samhead.synth``;
+the "synth" section sets only ``num_images``, ``layers`` (each a
+``stride``, ``channels`` and ``band_center``), ``peds_per_image``,
+``background_proposals``, ``class_amp`` and ``contour_amp``.
 """
 
 from __future__ import annotations

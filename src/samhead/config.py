@@ -17,10 +17,14 @@ from .errors import ConfigError
 _NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 
 
-def section(value, key: str) -> dict:
-    """``value``, which must be a JSON object."""
+def section(value, key: str, allowed=None) -> dict:
+    """``value``, which must be a JSON object, with no key outside ``allowed`` if given."""
     if not isinstance(value, dict):
         raise ConfigError(f"{key} section must be a JSON object, got {type(value).__name__}")
+    if allowed is not None:
+        unknown = sorted(set(value) - set(allowed))
+        if unknown:
+            raise ConfigError(f"unknown {key} keys {unknown}; allowed: {sorted(allowed)}")
     return value
 
 
@@ -58,11 +62,8 @@ def read(tp, value, key: str):
 
 
 def _read_dataclass(cls, value, key: str):
-    value = section(value, key)
     fields = {f.name: f for f in dataclasses.fields(cls) if f.init}
-    unknown = sorted(set(value) - set(fields))
-    if unknown:
-        raise ConfigError(f"unknown {key} keys {unknown}; allowed: {sorted(fields)}")
+    value = section(value, key, fields)
     missing = [
         name for name, f in fields.items()
         if name not in value

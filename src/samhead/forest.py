@@ -419,6 +419,12 @@ class Forest:
     @classmethod
     def from_dict(cls, d: dict) -> "Forest":
         """The forest ``to_dict`` wrote; a tree ``score`` could not walk is a DataError."""
+        for i, t in enumerate(d["trees"]):
+            # np.int64 conversion would truncate a float index and read a
+            # boolean as 0 or 1; the type scan runs in C, once per list.
+            for key in ("feature", "left", "right"):
+                if not set(map(type, t[key])) <= {int}:
+                    raise DataError(f"tree {i}: {key} must hold JSON integers")
         forest = cls(
             trees=[Tree.from_arrays(t) for t in d["trees"]],
             prior_weight=float(d["prior_weight"]),

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DataError
 from .geometry import Box, Candidate, Detection, GroundTruthBox
-from .maps import EdgeMap, FeatureMap, LabelMap
+from .maps import NUM_LABEL_CLASSES, EdgeMap, FeatureMap, LabelMap
 
 FORMAT_VERSION = 1
 
@@ -145,7 +145,7 @@ def write_label_map(path: str | Path, lmap: LabelMap) -> None:
                          _U32.pack(lmap.height), _U32.pack(lmap.width), lmap.data])
 
 
-def read_label_map(path: str | Path, num_classes: int = 21) -> LabelMap:
+def read_label_map(path: str | Path) -> LabelMap:
     r = _Reader(Path(path).read_bytes(), str(path))
     r.expect_magic(b"LMAP")
     r.expect_version()
@@ -158,11 +158,11 @@ def read_label_map(path: str | Path, num_classes: int = 21) -> LabelMap:
     # LabelMap checks the class range; a rejected map is scanned again for
     # the first offending index.
     try:
-        return LabelMap(data, num_classes)
+        return LabelMap(data)
     except DataError:
-        bad = np.flatnonzero(data >= num_classes)
+        bad = np.flatnonzero(data >= NUM_LABEL_CLASSES)
         raise ValueRangeError(
-            f"{path}: class index {int(data.flat[bad[0]])} outside [0, {num_classes - 1}]",
+            f"{path}: class index {int(data.flat[bad[0]])} outside [0, {NUM_LABEL_CLASSES - 1}]",
             int(bad[0]),
         ) from None
 

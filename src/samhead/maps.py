@@ -61,7 +61,6 @@ class LabelMap:
     """Per-pixel semantic class indices, 0 meaning void."""
 
     data: np.ndarray
-    num_classes: int = NUM_LABEL_CLASSES
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.data)
@@ -73,9 +72,9 @@ class LabelMap:
             if arr.min() < 0 or arr.max() > 255:
                 raise DataError("label map values do not fit in uint8")
             arr = arr.astype(np.uint8)
-        if int(arr.max(initial=0)) >= self.num_classes:
+        if int(arr.max(initial=0)) >= NUM_LABEL_CLASSES:
             raise DataError(
-                f"label map has class {int(arr.max())} outside [0, {self.num_classes - 1}]"
+                f"label map has class {int(arr.max())} outside [0, {NUM_LABEL_CLASSES - 1}]"
             )
         self.data = _freeze(arr)
 

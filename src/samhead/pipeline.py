@@ -38,6 +38,11 @@ from .routing import (
 
 MODEL_FORMAT = "samhead-model"
 MODEL_VERSION = 4
+# The keys a model file holds at each level; ``model_from_dict`` rejects others.
+_MODEL_KEYS = ("format", "version", "routing", "channels", "caps", "projectors", "forest")
+_PROJECTOR_KEYS = ("mean", "basis", "eigenvalues", "energy", "requested_dim")
+_FOREST_KEYS = ("prior_weight", "n_features", "trees")
+_TREE_KEYS = ("feature", "threshold", "left", "right", "value")
 
 _BG_ASPECT = 0.41  # width/height of sampled background boxes
 
@@ -501,9 +506,10 @@ def model_from_dict(d) -> DetectorModel:
             f"unsupported model version {d.get('version')!r}; this build reads {MODEL_VERSION}"
         )
     try:
+        config.section(d, "model", _MODEL_KEYS)
         projectors = {}
         for pid, p in config.section(d["projectors"], "projectors").items():
-            p = config.section(p, f"projectors[{pid!r}]")
+            p = config.section(p, f"projectors[{pid!r}]", _PROJECTOR_KEYS)
             projectors[pid] = PcaProjector(
                 mean=np.asarray(p["mean"], dtype=np.float64),
                 basis=np.asarray(p["basis"], dtype=np.float64),
@@ -511,14 +517,17 @@ def model_from_dict(d) -> DetectorModel:
                 energy=float(p["energy"]),
                 requested_dim=p.get("requested_dim"),
             )
+        forest = config.section(d["forest"], "forest", _FOREST_KEYS)
+        for i, tree in enumerate(forest["trees"]):
+            config.section(tree, f"forest.trees[{i}]", _TREE_KEYS)
         model = DetectorModel(
             table=config.read(RoutingTable, d["routing"], "routing"),
             projectors=projectors,
             channels=config.read(ChannelConfig, d["channels"], "channels"),
-            forest=Forest.from_dict(d["forest"]),
+            forest=Forest.from_dict(forest),
             caps=config.read(Caps, d["caps"], "caps"),
         )
-    except (ConfigError, DataError, KeyError, TypeError, ValueError) as e:
+    except (ConfigError, DataError, KeyError, OverflowError, TypeError, ValueError) as e:
         raise DataError(f"malformed model file: {e}") from e
     return model
 

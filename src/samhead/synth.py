@@ -15,25 +15,32 @@ pairs line up dimension-for-dimension.  Proposal scores correlate with
 ground-truth overlap but stay deliberately noisy, so the classifier has to
 earn the ranking.
 
+``SynthConfig`` holds only what a run varies: the image count, the layers,
+the pedestrian and background-proposal counts and the class and contour
+amplitudes.  Everything else about the world is a module constant below.
+
 Draw order.  The channel assignment comes from a generator seeded with
-``pattern_seed``; each image draws from its own generator, spawned from
+``PATTERN_SEED``; each image draws from its own generator, spawned from
 ``seed``.  Within an image the draws come in this order, and the bytes of a
 dataset rest on it:
 
-1. the pedestrian and distractor counts, then per object a height and a
-   position, redrawn while it overlaps an earlier object;
+1. the pedestrian count (``cfg.peds_per_image``) and distractor count
+   (``DISTRACTORS_PER_IMAGE``), then per object a height and a position,
+   redrawn while its overlap with an earlier object exceeds
+   ``PLACEMENT_MAX_IOU``;
 2. per layer, in name order: the background map (one normal per value),
    then per object, in placement order, its deposit: the amplitude (one
-   standard normal), then the noise of the shared channels (each a block
-   over the object's cells, row-major), of each class channel (a block over
-   its part-band slab) and of each contour channel (a block over its
-   silhouette strip), channel by channel in pattern order;
-3. the label map's clutter rects, then each distractor's label;
-4. the edge map's background, its noise segments, then one outline strength
-   per object;
+   standard normal), then the noise of the ``SHARED_CHANNELS`` (each a block
+   over the object's cells, row-major), of each of the ``CLASS_CHANNELS`` (a
+   block over its part-band slab) and of each of the ``CONTOUR_CHANNELS`` (a
+   block over its silhouette strip), channel by channel in pattern order;
+3. the label map's ``CLUTTER_RECTS``, then each distractor's label;
+4. the edge map's background, its ``EDGE_NOISE_SEGMENTS``, then one outline
+   strength per object;
 5. each pedestrian's occlusion and truncation;
-6. the proposals' jitter (per pedestrian its fine then its rough copies,
-   then per distractor), then the background proposals;
+6. the proposals' jitter (per pedestrian its ``PROPOSALS_PER_GT`` fine then
+   its ``ROUGH_PROPOSALS_PER_GT`` rough copies, then per distractor its
+   ``DISTRACTOR_PROPOSALS``), then the ``cfg.background_proposals``;
 7. one prior-score noise value per proposal, in proposal order.
 
 One draw of ``n`` values gives the same values as ``n`` single draws, so a
@@ -52,10 +59,57 @@ import numpy as np
 from .dataset import Dataset, ImageSample
 from .errors import ConfigError
 from .geometry import Box, Candidate, GroundTruthBox, iou, iou_matrix
-from .maps import EdgeMap, FeatureMap, ImageRecord, LabelMap, NUM_LABEL_CLASSES
+from .maps import VALID_STRIDES, EdgeMap, FeatureMap, ImageRecord, LabelMap, NUM_LABEL_CLASSES
 from .pooling import feature_rect
 
 PED_WIDTH_RATIO = 0.41
+
+# Image geometry and object placement.
+IMAGE_W = 256
+IMAGE_H = 176
+SMALL_HEIGHTS = (52.0, 78.0)
+LARGE_HEIGHTS = (96.0, 140.0)
+SMALL_FRACTION = 0.55  # share of objects drawn from SMALL_HEIGHTS
+PLACEMENT_MAX_IOU = 0.1  # max IoU tolerated between any two planted objects
+
+# Object population beside the configured pedestrians.
+DISTRACTORS_PER_IMAGE = (1, 3)
+OCCLUDED_FRACTION = 0.08
+
+# Proposals: jittered copies of each object, then random background boxes.
+PROPOSALS_PER_GT = 6
+ROUGH_PROPOSALS_PER_GT = 1
+DISTRACTOR_PROPOSALS = 2
+PROPOSAL_JITTER = 0.06
+ROUGH_JITTER = 0.25
+
+# Proposal prior score: base + weight * best IoU + bonus + noise, clipped.
+PRIOR_BASE = 0.25
+PRIOR_IOU_WEIGHT = 0.35
+PRIOR_NOISE = 0.15
+DISTRACTOR_PRIOR_BONUS = 0.08
+
+# Feature signal: channels per role in every layer, and the signal's shape.
+CLASS_CHANNELS = 8
+SHARED_CHANNELS = 8
+CONTOUR_CHANNELS = 4
+SHARED_AMP = 0.8
+BG_SIGMA = 1.0
+FG_SIGMA = 0.5
+BAND_LOG_WIDTH = 0.3
+
+# Label and edge maps.
+PED_CLASS = 11
+DISTRACTOR_CLASSES = (4, 13)
+DISTRACTOR_MISLABEL_RATE = 0.3
+CLUTTER_RECTS = 6
+EDGE_NOISE_SEGMENTS = 12
+
+# Seeds which channels carry class, shared and contour signal, so datasets
+# of every seed share one feature semantics.
+PATTERN_SEED = 0
+
+_CLUTTER_CLASSES = [c for c in range(1, NUM_LABEL_CLASSES) if c != PED_CLASS]
 
 
 @dataclass(frozen=True)
@@ -70,15 +124,13 @@ class LayerSpec:
     stride: int
     channels: int
     band_center: float
-    quality: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.stride < 1 or self.channels < 1:
-            raise ConfigError(f"bad layer spec: stride={self.stride}, channels={self.channels}")
+        if self.stride not in VALID_STRIDES or self.channels < 1:
+            raise ConfigError(f"bad layer spec: stride={self.stride}, channels={self.channels}; "
+                              f"strides are {VALID_STRIDES}")
         if self.band_center <= 0.0:
             raise ConfigError(f"band_center must be positive, got {self.band_center}")
-        if not 0.0 < self.quality <= 1.0:
-            raise ConfigError(f"layer quality must be in (0, 1], got {self.quality}")
 
 
 def default_synth_layers() -> dict[str, LayerSpec]:
@@ -92,90 +144,33 @@ def default_synth_layers() -> dict[str, LayerSpec]:
 @dataclass(frozen=True)
 class SynthConfig:
     num_images: int = 24
-    image_w: int = 256
-    image_h: int = 176
     layers: dict[str, LayerSpec] = field(default_factory=default_synth_layers)
-
-    # object population
     peds_per_image: tuple[int, int] = (1, 3)
-    small_heights: tuple[float, float] = (52.0, 78.0)
-    large_heights: tuple[float, float] = (96.0, 140.0)
-    small_fraction: float = 0.55
-    distractors_per_image: tuple[int, int] = (1, 3)
-    occluded_fraction: float = 0.08
-
-    # proposals
-    proposals_per_gt: int = 6
-    rough_proposals_per_gt: int = 1
-    distractor_proposals: int = 2
     background_proposals: int = 60
-    proposal_jitter: float = 0.06
-    rough_jitter: float = 0.25
-    prior_base: float = 0.25
-    prior_iou_weight: float = 0.35
-    prior_noise: float = 0.15
-    distractor_prior_bonus: float = 0.08
-
-    # feature signal
-    class_channels: int = 8
-    shared_channels: int = 8
-    contour_channels: int = 4
     class_amp: float = 2.4
-    shared_amp: float = 0.8
     contour_amp: float = 3.0
-    bg_sigma: float = 1.0
-    fg_sigma: float = 0.5
-    band_log_width: float = 0.3
 
-    # label / edge maps
-    ped_class: int = 11
-    distractor_classes: tuple[int, ...] = (4, 13)
-    distractor_mislabel_rate: float = 0.3
-    clutter_rects: int = 6
-    edge_noise_segments: int = 12
-
-    # which channels carry class/shared signal (shared across seeds)
-    pattern_seed: int = 0
-    # max IoU tolerated between any two planted objects
-    placement_max_iou: float = 0.1
-
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.num_images < 1:
             raise ConfigError(f"num_images must be >= 1, got {self.num_images}")
-        if self.image_w < 32 or self.image_h < 32:
-            raise ConfigError(f"image too small: {self.image_w}x{self.image_h}")
         if not self.layers:
             raise ConfigError("need at least one layer spec")
-        for rng_name, (lo, hi) in (("small_heights", self.small_heights),
-                                   ("large_heights", self.large_heights)):
-            if not (0 < lo <= hi):
-                raise ConfigError(f"{rng_name} range must be ordered and positive, got ({lo}, {hi})")
-        if self.small_heights[1] > self.large_heights[0]:
-            raise ConfigError("small and large height ranges must not overlap")
-        max_h = self.large_heights[1]
-        if max_h + 2 > self.image_h or PED_WIDTH_RATIO * max_h + 2 > self.image_w:
-            raise ConfigError(
-                f"tallest object ({max_h}px) does not fit a {self.image_w}x{self.image_h} image"
-            )
+        need = CLASS_CHANNELS + SHARED_CHANNELS + CONTOUR_CHANNELS
         for name, spec in self.layers.items():
-            need = self.class_channels + self.shared_channels + self.contour_channels
-            if need > spec.channels:
+            if spec.channels < need:
                 raise ConfigError(
-                    f"layer {name!r} has {spec.channels} channels, fewer than "
-                    f"{self.class_channels} class + {self.shared_channels} shared "
-                    f"+ {self.contour_channels} contour"
+                    f"layer {name!r} has {spec.channels} channels, fewer than {CLASS_CHANNELS} "
+                    f"class + {SHARED_CHANNELS} shared + {CONTOUR_CHANNELS} contour"
                 )
-        for lo, hi in (self.peds_per_image, self.distractors_per_image):
-            if lo < 0 or hi < lo:
-                raise ConfigError("per-image object count ranges must be ordered and nonnegative")
-        if self.peds_per_image[1] == 0 and self.num_images > 0:
+        lo, hi = self.peds_per_image
+        if lo < 0 or hi < lo:
+            raise ConfigError(f"peds_per_image must be ordered and nonnegative, got ({lo}, {hi})")
+        if hi == 0:
             raise ConfigError("config would generate no pedestrians at all")
-        if not 0.0 <= self.small_fraction <= 1.0:
-            raise ConfigError(f"small_fraction must be in [0, 1], got {self.small_fraction}")
-        if not 1 <= self.ped_class < NUM_LABEL_CLASSES:
-            raise ConfigError(f"ped_class must be in [1, {NUM_LABEL_CLASSES - 1}]")
-        if self.proposals_per_gt < 1:
-            raise ConfigError("proposals_per_gt must be >= 1")
+        if self.background_proposals < 0:
+            raise ConfigError(
+                f"background_proposals must be >= 0, got {self.background_proposals}"
+            )
 
 
 @dataclass(frozen=True)
@@ -205,49 +200,48 @@ class _Pattern:
 _PART_BANDS = ((0.0, 0.4), (0.3, 0.7), (0.6, 1.0))
 
 
-def _draw_patterns(cfg: SynthConfig, rng: np.random.Generator) -> dict[str, _Pattern]:
+def _draw_patterns(layers: dict[str, LayerSpec], rng: np.random.Generator) -> dict[str, _Pattern]:
     # Layers of equal width share one assignment: channel c then means the
     # same thing in every such layer, and descriptors stacked from different
     # layer pairs stay comparable dimension-for-dimension.
     by_width: dict[int, _Pattern] = {}
     patterns = {}
-    for name in sorted(cfg.layers):
-        width = cfg.layers[name].channels
+    for name in sorted(layers):
+        width = layers[name].channels
         if width not in by_width:
             perm = rng.permutation(width)
-            band = [0] * cfg.class_channels
-            for slot, ch in enumerate(rng.permutation(cfg.class_channels).tolist()):
+            band = [0] * CLASS_CHANNELS
+            for slot, ch in enumerate(rng.permutation(CLASS_CHANNELS).tolist()):
                 band[ch] = slot % len(_PART_BANDS)
-            n_cs = cfg.class_channels + cfg.shared_channels
+            n_cs = CLASS_CHANNELS + SHARED_CHANNELS
             by_width[width] = _Pattern(
-                class_idx=perm[: cfg.class_channels].tolist(),
-                class_sign=rng.choice((-1.0, 1.0), size=cfg.class_channels).tolist(),
+                class_idx=perm[: CLASS_CHANNELS].tolist(),
+                class_sign=rng.choice((-1.0, 1.0), size=CLASS_CHANNELS).tolist(),
                 class_band=band,
-                shared_idx=perm[cfg.class_channels : n_cs].copy(),
-                contour_idx=perm[n_cs : n_cs + cfg.contour_channels].tolist(),
+                shared_idx=perm[CLASS_CHANNELS : n_cs].copy(),
+                contour_idx=perm[n_cs : n_cs + CONTOUR_CHANNELS].tolist(),
             )
         patterns[name] = by_width[width]
     return patterns
 
 
-def band_gain(height: float, band_center: float, log_width: float,
-              quality: float = 1.0) -> float:
+def band_gain(height: float, band_center: float, log_width: float) -> float:
     """Class-signal survival factor for an object of `height` px on one layer."""
-    return quality * math.exp(-((math.log(height / band_center) / log_width) ** 2))
+    return math.exp(-((math.log(height / band_center) / log_width) ** 2))
 
 
-def _sample_height(cfg: SynthConfig, rng: np.random.Generator) -> float:
-    if rng.random() < cfg.small_fraction:
-        lo, hi = cfg.small_heights
+def _sample_height(rng: np.random.Generator) -> float:
+    if rng.random() < SMALL_FRACTION:
+        lo, hi = SMALL_HEIGHTS
     else:
-        lo, hi = cfg.large_heights
+        lo, hi = LARGE_HEIGHTS
     return float(rng.uniform(lo, hi))
 
 
-def _place_box(cfg: SynthConfig, h: float, rng: np.random.Generator) -> Box:
+def _place_box(h: float, rng: np.random.Generator) -> Box:
     w = PED_WIDTH_RATIO * h
-    x = float(rng.uniform(1.0, cfg.image_w - w - 1.0))
-    y = float(rng.uniform(1.0, cfg.image_h - h - 1.0))
+    x = float(rng.uniform(1.0, IMAGE_W - w - 1.0))
+    y = float(rng.uniform(1.0, IMAGE_H - h - 1.0))
     return Box(x, y, w, h)
 
 
@@ -333,7 +327,7 @@ def _footprint(box: Box, stride: int, H: int, W: int) -> _Footprint:
 
 def _deposit(data: np.ndarray, fp: _Footprint, spec: LayerSpec, pat: _Pattern, obj: _Object,
              cfg: SynthConfig, rng: np.random.Generator) -> None:
-    g = band_gain(obj.box.h, spec.band_center, cfg.band_log_width, spec.quality)
+    g = band_gain(obj.box.h, spec.band_center, BAND_LOG_WIDTH)
     amp = min(max(1.0 + 0.1 * rng.standard_normal(), 0.7), 1.3)
     # The deposit's noise comes from one draw, cut into one block per channel
     # in the draw order of the module docstring.
@@ -341,11 +335,11 @@ def _deposit(data: np.ndarray, fp: _Footprint, spec: LayerSpec, pat: _Pattern, o
     class_rects = [fp.slab_rects[b] for b in pat.class_band]
     contour_rects = [fp.strip_rects[k % 4] for k in range(len(pat.contour_idx))]
     n_shared = len(pat.shared_idx) * (re - rs) * (ce - cs)
-    noise = rng.normal(0.0, cfg.fg_sigma, n_shared + sum(
+    noise = rng.normal(0.0, FG_SIGMA, n_shared + sum(
         (r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in class_rects + contour_rects))
 
     data[pat.shared_idx, rs:re, cs:ce] += (
-        cfg.shared_amp * g * amp * fp.profile + noise[:n_shared].reshape(-1, re - rs, ce - cs)
+        SHARED_AMP * g * amp * fp.profile + noise[:n_shared].reshape(-1, re - rs, ce - cs)
     )
     at = n_shared
     for sign, idx, band, (r0, r1, c0, c1) in zip(pat.class_sign, pat.class_idx,
@@ -386,39 +380,35 @@ def _outline(arr: np.ndarray, box: Box, value: float) -> None:
     arr[y0 : y1 + 1, x1] = np.maximum(arr[y0 : y1 + 1, x1], value)
 
 
-def _jittered(box: Box, rel: float, cfg: SynthConfig, rng: np.random.Generator) -> Box:
-    if rel <= 0.0:
-        return box
+def _jittered(box: Box, rel: float, rng: np.random.Generator) -> Box:
     w = box.w * math.exp(rng.normal(0.0, rel))
     h = box.h * math.exp(rng.normal(0.0, rel))
     x = box.x + rng.normal(0.0, rel * box.w)
     y = box.y + rng.normal(0.0, rel * box.h)
-    w = min(max(w, 4.0), cfg.image_w - 1.0)
-    h = min(max(h, 4.0), cfg.image_h - 1.0)
-    x = min(max(x, 0.0), cfg.image_w - w)
-    y = min(max(y, 0.0), cfg.image_h - h)
+    w = min(max(w, 4.0), IMAGE_W - 1.0)
+    h = min(max(h, 4.0), IMAGE_H - 1.0)
+    x = min(max(x, 0.0), IMAGE_W - w)
+    y = min(max(y, 0.0), IMAGE_H - h)
     return Box(float(x), float(y), float(w), float(h))
 
 
-def _random_box(cfg: SynthConfig, rng: np.random.Generator) -> Box:
-    h = float(rng.uniform(cfg.small_heights[0], cfg.large_heights[1]))
-    h = min(h, cfg.image_h - 2.0)
-    w = min(PED_WIDTH_RATIO * h, cfg.image_w - 2.0)
-    x = float(rng.uniform(0.0, cfg.image_w - w - 1.0))
-    y = float(rng.uniform(0.0, cfg.image_h - h - 1.0))
+def _random_box(rng: np.random.Generator) -> Box:
+    h = float(rng.uniform(SMALL_HEIGHTS[0], LARGE_HEIGHTS[1]))
+    w = PED_WIDTH_RATIO * h
+    x = float(rng.uniform(0.0, IMAGE_W - w - 1.0))
+    y = float(rng.uniform(0.0, IMAGE_H - h - 1.0))
     return Box(x, y, w, h)
 
 
 def generate_dataset(cfg: SynthConfig, seed: int) -> Dataset:
     """Generate a dataset; identical (cfg, seed) pairs yield identical bytes.
 
-    Which channels carry signal is fixed by ``cfg.pattern_seed``, not by
+    Which channels carry signal is fixed by ``PATTERN_SEED``, not by
     ``seed``, so train/test splits generated with different seeds still share
     the same feature semantics.
     """
-    cfg.validate()
     patterns = _draw_patterns(
-        cfg, np.random.default_rng(np.random.SeedSequence(cfg.pattern_seed))
+        cfg.layers, np.random.default_rng(np.random.SeedSequence(PATTERN_SEED))
     )
     children = np.random.SeedSequence(seed).spawn(cfg.num_images)
 
@@ -428,15 +418,15 @@ def generate_dataset(cfg: SynthConfig, seed: int) -> Dataset:
         image_id = f"img{i:04d}"
 
         n_ped = int(rng.integers(cfg.peds_per_image[0], cfg.peds_per_image[1] + 1))
-        n_dis = int(rng.integers(cfg.distractors_per_image[0], cfg.distractors_per_image[1] + 1))
+        n_dis = int(rng.integers(DISTRACTORS_PER_IMAGE[0], DISTRACTORS_PER_IMAGE[1] + 1))
         # Rejection placement: overlapping opposite-sign deposits would cancel
         # each other, so a crowded draw is retried and eventually dropped.
         objects: list[_Object] = []
         for sign, count in ((1.0, n_ped), (-1.0, n_dis)):
             for _ in range(count):
                 for _attempt in range(40):
-                    box = _place_box(cfg, _sample_height(cfg, rng), rng)
-                    if all(iou(box, o.box) <= cfg.placement_max_iou for o in objects):
+                    box = _place_box(_sample_height(rng), rng)
+                    if all(iou(box, o.box) <= PLACEMENT_MAX_IOU for o in objects):
                         objects.append(_Object(box, sign))
                         break
         peds = [o for o in objects if o.sign > 0]
@@ -446,50 +436,49 @@ def generate_dataset(cfg: SynthConfig, seed: int) -> Dataset:
         footprints: dict[int, list[_Footprint]] = {}  # layers of one stride share them
         for name in sorted(cfg.layers):
             spec = cfg.layers[name]
-            H = -(-cfg.image_h // spec.stride)
-            W = -(-cfg.image_w // spec.stride)
-            data = rng.normal(0.0, cfg.bg_sigma, (spec.channels, H, W)).astype(np.float32)
+            H = -(-IMAGE_H // spec.stride)
+            W = -(-IMAGE_W // spec.stride)
+            data = rng.normal(0.0, BG_SIGMA, (spec.channels, H, W)).astype(np.float32)
             if spec.stride not in footprints:
                 footprints[spec.stride] = [_footprint(o.box, spec.stride, H, W) for o in objects]
             for obj, fp in zip(objects, footprints[spec.stride]):
                 _deposit(data, fp, spec, patterns[name], obj, cfg, rng)
             feature_maps[name] = FeatureMap(name, spec.stride, data)
 
-        label = np.zeros((cfg.image_h, cfg.image_w), dtype=np.uint8)
-        other = [c for c in range(1, NUM_LABEL_CLASSES) if c != cfg.ped_class]
-        for _ in range(cfg.clutter_rects):
-            cw = int(rng.integers(cfg.image_w // 8, cfg.image_w // 3 + 1))
-            chh = int(rng.integers(cfg.image_h // 8, cfg.image_h // 3 + 1))
-            cx = int(rng.integers(0, cfg.image_w - cw + 1))
-            cy = int(rng.integers(0, cfg.image_h - chh + 1))
-            label[cy : cy + chh, cx : cx + cw] = int(rng.choice(other))
+        label = np.zeros((IMAGE_H, IMAGE_W), dtype=np.uint8)
+        for _ in range(CLUTTER_RECTS):
+            cw = int(rng.integers(IMAGE_W // 8, IMAGE_W // 3 + 1))
+            chh = int(rng.integers(IMAGE_H // 8, IMAGE_H // 3 + 1))
+            cx = int(rng.integers(0, IMAGE_W - cw + 1))
+            cy = int(rng.integers(0, IMAGE_H - chh + 1))
+            label[cy : cy + chh, cx : cx + cw] = int(rng.choice(_CLUTTER_CLASSES))
         for obj in distractors:
-            if rng.random() < cfg.distractor_mislabel_rate:
-                cls = cfg.ped_class
+            if rng.random() < DISTRACTOR_MISLABEL_RATE:
+                cls = PED_CLASS
             else:
-                cls = int(rng.choice(cfg.distractor_classes))
+                cls = int(rng.choice(DISTRACTOR_CLASSES))
             _paint_rect(label, obj.box, cls)
         for obj in peds:
-            _paint_rect(label, obj.box, cfg.ped_class)
+            _paint_rect(label, obj.box, PED_CLASS)
 
-        edge = rng.uniform(0.0, 0.12, (cfg.image_h, cfg.image_w)).astype(np.float32)
-        for _ in range(cfg.edge_noise_segments):
+        edge = rng.uniform(0.0, 0.12, (IMAGE_H, IMAGE_W)).astype(np.float32)
+        for _ in range(EDGE_NOISE_SEGMENTS):
             length = int(rng.integers(8, 41))
             strength = float(rng.uniform(0.3, 1.0))
             if rng.random() < 0.5:
-                yy = int(rng.integers(0, cfg.image_h))
-                xx = int(rng.integers(0, max(cfg.image_w - length, 1)))
+                yy = int(rng.integers(0, IMAGE_H))
+                xx = int(rng.integers(0, IMAGE_W - length))
                 edge[yy, xx : xx + length] = np.maximum(edge[yy, xx : xx + length], strength)
             else:
-                yy = int(rng.integers(0, max(cfg.image_h - length, 1)))
-                xx = int(rng.integers(0, cfg.image_w))
+                yy = int(rng.integers(0, IMAGE_H - length))
+                xx = int(rng.integers(0, IMAGE_W))
                 edge[yy : yy + length, xx] = np.maximum(edge[yy : yy + length, xx], strength)
         for obj in objects:
             _outline(edge, obj.box, float(rng.uniform(0.6, 1.0)))
 
         ground_truth = []
         for obj in peds:
-            if rng.random() < cfg.occluded_fraction:
+            if rng.random() < OCCLUDED_FRACTION:
                 occl = float(rng.uniform(0.45, 0.7))
             else:
                 occl = float(rng.uniform(0.0, 0.1))
@@ -501,34 +490,34 @@ def generate_dataset(cfg: SynthConfig, seed: int) -> Dataset:
         boxes: list[Box] = []
         bonuses: list[float] = []
         for obj in peds:
-            for _ in range(cfg.proposals_per_gt):
-                boxes.append(_jittered(obj.box, cfg.proposal_jitter, cfg, rng))
+            for _ in range(PROPOSALS_PER_GT):
+                boxes.append(_jittered(obj.box, PROPOSAL_JITTER, rng))
                 bonuses.append(0.0)
             # Loose duplicates imitate the sloppy end of a region-proposal
             # stage; they give training its only box-accuracy contrast.
-            for _ in range(cfg.rough_proposals_per_gt):
-                boxes.append(_jittered(obj.box, cfg.rough_jitter, cfg, rng))
+            for _ in range(ROUGH_PROPOSALS_PER_GT):
+                boxes.append(_jittered(obj.box, ROUGH_JITTER, rng))
                 bonuses.append(0.0)
         for obj in distractors:
-            for _ in range(cfg.distractor_proposals):
-                boxes.append(_jittered(obj.box, cfg.proposal_jitter, cfg, rng))
-                bonuses.append(cfg.distractor_prior_bonus)
+            for _ in range(DISTRACTOR_PROPOSALS):
+                boxes.append(_jittered(obj.box, PROPOSAL_JITTER, rng))
+                bonuses.append(DISTRACTOR_PRIOR_BONUS)
         for _ in range(cfg.background_proposals):
-            boxes.append(_random_box(cfg, rng))
+            boxes.append(_random_box(rng))
             bonuses.append(0.0)
         if ground_truth:
             best = iou_matrix(boxes, [g.box for g in ground_truth]).max(axis=1)
         else:
             best = np.zeros(len(boxes))
-        scores = (cfg.prior_base + cfg.prior_iou_weight * best + np.array(bonuses)
-                  + rng.normal(0.0, cfg.prior_noise, len(boxes)))
+        scores = (PRIOR_BASE + PRIOR_IOU_WEIGHT * best + np.array(bonuses)
+                  + rng.normal(0.0, PRIOR_NOISE, len(boxes)))
         proposals = [Candidate(box, min(max(score, 0.01), 0.99))
                      for box, score in zip(boxes, scores.tolist())]
 
         record = ImageRecord(
             image_id=image_id,
-            image_w=cfg.image_w,
-            image_h=cfg.image_h,
+            image_w=IMAGE_W,
+            image_h=IMAGE_H,
             feature_maps=feature_maps,
             label_map=LabelMap(label),
             edge_map=EdgeMap(edge),

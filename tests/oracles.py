@@ -7,7 +7,8 @@ in float32 so comparisons against the package can be exact.
 """
 
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -401,6 +402,22 @@ def oracle_tree_apply(tree, X):
 # numpy update and one noise draw per channel, a taper per class slab, and a
 # Python ``iou`` per proposal and ground-truth pair.  The batched generator
 # must reproduce it bit for bit, with the same draws in the same order.
+# The world's fixed values are literals here, not ``samhead.synth``'s
+# constants, so a changed constant shows up as a changed byte.
+
+_ORACLE_FIXED = dict(
+    image_w=256, image_h=176, small_heights=(52.0, 78.0), large_heights=(96.0, 140.0),
+    small_fraction=0.55, placement_max_iou=0.1,
+    distractors_per_image=(1, 3), occluded_fraction=0.08,
+    proposals_per_gt=6, rough_proposals_per_gt=1, distractor_proposals=2,
+    proposal_jitter=0.06, rough_jitter=0.25,
+    prior_base=0.25, prior_iou_weight=0.35, prior_noise=0.15, distractor_prior_bonus=0.08,
+    class_channels=8, shared_channels=8, contour_channels=4, shared_amp=0.8,
+    bg_sigma=1.0, fg_sigma=0.5, band_log_width=0.3,
+    ped_class=11, distractor_classes=(4, 13), distractor_mislabel_rate=0.3,
+    clutter_rects=6, edge_noise_segments=12,
+    pattern_seed=0,
+)
 
 _ORACLE_PART_BANDS = ((0.0, 0.4), (0.3, 0.7), (0.6, 1.0))
 
@@ -442,8 +459,8 @@ def _oracle_draw_patterns(cfg, rng):
     return patterns
 
 
-def _oracle_band_gain(height, band_center, log_width, quality=1.0):
-    return quality * math.exp(-((math.log(height / band_center) / log_width) ** 2))
+def _oracle_band_gain(height, band_center, log_width):
+    return math.exp(-((math.log(height / band_center) / log_width) ** 2))
 
 
 def _oracle_sample_height(cfg, rng):
@@ -480,7 +497,7 @@ def _oracle_taper(coords, lo, hi):
 def _oracle_deposit(data, spec, pat, obj, cfg, rng):
     H, W = data.shape[1], data.shape[2]
     rect = _oracle_feature_rect(obj.box, spec.stride, H, W)
-    g = _oracle_band_gain(obj.box.h, spec.band_center, cfg.band_log_width, spec.quality)
+    g = _oracle_band_gain(obj.box.h, spec.band_center, cfg.band_log_width)
     amp = float(np.clip(1.0 + 0.1 * rng.standard_normal(), 0.7, 1.3))
     rows = slice(rect.row_start, rect.row_end)
     cols = slice(rect.col_start, rect.col_end)
@@ -568,7 +585,8 @@ def _oracle_random_box(cfg, rng):
 
 def oracle_generate_dataset(cfg, seed):
     """Reference ``generate_dataset``: the per-channel, per-proposal original."""
-    cfg.validate()
+    meta_config = asdict(cfg)
+    cfg = SimpleNamespace(**_ORACLE_FIXED, **{f.name: getattr(cfg, f.name) for f in fields(cfg)})
     patterns = _oracle_draw_patterns(
         cfg, np.random.default_rng(np.random.SeedSequence(cfg.pattern_seed))
     )
@@ -682,7 +700,7 @@ def oracle_generate_dataset(cfg, seed):
     meta = {
         "generator": "samhead.synth",
         "seed": seed,
-        "config": asdict(cfg),
+        "config": meta_config,
         "layers": {name: {"stride": spec.stride, "channels": spec.channels}
                    for name, spec in sorted(cfg.layers.items())},
     }

@@ -93,6 +93,52 @@ class TestSynth:
         assert "bogus" in payload["message"]
         assert not (tmp_path / "data").exists()
 
+    # Every value the synth world fixes, as it was set before it became a
+    # constant of samhead.synth.
+    _REMOVED = {
+        "image_w": 256, "image_h": 176, "small_heights": [52.0, 78.0],
+        "large_heights": [96.0, 140.0], "small_fraction": 0.55, "placement_max_iou": 0.1,
+        "distractors_per_image": [1, 3], "occluded_fraction": 0.08,
+        "proposals_per_gt": 6, "rough_proposals_per_gt": 1, "distractor_proposals": 2,
+        "proposal_jitter": 0.06, "rough_jitter": 0.25,
+        "prior_base": 0.25, "prior_iou_weight": 0.35, "prior_noise": 0.15,
+        "distractor_prior_bonus": 0.08,
+        "class_channels": 8, "shared_channels": 8, "contour_channels": 4, "shared_amp": 0.8,
+        "bg_sigma": 1.0, "fg_sigma": 0.5, "band_log_width": 0.3,
+        "ped_class": 11, "distractor_classes": [4, 13], "distractor_mislabel_rate": 0.3,
+        "clutter_rects": 6, "edge_noise_segments": 12,
+        "pattern_seed": 0,
+    }
+
+    @pytest.mark.parametrize("key", [*_REMOVED, "quality"])
+    def test_unknown_synth_keys_exit_2(self, tmp_path, capsys, key):
+        if key == "quality":
+            layer = {"stride": 4, "channels": 64, "band_center": 56.0, "quality": 1.0}
+            section, where = {"layers": {"conv3": layer}}, "layers['conv3']"
+        else:
+            section, where = {**SYNTH_SECTION, key: self._REMOVED[key]}, "synth"
+        config = _write_config(tmp_path, {"synth": section})
+        code = main(["synth", "--config", config, "--out", str(tmp_path / "data")])
+        payload = _assert_failed(capsys, code, EXIT_CONFIG, "ConfigError")
+        assert payload["message"].startswith(f"unknown {where} keys [{key!r}]")
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            ({"background_proposals": -1}, "background_proposals must be >= 0, got -1"),
+            ({"layers": {"conv3": {"stride": 3, "channels": 64, "band_center": 56.0}}},
+             "bad layer spec: stride=3"),
+        ],
+        ids=["background_proposals", "stride-3"],
+    )
+    def test_bad_value_exits_2(self, tmp_path, capsys, section, message):
+        config = _write_config(tmp_path, {"synth": section})
+        code = main(["synth", "--config", config, "--out", str(tmp_path / "data")])
+        payload = _assert_failed(capsys, code, EXIT_CONFIG, "ConfigError")
+        assert payload["message"].startswith(message)
+        assert not (tmp_path / "data").exists()
+
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text('{"synth": {"num_images": 1,', encoding="utf-8")
@@ -230,6 +276,29 @@ class TestMissingOrBrokenData:
         assert payload["message"] == "unsupported model version 3; this build reads 4"
         assert not (tmp_path / "dets.csv").exists()
 
+    @pytest.mark.parametrize(
+        "where, key",
+        [((), "nms_threshold"), (("forest",), "stage_history"),
+         (("forest", "trees", 0), "depth")],
+        ids=["top-level", "forest", "tree"],
+    )
+    def test_unknown_model_key_exits_3(self, synth_dir, tmp_path, capsys, model_path,
+                                       where, key):
+        model = json.loads(model_path.read_text(encoding="utf-8"))
+        node = model
+        for step in where:
+            node = node[step]
+        node[key] = 0.5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(model), encoding="utf-8")
+        code = main(["detect", "--data", str(synth_dir), "--model", str(bad),
+                     "--out", str(tmp_path / "dets.csv")])
+        payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
+        name = {(): "model", ("forest",): "forest"}.get(where, "forest.trees[0]")
+        want = f"malformed model file: unknown {name} keys [{key!r}]"
+        assert payload["message"].startswith(want)
+        assert not (tmp_path / "dets.csv").exists()
+
     # Node 0 splits into node 1 (a split into leaves 2 and 3) and leaf 4.  Every
     # sample descends 0 -> 1 -> 2, so a cycle on that path would never end.
     _TREE = {"feature": [0, 1, -1, -1, -1], "threshold": [1e30, 1e30, 0.0, 0.0, 0.0],
@@ -249,10 +318,12 @@ class TestMissingOrBrokenData:
             ("value", 2, float("nan")),
             ("threshold", 0, float("inf")),
             (None, None, None),
+            ("left", 0, 1.7),
+            ("feature", 1, True),
         ],
         ids=["self-child", "cycle", "child-out-of-range", "leaf-with-child",
              "feature-out-of-range", "negative-feature", "ragged", "nan-value",
-             "inf-threshold", "empty"],
+             "inf-threshold", "empty", "float-child", "bool-feature"],
     )
     def test_malformed_tree_exits_3(self, synth_dir, tmp_path, capsys, model_path,
                                     key, index, value):

@@ -146,22 +146,28 @@ class TestLabelAndEdgeFiles:
         loaded = read_label_map(path)
         np.testing.assert_array_equal(lmap.data, loaded.data)
 
+    @staticmethod
+    def _write_raw_label_map(path, data):
+        # LabelMap refuses a class >= 21, so the file is written by hand.
+        h, w = data.shape
+        path.write_bytes(b"LMAP" + struct.pack("<I", 1) + struct.pack("<II", h, w)
+                         + data.astype(np.uint8).tobytes())
+
     def test_label_class_out_of_range(self, tmp_path):
-        lmap = LabelMap(np.full((2, 2), 20, dtype=np.uint8))
         path = tmp_path / "a.lmap"
-        write_label_map(path, lmap)
-        with pytest.raises(ValueRangeError) as exc:
-            read_label_map(path, num_classes=15)
+        self._write_raw_label_map(path, np.full((2, 2), 21))
+        with pytest.raises(ValueRangeError, match=r"class index 21 outside \[0, 20\]") as exc:
+            read_label_map(path)
         assert exc.value.index == 0
 
     def test_label_class_out_of_range_reports_first_index(self, tmp_path):
         data = np.zeros((3, 4), dtype=np.uint8)
-        data[1, 2] = 17
-        data[2, 3] = 19
+        data[1, 2] = 21
+        data[2, 3] = 25
         path = tmp_path / "a.lmap"
-        write_label_map(path, LabelMap(data))
-        with pytest.raises(ValueRangeError, match="class index 17") as exc:
-            read_label_map(path, num_classes=15)
+        self._write_raw_label_map(path, data)
+        with pytest.raises(ValueRangeError, match="class index 21") as exc:
+            read_label_map(path)
         assert exc.value.index == 6
 
     def test_edge_round_trip(self, tmp_path):

@@ -144,10 +144,9 @@ class TestRoiMaxPool:
 
 class TestRoiHistogramPool:
     def test_hand_example_cell_norm(self):
-        labels = LabelMap(np.array([[0, 1], [1, 1]], dtype=np.uint8), num_classes=3)
-        out = roi_histogram_pool(labels, FeatureRect(0, 2, 0, 2), PoolGrid(1, 1),
-                                 num_classes=3)
-        np.testing.assert_allclose(out, [0.25, 0.75, 0.0])
+        codes = np.array([[0, 1], [1, 1]])
+        out = grid_histogram_pool(codes, np.array([[0, 2, 0, 2]]), PoolGrid(1, 1), 3)
+        np.testing.assert_allclose(out, [[0.25, 0.75, 0.0]])
 
     def test_cell_major_layout(self):
         labels = LabelMap(np.array([[4, 4, 7], [4, 4, 7]], dtype=np.uint8))

@@ -8,9 +8,18 @@ import pytest
 from conftest import tiny_synth_config
 from samhead.errors import ConfigError
 from samhead.synth import (
+    DISTRACTOR_PROPOSALS,
+    DISTRACTORS_PER_IMAGE,
+    IMAGE_H,
+    IMAGE_W,
+    LARGE_HEIGHTS,
+    PED_CLASS,
     PED_WIDTH_RATIO,
+    PLACEMENT_MAX_IOU,
+    PROPOSALS_PER_GT,
+    ROUGH_PROPOSALS_PER_GT,
+    SMALL_HEIGHTS,
     LayerSpec,
-    SynthConfig,
     band_gain,
     generate_dataset,
 )
@@ -50,13 +59,6 @@ class TestDeterminism:
         b = generate_dataset(cfg, seed=10)
         assert a.ground_truth_by_image() != b.ground_truth_by_image()
 
-    def test_pattern_seed_moves_signal_not_geometry(self):
-        a = generate_dataset(tiny_synth_config(num_images=3), seed=9)
-        b = generate_dataset(tiny_synth_config(num_images=3, pattern_seed=1), seed=9)
-        assert a.ground_truth_by_image() == b.ground_truth_by_image()
-        assert a.proposals_by_image() == b.proposals_by_image()
-        assert not _maps_equal(a, b)
-
 
 class TestGeometry:
     def test_ground_truth_boxes_are_plausible(self, small_set):
@@ -65,12 +67,12 @@ class TestGeometry:
             assert len(sample.ground_truth) <= cfg.peds_per_image[1]
             for g in sample.ground_truth:
                 h = g.box.h
-                in_small = cfg.small_heights[0] <= h <= cfg.small_heights[1]
-                in_large = cfg.large_heights[0] <= h <= cfg.large_heights[1]
+                in_small = SMALL_HEIGHTS[0] <= h <= SMALL_HEIGHTS[1]
+                in_large = LARGE_HEIGHTS[0] <= h <= LARGE_HEIGHTS[1]
                 assert in_small or in_large
                 assert g.box.w == pytest.approx(PED_WIDTH_RATIO * h)
-                assert g.box.x >= 0 and g.box.x2 <= cfg.image_w
-                assert g.box.y >= 0 and g.box.y2 <= cfg.image_h
+                assert g.box.x >= 0 and g.box.x2 <= IMAGE_W
+                assert g.box.y >= 0 and g.box.y2 <= IMAGE_H
                 assert (0.0 <= g.occlusion <= 0.1) or (0.45 <= g.occlusion <= 0.7)
                 assert 0.0 <= g.truncation <= 0.08
                 assert not g.ignore
@@ -78,26 +80,25 @@ class TestGeometry:
     def test_objects_do_not_pile_up(self, small_set):
         from samhead.geometry import iou
 
-        cfg = tiny_synth_config(num_images=6)
         for sample in small_set:
             gts = sample.ground_truth
             for i in range(len(gts)):
                 for j in range(i + 1, len(gts)):
-                    assert iou(gts[i].box, gts[j].box) <= cfg.placement_max_iou
+                    assert iou(gts[i].box, gts[j].box) <= PLACEMENT_MAX_IOU
 
     def test_proposals_cover_every_object(self, small_set):
         cfg = tiny_synth_config(num_images=6)
         for sample in small_set:
             n = len(sample.proposals)
             floor = len(sample.ground_truth) * (
-                cfg.proposals_per_gt + cfg.rough_proposals_per_gt
+                PROPOSALS_PER_GT + ROUGH_PROPOSALS_PER_GT
             ) + cfg.background_proposals
-            ceil = floor + cfg.distractors_per_image[1] * cfg.distractor_proposals
+            ceil = floor + DISTRACTORS_PER_IMAGE[1] * DISTRACTOR_PROPOSALS
             assert floor <= n <= ceil
             for c in sample.proposals:
                 assert 0.01 <= c.score <= 0.99
-                assert c.box.x >= 0 and c.box.x2 <= cfg.image_w
-                assert c.box.y >= 0 and c.box.y2 <= cfg.image_h
+                assert c.box.x >= 0 and c.box.x2 <= IMAGE_W
+                assert c.box.y >= 0 and c.box.y2 <= IMAGE_H
 
     def test_map_shapes_follow_strides(self, small_set):
         cfg = tiny_synth_config(num_images=6)
@@ -107,19 +108,18 @@ class TestGeometry:
                 fm = rec.feature_maps[name]
                 assert fm.stride == spec.stride
                 assert fm.channels == spec.channels
-                assert fm.height == math.ceil(cfg.image_h / spec.stride)
-                assert fm.width == math.ceil(cfg.image_w / spec.stride)
-            assert rec.label_map.data.shape == (cfg.image_h, cfg.image_w)
-            assert rec.edge_map.data.shape == (cfg.image_h, cfg.image_w)
+                assert fm.height == math.ceil(IMAGE_H / spec.stride)
+                assert fm.width == math.ceil(IMAGE_W / spec.stride)
+            assert rec.label_map.data.shape == (IMAGE_H, IMAGE_W)
+            assert rec.edge_map.data.shape == (IMAGE_H, IMAGE_W)
 
     def test_pedestrians_are_labeled(self, small_set):
-        cfg = tiny_synth_config(num_images=6)
         for sample in small_set:
             label = sample.record.label_map.data
             for g in sample.ground_truth:
                 cx = int(g.box.x + g.box.w / 2)
                 cy = int(g.box.y + g.box.h / 2)
-                assert label[cy, cx] == cfg.ped_class
+                assert label[cy, cx] == PED_CLASS
 
     def test_object_outlines_reach_the_edge_map(self, small_set):
         for sample in small_set:
@@ -136,6 +136,8 @@ class TestMeta:
         assert meta["seed"] == 21
         assert meta["config"]["num_images"] == 6
         assert meta["config"]["class_amp"] == cfg.class_amp
+        assert set(meta["config"]) == {"num_images", "layers", "peds_per_image",
+                                       "background_proposals", "class_amp", "contour_amp"}
         assert meta["layers"]["conv3"] == {"stride": 4, "channels": 64}
         assert len(small_set) == 6
         assert small_set.image_ids == [f"img{i:04d}" for i in range(6)]
@@ -144,7 +146,6 @@ class TestMeta:
 class TestBandGain:
     def test_peak_at_center(self):
         assert band_gain(84.0, 84.0, 0.3) == pytest.approx(1.0)
-        assert band_gain(84.0, 84.0, 0.3, quality=0.5) == pytest.approx(0.5)
 
     def test_log_symmetric(self):
         for r in (1.2, 1.5, 2.0):
@@ -160,18 +161,14 @@ class TestBandGain:
 
 class TestValidation:
     def test_overlapping_height_ranges(self):
-        with pytest.raises(ConfigError):
-            generate_dataset(
-                tiny_synth_config(small_heights=(52.0, 100.0),
-                                  large_heights=(96.0, 140.0)),
-                seed=0,
-            )
+        # The fixed height ranges are ordered, positive and disjoint.
+        assert 0 < SMALL_HEIGHTS[0] <= SMALL_HEIGHTS[1] <= LARGE_HEIGHTS[0] <= LARGE_HEIGHTS[1]
 
     def test_object_must_fit_image(self):
-        with pytest.raises(ConfigError):
-            generate_dataset(
-                tiny_synth_config(image_h=128, large_heights=(96.0, 130.0)), seed=0
-            )
+        # The tallest object, and a background box of that height, fit the
+        # fixed image with a pixel to spare on each side.
+        assert LARGE_HEIGHTS[1] + 2 <= IMAGE_H
+        assert PED_WIDTH_RATIO * LARGE_HEIGHTS[1] + 2 <= IMAGE_W
 
     def test_channel_budget_enforced(self):
         layers = {"conv3": LayerSpec(stride=4, channels=12, band_center=56.0)}
@@ -184,12 +181,14 @@ class TestValidation:
         with pytest.raises(ConfigError):
             LayerSpec(stride=4, channels=8, band_center=0.0)
         with pytest.raises(ConfigError):
-            LayerSpec(stride=4, channels=8, band_center=56.0, quality=0.0)
+            LayerSpec(stride=3, channels=32, band_center=56.0)
 
     def test_population_validation(self):
         with pytest.raises(ConfigError):
-            generate_dataset(tiny_synth_config(peds_per_image=(0, 0)), seed=0)
+            tiny_synth_config(peds_per_image=(0, 0))
         with pytest.raises(ConfigError):
-            generate_dataset(tiny_synth_config(small_fraction=1.5), seed=0)
+            tiny_synth_config(peds_per_image=(3, 2))
         with pytest.raises(ConfigError):
-            generate_dataset(tiny_synth_config(proposals_per_gt=0), seed=0)
+            tiny_synth_config(background_proposals=-1)
+        with pytest.raises(ConfigError):
+            tiny_synth_config(num_images=0)
