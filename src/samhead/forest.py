@@ -32,8 +32,13 @@ per-column, per-node reference (``tests/oracles.py``):
   features would choose; a NaN Z anywhere ends the node as a leaf, as that
   argmin would.  Each block's arrays stay in cache where one whole-node pass
   streamed megabytes through memory.
-- ``apply_trees`` walks all of a forest's trees at once; ``Forest.score``
-  still adds the trees' values one tree at a time, in order.
+- ``Forest`` packs its trees' node arrays end to end once, when
+  ``realboost_fit`` finishes or ``Forest.from_dict`` loads, and
+  ``Forest.apply`` walks all trees at once over those arrays.  A leaf points
+  to itself as both children, so every (tree, sample) pair takes the
+  forest's depth in steps with no test for having arrived; a pair that sits
+  at a leaf stays there.  ``Forest.score`` still adds the trees' values one
+  tree at a time, in order.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import config
 from .errors import ConfigError, DataError
 
 
@@ -64,57 +70,11 @@ class Tree:
     value: np.ndarray
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        return apply_trees([self], X)[0]
+        return Forest.pack([self]).apply(X)[0]
 
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
-
-    def to_arrays(self) -> dict[str, list]:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-        }
-
-    @classmethod
-    def from_arrays(cls, d: dict) -> "Tree":
-        return cls(
-            feature=np.asarray(d["feature"], dtype=np.int64),
-            threshold=np.asarray(d["threshold"], dtype=np.float64),
-            left=np.asarray(d["left"], dtype=np.int64),
-            right=np.asarray(d["right"], dtype=np.int64),
-            value=np.asarray(d["value"], dtype=np.float64),
-        )
-
-
-def apply_trees(trees: list[Tree], X: np.ndarray) -> np.ndarray:
-    """Every tree's leaf value for every sample, shape (trees, samples).
-
-    All trees are walked at once over their concatenated node arrays: each
-    (tree, sample) pair descends one level per step until every pair sits at
-    a leaf.
-    """
-    X = np.asarray(X)
-    if not trees:
-        return np.empty((0, X.shape[0]), dtype=np.float64)
-    offsets = np.cumsum([0] + [t.n_nodes for t in trees[:-1]])
-    feature = np.concatenate([t.feature for t in trees])
-    threshold = np.concatenate([t.threshold for t in trees])
-    left = np.concatenate([t.left + o for t, o in zip(trees, offsets)])
-    right = np.concatenate([t.right + o for t, o in zip(trees, offsets)])
-    value = np.concatenate([t.value for t in trees])
-    rows = np.arange(X.shape[0])[None, :]
-    node = np.repeat(offsets[:, None], X.shape[0], axis=1)
-    while True:
-        feat = feature[node]
-        live = feat >= 0
-        if not live.any():
-            return value[node]
-        goes_left = X[rows, np.where(live, feat, 0)] <= threshold[node]
-        node = np.where(live, np.where(goes_left, left[node], right[node]), node)
 
 
 class FeatureBinner:
@@ -382,13 +342,87 @@ class StageLog:
 _TREE_VALUES_PER_SLICE = 1 << 20
 
 
-@dataclass
 class Forest:
-    """Additive tree ensemble with a weighted proposal prior."""
+    """Additive tree ensemble with a weighted proposal prior, packed for scoring.
 
-    trees: list[Tree]
-    prior_weight: float = 1.0
-    n_features: int = 0
+    The trees' node arrays lie end to end, tree t at nodes ``offsets[t]`` to
+    ``offsets[t] + sizes[t]``.  The constructor takes them as ``Tree`` holds
+    them, child indices local to each tree and -1 at leaves, and packs them
+    once for the walk: children become global indices, and a leaf gets
+    feature 0 and itself as both children, so every (tree, sample) pair can
+    take ``depth`` steps with no test for having reached a leaf.
+    ``next_node[k]`` holds node k's (right, left) children, the node a sample
+    moves to when ``x <= threshold[k]`` is false or true.
+    """
+
+    def __init__(
+        self,
+        sizes: np.ndarray,
+        feature: np.ndarray,
+        threshold: np.ndarray,
+        left: np.ndarray,
+        right: np.ndarray,
+        value: np.ndarray,
+        prior_weight: float = 1.0,
+        n_features: int = 0,
+    ):
+        self.prior_weight = prior_weight
+        self.n_features = n_features
+        self.sizes = np.asarray(sizes, dtype=np.int64)
+        self.offsets = np.cumsum(self.sizes) - self.sizes
+        feature = np.asarray(feature, dtype=np.int64)
+        node = np.arange(feature.size)
+        base = np.repeat(self.offsets, self.sizes)
+        split = feature >= 0
+        self.feature = np.where(split, feature, 0)
+        self.threshold = np.asarray(threshold, dtype=np.float64)
+        self.value = np.asarray(value, dtype=np.float64)
+        self.next_node = np.stack(
+            [np.where(split, np.asarray(right) + base, node),
+             np.where(split, np.asarray(left) + base, node)],
+            axis=1,
+        )
+        # The longest root-to-leaf path.  Splits reached at each level are
+        # deduplicated, so a node shared by two parents is expanded once.
+        self.depth = 0
+        frontier = self.offsets[split[self.offsets]]
+        while frontier.size:
+            self.depth += 1
+            reached = np.sort(self.next_node[frontier], axis=None)
+            reached = reached[np.diff(reached, prepend=-1) != 0]
+            frontier = reached[split[reached]]
+
+    @classmethod
+    def pack(cls, trees: list[Tree], prior_weight: float = 1.0, n_features: int = 0) -> "Forest":
+        def joined(key: str, dtype) -> np.ndarray:
+            return np.concatenate([np.empty(0, dtype)] + [getattr(t, key) for t in trees])
+
+        return cls(
+            sizes=np.array([t.n_nodes for t in trees], dtype=np.int64),
+            feature=joined("feature", np.int64),
+            threshold=joined("threshold", np.float64),
+            left=joined("left", np.int64),
+            right=joined("right", np.int64),
+            value=joined("value", np.float64),
+            prior_weight=prior_weight,
+            n_features=n_features,
+        )
+
+    @property
+    def n_trees(self) -> int:
+        return len(self.sizes)
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """Every tree's leaf value for every sample, shape (trees, samples)."""
+        X = np.ascontiguousarray(X)
+        flat = X.reshape(-1)
+        row_base = (np.arange(X.shape[0]) * X.shape[1])[None, :]
+        next_node = self.next_node.reshape(-1)
+        node = np.repeat(self.offsets[:, None], X.shape[0], axis=1)
+        for _ in range(self.depth):
+            x = np.take(flat, np.take(self.feature, node) + row_base)
+            node = np.take(next_node, 2 * node + (x <= np.take(self.threshold, node)))
+        return np.take(self.value, node)
 
     def score(self, X: np.ndarray, priors: np.ndarray | None = None) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X))
@@ -402,68 +436,99 @@ class Forest:
                 raise DataError("priors and samples disagree on count")
             out = self.prior_weight * priors.copy()
         # Samples are scored in slices that keep (trees, samples) arrays small.
-        step = max(1, _TREE_VALUES_PER_SLICE // max(1, len(self.trees)))
+        step = max(1, _TREE_VALUES_PER_SLICE // max(1, self.n_trees))
         for start in range(0, X.shape[0], step):
             part = out[start : start + step]
-            for values in apply_trees(self.trees, X[start : start + step]):
+            for values in self.apply(X[start : start + step]):
                 part += values
         return out
 
     def to_dict(self) -> dict:
+        """The trees as the constructor takes them, one flat list per node array."""
+        node = np.arange(self.feature.size)
+        leaf = self.next_node[:, 0] == node
+        base = np.repeat(self.offsets, self.sizes)
+        right, left = (np.where(leaf, -1, c - base) for c in self.next_node.T)
         return {
             "prior_weight": self.prior_weight,
             "n_features": self.n_features,
-            "trees": [t.to_arrays() for t in self.trees],
+            "sizes": self.sizes.tolist(),
+            "feature": np.where(leaf, -1, self.feature).tolist(),
+            "threshold": self.threshold.tolist(),
+            "left": left.tolist(),
+            "right": right.tolist(),
+            "value": self.value.tolist(),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Forest":
-        """The forest ``to_dict`` wrote; a tree ``score`` could not walk is a DataError."""
-        for i, t in enumerate(d["trees"]):
-            # np.int64 conversion would truncate a float index and read a
-            # boolean as 0 or 1; the type scan runs in C, once per list.
-            for key in ("feature", "left", "right"):
-                if not set(map(type, t[key])) <= {int}:
-                    raise DataError(f"tree {i}: {key} must hold JSON integers")
-        forest = cls(
-            trees=[Tree.from_arrays(t) for t in d["trees"]],
-            prior_weight=float(d["prior_weight"]),
-            n_features=int(d["n_features"]),
-        )
-        for i, tree in enumerate(forest.trees):
-            _check_tree(tree, forest.n_features, i)
-        return forest
+        """The forest ``to_dict`` wrote; one ``score`` could not walk is a DataError."""
+        d = config.section(d, "forest", ("prior_weight", "n_features", "sizes") + _NODE_KEYS)
+        prior_weight = config.read(float, d["prior_weight"], "prior_weight")
+        n_features = config.read(int, d["n_features"], "n_features")
+        lists = {key: d[key] for key in ("sizes",) + _NODE_KEYS}
+        for key, values in lists.items():
+            if not isinstance(values, list):
+                raise DataError(f"forest: {key} must be a JSON list")
+        # np.int64 conversion would truncate a float index and read a boolean
+        # as 0 or 1, and float64 conversion would parse a string; the type
+        # scan runs in C, once per list.
+        if not set(map(type, lists["sizes"])) <= {int}:
+            raise DataError("forest: sizes must hold JSON integers")
+        sizes = np.asarray(lists["sizes"], dtype=np.int64)
+        if (sizes <= 0).any():
+            raise DataError(f"tree {int(np.argmax(sizes <= 0))}: a tree needs at least one node")
+        lengths = [len(lists[key]) for key in _NODE_KEYS]
+        if lengths != [int(sizes.sum())] * len(_NODE_KEYS):
+            raise DataError(
+                f"forest: {', '.join(_NODE_KEYS)} must each hold the {int(sizes.sum())} nodes "
+                f"sizes sum to, got {lengths}"
+            )
+        tree_of = np.repeat(np.arange(sizes.size), sizes)
+        arrays = {}
+        for key in _NODE_KEYS:
+            index = key in ("feature", "left", "right")
+            allowed = {int} if index else {int, float}
+            if not set(map(type, lists[key])) <= allowed:
+                k = next(i for i, v in enumerate(lists[key]) if type(v) not in allowed)
+                kind = "JSON integers" if index else "JSON numbers"
+                raise DataError(f"tree {tree_of[k]}: {key} must hold {kind}")
+            arrays[key] = np.asarray(lists[key], dtype=np.int64 if index else np.float64)
+        _check_nodes(sizes, tree_of, n_features, **arrays)
+        return cls(sizes, **arrays, prior_weight=prior_weight, n_features=n_features)
 
 
-def _check_tree(tree: Tree, n_features: int, index: int) -> None:
-    """Raise DataError naming tree ``index`` unless it has ``train_tree``'s layout.
+#: The node arrays of a packed forest, in the order ``Tree`` holds them.
+_NODE_KEYS = ("feature", "threshold", "left", "right", "value")
 
-    Nodes are in preorder, so every child index exceeds its parent's and a
-    descent ends at a leaf.  A leaf has feature and children -1; a split
-    has a feature in [0, n_features).  Thresholds and values are finite.
+
+def _check_nodes(sizes, tree_of, n_features, feature, threshold, left, right, value) -> None:
+    """Raise DataError naming the tree unless every node has ``train_tree``'s layout.
+
+    Nodes are in preorder, so every child index exceeds its parent's, stays
+    inside its own tree, and a descent ends at a leaf.  A leaf has feature
+    and children -1; a split has a feature in [0, n_features).  Thresholds
+    and values are finite.
     """
-    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
-    shape = tree.feature.shape
-    if len(shape) != 1 or not shape[0] or any(a.shape != shape for a in arrays):
-        raise DataError(f"tree {index}: node arrays must be nonempty lists of equal length")
-    n = shape[0]
-    node = np.arange(n)
-    leaf = tree.feature == -1
+    local = np.arange(feature.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    size = sizes[tree_of]
     split_ok = (
-        (tree.feature >= 0) & (tree.feature < n_features)
-        & (node < tree.left) & (tree.left < n) & (node < tree.right) & (tree.right < n)
+        (feature >= 0) & (feature < n_features)
+        & (local < left) & (left < size) & (local < right) & (right < size)
     )
-    leaf_ok = (tree.left == -1) & (tree.right == -1)
-    bad = np.flatnonzero(~np.where(leaf, leaf_ok, split_ok))
+    leaf_ok = (left == -1) & (right == -1)
+    bad = np.flatnonzero(~np.where(feature == -1, leaf_ok, split_ok))
     if bad.size:
         k = int(bad[0])
+        t, j, n = tree_of[k], local[k], size[k]
         raise DataError(
-            f"tree {index}: node {k} (feature {tree.feature[k]}, children {tree.left[k]} and "
-            f"{tree.right[k]}) is neither a leaf (all -1) nor a split on a feature in "
-            f"[0, {n_features}) into nodes in ({k}, {n})"
+            f"tree {t}: node {j} (feature {feature[k]}, children {left[k]} and {right[k]}) "
+            f"is neither a leaf (all -1) nor a split on a feature in [0, {n_features}) "
+            f"into nodes in ({j}, {n})"
         )
-    if not (np.isfinite(tree.threshold).all() and np.isfinite(tree.value).all()):
-        raise DataError(f"tree {index}: thresholds and values must be finite")
+    bad = np.flatnonzero(~(np.isfinite(threshold) & np.isfinite(value)))
+    if bad.size:
+        raise DataError(f"tree {tree_of[bad[0]]}: thresholds and values must be finite")
 
 
 def realboost_fit(
@@ -527,7 +592,7 @@ def realboost_fit(
         log.losses.append(loss)
         prev_loss = loss
 
-    forest = Forest(trees=trees, prior_weight=config.prior_weight, n_features=X.shape[1])
+    forest = Forest.pack(trees, prior_weight=config.prior_weight, n_features=X.shape[1])
     return forest, log
 
 

@@ -37,12 +37,11 @@ from .routing import (
 )
 
 MODEL_FORMAT = "samhead-model"
-MODEL_VERSION = 4
-# The keys a model file holds at each level; ``model_from_dict`` rejects others.
+MODEL_VERSION = 5
+# The keys a model file holds at each level; ``model_from_dict`` rejects others
+# (``Forest.from_dict`` checks the forest section's).
 _MODEL_KEYS = ("format", "version", "routing", "channels", "caps", "projectors", "forest")
 _PROJECTOR_KEYS = ("mean", "basis", "eigenvalues", "energy", "requested_dim")
-_FOREST_KEYS = ("prior_weight", "n_features", "trees")
-_TREE_KEYS = ("feature", "threshold", "left", "right", "value")
 
 _BG_ASPECT = 0.41  # width/height of sampled background boxes
 
@@ -473,6 +472,14 @@ def detect_dataset(
 
 
 def model_to_dict(model: DetectorModel) -> dict:
+    """The model file's content, version 5.
+
+    The ``forest`` section holds ``prior_weight``, ``n_features``, ``sizes``
+    (the node count of each tree, in tree order) and one flat list each for
+    ``feature``, ``threshold``, ``left``, ``right`` and ``value``: every
+    tree's preorder node arrays, end to end.  Child indices count from the
+    first node of their own tree, and a leaf has feature and children -1.
+    """
     return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -514,17 +521,14 @@ def model_from_dict(d) -> DetectorModel:
                 mean=np.asarray(p["mean"], dtype=np.float64),
                 basis=np.asarray(p["basis"], dtype=np.float64),
                 eigenvalues=np.asarray(p["eigenvalues"], dtype=np.float64),
-                energy=float(p["energy"]),
-                requested_dim=p.get("requested_dim"),
+                energy=config.read(float, p["energy"], "energy"),
+                requested_dim=config.read(int | None, p.get("requested_dim"), "requested_dim"),
             )
-        forest = config.section(d["forest"], "forest", _FOREST_KEYS)
-        for i, tree in enumerate(forest["trees"]):
-            config.section(tree, f"forest.trees[{i}]", _TREE_KEYS)
         model = DetectorModel(
             table=config.read(RoutingTable, d["routing"], "routing"),
             projectors=projectors,
             channels=config.read(ChannelConfig, d["channels"], "channels"),
-            forest=Forest.from_dict(forest),
+            forest=Forest.from_dict(d["forest"]),
             caps=config.read(Caps, d["caps"], "caps"),
         )
     except (ConfigError, DataError, KeyError, OverflowError, TypeError, ValueError) as e:
@@ -533,7 +537,7 @@ def model_from_dict(d) -> DetectorModel:
 
 
 def save_model(path, model: DetectorModel) -> None:
-    text = json.dumps(model_to_dict(model), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":")) + "\n"
     Path(path).write_text(text, encoding="utf-8")
 
 

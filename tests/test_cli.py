@@ -20,6 +20,7 @@ from samhead.pipeline import (
 )
 from samhead.synth import generate_dataset
 
+_NODE_KEYS = ("feature", "threshold", "left", "right", "value")
 SYNTH_SECTION = {"num_images": 2, "peds_per_image": [2, 3], "background_proposals": 30}
 _MODEL_HEADER = {"format": MODEL_FORMAT, "version": MODEL_VERSION}
 
@@ -257,7 +258,7 @@ class TestMissingOrBrokenData:
         code = main(["detect", "--data", str(synth_dir), "--model", str(old),
                      "--out", str(tmp_path / "dets.csv")])
         payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
-        assert payload["message"] == "unsupported model version 2; this build reads 4"
+        assert payload["message"] == "unsupported model version 2; this build reads 5"
         assert not (tmp_path / "dets.csv").exists()
 
     def test_version_3_model_exits_3(self, synth_dir, tmp_path, capsys, model_path):
@@ -273,13 +274,58 @@ class TestMissingOrBrokenData:
         code = main(["detect", "--data", str(synth_dir), "--model", str(old),
                      "--out", str(tmp_path / "dets.csv")])
         payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
-        assert payload["message"] == "unsupported model version 3; this build reads 4"
+        assert payload["message"] == "unsupported model version 3; this build reads 5"
+        assert not (tmp_path / "dets.csv").exists()
+
+    def test_version_4_model_exits_3(self, synth_dir, tmp_path, capsys, model_path):
+        # Version 4 files stored the forest as a list of per-tree node arrays.
+        model = json.loads(model_path.read_text(encoding="utf-8"))
+        forest = model["forest"]
+        ends = np.cumsum(forest["sizes"])
+        trees = [{k: forest[k][end - size : end] for k in _NODE_KEYS}
+                 for size, end in zip(forest["sizes"], ends)]
+        model.update(version=4, forest={"prior_weight": forest["prior_weight"],
+                                        "n_features": forest["n_features"], "trees": trees})
+        old = tmp_path / "v4.json"
+        old.write_text(json.dumps(model, indent=2), encoding="utf-8")
+        code = main(["detect", "--data", str(synth_dir), "--model", str(old),
+                     "--out", str(tmp_path / "dets.csv")])
+        payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
+        assert payload["message"] == "unsupported model version 4; this build reads 5"
+        assert not (tmp_path / "dets.csv").exists()
+
+    # A well-formed one-channel projector to break one field of.
+    _PROJECTOR = {"mean": [0.0], "basis": [[1.0]], "eigenvalues": [1.0], "energy": 1.0,
+                  "requested_dim": None}
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("forest", "prior_weight", "1.0", "prior_weight must be a number, got '1.0'"),
+            ("forest", "n_features", 2304.9, "n_features must be an integer, got 2304.9"),
+            ("projector", "energy", "1.0", "energy must be a number, got '1.0'"),
+            ("projector", "requested_dim", 2.5, "requested_dim must be an integer, got 2.5"),
+        ],
+        ids=["prior_weight", "n_features", "energy", "requested_dim"],
+    )
+    def test_wrong_typed_model_scalar_exits_3(self, synth_dir, tmp_path, capsys, model_path,
+                                              section, key, value, message):
+        model = json.loads(model_path.read_text(encoding="utf-8"))
+        if section == "projector":
+            model["projectors"]["small"] = {**self._PROJECTOR, key: value}
+        else:
+            model["forest"][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(model), encoding="utf-8")
+        code = main(["detect", "--data", str(synth_dir), "--model", str(bad),
+                     "--out", str(tmp_path / "dets.csv")])
+        payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
+        assert payload["message"] == f"malformed model file: {message}"
         assert not (tmp_path / "dets.csv").exists()
 
     @pytest.mark.parametrize(
         "where, key",
-        [((), "nms_threshold"), (("forest",), "stage_history"),
-         (("forest", "trees", 0), "depth")],
+        [((), "nms_threshold"), (("forest",), "stage_history"), (("forest",), "trees")],
         ids=["top-level", "forest", "tree"],
     )
     def test_unknown_model_key_exits_3(self, synth_dir, tmp_path, capsys, model_path,
@@ -294,58 +340,68 @@ class TestMissingOrBrokenData:
         code = main(["detect", "--data", str(synth_dir), "--model", str(bad),
                      "--out", str(tmp_path / "dets.csv")])
         payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
-        name = {(): "model", ("forest",): "forest"}.get(where, "forest.trees[0]")
+        name = {(): "model", ("forest",): "forest"}[where]
         want = f"malformed model file: unknown {name} keys [{key!r}]"
         assert payload["message"].startswith(want)
         assert not (tmp_path / "dets.csv").exists()
 
     # Node 0 splits into node 1 (a split into leaves 2 and 3) and leaf 4.  Every
     # sample descends 0 -> 1 -> 2, so a cycle on that path would never end.
+    # The tests put this tree in front of the trained model's trees.
     _TREE = {"feature": [0, 1, -1, -1, -1], "threshold": [1e30, 1e30, 0.0, 0.0, 0.0],
              "left": [1, 2, -1, -1, -1], "right": [4, 3, -1, -1, -1],
              "value": [0.0, 0.0, 0.1, 0.2, -0.3]}
 
     @pytest.mark.parametrize(
-        "key, index, value",
+        "key, index, value, where",
         [
-            ("left", 0, 0),
-            ("left", 1, 0),
-            ("right", 0, 5),
-            ("left", 4, 2),
-            ("feature", 1, "n_features"),
-            ("feature", 1, -2),
-            ("value", None, [0.0, 0.0, 0.1, 0.2]),
-            ("value", 2, float("nan")),
-            ("threshold", 0, float("inf")),
-            (None, None, None),
-            ("left", 0, 1.7),
-            ("feature", 1, True),
+            ("left", 0, 0, "tree 0"),
+            ("left", 1, 0, "tree 0"),
+            ("right", 0, "nodes", "tree 0"),
+            ("left", 4, 2, "tree 0"),
+            ("feature", 1, "n_features", "tree 0"),
+            ("feature", 1, -2, "tree 0"),
+            ("value", 4, "delete", "forest"),
+            ("value", 2, float("nan"), "tree 0"),
+            ("threshold", 0, float("inf"), "tree 0"),
+            (None, None, "empty", "tree 0"),
+            ("left", 0, 1.7, "tree 0"),
+            ("feature", 1, True, "tree 0"),
+            ("right", 0, 5, "tree 0"),
+            ("sizes", 0, 6, "forest"),
+            ("sizes", 0, "insert 0", "tree 0"),
         ],
         ids=["self-child", "cycle", "child-out-of-range", "leaf-with-child",
              "feature-out-of-range", "negative-feature", "ragged", "nan-value",
-             "inf-threshold", "empty", "float-child", "bool-feature"],
+             "inf-threshold", "empty", "float-child", "bool-feature", "child-in-next-tree",
+             "sizes-miss-the-node-count", "zero-size"],
     )
     def test_malformed_tree_exits_3(self, synth_dir, tmp_path, capsys, model_path,
-                                    key, index, value):
+                                    key, index, value, where):
         model = json.loads(model_path.read_text(encoding="utf-8"))
-        Forest.from_dict({**model["forest"], "trees": [self._TREE]})  # the base tree is valid
-        tree = {k: list(v) for k, v in self._TREE.items()}
-        if value == "n_features":
-            value = model["forest"]["n_features"]
-        if key is None:
-            tree = {k: [] for k in tree}
-        elif index is None:
-            tree[key] = value
+        forest = model["forest"]
+        forest["sizes"].insert(0, 5)
+        for k in _NODE_KEYS:
+            forest[k][:0] = self._TREE[k]
+        Forest.from_dict(forest)  # the base forest is valid
+        if value == "empty":  # tree 0 keeps its size entry but has no nodes
+            forest["sizes"][0] = 0
+            for k in _NODE_KEYS:
+                del forest[k][:5]
+        elif value == "delete":
+            del forest[key][index]
+        elif value == "insert 0":
+            forest[key].insert(index, 0)
         else:
-            tree[key][index] = value
-        model["forest"]["trees"][0] = tree
+            counts = {"nodes": len(forest["feature"]), "n_features": forest["n_features"]}
+            forest[key][index] = counts.get(value, value) if isinstance(value, str) else value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(model), encoding="utf-8")
         with time_limit(20):
             code = main(["detect", "--data", str(synth_dir), "--model", str(bad),
                          "--out", str(tmp_path / "dets.csv")])
         payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
-        assert payload["message"].startswith("malformed model file: tree 0: ")
+        assert payload["message"].startswith(f"malformed model file: {where}: ")
         assert not (tmp_path / "dets.csv").exists()
 
 

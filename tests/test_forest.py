@@ -2,12 +2,14 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import time_limit
 from oracles import oracle_binner, oracle_train_tree, oracle_tree_apply
 from samhead.errors import ConfigError, DataError
 import samhead.forest as forest_module
@@ -17,7 +19,6 @@ from samhead.forest import (
     TrainConfig,
     TrainingError,
     Tree,
-    apply_trees,
     bootstrap_train,
     realboost_fit,
     SCAN_BLOCK,
@@ -28,6 +29,52 @@ from samhead.forest import (
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = np.array([-1.0, 1.0, 1.0, -1.0])
 UNIFORM4 = np.full(4, 0.25)
+
+
+def trees_of(forest):
+    """The forest's trees as ``train_tree`` returns them, read back from ``to_dict``."""
+    d = forest.to_dict()
+    ends = np.cumsum(d["sizes"])
+    return [
+        Tree(*(np.array(d[k][end - size : end]) for k in ("feature", "threshold", "left",
+                                                           "right", "value")))
+        for size, end in zip(d["sizes"], ends)
+    ]
+
+
+def random_tree(rng, n_features, max_depth, p_split=0.7):
+    """A preorder tree whose root splits and whose deeper nodes split with ``p_split``.
+
+    Thresholds are halves in [-2, 2], so samples drawn from the same grid
+    land on them.
+    """
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def build(depth):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(float(rng.normal()))
+        if depth < max_depth and (depth == 0 or rng.random() < p_split):
+            feature[node] = int(rng.integers(n_features))
+            threshold[node] = rng.integers(-4, 5) / 2.0
+            left[node] = build(depth + 1)
+            right[node] = build(depth + 1)
+        return node
+
+    build(0)
+    return Tree(np.array(feature), np.array(threshold), np.array(left), np.array(right),
+                np.array(value))
+
+
+def oracle_score(trees, prior, X):
+    """The prior plus every tree's per-sample walk, added in tree order."""
+    out = np.array(prior, dtype=np.float64)
+    for tree in trees:
+        out = out + oracle_tree_apply(tree, X)
+    return out
 
 
 def separable_blobs(n_per_class=40, seed=123):
@@ -163,7 +210,7 @@ class TestTrainTree:
         X = np.full((10, 3), 2.0, dtype=np.float32)
         y = np.array([1.0, -1.0] * 5)
         forest, log = realboost_fit(X, y, rounds=1)
-        (tree,) = forest.trees
+        (tree,) = trees_of(forest)
         assert tree.n_nodes == 1
         assert tree.feature[0] == -1
         assert tree.value[0] == 0.0  # equal class weights
@@ -292,19 +339,20 @@ class TestForest:
             priors=priors,
         )
         manual = 1.7 * priors.copy()
-        for tree in forest.trees:
+        for tree in trees_of(forest):
             manual = manual + tree.apply(X)
         np.testing.assert_array_equal(forest.score(X, priors), manual)
 
-    def test_apply_trees_matches_a_per_sample_walk(self, monkeypatch):
+    def test_packed_walk_matches_a_per_sample_walk(self, monkeypatch):
         X, y = separable_blobs(seed=13)
         X = X.astype(np.float32)
         forest, _ = realboost_fit(X, y, rounds=5, config=TrainConfig(max_depth=3))
         leaf = Tree(*(np.array([v]) for v in (-1, 0.0, -1, -1, 0.25)))
-        forest.trees.append(leaf)
-        values = apply_trees(forest.trees, X)
+        trees = trees_of(forest) + [leaf]
+        forest = Forest.pack(trees, n_features=2)
+        values = forest.apply(X)
         assert values.shape == (6, X.shape[0])
-        for row, tree in zip(values, forest.trees):
+        for row, tree in zip(values, trees):
             assert row.tobytes() == oracle_tree_apply(tree, X).tobytes()
             assert tree.apply(X).tobytes() == row.tobytes()
         # Scoring in slices of a few samples gives the same bits.
@@ -312,12 +360,79 @@ class TestForest:
         monkeypatch.setattr(forest_module, "_TREE_VALUES_PER_SLICE", 13)
         assert forest.score(X).tobytes() == whole.tobytes()
 
+    def test_mixed_depths_score_as_the_oracle_in_tree_order(self):
+        # Leaf-only trees need no step, stumps one and deep trees six; the
+        # walk takes six steps for every tree.
+        rng = np.random.default_rng(21)
+        X = (rng.integers(-4, 5, size=(40, 7)) / 2.0).astype(np.float32)
+        leaf = Tree(*(np.array([v]) for v in (-1, 0.0, -1, -1, -0.75)))
+        stump = random_tree(rng, 7, max_depth=1)
+        deep = random_tree(rng, 7, max_depth=6, p_split=1.0)
+        trees = [leaf, deep, stump, leaf, random_tree(rng, 7, max_depth=6), stump, deep]
+        forest = Forest.pack(trees, prior_weight=0.5, n_features=7)
+        assert forest.depth == 6
+        priors = rng.normal(size=40)
+        want = oracle_score(trees, 0.5 * priors, X)
+        assert forest.score(X, priors).tobytes() == want.tobytes()
+        # A forest of leaves takes no step at all.
+        leaves = Forest.pack([leaf, leaf], n_features=7)
+        assert leaves.depth == 0
+        assert leaves.score(X).tobytes() == oracle_score([leaf, leaf], np.zeros(40), X).tobytes()
+
+    def test_512_random_trees_score_as_the_oracle(self):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(30, 50)).astype(np.float32)
+        trees = [random_tree(rng, 50, max_depth=5) for _ in range(512)]
+        forest = Forest.pack(trees, prior_weight=1.3, n_features=50)
+        priors = rng.normal(size=30)
+        want = oracle_score(trees, 1.3 * priors, X)
+        assert forest.score(X, priors).tobytes() == want.tobytes()
+        # One row at a time, too: the trees' values still add in tree order.
+        for i in range(3):
+            assert forest.score(X[i : i + 1], priors[i : i + 1]).tobytes() == want[i : i + 1].tobytes()
+
+    def test_children_shared_by_a_chain_of_splits_load_at_once(self):
+        # Both children of split k are node k + 1: 2**40 root-to-leaf paths,
+        # each 40 steps long.  Depth is found per level, not per path.
+        d = {"prior_weight": 1.0, "n_features": 1, "sizes": [41],
+             "feature": [0] * 40 + [-1], "threshold": [0.0] * 41,
+             "left": list(range(1, 41)) + [-1], "right": list(range(1, 41)) + [-1],
+             "value": [0.0] * 40 + [0.5]}
+        with time_limit(10):
+            forest = Forest.from_dict(d)
+        assert forest.depth == 40
+        assert forest.score(np.array([[-1.0], [1.0]])).tolist() == [0.5, 0.5]
+
     def test_empty_forest_scores_the_prior(self):
-        forest = Forest(trees=[], prior_weight=2.0)
+        forest = Forest.pack([], prior_weight=2.0)
         X = np.zeros((3, 2))
-        assert apply_trees([], X).shape == (0, 3)
+        assert forest.apply(X).shape == (0, 3)
         np.testing.assert_array_equal(forest.score(X, np.array([0.5, 1.0, -1.0])),
                                       [1.0, 2.0, -2.0])
+
+    def test_to_dict_holds_the_trees_arrays_end_to_end(self):
+        rng = np.random.default_rng(3)
+        trees = [random_tree(rng, 6, max_depth=d) for d in (0, 1, 3, 2)]
+        d = Forest.pack(trees, prior_weight=0.5, n_features=6).to_dict()
+        assert d["sizes"] == [t.n_nodes for t in trees]
+        for key in ("feature", "threshold", "left", "right", "value"):
+            assert d[key] == np.concatenate([getattr(t, key) for t in trees]).tolist()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("left", 0, "tree 2: node 1 (feature"),
+            ("threshold", "0.5", "tree 2: threshold must hold JSON numbers"),
+            ("value", None, "tree 2: value must hold JSON numbers"),
+        ],
+    )
+    def test_from_dict_names_the_broken_tree(self, key, value, message):
+        rng = np.random.default_rng(4)
+        trees = [random_tree(rng, 6, max_depth=2, p_split=1.0) for _ in range(3)]
+        d = Forest.pack(trees, n_features=6).to_dict()
+        d[key][2 * 7 + 1] = value  # node 1 of tree 2; every tree has 7 nodes
+        with pytest.raises(DataError, match=f"^{re.escape(message)}"):
+            Forest.from_dict(d)
 
     def test_feature_count_enforced(self):
         X, y = separable_blobs(n_per_class=5)
@@ -336,6 +451,7 @@ class TestForest:
         np.testing.assert_array_equal(forest.score(probe), clone.score(probe))
         assert clone.prior_weight == forest.prior_weight
         assert clone.n_features == forest.n_features
+        assert clone.to_dict() == forest.to_dict()
 
 
 class TestSchedules:
@@ -421,7 +537,7 @@ class TestBootstrapTrain:
         cfg = TrainConfig(stage_tree_counts=(2, 3, 4), initial_negatives=5,
                           hard_negatives_per_stage=3, seed=42, **self.CFG)
         forest, history = bootstrap_train(source, cfg)
-        assert len(forest.trees) == 4  # final stage only; earlier stages discarded
+        assert forest.n_trees == 4  # final stage only; earlier stages discarded
         assert [s.stage for s in history] == [0, 1, 2]
         assert [s.tree_count for s in history] == [2, 3, 4]
         assert [s.negatives for s in history] == [5, 8, 11]

@@ -63,8 +63,10 @@ def test_model_with_one_fitted_bin_round_trips(tiny_train_set, tiny_test_set, tm
     assert list(model.projectors) == ["large"]
     assert [manifest["pca"][pid]["identity"] for pid in ("small", "large")] == [True, False]
     save_model(tmp_path / "model.json", model)
-    saved = json.loads((tmp_path / "model.json").read_text(encoding="utf-8"))
-    assert saved["version"] == 4
+    text = (tmp_path / "model.json").read_text(encoding="utf-8")
+    assert text.count("\n") == 1 and text.endswith("\n")  # compact, one line
+    saved = json.loads(text)
+    assert saved["version"] == 5
     assert list(saved["projectors"]) == ["large"]
     # The file holds what detection reads, and nothing else.
     assert set(saved) == {"format", "version", "routing", "channels", "caps", "projectors",
@@ -74,10 +76,10 @@ def test_model_with_one_fitted_bin_round_trips(tiny_train_set, tiny_test_set, tm
     assert set(saved["caps"]) == {"test_top_k"}
     assert set(saved["projectors"]["large"]) == {"mean", "basis", "eigenvalues", "energy",
                                                  "requested_dim"}
-    assert set(saved["forest"]) == {"prior_weight", "n_features", "trees"}
-    assert {frozenset(t) for t in saved["forest"]["trees"]} == {
-        frozenset({"feature", "threshold", "left", "right", "value"})
-    }
+    forest = saved["forest"]
+    assert set(forest) == {"prior_weight", "n_features", "sizes", "feature", "threshold",
+                           "left", "right", "value"}
+    assert sum(forest["sizes"]) == len(forest["feature"]) == len(forest["value"])
 
     loaded = load_model(tmp_path / "model.json")
     trained = detect_dataset(model, tiny_test_set)
