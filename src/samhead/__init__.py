@@ -19,7 +19,6 @@ from .evaluation import (
     MetricUndefinedError,
     average_precision,
     evaluate_detections,
-    kitti_average_precision,
     log_average_miss_rate,
     match_image,
     metrics_summary,

@@ -1,9 +1,10 @@
 """Command-line entry points.
 
 One JSON config file feeds every subcommand; each reads only its own
-section ("synth", "train", "eval", "sweep") and falls back to defaults for
-anything missing.  Errors exit 2 (bad config/usage), 3 (bad data), or 4
-(unexpected), with a one-line JSON diagnostic on stderr.
+section ("synth", "train", "sweep") and falls back to defaults for anything
+missing.  Evaluation has nothing to set: ``eval`` and ``sweep`` reject any
+key in an "eval" section.  Errors exit 2 (bad config/usage), 3 (bad data),
+or 4 (unexpected), with a one-line JSON diagnostic on stderr.
 
 Every section is read by ``config.read`` against its dataclass's field
 types: an object for each nested dataclass (``"forest"``, ``"routing"``,
@@ -12,21 +13,23 @@ integer for ``int``, true/false for ``bool``, a string for ``str``, and a
 number for ``float`` (an integer is read as a float).  Unknown keys and
 missing required keys are errors too, so a routing bin must spell all four
 of ``min_height``, ``max_height`` (null for the last bin), ``layers`` and
-``projector_id``.  Two keys have a form of their own: the eval ``region`` is
-null or [x_min, x_max, y_min, y_max], and ``--seed`` replaces
-``forest.seed``.  Any such mistake exits 2 before data is read.
+``projector_id``.  ``--seed`` replaces ``forest.seed``.  Any such mistake
+exits 2 before data is read.
 
 Values the paper fixes are constants, not config keys: the sample overlap
 thresholds, training proposal budget, PCA sample counts, prior clamp and
 background prior, and NMS overlap in ``samhead.pipeline``; the margin clamp
 and leaf smoothing in ``samhead.forest``; the edge histogram width in
-``samhead.routing`` and the label class count in ``samhead.maps``.  The
-synthetic world's fixed values (image size, object heights, distractors,
-proposal jitter and priors, channel roles, noise levels, label and edge
-clutter, the channel-assignment seed) are constants in ``samhead.synth``;
-the "synth" section sets only ``num_images``, ``layers`` (each a
-``stride``, ``channels`` and ``band_center``), ``peds_per_image``,
-``background_proposals``, ``class_amp`` and ``contour_amp``.
+``samhead.routing``; the label class count in ``samhead.maps``; and in
+``samhead.evaluation`` the IoU threshold, occlusion cutoff, evaluation
+region, miss-rate and AP sample counts and the Caltech and KITTI
+ground-truth filters.  The synthetic world's fixed values (image size,
+object heights, distractors, proposal jitter and priors, channel roles,
+noise levels, label and edge clutter, the channel-assignment seed) are
+constants in ``samhead.synth``; the "synth" section sets only
+``num_images``, ``layers`` (each a ``stride``, ``channels`` and
+``band_center``), ``peds_per_image``, ``background_proposals``,
+``class_amp`` and ``contour_amp``.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ from .errors import ConfigError, SamheadError
 from .evaluation import (
     EvalProtocol,
     KITTI_MODERATE,
+    average_precision,
     evaluate_detections,
-    kitti_average_precision,
     log_average_miss_rate,
     metrics_summary,
     read_curve_csv,
@@ -92,15 +95,6 @@ def _train_settings(section, seed: int | None) -> TrainSettings:
         forest = config.section(section.get("forest", {}), "forest")
         section = {**section, "forest": {**forest, "seed": seed}}
     return config.read(TrainSettings, section, "train")
-
-
-def _protocol(section) -> EvalProtocol:
-    """The eval section; ``region`` is null or [x_min, x_max, y_min, y_max]."""
-    section = dict(config.section(section, "eval"))
-    if section.get("region") is not None:
-        bounds = config.read(tuple[float, float, float, float], section["region"], "region")
-        section["region"] = dict(zip(("x_min", "x_max", "y_min", "y_max"), bounds))
-    return config.read(EvalProtocol, section, "eval")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -161,23 +155,21 @@ def cmd_detect(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    protocol = _protocol(_load_config(args.config).get("eval", {}))
+    config.section(_load_config(args.config).get("eval", {}), "eval", allowed=())
     ds = Dataset.load(args.data)
     dets = read_detections_csv(args.dets)
     gts = ds.ground_truth_by_image()
-    summary = metrics_summary(dets, gts, protocol)
+    summary = metrics_summary(dets, gts)
     write_metrics_json(args.out, summary)
     if args.curves:
-        matches = evaluate_detections(dets, gts, protocol)
+        matches = evaluate_detections(dets, gts, EvalProtocol())
         try:
-            _, mr_curve = log_average_miss_rate(matches, protocol)
+            _, mr_curve = log_average_miss_rate(matches, -2.0)
             write_curve_csv(f"{args.curves}.fppi_miss.csv", mr_curve)
         except SamheadError:
             pass
         try:
-            _, pr_curve = kitti_average_precision(
-                dets, gts, KITTI_MODERATE, iou_threshold=protocol.iou_threshold
-            )
+            _, pr_curve = average_precision(evaluate_detections(dets, gts, KITTI_MODERATE))
             write_curve_csv(f"{args.curves}.pr.csv", pr_curve)
         except SamheadError:
             pass
@@ -203,7 +195,7 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     sweep = config.read(_SweepSection, cfg.get("sweep", {}), "sweep")
     settings = _train_settings(cfg.get("train", {}), args.seed)
-    protocol = _protocol(cfg.get("eval", {}))
+    config.section(cfg.get("eval", {}), "eval", allowed=())
     train_ds = Dataset.load(args.train_data)
     test_ds = Dataset.load(args.test_data)
     rows = ablation_sweep(
@@ -212,7 +204,6 @@ def cmd_sweep(args) -> int:
         _default_combinations(train_ds) if sweep.combinations is None else sweep.combinations,
         subsets=sweep.subsets,
         settings=settings,
-        protocol=protocol,
     )
     write_sweep_csv(args.out, rows)
     _emit({"command": "sweep", "out": str(args.out), "rows": len(rows)})

@@ -1,11 +1,21 @@
-"""Detection metrics: greedy matching, log-average miss rate, interpolated AP.
+"""Detection metrics under the two fixed protocols the paper reports.
 
-Matching follows the usual single-class street-scene protocol: ground truth
-outside the filter (too small, too occluded, center out of region, or flagged
-ignore) becomes an ignore region; detections are visited in descending score
-order and take the highest-IoU unmatched eligible ground truth at or above
-the IoU threshold; a detection whose only sufficient overlaps are ignore
-regions is neither hit nor false positive.
+Caltech log-average miss rate (Dollár et al., PAMI 2012) counts the
+"reasonable" subset, ``EvalProtocol``: ground truth at least 50 px tall,
+occluded strictly less than ``OCCLUSION_MAX`` = 0.35, centered inside
+``geometry.DEFAULT_EVAL_REGION`` and not flagged ignore.  MR-2 and MR-4 are
+geometric means of the miss rate at ``MR_POINTS`` = 9 reference points of
+false positives per image, log-spaced over [1e-2, 1] and [1e-4, 1].  KITTI
+AP (Geiger et al., CVPR 2012) counts the easy, moderate and hard filters,
+``KittiDifficulty``, and averages interpolated precision at ``AP_POINTS`` =
+11 recall points.  Only the layer sweep varies anything: it narrows the
+protocol's height range.
+
+Matching is the same under every filter: ground truth the filter rejects
+becomes an ignore region; detections are visited in descending score order
+and take the highest-IoU unmatched eligible ground truth with IoU at or above
+``IOU_THRESHOLD`` = 0.5; a detection whose only sufficient overlaps are
+ignore regions is neither hit nor false positive.
 """
 
 from __future__ import annotations
@@ -20,10 +30,14 @@ from .geometry import (
     DEFAULT_EVAL_REGION,
     Detection,
     GroundTruthBox,
-    RegionBounds,
     in_eval_region,
-    iou,
+    iou_matrix,
 )
+
+IOU_THRESHOLD = 0.5
+OCCLUSION_MAX = 0.35
+MR_POINTS = 9
+AP_POINTS = 11
 
 
 class MetricUndefinedError(DataError):
@@ -32,43 +46,29 @@ class MetricUndefinedError(DataError):
 
 @dataclass(frozen=True)
 class EvalProtocol:
-    """Which ground truth counts, and where the miss-rate curve is sampled.
+    """The Caltech "reasonable" filter over a height range.
 
-    ``fppi_exponents`` bounds the log10 range of false-positives-per-image
-    reference points; ``num_points`` are placed log-uniformly across it.
-    Occlusion is filtered strictly below ``occlusion_max``.
+    Ground truth counts if it is not flagged ignore, is at least
+    ``height_min`` and below ``height_max`` (None: no upper bound) pixels
+    tall, is occluded strictly less than ``OCCLUSION_MAX``, and has its center
+    inside ``DEFAULT_EVAL_REGION``.
     """
 
-    iou_threshold: float = 0.5
     height_min: float = 50.0
     height_max: float | None = None
-    occlusion_max: float = 0.35
-    region: RegionBounds | None = DEFAULT_EVAL_REGION
-    fppi_exponents: tuple[float, float] = (-2.0, 0.0)
-    num_points: int = 9
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.iou_threshold <= 1.0:
-            raise ConfigError(f"iou_threshold must be in (0, 1], got {self.iou_threshold}")
         if self.height_max is not None and self.height_max <= self.height_min:
             raise ConfigError("height_max must exceed height_min")
-        if self.fppi_exponents[0] >= self.fppi_exponents[1]:
-            raise ConfigError(f"bad fppi exponent range {self.fppi_exponents}")
-        if self.num_points < 1:
-            raise ConfigError("num_points must be >= 1")
 
     def eligible(self, gt: GroundTruthBox) -> bool:
-        if gt.ignore:
-            return False
-        if gt.box.h < self.height_min:
-            return False
-        if self.height_max is not None and gt.box.h >= self.height_max:
-            return False
-        if gt.occlusion >= self.occlusion_max:
-            return False
-        if self.region is not None and not in_eval_region(gt.box, self.region):
-            return False
-        return True
+        return (
+            not gt.ignore
+            and gt.box.h >= self.height_min
+            and (self.height_max is None or gt.box.h < self.height_max)
+            and gt.occlusion < OCCLUSION_MAX
+            and in_eval_region(gt.box, DEFAULT_EVAL_REGION)
+        )
 
 
 @dataclass(frozen=True)
@@ -111,59 +111,47 @@ class ImageMatch:
     gt_matched: np.ndarray  # bool per eligible-filtered gt (eligible only)
 
 
-def match_image(dets: list[Detection], gts: list[GroundTruthBox], proto) -> ImageMatch:
+def match_image(dets: list[Detection], gts: list[GroundTruthBox], flt) -> ImageMatch:
     """Greedy score-order matching against one image's annotations.
 
-    ``proto`` is anything with an ``eligible(gt)`` predicate and an
-    ``iou_threshold`` attribute (EvalProtocol or KittiDifficulty plus a
-    threshold works; see ``_FilterWithThreshold``).
+    ``flt`` says which ground truth counts: an ``EvalProtocol`` for miss
+    rate, a ``KittiDifficulty`` for AP, or anything else with an
+    ``eligible(gt)`` predicate.  Ground truth it rejects is an ignore region.
     """
-    thr = proto.iou_threshold
-    eligible = [proto.eligible(g) for g in gts]
-    elig_idx = [i for i, e in enumerate(eligible) if e]
-    ignore_idx = [i for i, e in enumerate(eligible) if not e]
+    return _match_filters(dets, gts, (flt,))[0]
 
+
+def _match_filters(dets: list[Detection], gts: list[GroundTruthBox], filters) -> list[ImageMatch]:
+    """``match_image`` under each filter, sorting and reading the overlaps once."""
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
     scores = np.array([dets[i].score for i in order], dtype=np.float64)
-    flags = np.empty(len(dets), dtype=np.int8)
-    taken = [False] * len(gts)
-    matched = np.zeros(len(elig_idx), dtype=bool)
-
-    for rank, di in enumerate(order):
-        dbox = dets[di].box
-        best_j = -1
-        best_iou = 0.0
-        for slot, gi in enumerate(elig_idx):
-            if taken[gi]:
-                continue
-            v = iou(dbox, gts[gi].box)
-            if v >= thr and v > best_iou:
-                best_iou = v
-                best_j = slot
-        if best_j >= 0:
-            gi = elig_idx[best_j]
-            taken[gi] = True
-            matched[best_j] = True
-            flags[rank] = TP
-            continue
-        if any(iou(dbox, gts[gi].box) >= thr for gi in ignore_idx):
-            flags[rank] = IGNORED
-        else:
-            flags[rank] = FP
-
-    return ImageMatch(scores=scores, flags=flags, eligible_gt=len(elig_idx),
-                      gt_matched=matched)
-
-
-@dataclass(frozen=True)
-class _FilterWithThreshold:
-    """Adapter giving a difficulty filter the protocol interface."""
-
-    inner: KittiDifficulty
-    iou_threshold: float = 0.5
-
-    def eligible(self, gt: GroundTruthBox) -> bool:
-        return self.inner.eligible(gt)
+    overlaps = iou_matrix([dets[i].box for i in order], [g.box for g in gts]).tolist()
+    out = []
+    for flt in filters:
+        eligible = [flt.eligible(g) for g in gts]
+        elig_idx = [i for i, e in enumerate(eligible) if e]
+        ignore_idx = [i for i, e in enumerate(eligible) if not e]
+        flags = []
+        matched = [False] * len(elig_idx)
+        for row in overlaps:
+            best_j = -1
+            best_iou = 0.0
+            for slot, gi in enumerate(elig_idx):
+                v = row[gi]
+                if not matched[slot] and v >= IOU_THRESHOLD and v > best_iou:
+                    best_iou = v
+                    best_j = slot
+            if best_j >= 0:
+                matched[best_j] = True
+                flags.append(TP)
+            elif any(row[gi] >= IOU_THRESHOLD for gi in ignore_idx):
+                flags.append(IGNORED)
+            else:
+                flags.append(FP)
+        out.append(ImageMatch(scores=scores, flags=np.array(flags, dtype=np.int8),
+                              eligible_gt=len(elig_idx),
+                              gt_matched=np.array(matched, dtype=bool)))
+    return out
 
 
 @dataclass
@@ -178,16 +166,22 @@ class EvalCurve:
 def evaluate_detections(
     dets_by_image: dict[str, list[Detection]],
     gts_by_image: dict[str, list[GroundTruthBox]],
-    proto,
+    flt,
 ) -> list[ImageMatch]:
-    """Match every annotated image; annotations define the image universe."""
+    """Match every annotated image under ``flt``; annotations define the image universe."""
+    return _evaluate_filters(dets_by_image, gts_by_image, (flt,))[0]
+
+
+def _evaluate_filters(dets_by_image, gts_by_image, filters) -> list[list[ImageMatch]]:
+    """``evaluate_detections`` under each filter, one list of matches per filter."""
     unknown = set(dets_by_image) - set(gts_by_image)
     if unknown:
         raise DataError(f"detections reference unannotated images: {sorted(unknown)[:5]}")
-    return [
-        match_image(dets_by_image.get(image_id, []), gts, proto)
+    per_image = [
+        _match_filters(dets_by_image.get(image_id, []), gts, filters)
         for image_id, gts in gts_by_image.items()
     ]
+    return [[m[k] for m in per_image] for k in range(len(filters))]
 
 
 def _pooled(matches: list[ImageMatch]) -> tuple[np.ndarray, np.ndarray]:
@@ -202,14 +196,15 @@ def _pooled(matches: list[ImageMatch]) -> tuple[np.ndarray, np.ndarray]:
 
 def log_average_miss_rate(
     matches: list[ImageMatch],
-    protocol: EvalProtocol,
+    min_exponent: float,
 ) -> tuple[float, EvalCurve]:
-    """Geometric mean of miss rate at log-spaced FPPI reference points.
+    """Geometric mean of miss rate at ``MR_POINTS`` FPPI points over [10**min_exponent, 1].
 
-    The (fppi, miss) curve is swept over all detection scores.  Each
-    reference point reads the miss rate at the largest achieved FPPI not
-    exceeding it, falling back to the curve's maximum miss rate (or 1.0 for
-    an empty curve).  Miss rates are floored at 1e-10 before the log.
+    MR-2 is ``min_exponent=-2.0``, MR-4 is ``-4.0``.  The (fppi, miss) curve
+    is swept over all detection scores.  Each reference point reads the miss
+    rate at the largest achieved FPPI not exceeding it, falling back to the
+    curve's maximum miss rate (or 1.0 for an empty curve).  Miss rates are
+    floored at 1e-10 before the log.
     """
     if not matches:
         raise MetricUndefinedError("no images to evaluate")
@@ -227,16 +222,12 @@ def log_average_miss_rate(
         last = np.flatnonzero(np.diff(scores, append=-np.inf) != 0.0)
         fppi = fp[last] / n_images
         miss = 1.0 - tp[last] / total_gt
-        curve.samples = [
-            (float(scores[i]), float(f), float(ms))
-            for i, f, ms in zip(last, fppi, miss)
-        ]
+        curve.samples = list(zip(scores[last].tolist(), fppi.tolist(), miss.tolist()))
     else:
         fppi = np.empty(0)
         miss = np.empty(0)
 
-    lo, hi = protocol.fppi_exponents
-    refs = np.power(10.0, np.linspace(lo, hi, protocol.num_points))
+    refs = np.power(10.0, np.linspace(min_exponent, 0.0, MR_POINTS))
     vals = []
     for ref in refs:
         ok = np.flatnonzero(fppi <= ref + 1e-12)
@@ -252,13 +243,8 @@ def log_average_miss_rate(
     return mr, curve
 
 
-def average_precision(
-    matches: list[ImageMatch],
-    num_points: int = 11,
-) -> tuple[float, EvalCurve]:
-    """Interpolated AP: mean over recall points of max precision at recall >= r."""
-    if num_points < 2:
-        raise DataError(f"need at least 2 recall points, got {num_points}")
+def average_precision(matches: list[ImageMatch]) -> tuple[float, EvalCurve]:
+    """Interpolated AP: mean over ``AP_POINTS`` recall points of max precision at recall >= r."""
     if not matches:
         raise MetricUndefinedError("no images to evaluate")
     total_gt = sum(m.eligible_gt for m in matches)
@@ -273,12 +259,9 @@ def average_precision(
     fp = np.cumsum(flags == FP)
     recall = tp / total_gt
     precision = tp / np.maximum(tp + fp, 1)
-    curve.samples = [
-        (float(s), float(r), float(p)) for s, r, p in zip(scores, recall, precision)
-    ]
-    ap_points = np.linspace(0.0, 1.0, num_points)
+    curve.samples = list(zip(scores.tolist(), recall.tolist(), precision.tolist()))
     vals = []
-    for r in ap_points:
+    for r in np.linspace(0.0, 1.0, AP_POINTS):
         mask = recall >= r - 1e-12
         vals.append(float(precision[mask].max()) if mask.any() else 0.0)
     ap = float(np.mean(vals))
@@ -286,50 +269,27 @@ def average_precision(
     return ap, curve
 
 
-def kitti_average_precision(
-    dets_by_image: dict[str, list[Detection]],
-    gts_by_image: dict[str, list[GroundTruthBox]],
-    difficulty: KittiDifficulty,
-    iou_threshold: float = 0.5,
-    num_points: int = 11,
-) -> tuple[float, EvalCurve]:
-    matches = evaluate_detections(
-        dets_by_image, gts_by_image, _FilterWithThreshold(difficulty, iou_threshold)
-    )
-    return average_precision(matches, num_points=num_points)
-
-
 def metrics_summary(
     dets_by_image: dict[str, list[Detection]],
     gts_by_image: dict[str, list[GroundTruthBox]],
-    protocol: EvalProtocol = EvalProtocol(),
-    ap_points: int = 11,
 ) -> dict:
-    """The standard metric bundle: MR at two FPPI ranges, per-difficulty AP, counts.
+    """The standard metric bundle: MR-2 and MR-4, per-difficulty AP, counts.
 
     Metrics whose ground-truth pool is empty are reported as null rather than
     failing the whole summary.
     """
-    matches = evaluate_detections(dets_by_image, gts_by_image, protocol)
+    filters = (EvalProtocol(), *KITTI_DIFFICULTIES)
+    matches, *kitti = _evaluate_filters(dets_by_image, gts_by_image, filters)
     out: dict = {}
     try:
-        mr2, _ = log_average_miss_rate(
-            matches, _with_exponents(protocol, (-2.0, 0.0))
-        )
-        mr4, _ = log_average_miss_rate(
-            matches, _with_exponents(protocol, (-4.0, 0.0))
-        )
-        out["mr2"] = mr2
-        out["mr4"] = mr4
+        out["mr2"] = log_average_miss_rate(matches, -2.0)[0]
+        out["mr4"] = log_average_miss_rate(matches, -4.0)[0]
     except MetricUndefinedError:
         out["mr2"] = None
         out["mr4"] = None
-    for diff in KITTI_DIFFICULTIES:
+    for diff, diff_matches in zip(KITTI_DIFFICULTIES, kitti):
         try:
-            ap, _ = kitti_average_precision(
-                dets_by_image, gts_by_image, diff,
-                iou_threshold=protocol.iou_threshold, num_points=ap_points,
-            )
+            ap = average_precision(diff_matches)[0]
         except MetricUndefinedError:
             ap = None
         out[f"ap_{diff.name}"] = ap
@@ -343,12 +303,6 @@ def metrics_summary(
         "ignored_detections": int((flags == IGNORED).sum()),
     }
     return out
-
-
-def _with_exponents(protocol: EvalProtocol, exps: tuple[float, float]) -> EvalProtocol:
-    from dataclasses import replace
-
-    return replace(protocol, fppi_exponents=exps)
 
 
 # --- curve CSV round trip ---------------------------------------------------

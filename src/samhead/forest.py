@@ -236,8 +236,17 @@ def train_tree(
                 return None
         return best
 
-    def build(idx: np.ndarray, depth: int) -> int:
+    # Nodes are grown from a stack, left child on top, so they are numbered
+    # in preorder: a split's left subtree follows it, then its right subtree.
+    # Each entry is (samples, depth, the parent's child list, parent node).
+    stack: list[tuple[np.ndarray, int, list[int], int]] = [
+        (np.arange(bins.shape[1], dtype=np.int64), 0, [], -1)
+    ]
+    while stack:
+        idx, depth, link, parent = stack.pop()
         node = len(feature)
+        if parent >= 0:
+            link[parent] = node
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
@@ -251,16 +260,14 @@ def train_tree(
             split = best_split(idx, wp, wn)
         if split is None:
             value[node] = _leaf_score(wp, wn, eps)
-            return node
+            continue
         f, b = split
         feature[node] = f
         threshold[node] = float(binner.cuts[f][b])
         goes_left = bins[f, idx] <= b
-        left[node] = build(idx[goes_left], depth + 1)
-        right[node] = build(idx[~goes_left], depth + 1)
-        return node
+        stack.append((idx[~goes_left], depth + 1, right, node))
+        stack.append((idx[goes_left], depth + 1, left, node))
 
-    build(np.arange(bins.shape[1], dtype=np.int64), 0)
     return Tree(
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=np.float64),

@@ -570,7 +570,6 @@ def ablation_sweep(
     combinations: list[tuple[str, ...]],
     subsets: tuple[str, ...] = ("small", "large", "all"),
     settings: TrainSettings | None = None,
-    protocol: EvalProtocol = EvalProtocol(),
 ) -> list[dict]:
     """Train one fixed-layer detector per (combination, subset) and report MR.
 
@@ -601,11 +600,10 @@ def ablation_sweep(
             )
             model, _ = train_detector(train_set.subset_by_height(lo, hi), run_settings)
             dets = detect_dataset(model, test_set)
-            proto = replace(
-                protocol, height_min=lo, height_max=hi, fppi_exponents=(-4.0, 0.0)
+            matches = evaluate_detections(
+                dets, test_set.ground_truth_by_image(), EvalProtocol(lo, hi)
             )
-            matches = evaluate_detections(dets, test_set.ground_truth_by_image(), proto)
-            mr, _ = log_average_miss_rate(matches, proto)
+            mr, _ = log_average_miss_rate(matches, -4.0)
             rows.append({"combination": "+".join(combo), "subset": name, "mr4": mr})
     return rows
 

@@ -10,7 +10,9 @@ from conftest import fast_train_settings, time_limit, tiny_synth_config
 from samhead.cli import EXIT_CONFIG, EXIT_DATA, _train_settings, main
 from samhead.dataset import Dataset
 from samhead.errors import ConfigError
+from samhead.evaluation import metrics_summary, read_curve_csv
 from samhead.forest import Forest
+from samhead.formats import read_detections_csv, read_metrics_json
 from samhead.pipeline import (
     MODEL_FORMAT,
     MODEL_VERSION,
@@ -496,6 +498,56 @@ class TestSweep:
         assert not (tmp_path / "sweep.csv").exists()
 
 
+class TestEval:
+    def test_curves_match_the_summary_and_plot(self, synth_dir, tmp_path, capsys, model_path):
+        dets_path, out, prefix = tmp_path / "dets.csv", tmp_path / "metrics.json", tmp_path / "c"
+        assert main(["detect", "--data", str(synth_dir), "--model", str(model_path),
+                     "--out", str(dets_path)]) == 0
+        code = main(["eval", "--data", str(synth_dir), "--dets", str(dets_path),
+                     "--out", str(out), "--curves", str(prefix)])
+        assert code == 0
+        capsys.readouterr()
+
+        want = metrics_summary(read_detections_csv(dets_path),
+                               Dataset.load(synth_dir).ground_truth_by_image())
+        metrics = read_metrics_json(out)
+        assert metrics == json.loads(json.dumps(want))
+        assert metrics["mr2"] is not None and metrics["ap_moderate"] is not None
+        for kind, key in (("fppi_miss", "mr2"), ("pr", "ap_moderate")):
+            curve_path = tmp_path / f"c.{kind}.csv"
+            curve = read_curve_csv(curve_path)
+            assert curve.kind == kind
+            assert curve.summary == metrics[key]
+            svg = tmp_path / f"{kind}.svg"
+            assert main(["plot", "--curve", str(curve_path), "--out", str(svg)]) == 0
+            assert _one_json_line(capsys.readouterr().out)["kind"] == kind
+            assert svg.read_text(encoding="utf-8").startswith("<svg")
+
+    # Every evaluation value that is now a constant of samhead.evaluation or a
+    # height range only the layer sweep sets, at its former default.
+    _REMOVED = {
+        "iou_threshold": 0.5, "occlusion_max": 0.35, "region": [5.0, 635.0, 5.0, 475.0],
+        "fppi_exponents": [-2.0, 0.0], "num_points": 9, "height_min": 50.0,
+        "height_max": None,
+    }
+
+    @pytest.mark.parametrize("key", _REMOVED)
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_removed_eval_key_exits_2(self, tmp_path, capsys, command, key):
+        # Every data path is missing: the key must be rejected when the
+        # config is parsed, before any data is read.
+        missing = str(tmp_path / "missing")
+        data_args = {
+            "eval": ["--data", missing, "--dets", missing],
+            "sweep": ["--train-data", missing, "--test-data", missing],
+        }[command]
+        config = _write_config(tmp_path, {"eval": {key: self._REMOVED[key]}})
+        code = main([command, "--config", config, "--out", str(tmp_path / "out"), *data_args])
+        payload = _assert_failed(capsys, code, EXIT_CONFIG, "ConfigError")
+        assert payload["message"] == f"unknown eval keys [{key!r}]; allowed: []"
+        assert not (tmp_path / "out").exists()
+
+
 _BIN = {"min_height": 1.0, "max_height": None, "layers": "conv4a", "projector_id": "all"}
 _LAYER = {"stride": "4", "channels": 64, "band_center": 56.0}
 
@@ -513,14 +565,10 @@ class TestWrongJsonType:
             ("synth", {"num_images": "2"}, "num_images"),
             ("synth", {"peds_per_image": 3}, "peds_per_image"),
             ("synth", {"layers": {"conv3": _LAYER}}, "stride"),
-            ("eval", {"iou_threshold": "0.5"}, "iou_threshold"),
-            ("eval", {"region": ["a", 1, 2, 3]}, "region"),
-            ("eval", {"fppi_exponents": "ab"}, "fppi_exponents"),
             ("sweep", {"combinations": "conv4a"}, "combinations"),
         ],
         ids=["max_depth", "stage_tree_counts", "test_top_k", "edge_pooling", "prior_weight",
-             "bin-layers", "num_images", "peds_per_image", "layer-stride", "iou_threshold",
-             "region", "fppi_exponents", "combinations"],
+             "bin-layers", "num_images", "peds_per_image", "layer-stride", "combinations"],
     )
     def test_wrong_type_exits_2_naming_the_key(self, tmp_path, capsys, command, section, key):
         # Every data path is missing: the value must be rejected when the
@@ -529,7 +577,6 @@ class TestWrongJsonType:
         data_args = {
             "synth": [],
             "train": ["--data", missing],
-            "eval": ["--data", missing, "--dets", missing],
             "sweep": ["--train-data", missing, "--test-data", missing],
         }[command]
         config = _write_config(tmp_path, {command: section})

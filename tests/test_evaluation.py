@@ -14,6 +14,7 @@ from samhead.errors import ConfigError, DataError
 from samhead.evaluation import (
     FP,
     IGNORED,
+    IOU_THRESHOLD,
     KITTI_DIFFICULTIES,
     KITTI_EASY,
     KITTI_MODERATE,
@@ -23,7 +24,6 @@ from samhead.evaluation import (
     MetricUndefinedError,
     average_precision,
     evaluate_detections,
-    kitti_average_precision,
     log_average_miss_rate,
     match_image,
     metrics_summary,
@@ -32,7 +32,7 @@ from samhead.evaluation import (
 )
 from samhead.geometry import Box, Detection, GroundTruthBox
 
-PROTO = EvalProtocol(region=None)
+PROTO = EvalProtocol()
 
 
 def gt(x, y=0.0, w=30.0, h=60.0, **kw):
@@ -140,7 +140,7 @@ class TestMatcherAgainstBruteForce:
             m = match_image(dets, gts, PROTO)
             eligible_flags = [PROTO.eligible(g) for g in gts]
             scores, flags, eligible = oracle_greedy_match(
-                dets, gts, PROTO.iou_threshold, eligible_flags
+                dets, gts, IOU_THRESHOLD, eligible_flags
             )
             np.testing.assert_array_equal(m.scores, scores)
             np.testing.assert_array_equal(m.flags, flags)
@@ -159,7 +159,7 @@ class TestMatcherAgainstBruteForce:
 
 class TestEligibility:
     def test_height_boundaries(self):
-        proto = EvalProtocol(region=None, height_min=50.0, height_max=80.0)
+        proto = EvalProtocol(height_min=50.0, height_max=80.0)
         assert proto.eligible(gt(0.0, h=50.0))
         assert not proto.eligible(gt(0.0, h=49.999))
         assert proto.eligible(gt(0.0, h=79.999))
@@ -189,13 +189,7 @@ class TestEligibility:
 
     def test_protocol_validation(self):
         with pytest.raises(ConfigError):
-            EvalProtocol(iou_threshold=0.0)
-        with pytest.raises(ConfigError):
             EvalProtocol(height_min=50.0, height_max=50.0)
-        with pytest.raises(ConfigError):
-            EvalProtocol(fppi_exponents=(0.0, -2.0))
-        with pytest.raises(ConfigError):
-            EvalProtocol(num_points=0)
 
 
 class TestLogAverageMissRate:
@@ -203,7 +197,7 @@ class TestLogAverageMissRate:
         dets, gts = miss_rate_fixture
         matches = evaluate_detections(dets, gts, PROTO)
 
-        mr2, curve = log_average_miss_rate(matches, PROTO)
+        mr2, curve = log_average_miss_rate(matches, -2.0)
         assert mr2 == pytest.approx(2.0 ** (-11.0 / 9.0), abs=1e-12)
         expected_samples = [
             (0.9, 0.0, 0.75),
@@ -215,8 +209,7 @@ class TestLogAverageMissRate:
         for got, want in zip(curve.samples, expected_samples):
             assert got == pytest.approx(want, abs=1e-12)
 
-        proto4 = EvalProtocol(region=None, fppi_exponents=(-4.0, 0.0))
-        mr4, _ = log_average_miss_rate(matches, proto4)
+        mr4, _ = log_average_miss_rate(matches, -4.0)
         assert mr4 == pytest.approx(2.0 ** (-10.0 / 9.0), abs=1e-12)
 
     def test_perfect_detector_hits_the_floor(self, miss_rate_fixture):
@@ -226,13 +219,13 @@ class TestLogAverageMissRate:
             for image_id, boxes in gts.items()
         }
         matches = evaluate_detections(dets, gts, PROTO)
-        mr, _ = log_average_miss_rate(matches, PROTO)
+        mr, _ = log_average_miss_rate(matches, -2.0)
         assert mr < 1e-9
 
     def test_empty_detector_misses_everything(self, miss_rate_fixture):
         _, gts = miss_rate_fixture
         matches = evaluate_detections({}, gts, PROTO)
-        mr, curve = log_average_miss_rate(matches, PROTO)
+        mr, curve = log_average_miss_rate(matches, -2.0)
         assert mr == 1.0
         assert curve.samples == []
 
@@ -240,17 +233,17 @@ class TestLogAverageMissRate:
         gts = {"a": [gt(0.0), gt(100.0)]}
         dets = {"a": [det(0.5, 0.0), det(0.5, 100.0)]}
         matches = evaluate_detections(dets, gts, PROTO)
-        _, curve = log_average_miss_rate(matches, PROTO)
+        _, curve = log_average_miss_rate(matches, -2.0)
         assert len(curve.samples) == 1
         assert curve.samples[0] == (0.5, 0.0, 0.0)
 
     def test_undefined_without_images_or_ground_truth(self):
         with pytest.raises(MetricUndefinedError):
-            log_average_miss_rate([], PROTO)
+            log_average_miss_rate([], -2.0)
         gts = {"a": [gt(0.0, ignore=True)]}
         matches = evaluate_detections({}, gts, PROTO)
         with pytest.raises(MetricUndefinedError):
-            log_average_miss_rate(matches, PROTO)
+            log_average_miss_rate(matches, -2.0)
 
     def test_unknown_image_rejected(self, miss_rate_fixture):
         dets, gts = miss_rate_fixture
@@ -281,22 +274,16 @@ class TestAveragePrecision:
         matches = evaluate_detections({}, gts, PROTO)
         assert average_precision(matches)[0] == 0.0
 
-    def test_kitti_adapter_matches_plain_ap(self, ap_fixture):
+    def test_kitti_filter_matches_plain_ap(self, ap_fixture):
         dets, gts = ap_fixture
-        ap, _ = kitti_average_precision(dets, gts, KITTI_EASY)
+        ap, _ = average_precision(evaluate_detections(dets, gts, KITTI_EASY))
         assert ap == pytest.approx(8.4 / 11.0, abs=1e-9)
-
-    def test_point_count_validation(self, ap_fixture):
-        dets, gts = ap_fixture
-        matches = evaluate_detections(dets, gts, PROTO)
-        with pytest.raises(DataError):
-            average_precision(matches, num_points=1)
 
 
 class TestMetricsSummary:
     def test_counts_and_frozen_values(self, miss_rate_fixture):
         dets, gts = miss_rate_fixture
-        out = metrics_summary(dets, gts, PROTO)
+        out = metrics_summary(dets, gts)
         assert out["mr2"] == pytest.approx(2.0 ** (-11.0 / 9.0), abs=1e-12)
         assert out["mr4"] == pytest.approx(2.0 ** (-10.0 / 9.0), abs=1e-12)
         assert out["counts"] == {
@@ -310,9 +297,22 @@ class TestMetricsSummary:
         for name in ("ap_easy", "ap_moderate", "ap_hard"):
             assert 0.0 <= out[name] <= 1.0
 
+    def test_each_metric_equals_its_own_evaluation(self):
+        rng = np.random.default_rng(13)
+        dets, gts = {}, {}
+        for k in range(30):
+            dets[f"i{k}"], gts[f"i{k}"] = random_match_instance(rng)
+        out = metrics_summary(dets, gts)
+        matches = evaluate_detections(dets, gts, PROTO)
+        assert out["mr2"] == log_average_miss_rate(matches, -2.0)[0]
+        assert out["mr4"] == log_average_miss_rate(matches, -4.0)[0]
+        for diff in KITTI_DIFFICULTIES:
+            want = average_precision(evaluate_detections(dets, gts, diff))[0]
+            assert out[f"ap_{diff.name}"] == want
+
     def test_metrics_null_when_nothing_eligible(self):
         gts = {"a": [gt(0.0, ignore=True)]}
-        out = metrics_summary({}, gts, PROTO)
+        out = metrics_summary({}, gts)
         assert out["mr2"] is None
         assert out["mr4"] is None
         assert out["ap_easy"] is None
@@ -323,8 +323,8 @@ class TestMetricsSummary:
         gts = {"a": [gt(0.0, occlusion=0.4, h=60.0)]}
         dets = {"a": [det(0.9, 0.0)]}
         with pytest.raises(MetricUndefinedError):
-            kitti_average_precision(dets, gts, KITTI_EASY)
-        ap_mod, _ = kitti_average_precision(dets, gts, KITTI_MODERATE)
+            average_precision(evaluate_detections(dets, gts, KITTI_EASY))
+        ap_mod, _ = average_precision(evaluate_detections(dets, gts, KITTI_MODERATE))
         assert ap_mod == 1.0
 
 
@@ -332,7 +332,7 @@ class TestCurveCsv:
     def test_round_trip_fppi_miss(self, tmp_path, miss_rate_fixture):
         dets, gts = miss_rate_fixture
         matches = evaluate_detections(dets, gts, PROTO)
-        _, curve = log_average_miss_rate(matches, PROTO)
+        _, curve = log_average_miss_rate(matches, -2.0)
         path = tmp_path / "curve.csv"
         write_curve_csv(path, curve)
         loaded = read_curve_csv(path)

@@ -1,5 +1,6 @@
 """Boosted forest: binning, greedy tree growth, RealBoost, staged bootstrapping."""
 
+import gc
 import json
 import math
 import re
@@ -194,6 +195,23 @@ class TestTrainTree:
         tree = train_tree(FeatureBinner(X), np.full(3, 1 / 3), y, max_depth=4, eps=0.01)
         assert tree.n_nodes == 1
         assert tree.feature[0] == -1
+
+    def test_leaves_no_reference_cycle(self):
+        # A cycle would hold the binner's arrays until the cyclic collector
+        # happens to run; with none, the tree's garbage goes on return.
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(60, 5))
+        y = np.where(rng.random(60) < 0.5, 1.0, -1.0)
+        binner = FeatureBinner(X)
+        gc.collect()
+        gc.disable()
+        try:
+            tree = train_tree(binner, np.full(60, 1 / 60), y, max_depth=3, eps=0.01)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert tree.n_nodes > 3
+        assert unreachable == 0
 
     def test_feature_tie_across_scan_blocks_breaks_to_smaller_index(self):
         # Features 63 and 64 split equally well and sit in different blocks.
