@@ -2,8 +2,8 @@
 
 Directory layout::
 
-    <root>/meta.json            image ids, per-image (w, h) sizes, layer geometry,
-                                generator echo
+    <root>/meta.json            image ids, per-image [w, h] sizes (``image_sizes``),
+                                layer geometry, generator echo
     <root>/annotations.jsonl    one row per image (possibly empty box list)
     <root>/proposals.jsonl      one row per image
     <root>/maps/<id>.fmap       CNN feature maps
@@ -105,14 +105,11 @@ class Dataset:
                 write_edge_map(root / "maps" / f"{s.image_id}.emap", rec.edge_map)
         write_ground_truth_jsonl(root / "annotations.jsonl", self.ground_truth_by_image())
         write_proposals_jsonl(root / "proposals.jsonl", self.proposals_by_image())
-        first = self.samples[0].record if self.samples else None
         meta = dict(self.meta)
         meta.update(
             {
                 "image_ids": ids,
                 "image_sizes": [[s.record.image_w, s.record.image_h] for s in self.samples],
-                "image_w": first.image_w if first else 0,
-                "image_h": first.image_h if first else 0,
             }
         )
         (root / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n",
@@ -131,13 +128,13 @@ class Dataset:
         if not (isinstance(meta, dict) and isinstance(meta.get("image_ids"), list)):
             raise DataError(f"{meta_path} must hold a JSON object with an image_ids list")
         ids = meta["image_ids"]
-        try:
-            # Directories written before sizes were stored per image give one
-            # size for all.
-            one_size = [[meta.get("image_w"), meta.get("image_h")]] * len(ids)
-            sizes = [(int(w), int(h)) for w, h in meta.get("image_sizes", one_size)]
-        except (TypeError, ValueError) as e:
-            raise DataError(f"{meta_path}: bad image sizes ({e!r})") from None
+        sizes = meta.get("image_sizes")
+        # int() would truncate 64.9 and accept "64" and true.
+        if not isinstance(sizes, list) or not all(
+            isinstance(s, list) and len(s) == 2 and set(map(type, s)) <= {int} for s in sizes
+        ):
+            raise DataError(f"{meta_path}: bad image sizes; image_sizes must list "
+                            "[width, height] JSON integer pairs")
         if len(sizes) != len(ids):
             raise DataError(f"{meta_path}: {len(sizes)} image sizes for {len(ids)} images")
         gts = read_ground_truth_jsonl(root / "annotations.jsonl")

@@ -1,8 +1,11 @@
-"""PCA projectors used to unify per-cell feature dimension across scale bins."""
+"""PCA projectors used to unify per-cell feature dimension across scale bins.
+
+A fit must reach the asked-for rank: samples whose rank is below the
+requested component count, constant samples included, are a ``PcaError``.
+"""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,29 +21,21 @@ class PcaError(DataError):
 class PcaProjector:
     """Mean-centering linear projector with an orthonormal basis.
 
-    ``basis`` is (d, D): row k is the k-th principal direction.  ``energy``
-    is the fraction of total variance captured by the kept components.
-    ``requested_dim`` records the originally requested dimension when rank
-    deficiency forced a reduction.
+    ``basis`` is (d, D): row k is the k-th principal direction.
     """
 
     mean: np.ndarray
     basis: np.ndarray
-    eigenvalues: np.ndarray
-    energy: float
-    requested_dim: int | None = None
 
     def __post_init__(self) -> None:
         self.mean = np.asarray(self.mean, dtype=np.float64)
         self.basis = np.asarray(self.basis, dtype=np.float64)
-        self.eigenvalues = np.asarray(self.eigenvalues, dtype=np.float64)
         if self.basis.ndim != 2 or self.mean.ndim != 1:
             raise PcaError("projector basis must be 2-D and mean 1-D")
         d, dim = self.basis.shape
-        if self.mean.shape[0] != dim or self.eigenvalues.shape[0] != d:
+        if self.mean.shape[0] != dim:
             raise PcaError(
-                f"projector shape mismatch: basis {self.basis.shape}, "
-                f"mean {self.mean.shape}, eigenvalues {self.eigenvalues.shape}"
+                f"projector shape mismatch: basis {self.basis.shape}, mean {self.mean.shape}"
             )
         gram = self.basis @ self.basis.T
         if not np.allclose(gram, np.eye(d), atol=1e-6):
@@ -61,13 +56,13 @@ class PcaProjector:
         return (v - self.mean) @ self.basis.T
 
 
-def fit_pca(samples: np.ndarray, components: int) -> PcaProjector:
+def fit_pca(samples: np.ndarray, components: int) -> tuple[PcaProjector, float]:
     """Fit a ``components``-dim projector by eigendecomposition of the sample covariance.
 
-    Components are ordered by decreasing eigenvalue and signed so that each
-    row's first nonzero entry is positive.  If the data rank is below the
-    requested count the projector is reduced to the rank and the request
-    recorded in ``requested_dim`` (a warning is emitted).
+    Returns the projector and its energy, the fraction of total variance the
+    kept components capture.  Components are ordered by decreasing
+    eigenvalue and signed so that each row's first nonzero entry is
+    positive.  Samples of rank below ``components`` raise PcaError.
     """
     X = np.asarray(samples, dtype=np.float64)
     if X.ndim != 2:
@@ -85,33 +80,15 @@ def fit_pca(samples: np.ndarray, components: int) -> PcaProjector:
     order = np.argsort(eigvals)[::-1]
     eigvals = np.maximum(eigvals[order], 0.0)
     eigvecs = eigvecs[:, order]
-    total = float(eigvals.sum())
 
-    if total <= 0.0:
-        # Constant data: no variance anywhere.  Fall back to leading
-        # coordinate axes so the projector still has the asked-for shape.
-        return PcaProjector(mean=mean, basis=np.eye(dim)[:components],
-                            eigenvalues=np.zeros(components), energy=1.0)
+    rank = int(np.sum(eigvals > eigvals[0] * 1e-12))  # 0 for constant samples
+    if rank < components:
+        raise PcaError(f"requested {components} components but the sample rank is {rank}")
 
-    rank = int(np.sum(eigvals > eigvals[0] * 1e-12))
-    d, requested = min(components, rank), None
-    if components > rank:
-        warnings.warn(
-            f"requested {components} components but sample rank is {rank}; reducing",
-            stacklevel=2,
-        )
-        requested = components
-
-    basis = eigvecs[:, :d].T.copy()
+    basis = eigvecs[:, :components].T.copy()
     for row in basis:
         nz = np.flatnonzero(np.abs(row) > 1e-12)
         if nz.size and row[nz[0]] < 0:
             row *= -1.0
-    kept = eigvals[:d]
-    return PcaProjector(
-        mean=mean,
-        basis=basis,
-        eigenvalues=kept,
-        energy=float(kept.sum() / total),
-        requested_dim=requested,
-    )
+    energy = float(eigvals[:components].sum() / eigvals.sum())
+    return PcaProjector(mean=mean, basis=basis), energy

@@ -25,7 +25,7 @@ from .evaluation import EvalProtocol, evaluate_detections, log_average_miss_rate
 from .forest import Forest, TrainConfig, TrainingError, bootstrap_train
 from .geometry import Box, Candidate, Detection, iou, iou_matrix, nms
 from .maps import ImageRecord
-from .pca import PcaProjector, fit_pca
+from .pca import PcaError, PcaProjector, fit_pca
 from .routing import (
     ChannelConfig,
     DescriptorExtractor,
@@ -37,11 +37,11 @@ from .routing import (
 )
 
 MODEL_FORMAT = "samhead-model"
-MODEL_VERSION = 5
+MODEL_VERSION = 6
 # The keys a model file holds at each level; ``model_from_dict`` rejects others
 # (``Forest.from_dict`` checks the forest section's).
 _MODEL_KEYS = ("format", "version", "routing", "channels", "caps", "projectors", "forest")
-_PROJECTOR_KEYS = ("mean", "basis", "eigenvalues", "energy", "requested_dim")
+_PROJECTOR_KEYS = ("mean", "basis")
 
 _BG_ASPECT = 0.41  # width/height of sampled background boxes
 
@@ -388,18 +388,18 @@ def train_detector(dataset: Dataset, settings: TrainSettings) -> tuple[DetectorM
             }
             continue
         samples, n_pos = _collect_pca_samples(dataset, table, i, dim, target, pca_seeds[i])
-        proj = fit_pca(samples, components=target)
-        if proj.output_dim != target:
+        try:
+            proj, energy = fit_pca(samples, components=target)
+        except PcaError as e:
             raise TrainingError(
-                f"projector for bin {b.projector_id!r} reached rank {proj.output_dim} "
-                f"< target {target}; supply more training data"
-            )
+                f"projector for bin {b.projector_id!r}: {e}; supply more training data"
+            ) from e
         projectors[b.projector_id] = proj
         pca_report[b.projector_id] = {
             "identity": False,
             "input_dim": dim,
-            "output_dim": proj.output_dim,
-            "energy": proj.energy,
+            "output_dim": target,
+            "energy": energy,
             "samples": int(samples.shape[0]),
             "positive_samples": int(n_pos),
         }
@@ -472,7 +472,12 @@ def detect_dataset(
 
 
 def model_to_dict(model: DetectorModel) -> dict:
-    """The model file's content, version 5.
+    """The model file's content, version 6.
+
+    ``projectors`` maps the id of each bin that needs a projection to its
+    ``mean`` (a list of D numbers) and ``basis`` (d rows of D numbers, d the
+    routing table's ``target_dim``); a bin whose layers pool the target
+    width has no entry.
 
     The ``forest`` section holds ``prior_weight``, ``n_features``, ``sizes``
     (the node count of each tree, in tree order) and one flat list each for
@@ -487,17 +492,22 @@ def model_to_dict(model: DetectorModel) -> dict:
         "channels": asdict(model.channels),
         "caps": asdict(model.caps),
         "projectors": {
-            pid: {
-                "mean": p.mean.tolist(),
-                "basis": p.basis.tolist(),
-                "eigenvalues": p.eigenvalues.tolist(),
-                "energy": p.energy,
-                "requested_dim": p.requested_dim,
-            }
+            pid: {"mean": p.mean.tolist(), "basis": p.basis.tolist()}
             for pid, p in sorted(model.projectors.items())
         },
         "forest": model.forest.to_dict(),
     }
+
+
+def _json_numbers(values, key: str) -> np.ndarray:
+    """A JSON list of numbers as float64.
+
+    float64 conversion alone would parse a numeric string and read a boolean
+    as 0 or 1; the type scan runs in C, once per list.
+    """
+    if not (isinstance(values, list) and set(map(type, values)) <= {int, float}):
+        raise DataError(f"{key} must be a JSON list of numbers")
+    return np.asarray(values, dtype=np.float64)
 
 
 def model_from_dict(d) -> DetectorModel:
@@ -517,12 +527,13 @@ def model_from_dict(d) -> DetectorModel:
         projectors = {}
         for pid, p in config.section(d["projectors"], "projectors").items():
             p = config.section(p, f"projectors[{pid!r}]", _PROJECTOR_KEYS)
+            basis = p["basis"]
+            if not isinstance(basis, list):
+                raise DataError(f"projector {pid!r} basis must be a JSON list")
             projectors[pid] = PcaProjector(
-                mean=np.asarray(p["mean"], dtype=np.float64),
-                basis=np.asarray(p["basis"], dtype=np.float64),
-                eigenvalues=np.asarray(p["eigenvalues"], dtype=np.float64),
-                energy=config.read(float, p["energy"], "energy"),
-                requested_dim=config.read(int | None, p.get("requested_dim"), "requested_dim"),
+                mean=_json_numbers(p["mean"], f"projector {pid!r} mean"),
+                basis=[_json_numbers(r, f"projector {pid!r} basis[{i}]")
+                       for i, r in enumerate(basis)],
             )
         model = DetectorModel(
             table=config.read(RoutingTable, d["routing"], "routing"),

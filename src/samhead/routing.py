@@ -76,6 +76,8 @@ class RoutingTable:
     def __post_init__(self) -> None:
         if not self.bins:
             raise ConfigError("routing table needs at least one bin")
+        if self.target_dim < 0:
+            raise ConfigError(f"target_dim must be >= 0, got {self.target_dim}")
         for a, b in zip(self.bins, self.bins[1:]):
             if a.max_height is None or not math.isclose(a.max_height, b.min_height):
                 raise ConfigError(
@@ -172,11 +174,12 @@ class ChannelConfig:
 class DescriptorExtractor:
     """Binds a routing table, fitted projectors, and channel config together.
 
-    A bin without a projector keeps its pooled stack, which must be the
-    target width: the table's ``target_dim``, or the projectors' output
-    width when that is 0.  Descriptor layout: the CNN block flattened
-    cell-major (cell (0,0)'s d values first), then the semantic block, then
-    the edge block.  Length is identical for every candidate.
+    Every bin's cells come out at the table's ``target_dim`` width, which
+    must be at least 1: a projector maps to it, and a bin without one keeps
+    its pooled stack, which must already be that wide.  Descriptor layout:
+    the CNN block flattened cell-major (cell (0,0)'s d values first), then
+    the semantic block, then the edge block.  Length is identical for every
+    candidate.
     """
 
     def __init__(
@@ -191,16 +194,15 @@ class DescriptorExtractor:
         unknown = sorted(set(projectors) - {b.projector_id for b in table.bins})
         if unknown:
             raise ConfigError(f"projectors {unknown} belong to no routing bin")
-        dims = sorted({p.output_dim for p in projectors.values()})
-        if len(dims) > 1:
-            raise ConfigError(f"bins project to differing dimensions: {dims}")
-        if not (table.target_dim or dims):
-            raise ConfigError("no bin has a projector, so the routing table needs a target_dim")
-        self.cell_dim = table.target_dim or dims[0]
-        if dims and dims[0] != self.cell_dim:
-            raise ConfigError(
-                f"projectors produce {dims[0]} dims per cell, table expects {self.cell_dim}"
-            )
+        self.cell_dim = table.target_dim
+        if self.cell_dim < 1:
+            raise ConfigError(f"target_dim must be >= 1, got {self.cell_dim}")
+        for pid, p in sorted(projectors.items()):
+            if p.output_dim != self.cell_dim:
+                raise ConfigError(
+                    f"projector {pid!r} produces {p.output_dim} dims per cell, "
+                    f"table expects {self.cell_dim}"
+                )
 
     @property
     def length(self) -> int:

@@ -232,83 +232,45 @@ class TestMissingOrBrokenData:
         assert payload["message"] == f"malformed model file: {message}"
         assert not (tmp_path / "dets.csv").exists()
 
-    def test_version_1_model_exits_3(self, synth_dir, tmp_path, capsys, model_path):
-        # Version 1 files still carried "semantic_pooling" and "histogram_norm".
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    def test_stale_model_version_exits_3(self, synth_dir, tmp_path, capsys, model_path,
+                                         version):
+        # The version check rejects a file before its layout is read, so the
+        # current layout under an old number stands for every old layout.
         model = json.loads(model_path.read_text(encoding="utf-8"))
-        model["version"] = 1
-        model["channels"].update(semantic_pooling="hist", histogram_norm="cell")
-        old = tmp_path / "v1.json"
+        model["version"] = version
+        old = tmp_path / "old.json"
         old.write_text(json.dumps(model), encoding="utf-8")
         code = main(["detect", "--data", str(synth_dir), "--model", str(old),
                      "--out", str(tmp_path / "dets.csv")])
         payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
-        assert "unsupported model version 1" in payload["message"]
+        assert payload["message"] == (
+            f"unsupported model version {version}; this build reads {MODEL_VERSION}"
+        )
         assert not (tmp_path / "dets.csv").exists()
 
-
-    def test_version_2_model_exits_3(self, synth_dir, tmp_path, capsys, model_path):
-        # Version 2 files stored a dense identity projector for every bin
-        # whose layers already pool the target width.
-        model = json.loads(model_path.read_text(encoding="utf-8"))
-        model["version"] = 2
-        dim = model["routing"]["target_dim"]
-        identity = {"mean": [0.0] * dim, "basis": np.eye(dim).tolist(),
-                    "eigenvalues": [1.0] * dim, "energy": 1.0, "requested_dim": None}
-        model["projectors"] = {b["projector_id"]: identity for b in model["routing"]["bins"]}
-        old = tmp_path / "v2.json"
-        old.write_text(json.dumps(model), encoding="utf-8")
-        code = main(["detect", "--data", str(synth_dir), "--model", str(old),
-                     "--out", str(tmp_path / "dets.csv")])
-        payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
-        assert payload["message"] == "unsupported model version 2; this build reads 5"
-        assert not (tmp_path / "dets.csv").exists()
-
-    def test_version_3_model_exits_3(self, synth_dir, tmp_path, capsys, model_path):
-        # Version 3 files also stored settings detection does not read and
-        # the training history.
-        model = json.loads(model_path.read_text(encoding="utf-8"))
-        model.update(version=3, prior_logit_clamp=10.0, nms_threshold=0.5)
-        model["caps"]["train_top_k"] = 1000
-        model["channels"].update(edge_bins=16, label_classes=21)
-        model["forest"]["stage_history"] = []
-        old = tmp_path / "v3.json"
-        old.write_text(json.dumps(model), encoding="utf-8")
-        code = main(["detect", "--data", str(synth_dir), "--model", str(old),
-                     "--out", str(tmp_path / "dets.csv")])
-        payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
-        assert payload["message"] == "unsupported model version 3; this build reads 5"
-        assert not (tmp_path / "dets.csv").exists()
-
-    def test_version_4_model_exits_3(self, synth_dir, tmp_path, capsys, model_path):
-        # Version 4 files stored the forest as a list of per-tree node arrays.
-        model = json.loads(model_path.read_text(encoding="utf-8"))
-        forest = model["forest"]
-        ends = np.cumsum(forest["sizes"])
-        trees = [{k: forest[k][end - size : end] for k in _NODE_KEYS}
-                 for size, end in zip(forest["sizes"], ends)]
-        model.update(version=4, forest={"prior_weight": forest["prior_weight"],
-                                        "n_features": forest["n_features"], "trees": trees})
-        old = tmp_path / "v4.json"
-        old.write_text(json.dumps(model, indent=2), encoding="utf-8")
-        code = main(["detect", "--data", str(synth_dir), "--model", str(old),
-                     "--out", str(tmp_path / "dets.csv")])
-        payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
-        assert payload["message"] == "unsupported model version 4; this build reads 5"
-        assert not (tmp_path / "dets.csv").exists()
-
-    # A well-formed one-channel projector to break one field of.
-    _PROJECTOR = {"mean": [0.0], "basis": [[1.0]], "eigenvalues": [1.0], "energy": 1.0,
-                  "requested_dim": None}
+    # A well-formed two-channel projector to break one field of.
+    _PROJECTOR = {"mean": [0.0, 0.0], "basis": [[1.0, 0.0]]}
 
     @pytest.mark.parametrize(
         "section, key, value, message",
         [
             ("forest", "prior_weight", "1.0", "prior_weight must be a number, got '1.0'"),
             ("forest", "n_features", 2304.9, "n_features must be an integer, got 2304.9"),
-            ("projector", "energy", "1.0", "energy must be a number, got '1.0'"),
-            ("projector", "requested_dim", 2.5, "requested_dim must be an integer, got 2.5"),
+            ("projector", "mean", ["0.0", "0.0"],
+             "projector 'small' mean must be a JSON list of numbers"),
+            ("projector", "mean", [True, 0.0],
+             "projector 'small' mean must be a JSON list of numbers"),
+            ("projector", "basis", [["1.0", "0.0"]],
+             "projector 'small' basis[0] must be a JSON list of numbers"),
+            ("projector", "basis", [[True, False]],
+             "projector 'small' basis[0] must be a JSON list of numbers"),
+            ("projector", "basis", [1.0, 0.0], "projector 'small' basis[0] must be a JSON list "
+             "of numbers"),
+            ("projector", "basis", "[[1.0, 0.0]]", "projector 'small' basis must be a JSON list"),
         ],
-        ids=["prior_weight", "n_features", "energy", "requested_dim"],
+        ids=["prior_weight", "n_features", "mean-string", "mean-bool", "basis-string",
+             "basis-bool", "basis-flat", "basis-not-a-list"],
     )
     def test_wrong_typed_model_scalar_exits_3(self, synth_dir, tmp_path, capsys, model_path,
                                               section, key, value, message):

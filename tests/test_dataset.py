@@ -23,7 +23,7 @@ class TestRoundTrip:
         disk_set.save(root)
         loaded = Dataset.load(root)
         assert loaded.image_ids == disk_set.image_ids
-        assert loaded.meta["image_w"] == disk_set.samples[0].record.image_w
+        assert "image_w" not in loaded.meta and "image_h" not in loaded.meta
         for a, b in zip(disk_set.samples, loaded.samples):
             assert a.ground_truth == b.ground_truth
             assert a.proposals == b.proposals
@@ -67,17 +67,6 @@ class TestPerImageSizes:
         assert [(s.record.image_w, s.record.image_h) for s in loaded] == [(64, 40), (36, 80)]
         assert loaded.samples[1].record.feature_maps["conv3"].data.shape == (2, 20, 9)
 
-    def test_directory_without_sizes_falls_back_to_one_size(self, disk_set, tmp_path):
-        root = tmp_path / "ds"
-        disk_set.save(root)
-        meta_path = root / "meta.json"
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        del meta["image_sizes"]
-        meta_path.write_text(json.dumps(meta), encoding="utf-8")
-        loaded = Dataset.load(root)
-        for s in loaded:
-            assert (s.record.image_w, s.record.image_h) == (meta["image_w"], meta["image_h"])
-
     def test_size_count_must_match_image_count(self, disk_set, tmp_path):
         root = tmp_path / "ds"
         disk_set.save(root)
@@ -97,8 +86,22 @@ class TestPerImageSizes:
              "JSON object with an image_ids list"),
             (lambda meta: json.dumps({**meta, "image_sizes": [["wide", 40]] * 3}),
              "bad image sizes"),
+            (lambda meta: json.dumps({k: v for k, v in meta.items() if k != "image_sizes"}),
+             "bad image sizes"),
+            (lambda meta: json.dumps({**meta, "image_sizes": [[64.9, 40]] * 3}),
+             "bad image sizes"),
+            (lambda meta: json.dumps({**meta, "image_sizes": [["64", 40]] * 3}),
+             "bad image sizes"),
+            (lambda meta: json.dumps({**meta, "image_sizes": [[True, 40]] * 3}),
+             "bad image sizes"),
+            (lambda meta: json.dumps({**meta, "image_sizes": [[64, 40, 1]] * 3}),
+             "bad image sizes"),
+            (lambda meta: json.dumps({**meta, "image_sizes": {"img0": [64, 40]}}),
+             "bad image sizes"),
         ],
-        ids=["invalid-json", "not-an-object", "no-image-ids", "non-numeric-size"],
+        ids=["invalid-json", "not-an-object", "no-image-ids", "non-numeric-size",
+             "no-image-sizes", "float-size", "string-size", "boolean-size", "size-triple",
+             "sizes-object"],
     )
     def test_malformed_meta_is_a_data_error(self, disk_set, tmp_path, edit, message):
         root = tmp_path / "ds"

@@ -66,7 +66,7 @@ def test_model_with_one_fitted_bin_round_trips(tiny_train_set, tiny_test_set, tm
     text = (tmp_path / "model.json").read_text(encoding="utf-8")
     assert text.count("\n") == 1 and text.endswith("\n")  # compact, one line
     saved = json.loads(text)
-    assert saved["version"] == 5
+    assert saved["version"] == 6
     assert list(saved["projectors"]) == ["large"]
     # The file holds what detection reads, and nothing else.
     assert set(saved) == {"format", "version", "routing", "channels", "caps", "projectors",
@@ -74,8 +74,7 @@ def test_model_with_one_fitted_bin_round_trips(tiny_train_set, tiny_test_set, tm
     assert set(saved["routing"]) == {"bins", "grid", "target_dim"}
     assert set(saved["channels"]) == {"semantic", "edge", "edge_pooling"}
     assert set(saved["caps"]) == {"test_top_k"}
-    assert set(saved["projectors"]["large"]) == {"mean", "basis", "eigenvalues", "energy",
-                                                 "requested_dim"}
+    assert set(saved["projectors"]["large"]) == {"mean", "basis"}
     forest = saved["forest"]
     assert set(forest) == {"prior_weight", "n_features", "sizes", "feature", "threshold",
                            "left", "right", "value"}
@@ -133,6 +132,32 @@ def test_pca_sampling_without_room_for_a_background_box_raises():
     )
     with time_limit(20), pytest.raises(TrainingError, match="background box"):
         train_detector(narrow_dataset(), settings)
+
+
+def test_pca_rank_shortfall_is_a_training_error_naming_the_bin():
+    # conv4a is constant, so the "large" bin's 3 pooled channels have rank 0
+    # against the target of 2 that conv3 sets.
+    rng = np.random.default_rng(0)
+    samples = []
+    for k in range(2):
+        maps = {
+            "conv3": FeatureMap("conv3", 4, rng.normal(size=(2, 30, 16))),
+            "conv4a": FeatureMap("conv4a", 4, np.full((3, 30, 16), 0.5)),
+        }
+        samples.append(ImageSample(ImageRecord(f"c{k}", 64, 120, maps)))
+    settings = replace(
+        fast_train_settings(),
+        routing=RoutingTable(
+            bins=(
+                ScaleBin(50.0, 80.0, ("conv3",), "small"),
+                ScaleBin(80.0, None, ("conv4a",), "large"),
+            ),
+            grid=PoolGrid(4, 2),
+        ),
+    )
+    message = "projector for bin 'large': requested 2 components but the sample rank is 0"
+    with time_limit(20), pytest.raises(TrainingError, match=message):
+        train_detector(Dataset(samples), settings)
 
 
 def test_ablation_sweep_gives_one_row_per_combination_and_subset(

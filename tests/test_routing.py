@@ -76,7 +76,7 @@ def one_bin_table(layers=("conv3", "conv4a"), grid=GRID, target_dim=0):
 
 def axes_projector(dim, out):
     """A projector onto the first ``out`` of ``dim`` coordinate axes."""
-    return PcaProjector(np.zeros(dim), np.eye(dim)[:out], np.ones(out), energy=1.0)
+    return PcaProjector(np.zeros(dim), np.eye(dim)[:out])
 
 
 def oracle_cells(record, box, layers, grid):
@@ -135,6 +135,10 @@ class TestRoutingTable:
         table = default_routing_table(grid=PoolGrid(4, 2), target_dim=768)
         assert table.grid == PoolGrid(4, 2)
         assert table.target_dim == 768
+
+    def test_rejects_negative_target_dim(self):
+        with pytest.raises(ConfigError, match="target_dim must be >= 0, got -1"):
+            default_routing_table(target_dim=-1)
 
     def test_rejects_empty_table(self):
         with pytest.raises(ConfigError):
@@ -309,12 +313,12 @@ class TestDescriptorExtractor:
 
     def test_fitted_projector_applies_per_cell(self):
         record = make_record(seed=3)
-        table = one_bin_table()
+        table = one_bin_table(target_dim=2)
         boxes = [Box(2.0 + 3 * i, 1.0 + 2 * i, 20.0, 55.0 + 4 * i) for i in range(8)]
         training = np.concatenate(
             [pool_bin_cells(record, b, table, 0) for b in boxes], axis=0
         )
-        proj = fit_pca(training, components=2)
+        proj, _ = fit_pca(training, components=2)
         extractor = DescriptorExtractor(table, {"only": proj})
         got = extractor.extract_many(record, [boxes[0]])[0]
         cells = pool_bin_cells(record, boxes[0], table, 0)
@@ -324,12 +328,12 @@ class TestDescriptorExtractor:
 
     def test_extract_many_projects_each_box_like_one_box(self):
         record = make_record(seed=3)
-        table = two_bin_table()
+        table = two_bin_table(target_dim=2)
         boxes = [Box(2.0 + 3 * i, 1.0 + 2 * i, 20.0, 55.0 + 7 * i) for i in range(8)]
         projectors = {}
         for i, pid in enumerate(("small", "large")):
             training = np.concatenate([pool_bin_cells(record, b, table, i) for b in boxes])
-            projectors[pid] = fit_pca(training, components=2)
+            projectors[pid], _ = fit_pca(training, components=2)
         extractor = DescriptorExtractor(table, projectors, ChannelConfig(semantic=True))
         got = extractor.extract_many(record, boxes)
         for k, b in enumerate(boxes):
@@ -363,17 +367,24 @@ class TestDescriptorExtractor:
         assert np.array_equal(one_shot, extracted)
 
     def test_projector_less_table_needs_a_target_dim(self):
-        with pytest.raises(ConfigError, match="needs a target_dim"):
+        with pytest.raises(ConfigError, match="target_dim must be >= 1, got 0"):
             DescriptorExtractor(two_bin_table(), {})
+
+    def test_rejects_target_dim_0_even_with_projectors(self):
+        # The cell width comes from the table alone, never from the projectors.
+        with pytest.raises(ConfigError, match="target_dim must be >= 1, got 0"):
+            DescriptorExtractor(one_bin_table(), {"only": axes_projector(5, 3)})
 
     def test_rejects_projector_of_no_bin(self):
         with pytest.raises(ConfigError, match=r"projectors \['spare'\] belong to no routing bin"):
             DescriptorExtractor(two_bin_table(target_dim=2), {"spare": axes_projector(3, 2)})
 
     def test_rejects_mixed_projection_dims(self):
-        with pytest.raises(ConfigError, match="differing dimensions"):
+        with pytest.raises(ConfigError, match="projector 'large' produces 3 dims per cell, "
+                                              "table expects 2"):
             DescriptorExtractor(
-                two_bin_table(), {"small": axes_projector(3, 2), "large": axes_projector(3, 3)}
+                two_bin_table(target_dim=2),
+                {"small": axes_projector(3, 2), "large": axes_projector(3, 3)},
             )
 
     def test_rejects_target_dim_mismatch(self):
@@ -382,7 +393,9 @@ class TestDescriptorExtractor:
 
     def test_projector_input_mismatch_fails_at_extract(self):
         record = make_record()
-        extractor = DescriptorExtractor(one_bin_table(), {"only": axes_projector(4, 2)})
+        extractor = DescriptorExtractor(
+            one_bin_table(target_dim=2), {"only": axes_projector(4, 2)}
+        )
         with pytest.raises(ConfigError, match="expects 4"):
             extractor.extract_many(record, [SMALL_BOX])[0]
 
@@ -410,7 +423,7 @@ class TestDescriptorExtractor:
         )
         boxes = [Box(2.0 + 3 * i, 1.0 + 2 * i, 20.0, 41.0 + 7 * i) for i in range(10)]
         training = np.concatenate([pool_bin_cells(record, b, table, 1) for b in boxes])
-        projectors = {"large": fit_pca(training, components=3)}
+        projectors = {"large": fit_pca(training, components=3)[0]}
         extractor = DescriptorExtractor(table, projectors)
         calls = []
         project = PcaProjector.project
