@@ -4,7 +4,9 @@ One JSON config file feeds every subcommand; each reads only its own
 section ("synth", "train", "sweep") and falls back to defaults for anything
 missing.  Evaluation has nothing to set: ``eval`` and ``sweep`` reject any
 key in an "eval" section.  Errors exit 2 (bad config/usage), 3 (bad data),
-or 4 (unexpected), with a one-line JSON diagnostic on stderr.
+or 4 (unexpected), with a one-line JSON diagnostic on stderr.  A config that
+is not UTF-8 text exits 2, and a data, model or detections file that is not
+exits 3.
 
 Every section is read by ``config.read`` against its dataclass's field
 types: an object for each nested dataclass (``"forest"``, ``"routing"``,
@@ -79,6 +81,8 @@ def _load_config(path: str | None) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config {path} is not UTF-8 text: {e}") from e
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as e:

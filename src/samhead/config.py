@@ -4,15 +4,22 @@
 against the field's annotation.  Type errors, unknown keys and missing
 required fields raise ConfigError naming the key; range checks stay in each
 ``__post_init__``.  ``dataclasses.asdict`` writes the same form back.
+
+``write_array`` and ``read_array`` are the JSON form of a numeric array in
+a data file: one string, the padded standard base64 of the array's
+little-endian bytes.  A malformed array is a DataError naming its key.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import types
 import typing
 
-from .errors import ConfigError
+import numpy as np
+
+from .errors import ConfigError, DataError
 
 _NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 
@@ -73,3 +80,32 @@ def _read_dataclass(cls, value, key: str):
         raise ConfigError(f"{key} lacks required keys {missing}")
     hints = typing.get_type_hints(cls)
     return cls(**{name: read(hints[name], v, name) for name, v in value.items()})
+
+
+def write_array(values, dtype: str) -> str:
+    """``values`` as ``dtype`` (a little-endian type such as ``"<i4"``), in base64."""
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
+
+
+def read_array(value, dtype: str, key: str, count: int | None = None) -> np.ndarray:
+    """The 1-D array ``write_array`` wrote, as native int64 or float64.
+
+    ``value`` must be the canonical padded base64 of ``count`` items (any
+    whole number of items if ``count`` is None); anything else is a
+    DataError naming ``key``.  Values are not range-checked.
+    """
+    if not isinstance(value, str):
+        raise DataError(f"{key} must be a base64 string, got {type(value).__name__}")
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as e:
+        raise DataError(f"{key} is not base64: {e}") from None
+    if base64.b64encode(raw).decode("ascii") != value:
+        raise DataError(f"{key} is not canonical padded base64")
+    item = np.dtype(dtype)
+    if len(raw) % item.itemsize or (count is not None and len(raw) != count * item.itemsize):
+        want = "a whole number of" if count is None else str(count)
+        raise DataError(
+            f"{key} must hold {want} {item.itemsize}-byte values, got {len(raw)} bytes"
+        )
+    return np.frombuffer(raw, dtype=item).astype(np.int64 if item.kind == "i" else np.float64)

@@ -24,6 +24,7 @@ from .formats import (
     read_ground_truth_jsonl,
     read_label_map,
     read_proposals_jsonl,
+    read_text,
     write_edge_map,
     write_feature_maps,
     write_ground_truth_jsonl,
@@ -122,7 +123,7 @@ class Dataset:
         if not meta_path.exists():
             raise DataError(f"{root} is not a dataset directory (missing meta.json)")
         try:
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
+            meta = json.loads(read_text(meta_path))
         except json.JSONDecodeError as e:
             raise DataError(f"{meta_path} is not valid JSON: {e}") from None
         if not (isinstance(meta, dict) and isinstance(meta.get("image_ids"), list)):

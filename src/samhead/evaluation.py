@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .formats import open_text
 from .geometry import (
     DEFAULT_EVAL_REGION,
     Detection,
@@ -329,7 +330,7 @@ def write_curve_csv(path, curve: EvalCurve) -> None:
 def read_curve_csv(path) -> EvalCurve:
     import csv
 
-    with open(path, encoding="utf-8", newline="") as f:
+    with open_text(path, newline="") as f:
         rows = list(csv.reader(f))
     head = rows[0] if rows else []
     if len(rows) < 2 or len(head) != 3 or head[0] != "kind" or head[1] not in _CURVE_HEADERS:

@@ -34,11 +34,16 @@ per-column, per-node reference (``tests/oracles.py``):
   streamed megabytes through memory.
 - ``Forest`` packs its trees' node arrays end to end once, when
   ``realboost_fit`` finishes or ``Forest.from_dict`` loads, and
-  ``Forest.apply`` walks all trees at once over those arrays.  A leaf points
-  to itself as both children, so every (tree, sample) pair takes the
-  forest's depth in steps with no test for having arrived; a pair that sits
-  at a leaf stays there.  ``Forest.score`` still adds the trees' values one
-  tree at a time, in order.
+  ``Forest.apply`` walks all trees at once over those arrays.  Each node
+  keeps one float, a split's threshold or a leaf's score, and its two
+  children in ``next_node``.  A leaf points to itself as both children, so
+  every (tree, sample) pair takes the forest's depth in steps with no test
+  for having arrived; a pair that sits at a leaf stays there, and the walk
+  ends by reading the float of the node it reached.  ``Forest.score`` still
+  adds the trees' values one tree at a time, in order.
+- The saved forest (``Forest.to_dict``) holds ``sizes``, ``feature``,
+  ``right`` and ``value`` as base64 arrays (``config.write_array``).  It
+  needs no ``left``: in preorder a split's left child is the next node.
 """
 
 from __future__ import annotations
@@ -61,7 +66,11 @@ class TrainingError(DataError):
 
 @dataclass
 class Tree:
-    """Decision tree stored as preorder node arrays; left == -1 marks a leaf."""
+    """Decision tree stored as preorder node arrays; left == -1 marks a leaf.
+
+    A split's left child is the next node, k + 1; ``Forest`` relies on it.
+    A split's ``value`` and a leaf's ``threshold`` are 0.0.
+    """
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -353,21 +362,21 @@ class Forest:
     """Additive tree ensemble with a weighted proposal prior, packed for scoring.
 
     The trees' node arrays lie end to end, tree t at nodes ``offsets[t]`` to
-    ``offsets[t] + sizes[t]``.  The constructor takes them as ``Tree`` holds
-    them, child indices local to each tree and -1 at leaves, and packs them
-    once for the walk: children become global indices, and a leaf gets
-    feature 0 and itself as both children, so every (tree, sample) pair can
-    take ``depth`` steps with no test for having reached a leaf.
-    ``next_node[k]`` holds node k's (right, left) children, the node a sample
-    moves to when ``x <= threshold[k]`` is false or true.
+    ``offsets[t] + sizes[t]``.  The constructor takes them as the model file
+    holds them: ``feature`` (-1 at a leaf), ``right`` (a split's right child,
+    counted from its tree's first node; -1 at a leaf) and ``value`` (a
+    split's threshold or a leaf's score).  A split's left child is the next
+    node.  It packs them once for the walk: children become global indices,
+    and a leaf gets feature 0 and itself as both children, so every (tree,
+    sample) pair can take ``depth`` steps with no test for having reached a
+    leaf.  ``next_node[k]`` holds node k's (right, left) children, the node a
+    sample moves to when ``x <= value[k]`` is false or true.
     """
 
     def __init__(
         self,
         sizes: np.ndarray,
         feature: np.ndarray,
-        threshold: np.ndarray,
-        left: np.ndarray,
         right: np.ndarray,
         value: np.ndarray,
         prior_weight: float = 1.0,
@@ -379,14 +388,12 @@ class Forest:
         self.offsets = np.cumsum(self.sizes) - self.sizes
         feature = np.asarray(feature, dtype=np.int64)
         node = np.arange(feature.size)
-        base = np.repeat(self.offsets, self.sizes)
         split = feature >= 0
         self.feature = np.where(split, feature, 0)
-        self.threshold = np.asarray(threshold, dtype=np.float64)
         self.value = np.asarray(value, dtype=np.float64)
         self.next_node = np.stack(
-            [np.where(split, np.asarray(right) + base, node),
-             np.where(split, np.asarray(left) + base, node)],
+            [np.where(split, np.asarray(right) + np.repeat(self.offsets, self.sizes), node),
+             np.where(split, node + 1, node)],
             axis=1,
         )
         # The longest root-to-leaf path.  Splits reached at each level are
@@ -404,13 +411,17 @@ class Forest:
         def joined(key: str, dtype) -> np.ndarray:
             return np.concatenate([np.empty(0, dtype)] + [getattr(t, key) for t in trees])
 
+        sizes = np.array([t.n_nodes for t in trees], dtype=np.int64)
+        feature = joined("feature", np.int64)
+        split = feature >= 0
+        local = np.arange(feature.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        if (joined("left", np.int64)[split] != local[split] + 1).any():
+            raise ValueError("a split's left child must be the next node")
         return cls(
-            sizes=np.array([t.n_nodes for t in trees], dtype=np.int64),
-            feature=joined("feature", np.int64),
-            threshold=joined("threshold", np.float64),
-            left=joined("left", np.int64),
+            sizes=sizes,
+            feature=feature,
             right=joined("right", np.int64),
-            value=joined("value", np.float64),
+            value=np.where(split, joined("threshold", np.float64), joined("value", np.float64)),
             prior_weight=prior_weight,
             n_features=n_features,
         )
@@ -428,7 +439,7 @@ class Forest:
         node = np.repeat(self.offsets[:, None], X.shape[0], axis=1)
         for _ in range(self.depth):
             x = np.take(flat, np.take(self.feature, node) + row_base)
-            node = np.take(next_node, 2 * node + (x <= np.take(self.threshold, node)))
+            node = np.take(next_node, 2 * node + (x <= np.take(self.value, node)))
         return np.take(self.value, node)
 
     def score(self, X: np.ndarray, priors: np.ndarray | None = None) -> np.ndarray:
@@ -451,89 +462,65 @@ class Forest:
         return out
 
     def to_dict(self) -> dict:
-        """The trees as the constructor takes them, one flat list per node array."""
-        node = np.arange(self.feature.size)
-        leaf = self.next_node[:, 0] == node
-        base = np.repeat(self.offsets, self.sizes)
-        right, left = (np.where(leaf, -1, c - base) for c in self.next_node.T)
+        """The forest as the constructor takes it, each node array in base64.
+
+        ``sizes``, ``feature`` and ``right`` are ``<i4``, ``value`` ``<f8``.
+        """
+        leaf = self.next_node[:, 0] == np.arange(self.feature.size)
+        right = self.next_node[:, 0] - np.repeat(self.offsets, self.sizes)
         return {
             "prior_weight": self.prior_weight,
             "n_features": self.n_features,
-            "sizes": self.sizes.tolist(),
-            "feature": np.where(leaf, -1, self.feature).tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": left.tolist(),
-            "right": right.tolist(),
-            "value": self.value.tolist(),
+            "sizes": config.write_array(self.sizes, "<i4"),
+            "feature": config.write_array(np.where(leaf, -1, self.feature), "<i4"),
+            "right": config.write_array(np.where(leaf, -1, right), "<i4"),
+            "value": config.write_array(self.value, "<f8"),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Forest":
         """The forest ``to_dict`` wrote; one ``score`` could not walk is a DataError."""
-        d = config.section(d, "forest", ("prior_weight", "n_features", "sizes") + _NODE_KEYS)
+        d = config.section(d, "forest", ("prior_weight", "n_features", "sizes", *_NODE_KEYS))
         prior_weight = config.read(float, d["prior_weight"], "prior_weight")
         n_features = config.read(int, d["n_features"], "n_features")
-        lists = {key: d[key] for key in ("sizes",) + _NODE_KEYS}
-        for key, values in lists.items():
-            if not isinstance(values, list):
-                raise DataError(f"forest: {key} must be a JSON list")
-        # np.int64 conversion would truncate a float index and read a boolean
-        # as 0 or 1, and float64 conversion would parse a string; the type
-        # scan runs in C, once per list.
-        if not set(map(type, lists["sizes"])) <= {int}:
-            raise DataError("forest: sizes must hold JSON integers")
-        sizes = np.asarray(lists["sizes"], dtype=np.int64)
+        sizes = config.read_array(d["sizes"], "<i4", "forest: sizes")
         if (sizes <= 0).any():
             raise DataError(f"tree {int(np.argmax(sizes <= 0))}: a tree needs at least one node")
-        lengths = [len(lists[key]) for key in _NODE_KEYS]
-        if lengths != [int(sizes.sum())] * len(_NODE_KEYS):
-            raise DataError(
-                f"forest: {', '.join(_NODE_KEYS)} must each hold the {int(sizes.sum())} nodes "
-                f"sizes sum to, got {lengths}"
-            )
-        tree_of = np.repeat(np.arange(sizes.size), sizes)
-        arrays = {}
-        for key in _NODE_KEYS:
-            index = key in ("feature", "left", "right")
-            allowed = {int} if index else {int, float}
-            if not set(map(type, lists[key])) <= allowed:
-                k = next(i for i, v in enumerate(lists[key]) if type(v) not in allowed)
-                kind = "JSON integers" if index else "JSON numbers"
-                raise DataError(f"tree {tree_of[k]}: {key} must hold {kind}")
-            arrays[key] = np.asarray(lists[key], dtype=np.int64 if index else np.float64)
-        _check_nodes(sizes, tree_of, n_features, **arrays)
+        n = int(sizes.sum())
+        arrays = {
+            key: config.read_array(d[key], dtype, f"forest: {key}", n)
+            for key, dtype in _NODE_KEYS.items()
+        }
+        _check_nodes(sizes, n_features, **arrays)
         return cls(sizes, **arrays, prior_weight=prior_weight, n_features=n_features)
 
 
-#: The node arrays of a packed forest, in the order ``Tree`` holds them.
-_NODE_KEYS = ("feature", "threshold", "left", "right", "value")
+#: The node arrays of a saved forest and their file types, in constructor order.
+_NODE_KEYS = {"feature": "<i4", "right": "<i4", "value": "<f8"}
 
 
-def _check_nodes(sizes, tree_of, n_features, feature, threshold, left, right, value) -> None:
+def _check_nodes(sizes, n_features, feature, right, value) -> None:
     """Raise DataError naming the tree unless every node has ``train_tree``'s layout.
 
-    Nodes are in preorder, so every child index exceeds its parent's, stays
-    inside its own tree, and a descent ends at a leaf.  A leaf has feature
-    and children -1; a split has a feature in [0, n_features).  Thresholds
-    and values are finite.
+    Nodes are in preorder, so a split's children (the next node and
+    ``right``) exceed its index and stay inside its own tree, and a descent
+    ends at a leaf.  A leaf has feature and right child -1; a split has a
+    feature in [0, n_features).  Values are finite.
     """
+    tree_of = np.repeat(np.arange(sizes.size), sizes)
     local = np.arange(feature.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     size = sizes[tree_of]
-    split_ok = (
-        (feature >= 0) & (feature < n_features)
-        & (local < left) & (left < size) & (local < right) & (right < size)
-    )
-    leaf_ok = (left == -1) & (right == -1)
-    bad = np.flatnonzero(~np.where(feature == -1, leaf_ok, split_ok))
+    split_ok = (feature >= 0) & (feature < n_features) & (local < right) & (right < size)
+    bad = np.flatnonzero(~np.where(feature == -1, right == -1, split_ok))
     if bad.size:
         k = int(bad[0])
         t, j, n = tree_of[k], local[k], size[k]
         raise DataError(
-            f"tree {t}: node {j} (feature {feature[k]}, children {left[k]} and {right[k]}) "
-            f"is neither a leaf (all -1) nor a split on a feature in [0, {n_features}) "
+            f"tree {t}: node {j} (feature {feature[k]}, right child {right[k]}) "
+            f"is neither a leaf (both -1) nor a split on a feature in [0, {n_features}) "
             f"into nodes in ({j}, {n})"
         )
-    bad = np.flatnonzero(~(np.isfinite(threshold) & np.isfinite(value)))
+    bad = np.flatnonzero(~np.isfinite(value))
     if bad.size:
         raise DataError(f"tree {tree_of[bad[0]]}: thresholds and values must be finite")
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,22 @@ class ValueRangeError(FormatError):
     def __init__(self, message: str, index: int):
         super().__init__(f"{message} (first offending flat index {index})")
         self.index = index
+
+
+@contextmanager
+def open_text(path: str | Path, newline: str | None = None):
+    """``path`` opened for reading as UTF-8; bytes that are not UTF-8 are a FormatError."""
+    with open(path, encoding="utf-8", newline=newline) as f:
+        try:
+            yield f
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{path} is not UTF-8 text: {e}") from None
+
+
+def read_text(path: str | Path) -> str:
+    """The whole of ``path`` as UTF-8 text, as ``open_text`` reads it."""
+    with open_text(path) as f:
+        return f.read()
 
 
 class _Reader:
@@ -214,7 +231,7 @@ def write_ground_truth_jsonl(path: str | Path, by_image: dict[str, list[GroundTr
 
 
 def _jsonl_rows(path: str | Path):
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
@@ -298,7 +315,7 @@ def write_detections_csv(path: str | Path, by_image: dict[str, list[Detection]])
 
 def read_detections_csv(path: str | Path) -> dict[str, list[Detection]]:
     out: dict[str, list[Detection]] = {}
-    with open(path, encoding="utf-8", newline="") as f:
+    with open_text(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header != ["image_id", "x", "y", "w", "h", "score"]:
@@ -325,6 +342,6 @@ def write_metrics_json(path: str | Path, metrics: dict) -> None:
 
 def read_metrics_json(path: str | Path) -> dict:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(read_text(path))
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: invalid JSON ({e})") from None

@@ -32,6 +32,8 @@ class PcaProjector:
         self.basis = np.asarray(self.basis, dtype=np.float64)
         if self.basis.ndim != 2 or self.mean.ndim != 1:
             raise PcaError("projector basis must be 2-D and mean 1-D")
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.basis).all()):
+            raise PcaError("projector mean and basis must be finite")
         d, dim = self.basis.shape
         if self.mean.shape[0] != dim:
             raise PcaError(

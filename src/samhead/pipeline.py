@@ -23,6 +23,7 @@ from .dataset import Dataset
 from .errors import ConfigError, DataError
 from .evaluation import EvalProtocol, evaluate_detections, log_average_miss_rate
 from .forest import Forest, TrainConfig, TrainingError, bootstrap_train
+from .formats import read_text
 from .geometry import Box, Candidate, Detection, iou, iou_matrix, nms
 from .maps import ImageRecord
 from .pca import PcaError, PcaProjector, fit_pca
@@ -37,7 +38,7 @@ from .routing import (
 )
 
 MODEL_FORMAT = "samhead-model"
-MODEL_VERSION = 6
+MODEL_VERSION = 7
 # The keys a model file holds at each level; ``model_from_dict`` rejects others
 # (``Forest.from_dict`` checks the forest section's).
 _MODEL_KEYS = ("format", "version", "routing", "channels", "caps", "projectors", "forest")
@@ -472,18 +473,23 @@ def detect_dataset(
 
 
 def model_to_dict(model: DetectorModel) -> dict:
-    """The model file's content, version 6.
+    """The model file's content, version 7.
+
+    Every numeric array is one string, the padded standard base64 of its
+    little-endian bytes (``config.write_array``).
 
     ``projectors`` maps the id of each bin that needs a projection to its
-    ``mean`` (a list of D numbers) and ``basis`` (d rows of D numbers, d the
-    routing table's ``target_dim``); a bin whose layers pool the target
-    width has no entry.
+    ``mean`` (D float64s) and ``basis`` (d * D float64s, the d x D matrix
+    row by row, d the routing table's ``target_dim``); a bin whose layers
+    pool the target width has no entry.
 
-    The ``forest`` section holds ``prior_weight``, ``n_features``, ``sizes``
-    (the node count of each tree, in tree order) and one flat list each for
-    ``feature``, ``threshold``, ``left``, ``right`` and ``value``: every
-    tree's preorder node arrays, end to end.  Child indices count from the
-    first node of their own tree, and a leaf has feature and children -1.
+    The ``forest`` section holds the JSON scalars ``prior_weight`` and
+    ``n_features``, ``sizes`` (the node count of each tree, in tree order,
+    int32) and one array each for ``feature`` and ``right`` (int32) and
+    ``value`` (float64): every tree's preorder nodes, end to end.  A leaf has
+    feature and right child -1 and its score as value; a split has its
+    threshold as value, its left child is the next node, and ``right``
+    counts from the first node of its own tree.
     """
     return {
         "format": MODEL_FORMAT,
@@ -492,22 +498,12 @@ def model_to_dict(model: DetectorModel) -> dict:
         "channels": asdict(model.channels),
         "caps": asdict(model.caps),
         "projectors": {
-            pid: {"mean": p.mean.tolist(), "basis": p.basis.tolist()}
+            pid: {"mean": config.write_array(p.mean, "<f8"),
+                  "basis": config.write_array(p.basis, "<f8")}
             for pid, p in sorted(model.projectors.items())
         },
         "forest": model.forest.to_dict(),
     }
-
-
-def _json_numbers(values, key: str) -> np.ndarray:
-    """A JSON list of numbers as float64.
-
-    float64 conversion alone would parse a numeric string and read a boolean
-    as 0 or 1; the type scan runs in C, once per list.
-    """
-    if not (isinstance(values, list) and set(map(type, values)) <= {int, float}):
-        raise DataError(f"{key} must be a JSON list of numbers")
-    return np.asarray(values, dtype=np.float64)
 
 
 def model_from_dict(d) -> DetectorModel:
@@ -524,20 +520,15 @@ def model_from_dict(d) -> DetectorModel:
         )
     try:
         config.section(d, "model", _MODEL_KEYS)
-        projectors = {}
-        for pid, p in config.section(d["projectors"], "projectors").items():
-            p = config.section(p, f"projectors[{pid!r}]", _PROJECTOR_KEYS)
-            basis = p["basis"]
-            if not isinstance(basis, list):
-                raise DataError(f"projector {pid!r} basis must be a JSON list")
-            projectors[pid] = PcaProjector(
-                mean=_json_numbers(p["mean"], f"projector {pid!r} mean"),
-                basis=[_json_numbers(r, f"projector {pid!r} basis[{i}]")
-                       for i, r in enumerate(basis)],
-            )
+        entries = {
+            pid: config.section(p, f"projectors[{pid!r}]", _PROJECTOR_KEYS)
+            for pid, p in config.section(d["projectors"], "projectors").items()
+        }
+        table = config.read(RoutingTable, d["routing"], "routing")
         model = DetectorModel(
-            table=config.read(RoutingTable, d["routing"], "routing"),
-            projectors=projectors,
+            table=table,
+            projectors={pid: _read_projector(pid, p, table.target_dim)
+                        for pid, p in entries.items()},
             channels=config.read(ChannelConfig, d["channels"], "channels"),
             forest=Forest.from_dict(d["forest"]),
             caps=config.read(Caps, d["caps"], "caps"),
@@ -547,6 +538,20 @@ def model_from_dict(d) -> DetectorModel:
     return model
 
 
+def _read_projector(pid: str, entry: dict, rows: int) -> PcaProjector:
+    """Projector ``pid`` from its file entry; its basis has ``rows`` rows."""
+    mean = config.read_array(entry["mean"], "<f8", f"projector {pid!r} mean")
+    basis = config.read_array(
+        entry["basis"], "<f8",
+        f"projector {pid!r} basis (target_dim {rows} x mean length {mean.size})",
+        rows * mean.size,
+    )
+    try:
+        return PcaProjector(mean, basis.reshape(rows, mean.size))
+    except PcaError as e:
+        raise DataError(f"projector {pid!r}: {e}") from None
+
+
 def save_model(path, model: DetectorModel) -> None:
     text = json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":")) + "\n"
     Path(path).write_text(text, encoding="utf-8")
@@ -554,7 +559,7 @@ def save_model(path, model: DetectorModel) -> None:
 
 def load_model(path) -> DetectorModel:
     try:
-        d = json.loads(Path(path).read_text(encoding="utf-8"))
+        d = json.loads(read_text(path))
     except json.JSONDecodeError as e:
         raise DataError(f"model file is not valid JSON: {e}") from e
     return model_from_dict(d)

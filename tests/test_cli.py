@@ -1,12 +1,20 @@
 """The command-line entry points: exit codes, diagnostics and outputs."""
 
+import base64
 import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from conftest import fast_train_settings, time_limit, tiny_synth_config
+from conftest import (
+    FOREST_ARRAYS,
+    fast_train_settings,
+    forest_arrays,
+    time_limit,
+    tiny_synth_config,
+)
+from samhead import config as samhead_config
 from samhead.cli import EXIT_CONFIG, EXIT_DATA, _train_settings, main
 from samhead.dataset import Dataset
 from samhead.errors import ConfigError
@@ -17,12 +25,12 @@ from samhead.pipeline import (
     MODEL_FORMAT,
     MODEL_VERSION,
     TrainSettings,
+    model_from_dict,
     save_model,
     train_detector,
 )
 from samhead.synth import generate_dataset
 
-_NODE_KEYS = ("feature", "threshold", "left", "right", "value")
 SYNTH_SECTION = {"num_images": 2, "peds_per_image": [2, 3], "background_proposals": 30}
 _MODEL_HEADER = {"format": MODEL_FORMAT, "version": MODEL_VERSION}
 
@@ -31,6 +39,18 @@ def _write_config(tmp_path, config, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(config), encoding="utf-8")
     return str(path)
+
+
+def _write_forest(forest, arrays, types=FOREST_ARRAYS):
+    """Store ``arrays`` (decoded forest arrays) in the forest section ``forest``."""
+    for key, values in arrays.items():
+        forest[key] = samhead_config.write_array(values, types[key])
+
+
+def _projector(target_dim):
+    """A well-formed projector entry of the model file: zero mean, identity basis."""
+    return {"mean": samhead_config.write_array(np.zeros(target_dim), "<f8"),
+            "basis": samhead_config.write_array(np.eye(target_dim), "<f8")}
 
 
 def _one_json_line(text):
@@ -232,7 +252,7 @@ class TestMissingOrBrokenData:
         assert payload["message"] == f"malformed model file: {message}"
         assert not (tmp_path / "dets.csv").exists()
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
     def test_stale_model_version_exits_3(self, synth_dir, tmp_path, capsys, model_path,
                                          version):
         # The version check rejects a file before its layout is read, so the
@@ -249,25 +269,26 @@ class TestMissingOrBrokenData:
         )
         assert not (tmp_path / "dets.csv").exists()
 
-    # A well-formed two-channel projector to break one field of.
-    _PROJECTOR = {"mean": [0.0, 0.0], "basis": [[1.0, 0.0]]}
-
     @pytest.mark.parametrize(
         "section, key, value, message",
         [
             ("forest", "prior_weight", "1.0", "prior_weight must be a number, got '1.0'"),
             ("forest", "n_features", 2304.9, "n_features must be an integer, got 2304.9"),
-            ("projector", "mean", ["0.0", "0.0"],
-             "projector 'small' mean must be a JSON list of numbers"),
-            ("projector", "mean", [True, 0.0],
-             "projector 'small' mean must be a JSON list of numbers"),
-            ("projector", "basis", [["1.0", "0.0"]],
-             "projector 'small' basis[0] must be a JSON list of numbers"),
-            ("projector", "basis", [[True, False]],
-             "projector 'small' basis[0] must be a JSON list of numbers"),
-            ("projector", "basis", [1.0, 0.0], "projector 'small' basis[0] must be a JSON list "
-             "of numbers"),
-            ("projector", "basis", "[[1.0, 0.0]]", "projector 'small' basis must be a JSON list"),
+            ("projector", "mean", "0.0,0.0",
+             "projector 'small' mean is not base64: Only base64 data is allowed"),
+            ("projector", "mean", True, "projector 'small' mean must be a base64 string, got bool"),
+            ("projector", "basis", "[[1.0, 0.0]]",
+             "projector 'small' basis (target_dim 128 x mean length 128) is not base64: "
+             "Only base64 data is allowed"),
+            ("projector", "basis", True,
+             "projector 'small' basis (target_dim 128 x mean length 128) must be a base64 "
+             "string, got bool"),
+            ("projector", "basis", samhead_config.write_array(np.eye(128)[0], "<f8"),
+             "projector 'small' basis (target_dim 128 x mean length 128) must hold 16384 "
+             "8-byte values, got 1024 bytes"),
+            ("projector", "basis", np.eye(128).tolist(),
+             "projector 'small' basis (target_dim 128 x mean length 128) must be a base64 "
+             "string, got list"),
         ],
         ids=["prior_weight", "n_features", "mean-string", "mean-bool", "basis-string",
              "basis-bool", "basis-flat", "basis-not-a-list"],
@@ -275,8 +296,9 @@ class TestMissingOrBrokenData:
     def test_wrong_typed_model_scalar_exits_3(self, synth_dir, tmp_path, capsys, model_path,
                                               section, key, value, message):
         model = json.loads(model_path.read_text(encoding="utf-8"))
+        assert model["routing"]["target_dim"] == 128
         if section == "projector":
-            model["projectors"]["small"] = {**self._PROJECTOR, key: value}
+            model["projectors"]["small"] = {**_projector(128), key: value}
         else:
             model["forest"][key] = value
         bad = tmp_path / "bad.json"
@@ -285,6 +307,55 @@ class TestMissingOrBrokenData:
                      "--out", str(tmp_path / "dets.csv")])
         payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
         assert payload["message"] == f"malformed model file: {message}"
+        assert not (tmp_path / "dets.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key, case",
+        [(key, case) for key in ("sizes", "feature", "right", "value", "mean", "basis")
+         for case in ("not-a-string", "non-alphabet", "bad-padding", "odd-bytes",
+                      "wrong-count")]
+        + [("value", "nan"), ("mean", "nan"), ("basis", "nan"),
+           ("right", "outside-its-tree"), ("feature", "n_features")],
+    )
+    def test_malformed_array_exits_3(self, tmp_path, capsys, model_path, key, case):
+        model = json.loads(model_path.read_text(encoding="utf-8"))
+        target_dim = model["routing"]["target_dim"]
+        model["projectors"]["small"] = _projector(target_dim)
+        model_from_dict(model)  # the base model is valid
+        forest = model["forest"]
+        if key in FOREST_ARRAYS:
+            section, dtype = forest, FOREST_ARRAYS[key]
+            # Fewer sizes mean fewer nodes than the node arrays hold.
+            named = "feature" if (key, case) == ("sizes", "wrong-count") else key
+            where = {"nan": "tree 0: ", "outside-its-tree": "tree 0: node 0 ",
+                     "n_features": "tree 0: node 0 "}.get(case, f"forest: {named} ")
+        else:
+            section, dtype = model["projectors"]["small"], "<f8"
+            where = "projector 'small'"
+        array = samhead_config.read_array(section[key], dtype, key)
+        text = section[key]
+        if case == "not-a-string":
+            section[key] = array.tolist()
+        elif case == "non-alphabet":
+            section[key] = text[:4] + "*" + text[5:]
+        elif case == "bad-padding":
+            section[key] = text[:-1]
+        elif case == "odd-bytes":
+            section[key] = base64.b64encode(
+                np.asarray(array, dtype=dtype).tobytes() + b"\0").decode("ascii")
+        elif case == "wrong-count":
+            section[key] = samhead_config.write_array(array[:-1], dtype)
+        else:
+            assert forest_arrays(forest)["feature"][0] >= 0  # node 0 of tree 0 splits
+            array[0] = {"nan": np.nan, "outside-its-tree": forest_arrays(forest)["sizes"][0],
+                        "n_features": forest["n_features"]}[case]
+            section[key] = samhead_config.write_array(array, dtype)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(model), encoding="utf-8")
+        code = main(["detect", "--data", str(tmp_path / "data"), "--model", str(bad),
+                     "--out", str(tmp_path / "dets.csv")])
+        payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
+        assert payload["message"].startswith(f"malformed model file: {where}")
         assert not (tmp_path / "dets.csv").exists()
 
     @pytest.mark.parametrize(
@@ -310,27 +381,28 @@ class TestMissingOrBrokenData:
         assert not (tmp_path / "dets.csv").exists()
 
     # Node 0 splits into node 1 (a split into leaves 2 and 3) and leaf 4.  Every
-    # sample descends 0 -> 1 -> 2, so a cycle on that path would never end.
-    # The tests put this tree in front of the trained model's trees.
-    _TREE = {"feature": [0, 1, -1, -1, -1], "threshold": [1e30, 1e30, 0.0, 0.0, 0.0],
-             "left": [1, 2, -1, -1, -1], "right": [4, 3, -1, -1, -1],
-             "value": [0.0, 0.0, 0.1, 0.2, -0.3]}
+    # sample descends 0 -> 1 -> 3 (x <= 1e30 holds, x <= -1e30 does not), so a
+    # cycle on that path would never end.  A split's left child is the next
+    # node; ``value`` holds a split's threshold and a leaf's score.  The tests
+    # put this tree in front of the trained model's trees.
+    _TREE = {"feature": [0, 1, -1, -1, -1], "right": [4, 3, -1, -1, -1],
+             "value": [1e30, -1e30, 0.1, 0.2, -0.3]}
 
     @pytest.mark.parametrize(
         "key, index, value, where",
         [
-            ("left", 0, 0, "tree 0"),
-            ("left", 1, 0, "tree 0"),
+            ("right", 1, 1, "tree 0"),
+            ("right", 1, 0, "tree 0"),
             ("right", 0, "nodes", "tree 0"),
-            ("left", 4, 2, "tree 0"),
+            ("right", 4, 2, "tree 0"),
             ("feature", 1, "n_features", "tree 0"),
             ("feature", 1, -2, "tree 0"),
             ("value", 4, "delete", "forest"),
             ("value", 2, float("nan"), "tree 0"),
-            ("threshold", 0, float("inf"), "tree 0"),
+            ("value", 0, float("inf"), "tree 0"),
             (None, None, "empty", "tree 0"),
-            ("left", 0, 1.7, "tree 0"),
-            ("feature", 1, True, "tree 0"),
+            ("right", None, "as <f8", "forest"),
+            ("feature", None, "as bool", "forest"),
             ("right", 0, 5, "tree 0"),
             ("sizes", 0, 6, "forest"),
             ("sizes", 0, "insert 0", "tree 0"),
@@ -344,21 +416,27 @@ class TestMissingOrBrokenData:
                                     key, index, value, where):
         model = json.loads(model_path.read_text(encoding="utf-8"))
         forest = model["forest"]
-        forest["sizes"].insert(0, 5)
-        for k in _NODE_KEYS:
-            forest[k][:0] = self._TREE[k]
+        arrays = {k: v.tolist() for k, v in forest_arrays(forest).items()}
+        arrays["sizes"].insert(0, 5)
+        for k, nodes in self._TREE.items():
+            arrays[k][:0] = nodes
+        _write_forest(forest, arrays)
         Forest.from_dict(forest)  # the base forest is valid
+        types = FOREST_ARRAYS
         if value == "empty":  # tree 0 keeps its size entry but has no nodes
-            forest["sizes"][0] = 0
-            for k in _NODE_KEYS:
-                del forest[k][:5]
+            arrays["sizes"][0] = 0
+            for k in self._TREE:
+                del arrays[k][:5]
         elif value == "delete":
-            del forest[key][index]
+            del arrays[key][index]
         elif value == "insert 0":
-            forest[key].insert(index, 0)
+            arrays[key].insert(index, 0)
+        elif value in ("as <f8", "as bool"):  # the array written with another item type
+            types = {**FOREST_ARRAYS, key: value[3:]}
         else:
-            counts = {"nodes": len(forest["feature"]), "n_features": forest["n_features"]}
-            forest[key][index] = counts.get(value, value) if isinstance(value, str) else value
+            counts = {"nodes": len(arrays["feature"]), "n_features": forest["n_features"]}
+            arrays[key][index] = counts.get(value, value) if isinstance(value, str) else value
+        _write_forest(forest, arrays, types)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(model), encoding="utf-8")
         with time_limit(20):
@@ -367,6 +445,55 @@ class TestMissingOrBrokenData:
         payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
         assert payload["message"].startswith(f"malformed model file: {where}: ")
         assert not (tmp_path / "dets.csv").exists()
+
+
+class TestNonUtf8Input:
+    """A file that is not UTF-8 text is bad input, not an unexpected error."""
+
+    _BOM = b"\xff\xfe"  # a UTF-16 byte-order mark; 0xff never occurs in UTF-8
+
+    def test_config_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(self._BOM + json.dumps({"synth": SYNTH_SECTION}).encode("utf-8"))
+        code = main(["synth", "--config", str(config), "--out", str(tmp_path / "data")])
+        payload = _assert_failed(capsys, code, EXIT_CONFIG, "ConfigError")
+        assert "not UTF-8 text" in payload["message"]
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("name", ["meta.json", "annotations.jsonl", "proposals.jsonl"])
+    def test_dataset_file_exits_3(self, synth_dir, tmp_path, capsys, name):
+        path = synth_dir / name
+        path.write_bytes(self._BOM + path.read_bytes())
+        code = main(["train", "--data", str(synth_dir), "--out", str(tmp_path / "m.json")])
+        payload = _assert_failed(capsys, code, EXIT_DATA, "FormatError")
+        assert f"{name} is not UTF-8 text" in payload["message"]
+        assert not (tmp_path / "m.json").exists()
+
+    def test_model_exits_3(self, tmp_path, capsys, model_path):
+        bad = tmp_path / "model.json"
+        bad.write_bytes(self._BOM + model_path.read_bytes())
+        code = main(["detect", "--data", str(tmp_path / "data"), "--model", str(bad),
+                     "--out", str(tmp_path / "dets.csv")])
+        payload = _assert_failed(capsys, code, EXIT_DATA, "FormatError")
+        assert "model.json is not UTF-8 text" in payload["message"]
+        assert not (tmp_path / "dets.csv").exists()
+
+    def test_detections_csv_exits_3(self, synth_dir, tmp_path, capsys):
+        dets = tmp_path / "dets.csv"
+        dets.write_bytes(self._BOM + b"image_id,x,y,w,h,score\n")
+        code = main(["eval", "--data", str(synth_dir), "--dets", str(dets),
+                     "--out", str(tmp_path / "metrics.json")])
+        payload = _assert_failed(capsys, code, EXIT_DATA, "FormatError")
+        assert "dets.csv is not UTF-8 text" in payload["message"]
+        assert not (tmp_path / "metrics.json").exists()
+
+    def test_curve_csv_exits_3(self, tmp_path, capsys):
+        curve = tmp_path / "curve.csv"
+        curve.write_bytes(self._BOM + b"kind,pr,0.5\nthreshold,recall,precision\n")
+        code = main(["plot", "--curve", str(curve), "--out", str(tmp_path / "curve.svg")])
+        payload = _assert_failed(capsys, code, EXIT_DATA, "FormatError")
+        assert "curve.csv is not UTF-8 text" in payload["message"]
+        assert not (tmp_path / "curve.svg").exists()
 
 
 class TestTrainKeys:

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import time_limit
+from conftest import FOREST_ARRAYS, time_limit, tree_arrays
 from oracles import oracle_binner, oracle_train_tree, oracle_tree_apply
+from samhead import config
 from samhead.errors import ConfigError, DataError
 import samhead.forest as forest_module
 from samhead.forest import (
@@ -34,11 +35,11 @@ UNIFORM4 = np.full(4, 0.25)
 
 def trees_of(forest):
     """The forest's trees as ``train_tree`` returns them, read back from ``to_dict``."""
-    d = forest.to_dict()
+    d = tree_arrays(forest.to_dict())
     ends = np.cumsum(d["sizes"])
     return [
-        Tree(*(np.array(d[k][end - size : end]) for k in ("feature", "threshold", "left",
-                                                           "right", "value")))
+        Tree(*(d[k][end - size : end] for k in ("feature", "threshold", "left", "right",
+                                                 "value")))
         for size, end in zip(d["sizes"], ends)
     ]
 
@@ -61,6 +62,7 @@ def random_tree(rng, n_features, max_depth, p_split=0.7):
         if depth < max_depth and (depth == 0 or rng.random() < p_split):
             feature[node] = int(rng.integers(n_features))
             threshold[node] = rng.integers(-4, 5) / 2.0
+            value[node] = 0.0  # a split's value, as train_tree leaves it
             left[node] = build(depth + 1)
             right[node] = build(depth + 1)
         return node
@@ -68,6 +70,11 @@ def random_tree(rng, n_features, max_depth, p_split=0.7):
     build(0)
     return Tree(np.array(feature), np.array(threshold), np.array(left), np.array(right),
                 np.array(value))
+
+
+def reloaded(forest):
+    """``forest`` written with ``to_dict``, through JSON text, and read back."""
+    return Forest.from_dict(json.loads(json.dumps(forest.to_dict())))
 
 
 def oracle_score(trees, prior, X):
@@ -392,10 +399,13 @@ class TestForest:
         priors = rng.normal(size=40)
         want = oracle_score(trees, 0.5 * priors, X)
         assert forest.score(X, priors).tobytes() == want.tobytes()
+        assert reloaded(forest).score(X, priors).tobytes() == want.tobytes()
         # A forest of leaves takes no step at all.
         leaves = Forest.pack([leaf, leaf], n_features=7)
         assert leaves.depth == 0
-        assert leaves.score(X).tobytes() == oracle_score([leaf, leaf], np.zeros(40), X).tobytes()
+        want = oracle_score([leaf, leaf], np.zeros(40), X)
+        assert leaves.score(X).tobytes() == want.tobytes()
+        assert reloaded(leaves).score(X).tobytes() == want.tobytes()
 
     def test_512_random_trees_score_as_the_oracle(self):
         rng = np.random.default_rng(8)
@@ -405,6 +415,7 @@ class TestForest:
         priors = rng.normal(size=30)
         want = oracle_score(trees, 1.3 * priors, X)
         assert forest.score(X, priors).tobytes() == want.tobytes()
+        assert reloaded(forest).score(X, priors).tobytes() == want.tobytes()
         # One row at a time, too: the trees' values still add in tree order.
         for i in range(3):
             assert forest.score(X[i : i + 1], priors[i : i + 1]).tobytes() == want[i : i + 1].tobytes()
@@ -412,10 +423,10 @@ class TestForest:
     def test_children_shared_by_a_chain_of_splits_load_at_once(self):
         # Both children of split k are node k + 1: 2**40 root-to-leaf paths,
         # each 40 steps long.  Depth is found per level, not per path.
-        d = {"prior_weight": 1.0, "n_features": 1, "sizes": [41],
-             "feature": [0] * 40 + [-1], "threshold": [0.0] * 41,
-             "left": list(range(1, 41)) + [-1], "right": list(range(1, 41)) + [-1],
-             "value": [0.0] * 40 + [0.5]}
+        arrays = {"sizes": [41], "feature": [0] * 40 + [-1],
+                  "right": list(range(1, 41)) + [-1], "value": [0.0] * 40 + [0.5]}
+        d = {"prior_weight": 1.0, "n_features": 1,
+             **{k: config.write_array(v, FOREST_ARRAYS[k]) for k, v in arrays.items()}}
         with time_limit(10):
             forest = Forest.from_dict(d)
         assert forest.depth == 40
@@ -432,23 +443,36 @@ class TestForest:
         rng = np.random.default_rng(3)
         trees = [random_tree(rng, 6, max_depth=d) for d in (0, 1, 3, 2)]
         d = Forest.pack(trees, prior_weight=0.5, n_features=6).to_dict()
-        assert d["sizes"] == [t.n_nodes for t in trees]
+        assert set(d) == {"prior_weight", "n_features", *FOREST_ARRAYS}
+        assert all(isinstance(d[key], str) for key in FOREST_ARRAYS)
+        arrays = tree_arrays(d)
+        assert arrays["sizes"].tolist() == [t.n_nodes for t in trees]
         for key in ("feature", "threshold", "left", "right", "value"):
-            assert d[key] == np.concatenate([getattr(t, key) for t in trees]).tolist()
+            want = np.concatenate([getattr(t, key) for t in trees])
+            assert arrays[key].tobytes() == want.astype(arrays[key].dtype).tobytes()
+
+    def test_pack_needs_each_left_child_next(self):
+        tree = Tree(*(np.array(v) for v in ([0, -1, -1], [0.5, 0.0, 0.0], [2, -1, -1],
+                                            [1, -1, -1], [0.0, 1.0, -1.0])))
+        with pytest.raises(ValueError, match="left child must be the next node"):
+            Forest.pack([tree])
 
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("left", 0, "tree 2: node 1 (feature"),
-            ("threshold", "0.5", "tree 2: threshold must hold JSON numbers"),
-            ("value", None, "tree 2: value must hold JSON numbers"),
+            ("right", 0, "tree 2: node 1 (feature"),
+            ("value", float("nan"), "tree 2: thresholds and values must be finite"),
+            ("feature", 6, "tree 2: node 1 (feature 6"),
         ],
+        ids=["right-child-before-its-parent", "nan-value", "feature-out-of-range"],
     )
     def test_from_dict_names_the_broken_tree(self, key, value, message):
         rng = np.random.default_rng(4)
         trees = [random_tree(rng, 6, max_depth=2, p_split=1.0) for _ in range(3)]
         d = Forest.pack(trees, n_features=6).to_dict()
-        d[key][2 * 7 + 1] = value  # node 1 of tree 2; every tree has 7 nodes
+        array = config.read_array(d[key], FOREST_ARRAYS[key], key)
+        array[2 * 7 + 1] = value  # node 1 of tree 2; every tree has 7 nodes
+        d[key] = config.write_array(array, FOREST_ARRAYS[key])
         with pytest.raises(DataError, match=f"^{re.escape(message)}"):
             Forest.from_dict(d)
 
@@ -463,7 +487,7 @@ class TestForest:
     def test_dict_round_trip_preserves_scores_bitwise(self):
         X, y = separable_blobs(seed=17)
         forest, _ = realboost_fit(X, y, rounds=10, config=TrainConfig(max_depth=3))
-        clone = Forest.from_dict(json.loads(json.dumps(forest.to_dict())))
+        clone = reloaded(forest)
         rng = np.random.default_rng(0)
         probe = rng.normal(size=(50, 2)).astype(np.float32)
         np.testing.assert_array_equal(forest.score(probe), clone.score(probe))

@@ -6,9 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import fast_train_settings, time_limit
+from conftest import fast_train_settings, forest_arrays, time_limit
 from oracles import oracle_background_draws, oracle_training_candidates
-from samhead import pipeline
+from samhead import config, pipeline
 from samhead.dataset import Dataset, ImageSample
 from samhead.forest import TrainingError
 from samhead.formats import write_detections_csv
@@ -46,6 +46,8 @@ def test_saved_model_detects_like_the_trained_one(trained, tiny_test_set, tmp_pa
     save_model(tmp_path / "model.json", trained)
     loaded = load_model(tmp_path / "model.json")
     assert detect_dataset(loaded, tiny_test_set) == want
+    save_model(tmp_path / "again.json", loaded)
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "model.json").read_bytes()
 
 
 def test_model_with_one_fitted_bin_round_trips(tiny_train_set, tiny_test_set, tmp_path):
@@ -66,7 +68,7 @@ def test_model_with_one_fitted_bin_round_trips(tiny_train_set, tiny_test_set, tm
     text = (tmp_path / "model.json").read_text(encoding="utf-8")
     assert text.count("\n") == 1 and text.endswith("\n")  # compact, one line
     saved = json.loads(text)
-    assert saved["version"] == 6
+    assert saved["version"] == 7
     assert list(saved["projectors"]) == ["large"]
     # The file holds what detection reads, and nothing else.
     assert set(saved) == {"format", "version", "routing", "channels", "caps", "projectors",
@@ -75,12 +77,21 @@ def test_model_with_one_fitted_bin_round_trips(tiny_train_set, tiny_test_set, tm
     assert set(saved["channels"]) == {"semantic", "edge", "edge_pooling"}
     assert set(saved["caps"]) == {"test_top_k"}
     assert set(saved["projectors"]["large"]) == {"mean", "basis"}
+    projector = model.projectors["large"]
+    mean, basis = (config.read_array(saved["projectors"]["large"][key], "<f8", key)
+                   for key in ("mean", "basis"))
+    assert mean.tobytes() == projector.mean.tobytes()
+    assert basis.tobytes() == projector.basis.tobytes()
+    assert projector.basis.shape == (model.table.target_dim, mean.size)
     forest = saved["forest"]
-    assert set(forest) == {"prior_weight", "n_features", "sizes", "feature", "threshold",
-                           "left", "right", "value"}
-    assert sum(forest["sizes"]) == len(forest["feature"]) == len(forest["value"])
+    assert set(forest) == {"prior_weight", "n_features", "sizes", "feature", "right", "value"}
+    arrays = forest_arrays(forest)
+    assert arrays["sizes"].sum() == arrays["feature"].size == arrays["value"].size
 
     loaded = load_model(tmp_path / "model.json")
+    # Saving the loaded model writes the same bytes.
+    save_model(tmp_path / "again.json", loaded)
+    assert (tmp_path / "again.json").read_bytes() == text.encode("utf-8")
     trained = detect_dataset(model, tiny_test_set)
     write_detections_csv(tmp_path / "trained.csv", trained)
     write_detections_csv(tmp_path / "loaded.csv", detect_dataset(loaded, tiny_test_set))
