@@ -2,11 +2,12 @@
 
 Directory layout::
 
-    <root>/meta.json            image ids, per-image [w, h] sizes (``image_sizes``),
-                                layer geometry, generator echo
+    <root>/meta.json            image ids (each listed once), per-image [w, h]
+                                sizes (``image_sizes``), layer geometry,
+                                generator echo
     <root>/annotations.jsonl    one row per image (possibly empty box list)
     <root>/proposals.jsonl      one row per image
-    <root>/maps/<id>.fmap       CNN feature maps
+    <root>/maps/<id>.fmap       CNN feature maps, channel-last (see formats)
     <root>/maps/<id>.lmap       label map (optional)
     <root>/maps/<id>.emap       edge map (optional)
 """
@@ -138,6 +139,11 @@ class Dataset:
                             "[width, height] JSON integer pairs")
         if len(sizes) != len(ids):
             raise DataError(f"{meta_path}: {len(sizes)} image sizes for {len(ids)} images")
+        seen = set()
+        for image_id in ids:
+            if image_id in seen:
+                raise DataError(f"{meta_path}: image id {image_id!r} is listed more than once")
+            seen.add(image_id)
         gts = read_ground_truth_jsonl(root / "annotations.jsonl")
         props = read_proposals_jsonl(root / "proposals.jsonl")
         samples = []

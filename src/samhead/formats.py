@@ -2,11 +2,13 @@
 
 All binary formats are little-endian.  Layout:
 
-FMAP: magic ``FMAP`` | version u32 (=1) | layer_count u32 | per layer:
+FMAP: magic ``FMAP`` | version u32 (=2) | layer_count u32 | per layer:
       name_len u32, name bytes (UTF-8), stride u32, C u32, H u32, W u32,
-      C*H*W float32 values, channel-major then row-major.
-LMAP: magic ``LMAP`` | version u32 | H u32 | W u32 | H*W uint8 class indices.
-EMAP: magic ``EMAP`` | version u32 | H u32 | W u32 | H*W float32 in [0, 1].
+      H*W*C float32 values, row-major over (H, W, C): each pixel's C
+      channels are contiguous, as ``FeatureMap.hwc`` holds them, so a
+      layer loads as a view of the file's bytes.  Layer names are unique.
+LMAP: magic ``LMAP`` | version u32 (=1) | H u32 | W u32 | H*W uint8 class indices.
+EMAP: magic ``EMAP`` | version u32 (=1) | H u32 | W u32 | H*W float32 in [0, 1].
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from .errors import DataError
 from .geometry import Box, Candidate, Detection, GroundTruthBox
 from .maps import NUM_LABEL_CLASSES, EdgeMap, FeatureMap, LabelMap
 
-FORMAT_VERSION = 1
+FMAP_VERSION = 2
+#: Version of the LMAP and EMAP formats.
+MAP_VERSION = 1
 
 _U32 = struct.Struct("<I")
 _HEADER4 = struct.Struct("<4I")
@@ -99,9 +103,9 @@ class _Reader:
         if got != magic:
             raise BadMagicError(f"{self.what}: expected magic {magic!r}, got {got!r}")
 
-    def expect_version(self) -> None:
+    def expect_version(self, version: int) -> None:
         v = self.u32()
-        if v != FORMAT_VERSION:
+        if v != version:
             raise UnsupportedVersionError(f"{self.what}: unsupported version {v}")
 
     def done(self) -> None:
@@ -118,37 +122,40 @@ def _write_chunks(path: str | Path, chunks: list) -> None:
 
 
 def write_feature_maps(path: str | Path, layers: list[FeatureMap]) -> None:
-    chunks: list = [b"FMAP", _U32.pack(FORMAT_VERSION), _U32.pack(len(layers))]
+    chunks: list = [b"FMAP", _U32.pack(FMAP_VERSION), _U32.pack(len(layers))]
     for fm in layers:
         name = fm.layer_name.encode("utf-8")
-        c, h, w = fm.data.shape
-        chunks += [_U32.pack(len(name)), name, _HEADER4.pack(fm.stride, c, h, w),
-                   np.ascontiguousarray(fm.data, dtype="<f4")]
+        chunks += [_U32.pack(len(name)), name,
+                   _HEADER4.pack(fm.stride, fm.channels, fm.height, fm.width),
+                   np.ascontiguousarray(fm.hwc, dtype="<f4")]
     _write_chunks(path, chunks)
 
 
 def read_feature_maps(path: str | Path) -> list[FeatureMap]:
     r = _Reader(Path(path).read_bytes(), str(path))
     r.expect_magic(b"FMAP")
-    r.expect_version()
+    r.expect_version(FMAP_VERSION)
     count = r.u32()
     layers: list[FeatureMap] = []
     for _ in range(count):
         name_len = r.u32()
         name = bytes(r.take(name_len)).decode("utf-8")
+        if any(fm.layer_name == name for fm in layers):
+            raise FormatError(f"{path}: layer {name!r} appears more than once")
         stride = r.u32()
         c = r.u32()
         h = r.u32()
         w = r.u32()
         if min(c, h, w) < 1:
             raise DimensionError(f"{path}: layer {name!r} declares shape ({c}, {h}, {w})")
-        data = np.frombuffer(r.take(4 * c * h * w), dtype="<f4").reshape(c, h, w)
-        # FeatureMap scans for non-finite values; only a rejected layer is
-        # scanned again, to name the first offending index.
+        hwc = np.frombuffer(r.take(4 * c * h * w), dtype="<f4").reshape(h, w, c)
+        # FeatureMap stores this view as it is, and scans for non-finite
+        # values; only a rejected layer is scanned again, to name the first
+        # offending index into the payload.
         try:
-            layers.append(FeatureMap(name, stride, data))
+            layers.append(FeatureMap(name, stride, hwc.transpose(2, 0, 1)))
         except DataError as e:
-            bad = np.flatnonzero(~np.isfinite(data))
+            bad = np.flatnonzero(~np.isfinite(hwc))
             if bad.size:
                 raise ValueRangeError(f"{path}: layer {name!r} has non-finite value",
                                       int(bad[0])) from None
@@ -158,14 +165,14 @@ def read_feature_maps(path: str | Path) -> list[FeatureMap]:
 
 
 def write_label_map(path: str | Path, lmap: LabelMap) -> None:
-    _write_chunks(path, [b"LMAP", _U32.pack(FORMAT_VERSION),
+    _write_chunks(path, [b"LMAP", _U32.pack(MAP_VERSION),
                          _U32.pack(lmap.height), _U32.pack(lmap.width), lmap.data])
 
 
 def read_label_map(path: str | Path) -> LabelMap:
     r = _Reader(Path(path).read_bytes(), str(path))
     r.expect_magic(b"LMAP")
-    r.expect_version()
+    r.expect_version(MAP_VERSION)
     h = r.u32()
     w = r.u32()
     if min(h, w) < 1:
@@ -185,14 +192,14 @@ def read_label_map(path: str | Path) -> LabelMap:
 
 
 def write_edge_map(path: str | Path, emap: EdgeMap) -> None:
-    _write_chunks(path, [b"EMAP", _U32.pack(FORMAT_VERSION), _U32.pack(emap.height),
+    _write_chunks(path, [b"EMAP", _U32.pack(MAP_VERSION), _U32.pack(emap.height),
                          _U32.pack(emap.width), np.ascontiguousarray(emap.data, dtype="<f4")])
 
 
 def read_edge_map(path: str | Path) -> EdgeMap:
     r = _Reader(Path(path).read_bytes(), str(path))
     r.expect_magic(b"EMAP")
-    r.expect_version()
+    r.expect_version(MAP_VERSION)
     h = r.u32()
     w = r.u32()
     if min(h, w) < 1:

@@ -27,11 +27,19 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class FeatureMap:
-    """One convolutional layer's activations for one image, laid out (C, H, W)."""
+    """One convolutional layer's activations for one image.
+
+    Built from a (C, H, W) array, stored once channel-last: ``hwc`` is a
+    C-contiguous (H, W, C) array, so each pixel's C channels are one
+    contiguous row, and ``data`` is its (C, H, W) view.  Passing
+    ``hwc.transpose(2, 0, 1)`` of a C-contiguous float32 array stores it
+    without a copy; any other layout is copied once.
+    """
 
     layer_name: str
     stride: int
     data: np.ndarray
+    hwc: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.stride not in VALID_STRIDES:
@@ -39,21 +47,23 @@ class FeatureMap:
         arr = np.asarray(self.data, dtype=np.float32)
         if arr.ndim != 3 or min(arr.shape) < 1:
             raise DataError(f"feature map {self.layer_name!r} must be (C, H, W), got shape {arr.shape}")
-        if not np.isfinite(arr).all():
+        hwc = _freeze(arr.transpose(1, 2, 0))
+        if not np.isfinite(hwc).all():
             raise DataError(f"feature map {self.layer_name!r} contains non-finite values")
-        self.data = _freeze(arr)
+        self.hwc = hwc
+        self.data = hwc.transpose(2, 0, 1)
 
     @property
     def channels(self) -> int:
-        return self.data.shape[0]
+        return self.hwc.shape[2]
 
     @property
     def height(self) -> int:
-        return self.data.shape[1]
+        return self.hwc.shape[0]
 
     @property
     def width(self) -> int:
-        return self.data.shape[2]
+        return self.hwc.shape[1]
 
 
 @dataclass

@@ -12,11 +12,14 @@ end arrays.
 
 Two reductions run over those windows, each for all boxes in one call:
 
-* ``grid_max_pool`` gathers, from a channel-last copy of the map, every
-  window member of every box in one ``take`` and reduces over the member
-  axis.  Windows are padded to the largest one by repeating their last
-  member, which cannot change a maximum; max is exact in any order, so the
-  result is bit-equal to a per-cell scan.
+* ``grid_max_pool`` takes a channel-last (H, W, C) map, as ``FeatureMap``
+  stores it, and gathers every window member of every box, each one pixel's
+  row of C floats, straight from the map in one ``take``, then reduces over
+  the member axis.  Windows are padded to the largest one by repeating
+  their last member, which cannot change a maximum; max is exact in any
+  order, so the result is bit-equal to a per-cell scan.  ``max_windows``
+  computes the windows once for maps of one geometry and ``window_max``
+  pools a map over them.
 * ``grid_histogram_pool`` counts integer codes (class labels, quantized edge
   strengths) with one ``bincount`` per box keyed by ``cell * bins + code``.
   Counts are exact integers; they are divided in float32 by float32 cell
@@ -167,35 +170,57 @@ def _windows(rects: np.ndarray, grid: PoolGrid):
     return r0, r1, c0, c1
 
 
-def grid_max_pool(data: np.ndarray, rects: np.ndarray, grid: PoolGrid) -> np.ndarray:
-    """Per-cell channel-wise max of a (C, H, W) map for every rect: (N, C, m*n)."""
-    channels, map_h, map_w = data.shape
-    rects = _check_rects(rects, map_h, map_w)
-    n_box = rects.shape[0]
-    out = np.empty((n_box, grid.m, grid.n, channels), dtype=np.float32)
-    if n_box:
-        # Channel-last copy of the part of the map the rects cover, so each
-        # gathered member is one contiguous row of C floats.
-        top, left = int(rects[:, 0].min()), int(rects[:, 2].min())
-        bottom, right = int(rects[:, 1].max()), int(rects[:, 3].max())
-        crop = data[:, top:bottom, left:right]
-        width = right - left
-        flat = np.ascontiguousarray(np.moveaxis(crop, 0, -1)).reshape(-1, channels)
-        r0, r1, c0, c1 = _windows(rects - [top, top, left, left], grid)
-        span_r, span_c = int((r1 - r0).max()), int((c1 - c0).max())
-        # Member a of a window is min(lo + a, hi - 1): short windows repeat
-        # their last member up to the longest window's span.
-        rows = np.minimum(r0 + np.arange(span_r)[:, None, None], r1 - 1)  # (span_r, N, m)
-        cols = np.minimum(c0 + np.arange(span_c)[:, None, None], c1 - 1)  # (span_c, N, n)
-        step = max(1, _GATHER_FLOATS // (span_r * span_c * grid.cells * channels))
-        for a in range(0, n_box, step):
-            b = min(a + step, n_box)
-            pix = rows[:, None, a:b, :, None] * width + cols[None, :, a:b, None, :]
-            members = flat.take(pix.reshape(-1), axis=0).reshape(
-                span_r * span_c, b - a, grid.m, grid.n, channels
-            )
-            out[a:b] = members.max(axis=0)
-    return out.reshape(n_box, grid.cells, channels).transpose(0, 2, 1)
+@dataclass(frozen=True)
+class MaxWindows:
+    """Every window member of every rect on an (H, W) map, for ``window_max``.
+
+    Member a of a window is ``min(lo + a, hi - 1)``: short windows repeat
+    their last member up to the longest window's span.  ``rows`` is
+    (span_r, N, m) and ``cols`` (span_c, N, n).  Maps of one geometry share
+    one ``MaxWindows``.
+    """
+
+    map_h: int
+    map_w: int
+    rows: np.ndarray
+    cols: np.ndarray
+
+
+def max_windows(rects: np.ndarray, grid: PoolGrid, map_h: int, map_w: int) -> MaxWindows:
+    """The pooling windows of each rect on an (H, W) map."""
+    r0, r1, c0, c1 = _windows(_check_rects(rects, map_h, map_w), grid)
+    span_r, span_c = int((r1 - r0).max(initial=1)), int((c1 - c0).max(initial=1))
+    rows = np.minimum(r0 + np.arange(span_r)[:, None, None], r1 - 1)
+    cols = np.minimum(c0 + np.arange(span_c)[:, None, None], c1 - 1)
+    return MaxWindows(map_h, map_w, rows, cols)
+
+
+def window_max(hwc: np.ndarray, windows: MaxWindows) -> np.ndarray:
+    """Per-cell channel-wise max of an (H, W, C) map over each box's windows: (N, C, m*n)."""
+    map_h, map_w, channels = hwc.shape
+    if (map_h, map_w) != (windows.map_h, windows.map_w):
+        raise DataError(f"windows for a ({windows.map_h}, {windows.map_w}) map "
+                        f"applied to a ({map_h}, {map_w}) map")
+    rows, cols = windows.rows, windows.cols
+    span_r, n_box, m = rows.shape
+    span_c, _, n = cols.shape
+    out = np.empty((n_box, m, n, channels), dtype=np.float32)
+    # Each member is one pixel's row of C contiguous floats.
+    flat = hwc.reshape(-1, channels)
+    step = max(1, _GATHER_FLOATS // (span_r * span_c * m * n * channels))
+    for a in range(0, n_box, step):
+        b = min(a + step, n_box)
+        pix = rows[:, None, a:b, :, None] * map_w + cols[None, :, a:b, None, :]
+        members = flat.take(pix.reshape(-1), axis=0).reshape(
+            span_r * span_c, b - a, m, n, channels
+        )
+        out[a:b] = members.max(axis=0)
+    return out.reshape(n_box, m * n, channels).transpose(0, 2, 1)
+
+
+def grid_max_pool(hwc: np.ndarray, rects: np.ndarray, grid: PoolGrid) -> np.ndarray:
+    """Per-cell channel-wise max of an (H, W, C) map for every rect: (N, C, m*n)."""
+    return window_max(hwc, max_windows(rects, grid, hwc.shape[0], hwc.shape[1]))
 
 
 def grid_histogram_pool(
@@ -260,7 +285,7 @@ def roi_max_pool(fmap: FeatureMap, rect: FeatureRect, grid: PoolGrid) -> np.ndar
     Output has length ``C * m * n``, ordered as out[c, i, j] raveled with the
     channel index slowest.
     """
-    return grid_max_pool(fmap.data, _one_rect(rect), grid)[0].reshape(-1)
+    return grid_max_pool(fmap.hwc, _one_rect(rect), grid)[0].reshape(-1)
 
 
 def roi_histogram_pool(
@@ -289,5 +314,5 @@ def roi_edge_pool(
     if mode not in ("max", "hist"):
         raise ValueError(f"unknown edge pooling mode {mode!r}")
     if mode == "max":
-        return grid_max_pool(emap.data[None], _one_rect(rect), grid)[0, 0]
+        return grid_max_pool(emap.data[..., None], _one_rect(rect), grid)[0, 0]
     return grid_histogram_pool(edge_codes(emap.data, bins), _one_rect(rect), grid, bins)[0]

@@ -19,18 +19,21 @@ from .geometry import Box
 from .maps import ImageRecord, NUM_LABEL_CLASSES
 from .pca import PcaProjector
 # roi_edge_pool, roi_histogram_pool and roi_max_pool are not called here:
-# descriptors use the batched grid_* functions.  They stay importable from
+# descriptors use the batched functions.  They stay importable from
 # this module because perfbench/tracing.py hooks them here.
 from .pooling import (  # noqa: F401
+    MaxWindows,
     PoolGrid,
     box_array,
     edge_codes,
     grid_histogram_pool,
     grid_max_pool,
     map_boxes_to_feature_coords,
+    max_windows,
     roi_edge_pool,
     roi_histogram_pool,
     roi_max_pool,
+    window_max,
 )
 
 
@@ -119,7 +122,9 @@ def pool_bin_stacks(
     """Channel-major pooled stacks of one bin's layers for (x, y, w, h) boxes.
 
     Shape (N, D_bin, m*n): layer blocks in bin order, each (C_layer, m*n).
+    Layers of one (stride, H, W) geometry share the boxes' windows.
     """
+    windows: dict[tuple[int, int, int], MaxWindows] = {}
     parts = []
     for name in table.bins[bin_index].layers:
         try:
@@ -128,8 +133,11 @@ def pool_bin_stacks(
             raise MissingLayerError(
                 f"image {record.image_id!r} lacks routed layer {name!r}"
             ) from None
-        rects = map_boxes_to_feature_coords(boxes, fmap.stride, fmap.height, fmap.width)
-        parts.append(grid_max_pool(fmap.data, rects, table.grid))
+        geometry = (fmap.stride, fmap.height, fmap.width)
+        if geometry not in windows:
+            rects = map_boxes_to_feature_coords(boxes, *geometry)
+            windows[geometry] = max_windows(rects, table.grid, fmap.height, fmap.width)
+        parts.append(window_max(fmap.hwc, windows[geometry]))
     return np.concatenate(parts, axis=1)
 
 
@@ -229,7 +237,7 @@ class DescriptorExtractor:
                     edge_codes(emap.data, EDGE_BINS), rects, grid, EDGE_BINS
                 ))
             else:
-                blocks.append(grid_max_pool(emap.data[None], rects, grid))
+                blocks.append(grid_max_pool(emap.data[..., None], rects, grid))
         return [b.reshape(len(boxes), -1) for b in blocks]
 
     def extract_many(self, record: ImageRecord, boxes: list[Box]) -> np.ndarray:

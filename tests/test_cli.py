@@ -20,7 +20,12 @@ from samhead.dataset import Dataset
 from samhead.errors import ConfigError
 from samhead.evaluation import metrics_summary, read_curve_csv
 from samhead.forest import Forest
-from samhead.formats import read_detections_csv, read_metrics_json
+from samhead.formats import (
+    read_detections_csv,
+    read_feature_maps,
+    read_metrics_json,
+    write_feature_maps,
+)
 from samhead.pipeline import (
     MODEL_FORMAT,
     MODEL_VERSION,
@@ -193,6 +198,60 @@ class TestMissingOrBrokenData:
                      "--out", str(tmp_path / "dets.csv")])
         payload = _assert_failed(capsys, code, EXIT_DATA, "TruncatedPayloadError")
         assert "img0001.fmap" in payload["message"]
+
+    def test_version_1_fmap_exits_3(self, synth_dir, tmp_path, capsys, model_path):
+        fmap = synth_dir / "maps" / "img0000.fmap"
+        raw = bytearray(fmap.read_bytes())
+        assert raw[4:8] == (2).to_bytes(4, "little")
+        raw[4:8] = (1).to_bytes(4, "little")
+        fmap.write_bytes(bytes(raw))
+        code = main(["detect", "--data", str(synth_dir), "--model", str(model_path),
+                     "--out", str(tmp_path / "dets.csv")])
+        payload = _assert_failed(capsys, code, EXIT_DATA, "UnsupportedVersionError")
+        assert "img0000.fmap" in payload["message"]
+        assert not (tmp_path / "dets.csv").exists()
+
+    def test_fmap_with_a_layer_twice_exits_3(self, synth_dir, tmp_path, capsys, model_path):
+        fmap = synth_dir / "maps" / "img0000.fmap"
+        layers = read_feature_maps(fmap)
+        assert layers[0].layer_name == "conv3"
+        write_feature_maps(fmap, [*layers, layers[0]])
+        code = main(["detect", "--data", str(synth_dir), "--model", str(model_path),
+                     "--out", str(tmp_path / "dets.csv")])
+        payload = _assert_failed(capsys, code, EXIT_DATA, "FormatError")
+        assert "img0000.fmap: layer 'conv3' appears more than once" in payload["message"]
+        assert not (tmp_path / "dets.csv").exists()
+
+    @staticmethod
+    def _duplicate_first_id(synth_dir):
+        meta_path = synth_dir / "meta.json"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        assert meta["image_ids"] == ["img0000", "img0001"]
+        meta["image_ids"] = ["img0000", "img0000"]
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+
+    def test_duplicated_image_id_exits_3_at_detect(self, synth_dir, tmp_path, capsys,
+                                                   model_path):
+        self._duplicate_first_id(synth_dir)
+        code = main(["detect", "--data", str(synth_dir), "--model", str(model_path),
+                     "--out", str(tmp_path / "dets.csv")])
+        payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
+        assert "image id 'img0000' is listed more than once" in payload["message"]
+        assert not (tmp_path / "dets.csv").exists()
+
+    def test_duplicated_image_id_exits_3_at_eval(self, synth_dir, tmp_path, capsys,
+                                                 model_path):
+        dets = tmp_path / "dets.csv"
+        assert main(["detect", "--data", str(synth_dir), "--model", str(model_path),
+                     "--out", str(dets)]) == 0
+        capsys.readouterr()
+        self._duplicate_first_id(synth_dir)
+        out = tmp_path / "metrics.json"
+        code = main(["eval", "--data", str(synth_dir), "--dets", str(dets),
+                     "--out", str(out), "--curves", str(tmp_path / "c")])
+        payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
+        assert "image id 'img0000' is listed more than once" in payload["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data", "dets.csv"]
 
     def test_detect_on_intact_data_exits_0(self, synth_dir, tmp_path, capsys, model_path):
         out = tmp_path / "dets.csv"

@@ -48,6 +48,15 @@ class TestRoundTrip:
         with pytest.raises(DataError):
             Dataset.load(tmp_path)
 
+    def test_duplicated_image_id_rejected(self, disk_set, tmp_path):
+        root = tmp_path / "ds"
+        disk_set.save(root)
+        meta = json.loads((root / "meta.json").read_text(encoding="utf-8"))
+        meta["image_ids"][2] = meta["image_ids"][0]
+        (root / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(DataError, match="image id 'img0000' is listed more than once"):
+            Dataset.load(root)
+
 
 def _sized_record(image_id, image_w, image_h):
     fm = FeatureMap("conv3", 4, np.full((2, -(-image_h // 4), -(-image_w // 4)), 0.5,
@@ -151,6 +160,32 @@ class TestLayerChannels:
         ])
         with pytest.raises(DataError):
             ds.layer_channels()
+
+
+class TestFeatureMapLayout:
+    def test_stored_channel_last_with_a_read_only_view(self):
+        chw = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
+        fm = FeatureMap("conv3", 4, chw)
+        assert fm.hwc.shape == (3, 4, 2) and fm.hwc.flags.c_contiguous
+        np.testing.assert_array_equal(fm.hwc, chw.transpose(1, 2, 0))
+        np.testing.assert_array_equal(fm.data, chw)
+        assert np.shares_memory(fm.data, fm.hwc)
+        assert not fm.data.flags.writeable and not fm.hwc.flags.writeable
+        with pytest.raises(ValueError):
+            fm.data[0, 0, 0] = 1.0
+        assert (fm.channels, fm.height, fm.width) == (2, 3, 4)
+
+    def test_a_transposed_channel_last_array_is_not_copied(self):
+        hwc = np.arange(24, dtype=np.float32).reshape(3, 4, 2)
+        fm = FeatureMap("conv3", 4, hwc.transpose(2, 0, 1))
+        assert np.shares_memory(fm.hwc, hwc)
+        assert hwc.flags.writeable  # only the map's own view is frozen
+
+    def test_non_finite_value_rejected(self):
+        chw = np.zeros((2, 3, 4), dtype=np.float32)
+        chw[1, 2, 3] = np.inf
+        with pytest.raises(DataError, match="non-finite"):
+            FeatureMap("conv3", 4, chw)
 
 
 class TestImageRecordValidation:

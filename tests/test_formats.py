@@ -95,13 +95,47 @@ class TestFeatureMapFile:
 
     def test_file_bytes_follow_the_documented_layout(self, fmap_path):
         path, layers = fmap_path
-        want = b"FMAP" + struct.pack("<II", 1, len(layers))
+        want = b"FMAP" + struct.pack("<II", 2, len(layers))
         for fm in layers:
             name = fm.layer_name.encode("utf-8")
             want += struct.pack("<I", len(name)) + name
             want += struct.pack("<4I", fm.stride, *fm.data.shape)
-            want += fm.data.astype("<f4").tobytes()
+            # Row-major over (H, W, C): each pixel's channels are contiguous.
+            c, h, w = fm.data.shape
+            want += b"".join(struct.pack("<f", fm.data[k, i, j])
+                             for i in range(h) for j in range(w) for k in range(c))
         assert path.read_bytes() == want
+
+    def test_version_1_is_unsupported(self, fmap_path):
+        path, _ = fmap_path
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = struct.pack("<I", 1)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(UnsupportedVersionError, match="unsupported version 1"):
+            read_feature_maps(path)
+
+    def test_loaded_layer_is_a_view_of_the_file_bytes(self, fmap_path, monkeypatch):
+        path, layers = fmap_path
+        read = []
+        real_read_bytes = type(path).read_bytes
+
+        def read_bytes(self):
+            read.append(real_read_bytes(self))
+            return read[-1]
+
+        monkeypatch.setattr(type(path), "read_bytes", read_bytes)
+        loaded = read_feature_maps(path)
+        file_buffer = np.frombuffer(read[0], dtype=np.uint8)
+        for fm, want in zip(loaded, layers):
+            assert np.shares_memory(fm.hwc, file_buffer)
+            assert np.shares_memory(fm.data, file_buffer)
+            np.testing.assert_array_equal(fm.data, want.data)
+
+    def test_a_layer_stored_twice_is_rejected(self, fmap_path):
+        path, layers = fmap_path
+        write_feature_maps(path, [*layers, layers[0]])
+        with pytest.raises(FormatError, match=r"img\.fmap: layer 'conv3' appears more than once"):
+            read_feature_maps(path)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_value_in_a_later_layer_reports_its_index(self, fmap_path, bad):
@@ -113,23 +147,27 @@ class TestFeatureMapFile:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueRangeError, match="conv5a") as exc:
             read_feature_maps(path)
+        # Index 17 of conv5a's (3, 4, 5) channel-last payload: pixel (0, 3),
+        # channel 2.
         assert exc.value.index == 17
 
     def test_non_finite_value_wins_over_a_bad_stride(self, tmp_path):
         path = tmp_path / "bad.fmap"
-        header = b"FMAP" + struct.pack("<II", 1, 1) + struct.pack("<I", 1) + b"x"
-        payload = struct.pack("<4f", 0.0, 1.0, float("nan"), 2.0)
-        path.write_bytes(header + struct.pack("<4I", 3, 1, 2, 2) + payload)
+        header = b"FMAP" + struct.pack("<II", 2, 1) + struct.pack("<I", 1) + b"x"
+        # C = 2, H = 1, W = 2: the NaN is pixel (0, 0)'s channel 1, index 1
+        # of the channel-last payload (it would be index 2 channel-major).
+        payload = struct.pack("<4f", 0.0, float("nan"), 1.0, 2.0)
+        path.write_bytes(header + struct.pack("<4I", 3, 2, 1, 2) + payload)
         with pytest.raises(ValueRangeError) as exc:
             read_feature_maps(path)
-        assert exc.value.index == 2
-        path.write_bytes(header + struct.pack("<4I", 3, 1, 2, 2) + struct.pack("<4f", 0, 1, 2, 3))
+        assert exc.value.index == 1
+        path.write_bytes(header + struct.pack("<4I", 3, 2, 1, 2) + struct.pack("<4f", 0, 1, 2, 3))
         with pytest.raises(DimensionError, match="stride"):
             read_feature_maps(path)
 
     def test_zero_dimension_rejected(self, tmp_path):
         path = tmp_path / "bad.fmap"
-        buf = b"FMAP" + struct.pack("<I", 1) + struct.pack("<I", 1)
+        buf = b"FMAP" + struct.pack("<I", 2) + struct.pack("<I", 1)
         name = b"x"
         buf += struct.pack("<I", len(name)) + name
         buf += struct.pack("<I", 4) + struct.pack("<III", 0, 3, 3)

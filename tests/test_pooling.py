@@ -28,9 +28,11 @@ from samhead.pooling import (
     grid_max_pool,
     feature_rect,
     map_boxes_to_feature_coords,
+    max_windows,
     roi_edge_pool,
     roi_histogram_pool,
     roi_max_pool,
+    window_max,
 )
 
 
@@ -126,7 +128,7 @@ class TestRoiMaxPool:
         for c in range(3):
             np.testing.assert_array_equal(
                 out[c * grid.cells : (c + 1) * grid.cells],
-                grid_max_pool(data[c][None], [[0, 6, 0, 6]], grid)[0, 0],
+                grid_max_pool(data[c][..., None], [[0, 6, 0, 6]], grid)[0, 0],
             )
 
     def test_constant_map_pools_to_constant(self):
@@ -177,7 +179,7 @@ class TestEdgePool:
         grid = PoolGrid(3, 2)
         np.testing.assert_array_equal(
             roi_edge_pool(emap, rect, grid, mode="max"),
-            grid_max_pool(data[None], [[1, 6, 0, 7]], grid)[0, 0],
+            grid_max_pool(data[..., None], [[1, 6, 0, 7]], grid)[0, 0],
         )
 
     def test_full_strength_lands_in_top_bin(self):
@@ -260,7 +262,7 @@ class TestBatchedGridPool:
         boxes = random_boxes(rng, fmap, count)
         rects = map_boxes_to_feature_coords(box_array(boxes), fmap.stride,
                                             fmap.height, fmap.width)
-        pooled = grid_max_pool(fmap.data, rects, grid)
+        pooled = grid_max_pool(fmap.hwc, rects, grid)
         hist = grid_histogram_pool(labels.data, rects, grid, 21)
         edge_hist = grid_histogram_pool(edge_codes(edges.data, 16), rects, grid, 16)
         assert pooled.shape == (count, fmap.channels, grid.cells)
@@ -281,14 +283,31 @@ class TestBatchedGridPool:
         fmap = FeatureMap("conv3", 4, rng.normal(size=(3, 12, 9)).astype(np.float32))
         boxes = random_boxes(rng, fmap, 40)
         rects = map_boxes_to_feature_coords(box_array(boxes), 4, 12, 9)
-        whole = grid_max_pool(fmap.data, rects, PoolGrid(3, 2))
+        whole = grid_max_pool(fmap.hwc, rects, PoolGrid(3, 2))
         monkeypatch.setattr(pooling, "_GATHER_FLOATS", 1)
-        assert np.array_equal(grid_max_pool(fmap.data, rects, PoolGrid(3, 2)), whole)
+        assert np.array_equal(grid_max_pool(fmap.hwc, rects, PoolGrid(3, 2)), whole)
+
+    def test_maps_of_one_geometry_share_windows(self):
+        rng = np.random.default_rng(17)
+        grid = PoolGrid(3, 2)
+        conv3, conv4a = (FeatureMap(name, 4, rng.normal(size=(c, 7, 9)).astype(np.float32))
+                         for name, c in (("conv3", 3), ("conv4a", 5)))
+        boxes = random_boxes(rng, conv3, 20)
+        rects = map_boxes_to_feature_coords(box_array(boxes), 4, 7, 9)
+        windows = max_windows(rects, grid, 7, 9)
+        for fmap in (conv3, conv4a):
+            shared = window_max(fmap.hwc, windows)
+            assert np.array_equal(shared, grid_max_pool(fmap.hwc, rects, grid))
+            for i, rect in enumerate(rects.tolist()):
+                assert np.array_equal(shared[i].reshape(-1),
+                                      oracle_max_pool(fmap.data, FeatureRect(*rect), 3, 2))
+        with pytest.raises(DataError, match=r"\(7, 9\) map applied to a \(7, 8\) map"):
+            window_max(np.zeros((7, 8, 3), dtype=np.float32), windows)
 
     def test_empty_batch(self):
         fmap = FeatureMap("conv3", 4, np.zeros((2, 4, 4), dtype=np.float32))
         rects = np.empty((0, 4), dtype=np.int64)
-        assert grid_max_pool(fmap.data, rects, PoolGrid(2, 2)).shape == (0, 2, 4)
+        assert grid_max_pool(fmap.hwc, rects, PoolGrid(2, 2)).shape == (0, 2, 4)
         labels = np.zeros((4, 4), dtype=np.uint8)
         assert grid_histogram_pool(labels, rects, PoolGrid(2, 2), 21).shape == (0, 84)
 
