@@ -32,18 +32,21 @@ per-column, per-node reference (``tests/oracles.py``):
   features would choose; a NaN Z anywhere ends the node as a leaf, as that
   argmin would.  Each block's arrays stay in cache where one whole-node pass
   streamed megabytes through memory.
-- ``Forest`` packs its trees' node arrays end to end once, when
-  ``realboost_fit`` finishes or ``Forest.from_dict`` loads, and
-  ``Forest.apply`` walks all trees at once over those arrays.  Each node
-  keeps one float, a split's threshold or a leaf's score, and its two
-  children in ``next_node``.  A leaf points to itself as both children, so
-  every (tree, sample) pair takes the forest's depth in steps with no test
-  for having arrived; a pair that sits at a leaf stays there, and the walk
-  ends by reading the float of the node it reached.  ``Forest.score`` still
-  adds the trees' values one tree at a time, in order.
-- The saved forest (``Forest.to_dict``) holds ``sizes``, ``feature``,
-  ``right`` and ``value`` as base64 arrays (``config.write_array``).  It
-  needs no ``left``: in preorder a split's left child is the next node.
+- Trees are grown in the model file's layout (``Tree``): preorder nodes,
+  each with a ``feature``, a ``right`` child and one float ``value``, a
+  split's threshold or a leaf's score.  A split's left child is the next
+  node, so no node stores it.  ``Forest`` keeps that layout: ``pack`` lays
+  the trees' arrays end to end, and the saved forest (``Forest.to_dict``)
+  holds ``sizes``, ``feature``, ``right`` and ``value`` as base64 arrays
+  (``config.write_array``).
+- For the walk, ``Forest`` derives each node's two children in
+  ``next_node`` once, when ``realboost_fit`` finishes or
+  ``Forest.from_dict`` loads, and ``Forest.apply`` walks all trees at once.
+  A leaf points to itself as both children, so every (tree, sample) pair
+  takes the forest's depth in steps with no test for having arrived; a pair
+  that sits at a leaf stays there, and the walk ends by reading the float
+  of the node it reached.  ``Forest.score`` still adds the trees' values
+  one tree at a time, in order.
 """
 
 from __future__ import annotations
@@ -66,15 +69,14 @@ class TrainingError(DataError):
 
 @dataclass
 class Tree:
-    """Decision tree stored as preorder node arrays; left == -1 marks a leaf.
+    """Decision tree as preorder node arrays, the layout of the model file.
 
-    A split's left child is the next node, k + 1; ``Forest`` relies on it.
-    A split's ``value`` and a leaf's ``threshold`` are 0.0.
+    A split keeps its threshold in ``value``; its left child is the next
+    node, k + 1, and ``right`` is its right child.  A leaf has feature and
+    right child -1 and its score in ``value``.
     """
 
     feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
     right: np.ndarray
     value: np.ndarray
 
@@ -95,7 +97,7 @@ class FeatureBinner:
     points.  Features must be finite.
 
     ``bins_by_feature`` holds the bin of every sample feature-major, shape
-    (features, samples); ``bins`` is its sample-major transposed view.
+    (features, samples).
     """
 
     def __init__(self, X: np.ndarray, max_bins: int = 256):
@@ -116,7 +118,6 @@ class FeatureBinner:
                 self.cuts.append(cuts)
                 bins[f0 + f] = np.searchsorted(cuts, col, side="left")
         self.bins_by_feature = bins
-        self.bins = bins.T
         self.n_cuts = np.array([c.size for c in self.cuts], dtype=np.int64)
         self.width = int(self.n_cuts.max(initial=0)) + 1
 
@@ -189,7 +190,8 @@ def train_tree(
 
     ``w`` must be nonnegative; ``y`` in {-1, +1}.  Ties between equally good
     splits resolve to the smallest feature index, then smallest threshold.
-    A node where no feature has a usable cut becomes a leaf.
+    A node where no feature has a usable cut becomes a leaf.  The tree comes
+    out in the model file's layout (``Tree``).
     """
     if max_depth < 1:
         raise ConfigError(f"tree depth must be >= 1, got {max_depth}")
@@ -212,8 +214,6 @@ def train_tree(
     invalid = np.arange(B, dtype=np.int64)[None, :] >= binner.n_cuts[:, None]
 
     feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
     right: list[int] = []
     value: list[float] = []
 
@@ -247,40 +247,33 @@ def train_tree(
 
     # Nodes are grown from a stack, left child on top, so they are numbered
     # in preorder: a split's left subtree follows it, then its right subtree.
-    # Each entry is (samples, depth, the parent's child list, parent node).
-    stack: list[tuple[np.ndarray, int, list[int], int]] = [
-        (np.arange(bins.shape[1], dtype=np.int64), 0, [], -1)
-    ]
+    # Each entry is (samples, depth, the split it is the right child of, or
+    # -1); a left child is the node after its split and needs no link.
+    stack = [(np.arange(bins.shape[1], dtype=np.int64), 0, -1)]
     while stack:
-        idx, depth, link, parent = stack.pop()
+        idx, depth, right_of = stack.pop()
         node = len(feature)
-        if parent >= 0:
-            link[parent] = node
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-
+        if right_of >= 0:
+            right[right_of] = node
         wp = float(w_pos[idx].sum())
         wn = float(w_neg[idx].sum())
         split = None
         if depth < max_depth and idx.size >= 2 and wp != 0.0 and wn != 0.0:
             split = best_split(idx, wp, wn)
+        right.append(-1)  # a split's is set when its right child is grown
         if split is None:
-            value[node] = _leaf_score(wp, wn, eps)
+            feature.append(-1)
+            value.append(_leaf_score(wp, wn, eps))
             continue
         f, b = split
-        feature[node] = f
-        threshold[node] = float(binner.cuts[f][b])
+        feature.append(f)
+        value.append(float(binner.cuts[f][b]))
         goes_left = bins[f, idx] <= b
-        stack.append((idx[~goes_left], depth + 1, right, node))
-        stack.append((idx[goes_left], depth + 1, left, node))
+        stack.append((idx[~goes_left], depth + 1, node))
+        stack.append((idx[goes_left], depth + 1, -1))
 
     return Tree(
         feature=np.asarray(feature, dtype=np.int64),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int64),
         right=np.asarray(right, dtype=np.int64),
         value=np.asarray(value, dtype=np.float64),
     )
@@ -359,17 +352,18 @@ _TREE_VALUES_PER_SLICE = 1 << 20
 
 
 class Forest:
-    """Additive tree ensemble with a weighted proposal prior, packed for scoring.
+    """Additive tree ensemble with a weighted proposal prior.
 
     The trees' node arrays lie end to end, tree t at nodes ``offsets[t]`` to
-    ``offsets[t] + sizes[t]``.  The constructor takes them as the model file
-    holds them: ``feature`` (-1 at a leaf), ``right`` (a split's right child,
+    ``offsets[t] + sizes[t]``, in ``Tree``'s layout, which is the model
+    file's: ``feature`` (-1 at a leaf), ``right`` (a split's right child,
     counted from its tree's first node; -1 at a leaf) and ``value`` (a
     split's threshold or a leaf's score).  A split's left child is the next
-    node.  It packs them once for the walk: children become global indices,
-    and a leaf gets feature 0 and itself as both children, so every (tree,
-    sample) pair can take ``depth`` steps with no test for having reached a
-    leaf.  ``next_node[k]`` holds node k's (right, left) children, the node a
+    node.  The constructor keeps these arrays and derives the walk's once:
+    in ``walk_feature`` and ``next_node`` children are global indices, and a
+    leaf gets feature 0 and itself as both children, so every (tree, sample)
+    pair can take ``depth`` steps with no test for having reached a leaf.
+    ``next_node[k]`` holds node k's (right, left) children, the node a
     sample moves to when ``x <= value[k]`` is false or true.
     """
 
@@ -386,13 +380,14 @@ class Forest:
         self.n_features = n_features
         self.sizes = np.asarray(sizes, dtype=np.int64)
         self.offsets = np.cumsum(self.sizes) - self.sizes
-        feature = np.asarray(feature, dtype=np.int64)
-        node = np.arange(feature.size)
-        split = feature >= 0
-        self.feature = np.where(split, feature, 0)
+        self.feature = np.asarray(feature, dtype=np.int64)
+        self.right = np.asarray(right, dtype=np.int64)
         self.value = np.asarray(value, dtype=np.float64)
+        node = np.arange(self.feature.size)
+        split = self.feature >= 0
+        self.walk_feature = np.where(split, self.feature, 0)
         self.next_node = np.stack(
-            [np.where(split, np.asarray(right) + np.repeat(self.offsets, self.sizes), node),
+            [np.where(split, self.right + np.repeat(self.offsets, self.sizes), node),
              np.where(split, node + 1, node)],
             axis=1,
         )
@@ -408,20 +403,15 @@ class Forest:
 
     @classmethod
     def pack(cls, trees: list[Tree], prior_weight: float = 1.0, n_features: int = 0) -> "Forest":
+        """The forest of ``trees``, their node arrays laid end to end."""
         def joined(key: str, dtype) -> np.ndarray:
             return np.concatenate([np.empty(0, dtype)] + [getattr(t, key) for t in trees])
 
-        sizes = np.array([t.n_nodes for t in trees], dtype=np.int64)
-        feature = joined("feature", np.int64)
-        split = feature >= 0
-        local = np.arange(feature.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        if (joined("left", np.int64)[split] != local[split] + 1).any():
-            raise ValueError("a split's left child must be the next node")
         return cls(
-            sizes=sizes,
-            feature=feature,
+            sizes=[t.n_nodes for t in trees],
+            feature=joined("feature", np.int64),
             right=joined("right", np.int64),
-            value=np.where(split, joined("threshold", np.float64), joined("value", np.float64)),
+            value=joined("value", np.float64),
             prior_weight=prior_weight,
             n_features=n_features,
         )
@@ -438,7 +428,7 @@ class Forest:
         next_node = self.next_node.reshape(-1)
         node = np.repeat(self.offsets[:, None], X.shape[0], axis=1)
         for _ in range(self.depth):
-            x = np.take(flat, np.take(self.feature, node) + row_base)
+            x = np.take(flat, np.take(self.walk_feature, node) + row_base)
             node = np.take(next_node, 2 * node + (x <= np.take(self.value, node)))
         return np.take(self.value, node)
 
@@ -466,15 +456,12 @@ class Forest:
 
         ``sizes``, ``feature`` and ``right`` are ``<i4``, ``value`` ``<f8``.
         """
-        leaf = self.next_node[:, 0] == np.arange(self.feature.size)
-        right = self.next_node[:, 0] - np.repeat(self.offsets, self.sizes)
         return {
             "prior_weight": self.prior_weight,
             "n_features": self.n_features,
             "sizes": config.write_array(self.sizes, "<i4"),
-            "feature": config.write_array(np.where(leaf, -1, self.feature), "<i4"),
-            "right": config.write_array(np.where(leaf, -1, right), "<i4"),
-            "value": config.write_array(self.value, "<f8"),
+            **{key: config.write_array(getattr(self, key), dtype)
+               for key, dtype in _NODE_KEYS.items()},
         }
 
     @classmethod

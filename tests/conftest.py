@@ -7,7 +7,6 @@ share it to keep the suite quick.
 import signal
 from contextlib import contextmanager
 
-import numpy as np
 import pytest
 
 from samhead import config
@@ -54,26 +53,6 @@ def forest_arrays(section) -> dict:
     """A saved forest's arrays, decoded."""
     return {key: config.read_array(section[key], dtype, key)
             for key, dtype in FOREST_ARRAYS.items()}
-
-
-def tree_arrays(section) -> dict:
-    """A saved forest's ``sizes`` and node arrays as ``Tree`` holds them, end to end.
-
-    Restores what the file leaves out: a split's left child is the next
-    node, its threshold the stored value and its value 0.0; a leaf's left
-    child is -1 and its threshold 0.0.
-    """
-    a = forest_arrays(section)
-    split = a["feature"] >= 0
-    local = np.arange(split.size) - np.repeat(np.cumsum(a["sizes"]) - a["sizes"], a["sizes"])
-    return {
-        "sizes": a["sizes"],
-        "feature": a["feature"],
-        "threshold": np.where(split, a["value"], 0.0),
-        "left": np.where(split, local + 1, -1),
-        "right": a["right"],
-        "value": np.where(split, 0.0, a["value"]),
-    }
 
 
 @contextmanager

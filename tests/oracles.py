@@ -13,7 +13,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from samhead.dataset import Dataset, ImageSample
-from samhead.forest import Tree
 from samhead.geometry import Box, Candidate, Detection, GroundTruthBox, iou
 from samhead.maps import NUM_LABEL_CLASSES, EdgeMap, FeatureMap, ImageRecord, LabelMap
 from samhead.pooling import FeatureRect, PoolGrid
@@ -325,6 +324,10 @@ def oracle_train_tree(cuts, bins, w, y, max_depth, eps):
     scans all (feature, cut) pairs at once; ``np.argmin`` over the
     feature-major flattening picks the lowest feature, then the lowest cut,
     among equal Z.  Needs at least one feature with a cut.
+
+    Returns the tree as five explicit preorder arrays, ``feature``,
+    ``threshold``, ``left``, ``right`` and ``value`` (a leaf has feature,
+    left and right -1 and threshold 0.0; a split has value 0.0).
     """
     w = np.asarray(w, dtype=np.float64)
     pos = np.asarray(y) > 0
@@ -375,7 +378,7 @@ def oracle_train_tree(cuts, bins, w, y, max_depth, eps):
         return node
 
     build(np.arange(bins.shape[0], dtype=np.int64), 0)
-    return Tree(
+    return SimpleNamespace(
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=np.float64),
         left=np.asarray(left, dtype=np.int64),
@@ -385,13 +388,17 @@ def oracle_train_tree(cuts, bins, w, y, max_depth, eps):
 
 
 def oracle_tree_apply(tree, X):
-    """Leaf value of each sample, walking the tree one sample at a time."""
+    """Leaf value of each sample, walking the tree one sample at a time.
+
+    ``tree`` has the model file's layout: a split's threshold is its
+    ``value``, its left child the next node and its right child ``right``.
+    """
     out = []
     for x in np.asarray(X):
         node = 0
         while tree.feature[node] >= 0:
-            goes_left = x[tree.feature[node]] <= tree.threshold[node]
-            node = tree.left[node] if goes_left else tree.right[node]
+            goes_left = x[tree.feature[node]] <= tree.value[node]
+            node = node + 1 if goes_left else tree.right[node]
         out.append(tree.value[node])
     return np.array(out, dtype=np.float64)
 

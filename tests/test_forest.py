@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import FOREST_ARRAYS, time_limit, tree_arrays
+from conftest import FOREST_ARRAYS, forest_arrays, time_limit
 from oracles import oracle_binner, oracle_train_tree, oracle_tree_apply
 from samhead import config
 from samhead.errors import ConfigError, DataError
@@ -35,11 +35,10 @@ UNIFORM4 = np.full(4, 0.25)
 
 def trees_of(forest):
     """The forest's trees as ``train_tree`` returns them, read back from ``to_dict``."""
-    d = tree_arrays(forest.to_dict())
+    d = forest_arrays(forest.to_dict())
     ends = np.cumsum(d["sizes"])
     return [
-        Tree(*(d[k][end - size : end] for k in ("feature", "threshold", "left", "right",
-                                                 "value")))
+        Tree(*(d[k][end - size : end] for k in ("feature", "right", "value")))
         for size, end in zip(d["sizes"], ends)
     ]
 
@@ -50,26 +49,22 @@ def random_tree(rng, n_features, max_depth, p_split=0.7):
     Thresholds are halves in [-2, 2], so samples drawn from the same grid
     land on them.
     """
-    feature, threshold, left, right, value = [], [], [], [], []
+    feature, right, value = [], [], []
 
     def build(depth):
         node = len(feature)
         feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
         right.append(-1)
         value.append(float(rng.normal()))
         if depth < max_depth and (depth == 0 or rng.random() < p_split):
             feature[node] = int(rng.integers(n_features))
-            threshold[node] = rng.integers(-4, 5) / 2.0
-            value[node] = 0.0  # a split's value, as train_tree leaves it
-            left[node] = build(depth + 1)
+            value[node] = rng.integers(-4, 5) / 2.0  # a split's threshold
+            build(depth + 1)  # the left child is the next node
             right[node] = build(depth + 1)
         return node
 
     build(0)
-    return Tree(np.array(feature), np.array(threshold), np.array(left), np.array(right),
-                np.array(value))
+    return Tree(np.array(feature), np.array(right), np.array(value))
 
 
 def reloaded(forest):
@@ -99,7 +94,7 @@ class TestFeatureBinner:
         X = np.array([[0.0], [1.0], [1.0], [3.0]])
         binner = FeatureBinner(X, max_bins=8)
         np.testing.assert_allclose(binner.cuts[0], [0.5, 2.0])
-        np.testing.assert_array_equal(binner.bins[:, 0], [0, 1, 1, 2])
+        np.testing.assert_array_equal(binner.bins_by_feature[0], [0, 1, 1, 2])
         assert binner.width == 3
 
     def test_dense_feature_capped_by_quantiles(self):
@@ -107,14 +102,14 @@ class TestFeatureBinner:
         X = rng.normal(size=(500, 1))
         binner = FeatureBinner(X, max_bins=16)
         assert binner.cuts[0].size <= 15
-        assert binner.bins[:, 0].max() <= 15
+        assert binner.bins_by_feature[0].max() <= 15
 
     def test_binning_respects_cut_semantics(self):
         # bin b collects values <= cuts[b] (and the overflow bin above all cuts).
         X = np.array([[0.0], [1.0], [2.0], [3.0], [4.0]])
         binner = FeatureBinner(X, max_bins=16)
         col = X[:, 0]
-        for value, b in zip(col, binner.bins[:, 0]):
+        for value, b in zip(col, binner.bins_by_feature[0]):
             if b > 0:
                 assert value > binner.cuts[0][b - 1]
             if b < binner.cuts[0].size:
@@ -151,14 +146,13 @@ class TestFeatureBinner:
         cuts, bins = oracle_binner(X, max_bins)
         for got, want in zip(binner.cuts, cuts):
             assert got.tobytes() == want.tobytes()
-        np.testing.assert_array_equal(binner.bins, bins)
+        np.testing.assert_array_equal(binner.bins_by_feature.T, bins)
 
     def test_bins_are_a_view_of_the_feature_major_matrix(self):
         X, _ = separable_blobs(n_per_class=5)
         binner = FeatureBinner(X, max_bins=4)
         assert binner.bins_by_feature.shape == (2, 10)
         assert binner.bins_by_feature.flags.c_contiguous
-        assert binner.bins.base is binner.bins_by_feature
 
 
 class TestTrainTree:
@@ -168,7 +162,7 @@ class TestTrainTree:
         eps = 0.01
         tree = train_tree(FeatureBinner(X), UNIFORM4, y, max_depth=1, eps=eps)
         assert tree.feature[0] == 0
-        assert tree.threshold[0] == 2.5
+        assert tree.value[0] == 2.5
         preds = tree.apply(X)
         assert np.all(np.sign(preds) == y)
         # Pure leaves carry the smoothed half log-odds exactly.
@@ -194,7 +188,7 @@ class TestTrainTree:
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([1.0, -1.0, -1.0, 1.0])
         tree = train_tree(FeatureBinner(X), UNIFORM4, y, max_depth=1, eps=0.01)
-        assert tree.threshold[0] == 1.5
+        assert tree.value[0] == 1.5
 
     def test_pure_node_stops_early(self):
         X = np.array([[1.0], [2.0], [3.0]])
@@ -229,7 +223,7 @@ class TestTrainTree:
         w = rng.random(40)
         tree = train_tree(FeatureBinner(X), w / w.sum(), y, max_depth=1, eps=0.01)
         assert tree.feature[0] == SCAN_BLOCK - 1
-        assert tree.threshold[0] == 16.5
+        assert tree.value[0] == 16.5
 
     def test_no_feature_with_a_cut_gives_a_single_leaf(self):
         X = np.full((10, 3), 2.0, dtype=np.float32)
@@ -268,15 +262,22 @@ class TestTrainTree:
         assert len(binner.cuts) == len(cuts)
         for got, want in zip(binner.cuts, cuts):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert binner.bins.dtype == np.uint8
-        np.testing.assert_array_equal(binner.bins, bins)
+        assert binner.bins_by_feature.dtype == np.uint8
+        np.testing.assert_array_equal(binner.bins_by_feature.T, bins)
 
         assume(binner.width > 1)  # the oracle needs at least one cut
         eps = 1.0 / (2.0 * n)
         got = train_tree(binner, w, y, depth, eps)
         want = oracle_train_tree(cuts, bins, w, y, depth, eps)
-        for name in ("feature", "threshold", "left", "right", "value"):
-            a, b = getattr(got, name), getattr(want, name)
+        # In the oracle's explicit arrays a split's left child is the next
+        # node, so its tree has the file layout: a split's value is its
+        # threshold.
+        split = want.feature >= 0
+        assert (want.left[split] == np.flatnonzero(split) + 1).all()
+        want_value = np.where(split, want.threshold, want.value)
+        for name, b in (("feature", want.feature), ("right", want.right),
+                        ("value", want_value)):
+            a = getattr(got, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
     def test_validation(self):
@@ -312,8 +313,6 @@ class TestRealboost:
         def anti_tree(binner, w, y, max_depth, eps):
             return Tree(
                 feature=np.array([0, -1, -1]),
-                threshold=np.array([0.0, 0.0, 0.0]),
-                left=np.array([1, -1, -1]),
                 right=np.array([2, -1, -1]),
                 value=np.array([0.0, 1.0, -1.0]),
             )
@@ -372,7 +371,7 @@ class TestForest:
         X, y = separable_blobs(seed=13)
         X = X.astype(np.float32)
         forest, _ = realboost_fit(X, y, rounds=5, config=TrainConfig(max_depth=3))
-        leaf = Tree(*(np.array([v]) for v in (-1, 0.0, -1, -1, 0.25)))
+        leaf = Tree(*(np.array([v]) for v in (-1, -1, 0.25)))
         trees = trees_of(forest) + [leaf]
         forest = Forest.pack(trees, n_features=2)
         values = forest.apply(X)
@@ -390,7 +389,7 @@ class TestForest:
         # walk takes six steps for every tree.
         rng = np.random.default_rng(21)
         X = (rng.integers(-4, 5, size=(40, 7)) / 2.0).astype(np.float32)
-        leaf = Tree(*(np.array([v]) for v in (-1, 0.0, -1, -1, -0.75)))
+        leaf = Tree(*(np.array([v]) for v in (-1, -1, -0.75)))
         stump = random_tree(rng, 7, max_depth=1)
         deep = random_tree(rng, 7, max_depth=6, p_split=1.0)
         trees = [leaf, deep, stump, leaf, random_tree(rng, 7, max_depth=6), stump, deep]
@@ -445,17 +444,11 @@ class TestForest:
         d = Forest.pack(trees, prior_weight=0.5, n_features=6).to_dict()
         assert set(d) == {"prior_weight", "n_features", *FOREST_ARRAYS}
         assert all(isinstance(d[key], str) for key in FOREST_ARRAYS)
-        arrays = tree_arrays(d)
+        arrays = forest_arrays(d)
         assert arrays["sizes"].tolist() == [t.n_nodes for t in trees]
-        for key in ("feature", "threshold", "left", "right", "value"):
+        for key in ("feature", "right", "value"):
             want = np.concatenate([getattr(t, key) for t in trees])
             assert arrays[key].tobytes() == want.astype(arrays[key].dtype).tobytes()
-
-    def test_pack_needs_each_left_child_next(self):
-        tree = Tree(*(np.array(v) for v in ([0, -1, -1], [0.5, 0.0, 0.0], [2, -1, -1],
-                                            [1, -1, -1], [0.0, 1.0, -1.0])))
-        with pytest.raises(ValueError, match="left child must be the next node"):
-            Forest.pack([tree])
 
     @pytest.mark.parametrize(
         "key, value, message",
