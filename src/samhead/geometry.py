@@ -99,9 +99,14 @@ def iou(a: Box, b: Box) -> float:
     return inter / (a.area + b.area - inter)
 
 
+def box_array(boxes: list[Box]) -> np.ndarray:
+    """Boxes as an (N, 4) float64 array of (x, y, w, h) rows."""
+    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
 def _corners(boxes: list[Box]) -> tuple[np.ndarray, ...]:
     """(x, y, x2, y2, area) arrays, each computed as ``Box`` computes it."""
-    x, y, w, h = np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4).T
+    x, y, w, h = box_array(boxes).T
     return x, y, x + w, y + h, w * h
 
 

@@ -1,9 +1,10 @@
 """RoI pooling over strided maps: one batched grid primitive for every box of an image.
 
-A box in image pixels is first mapped to a half-open cell rectangle on the
-target map (stride-aware, clamped, never empty); ``map_boxes_to_feature_coords``
-does this for all boxes at once.  Each rectangle is then split into an m x n
-grid.  Along an extent ``e`` split into ``k`` slots, slot ``i`` covers
+Every box in image pixels reaches a map through one rule,
+``map_boxes_to_feature_coords``: it maps all of an image's boxes at once to
+half-open cell rectangles on the target map (stride-aware, clamped, never
+empty).  Each rectangle is then split into an m x n grid.  Along an extent
+``e`` split into ``k`` slots, slot ``i`` covers
 ``[floor(i * e / k), floor((i + 1) * e / k))``: an exact partition when
 ``e >= k``.  When ``e < k`` a slot can come out empty, and it is then pinned
 to the single cell at its start, so slots overlap rather than go empty.
@@ -25,19 +26,20 @@ Two reductions run over those windows, each for all boxes in one call:
   Counts are exact integers; they are divided in float32 by float32 cell
   sizes, the same division a per-cell count makes, so each cell sums to one.
 
-The single-box functions ``roi_max_pool``, ``roi_histogram_pool`` and
-``roi_edge_pool`` are batch-of-one wrappers over these two reductions.
+Rects are checked against the map only where a caller hands them in:
+``grid_max_pool`` and ``grid_histogram_pool`` reject a rect that does not
+fit.  ``max_windows`` trusts its rects, which come from the mapping.  The
+single-box functions ``roi_max_pool``, ``roi_histogram_pool`` and
+``roi_edge_pool`` are batch-of-one wrappers over the two reductions.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .geometry import Box
 from .maps import EdgeMap, FeatureMap, LabelMap
 
 # Largest gather grid_max_pool makes at once, in floats (16 MiB).
@@ -82,11 +84,6 @@ class FeatureRect:
         return self.col_end - self.col_start
 
 
-def box_array(boxes: list[Box]) -> np.ndarray:
-    """Boxes as an (N, 4) float64 array of (x, y, w, h) rows."""
-    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
-
-
 def map_boxes_to_feature_coords(
     boxes: np.ndarray, stride: int, map_h: int, map_w: int
 ) -> np.ndarray:
@@ -95,14 +92,17 @@ def map_boxes_to_feature_coords(
     Returns an (N, 4) int64 array of (row_start, row_end, col_start,
     col_end) rects.  Start cells are ``floor(coord / stride)``, end cells the
     ceiling of the far edge, clamped to the map and forced to span at least
-    one cell.  A box with no overlap at all with the map extent is
-    degenerate.
+    one cell.  A map may stop up to one cell short of its image (see
+    ``ImageRecord``), so a box that starts in that last strip is pinned to
+    the edge cell, as a box overhanging the map is.  Only a box that ends at
+    or before 0, or starts a full cell or more past the map's far edge
+    (``x >= (map_w + 1) * stride``, likewise for ``y``), is degenerate.
     """
     if stride < 1 or map_h < 1 or map_w < 1:
         raise ValueError(f"bad map geometry: stride={stride}, shape=({map_h}, {map_w})")
     x, y, w, h = np.asarray(boxes, dtype=np.float64).reshape(-1, 4).T
     x2, y2 = x + w, y + h
-    outside = (x >= map_w * stride) | (y >= map_h * stride) | (x2 <= 0) | (y2 <= 0)
+    outside = (x >= (map_w + 1) * stride) | (y >= (map_h + 1) * stride) | (x2 <= 0) | (y2 <= 0)
     if outside.any():
         i = int(np.argmax(outside))
         raise DegenerateRoiError(
@@ -114,28 +114,6 @@ def map_boxes_to_feature_coords(
     re = np.minimum(np.maximum(np.ceil(y2 / stride).astype(np.int64), rs + 1), map_h)
     ce = np.minimum(np.maximum(np.ceil(x2 / stride).astype(np.int64), cs + 1), map_w)
     return np.stack([rs, re, cs, ce], axis=1)
-
-
-def feature_rect(x: float, y: float, w: float, h: float, stride: int,
-                 map_h: int, map_w: int) -> tuple[int, int, int, int]:
-    """One (x, y, w, h) box's ``(row_start, row_end, col_start, col_end)``,
-    by the rule of ``map_boxes_to_feature_coords``.
-
-    Scalar code rather than a batch of one: synthesis maps boxes one at a
-    time, and numpy's per-call overhead would dominate there.
-    """
-    if stride < 1 or map_h < 1 or map_w < 1:
-        raise ValueError(f"bad map geometry: stride={stride}, shape=({map_h}, {map_w})")
-    x2, y2 = x + w, y + h
-    if x >= map_w * stride or y >= map_h * stride or x2 <= 0 or y2 <= 0:
-        raise DegenerateRoiError(
-            f"box {(x, y, w, h)} lies outside a stride-{stride} map of ({map_h}, {map_w}) cells"
-        )
-    rs = min(max(math.floor(y / stride), 0), map_h - 1)
-    cs = min(max(math.floor(x / stride), 0), map_w - 1)
-    re = min(max(math.ceil(y2 / stride), rs + 1), map_h)
-    ce = min(max(math.ceil(x2 / stride), cs + 1), map_w)
-    return rs, re, cs, ce
 
 
 def grid_bounds(start: np.ndarray, extent: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -187,8 +165,12 @@ class MaxWindows:
 
 
 def max_windows(rects: np.ndarray, grid: PoolGrid, map_h: int, map_w: int) -> MaxWindows:
-    """The pooling windows of each rect on an (H, W) map."""
-    r0, r1, c0, c1 = _windows(_check_rects(rects, map_h, map_w), grid)
+    """The pooling windows of each rect on an (H, W) map.
+
+    ``rects`` is an (N, 4) int array that fits the map, as
+    ``map_boxes_to_feature_coords`` returns it; it is not checked again.
+    """
+    r0, r1, c0, c1 = _windows(rects, grid)
     span_r, span_c = int((r1 - r0).max(initial=1)), int((c1 - c0).max(initial=1))
     rows = np.minimum(r0 + np.arange(span_r)[:, None, None], r1 - 1)
     cols = np.minimum(c0 + np.arange(span_c)[:, None, None], c1 - 1)
@@ -220,7 +202,8 @@ def window_max(hwc: np.ndarray, windows: MaxWindows) -> np.ndarray:
 
 def grid_max_pool(hwc: np.ndarray, rects: np.ndarray, grid: PoolGrid) -> np.ndarray:
     """Per-cell channel-wise max of an (H, W, C) map for every rect: (N, C, m*n)."""
-    return window_max(hwc, max_windows(rects, grid, hwc.shape[0], hwc.shape[1]))
+    map_h, map_w = hwc.shape[:2]
+    return window_max(hwc, max_windows(_check_rects(rects, map_h, map_w), grid, map_h, map_w))
 
 
 def grid_histogram_pool(

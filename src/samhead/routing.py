@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .geometry import Box
+from .geometry import Box, box_array
 from .maps import ImageRecord, NUM_LABEL_CLASSES
 from .pca import PcaProjector
 # roi_edge_pool, roi_histogram_pool and roi_max_pool are not called here:
@@ -24,7 +24,6 @@ from .pca import PcaProjector
 from .pooling import (  # noqa: F401
     MaxWindows,
     PoolGrid,
-    box_array,
     edge_codes,
     grid_histogram_pool,
     grid_max_pool,

@@ -58,9 +58,9 @@ import numpy as np
 
 from .dataset import Dataset, ImageSample
 from .errors import ConfigError
-from .geometry import Box, Candidate, GroundTruthBox, iou, iou_matrix
+from .geometry import Box, Candidate, GroundTruthBox, box_array, iou, iou_matrix
 from .maps import VALID_STRIDES, EdgeMap, FeatureMap, ImageRecord, LabelMap, NUM_LABEL_CLASSES
-from .pooling import feature_rect
+from .pooling import map_boxes_to_feature_coords
 
 PED_WIDTH_RATIO = 0.41
 
@@ -294,35 +294,38 @@ class _Footprint:
     strip_rects: list[tuple[int, int, int, int]]
 
 
-def _footprint(box: Box, stride: int, H: int, W: int) -> _Footprint:
-    # One slab per part band, shared by the band's class channels.
-    slabs = [(box.y + plo * box.h, box.y + phi * box.h) for plo, phi in _PART_BANDS]
-    # Silhouette strips, orientation-split: contour channel k fires along one
-    # side of the object (top, bottom, left, right in turn), for pedestrians
-    # and distractors alike.  A crop pinned to one corner keeps only that
+def _footprints(boxes: list[Box], stride: int, H: int, W: int) -> list[_Footprint]:
+    """Each object's footprint on an (H, W) map of one stride.  Every box of
+    every object (body, slabs, strips) goes to cells in one mapping call."""
+    # One slab per part band, shared by the band's class channels.  Silhouette
+    # strips, orientation-split: contour channel k fires along one side of
+    # the object (top, bottom, left, right in turn), for pedestrians and
+    # distractors alike.  A crop pinned to one corner keeps only that
     # corner's sides; a centered interior crop keeps none, and max pooling
     # cannot counterfeit the absent sides.
-    t = max(1.25 * stride, 0.06 * box.h)
-    strips = [
-        (box.x, box.y, box.w, t),
-        (box.x, box.y2 - t, box.w, t),
-        (box.x, box.y, t, box.h),
-        (box.x2 - t, box.y, t, box.h),
-    ]
-    rect = rs, re, cs, ce = feature_rect(box.x, box.y, box.w, box.h, stride, H, W)
-    slab_rects = [feature_rect(box.x, y0, box.w, y1 - y0, stride, H, W) for y0, y1 in slabs]
-    prof_x, prof_y, *slab_ys = _tapers(
-        [(cs, ce, box.x / stride, box.x2 / stride), (rs, re, box.y / stride, box.y2 / stride)]
-        + [(r0, r1, y0 / stride, y1 / stride) for (r0, r1, _, _), (y0, y1) in zip(slab_rects, slabs)]
-    )
-    return _Footprint(
-        rect=rect,
-        profile=np.outer(prof_y, prof_x),
-        slab_rects=slab_rects,
-        slab_profiles=[np.outer(y, prof_x[c0 - cs : c1 - cs])
-                       for y, (_, _, c0, c1) in zip(slab_ys, slab_rects)],
-        strip_rects=[feature_rect(*strip, stride, H, W) for strip in strips],
-    )
+    parts, slabs = [], []
+    for box in boxes:
+        slabs.append([(box.y + plo * box.h, box.y + phi * box.h) for plo, phi in _PART_BANDS])
+        t = max(1.25 * stride, 0.06 * box.h)
+        parts += [box.as_tuple(), *((box.x, y0, box.w, y1 - y0) for y0, y1 in slabs[-1]),
+                  (box.x, box.y, box.w, t), (box.x, box.y2 - t, box.w, t),
+                  (box.x, box.y, t, box.h), (box.x2 - t, box.y, t, box.h)]
+    rects = iter(map(tuple, map_boxes_to_feature_coords(parts, stride, H, W).tolist()))
+    out = []
+    for box, box_slabs in zip(boxes, slabs):
+        rect = rs, re, cs, ce = next(rects)
+        slab_rects = [next(rects) for _ in box_slabs]
+        prof_x, prof_y, *slab_ys = _tapers(
+            [(cs, ce, box.x / stride, box.x2 / stride), (rs, re, box.y / stride, box.y2 / stride)]
+            + [(r0, r1, y0 / stride, y1 / stride)
+               for (r0, r1, _, _), (y0, y1) in zip(slab_rects, box_slabs)]
+        )
+        slab_profiles = [np.outer(y, prof_x[c0 - cs : c1 - cs])
+                         for y, (_, _, c0, c1) in zip(slab_ys, slab_rects)]
+        strip_rects = [next(rects) for _ in range(4)]
+        out.append(_Footprint(rect, np.outer(prof_y, prof_x), slab_rects, slab_profiles,
+                              strip_rects))
+    return out
 
 
 def _deposit(data: np.ndarray, fp: _Footprint, spec: LayerSpec, pat: _Pattern, obj: _Object,
@@ -358,26 +361,12 @@ def _deposit(data: np.ndarray, fp: _Footprint, spec: LayerSpec, pat: _Pattern, o
         at += n
 
 
-def _paint_rect(arr: np.ndarray, box: Box, value: int) -> None:
-    x0 = max(int(box.x), 0)
-    y0 = max(int(box.y), 0)
-    x1 = min(int(math.ceil(box.x2)), arr.shape[1])
-    y1 = min(int(math.ceil(box.y2)), arr.shape[0])
-    if x1 > x0 and y1 > y0:
-        arr[y0:y1, x0:x1] = value
-
-
-def _outline(arr: np.ndarray, box: Box, value: float) -> None:
-    x0 = max(int(box.x), 0)
-    y0 = max(int(box.y), 0)
-    x1 = min(int(math.ceil(box.x2)), arr.shape[1]) - 1
-    y1 = min(int(math.ceil(box.y2)), arr.shape[0]) - 1
-    if x1 <= x0 or y1 <= y0:
-        return
-    arr[y0, x0 : x1 + 1] = np.maximum(arr[y0, x0 : x1 + 1], value)
-    arr[y1, x0 : x1 + 1] = np.maximum(arr[y1, x0 : x1 + 1], value)
-    arr[y0 : y1 + 1, x0] = np.maximum(arr[y0 : y1 + 1, x0], value)
-    arr[y0 : y1 + 1, x1] = np.maximum(arr[y0 : y1 + 1, x1], value)
+def _outline(arr: np.ndarray, rect: list[int], value: float) -> None:
+    """Raise the one-pixel border of a ``(row_start, row_end, col_start, col_end)``
+    rect to at least ``value``."""
+    r0, r1, c0, c1 = rect
+    for side in np.s_[r0, c0:c1], np.s_[r1 - 1, c0:c1], np.s_[r0:r1, c0], np.s_[r0:r1, c1 - 1]:
+        arr[side] = np.maximum(arr[side], value)
 
 
 def _jittered(box: Box, rel: float, rng: np.random.Generator) -> Box:
@@ -440,11 +429,14 @@ def generate_dataset(cfg: SynthConfig, seed: int) -> Dataset:
             W = -(-IMAGE_W // spec.stride)
             data = rng.normal(0.0, BG_SIGMA, (spec.channels, H, W)).astype(np.float32)
             if spec.stride not in footprints:
-                footprints[spec.stride] = [_footprint(o.box, spec.stride, H, W) for o in objects]
+                footprints[spec.stride] = _footprints([o.box for o in objects], spec.stride, H, W)
             for obj, fp in zip(objects, footprints[spec.stride]):
                 _deposit(data, fp, spec, patterns[name], obj, cfg, rng)
             feature_maps[name] = FeatureMap(name, spec.stride, data)
 
+        # Each object's pixel rect on the label and edge maps.
+        pixels = dict(zip(objects, map_boxes_to_feature_coords(
+            box_array([o.box for o in objects]), 1, IMAGE_H, IMAGE_W).tolist()))
         label = np.zeros((IMAGE_H, IMAGE_W), dtype=np.uint8)
         for _ in range(CLUTTER_RECTS):
             cw = int(rng.integers(IMAGE_W // 8, IMAGE_W // 3 + 1))
@@ -457,9 +449,11 @@ def generate_dataset(cfg: SynthConfig, seed: int) -> Dataset:
                 cls = PED_CLASS
             else:
                 cls = int(rng.choice(DISTRACTOR_CLASSES))
-            _paint_rect(label, obj.box, cls)
+            r0, r1, c0, c1 = pixels[obj]
+            label[r0:r1, c0:c1] = cls
         for obj in peds:
-            _paint_rect(label, obj.box, PED_CLASS)
+            r0, r1, c0, c1 = pixels[obj]
+            label[r0:r1, c0:c1] = PED_CLASS
 
         edge = rng.uniform(0.0, 0.12, (IMAGE_H, IMAGE_W)).astype(np.float32)
         for _ in range(EDGE_NOISE_SEGMENTS):
@@ -474,7 +468,7 @@ def generate_dataset(cfg: SynthConfig, seed: int) -> Dataset:
                 xx = int(rng.integers(0, IMAGE_W))
                 edge[yy : yy + length, xx] = np.maximum(edge[yy : yy + length, xx], strength)
         for obj in objects:
-            _outline(edge, obj.box, float(rng.uniform(0.6, 1.0)))
+            _outline(edge, pixels[obj], float(rng.uniform(0.6, 1.0)))
 
         ground_truth = []
         for obj in peds:

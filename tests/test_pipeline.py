@@ -13,7 +13,7 @@ from samhead.dataset import Dataset, ImageSample
 from samhead.forest import TrainingError
 from samhead.formats import write_detections_csv
 from samhead.geometry import Box, Candidate, GroundTruthBox
-from samhead.maps import FeatureMap, ImageRecord
+from samhead.maps import EdgeMap, FeatureMap, ImageRecord, LabelMap
 from samhead.pipeline import (
     _DatasetSource,
     ablation_sweep,
@@ -104,6 +104,24 @@ def test_thread_count_does_not_change_detections(trained, tiny_test_set):
     assert detect_dataset(trained, tiny_test_set, threads=2) == detect_dataset(
         trained, tiny_test_set, threads=1
     )
+
+
+def test_boxes_past_floor_sized_maps_are_detected(trained, tiny_train_set):
+    # A 66x130 image whose maps stop short of its right and bottom edges by
+    # less than one of their cells, as ImageRecord allows.  Each proposal
+    # starts at x = 64.5, right of every feature map's last column (64 px).
+    rng = np.random.default_rng(2)
+    maps = {name: FeatureMap(name, f.stride, rng.normal(
+                size=(f.channels, 128 // f.stride, 64 // f.stride)).astype(np.float32))
+            for name, f in tiny_train_set.samples[0].record.feature_maps.items()}
+    record = ImageRecord("floor", 66, 130, maps,
+                         LabelMap(rng.integers(0, 21, size=(129, 65)).astype(np.uint8)),
+                         EdgeMap(rng.random((129, 65)).astype(np.float32)))
+    boxes = [Box(64.5, 2, 1, 55), Box(64.5, 45, 1.2, 84), Box(10, 20, 25, 60)]
+    dataset = Dataset([ImageSample(record, [], [Candidate(b, 0.5) for b in boxes])])
+    with time_limit(20):
+        dets = detect_dataset(trained, dataset)["floor"]
+    assert sorted(d.box.as_tuple() for d in dets) == sorted(b.as_tuple() for b in boxes)
 
 
 def test_training_is_repeatable(tiny_train_set, tmp_path):

@@ -1,13 +1,12 @@
 """RoI pooling against per-pixel brute-force oracles, plus the coordinate mapping."""
 
-from dataclasses import astuple
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    _oracle_feature_rect,
     oracle_edge_hist_pool,
     oracle_histogram_pool,
     oracle_max_pool,
@@ -15,18 +14,16 @@ from oracles import (
     random_pool_instance,
 )
 from samhead.errors import DataError
-from samhead.geometry import Box
+from samhead.geometry import Box, box_array
 from samhead.maps import EdgeMap, FeatureMap, LabelMap
 from samhead.pooling import (
     DegenerateRoiError,
     FeatureRect,
     PoolGrid,
-    box_array,
     edge_codes,
     grid_bounds,
     grid_histogram_pool,
     grid_max_pool,
-    feature_rect,
     map_boxes_to_feature_coords,
     max_windows,
     roi_edge_pool,
@@ -36,30 +33,51 @@ from samhead.pooling import (
 )
 
 
+def one_rect(x, y, w, h, stride, map_h, map_w):
+    """``map_boxes_to_feature_coords`` of a one-row batch, as a tuple."""
+    return tuple(map_boxes_to_feature_coords([[x, y, w, h]], stride, map_h, map_w)[0].tolist())
+
+
 class TestMapToFeatureCoords:
     def test_small_box_spans_one_cell(self):
-        assert feature_rect(5, 5, 3, 3, stride=16, map_h=4, map_w=4) == (0, 1, 0, 1)
+        assert one_rect(5, 5, 3, 3, stride=16, map_h=4, map_w=4) == (0, 1, 0, 1)
 
     def test_cell_aligned_box(self):
-        assert feature_rect(16, 32, 16, 16, stride=16, map_h=8, map_w=8) == (2, 3, 1, 2)
+        assert one_rect(16, 32, 16, 16, stride=16, map_h=8, map_w=8) == (2, 3, 1, 2)
 
     def test_left_overhang_clamped(self):
-        assert feature_rect(-6, 2, 10, 6, stride=4, map_h=10, map_w=10) == (0, 2, 0, 1)
+        assert one_rect(-6, 2, 10, 6, stride=4, map_h=10, map_w=10) == (0, 2, 0, 1)
 
     def test_right_overhang_clamped(self):
-        assert feature_rect(38, 38, 10, 10, stride=4, map_h=10, map_w=10) == (9, 10, 9, 10)
+        assert one_rect(38, 38, 10, 10, stride=4, map_h=10, map_w=10) == (9, 10, 9, 10)
 
     def test_fully_outside_raises(self):
         with pytest.raises(DegenerateRoiError):
-            feature_rect(-10, -10, 5, 5, stride=4, map_h=10, map_w=10)
+            one_rect(-10, -10, 5, 5, stride=4, map_h=10, map_w=10)
         with pytest.raises(DegenerateRoiError):
-            feature_rect(200, 0, 5, 5, stride=4, map_h=10, map_w=10)
+            one_rect(200, 0, 5, 5, stride=4, map_h=10, map_w=10)
 
     def test_bad_geometry_rejected(self):
         with pytest.raises(ValueError):
-            feature_rect(0, 0, 5, 5, stride=0, map_h=10, map_w=10)
+            one_rect(0, 0, 5, 5, stride=0, map_h=10, map_w=10)
         with pytest.raises(ValueError):
-            feature_rect(0, 0, 5, 5, stride=4, map_h=0, map_w=10)
+            one_rect(0, 0, 5, 5, stride=4, map_h=0, map_w=10)
+
+    def test_box_past_a_floor_sized_map_pins_to_the_edge_cell(self):
+        # A 258-px-wide image with a 64-column stride-4 map, which ImageRecord
+        # accepts: a box starting at x = 256.5 lies in the image, right of the
+        # map's last column.  It pools that column, and the row likewise.
+        assert one_rect(256.5, 10, 1, 60, stride=4, map_h=20, map_w=64) == (2, 18, 63, 64)
+        assert one_rect(10, 82, 8, 3, stride=4, map_h=20, map_w=64) == (19, 20, 2, 5)
+        data = np.arange(20 * 64, dtype=np.float32).reshape(1, 20, 64)
+        rects = map_boxes_to_feature_coords([[256.5, 10, 1, 60]], 4, 20, 64)
+        pooled = grid_max_pool(FeatureMap("conv3", 4, data).hwc, rects, PoolGrid(2, 1))
+        np.testing.assert_array_equal(pooled[0, 0], [9 * 64 + 63, 17 * 64 + 63])
+        # A full cell past the map's far edge is beyond what any image holds.
+        with pytest.raises(DegenerateRoiError):
+            one_rect(260, 10, 1, 60, stride=4, map_h=20, map_w=64)
+        with pytest.raises(DegenerateRoiError):
+            one_rect(10, 84, 8, 3, stride=4, map_h=20, map_w=64)
 
     @given(
         x=st.floats(-40, 150), y=st.floats(-40, 150),
@@ -68,13 +86,37 @@ class TestMapToFeatureCoords:
     )
     def test_overlapping_box_yields_valid_rect(self, x, y, w, h, stride):
         map_h, map_w = 10, 12
-        if x >= map_w * stride or y >= map_h * stride or x + w <= 0 or y + h <= 0:
+        if x >= (map_w + 1) * stride or y >= (map_h + 1) * stride or x + w <= 0 or y + h <= 0:
             with pytest.raises(DegenerateRoiError):
-                feature_rect(x, y, w, h, stride, map_h, map_w)
+                one_rect(x, y, w, h, stride, map_h, map_w)
             return
-        rs, re, cs, ce = feature_rect(x, y, w, h, stride, map_h, map_w)
+        rs, re, cs, ce = one_rect(x, y, w, h, stride, map_h, map_w)
         assert 0 <= rs < re <= map_h
         assert 0 <= cs < ce <= map_w
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), count=st.integers(1, 20),
+        stride=st.sampled_from([1, 2, 4, 8, 16]),
+        map_h=st.integers(1, 20), map_w=st.integers(1, 20),
+        short_h=st.floats(0, 1, exclude_max=True), short_w=st.floats(0, 1, exclude_max=True),
+    )
+    def test_every_row_matches_the_oracle(self, seed, count, stride, map_h, map_w,
+                                          short_h, short_w):
+        # The image may run past the map by up to just under one cell, as
+        # ImageRecord allows; the boxes are those an image of that size holds.
+        image_w, image_h = (map_w + short_w) * stride, (map_h + short_h) * stride
+        rng = np.random.default_rng(seed)
+        boxes = []
+        while len(boxes) < count:
+            x, y = rng.uniform(-0.3 * image_w, image_w), rng.uniform(-0.3 * image_h, image_h)
+            w, h = rng.uniform(0.5, 1.1 * image_w), rng.uniform(0.5, 1.1 * image_h)
+            if x + w > 0 and y + h > 0:
+                boxes.append(Box(float(x), float(y), float(w), float(h)))
+        rects = map_boxes_to_feature_coords(box_array(boxes), stride, map_h, map_w)
+        assert [FeatureRect(*r) for r in rects.tolist()] == [
+            _oracle_feature_rect(box, stride, map_h, map_w) for box in boxes
+        ]
 
 
 def slot_windows(extent, k, start=0):
@@ -162,9 +204,7 @@ class TestRoiHistogramPool:
         rng = np.random.default_rng(9)
         for _ in range(20):
             fmap, labels, _, box, grid = random_pool_instance(rng)
-            rect = FeatureRect(
-                *feature_rect(*astuple(box), fmap.stride, labels.height, labels.width)
-            )
+            rect = _oracle_feature_rect(box, fmap.stride, labels.height, labels.width)
             out = roi_histogram_pool(labels, rect, grid)
             sums = out.reshape(grid.cells, 21).sum(axis=1)
             np.testing.assert_allclose(sums, 1.0, atol=1e-6)
@@ -204,7 +244,7 @@ class TestAgainstOracles:
         rng = np.random.default_rng(20240817)
         for _ in range(150):
             fmap, labels, edges, box, grid = random_pool_instance(rng)
-            rect = FeatureRect(*feature_rect(*astuple(box), fmap.stride, fmap.height, fmap.width))
+            rect = _oracle_feature_rect(box, fmap.stride, fmap.height, fmap.width)
 
             got_max = roi_max_pool(fmap, rect, grid)
             want_max = oracle_max_pool(fmap.data, rect, grid.m, grid.n)
@@ -219,7 +259,7 @@ class TestAgainstOracles:
         rng = np.random.default_rng(13)
         for _ in range(40):
             fmap, _, edges, box, grid = random_pool_instance(rng)
-            rect = FeatureRect(*feature_rect(*astuple(box), fmap.stride, edges.height, edges.width))
+            rect = _oracle_feature_rect(box, fmap.stride, edges.height, edges.width)
             got = roi_edge_pool(edges, rect, grid, mode="hist", bins=16)
             want = oracle_edge_hist_pool(edges.data, rect, grid.m, grid.n, 16)
             assert np.max(np.abs(got - want)) <= 1e-12
@@ -267,7 +307,7 @@ class TestBatchedGridPool:
         edge_hist = grid_histogram_pool(edge_codes(edges.data, 16), rects, grid, 16)
         assert pooled.shape == (count, fmap.channels, grid.cells)
         for i, box in enumerate(boxes):
-            rect = FeatureRect(*feature_rect(*astuple(box), fmap.stride, fmap.height, fmap.width))
+            rect = _oracle_feature_rect(box, fmap.stride, fmap.height, fmap.width)
             assert FeatureRect(*rects[i].tolist()) == rect
             m, n = grid.m, grid.n
             assert np.array_equal(pooled[i].reshape(-1),

@@ -1,7 +1,5 @@
 """Scale-bin routing tables and descriptor assembly."""
 
-from dataclasses import astuple
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,7 +9,7 @@ from samhead.errors import ConfigError, DataError
 from samhead.geometry import Box
 from samhead.maps import EdgeMap, FeatureMap, ImageRecord, LabelMap
 from samhead.pca import PcaProjector, fit_pca
-from samhead.pooling import FeatureRect, PoolGrid, feature_rect
+from samhead.pooling import PoolGrid
 from samhead.routing import (
     ChannelConfig,
     DescriptorExtractor,
@@ -24,6 +22,7 @@ from samhead.routing import (
 )
 
 from oracles import (
+    _oracle_feature_rect,
     oracle_cnn_descriptor,
     oracle_edge_hist_pool,
     oracle_histogram_pool,
@@ -84,7 +83,7 @@ def oracle_cells(record, box, layers, grid):
     parts = []
     for name in layers:
         fmap = record.layer(name)
-        rect = FeatureRect(*feature_rect(*astuple(box), fmap.stride, fmap.height, fmap.width))
+        rect = _oracle_feature_rect(box, fmap.stride, fmap.height, fmap.width)
         pooled = oracle_max_pool(fmap.data, rect, grid.m, grid.n)
         parts.append(pooled.reshape(fmap.channels, grid.cells))
     return np.concatenate(parts, axis=0).T
@@ -277,7 +276,7 @@ class TestDescriptorExtractor:
             one_bin_table(target_dim=5), {}, ChannelConfig(semantic=True, edge=True)
         )
         got = extractor.extract_many(record, [SMALL_BOX])[0]
-        rect1 = FeatureRect(*feature_rect(*astuple(SMALL_BOX), 1, 48, 64))
+        rect1 = _oracle_feature_rect(SMALL_BOX, 1, 48, 64)
         expected = np.concatenate(
             [
                 oracle_cells(record, SMALL_BOX, ("conv3", "conv4a"), GRID).reshape(-1),
@@ -295,7 +294,7 @@ class TestDescriptorExtractor:
             ChannelConfig(edge=True, edge_pooling="hist"),
         )
         got = extractor.extract_many(record, [SMALL_BOX])[0]
-        rect1 = FeatureRect(*feature_rect(*astuple(SMALL_BOX), 1, 48, 64))
+        rect1 = _oracle_feature_rect(SMALL_BOX, 1, 48, 64)
         expected_aux = oracle_edge_hist_pool(record.edge_map.data, rect1, GRID.m, GRID.n, 16)
         assert got.shape == (5 * 6 + 16 * 6,)
         assert np.allclose(got[30:], expected_aux, rtol=0.0, atol=1e-12)
