@@ -2,11 +2,12 @@
 
 Directory layout::
 
-    <root>/meta.json            image ids (each listed once), per-image [w, h]
-                                sizes (``image_sizes``), layer geometry,
-                                generator echo
-    <root>/annotations.jsonl    one row per image (possibly empty box list)
-    <root>/proposals.jsonl      one row per image
+    <root>/meta.json            image ids (JSON strings, each listed once),
+                                per-image [w, h] sizes (``image_sizes``), layer
+                                geometry, generator echo
+    <root>/annotations.jsonl    one row per image (possibly empty box list); a row
+                                for an id not in meta.json is an error
+    <root>/proposals.jsonl      one row per image, under the same rule
     <root>/maps/<id>.fmap       CNN feature maps, channel-last (see formats)
     <root>/maps/<id>.lmap       label map (optional)
     <root>/maps/<id>.emap       edge map (optional)
@@ -141,11 +142,17 @@ class Dataset:
             raise DataError(f"{meta_path}: {len(sizes)} image sizes for {len(ids)} images")
         seen = set()
         for image_id in ids:
+            if not isinstance(image_id, str):
+                raise DataError(f"{meta_path}: image id {image_id!r} is not a JSON string")
             if image_id in seen:
                 raise DataError(f"{meta_path}: image id {image_id!r} is listed more than once")
             seen.add(image_id)
         gts = read_ground_truth_jsonl(root / "annotations.jsonl")
         props = read_proposals_jsonl(root / "proposals.jsonl")
+        for name, rows in (("annotations.jsonl", gts), ("proposals.jsonl", props)):
+            unknown = sorted(set(rows) - seen)
+            if unknown:
+                raise DataError(f"{root / name}: image id {unknown[0]!r} is not in meta.json")
         samples = []
         for image_id, (image_w, image_h) in zip(ids, sizes):
             layers = read_feature_maps(root / "maps" / f"{image_id}.fmap")

@@ -289,10 +289,13 @@ class TrainConfig:
     ``stage_tree_counts[s]`` trees are trained from scratch at stage s; stage
     0 uses ``initial_negatives`` randomly sampled background boxes and every
     later stage appends up to ``hard_negatives_per_stage`` mined false
-    positives before retraining.  The defaults are the paper's six-stage
-    schedule: 64..2048 trees, 30k initial negatives, +5k per stage.  Leaf
-    smoothing (``1 / (2 * sample count)``) and the margin clamp
-    (``MARGIN_CLAMP``) are fixed; the sample overlap thresholds are
+    positives before retraining.  ``bootstrap_train`` reads neither
+    ``initial_negatives`` nor ``seed``: the pipeline draws the background
+    boxes (``pipeline._training_samples``) and seeds the draw and the
+    projector fits' sampling with ``seed``.  The defaults are the paper's
+    six-stage schedule: 64..2048 trees, 30k initial negatives, +5k per
+    stage.  Leaf smoothing (``1 / (2 * sample count)``) and the margin
+    clamp (``MARGIN_CLAMP``) are fixed; the sample overlap thresholds are
     ``pipeline.POS_IOU`` and ``pipeline.NEG_IOU``.
     """
 
@@ -311,6 +314,8 @@ class TrainConfig:
             raise ConfigError("initial_negatives must be >= 1")
         if self.hard_negatives_per_stage < 0:
             raise ConfigError("hard_negatives_per_stage must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.max_depth < 1:
             raise ConfigError(f"max_depth must be >= 1, got {self.max_depth}")
         if not 2 <= self.max_bins <= 256:
@@ -559,15 +564,17 @@ def realboost_fit(
         return np.clip(m, -MARGIN_CLAMP, MARGIN_CLAMP)
 
     trees: list[Tree] = []
-    prev_loss = float(np.mean(np.exp(-clamped(margins))))
+    # One round's exp(-margin) gives its loss and the next round's weights.
+    exp_loss = np.exp(-clamped(margins))
+    prev_loss = float(np.mean(exp_loss))
     for _ in range(rounds):
-        w = np.exp(-np.clip(margins, -MARGIN_CLAMP, MARGIN_CLAMP))
-        w /= w.sum()
+        w = exp_loss / exp_loss.sum()
         log.weight_sum_errors.append(abs(float(w.sum()) - 1.0))
         tree = train_tree(binner, w, y, config.max_depth, eps)
         trees.append(tree)
         margins += y * tree.apply(X)
-        loss = float(np.mean(np.exp(-clamped(margins))))
+        exp_loss = np.exp(-clamped(margins))
+        loss = float(np.mean(exp_loss))
         if loss > prev_loss + 1e-12:
             raise TrainingError(f"exponential loss increased: {prev_loss} -> {loss}")
         log.losses.append(loss)
@@ -580,81 +587,65 @@ def realboost_fit(
 # --- hard-negative bootstrapping ---------------------------------------------
 
 
-def select_hard_negatives(
-    scores: np.ndarray,
-    keys: list,
-    k: int,
-    exclude: set,
-) -> list[int]:
-    """Indices of the top-k scores whose keys are not yet taken.
+def select_hard_negatives(scores: np.ndarray, k: int, taken: np.ndarray) -> np.ndarray:
+    """Indices of the top-k scores among the rows ``taken`` does not mark.
 
     Ordering is by descending score with input order breaking ties; fewer
-    than k survivors simply yields them all.
+    than k untaken rows simply yields them all.
     """
     if k <= 0:
-        return []
-    scores = np.asarray(scores, dtype=np.float64)
-    order = np.argsort(-scores, kind="stable")
-    out: list[int] = []
-    for i in order:
-        if keys[i] in exclude:
-            continue
-        out.append(int(i))
-        if len(out) == k:
-            break
-    return out
+        return np.empty(0, dtype=np.intp)
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    return order[~taken[order]][:k]
 
 
-def bootstrap_train(source, cfg: TrainConfig) -> tuple[Forest, list[StageLog]]:
+def bootstrap_train(positives, negatives, pool, cfg: TrainConfig) -> tuple[Forest, list[StageLog]]:
     """Run the staged schedule: train, mine false positives, retrain from scratch.
 
-    ``source`` is duck-typed and provides ``positives()`` -> (X, priors) for
-    all positive samples, ``background_negatives(count, seed)`` -> (X, priors,
-    keys) random background samples, and ``negative_pool()`` -> (X, priors,
-    keys) every candidate eligible as a hard negative (already
-    overlap-filtered against ground truth).
+    ``positives``, ``negatives`` and ``pool`` are each a pair (X, priors):
+    one descriptor row and one prior per sample.  ``negatives`` are the
+    initial (background) negatives; ``pool`` holds every sample eligible as
+    a hard negative (already overlap-filtered against ground truth), and
+    may be empty.  Each stage after the first scores the pool rows not yet
+    mined with the previous stage's forest, and mines up to
+    ``hard_negatives_per_stage`` of the best scored
+    (``select_hard_negatives``).  A stage trains on the positives, then the
+    negatives, then the mined pool rows in the order they were mined: each
+    stage's picks, best first.
 
     Returns the final stage's forest and one ``StageLog`` per stage: tree
     count, negative-set size, and how many mined negatives were actually
     added (mining can come up short when the pool is small).
     """
-    Xp, pp = source.positives()
-    Xp = np.asarray(Xp, dtype=np.float32)
+    Xp, Xbg, Xpool = (np.asarray(X, dtype=np.float32) for X, _ in (positives, negatives, pool))
+    pp, pbg, ppool = (np.asarray(p, dtype=np.float64) for _, p in (positives, negatives, pool))
     if Xp.ndim != 2 or Xp.shape[0] == 0:
         raise TrainingError("bootstrap training needs at least one positive sample")
-    Xn, pn, neg_keys = source.background_negatives(cfg.initial_negatives, cfg.seed)
-    Xn = np.asarray(Xn, dtype=np.float32)
-    if Xn.shape[0] == 0:
+    if Xbg.shape[0] == 0:
         raise TrainingError("bootstrap training needs at least one negative sample")
-    taken = set(neg_keys)
+    taken = np.zeros(Xpool.shape[0], dtype=bool)
+    mined = np.empty(0, dtype=np.intp)
 
-    pool = None
     forest: Forest | None = None
     history: list[StageLog] = []
     for stage, tree_count in enumerate(cfg.stage_tree_counts):
         added = 0
-        if stage > 0:
-            if pool is None:
-                pool = source.negative_pool()
-            pool_X, pool_p, pool_keys = pool
-            if len(pool_keys):
-                scores = forest.score(pool_X, pool_p)
-                sel = select_hard_negatives(scores, pool_keys, cfg.hard_negatives_per_stage, taken)
-                if sel:
-                    Xn = np.vstack([Xn, np.asarray(pool_X, dtype=np.float32)[sel]])
-                    pn = np.concatenate([pn, np.asarray(pool_p, dtype=np.float64)[sel]])
-                    taken.update(pool_keys[i] for i in sel)
-                    added = len(sel)
-        X = np.vstack([Xp, Xn])
-        y = np.concatenate([np.ones(Xp.shape[0]), -np.ones(Xn.shape[0])])
-        priors = np.concatenate([np.asarray(pp, dtype=np.float64),
-                                 np.asarray(pn, dtype=np.float64)])
+        if stage > 0 and cfg.hard_negatives_per_stage > 0 and not taken.all():
+            scores = forest.score(Xpool, ppool)
+            sel = select_hard_negatives(scores, cfg.hard_negatives_per_stage, taken)
+            taken[sel] = True
+            mined = np.concatenate([mined, sel])
+            added = sel.size
+        n_neg = Xbg.shape[0] + mined.size
+        X = np.vstack([Xp, Xbg, Xpool[mined]])
+        y = np.concatenate([np.ones(Xp.shape[0]), -np.ones(n_neg)])
+        priors = np.concatenate([pp, pbg, ppool[mined]])
         forest, log = realboost_fit(X, y, tree_count, cfg, priors=priors)
         history.append(
             StageLog(
                 stage=stage,
                 tree_count=tree_count,
-                negatives=Xn.shape[0],
+                negatives=n_neg,
                 hard_added=added,
                 hard_requested=0 if stage == 0 else cfg.hard_negatives_per_stage,
                 final_loss=log.final_loss,

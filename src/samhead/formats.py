@@ -217,7 +217,7 @@ def read_edge_map(path: str | Path) -> EdgeMap:
 
 # --- JSON-lines box files -------------------------------------------------
 #
-# One object per line: {"image_id": ..., "boxes": [...]}.  Ground-truth boxes
+# One object per line: {"image_id": "...", "boxes": [...]}.  Ground-truth boxes
 # carry occl/trunc/ignore; proposal boxes carry a score.
 
 
@@ -247,11 +247,12 @@ def _jsonl_rows(path: str | Path):
                 row = json.loads(line)
             except json.JSONDecodeError as e:
                 raise FormatError(f"{path}:{lineno}: invalid JSON ({e})") from None
-            if not (isinstance(row, dict) and "image_id" in row
+            if not (isinstance(row, dict) and isinstance(row.get("image_id"), str)
                     and isinstance(row.get("boxes"), list)
                     and all(isinstance(b, dict) for b in row["boxes"])):
                 raise FormatError(
-                    f"{path}:{lineno}: expected an object with image_id and a list of box objects"
+                    f"{path}:{lineno}: expected an object with image_id (a string) "
+                    "and a list of box objects"
                 )
             yield lineno, row
 
@@ -272,7 +273,7 @@ def read_ground_truth_jsonl(path: str | Path) -> dict[str, list[GroundTruthBox]]
                 )
             except (KeyError, TypeError, ValueError, DataError) as e:
                 raise FormatError(f"{path}:{lineno}: bad ground-truth box ({e})") from None
-        out[str(row["image_id"])] = boxes
+        out[row["image_id"]] = boxes
     return out
 
 
@@ -303,7 +304,7 @@ def read_proposals_jsonl(path: str | Path) -> dict[str, list[Candidate]]:
                 )
             except (KeyError, TypeError, ValueError, DataError) as e:
                 raise FormatError(f"{path}:{lineno}: bad proposal box ({e})") from None
-        out[str(row["image_id"])] = cands
+        out[row["image_id"]] = cands
     return out
 
 

@@ -107,18 +107,14 @@ class _Candidates(NamedTuple):
 
     boxes: list[Box]
     scores: np.ndarray
-    ranks: np.ndarray  # position of each box among the image's top k
 
 
 def _candidates(record: ImageRecord, proposals: list[Candidate], k: int) -> _Candidates:
     """The image's top-k proposals by score (ties keep input order) that lie inside it."""
     scores = np.array([c.score for c in proposals], dtype=np.float64)
     top = np.argsort(-scores, kind="stable")[:k]
-    ranks = np.array(
-        [r for r, i in enumerate(top) if _inside_image(proposals[i].box, record)], dtype=np.int64
-    )
-    picked = top[ranks]
-    return _Candidates([proposals[i].box for i in picked], scores[picked], ranks)
+    picked = np.array([i for i in top if _inside_image(proposals[i].box, record)], dtype=np.int64)
+    return _Candidates([proposals[i].box for i in picked], scores[picked])
 
 
 def _best_iou(boxes: list[Box], others: list[Box]) -> np.ndarray:
@@ -126,98 +122,90 @@ def _best_iou(boxes: list[Box], others: list[Box]) -> np.ndarray:
     return iou_matrix(boxes, others).max(axis=1, initial=0.0)
 
 
-class _DatasetSource:
-    """Bootstrap feed built from a dataset's proposals.
+def _training_samples(dataset: Dataset, extractor: DescriptorExtractor, cfg: TrainConfig):
+    """The positives, background negatives and hard-negative pool ``bootstrap_train`` takes.
 
-    Training draws from the same candidates detection scores: each image's
-    top ``TRAIN_TOP_K`` proposals inside the image (see ``_candidates``).
-    Positives are those at IoU >= ``POS_IOU`` with a non-ignored annotation.
-    The hard-negative pool keeps those under ``NEG_IOU`` with every
-    annotation, ignored ones included, so don't-care regions seed no
-    negatives; a pool key is (image id, rank among the image's top k).
-    Background negatives are rejection-sampled random boxes under the same
-    overlap rule, with the prior of a ``BACKGROUND_PRIOR_SCORE`` proposal.
+    Each is a pair (X, priors): one float32 descriptor row and one prior
+    logit per sample.  Training draws from the same candidates detection
+    scores: each image's top ``TRAIN_TOP_K`` proposals inside the image (see
+    ``_candidates``).  Positives are those at IoU >= ``POS_IOU`` with a
+    non-ignored annotation.  The pool keeps those under ``NEG_IOU`` with
+    every annotation, ignored ones included, so don't-care regions seed no
+    negatives.  Both are in image order, then rank order, with the
+    proposal's prior.  The background negatives are ``cfg.initial_negatives``
+    random boxes drawn with ``cfg.seed`` and rejection-sampled under the
+    same overlap rule (``_draw_background_boxes``), in image order, then
+    draw order, with the prior of a ``BACKGROUND_PRIOR_SCORE`` proposal.
+
+    The work, and its errors, come in that order: positives (a TrainingError
+    when there is none, or a scale bin gets none), then the background draw,
+    then the pool.  The pool is extracted only when some stage can mine it,
+    that is with more than one stage and ``hard_negatives_per_stage > 0``;
+    otherwise it is empty.
     """
+    table = extractor.table
+    images = [(s, _candidates(s.record, s.proposals, TRAIN_TOP_K)) for s in dataset]
 
-    def __init__(self, dataset: Dataset, extractor: DescriptorExtractor):
-        self._extractor = extractor
-        self._images = [(s, _candidates(s.record, s.proposals, TRAIN_TOP_K)) for s in dataset]
-        self._positive, self._negative = [], []
-        for s, c in self._images:
-            real = [g.box for g in s.ground_truth if not g.ignore]
-            # An image without a real annotation gives no positive, even at POS_IOU 0.
-            self._positive.append(
-                _best_iou(c.boxes, real) >= POS_IOU if real else np.zeros(len(c.boxes), bool)
-            )
-            self._negative.append(_best_iou(c.boxes, [g.box for g in s.ground_truth]) < NEG_IOU)
-        self._pool: tuple | None = None
+    def extract(boxes_per_image: list[list[Box]]) -> np.ndarray:
+        rows = [extractor.extract_many(s.record, boxes)
+                for (s, _), boxes in zip(images, boxes_per_image) if boxes]
+        return np.vstack(rows) if rows else np.empty((0, extractor.length), dtype=np.float32)
 
-    def _select(self, masks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, list, list[Box]]:
-        """Descriptors, priors, keys and boxes of the candidates each image's mask keeps."""
-        rows, priors, keys, boxes = [], [], [], []
-        for (s, c), mask in zip(self._images, masks):
-            sel = np.flatnonzero(mask)
-            if not sel.size:
-                continue
-            picked = [c.boxes[j] for j in sel]
-            rows.append(self._extractor.extract_many(s.record, picked))
-            priors.extend(prior_logits(c.scores[sel]))
-            keys.extend((s.image_id, int(r)) for r in c.ranks[sel])
-            boxes.extend(picked)
-        X = np.vstack(rows) if rows else np.empty((0, self._extractor.length), dtype=np.float32)
-        return X, np.asarray(priors, dtype=np.float64), keys, boxes
+    def select(masks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Descriptors and priors of the candidates each image's mask keeps."""
+        picks = [np.flatnonzero(m) for m in masks]
+        X = extract([[c.boxes[j] for j in sel] for (_, c), sel in zip(images, picks)])
+        priors = [prior_logits(c.scores[sel]) for (_, c), sel in zip(images, picks)]
+        return X, np.concatenate([np.empty(0), *priors])
 
-    def positives(self) -> tuple[np.ndarray, np.ndarray]:
-        table = self._extractor.table
-        X, priors, _, boxes = self._select(self._positive)
-        if not boxes:
-            raise TrainingError(
-                f"no proposal reaches IoU {POS_IOU} with a non-ignored annotation"
-            )
-        per_bin = Counter(route(table, b.h) for b in boxes)
-        for i, b in enumerate(table.bins):
-            if per_bin[i] == 0:
-                raise TrainingError(
-                    f"scale bin {b.projector_id!r} [{b.min_height}, {b.max_height}) "
-                    "received no positive samples; restrict the routing table or widen "
-                    "the training subset"
-                )
-        return X, priors
-
-    def negative_pool(self) -> tuple[np.ndarray, np.ndarray, list]:
-        if self._pool is None:
-            self._pool = self._select(self._negative)[:3]
-        return self._pool
-
-    def background_negatives(self, count: int, seed) -> tuple[np.ndarray, np.ndarray, list]:
-        table = self._extractor.table
-        samples = [s for s, _ in self._images]
-        gt_cache = [[g.box for g in s.ground_truth] for s in samples]
-
-        # One box per draw: the scalar ``iou`` beats a one-row ``iou_matrix`` 4x.
-        def clear_of_annotations(i: int, box: Box) -> bool:
-            return max((iou(box, g) for g in gt_cache[i]), default=0.0) < NEG_IOU
-
-        drawn = _draw_background_boxes(
-            np.random.default_rng(seed),
-            [s.record for s in samples],
-            table.bins[0].min_height,
-            table.bins[-1].max_height,
-            count,
-            keep=clear_of_annotations,
+    positive = []
+    for s, c in images:
+        real = [g.box for g in s.ground_truth if not g.ignore]
+        # An image without a real annotation gives no positive, even at POS_IOU 0.
+        positive.append(
+            _best_iou(c.boxes, real) >= POS_IOU if real else np.zeros(len(c.boxes), bool)
         )
-        boxes_per_image: list[list[Box]] = [[] for _ in samples]
-        for i, box in drawn:
-            boxes_per_image[i].append(box)
-        rows = [
-            self._extractor.extract_many(samples[i].record, bs)
-            for i, bs in enumerate(boxes_per_image)
-            if bs
-        ]
-        X = np.vstack(rows)
-        priors = np.full(X.shape[0], prior_logits(BACKGROUND_PRIOR_SCORE), dtype=np.float64)
-        keys = [("bg", i) for i in range(X.shape[0])]
-        return X, priors, keys
+    per_bin = Counter(
+        route(table, c.boxes[j].h)
+        for (_, c), mask in zip(images, positive)
+        for j in np.flatnonzero(mask)
+    )
+    if not per_bin:
+        raise TrainingError(f"no proposal reaches IoU {POS_IOU} with a non-ignored annotation")
+    for i, b in enumerate(table.bins):
+        if per_bin[i] == 0:
+            raise TrainingError(
+                f"scale bin {b.projector_id!r} [{b.min_height}, {b.max_height}) "
+                "received no positive samples; restrict the routing table or widen "
+                "the training subset"
+            )
+    positives = select(positive)
+
+    gt_boxes = [[g.box for g in s.ground_truth] for s, _ in images]
+
+    # One box per draw: the scalar ``iou`` beats a one-row ``iou_matrix`` 4x.
+    def clear_of_annotations(i: int, box: Box) -> bool:
+        return max((iou(box, g) for g in gt_boxes[i]), default=0.0) < NEG_IOU
+
+    drawn = _draw_background_boxes(
+        np.random.default_rng(cfg.seed),
+        [s.record for s, _ in images],
+        table.bins[0].min_height,
+        table.bins[-1].max_height,
+        cfg.initial_negatives,
+        keep=clear_of_annotations,
+    )
+    boxes_per_image: list[list[Box]] = [[] for _ in images]
+    for i, box in drawn:
+        boxes_per_image[i].append(box)
+    X = extract(boxes_per_image)
+    background = X, np.full(X.shape[0], prior_logits(BACKGROUND_PRIOR_SCORE), dtype=np.float64)
+
+    if len(cfg.stage_tree_counts) > 1 and cfg.hard_negatives_per_stage > 0:
+        pool = select([_best_iou(c.boxes, gt) < NEG_IOU for (_, c), gt in zip(images, gt_boxes)])
+    else:  # no stage mines
+        pool = extract([[] for _ in images]), np.empty(0)
+    return positives, background, pool
 
 
 def _draw_background_boxes(
@@ -406,7 +394,9 @@ def train_detector(dataset: Dataset, settings: TrainSettings) -> tuple[DetectorM
         }
 
     extractor = DescriptorExtractor(table, projectors, settings.channels)
-    forest, history = bootstrap_train(_DatasetSource(dataset, extractor), settings.forest)
+    forest, history = bootstrap_train(
+        *_training_samples(dataset, extractor, settings.forest), settings.forest
+    )
     model = DetectorModel(
         table=table,
         projectors=projectors,

@@ -394,8 +394,10 @@ def generate_dataset(cfg: SynthConfig, seed: int) -> Dataset:
 
     Which channels carry signal is fixed by ``PATTERN_SEED``, not by
     ``seed``, so train/test splits generated with different seeds still share
-    the same feature semantics.
+    the same feature semantics.  A negative seed is a ConfigError.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     patterns = _draw_patterns(
         cfg.layers, np.random.default_rng(np.random.SeedSequence(PATTERN_SEED))
     )

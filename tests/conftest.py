@@ -4,6 +4,7 @@ The tiny dataset is generated once per session; tests that mutate nothing
 share it to keep the suite quick.
 """
 
+import json
 import signal
 from contextlib import contextmanager
 
@@ -53,6 +54,21 @@ def forest_arrays(section) -> dict:
     """A saved forest's arrays, decoded."""
     return {key: config.read_array(section[key], dtype, key)
             for key, dtype in FOREST_ARRAYS.items()}
+
+
+def integer_ids(root):
+    """Rewrite the saved dataset at ``root`` under the integer image ids 0, 1, ..."""
+    meta = json.loads((root / "meta.json").read_text(encoding="utf-8"))
+    for k, image_id in enumerate(meta["image_ids"]):
+        for path in (root / "maps").glob(f"{image_id}.*"):
+            path.rename(path.with_name(f"{k}{path.suffix}"))
+    for name in ("annotations.jsonl", "proposals.jsonl"):
+        rows = [json.loads(line) for line in (root / name).read_text(encoding="utf-8").splitlines()]
+        (root / name).write_text("".join(
+            json.dumps({**row, "image_id": meta["image_ids"].index(row["image_id"])}) + "\n"
+            for row in rows), encoding="utf-8")
+    meta["image_ids"] = list(range(len(meta["image_ids"])))
+    (root / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
 
 
 @contextmanager

@@ -201,7 +201,7 @@ def oracle_greedy_match(detections, ground_truth, iou_threshold, eligible_flags)
 
 
 def oracle_training_candidates(dataset, top_k, pos_iou, neg_iou):
-    """The bootstrap feed's sample choice, by sorting and scalar IoU scans.
+    """The training samples' choice, by sorting and scalar IoU scans.
 
     Per image: rank the proposals by descending score (ties in input order),
     keep the first ``top_k``, and drop those not overlapping the image.  A
@@ -209,8 +209,7 @@ def oracle_training_candidates(dataset, top_k, pos_iou, neg_iou):
     annotation (so never in an image without one), and enters the
     hard-negative pool at IoU < neg_iou with every annotation.  Returns
     (positives, pool): lists of (image index, box, score) in image order,
-    then rank order; pool entries carry a fourth item, the key
-    (image id, rank among the top k).
+    then rank order.
     """
     positives, pool = [], []
     for i, s in enumerate(dataset):
@@ -218,14 +217,14 @@ def oracle_training_candidates(dataset, top_k, pos_iou, neg_iou):
         ranked = sorted(enumerate(s.proposals), key=lambda t: (-t[1].score, t[0]))[:top_k]
         real = [g.box for g in s.ground_truth if not g.ignore]
         every = [g.box for g in s.ground_truth]
-        for rank, (_, c) in enumerate(ranked):
+        for _, c in ranked:
             b = c.box
             if not (b.x < w and b.y < h and b.x + b.w > 0 and b.y + b.h > 0):
                 continue
             if real and max(iou(b, g) for g in real) >= pos_iou:
                 positives.append((i, b, c.score))
             if max((iou(b, g) for g in every), default=0.0) < neg_iou:
-                pool.append((i, b, c.score, (s.image_id, rank)))
+                pool.append((i, b, c.score))
     return positives, pool
 
 
@@ -255,7 +254,7 @@ def oracle_cnn_descriptor(record, box, table, projectors):
 
 
 def oracle_background_draws(dataset, min_height, max_height, count, neg_iou, seed):
-    """The training feed's background boxes, drawn attempt by attempt.
+    """The training background boxes, drawn attempt by attempt.
 
     Each attempt draws, from ``default_rng(seed)``, an image among those
     taller than ``min_height + 2``, a height in [min_height, max_height)

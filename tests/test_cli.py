@@ -11,6 +11,7 @@ from conftest import (
     FOREST_ARRAYS,
     fast_train_settings,
     forest_arrays,
+    integer_ids,
     time_limit,
     tiny_synth_config,
 )
@@ -174,6 +175,20 @@ class TestSynth:
         _assert_failed(capsys, code, EXIT_CONFIG, "ConfigError")
 
 
+@pytest.mark.parametrize("command", ["synth", "train", "sweep"])
+def test_negative_seed_exits_2_and_writes_nothing(synth_dir, tmp_path, capsys, command):
+    config = _write_config(tmp_path, {"synth": SYNTH_SECTION})
+    before = sorted(tmp_path.rglob("*"))
+    data = {"synth": [],
+            "train": ["--data", str(synth_dir)],
+            "sweep": ["--train-data", str(synth_dir), "--test-data", str(synth_dir)]}[command]
+    code = main([command, "--config", config, *data, "--out", str(tmp_path / "out"),
+                 "--seed", "-1"])
+    payload = _assert_failed(capsys, code, EXIT_CONFIG, "ConfigError")
+    assert "seed must be >= 0, got -1" in payload["message"]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestMissingOrBrokenData:
     def test_train_without_meta_exits_3(self, tmp_path, capsys):
         empty = tmp_path / "empty"
@@ -252,6 +267,21 @@ class TestMissingOrBrokenData:
         payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
         assert "image id 'img0000' is listed more than once" in payload["message"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data", "dets.csv"]
+
+    @pytest.mark.parametrize("command", ["detect", "eval"])
+    def test_integer_image_ids_exit_3(self, synth_dir, tmp_path, capsys, model_path, command):
+        dets = tmp_path / "dets.csv"
+        if command == "eval":
+            assert main(["detect", "--data", str(synth_dir), "--model", str(model_path),
+                         "--out", str(dets)]) == 0
+            capsys.readouterr()
+        integer_ids(synth_dir)
+        out = tmp_path / {"detect": "dets.csv", "eval": "metrics.json"}[command]
+        args = {"detect": ["--model", str(model_path)], "eval": ["--dets", str(dets)]}[command]
+        code = main([command, "--data", str(synth_dir), *args, "--out", str(out)])
+        payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
+        assert "image id 0 is not a JSON string" in payload["message"]
+        assert not out.exists()
 
     def test_detect_on_intact_data_exits_0(self, synth_dir, tmp_path, capsys, model_path):
         out = tmp_path / "dets.csv"

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import tiny_synth_config
+from conftest import integer_ids, tiny_synth_config
 from samhead.dataset import Dataset, ImageSample
 from samhead.errors import DataError
 from samhead.maps import FeatureMap, ImageRecord
@@ -55,6 +55,41 @@ class TestRoundTrip:
         meta["image_ids"][2] = meta["image_ids"][0]
         (root / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
         with pytest.raises(DataError, match="image id 'img0000' is listed more than once"):
+            Dataset.load(root)
+
+
+class TestImageIds:
+    def test_integer_ids_are_rejected(self, disk_set, tmp_path):
+        root = tmp_path / "ds"
+        disk_set.save(root)
+        integer_ids(root)
+        with pytest.raises(DataError, match="image id 0 is not a JSON string"):
+            Dataset.load(root)
+
+    @pytest.mark.parametrize("name", ["annotations.jsonl", "proposals.jsonl"])
+    def test_integer_id_in_a_row_is_rejected(self, disk_set, tmp_path, name):
+        root = tmp_path / "ds"
+        disk_set.save(root)
+        path = root / name
+        path.write_text(path.read_text(encoding="utf-8") + '{"image_id": 7, "boxes": []}\n',
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=f"{name}:4: expected an object with image_id"):
+            Dataset.load(root)
+
+    @pytest.mark.parametrize("name", ["annotations.jsonl", "proposals.jsonl"])
+    def test_row_for_an_unlisted_image_is_rejected(self, disk_set, tmp_path, name):
+        root = tmp_path / "ds"
+        disk_set.save(root)
+        meta = json.loads((root / "meta.json").read_text(encoding="utf-8"))
+        meta["image_ids"][1] = "img9999"
+        (root / "maps" / "img0001.fmap").rename(root / "maps" / "img9999.fmap")
+        (root / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        other = {"annotations.jsonl": "proposals.jsonl",
+                 "proposals.jsonl": "annotations.jsonl"}[name]
+        # Only ``name`` still holds a row for img0001.
+        rows = (root / other).read_text(encoding="utf-8").replace('"img0001"', '"img9999"')
+        (root / other).write_text(rows, encoding="utf-8")
+        with pytest.raises(DataError, match=f"{name}: image id 'img0001' is not in meta.json"):
             Dataset.load(root)
 
 

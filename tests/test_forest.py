@@ -511,22 +511,24 @@ class TestSchedules:
             TrainConfig(initial_negatives=0)
         with pytest.raises(ConfigError):
             TrainConfig(max_depth=0)
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
 
 
-def hard_negative_oracle(scores, keys, k, exclude):
+def hard_negative_oracle(scores, k, taken):
+    """The k best-scored untaken rows, by sorting on (-score, index)."""
     ranked = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    picked = [i for i in ranked if keys[i] not in exclude]
-    return picked[:k]
+    return [i for i in ranked if not taken[i]][:k]
 
 
 class TestSelectHardNegatives:
     def test_frozen_example(self):
         scores = np.array([5.0, 1.0, 5.0, 3.0])
-        keys = ["a", "b", "c", "d"]
-        assert select_hard_negatives(scores, keys, 2, {"a"}) == [2, 3]
+        taken = np.array([True, False, False, False])
+        assert select_hard_negatives(scores, 2, taken).tolist() == [2, 3]
 
     def test_zero_budget(self):
-        assert select_hard_negatives(np.array([1.0]), ["a"], 0, set()) == []
+        assert select_hard_negatives(np.array([1.0]), 0, np.zeros(1, bool)).size == 0
 
     @given(seed=st.integers(0, 5000), k=st.integers(0, 12))
     @settings(max_examples=60)
@@ -534,70 +536,85 @@ class TestSelectHardNegatives:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(0, 15))
         scores = rng.integers(0, 6, size=n).astype(np.float64)  # ties on purpose
-        keys = [int(v) for v in rng.integers(0, 10, size=n)]
-        exclude = set(int(v) for v in rng.integers(0, 10, size=3))
-        assert select_hard_negatives(scores, keys, k, exclude) == \
-            hard_negative_oracle(scores, keys, k, exclude)
+        taken = rng.random(n) < 0.3
+        assert select_hard_negatives(scores, k, taken).tolist() == \
+            hard_negative_oracle(scores, k, taken)
 
 
-class _StubSource:
-    """In-memory bootstrap source with a controllable hard-negative pool."""
-
-    def __init__(self, pool_size=20, seed=0):
-        rng = np.random.default_rng(seed)
-        self._pos = rng.normal(loc=2.0, scale=0.3, size=(6, 3))
-        self._pool = rng.normal(loc=0.5, scale=0.5, size=(pool_size, 3))
-        self._pool_priors = rng.uniform(0.2, 0.9, size=pool_size)
-        self._pool_keys = [("pool", i) for i in range(pool_size)]
-        self.bg_requests = []
-
-    def positives(self):
-        return self._pos, np.full(len(self._pos), 0.8)
-
-    def background_negatives(self, count, seed):
-        self.bg_requests.append((count, seed))
-        rng = np.random.default_rng(seed)
-        X = rng.normal(loc=-2.0, scale=0.3, size=(count, 3))
-        return X, np.full(count, 0.1), [("bg", i) for i in range(count)]
-
-    def negative_pool(self):
-        return self._pool, self._pool_priors, self._pool_keys
+def bootstrap_samples(pool_size=20, n_background=5, seed=0):
+    """Positives, background negatives and a hard-negative pool, each (X, priors)."""
+    rng = np.random.default_rng(seed)
+    positives = rng.normal(loc=2.0, scale=0.3, size=(6, 3)), np.full(6, 0.8)
+    background = rng.normal(loc=-2.0, scale=0.3, size=(n_background, 3)), np.full(n_background, 0.1)
+    pool = (rng.normal(loc=0.5, scale=0.5, size=(pool_size, 3)),
+            rng.uniform(0.2, 0.9, size=pool_size))
+    return positives, background, pool
 
 
 class TestBootstrapTrain:
     CFG = dict(max_depth=2, max_bins=32)
 
     def test_stage_history_follows_schedule(self):
-        source = _StubSource(pool_size=20)
         cfg = TrainConfig(stage_tree_counts=(2, 3, 4), initial_negatives=5,
                           hard_negatives_per_stage=3, seed=42, **self.CFG)
-        forest, history = bootstrap_train(source, cfg)
+        forest, history = bootstrap_train(*bootstrap_samples(pool_size=20), cfg)
         assert forest.n_trees == 4  # final stage only; earlier stages discarded
         assert [s.stage for s in history] == [0, 1, 2]
         assert [s.tree_count for s in history] == [2, 3, 4]
         assert [s.negatives for s in history] == [5, 8, 11]
         assert [s.hard_added for s in history] == [0, 3, 3]
         assert [s.hard_requested for s in history] == [0, 3, 3]
-        assert source.bg_requests == [(5, 42)]
 
     def test_small_pool_comes_up_short(self):
-        source = _StubSource(pool_size=4)
-        cfg = TrainConfig(stage_tree_counts=(2, 2, 2), initial_negatives=5,
-                          hard_negatives_per_stage=3, **self.CFG)
-        _, history = bootstrap_train(source, cfg)
+        cfg = TrainConfig(stage_tree_counts=(2, 2, 2), hard_negatives_per_stage=3, **self.CFG)
+        _, history = bootstrap_train(*bootstrap_samples(pool_size=4), cfg)
         assert [s.hard_added for s in history] == [0, 3, 1]
         assert [s.negatives for s in history] == [5, 8, 9]
 
     def test_exhausted_pool_adds_nothing(self):
-        source = _StubSource(pool_size=2)
-        cfg = TrainConfig(stage_tree_counts=(2, 2, 2), initial_negatives=4,
-                          hard_negatives_per_stage=2, **self.CFG)
-        _, history = bootstrap_train(source, cfg)
+        cfg = TrainConfig(stage_tree_counts=(2, 2, 2), hard_negatives_per_stage=2, **self.CFG)
+        _, history = bootstrap_train(*bootstrap_samples(pool_size=2, n_background=4), cfg)
         assert [s.hard_added for s in history] == [0, 2, 0]
 
     def test_needs_positives(self):
-        source = _StubSource()
-        source._pos = np.empty((0, 3))
-        cfg = TrainConfig(stage_tree_counts=(2,), initial_negatives=4, **self.CFG)
+        _, background, pool = bootstrap_samples()
+        cfg = TrainConfig(stage_tree_counts=(2,), **self.CFG)
         with pytest.raises(TrainingError):
-            bootstrap_train(source, cfg)
+            bootstrap_train((np.empty((0, 3)), np.empty(0)), background, pool, cfg)
+
+    @pytest.mark.parametrize("schedule, budget", [((2, 3, 4), 3), ((3, 2, 2, 3), 5), ((2, 3), 30)])
+    def test_final_forest_is_realboost_on_the_oracle_picks(self, schedule, budget):
+        """Each stage refits on positives, background, then the oracle's picks in pick order."""
+        positives, background, pool = bootstrap_samples(pool_size=25)
+        cfg = TrainConfig(stage_tree_counts=schedule, hard_negatives_per_stage=budget,
+                          **self.CFG)
+        forest, history = bootstrap_train(positives, background, pool, cfg)
+
+        taken = [False] * len(pool[1])
+        picks = []
+        for stage, trees in enumerate(schedule):
+            if stage > 0:
+                scores = want.score(*pool)
+                new = hard_negative_oracle(scores, budget, taken)
+                for i in new:
+                    taken[i] = True
+                picks += new
+            X = np.vstack([positives[0], background[0], pool[0][picks]])
+            priors = np.concatenate([positives[1], background[1], pool[1][picks]])
+            y = np.concatenate([np.ones(len(positives[1])),
+                                -np.ones(len(background[1]) + len(picks))])
+            want, _ = realboost_fit(X, y, trees, cfg, priors=priors)
+        assert history[-1].negatives == len(background[1]) + len(picks)
+        assert json.dumps(forest.to_dict()) == json.dumps(want.to_dict())
+
+    @pytest.mark.parametrize("schedule, budget", [((2,), 3), ((2, 3), 0)])
+    def test_a_schedule_that_cannot_mine_never_scores_the_pool(self, monkeypatch, schedule,
+                                                               budget):
+        calls = []
+        score = Forest.score
+        monkeypatch.setattr(Forest, "score", lambda *a, **k: calls.append(1) or score(*a, **k))
+        cfg = TrainConfig(stage_tree_counts=schedule, hard_negatives_per_stage=budget,
+                          **self.CFG)
+        _, history = bootstrap_train(*bootstrap_samples(), cfg)
+        assert calls == []
+        assert [s.hard_added for s in history] == [0] * len(schedule)

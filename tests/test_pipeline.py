@@ -10,12 +10,12 @@ from conftest import fast_train_settings, forest_arrays, time_limit
 from oracles import oracle_background_draws, oracle_training_candidates
 from samhead import config, pipeline
 from samhead.dataset import Dataset, ImageSample
-from samhead.forest import TrainingError
+from samhead.forest import Forest, TrainConfig, TrainingError
 from samhead.formats import write_detections_csv
 from samhead.geometry import Box, Candidate, GroundTruthBox
 from samhead.maps import EdgeMap, FeatureMap, ImageRecord, LabelMap
 from samhead.pipeline import (
-    _DatasetSource,
+    _training_samples,
     ablation_sweep,
     detect_dataset,
     load_model,
@@ -244,9 +244,9 @@ def hand_made_dataset():
     ])
 
 
-def _conv4a_source(dataset):
-    """A feed whose descriptors are conv4a pooled on a 2x2 grid, for every height."""
-    extractor = DescriptorExtractor(
+def _conv4a_extractor(dataset):
+    """An extractor whose descriptors are conv4a pooled on a 2x2 grid, for every height."""
+    return DescriptorExtractor(
         RoutingTable(
             bins=(ScaleBin(1.0, None, ("conv4a",), "only"),),
             grid=PoolGrid(2, 2),
@@ -254,11 +254,14 @@ def _conv4a_source(dataset):
         ),
         {},
     )
-    return _DatasetSource(dataset, extractor), extractor
+
+
+#: A schedule that mines, so ``_training_samples`` extracts the pool.
+MINING = TrainConfig(stage_tree_counts=(1, 1), initial_negatives=300, seed=7)
 
 
 def _expected_samples(extractor, dataset, selected):
-    """Rows and priors of oracle picks, extracted image by image as the feed batches them."""
+    """Rows and priors of oracle picks, extracted image by image as `_training_samples` does."""
     rows, priors = [], []
     for i, s in enumerate(dataset):
         mine = [pick for pick in selected if pick[0] == i]
@@ -279,35 +282,32 @@ def test_training_samples_follow_the_candidate_rule(
     monkeypatch.setattr(pipeline, "POS_IOU", pos_iou)
     monkeypatch.setattr(pipeline, "NEG_IOU", neg_iou)
     monkeypatch.setattr(pipeline, "TRAIN_TOP_K", top_k)
-    source, extractor = _conv4a_source(dataset)
-    positives, pool = oracle_training_candidates(dataset, top_k, pos_iou, neg_iou)
+    # At NEG_IOU 0 no background box qualifies; the draw has its own test.
+    monkeypatch.setattr(pipeline, "_draw_background_boxes",
+                        lambda *args, **kwargs: [(0, Box(0, 0, 10, 30))])
+    extractor = _conv4a_extractor(dataset)
+    want_positives, want_pool = oracle_training_candidates(dataset, top_k, pos_iou, neg_iou)
 
-    assert positives
-    X, priors = source.positives()
-    want_X, want_priors = _expected_samples(extractor, dataset, positives)
-    assert np.array_equal(X, want_X)
-    assert np.array_equal(priors, want_priors)
-
-    X, priors, keys = source.negative_pool()
-    want_X, want_priors = _expected_samples(extractor, dataset, pool)
-    assert np.array_equal(X, want_X)
-    assert np.array_equal(priors, want_priors)
-    assert keys == [pick[3] for pick in pool]
+    assert want_positives
+    positives, _, pool = _training_samples(dataset, extractor, MINING)
+    for (X, priors), want in ((positives, want_positives), (pool, want_pool)):
+        want_X, want_priors = _expected_samples(extractor, dataset, want)
+        assert np.array_equal(X, want_X)
+        assert np.array_equal(priors, want_priors)
 
 
 def test_images_without_a_real_annotation_give_no_positive(monkeypatch):
     unannotated = Dataset(hand_made_dataset().samples[1:3])
     monkeypatch.setattr(pipeline, "POS_IOU", 0.0)
     monkeypatch.setattr(pipeline, "NEG_IOU", 0.0)
-    source, _ = _conv4a_source(unannotated)
     with pytest.raises(TrainingError, match="no proposal reaches IoU 0.0"):
-        source.positives()
+        _training_samples(unannotated, _conv4a_extractor(unannotated), MINING)
 
 
 @pytest.mark.parametrize("neg_iou", [0.3, 0.05])
 def test_background_negatives_keep_the_oracle_draws(tiny_train_set, monkeypatch, neg_iou):
     monkeypatch.setattr(pipeline, "NEG_IOU", neg_iou)
-    source, extractor = _conv4a_source(tiny_train_set)
+    extractor = _conv4a_extractor(tiny_train_set)
     drawn = []
     draw = pipeline._draw_background_boxes
 
@@ -316,7 +316,7 @@ def test_background_negatives_keep_the_oracle_draws(tiny_train_set, monkeypatch,
         return drawn[-1]
 
     monkeypatch.setattr(pipeline, "_draw_background_boxes", recording_draw)
-    X, priors, keys = source.background_negatives(300, seed=7)
+    _, (X, priors), _ = _training_samples(tiny_train_set, extractor, MINING)
     want, rejected = oracle_background_draws(tiny_train_set, 1.0, None, 300, neg_iou, seed=7)
     assert rejected > 0
     assert drawn == [want]
@@ -327,4 +327,44 @@ def test_background_negatives_keep_the_oracle_draws(tiny_train_set, monkeypatch,
         if any(i == k for i, _ in want)
     ]
     assert np.array_equal(X, np.vstack(rows))
-    assert keys == [("bg", j) for j in range(len(want))]
+    assert np.array_equal(priors, np.full(len(want), prior_logits(0.1)))
+
+
+@pytest.mark.parametrize("schedule, budget, mines", [
+    ((4,), 40, False),
+    ((4, 8), 0, False),
+    ((4, 8), 40, True),
+])
+def test_only_a_schedule_that_mines_extracts_and_scores_the_pool(
+    tiny_train_set, monkeypatch, schedule, budget, mines
+):
+    extracted, scored = [], []
+    extract_many, score = DescriptorExtractor.extract_many, Forest.score
+    monkeypatch.setattr(DescriptorExtractor, "extract_many",
+                        lambda self, record, boxes: extracted.append(len(boxes))
+                        or extract_many(self, record, boxes))
+    monkeypatch.setattr(Forest, "score", lambda *a, **k: scored.append(1) or score(*a, **k))
+    settings = fast_train_settings(stage_tree_counts=schedule, hard_negatives_per_stage=budget)
+    _, manifest = train_detector(tiny_train_set, settings)
+
+    positives, pool = oracle_training_candidates(
+        tiny_train_set, pipeline.TRAIN_TOP_K, pipeline.POS_IOU, pipeline.NEG_IOU
+    )
+    background = manifest["stages"][0]["negatives"]
+    assert sum(extracted) == len(positives) + background + (len(pool) if mines else 0)
+    assert len(scored) == (len(schedule) - 1 if mines else 0)
+    assert (manifest["stages"][-1]["hard_added"] > 0) == mines
+
+
+def test_mining_can_take_every_pool_row_whatever_the_image_ids(tiny_train_set):
+    # An image named "bg" once shared its pool rows' keys with the background
+    # negatives, so its best-ranked candidates could never be mined.
+    first = tiny_train_set.samples[0]
+    renamed = Dataset([ImageSample(replace(first.record, image_id="bg"), first.ground_truth,
+                                   first.proposals), *tiny_train_set.samples[1:]])
+    _, pool = oracle_training_candidates(
+        renamed, pipeline.TRAIN_TOP_K, pipeline.POS_IOU, pipeline.NEG_IOU
+    )
+    settings = fast_train_settings(hard_negatives_per_stage=len(pool))
+    _, manifest = train_detector(renamed, settings)
+    assert [s["hard_added"] for s in manifest["stages"]] == [0, len(pool)]
