@@ -42,14 +42,14 @@ from .formats import (
     read_feature_maps,
     read_ground_truth_jsonl,
     read_label_map,
-    read_metrics_json,
+    read_json,
     read_proposals_jsonl,
     write_detections_csv,
     write_edge_map,
     write_feature_maps,
     write_ground_truth_jsonl,
+    write_json,
     write_label_map,
-    write_metrics_json,
     write_proposals_jsonl,
 )
 from .geometry import (
@@ -75,7 +75,6 @@ from .pipeline import (
     load_model,
     model_from_dict,
     model_to_dict,
-    save_manifest,
     save_model,
     settings_hash,
     train_detector,

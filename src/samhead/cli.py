@@ -22,13 +22,13 @@ Values the paper fixes are constants, not config keys: the sample overlap
 thresholds, training proposal budget, PCA sample counts, prior clamp and
 background prior, and NMS overlap in ``samhead.pipeline``; the margin clamp
 and leaf smoothing in ``samhead.forest``; the edge histogram width in
-``samhead.routing``; the label class count in ``samhead.maps``; and in
-``samhead.evaluation`` the IoU threshold, occlusion cutoff, evaluation
-region, miss-rate and AP sample counts and the Caltech and KITTI
-ground-truth filters.  The synthetic world's fixed values (image size,
-object heights, distractors, proposal jitter and priors, channel roles,
-noise levels, label and edge clutter, the channel-assignment seed) are
-constants in ``samhead.synth``; the "synth" section sets only
+``samhead.routing``; the label class count in ``samhead.maps``; the
+evaluation region in ``samhead.geometry``; and in ``samhead.evaluation``
+the IoU threshold, occlusion cutoff, miss-rate and AP sample counts and the
+Caltech and KITTI ground-truth filters.  The synthetic world's fixed values
+(image size, object heights, distractors, proposal jitter and priors,
+channel roles, noise levels, label and edge clutter, the channel-assignment
+seed) are constants in ``samhead.synth``; the "synth" section sets only
 ``num_images``, ``layers`` (each a ``stride``, ``channels`` and
 ``band_center``), ``peds_per_image``, ``background_proposals``,
 ``class_amp`` and ``contour_amp``.
@@ -40,7 +40,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from pathlib import Path
 
 from . import config
 from .dataset import Dataset
@@ -55,13 +54,12 @@ from .evaluation import (
     read_curve_csv,
     write_curve_csv,
 )
-from .formats import read_detections_csv, write_detections_csv, write_metrics_json
+from .formats import FormatError, read_detections_csv, read_json, write_detections_csv, write_json
 from .pipeline import (
     TrainSettings,
     ablation_sweep,
     detect_dataset,
     load_model,
-    save_manifest,
     save_model,
     train_detector,
     write_sweep_csv,
@@ -78,15 +76,11 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        cfg = read_json(path)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    except UnicodeDecodeError as e:
-        raise ConfigError(f"config {path} is not UTF-8 text: {e}") from e
-    try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config {path} is not valid JSON: {e}") from e
+    except FormatError as e:
+        raise ConfigError(f"config {e}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must hold a JSON object at top level")
     return cfg
@@ -129,7 +123,7 @@ def cmd_train(args) -> int:
     model, manifest = train_detector(ds, settings)
     save_model(args.out, model)
     manifest_path = args.manifest or str(args.out) + ".manifest.json"
-    save_manifest(manifest_path, manifest)
+    write_json(manifest_path, manifest)
     _emit(
         {
             "command": "train",
@@ -164,7 +158,7 @@ def cmd_eval(args) -> int:
     dets = read_detections_csv(args.dets)
     gts = ds.ground_truth_by_image()
     summary = metrics_summary(dets, gts)
-    write_metrics_json(args.out, summary)
+    write_json(args.out, summary)
     if args.curves:
         matches = evaluate_detections(dets, gts, EvalProtocol())
         try:

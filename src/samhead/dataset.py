@@ -5,17 +5,21 @@ Directory layout::
     <root>/meta.json            image ids (JSON strings, each listed once),
                                 per-image [w, h] sizes (``image_sizes``), layer
                                 geometry, generator echo
-    <root>/annotations.jsonl    one row per image (possibly empty box list); a row
-                                for an id not in meta.json is an error
-    <root>/proposals.jsonl      one row per image, under the same rule
+    <root>/annotations.jsonl    exactly one row per id (possibly an empty box
+                                list); a row for an id not in meta.json, a
+                                second row or a missing one is an error
+    <root>/proposals.jsonl      exactly one row per id, under the same rule
     <root>/maps/<id>.fmap       CNN feature maps, channel-last (see formats)
     <root>/maps/<id>.lmap       label map (optional)
     <root>/maps/<id>.emap       edge map (optional)
+
+An image id names its map files, so it must be a plain file name: not empty,
+``.`` or ``..``, and without ``/``, ``\\`` or NUL.  ``load`` and ``save``
+refuse any other id before they touch a map file.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -25,16 +29,22 @@ from .formats import (
     read_feature_maps,
     read_ground_truth_jsonl,
     read_label_map,
+    read_json,
     read_proposals_jsonl,
-    read_text,
     write_edge_map,
     write_feature_maps,
     write_ground_truth_jsonl,
+    write_json,
     write_label_map,
     write_proposals_jsonl,
 )
 from .geometry import Candidate, GroundTruthBox
 from .maps import ImageRecord
+
+
+def _check_image_id(image_id: str, where) -> None:
+    if image_id in ("", ".", "..") or any(c in image_id for c in "/\\\0"):
+        raise DataError(f"{where}: image id {image_id!r} is not a plain file name")
 
 
 @dataclass
@@ -95,10 +105,10 @@ class Dataset:
 
     def save(self, root: str | Path) -> None:
         root = Path(root)
-        (root / "maps").mkdir(parents=True, exist_ok=True)
-        ids = []
         for s in self.samples:
-            ids.append(s.image_id)
+            _check_image_id(s.image_id, root)
+        (root / "maps").mkdir(parents=True, exist_ok=True)
+        for s in self.samples:
             rec = s.record
             write_feature_maps(root / "maps" / f"{s.image_id}.fmap",
                                list(rec.feature_maps.values()))
@@ -108,15 +118,11 @@ class Dataset:
                 write_edge_map(root / "maps" / f"{s.image_id}.emap", rec.edge_map)
         write_ground_truth_jsonl(root / "annotations.jsonl", self.ground_truth_by_image())
         write_proposals_jsonl(root / "proposals.jsonl", self.proposals_by_image())
-        meta = dict(self.meta)
-        meta.update(
-            {
-                "image_ids": ids,
-                "image_sizes": [[s.record.image_w, s.record.image_h] for s in self.samples],
-            }
-        )
-        (root / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n",
-                                        encoding="utf-8")
+        write_json(root / "meta.json", {
+            **self.meta,
+            "image_ids": self.image_ids,
+            "image_sizes": [[s.record.image_w, s.record.image_h] for s in self.samples],
+        })
 
     @classmethod
     def load(cls, root: str | Path) -> "Dataset":
@@ -124,10 +130,7 @@ class Dataset:
         meta_path = root / "meta.json"
         if not meta_path.exists():
             raise DataError(f"{root} is not a dataset directory (missing meta.json)")
-        try:
-            meta = json.loads(read_text(meta_path))
-        except json.JSONDecodeError as e:
-            raise DataError(f"{meta_path} is not valid JSON: {e}") from None
+        meta = read_json(meta_path)
         if not (isinstance(meta, dict) and isinstance(meta.get("image_ids"), list)):
             raise DataError(f"{meta_path} must hold a JSON object with an image_ids list")
         ids = meta["image_ids"]
@@ -144,6 +147,7 @@ class Dataset:
         for image_id in ids:
             if not isinstance(image_id, str):
                 raise DataError(f"{meta_path}: image id {image_id!r} is not a JSON string")
+            _check_image_id(image_id, meta_path)
             if image_id in seen:
                 raise DataError(f"{meta_path}: image id {image_id!r} is listed more than once")
             seen.add(image_id)
@@ -153,6 +157,9 @@ class Dataset:
             unknown = sorted(set(rows) - seen)
             if unknown:
                 raise DataError(f"{root / name}: image id {unknown[0]!r} is not in meta.json")
+            missing = [image_id for image_id in ids if image_id not in rows]
+            if missing:
+                raise DataError(f"{root / name}: no row for image id {missing[0]!r}")
         samples = []
         for image_id, (image_w, image_h) in zip(ids, sizes):
             layers = read_feature_maps(root / "maps" / f"{image_id}.fmap")
@@ -166,11 +173,6 @@ class Dataset:
                 label_map=read_label_map(lmap_path) if lmap_path.exists() else None,
                 edge_map=read_edge_map(emap_path) if emap_path.exists() else None,
             )
-            samples.append(
-                ImageSample(
-                    record=record,
-                    ground_truth=gts.get(image_id, []),
-                    proposals=props.get(image_id, []),
-                )
-            )
+            samples.append(ImageSample(record=record, ground_truth=gts[image_id],
+                                       proposals=props[image_id]))
         return cls(samples=samples, meta=meta)

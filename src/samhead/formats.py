@@ -1,14 +1,34 @@
-"""On-disk formats: FMAP/LMAP/EMAP binaries, JSON-lines boxes, CSV detections.
+"""On-disk formats: one reader and one writer per file shape.
 
-All binary formats are little-endian.  Layout:
+A reader refuses a file that breaks its format, or is not UTF-8 text, with
+a FormatError naming the file (CLI exit 3).  Binaries are little-endian.
 
-FMAP: magic ``FMAP`` | version u32 (=2) | layer_count u32 | per layer:
-      name_len u32, name bytes (UTF-8), stride u32, C u32, H u32, W u32,
-      H*W*C float32 values, row-major over (H, W, C): each pixel's C
-      channels are contiguous, as ``FeatureMap.hwc`` holds them, so a
-      layer loads as a view of the file's bytes.  Layer names are unique.
-LMAP: magic ``LMAP`` | version u32 (=1) | H u32 | W u32 | H*W uint8 class indices.
-EMAP: magic ``EMAP`` | version u32 (=1) | H u32 | W u32 | H*W float32 in [0, 1].
+FMAP (``write/read_feature_maps``): magic ``FMAP`` | version u32 (=2) |
+layer_count u32 | per layer: name_len u32, name bytes (UTF-8), stride u32,
+C u32, H u32, W u32, H*W*C float32 values, row-major over (H, W, C): each
+pixel's C channels are contiguous, as ``FeatureMap.hwc`` holds them, so a
+layer loads as a view of the file's bytes.  Refused: a wrong magic or
+version, a short payload or trailing bytes, a layer name that is not UTF-8
+or is repeated, a zero dimension, an unsupported stride, a non-finite value.
+
+Single-plane maps (``_write/_read_plane``): magic | version u32 (=1) | H u32
+| W u32 | H*W values, refused as FMAP's are.  LMAP (``write/read_label_map``)
+holds uint8 classes and refuses one past 20; EMAP (``write/read_edge_map``)
+holds float32 and refuses one outside [0, 1], naming its flat index.
+
+Box rows (``_write/_read_box_rows``): JSON lines of ``{"image_id": "...",
+"boxes": [...]}``.  A ground-truth box (``write/read_ground_truth_jsonl``)
+holds x, y, w, h, occl, trunc and ignore; a proposal
+(``write/read_proposals_jsonl``) x, y, w, h and score.  Refused, naming the
+line: invalid JSON, a row of another shape, a second row for an image id, a
+missing coordinate or score, a value that is not a JSON number (a bool is
+not), an ignore that is not true or false, a box its type rejects.
+
+Detections CSV (``write/read_detections_csv``): header
+``image_id,x,y,w,h,score``; a wrong header, row width or value is refused.
+
+JSON documents (``write/read_json``): sorted keys, indent 2, final newline;
+invalid JSON is refused.  ``pipeline.save_model`` writes model files compact.
 """
 
 from __future__ import annotations
@@ -69,12 +89,6 @@ def open_text(path: str | Path, newline: str | None = None):
             yield f
         except UnicodeDecodeError as e:
             raise FormatError(f"{path} is not UTF-8 text: {e}") from None
-
-
-def read_text(path: str | Path) -> str:
-    """The whole of ``path`` as UTF-8 text, as ``open_text`` reads it."""
-    with open_text(path) as f:
-        return f.read()
 
 
 class _Reader:
@@ -139,7 +153,10 @@ def read_feature_maps(path: str | Path) -> list[FeatureMap]:
     layers: list[FeatureMap] = []
     for _ in range(count):
         name_len = r.u32()
-        name = bytes(r.take(name_len)).decode("utf-8")
+        try:
+            name = bytes(r.take(name_len)).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{path}: a layer name is not UTF-8: {e}") from None
         if any(fm.layer_name == name for fm in layers):
             raise FormatError(f"{path}: layer {name!r} appears more than once")
         stride = r.u32()
@@ -164,21 +181,32 @@ def read_feature_maps(path: str | Path) -> list[FeatureMap]:
     return layers
 
 
-def write_label_map(path: str | Path, lmap: LabelMap) -> None:
-    _write_chunks(path, [b"LMAP", _U32.pack(MAP_VERSION),
-                         _U32.pack(lmap.height), _U32.pack(lmap.width), lmap.data])
+def _write_plane(path: str | Path, magic: bytes, dtype: str, data: np.ndarray) -> None:
+    h, w = data.shape
+    _write_chunks(path, [magic, _U32.pack(MAP_VERSION), _U32.pack(h), _U32.pack(w),
+                         np.ascontiguousarray(data, dtype=dtype)])
 
 
-def read_label_map(path: str | Path) -> LabelMap:
+def _read_plane(path: str | Path, magic: bytes, dtype: str, what: str) -> np.ndarray:
+    """The (H, W) payload of a single-plane map file, as a view of its bytes."""
     r = _Reader(Path(path).read_bytes(), str(path))
-    r.expect_magic(b"LMAP")
+    r.expect_magic(magic)
     r.expect_version(MAP_VERSION)
     h = r.u32()
     w = r.u32()
     if min(h, w) < 1:
-        raise DimensionError(f"{path}: label map declares shape ({h}, {w})")
-    data = np.frombuffer(r.take(h * w), dtype=np.uint8).reshape(h, w)
+        raise DimensionError(f"{path}: {what} map declares shape ({h}, {w})")
+    data = np.frombuffer(r.take(np.dtype(dtype).itemsize * h * w), dtype=dtype).reshape(h, w)
     r.done()
+    return data
+
+
+def write_label_map(path: str | Path, lmap: LabelMap) -> None:
+    _write_plane(path, b"LMAP", "u1", lmap.data)
+
+
+def read_label_map(path: str | Path) -> LabelMap:
+    data = _read_plane(path, b"LMAP", "u1", "label")
     # LabelMap checks the class range; a rejected map is scanned again for
     # the first offending index.
     try:
@@ -192,20 +220,11 @@ def read_label_map(path: str | Path) -> LabelMap:
 
 
 def write_edge_map(path: str | Path, emap: EdgeMap) -> None:
-    _write_chunks(path, [b"EMAP", _U32.pack(MAP_VERSION), _U32.pack(emap.height),
-                         _U32.pack(emap.width), np.ascontiguousarray(emap.data, dtype="<f4")])
+    _write_plane(path, b"EMAP", "<f4", emap.data)
 
 
 def read_edge_map(path: str | Path) -> EdgeMap:
-    r = _Reader(Path(path).read_bytes(), str(path))
-    r.expect_magic(b"EMAP")
-    r.expect_version(MAP_VERSION)
-    h = r.u32()
-    w = r.u32()
-    if min(h, w) < 1:
-        raise DimensionError(f"{path}: edge map declares shape ({h}, {w})")
-    data = np.frombuffer(r.take(4 * h * w), dtype="<f4").reshape(h, w)
-    r.done()
+    data = _read_plane(path, b"EMAP", "<f4", "edge")
     # EdgeMap checks finiteness and range; a rejected map is scanned again
     # for the first offending index.
     try:
@@ -216,28 +235,19 @@ def read_edge_map(path: str | Path) -> EdgeMap:
 
 
 # --- JSON-lines box files -------------------------------------------------
-#
-# One object per line: {"image_id": "...", "boxes": [...]}.  Ground-truth boxes
-# carry occl/trunc/ignore; proposal boxes carry a score.
 
 
-def write_ground_truth_jsonl(path: str | Path, by_image: dict[str, list[GroundTruthBox]]) -> None:
+def _write_box_rows(path: str | Path, by_image: dict[str, list], fields) -> None:
+    """One ``{"image_id", "boxes"}`` line per image; ``fields`` maps an item to a box object."""
     with open(path, "w", encoding="utf-8") as f:
-        for image_id, gts in by_image.items():
-            row = {
-                "image_id": image_id,
-                "boxes": [
-                    {
-                        "x": g.box.x, "y": g.box.y, "w": g.box.w, "h": g.box.h,
-                        "occl": g.occlusion, "trunc": g.truncation, "ignore": g.ignore,
-                    }
-                    for g in gts
-                ],
-            }
+        for image_id, items in by_image.items():
+            row = {"image_id": image_id, "boxes": [fields(item) for item in items]}
             f.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _jsonl_rows(path: str | Path):
+def _read_box_rows(path: str | Path, kind: str, make) -> dict[str, list]:
+    """The rows ``_write_box_rows`` wrote; ``make`` builds an item from a box object."""
+    out: dict[str, list] = {}
     with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -245,7 +255,7 @@ def _jsonl_rows(path: str | Path):
                 continue
             try:
                 row = json.loads(line)
-            except json.JSONDecodeError as e:
+            except (ValueError, RecursionError) as e:  # as in read_json
                 raise FormatError(f"{path}:{lineno}: invalid JSON ({e})") from None
             if not (isinstance(row, dict) and isinstance(row.get("image_id"), str)
                     and isinstance(row.get("boxes"), list)
@@ -254,61 +264,59 @@ def _jsonl_rows(path: str | Path):
                     f"{path}:{lineno}: expected an object with image_id (a string) "
                     "and a list of box objects"
                 )
-            yield lineno, row
+            image_id = row["image_id"]
+            if image_id in out:
+                raise FormatError(f"{path}:{lineno}: image id {image_id!r} has a second row")
+            # OverflowError: float() of a JSON integer past float range.
+            try:
+                out[image_id] = [make(b) for b in row["boxes"]]
+            except (KeyError, ValueError, OverflowError) as e:
+                raise FormatError(f"{path}:{lineno}: bad {kind} box ({e})") from None
+    return out
+
+
+def _number(box: dict, key: str, default: float | None = None) -> float:
+    """``box[key]``, or ``default`` if given and the key is absent; a bool is not a number."""
+    value = box[key] if default is None else box.get(key, default)
+    if type(value) not in (int, float):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _box(b: dict) -> Box:
+    return Box(_number(b, "x"), _number(b, "y"), _number(b, "w"), _number(b, "h"))
+
+
+def _ground_truth(b: dict) -> GroundTruthBox:
+    ignore = b.get("ignore", False)
+    if type(ignore) is not bool:
+        raise ValueError(f"ignore must be true or false, got {ignore!r}")
+    return GroundTruthBox(_box(b), occlusion=_number(b, "occl", 0.0),
+                          truncation=_number(b, "trunc", 0.0), ignore=ignore)
+
+
+def write_ground_truth_jsonl(path: str | Path, by_image: dict[str, list[GroundTruthBox]]) -> None:
+    _write_box_rows(path, by_image, lambda g: {
+        "x": g.box.x, "y": g.box.y, "w": g.box.w, "h": g.box.h,
+        "occl": g.occlusion, "trunc": g.truncation, "ignore": g.ignore,
+    })
 
 
 def read_ground_truth_jsonl(path: str | Path) -> dict[str, list[GroundTruthBox]]:
-    out: dict[str, list[GroundTruthBox]] = {}
-    for lineno, row in _jsonl_rows(path):
-        boxes = []
-        for b in row["boxes"]:
-            try:
-                boxes.append(
-                    GroundTruthBox(
-                        Box(float(b["x"]), float(b["y"]), float(b["w"]), float(b["h"])),
-                        occlusion=float(b.get("occl", 0.0)),
-                        truncation=float(b.get("trunc", 0.0)),
-                        ignore=bool(b.get("ignore", False)),
-                    )
-                )
-            except (KeyError, TypeError, ValueError, DataError) as e:
-                raise FormatError(f"{path}:{lineno}: bad ground-truth box ({e})") from None
-        out[row["image_id"]] = boxes
-    return out
+    return _read_box_rows(path, "ground-truth", _ground_truth)
 
 
 def write_proposals_jsonl(path: str | Path, by_image: dict[str, list[Candidate]]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for image_id, cands in by_image.items():
-            row = {
-                "image_id": image_id,
-                "boxes": [
-                    {"x": c.box.x, "y": c.box.y, "w": c.box.w, "h": c.box.h, "score": c.score}
-                    for c in cands
-                ],
-            }
-            f.write(json.dumps(row, sort_keys=True) + "\n")
+    _write_box_rows(path, by_image, lambda c: {
+        "x": c.box.x, "y": c.box.y, "w": c.box.w, "h": c.box.h, "score": c.score,
+    })
 
 
 def read_proposals_jsonl(path: str | Path) -> dict[str, list[Candidate]]:
-    out: dict[str, list[Candidate]] = {}
-    for lineno, row in _jsonl_rows(path):
-        cands = []
-        for b in row["boxes"]:
-            try:
-                cands.append(
-                    Candidate(
-                        Box(float(b["x"]), float(b["y"]), float(b["w"]), float(b["h"])),
-                        score=float(b["score"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError, DataError) as e:
-                raise FormatError(f"{path}:{lineno}: bad proposal box ({e})") from None
-        out[row["image_id"]] = cands
-    return out
+    return _read_box_rows(path, "proposal", lambda b: Candidate(_box(b), _number(b, "score")))
 
 
-# --- detections CSV and metrics JSON --------------------------------------
+# --- detections CSV and JSON documents ------------------------------------
 
 
 def write_detections_csv(path: str | Path, by_image: dict[str, list[Detection]]) -> None:
@@ -344,12 +352,17 @@ def read_detections_csv(path: str | Path) -> dict[str, list[Detection]]:
     return out
 
 
-def write_metrics_json(path: str | Path, metrics: dict) -> None:
-    Path(path).write_text(json.dumps(metrics, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+def write_json(path: str | Path, doc) -> None:
+    """``doc`` as JSON with sorted keys, indented by 2, and a final newline."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def read_metrics_json(path: str | Path) -> dict:
+def read_json(path: str | Path):
+    """The JSON document in ``path``; text that is not JSON is a FormatError naming it."""
     try:
-        return json.loads(read_text(path))
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{path}: invalid JSON ({e})") from None
+        with open_text(path) as f:
+            return json.load(f)
+    # ValueError: a JSONDecodeError, or an integer too long to convert;
+    # RecursionError: arrays or objects nested too deep to parse.
+    except (ValueError, RecursionError) as e:
+        raise FormatError(f"{path} is not valid JSON: {e}") from None

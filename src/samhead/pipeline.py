@@ -23,7 +23,7 @@ from .dataset import Dataset
 from .errors import ConfigError, DataError
 from .evaluation import EvalProtocol, evaluate_detections, log_average_miss_rate
 from .forest import Forest, TrainConfig, TrainingError, bootstrap_train
-from .formats import read_text
+from .formats import read_json
 from .geometry import Box, Candidate, Detection, iou, iou_matrix, nms
 from .maps import ImageRecord
 from .pca import PcaError, PcaProjector, fit_pca
@@ -548,17 +548,7 @@ def save_model(path, model: DetectorModel) -> None:
 
 
 def load_model(path) -> DetectorModel:
-    try:
-        d = json.loads(read_text(path))
-    except json.JSONDecodeError as e:
-        raise DataError(f"model file is not valid JSON: {e}") from e
-    return model_from_dict(d)
-
-
-def save_manifest(path, manifest: dict) -> None:
-    Path(path).write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    return model_from_dict(read_json(path))
 
 
 # --- layer ablation sweep --------------------------------------------------------

@@ -71,6 +71,14 @@ def integer_ids(root):
     (root / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
 
 
+def rename_image_id(root, old, new):
+    """Replace image id ``old`` by ``new`` in the saved dataset's meta.json and row files."""
+    for name in ("meta.json", "annotations.jsonl", "proposals.jsonl"):
+        text = (root / name).read_text(encoding="utf-8")
+        assert json.dumps(old) in text
+        (root / name).write_text(text.replace(json.dumps(old), json.dumps(new)), encoding="utf-8")
+
+
 @contextmanager
 def time_limit(seconds):
     """Fail the test instead of hanging past ``seconds``."""

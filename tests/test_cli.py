@@ -12,6 +12,7 @@ from conftest import (
     fast_train_settings,
     forest_arrays,
     integer_ids,
+    rename_image_id,
     time_limit,
     tiny_synth_config,
 )
@@ -24,7 +25,7 @@ from samhead.forest import Forest
 from samhead.formats import (
     read_detections_csv,
     read_feature_maps,
-    read_metrics_json,
+    read_json,
     write_feature_maps,
 )
 from samhead.pipeline import (
@@ -282,6 +283,29 @@ class TestMissingOrBrokenData:
         payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
         assert "image id 0 is not a JSON string" in payload["message"]
         assert not out.exists()
+
+    def test_a_repeated_annotation_row_exits_3(self, synth_dir, tmp_path, capsys, model_path):
+        path = synth_dir / "annotations.jsonl"
+        rows = path.read_text(encoding="utf-8")
+        path.write_text(rows + rows.splitlines(keepends=True)[0], encoding="utf-8")
+        code = main(["detect", "--data", str(synth_dir), "--model", str(model_path),
+                     "--out", str(tmp_path / "dets.csv")])
+        payload = _assert_failed(capsys, code, EXIT_DATA, "FormatError")
+        assert "annotations.jsonl:3: image id 'img0000' has a second row" in payload["message"]
+        assert not (tmp_path / "dets.csv").exists()
+
+    def test_an_image_id_outside_the_dataset_exits_3(self, synth_dir, tmp_path, capsys,
+                                                     model_path):
+        # maps/../x names files beside maps/, which a loader that let the id
+        # through would read.
+        for path in (synth_dir / "maps").glob("img0000.*"):
+            path.rename(synth_dir / f"x{path.suffix}")
+        rename_image_id(synth_dir, "img0000", "../x")
+        code = main(["detect", "--data", str(synth_dir), "--model", str(model_path),
+                     "--out", str(tmp_path / "dets.csv")])
+        payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
+        assert "image id '../x' is not a plain file name" in payload["message"]
+        assert not (tmp_path / "dets.csv").exists()
 
     def test_detect_on_intact_data_exits_0(self, synth_dir, tmp_path, capsys, model_path):
         out = tmp_path / "dets.csv"
@@ -558,6 +582,14 @@ class TestNonUtf8Input:
         assert f"{name} is not UTF-8 text" in payload["message"]
         assert not (tmp_path / "m.json").exists()
 
+    def test_feature_map_layer_name_exits_3(self, synth_dir, tmp_path, capsys):
+        fmap = synth_dir / "maps" / "img0000.fmap"
+        fmap.write_bytes(fmap.read_bytes().replace(b"conv3", b"\xffonv3", 1))
+        code = main(["train", "--data", str(synth_dir), "--out", str(tmp_path / "m.json")])
+        payload = _assert_failed(capsys, code, EXIT_DATA, "FormatError")
+        assert "img0000.fmap: a layer name is not UTF-8" in payload["message"]
+        assert not (tmp_path / "m.json").exists()
+
     def test_model_exits_3(self, tmp_path, capsys, model_path):
         bad = tmp_path / "model.json"
         bad.write_bytes(self._BOM + model_path.read_bytes())
@@ -688,7 +720,7 @@ class TestEval:
 
         want = metrics_summary(read_detections_csv(dets_path),
                                Dataset.load(synth_dir).ground_truth_by_image())
-        metrics = read_metrics_json(out)
+        metrics = read_json(out)
         assert metrics == json.loads(json.dumps(want))
         assert metrics["mr2"] is not None and metrics["ap_moderate"] is not None
         for kind, key in (("fppi_miss", "mr2"), ("pr", "ap_moderate")):

@@ -1,11 +1,13 @@
 """Dataset container: disk round trip, height-restricted views, validation."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import integer_ids, tiny_synth_config
+from conftest import integer_ids, rename_image_id, tiny_synth_config
 from samhead.dataset import Dataset, ImageSample
 from samhead.errors import DataError
 from samhead.maps import FeatureMap, ImageRecord
@@ -91,6 +93,48 @@ class TestImageIds:
         (root / other).write_text(rows, encoding="utf-8")
         with pytest.raises(DataError, match=f"{name}: image id 'img0001' is not in meta.json"):
             Dataset.load(root)
+
+    @pytest.mark.parametrize("name", ["annotations.jsonl", "proposals.jsonl"])
+    def test_a_second_row_for_an_image_is_rejected(self, disk_set, tmp_path, name):
+        root = tmp_path / "ds"
+        disk_set.save(root)
+        path = root / name
+        rows = path.read_text(encoding="utf-8")
+        path.write_text(rows + rows.splitlines(keepends=True)[1], encoding="utf-8")
+        with pytest.raises(DataError, match=f"{name}:4: image id 'img0001' has a second row"):
+            Dataset.load(root)
+
+    @pytest.mark.parametrize("name", ["annotations.jsonl", "proposals.jsonl"])
+    def test_a_missing_row_is_rejected(self, disk_set, tmp_path, name):
+        root = tmp_path / "ds"
+        disk_set.save(root)
+        path = root / name
+        rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text(rows[0] + rows[2], encoding="utf-8")
+        with pytest.raises(DataError, match=f"{name}: no row for image id 'img0001'"):
+            Dataset.load(root)
+
+    @pytest.mark.parametrize("image_id", ["", ".", "..", "../x", "sub/img0", "sub\\img0",
+                                          "img\0"])
+    def test_an_id_that_is_not_a_plain_file_name_is_rejected(self, disk_set, tmp_path,
+                                                             monkeypatch, image_id):
+        root = tmp_path / "ds"
+        disk_set.save(root)
+        rename_image_id(root, "img0001", image_id)
+        opened = []
+        monkeypatch.setattr(Path, "read_bytes", lambda path: opened.append(path))
+        with pytest.raises(DataError, match=f"image id {re.escape(repr(image_id))} is not a "
+                                            "plain file name"):
+            Dataset.load(root)
+        assert opened == []
+
+    @pytest.mark.parametrize("image_id", ["", "..", "../../x", "sub/img0"])
+    def test_save_refuses_an_id_that_is_not_a_plain_file_name(self, tmp_path, image_id):
+        ds = Dataset(samples=[ImageSample(record=_sized_record("img0", 64, 40)),
+                              ImageSample(record=_sized_record(image_id, 64, 40))])
+        with pytest.raises(DataError, match="is not a plain file name"):
+            ds.save(tmp_path / "a" / "ds")
+        assert list(tmp_path.rglob("*")) == []
 
 
 def _sized_record(image_id, image_w, image_h):

@@ -17,15 +17,15 @@ from samhead.formats import (
     read_edge_map,
     read_feature_maps,
     read_ground_truth_jsonl,
+    read_json,
     read_label_map,
-    read_metrics_json,
     read_proposals_jsonl,
     write_detections_csv,
     write_edge_map,
     write_feature_maps,
     write_ground_truth_jsonl,
+    write_json,
     write_label_map,
-    write_metrics_json,
     write_proposals_jsonl,
 )
 from samhead.geometry import Box, Candidate, Detection, GroundTruthBox
@@ -165,6 +165,13 @@ class TestFeatureMapFile:
         with pytest.raises(DimensionError, match="stride"):
             read_feature_maps(path)
 
+    def test_layer_name_that_is_not_utf8_is_a_format_error(self, fmap_path):
+        path, _ = fmap_path
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(b"conv3", b"\xffonv3", 1))
+        with pytest.raises(FormatError, match=r"img\.fmap: a layer name is not UTF-8"):
+            read_feature_maps(path)
+
     def test_zero_dimension_rejected(self, tmp_path):
         path = tmp_path / "bad.fmap"
         buf = b"FMAP" + struct.pack("<I", 2) + struct.pack("<I", 1)
@@ -293,6 +300,50 @@ class TestJsonlBoxes:
         with pytest.raises(FormatError, match=":2: expected an object with image_id"):
             reader(path)
 
+    @pytest.mark.parametrize("reader", [read_ground_truth_jsonl, read_proposals_jsonl])
+    def test_a_second_row_for_an_image_id_is_rejected(self, tmp_path, reader):
+        path = tmp_path / "boxes.jsonl"
+        box = '{"x": 1, "y": 2, "w": 3, "h": 4, "score": 0.5}'
+        path.write_text('{"image_id": "a", "boxes": [%s]}\n{"image_id": "b", "boxes": []}\n'
+                        '{"image_id": "a", "boxes": []}\n' % box)
+        with pytest.raises(FormatError, match=r"boxes\.jsonl:3: image id 'a' has a second row"):
+            reader(path)
+
+    _BOX = {"x": 1, "y": 2, "w": 3, "h": 4, "occl": 0.0, "trunc": 0.0, "ignore": False,
+            "score": 0.5}
+
+    @pytest.mark.parametrize("reader, key", [
+        *[(read_ground_truth_jsonl, key) for key in ("x", "y", "w", "h", "occl", "trunc")],
+        *[(read_proposals_jsonl, key) for key in ("x", "y", "w", "h", "score")],
+    ])
+    @pytest.mark.parametrize("value", [True, False, "2"], ids=["true", "false", "string"])
+    def test_a_value_that_is_not_a_json_number_is_rejected(self, tmp_path, reader, key, value):
+        path = tmp_path / "boxes.jsonl"
+        rows = [{"image_id": "a", "boxes": [self._BOX]},
+                {"image_id": "b", "boxes": [self._BOX, {**self._BOX, key: value}]}]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        with pytest.raises(FormatError, match=rf"boxes\.jsonl:2: bad .* box \({key} must be a "
+                                              "number"):
+            reader(path)
+
+    @pytest.mark.parametrize("reader", [read_ground_truth_jsonl, read_proposals_jsonl])
+    def test_an_integer_past_float_range_is_rejected(self, tmp_path, reader):
+        path = tmp_path / "boxes.jsonl"
+        path.write_text('{"image_id": "a", "boxes": [{"x": 1%s, "y": 2, "w": 3, "h": 4, '
+                        '"score": 0.5}]}\n' % ("0" * 400))
+        with pytest.raises(FormatError, match=r"boxes\.jsonl:1: bad .* box"):
+            reader(path)
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None],
+                             ids=["string-false", "string-true", "zero", "one", "null"])
+    def test_ignore_must_be_true_or_false(self, tmp_path, value):
+        path = tmp_path / "gt.jsonl"
+        row = {"image_id": "a", "boxes": [{**self._BOX, "ignore": value}]}
+        path.write_text(json.dumps(row) + "\n")
+        with pytest.raises(FormatError, match=r"gt\.jsonl:1: bad ground-truth box \(ignore "
+                                              "must be true or false"):
+            read_ground_truth_jsonl(path)
+
 
 class TestDetectionsCsv:
     def test_round_trip_is_exact(self, tmp_path):
@@ -326,8 +377,8 @@ class TestDetectionsCsv:
 def test_metrics_json_round_trip(tmp_path):
     path = tmp_path / "metrics.json"
     payload = {"mr2": 0.125, "counts": {"tp": 3}}
-    write_metrics_json(path, payload)
-    assert read_metrics_json(path) == payload
+    write_json(path, payload)
+    assert read_json(path) == payload
     # Stable serialization: keys sorted, trailing newline.
     text = path.read_text()
     assert text.endswith("\n")
@@ -338,4 +389,12 @@ def test_metrics_json_invalid(tmp_path):
     path = tmp_path / "metrics.json"
     path.write_text("{nope")
     with pytest.raises(FormatError):
-        read_metrics_json(path)
+        read_json(path)
+
+
+@pytest.mark.parametrize("reader", [read_json, read_ground_truth_jsonl, read_proposals_jsonl])
+def test_json_nested_too_deep_to_parse_is_a_format_error(tmp_path, reader):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    with pytest.raises(FormatError, match=r"deep\.json"):
+        reader(path)
