@@ -23,6 +23,7 @@ from .evaluation import (
     match_image,
     metrics_summary,
     read_curve_csv,
+    summary_and_curves,
     write_curve_csv,
 )
 from .forest import (
@@ -52,17 +53,7 @@ from .formats import (
     write_label_map,
     write_proposals_jsonl,
 )
-from .geometry import (
-    Box,
-    Candidate,
-    DEFAULT_EVAL_REGION,
-    Detection,
-    GroundTruthBox,
-    RegionBounds,
-    in_eval_region,
-    iou,
-    nms,
-)
+from .geometry import Box, Candidate, Detection, GroundTruthBox, iou, nms
 from .maps import EdgeMap, FeatureMap, ImageRecord, LabelMap, NUM_LABEL_CLASSES
 from .pca import PcaError, PcaProjector, fit_pca
 from .pipeline import (

@@ -22,10 +22,10 @@ Values the paper fixes are constants, not config keys: the sample overlap
 thresholds, training proposal budget, PCA sample counts, prior clamp and
 background prior, and NMS overlap in ``samhead.pipeline``; the margin clamp
 and leaf smoothing in ``samhead.forest``; the edge histogram width in
-``samhead.routing``; the label class count in ``samhead.maps``; the
-evaluation region in ``samhead.geometry``; and in ``samhead.evaluation``
-the IoU threshold, occlusion cutoff, miss-rate and AP sample counts and the
-Caltech and KITTI ground-truth filters.  The synthetic world's fixed values
+``samhead.routing``; the label class count in ``samhead.maps``; and in
+``samhead.evaluation`` the IoU threshold, occlusion cutoff, evaluation
+region, miss-rate and AP sample counts and the Caltech and KITTI
+ground-truth filters.  The synthetic world's fixed values
 (image size, object heights, distractors, proposal jitter and priors,
 channel roles, noise levels, label and edge clutter, the channel-assignment
 seed) are constants in ``samhead.synth``; the "synth" section sets only
@@ -44,16 +44,7 @@ import sys
 from . import config
 from .dataset import Dataset
 from .errors import ConfigError, SamheadError
-from .evaluation import (
-    EvalProtocol,
-    KITTI_MODERATE,
-    average_precision,
-    evaluate_detections,
-    log_average_miss_rate,
-    metrics_summary,
-    read_curve_csv,
-    write_curve_csv,
-)
+from .evaluation import read_curve_csv, summary_and_curves, write_curve_csv
 from .formats import FormatError, read_detections_csv, read_json, write_detections_csv, write_json
 from .pipeline import (
     TrainSettings,
@@ -157,26 +148,20 @@ def cmd_eval(args) -> int:
     ds = Dataset.load(args.data)
     dets = read_detections_csv(args.dets)
     gts = ds.ground_truth_by_image()
-    summary = metrics_summary(dets, gts)
+    summary, curves = summary_and_curves(dets, gts)
     write_json(args.out, summary)
+    written = []
     if args.curves:
-        matches = evaluate_detections(dets, gts, EvalProtocol())
-        try:
-            _, mr_curve = log_average_miss_rate(matches, -2.0)
-            write_curve_csv(f"{args.curves}.fppi_miss.csv", mr_curve)
-        except SamheadError:
-            pass
-        try:
-            _, pr_curve = average_precision(evaluate_detections(dets, gts, KITTI_MODERATE))
-            write_curve_csv(f"{args.curves}.pr.csv", pr_curve)
-        except SamheadError:
-            pass
+        for kind, curve in curves.items():
+            written.append(f"{args.curves}.{kind}.csv")
+            write_curve_csv(written[-1], curve)
     _emit(
         {
             "command": "eval",
             "out": str(args.out),
             "mr2": summary["mr2"],
             "mr4": summary["mr4"],
+            "curves": written,
         }
     )
     return 0
@@ -255,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--data", required=True, help="dataset directory")
     sp.add_argument("--dets", required=True, help="detections CSV path")
     sp.add_argument("--out", required=True, help="metrics JSON path")
-    sp.add_argument("--curves", help="also write <prefix>.fppi_miss.csv / <prefix>.pr.csv")
+    sp.add_argument("--curves", help="also write <prefix>.fppi_miss.csv (MR-2) and "
+                    "<prefix>.pr.csv (moderate AP), each when its metric is defined")
     common(sp)
     sp.set_defaults(func=cmd_eval)
 

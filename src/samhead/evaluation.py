@@ -3,19 +3,22 @@
 Caltech log-average miss rate (Dollár et al., PAMI 2012) counts the
 "reasonable" subset, ``EvalProtocol``: ground truth at least 50 px tall,
 occluded strictly less than ``OCCLUSION_MAX`` = 0.35, centered inside
-``geometry.DEFAULT_EVAL_REGION`` and not flagged ignore.  MR-2 and MR-4 are
-geometric means of the miss rate at ``MR_POINTS`` = 9 reference points of
-false positives per image, log-spaced over [1e-2, 1] and [1e-4, 1].  KITTI
-AP (Geiger et al., CVPR 2012) counts the easy, moderate and hard filters,
-``KittiDifficulty``, and averages interpolated precision at ``AP_POINTS`` =
-11 recall points.  Only the layer sweep varies anything: it narrows the
-protocol's height range.
+``EVAL_REGION`` = [5, 635] x [5, 475] (closed) and not flagged ignore.  MR-2
+and MR-4 are geometric means of the miss rate at ``MR_POINTS`` = 9 reference
+points of false positives per image, log-spaced over [1e-2, 1] and [1e-4, 1].
+KITTI AP (Geiger et al., CVPR 2012) counts the easy, moderate and hard
+filters, ``KittiDifficulty``, and averages interpolated precision at
+``AP_POINTS`` = 11 recall points.  Only the layer sweep varies anything: it
+narrows the protocol's height range.
 
 Matching is the same under every filter: ground truth the filter rejects
 becomes an ignore region; detections are visited in descending score order
 and take the highest-IoU unmatched eligible ground truth with IoU at or above
 ``IOU_THRESHOLD`` = 0.5; a detection whose only sufficient overlaps are
-ignore regions is neither hit nor false positive.
+ignore regions is neither hit nor false positive.  ``match_image`` (one
+image) and ``evaluate_detections`` (a dataset) take a tuple of filters and
+return one result per filter, so ``summary_and_curves`` matches each image
+once for every metric and for the MR-2 and moderate PR curves it returns.
 """
 
 from __future__ import annotations
@@ -27,16 +30,13 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .formats import open_text
-from .geometry import (
-    DEFAULT_EVAL_REGION,
-    Detection,
-    GroundTruthBox,
-    in_eval_region,
-    iou_matrix,
-)
+from .geometry import Detection, GroundTruthBox, iou_matrix
 
 IOU_THRESHOLD = 0.5
 OCCLUSION_MAX = 0.35
+#: Closed (x_min, x_max, y_min, y_max) bounds on a counted box's center,
+#: conventional for 640x480 street-scene footage.
+EVAL_REGION = (5.0, 635.0, 5.0, 475.0)
 MR_POINTS = 9
 AP_POINTS = 11
 
@@ -52,7 +52,7 @@ class EvalProtocol:
     Ground truth counts if it is not flagged ignore, is at least
     ``height_min`` and below ``height_max`` (None: no upper bound) pixels
     tall, is occluded strictly less than ``OCCLUSION_MAX``, and has its center
-    inside ``DEFAULT_EVAL_REGION``.
+    inside ``EVAL_REGION``.
     """
 
     height_min: float = 50.0
@@ -63,12 +63,14 @@ class EvalProtocol:
             raise ConfigError("height_max must exceed height_min")
 
     def eligible(self, gt: GroundTruthBox) -> bool:
+        x_min, x_max, y_min, y_max = EVAL_REGION
         return (
             not gt.ignore
             and gt.box.h >= self.height_min
             and (self.height_max is None or gt.box.h < self.height_max)
             and gt.occlusion < OCCLUSION_MAX
-            and in_eval_region(gt.box, DEFAULT_EVAL_REGION)
+            and x_min <= gt.box.cx <= x_max
+            and y_min <= gt.box.cy <= y_max
         )
 
 
@@ -112,18 +114,14 @@ class ImageMatch:
     gt_matched: np.ndarray  # bool per eligible-filtered gt (eligible only)
 
 
-def match_image(dets: list[Detection], gts: list[GroundTruthBox], flt) -> ImageMatch:
-    """Greedy score-order matching against one image's annotations.
+def match_image(dets: list[Detection], gts: list[GroundTruthBox], filters) -> list[ImageMatch]:
+    """Greedy score-order matching against one image's annotations, once per filter.
 
-    ``flt`` says which ground truth counts: an ``EvalProtocol`` for miss
+    Each filter says which ground truth counts: an ``EvalProtocol`` for miss
     rate, a ``KittiDifficulty`` for AP, or anything else with an
     ``eligible(gt)`` predicate.  Ground truth it rejects is an ignore region.
+    The detections are sorted and their overlaps read once for all filters.
     """
-    return _match_filters(dets, gts, (flt,))[0]
-
-
-def _match_filters(dets: list[Detection], gts: list[GroundTruthBox], filters) -> list[ImageMatch]:
-    """``match_image`` under each filter, sorting and reading the overlaps once."""
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
     scores = np.array([dets[i].score for i in order], dtype=np.float64)
     overlaps = iou_matrix([dets[i].box for i in order], [g.box for g in gts]).tolist()
@@ -167,32 +165,42 @@ class EvalCurve:
 def evaluate_detections(
     dets_by_image: dict[str, list[Detection]],
     gts_by_image: dict[str, list[GroundTruthBox]],
-    flt,
-) -> list[ImageMatch]:
-    """Match every annotated image under ``flt``; annotations define the image universe."""
-    return _evaluate_filters(dets_by_image, gts_by_image, (flt,))[0]
+    filters,
+) -> list[list[ImageMatch]]:
+    """Match every annotated image under each filter, one list of matches per filter.
 
-
-def _evaluate_filters(dets_by_image, gts_by_image, filters) -> list[list[ImageMatch]]:
-    """``evaluate_detections`` under each filter, one list of matches per filter."""
+    The annotations define the image universe: an annotated image without
+    detections still counts, and detections on an unannotated image are a
+    ``DataError``.
+    """
     unknown = set(dets_by_image) - set(gts_by_image)
     if unknown:
         raise DataError(f"detections reference unannotated images: {sorted(unknown)[:5]}")
     per_image = [
-        _match_filters(dets_by_image.get(image_id, []), gts, filters)
+        match_image(dets_by_image.get(image_id, []), gts, filters)
         for image_id, gts in gts_by_image.items()
     ]
     return [[m[k] for m in per_image] for k in range(len(filters))]
 
 
-def _pooled(matches: list[ImageMatch]) -> tuple[np.ndarray, np.ndarray]:
-    """All counted detections pooled across images, sorted by descending score."""
-    scores = np.concatenate([m.scores for m in matches]) if matches else np.empty(0)
-    flags = np.concatenate([m.flags for m in matches]) if matches else np.empty(0, dtype=np.int8)
+def _pooled_counts(matches: list[ImageMatch]) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Counted detections pooled across images, by descending score.
+
+    Returns their scores, the cumulative TP and FP counts down that order,
+    and the eligible ground-truth total, which is never zero.
+    """
+    if not matches:
+        raise MetricUndefinedError("no images to evaluate")
+    total_gt = sum(m.eligible_gt for m in matches)
+    if total_gt == 0:
+        raise MetricUndefinedError("no eligible ground truth under the filter")
+    scores = np.concatenate([m.scores for m in matches])
+    flags = np.concatenate([m.flags for m in matches])
     keep = flags != IGNORED
     scores, flags = scores[keep], flags[keep]
     order = np.argsort(-scores, kind="stable")
-    return scores[order], flags[order]
+    scores, flags = scores[order], flags[order]
+    return scores, np.cumsum(flags == TP), np.cumsum(flags == FP), total_gt
 
 
 def log_average_miss_rate(
@@ -207,26 +215,13 @@ def log_average_miss_rate(
     curve's maximum miss rate (or 1.0 for an empty curve).  Miss rates are
     floored at 1e-10 before the log.
     """
-    if not matches:
-        raise MetricUndefinedError("no images to evaluate")
-    total_gt = sum(m.eligible_gt for m in matches)
-    if total_gt == 0:
-        raise MetricUndefinedError("no eligible ground truth under the protocol")
-    n_images = len(matches)
-    scores, flags = _pooled(matches)
-
-    curve = EvalCurve(kind="fppi_miss")
-    if scores.size:
-        tp = np.cumsum(flags == TP)
-        fp = np.cumsum(flags == FP)
-        # Points sit at the last occurrence of each distinct score.
-        last = np.flatnonzero(np.diff(scores, append=-np.inf) != 0.0)
-        fppi = fp[last] / n_images
-        miss = 1.0 - tp[last] / total_gt
-        curve.samples = list(zip(scores[last].tolist(), fppi.tolist(), miss.tolist()))
-    else:
-        fppi = np.empty(0)
-        miss = np.empty(0)
+    scores, tp, fp, total_gt = _pooled_counts(matches)
+    # Points sit at the last occurrence of each distinct score.
+    last = np.flatnonzero(np.diff(scores, append=-np.inf) != 0.0)
+    fppi = fp[last] / len(matches)
+    miss = 1.0 - tp[last] / total_gt
+    curve = EvalCurve(kind="fppi_miss",
+                      samples=list(zip(scores[last].tolist(), fppi.tolist(), miss.tolist())))
 
     refs = np.power(10.0, np.linspace(min_exponent, 0.0, MR_POINTS))
     vals = []
@@ -246,21 +241,11 @@ def log_average_miss_rate(
 
 def average_precision(matches: list[ImageMatch]) -> tuple[float, EvalCurve]:
     """Interpolated AP: mean over ``AP_POINTS`` recall points of max precision at recall >= r."""
-    if not matches:
-        raise MetricUndefinedError("no images to evaluate")
-    total_gt = sum(m.eligible_gt for m in matches)
-    if total_gt == 0:
-        raise MetricUndefinedError("no eligible ground truth under the difficulty filter")
-    scores, flags = _pooled(matches)
-    curve = EvalCurve(kind="pr")
-    if scores.size == 0:
-        curve.summary = 0.0
-        return 0.0, curve
-    tp = np.cumsum(flags == TP)
-    fp = np.cumsum(flags == FP)
+    scores, tp, fp, total_gt = _pooled_counts(matches)
     recall = tp / total_gt
     precision = tp / np.maximum(tp + fp, 1)
-    curve.samples = list(zip(scores.tolist(), recall.tolist(), precision.tolist()))
+    curve = EvalCurve(kind="pr",
+                      samples=list(zip(scores.tolist(), recall.tolist(), precision.tolist())))
     vals = []
     for r in np.linspace(0.0, 1.0, AP_POINTS):
         mask = recall >= r - 1e-12
@@ -268,6 +253,47 @@ def average_precision(matches: list[ImageMatch]) -> tuple[float, EvalCurve]:
     ap = float(np.mean(vals))
     curve.summary = ap
     return ap, curve
+
+
+def _or_none(metric, *args):
+    """``metric(*args)``, or None when the metric is undefined."""
+    try:
+        return metric(*args)
+    except MetricUndefinedError:
+        return None
+
+
+def summary_and_curves(
+    dets_by_image: dict[str, list[Detection]],
+    gts_by_image: dict[str, list[GroundTruthBox]],
+) -> tuple[dict, dict[str, EvalCurve]]:
+    """``metrics_summary``'s bundle plus the curves behind MR-2 and moderate AP.
+
+    Every image is matched once, under all filters.  The curves are keyed by
+    kind: "fppi_miss" is the MR-2 curve and "pr" the KITTI moderate curve,
+    each present only when its metric is defined, and each curve's summary
+    is its metric.
+    """
+    filters = (EvalProtocol(), *KITTI_DIFFICULTIES)
+    matches, *kitti = evaluate_detections(dets_by_image, gts_by_image, filters)
+    results = {
+        "mr2": _or_none(log_average_miss_rate, matches, -2.0),
+        "mr4": _or_none(log_average_miss_rate, matches, -4.0),
+    }
+    for diff, diff_matches in zip(KITTI_DIFFICULTIES, kitti):
+        results[f"ap_{diff.name}"] = _or_none(average_precision, diff_matches)
+    out: dict = {key: None if r is None else r[0] for key, r in results.items()}
+    curves = {r[1].kind: r[1] for r in (results["mr2"], results["ap_moderate"]) if r is not None}
+    flags = np.concatenate([m.flags for m in matches]) if matches else np.empty(0)
+    out["counts"] = {
+        "images": len(matches),
+        "eligible_gt": int(sum(m.eligible_gt for m in matches)),
+        "detections": int(flags.size),
+        "tp": int((flags == TP).sum()),
+        "fp": int((flags == FP).sum()),
+        "ignored_detections": int((flags == IGNORED).sum()),
+    }
+    return out, curves
 
 
 def metrics_summary(
@@ -279,31 +305,7 @@ def metrics_summary(
     Metrics whose ground-truth pool is empty are reported as null rather than
     failing the whole summary.
     """
-    filters = (EvalProtocol(), *KITTI_DIFFICULTIES)
-    matches, *kitti = _evaluate_filters(dets_by_image, gts_by_image, filters)
-    out: dict = {}
-    try:
-        out["mr2"] = log_average_miss_rate(matches, -2.0)[0]
-        out["mr4"] = log_average_miss_rate(matches, -4.0)[0]
-    except MetricUndefinedError:
-        out["mr2"] = None
-        out["mr4"] = None
-    for diff, diff_matches in zip(KITTI_DIFFICULTIES, kitti):
-        try:
-            ap = average_precision(diff_matches)[0]
-        except MetricUndefinedError:
-            ap = None
-        out[f"ap_{diff.name}"] = ap
-    flags = np.concatenate([m.flags for m in matches]) if matches else np.empty(0)
-    out["counts"] = {
-        "images": len(matches),
-        "eligible_gt": int(sum(m.eligible_gt for m in matches)),
-        "detections": int(flags.size),
-        "tp": int((flags == TP).sum()),
-        "fp": int((flags == FP).sum()),
-        "ignored_detections": int((flags == IGNORED).sum()),
-    }
-    return out
+    return summary_and_curves(dets_by_image, gts_by_image)[0]
 
 
 # --- curve CSV round trip ---------------------------------------------------
@@ -343,6 +345,9 @@ def read_curve_csv(path) -> EvalCurve:
         summary = float(head[2])
     except ValueError as e:
         raise DataError(f"{path}: malformed curve row ({e})") from None
+    for lineno, sample in enumerate(samples, start=3):
+        if not all(math.isfinite(v) for v in sample):
+            raise DataError(f"{path}:{lineno}: non-finite curve sample {list(sample)}")
     if math.isnan(summary) and samples:
         raise DataError(f"{path}: curve with samples but no summary")
     return EvalCurve(kind=kind, samples=samples, summary=summary)

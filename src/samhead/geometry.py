@@ -1,4 +1,4 @@
-"""Boxes, overlap, greedy suppression, and evaluation-region tests."""
+"""Boxes, overlap and greedy suppression."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -155,26 +153,3 @@ def nms(detections: list[Detection], threshold: float) -> list[Detection]:
             kept.append(detections[i])
             suppressed |= overlaps[rank]
     return kept
-
-
-@dataclass(frozen=True)
-class RegionBounds:
-    """Closed rectangle of allowed box centers for evaluation."""
-
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-
-    def __post_init__(self) -> None:
-        if self.x_min > self.x_max or self.y_min > self.y_max:
-            raise ConfigError(f"region bounds must be ordered, got {self!r}")
-
-
-#: Center bounds conventionally used for 640x480 street-scene footage.
-DEFAULT_EVAL_REGION = RegionBounds(5.0, 635.0, 5.0, 475.0)
-
-
-def in_eval_region(box: Box, bounds: RegionBounds) -> bool:
-    """True iff the box center lies inside the closed bounds rectangle."""
-    return bounds.x_min <= box.cx <= bounds.x_max and bounds.y_min <= box.cy <= bounds.y_max

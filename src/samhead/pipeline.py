@@ -596,8 +596,8 @@ def ablation_sweep(
             )
             model, _ = train_detector(train_set.subset_by_height(lo, hi), run_settings)
             dets = detect_dataset(model, test_set)
-            matches = evaluate_detections(
-                dets, test_set.ground_truth_by_image(), EvalProtocol(lo, hi)
+            (matches,) = evaluate_detections(
+                dets, test_set.ground_truth_by_image(), (EvalProtocol(lo, hi),)
             )
             mr, _ = log_average_miss_rate(matches, -4.0)
             rows.append({"combination": "+".join(combo), "subset": name, "mr4": mr})

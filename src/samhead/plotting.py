@@ -8,7 +8,9 @@ produces byte-identical output.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 from xml.sax.saxutils import escape
 
 from .errors import DataError
@@ -41,7 +43,7 @@ def _plot_y(frac: float) -> float:
 
 
 def _frame(title: str, x_label: str, y_label: str) -> list[str]:
-    parts = [
+    return [
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
         f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="15" fill="#222222">{escape(title)}</text>',
@@ -51,7 +53,6 @@ def _frame(title: str, x_label: str, y_label: str) -> list[str]:
         f'font-family="sans-serif" font-size="12" fill="{_AXIS_COLOR}" '
         f'transform="rotate(-90 16 {_fmt(_plot_y(0.5))})">{y_label}</text>',
     ]
-    return parts
 
 
 def _axes_box() -> str:
@@ -80,11 +81,17 @@ def _tick(x: float, y: float, label: str, axis: str) -> list[str]:
     ]
 
 
-def _gridline(p0: tuple[float, float], p1: tuple[float, float]) -> str:
-    return (
-        f'<line x1="{_fmt(p0[0])}" y1="{_fmt(p0[1])}" x2="{_fmt(p1[0])}" '
-        f'y2="{_fmt(p1[1])}" stroke="{_GRID_COLOR}" stroke-width="1"/>'
-    )
+def _axis(ticks: list[tuple[float, str]], axis: str) -> list[str]:
+    """Tick marks and labels along one axis, with a gridline at each inner tick."""
+    parts = []
+    for k, (frac, label) in enumerate(ticks):
+        x, y = (_plot_x(frac), _plot_y(0.0)) if axis == "x" else (_plot_x(0.0), _plot_y(frac))
+        if 0 < k < len(ticks) - 1:
+            far_x, far_y = (x, _plot_y(1.0)) if axis == "x" else (_plot_x(1.0), y)
+            parts.append(f'<line x1="{_fmt(x)}" y1="{_fmt(y)}" x2="{_fmt(far_x)}" '
+                         f'y2="{_fmt(far_y)}" stroke="{_GRID_COLOR}" stroke-width="1"/>')
+        parts.extend(_tick(x, y, label, axis))
+    return parts
 
 
 def _polyline(points: list[tuple[float, float]]) -> str:
@@ -100,54 +107,47 @@ def _log_frac(v: float, decades: tuple[int, int]) -> float:
     return (math.log10(v) - lo) / (hi - lo)
 
 
-def _render_fppi_miss(curve: EvalCurve, title: str) -> str:
-    parts = _frame(title, "false positives per image", "miss rate")
-    lo, hi = _FPPI_DECADES
-    for d in range(lo, hi + 1):
-        x = _plot_x(_log_frac(10.0**d, _FPPI_DECADES))
-        if lo < d < hi:
-            parts.append(_gridline((x, _plot_y(0.0)), (x, _plot_y(1.0))))
-        parts.extend(_tick(x, _plot_y(0.0), f"1e{d}", "x"))
-    mlo, mhi = _MISS_DECADES
-    for d in range(mlo, mhi + 1):
-        y = _plot_y(_log_frac(10.0**d, _MISS_DECADES))
-        if mlo < d < mhi:
-            parts.append(_gridline((_plot_x(0.0), y), (_plot_x(1.0), y)))
-        parts.extend(_tick(_plot_x(0.0), y, f"1e{d}", "y"))
-    parts.append(_axes_box())
-
-    points = []
-    for _, fppi, miss in curve.samples:
-        if fppi <= 0.0:
-            continue
-        fx = min(max(_log_frac(fppi, _FPPI_DECADES), 0.0), 1.0)
-        my = min(max(_log_frac(max(miss, 10.0 ** _MISS_DECADES[0]), _MISS_DECADES), 0.0), 1.0)
-        points.append((_plot_x(fx), _plot_y(my)))
-    if points:
-        parts.append(_polyline(points))
-    return _wrap(parts)
+def _clamp(frac: float) -> float:
+    return min(max(frac, 0.0), 1.0)
 
 
-def _render_pr(curve: EvalCurve, title: str) -> str:
-    parts = _frame(title, "recall", "precision")
-    for i in range(6):
-        frac = i / 5.0
-        x = _plot_x(frac)
-        y = _plot_y(frac)
-        if 0 < i < 5:
-            parts.append(_gridline((x, _plot_y(0.0)), (x, _plot_y(1.0))))
-            parts.append(_gridline((_plot_x(0.0), y), (_plot_x(1.0), y)))
-        parts.extend(_tick(x, _plot_y(0.0), _fmt(frac), "x"))
-        parts.extend(_tick(_plot_x(0.0), y, _fmt(frac), "y"))
-    parts.append(_axes_box())
+def _log_ticks(decades: tuple[int, int]) -> list[tuple[float, str]]:
+    lo, hi = decades
+    return [(_log_frac(10.0**d, decades), f"1e{d}") for d in range(lo, hi + 1)]
 
-    points = [
-        (_plot_x(min(max(recall, 0.0), 1.0)), _plot_y(min(max(precision, 0.0), 1.0)))
-        for _, recall, precision in curve.samples
-    ]
-    if points:
-        parts.append(_polyline(points))
-    return _wrap(parts)
+
+def _fppi_miss_point(sample) -> tuple[float, float] | None:
+    _, fppi, miss = sample
+    if fppi <= 0.0:
+        return None
+    return (_clamp(_log_frac(fppi, _FPPI_DECADES)),
+            _clamp(_log_frac(max(miss, 10.0 ** _MISS_DECADES[0]), _MISS_DECADES)))
+
+
+def _pr_point(sample) -> tuple[float, float]:
+    _, recall, precision = sample
+    return _clamp(recall), _clamp(precision)
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """How one curve kind is drawn: labels, ticks as (fraction, label), sample to fractions."""
+
+    title: str
+    x_label: str
+    y_label: str
+    x_ticks: list[tuple[float, str]]
+    y_ticks: list[tuple[float, str]]
+    point: Callable  # sample -> (x, y) plot-area fractions, or None to drop it
+
+
+_FIFTHS = [(i / 5.0, _fmt(i / 5.0)) for i in range(6)]
+
+_KINDS = {
+    "fppi_miss": _Kind("miss rate vs FPPI", "false positives per image", "miss rate",
+                       _log_ticks(_FPPI_DECADES), _log_ticks(_MISS_DECADES), _fppi_miss_point),
+    "pr": _Kind("precision vs recall", "recall", "precision", _FIFTHS, _FIFTHS, _pr_point),
+}
 
 
 def _wrap(parts: list[str]) -> str:
@@ -160,13 +160,16 @@ def _wrap(parts: list[str]) -> str:
 
 def render_curve_svg(curve: EvalCurve, title: str | None = None) -> str:
     """SVG text for a curve; an empty curve still renders titled axes."""
-    if curve.kind == "fppi_miss":
-        default = "miss rate vs FPPI"
-        return _render_fppi_miss(curve, title or default)
-    if curve.kind == "pr":
-        default = "precision vs recall"
-        return _render_pr(curve, title or default)
-    raise DataError(f"cannot plot curve kind {curve.kind!r}")
+    kind = _KINDS.get(curve.kind)
+    if kind is None:
+        raise DataError(f"cannot plot curve kind {curve.kind!r}")
+    parts = _frame(title or kind.title, kind.x_label, kind.y_label)
+    parts += _axis(kind.x_ticks, "x") + _axis(kind.y_ticks, "y")
+    parts.append(_axes_box())
+    points = [p for p in map(kind.point, curve.samples) if p is not None]
+    if points:
+        parts.append(_polyline([(_plot_x(fx), _plot_y(fy)) for fx, fy in points]))
+    return _wrap(parts)
 
 
 def write_curve_svg(path, curve: EvalCurve, title: str | None = None) -> None:

@@ -17,6 +17,7 @@ from conftest import (
     tiny_synth_config,
 )
 from samhead import config as samhead_config
+from samhead import evaluation
 from samhead.cli import EXIT_CONFIG, EXIT_DATA, _train_settings, main
 from samhead.dataset import Dataset
 from samhead.errors import ConfigError
@@ -713,10 +714,12 @@ class TestEval:
         dets_path, out, prefix = tmp_path / "dets.csv", tmp_path / "metrics.json", tmp_path / "c"
         assert main(["detect", "--data", str(synth_dir), "--model", str(model_path),
                      "--out", str(dets_path)]) == 0
+        capsys.readouterr()
         code = main(["eval", "--data", str(synth_dir), "--dets", str(dets_path),
                      "--out", str(out), "--curves", str(prefix)])
         assert code == 0
-        capsys.readouterr()
+        assert _one_json_line(capsys.readouterr().out)["curves"] == [
+            f"{prefix}.fppi_miss.csv", f"{prefix}.pr.csv"]
 
         want = metrics_summary(read_detections_csv(dets_path),
                                Dataset.load(synth_dir).ground_truth_by_image())
@@ -732,6 +735,54 @@ class TestEval:
             assert main(["plot", "--curve", str(curve_path), "--out", str(svg)]) == 0
             assert _one_json_line(capsys.readouterr().out)["kind"] == kind
             assert svg.read_text(encoding="utf-8").startswith("<svg")
+
+    def test_each_image_is_matched_once(self, synth_dir, tmp_path, capsys, monkeypatch):
+        calls = []
+        match_image = evaluation.match_image
+
+        def counted(*args):
+            calls.append(args)
+            return match_image(*args)
+
+        monkeypatch.setattr(evaluation, "match_image", counted)
+        dets = tmp_path / "dets.csv"
+        dets.write_text("image_id,x,y,w,h,score\n", encoding="utf-8")
+        code = main(["eval", "--data", str(synth_dir), "--dets", str(dets),
+                     "--out", str(tmp_path / "metrics.json"), "--curves", str(tmp_path / "c")])
+        assert code == 0
+        assert _one_json_line(capsys.readouterr().out)["curves"]
+        assert len(calls) == len(Dataset.load(synth_dir))
+
+    @pytest.mark.parametrize("change, kinds", [
+        ({"h": 40.0, "occl": 0.0, "trunc": 0.0}, ["pr"]),  # below Caltech's 50 px floor
+        ({"ignore": True}, []),
+    ], ids=["all-40px-tall", "all-ignored"])
+    def test_the_json_line_lists_the_curves_written(self, synth_dir, tmp_path, capsys,
+                                                     change, kinds):
+        path = synth_dir / "annotations.jsonl"
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        for row in rows:
+            row["boxes"] = [{**box, **change} for box in row["boxes"]]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        dets, prefix = tmp_path / "dets.csv", tmp_path / "c"
+        dets.write_text("image_id,x,y,w,h,score\n", encoding="utf-8")
+        code = main(["eval", "--data", str(synth_dir), "--dets", str(dets),
+                     "--out", str(tmp_path / "metrics.json"), "--curves", str(prefix)])
+        assert code == 0
+        payload = _one_json_line(capsys.readouterr().out)
+        assert payload["mr2"] is None
+        assert payload["curves"] == [f"{prefix}.{kind}.csv" for kind in kinds]
+        for kind in ("fppi_miss", "pr"):
+            assert (tmp_path / f"c.{kind}.csv").exists() == (kind in kinds)
+
+    def test_plot_refuses_a_non_finite_sample(self, tmp_path, capsys):
+        curve, svg = tmp_path / "curve.csv", tmp_path / "curve.svg"
+        curve.write_text("kind,fppi_miss,0.5\nthreshold,fppi,miss_rate\n"
+                         "0.9,nan,0.2\n0.5,inf,nan\n0.1,0.5,0.1\n", encoding="utf-8")
+        code = main(["plot", "--curve", str(curve), "--out", str(svg)])
+        payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
+        assert payload["message"] == f"{curve}:3: non-finite curve sample [0.9, nan, 0.2]"
+        assert not svg.exists()
 
     # Every evaluation value that is now a constant of samhead.evaluation or a
     # height range only the layer sweep sets, at its former default.

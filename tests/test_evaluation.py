@@ -8,10 +8,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import oracle_greedy_match, random_match_instance
 from samhead.errors import ConfigError, DataError
 from samhead.evaluation import (
+    EVAL_REGION,
     FP,
     IGNORED,
     IOU_THRESHOLD,
@@ -28,6 +31,7 @@ from samhead.evaluation import (
     match_image,
     metrics_summary,
     read_curve_csv,
+    summary_and_curves,
     write_curve_csv,
 )
 from samhead.geometry import Box, Detection, GroundTruthBox
@@ -80,7 +84,7 @@ class TestMatchImage:
     def test_basic_assignment(self):
         gts = [gt(0.0), gt(100.0)]
         dets = [det(0.9, 1.0), det(0.8, 101.0)]
-        m = match_image(dets, gts, PROTO)
+        (m,) = match_image(dets, gts, (PROTO,))
         np.testing.assert_array_equal(m.flags, [TP, TP])
         assert m.eligible_gt == 2
         np.testing.assert_array_equal(m.gt_matched, [True, True])
@@ -88,48 +92,75 @@ class TestMatchImage:
     def test_second_hit_on_claimed_box_is_fp(self):
         gts = [gt(0.0)]
         dets = [det(0.9, 0.0), det(0.8, 1.0)]
-        m = match_image(dets, gts, PROTO)
+        (m,) = match_image(dets, gts, (PROTO,))
         np.testing.assert_array_equal(m.flags, [TP, FP])
 
     def test_score_tie_resolves_to_input_order(self):
         gts = [gt(0.0)]
         dets = [det(0.5, 0.0), det(0.5, 0.0)]
-        m = match_image(dets, gts, PROTO)
+        (m,) = match_image(dets, gts, (PROTO,))
         np.testing.assert_array_equal(m.flags, [TP, FP])
 
     def test_best_overlap_wins_not_first(self):
         gts = [gt(0.0), gt(20.0)]
         dets = [det(0.9, 18.0)]  # overlaps both; much closer to the second
-        m = match_image(dets, gts, PROTO)
+        (m,) = match_image(dets, gts, (PROTO,))
         np.testing.assert_array_equal(m.flags, [TP])
         np.testing.assert_array_equal(m.gt_matched, [False, True])
 
     def test_ignored_ground_truth_absorbs_detections(self):
         gts = [gt(0.0, ignore=True)]
         dets = [det(0.9, 0.0), det(0.8, 300.0)]
-        m = match_image(dets, gts, PROTO)
+        (m,) = match_image(dets, gts, (PROTO,))
         np.testing.assert_array_equal(m.flags, [IGNORED, FP])
         assert m.eligible_gt == 0
 
     def test_short_ground_truth_acts_as_ignore_region(self):
         gts = [gt(0.0, h=30.0, w=15.0)]
         dets = [Detection(Box(0.0, 0.0, 15.0, 30.0), 0.9)]
-        m = match_image(dets, gts, PROTO)
+        (m,) = match_image(dets, gts, (PROTO,))
         np.testing.assert_array_equal(m.flags, [IGNORED])
 
     def test_gt_matched_indexes_eligible_boxes_only(self):
         gts = [gt(0.0, ignore=True), gt(100.0)]
         dets = [det(0.9, 100.0)]
-        m = match_image(dets, gts, PROTO)
+        (m,) = match_image(dets, gts, (PROTO,))
         assert m.eligible_gt == 1
         np.testing.assert_array_equal(m.gt_matched, [True])
 
     def test_flags_follow_descending_score_order(self):
         gts = [gt(0.0)]
         dets = [det(0.2, 500.0), det(0.9, 0.0)]
-        m = match_image(dets, gts, PROTO)
+        (m,) = match_image(dets, gts, (PROTO,))
         np.testing.assert_array_equal(m.scores, [0.9, 0.2])
         np.testing.assert_array_equal(m.flags, [TP, FP])
+
+
+class TestEveryFilterAtOnce:
+    FILTERS = (PROTO, EvalProtocol(50.0, 80.0), *KITTI_DIFFICULTIES)
+
+    def test_match_image_gives_each_filter_its_own_result(self):
+        rng = np.random.default_rng(19)
+        for _ in range(100):
+            dets, gts = random_match_instance(rng)
+            together = match_image(dets, gts, self.FILTERS)
+            assert len(together) == len(self.FILTERS)
+            for flt, m in zip(self.FILTERS, together):
+                (alone,) = match_image(dets, gts, (flt,))
+                np.testing.assert_array_equal(m.scores, alone.scores)
+                np.testing.assert_array_equal(m.flags, alone.flags)
+                np.testing.assert_array_equal(m.gt_matched, alone.gt_matched)
+                assert m.eligible_gt == alone.eligible_gt
+
+    def test_evaluate_detections_gives_one_list_per_filter(self, miss_rate_fixture):
+        dets, gts = miss_rate_fixture
+        per_filter = evaluate_detections(dets, gts, self.FILTERS)
+        assert len(per_filter) == len(self.FILTERS)
+        for flt, matches in zip(self.FILTERS, per_filter):
+            assert len(matches) == len(gts)
+            (alone,) = evaluate_detections(dets, gts, (flt,))
+            for m, a in zip(matches, alone):
+                np.testing.assert_array_equal(m.flags, a.flags)
 
 
 class TestMatcherAgainstBruteForce:
@@ -137,7 +168,7 @@ class TestMatcherAgainstBruteForce:
         rng = np.random.default_rng(77)
         for _ in range(400):
             dets, gts = random_match_instance(rng)
-            m = match_image(dets, gts, PROTO)
+            (m,) = match_image(dets, gts, (PROTO,))
             eligible_flags = [PROTO.eligible(g) for g in gts]
             scores, flags, eligible = oracle_greedy_match(
                 dets, gts, IOU_THRESHOLD, eligible_flags
@@ -150,7 +181,7 @@ class TestMatcherAgainstBruteForce:
         rng = np.random.default_rng(5)
         for _ in range(200):
             dets, gts = random_match_instance(rng)
-            m = match_image(dets, gts, PROTO)
+            (m,) = match_image(dets, gts, (PROTO,))
             assert len(m.flags) == len(dets)
             assert (m.flags == TP).sum() == m.gt_matched.sum()
             assert (m.flags == TP).sum() <= m.eligible_gt
@@ -192,10 +223,57 @@ class TestEligibility:
             EvalProtocol(height_min=50.0, height_max=50.0)
 
 
+class TestEvalRegion:
+    """The Caltech region clause, [5, 635] x [5, 475] on the box center, via ``metrics_summary``."""
+
+    # Top-left corners of a 30x60 box centered just outside, then exactly
+    # on, each edge of the region.
+    OUTSIDE = {"left": (-10.5, 200.0), "right": (620.5, 200.0),
+               "top": (300.0, -25.5), "bottom": (300.0, 445.5)}
+    ON_EDGE = {"left": (-10.0, 200.0), "right": (620.0, 200.0),
+               "top": (300.0, -25.0), "bottom": (300.0, 445.0)}
+
+    @staticmethod
+    def summaries(x, y):
+        """Summaries with the edge box detected, then with only the inner box detected."""
+        inner, edge = gt(300.0, 200.0), gt(x, y)
+        gts = {"a": [inner, edge]}
+        both = {"a": [Detection(inner.box, 0.9), Detection(edge.box, 0.8)]}
+        return metrics_summary(both, gts), metrics_summary({"a": both["a"][:1]}, gts)
+
+    def test_region_constant(self):
+        assert EVAL_REGION == (5.0, 635.0, 5.0, 475.0)
+
+    @pytest.mark.parametrize("edge", OUTSIDE)
+    def test_center_just_outside_is_an_ignore_region_for_miss_rate(self, edge):
+        detected, missed = self.summaries(*self.OUTSIDE[edge])
+        assert detected["counts"] == {"images": 1, "eligible_gt": 1, "detections": 2,
+                                      "tp": 1, "fp": 0, "ignored_detections": 1}
+        assert missed["mr2"] == pytest.approx(1e-10)
+        # KITTI has no region: the box is a second eligible box.
+        for name in ("ap_easy", "ap_moderate", "ap_hard"):
+            assert detected[name] == 1.0
+            assert missed[name] == pytest.approx(6.0 / 11.0)
+
+    @pytest.mark.parametrize("edge", ON_EDGE)
+    def test_center_on_an_edge_counts(self, edge):
+        detected, missed = self.summaries(*self.ON_EDGE[edge])
+        assert detected["counts"] == {"images": 1, "eligible_gt": 2, "detections": 2,
+                                      "tp": 2, "fp": 0, "ignored_detections": 0}
+        assert missed["mr2"] == pytest.approx(0.5)
+        assert missed["ap_moderate"] == pytest.approx(6.0 / 11.0)
+
+    @given(st.floats(-20.0, 660.0), st.floats(-20.0, 500.0))
+    @settings(max_examples=100, deadline=None)
+    def test_clause_matches_center_arithmetic(self, cx, cy):
+        g = gt(cx - 15.0, cy - 30.0)
+        assert PROTO.eligible(g) == (5.0 <= g.box.cx <= 635.0 and 5.0 <= g.box.cy <= 475.0)
+
+
 class TestLogAverageMissRate:
     def test_frozen_three_image_fixture(self, miss_rate_fixture):
         dets, gts = miss_rate_fixture
-        matches = evaluate_detections(dets, gts, PROTO)
+        (matches,) = evaluate_detections(dets, gts, (PROTO,))
 
         mr2, curve = log_average_miss_rate(matches, -2.0)
         assert mr2 == pytest.approx(2.0 ** (-11.0 / 9.0), abs=1e-12)
@@ -218,13 +296,13 @@ class TestLogAverageMissRate:
             image_id: [Detection(g.box, 0.9 - 0.01 * i) for i, g in enumerate(boxes)]
             for image_id, boxes in gts.items()
         }
-        matches = evaluate_detections(dets, gts, PROTO)
+        (matches,) = evaluate_detections(dets, gts, (PROTO,))
         mr, _ = log_average_miss_rate(matches, -2.0)
         assert mr < 1e-9
 
     def test_empty_detector_misses_everything(self, miss_rate_fixture):
         _, gts = miss_rate_fixture
-        matches = evaluate_detections({}, gts, PROTO)
+        (matches,) = evaluate_detections({}, gts, (PROTO,))
         mr, curve = log_average_miss_rate(matches, -2.0)
         assert mr == 1.0
         assert curve.samples == []
@@ -232,7 +310,7 @@ class TestLogAverageMissRate:
     def test_duplicate_scores_collapse_to_one_point(self):
         gts = {"a": [gt(0.0), gt(100.0)]}
         dets = {"a": [det(0.5, 0.0), det(0.5, 100.0)]}
-        matches = evaluate_detections(dets, gts, PROTO)
+        (matches,) = evaluate_detections(dets, gts, (PROTO,))
         _, curve = log_average_miss_rate(matches, -2.0)
         assert len(curve.samples) == 1
         assert curve.samples[0] == (0.5, 0.0, 0.0)
@@ -241,7 +319,7 @@ class TestLogAverageMissRate:
         with pytest.raises(MetricUndefinedError):
             log_average_miss_rate([], -2.0)
         gts = {"a": [gt(0.0, ignore=True)]}
-        matches = evaluate_detections({}, gts, PROTO)
+        (matches,) = evaluate_detections({}, gts, (PROTO,))
         with pytest.raises(MetricUndefinedError):
             log_average_miss_rate(matches, -2.0)
 
@@ -250,13 +328,13 @@ class TestLogAverageMissRate:
         dets = dict(dets)
         dets["mystery"] = [det(0.5, 0.0)]
         with pytest.raises(DataError):
-            evaluate_detections(dets, gts, PROTO)
+            evaluate_detections(dets, gts, (PROTO,))
 
 
 class TestAveragePrecision:
     def test_frozen_pr_fixture(self, ap_fixture):
         dets, gts = ap_fixture
-        matches = evaluate_detections(dets, gts, PROTO)
+        (matches,) = evaluate_detections(dets, gts, (PROTO,))
         ap, curve = average_precision(matches)
         assert ap == pytest.approx(8.4 / 11.0, abs=1e-9)
         recalls = [s[1] for s in curve.samples]
@@ -269,14 +347,14 @@ class TestAveragePrecision:
         perfect = {
             "i": [Detection(g.box, 0.9 - 0.01 * k) for k, g in enumerate(gts["i"])]
         }
-        matches = evaluate_detections(perfect, gts, PROTO)
+        (matches,) = evaluate_detections(perfect, gts, (PROTO,))
         assert average_precision(matches)[0] == 1.0
-        matches = evaluate_detections({}, gts, PROTO)
+        (matches,) = evaluate_detections({}, gts, (PROTO,))
         assert average_precision(matches)[0] == 0.0
 
     def test_kitti_filter_matches_plain_ap(self, ap_fixture):
         dets, gts = ap_fixture
-        ap, _ = average_precision(evaluate_detections(dets, gts, KITTI_EASY))
+        ap, _ = average_precision(*evaluate_detections(dets, gts, (KITTI_EASY,)))
         assert ap == pytest.approx(8.4 / 11.0, abs=1e-9)
 
 
@@ -303,11 +381,11 @@ class TestMetricsSummary:
         for k in range(30):
             dets[f"i{k}"], gts[f"i{k}"] = random_match_instance(rng)
         out = metrics_summary(dets, gts)
-        matches = evaluate_detections(dets, gts, PROTO)
+        (matches,) = evaluate_detections(dets, gts, (PROTO,))
         assert out["mr2"] == log_average_miss_rate(matches, -2.0)[0]
         assert out["mr4"] == log_average_miss_rate(matches, -4.0)[0]
         for diff in KITTI_DIFFICULTIES:
-            want = average_precision(evaluate_detections(dets, gts, diff))[0]
+            want = average_precision(*evaluate_detections(dets, gts, (diff,)))[0]
             assert out[f"ap_{diff.name}"] == want
 
     def test_metrics_null_when_nothing_eligible(self):
@@ -323,15 +401,37 @@ class TestMetricsSummary:
         gts = {"a": [gt(0.0, occlusion=0.4, h=60.0)]}
         dets = {"a": [det(0.9, 0.0)]}
         with pytest.raises(MetricUndefinedError):
-            average_precision(evaluate_detections(dets, gts, KITTI_EASY))
-        ap_mod, _ = average_precision(evaluate_detections(dets, gts, KITTI_MODERATE))
+            average_precision(*evaluate_detections(dets, gts, (KITTI_EASY,)))
+        ap_mod, _ = average_precision(*evaluate_detections(dets, gts, (KITTI_MODERATE,)))
         assert ap_mod == 1.0
+
+
+class TestSummaryAndCurves:
+    def test_curves_are_the_summary_metrics_curves(self, miss_rate_fixture):
+        dets, gts = miss_rate_fixture
+        summary, curves = summary_and_curves(dets, gts)
+        assert summary == metrics_summary(dets, gts)
+        assert list(curves) == ["fppi_miss", "pr"]
+        (matches,) = evaluate_detections(dets, gts, (PROTO,))
+        mr2, mr_curve = log_average_miss_rate(matches, -2.0)
+        ap, pr_curve = average_precision(*evaluate_detections(dets, gts, (KITTI_MODERATE,)))
+        assert curves["fppi_miss"] == mr_curve and mr_curve.summary == summary["mr2"] == mr2
+        assert curves["pr"] == pr_curve and pr_curve.summary == summary["ap_moderate"] == ap
+
+    def test_a_curve_is_left_out_when_its_metric_is_undefined(self):
+        # 40 px tall: below the Caltech 50 px floor, above KITTI moderate's 25 px.
+        gts = {"a": [gt(0.0, h=40.0)]}
+        summary, curves = summary_and_curves({}, gts)
+        assert summary["mr2"] is None and summary["ap_moderate"] == 0.0
+        assert list(curves) == ["pr"]
+        _, curves = summary_and_curves({}, {"a": [gt(0.0, ignore=True)]})
+        assert curves == {}
 
 
 class TestCurveCsv:
     def test_round_trip_fppi_miss(self, tmp_path, miss_rate_fixture):
         dets, gts = miss_rate_fixture
-        matches = evaluate_detections(dets, gts, PROTO)
+        (matches,) = evaluate_detections(dets, gts, (PROTO,))
         _, curve = log_average_miss_rate(matches, -2.0)
         path = tmp_path / "curve.csv"
         write_curve_csv(path, curve)
@@ -342,7 +442,7 @@ class TestCurveCsv:
 
     def test_round_trip_pr(self, tmp_path, ap_fixture):
         dets, gts = ap_fixture
-        matches = evaluate_detections(dets, gts, PROTO)
+        (matches,) = evaluate_detections(dets, gts, (PROTO,))
         _, curve = average_precision(matches)
         path = tmp_path / "pr.csv"
         write_curve_csv(path, curve)
@@ -370,9 +470,16 @@ class TestCurveCsv:
             ("kind,pr,0.5\nthreshold,recall,precision\n0.9,0.1\n", "malformed curve row"),
             ("kind,pr,0.5\nthreshold,recall,precision\n0.9,0.1,high\n", "malformed curve row"),
             ("kind,pr,best\nthreshold,recall,precision\n0.9,0.1,1.0\n", "malformed curve row"),
+            ("kind,pr,0.5\nthreshold,recall,precision\n0.9,0.1,1.0\n0.8,nan,0.5\n",
+             r"bad\.csv:4: non-finite curve sample \[0\.8, nan, 0\.5\]"),
+            ("kind,fppi_miss,0.5\nthreshold,fppi,miss_rate\ninf,0.1,0.9\n",
+             r"bad\.csv:3: non-finite curve sample \[inf, 0\.1, 0\.9\]"),
+            ("kind,fppi_miss,0.5\nthreshold,fppi,miss_rate\n0.9,0.1,-inf\n",
+             r"bad\.csv:3: non-finite curve sample"),
         ],
         ids=["empty", "short-first-row", "one-field-first-row", "short-sample-row",
-             "non-numeric-sample", "non-numeric-summary"],
+             "non-numeric-sample", "non-numeric-summary", "nan-sample", "inf-threshold",
+             "negative-inf-sample"],
     )
     def test_malformed_rows_rejected(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"

@@ -1,4 +1,4 @@
-"""Boxes, IoU, NMS, and the evaluation-region predicate."""
+"""Boxes, IoU and NMS."""
 
 import math
 
@@ -7,15 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from samhead.errors import ConfigError
 from samhead.geometry import (
     Box,
     Candidate,
-    DEFAULT_EVAL_REGION,
     Detection,
     GroundTruthBox,
-    RegionBounds,
-    in_eval_region,
     iou,
     iou_matrix,
     nms,
@@ -206,28 +202,6 @@ class TestNms:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             nms([], 1.5)
-
-
-class TestEvalRegion:
-    def test_default_region_bounds(self):
-        assert DEFAULT_EVAL_REGION == RegionBounds(5.0, 635.0, 5.0, 475.0)
-
-    def test_closed_boundary_is_inside(self):
-        bounds = RegionBounds(5.0, 635.0, 5.0, 475.0)
-        # Center exactly on the lower bound.
-        assert in_eval_region(Box(0.0, 0.0, 10.0, 10.0), bounds)
-        assert not in_eval_region(Box(-1.0, 0.0, 10.0, 10.0), bounds)
-
-    def test_ordering_validated(self):
-        with pytest.raises(ConfigError):
-            RegionBounds(10.0, 5.0, 0.0, 1.0)
-
-    @given(boxes_strategy())
-    @settings(max_examples=100, deadline=None)
-    def test_predicate_matches_center_arithmetic(self, box):
-        bounds = RegionBounds(0.0, 100.0, 0.0, 100.0)
-        expected = 0.0 <= box.cx <= 100.0 and 0.0 <= box.cy <= 100.0
-        assert in_eval_region(box, bounds) == expected
 
 
 def test_detection_requires_finite_score():

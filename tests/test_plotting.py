@@ -68,3 +68,17 @@ def test_points_off_the_log_axes_are_clamped_into_the_frame():
 def test_unknown_curve_kind_is_a_data_error():
     with pytest.raises(DataError, match="cannot plot curve kind 'roc'"):
         render_curve_svg(EvalCurve(kind="roc", samples=[(0.5, 0.1, 0.4)]))
+
+
+@pytest.mark.parametrize("kind, x_labels, y_labels", [
+    ("fppi_miss", ["1e-4", "1e-3", "1e-2", "1e-1", "1e0", "1e1"], ["1e-2", "1e-1", "1e0"]),
+    ("pr", ["0.00", "0.20", "0.40", "0.60", "0.80", "1.00"],
+     ["0.00", "0.20", "0.40", "0.60", "0.80", "1.00"]),
+])
+def test_each_kind_gets_its_ticks_and_a_gridline_at_each_inner_tick(kind, x_labels, y_labels):
+    root = ET.fromstring(render_curve_svg(EvalCurve(kind=kind)))
+    labels = [t.text for t in root.iter(SVG_TEXT) if t.get("font-size") == "11"]
+    assert labels == x_labels + y_labels
+    gridlines = [g for g in root.iter("{http://www.w3.org/2000/svg}line")
+                 if g.get("stroke") == "#dddddd"]
+    assert len(gridlines) == len(x_labels) - 2 + len(y_labels) - 2
