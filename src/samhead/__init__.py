@@ -53,7 +53,7 @@ from .formats import (
     write_label_map,
     write_proposals_jsonl,
 )
-from .geometry import Box, Candidate, Detection, GroundTruthBox, iou, nms
+from .geometry import GroundTruth, ScoredBoxes, iou_matrix, nms
 from .maps import EdgeMap, FeatureMap, ImageRecord, LabelMap, NUM_LABEL_CLASSES
 from .pca import PcaError, PcaProjector, fit_pca
 from .pipeline import (
@@ -87,7 +87,6 @@ from .routing import (
     RoutingTable,
     ScaleBin,
     default_routing_table,
-    route,
 )
 from .synth import LayerSpec, SynthConfig, band_gain, default_synth_layers, generate_dataset
 

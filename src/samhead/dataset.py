@@ -1,5 +1,9 @@
 """Dataset container: per-image records plus ground truth and proposals, with disk IO.
 
+An ``ImageSample`` holds its annotations as one ``GroundTruth`` and its
+proposals as one ``ScoredBoxes`` (see ``geometry``), whose columns the
+box-file readers in ``formats`` check.
+
 Directory layout::
 
     <root>/meta.json            image ids (JSON strings, each listed once),
@@ -20,7 +24,7 @@ refuse any other id before they touch a map file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DataError
@@ -38,7 +42,7 @@ from .formats import (
     write_label_map,
     write_proposals_jsonl,
 )
-from .geometry import Candidate, GroundTruthBox
+from .geometry import GroundTruth, ScoredBoxes
 from .maps import ImageRecord
 
 
@@ -52,8 +56,8 @@ class ImageSample:
     """One image's record, annotations, and proposals."""
 
     record: ImageRecord
-    ground_truth: list[GroundTruthBox] = field(default_factory=list)
-    proposals: list[Candidate] = field(default_factory=list)
+    ground_truth: GroundTruth = field(default_factory=GroundTruth)
+    proposals: ScoredBoxes = field(default_factory=ScoredBoxes)
 
     @property
     def image_id(self) -> str:
@@ -75,10 +79,10 @@ class Dataset:
     def image_ids(self) -> list[str]:
         return [s.image_id for s in self.samples]
 
-    def ground_truth_by_image(self) -> dict[str, list[GroundTruthBox]]:
+    def ground_truth_by_image(self) -> dict[str, GroundTruth]:
         return {s.image_id: s.ground_truth for s in self.samples}
 
-    def proposals_by_image(self) -> dict[str, list[Candidate]]:
+    def proposals_by_image(self) -> dict[str, ScoredBoxes]:
         return {s.image_id: s.proposals for s in self.samples}
 
     def layer_channels(self) -> dict[str, int]:
@@ -96,10 +100,10 @@ class Dataset:
         from the negative pool)."""
         samples = []
         for s in self.samples:
-            gts = []
-            for g in s.ground_truth:
-                inside = g.box.h >= min_height and (max_height is None or g.box.h < max_height)
-                gts.append(g if inside else replace(g, ignore=True))
+            g = s.ground_truth
+            h = g.boxes[:, 3]
+            inside = (h >= min_height) & (max_height is None or h < max_height)
+            gts = GroundTruth(g.boxes, g.occl, g.trunc, g.ignore | ~inside)
             samples.append(ImageSample(record=s.record, ground_truth=gts, proposals=s.proposals))
         return Dataset(samples=samples, meta=dict(self.meta))
 

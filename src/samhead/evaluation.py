@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .formats import open_text
-from .geometry import Detection, GroundTruthBox, iou_matrix
+from .geometry import GroundTruth, ScoredBoxes, iou_matrix
 
 IOU_THRESHOLD = 0.5
 OCCLUSION_MAX = 0.35
@@ -62,15 +62,18 @@ class EvalProtocol:
         if self.height_max is not None and self.height_max <= self.height_min:
             raise ConfigError("height_max must exceed height_min")
 
-    def eligible(self, gt: GroundTruthBox) -> bool:
+    def eligible(self, gt: GroundTruth) -> np.ndarray:
+        """Which of an image's annotations count, as a bool per box."""
         x_min, x_max, y_min, y_max = EVAL_REGION
+        x, y, w, h = gt.boxes.T
+        cx, cy = x + 0.5 * w, y + 0.5 * h
         return (
-            not gt.ignore
-            and gt.box.h >= self.height_min
-            and (self.height_max is None or gt.box.h < self.height_max)
-            and gt.occlusion < OCCLUSION_MAX
-            and x_min <= gt.box.cx <= x_max
-            and y_min <= gt.box.cy <= y_max
+            ~gt.ignore
+            & (h >= self.height_min)
+            & (self.height_max is None or h < self.height_max)
+            & (gt.occl < OCCLUSION_MAX)
+            & (x_min <= cx) & (cx <= x_max)
+            & (y_min <= cy) & (cy <= y_max)
         )
 
 
@@ -87,12 +90,13 @@ class KittiDifficulty:
     max_occlusion: float
     max_truncation: float
 
-    def eligible(self, gt: GroundTruthBox) -> bool:
+    def eligible(self, gt: GroundTruth) -> np.ndarray:
+        """Which of an image's annotations count, as a bool per box."""
         return (
-            not gt.ignore
-            and gt.box.h >= self.min_height
-            and gt.occlusion <= self.max_occlusion
-            and gt.truncation <= self.max_truncation
+            ~gt.ignore
+            & (gt.boxes[:, 3] >= self.min_height)
+            & (gt.occl <= self.max_occlusion)
+            & (gt.trunc <= self.max_truncation)
         )
 
 
@@ -114,42 +118,30 @@ class ImageMatch:
     gt_matched: np.ndarray  # bool per eligible-filtered gt (eligible only)
 
 
-def match_image(dets: list[Detection], gts: list[GroundTruthBox], filters) -> list[ImageMatch]:
+def match_image(dets: ScoredBoxes, gts: GroundTruth, filters) -> list[ImageMatch]:
     """Greedy score-order matching against one image's annotations, once per filter.
 
     Each filter says which ground truth counts: an ``EvalProtocol`` for miss
-    rate, a ``KittiDifficulty`` for AP, or anything else with an
-    ``eligible(gt)`` predicate.  Ground truth it rejects is an ignore region.
-    The detections are sorted and their overlaps read once for all filters.
+    rate, a ``KittiDifficulty`` for AP, or anything else whose
+    ``eligible(gts)`` gives a bool per annotation.  Ground truth it rejects
+    is an ignore region.  The detections are sorted and their overlaps read
+    once for all filters.
     """
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    scores = np.array([dets[i].score for i in order], dtype=np.float64)
-    overlaps = iou_matrix([dets[i].box for i in order], [g.box for g in gts]).tolist()
+    order = np.argsort(-dets.scores, kind="stable")
+    overlaps = iou_matrix(dets.boxes[order], gts.boxes)
+    hits = overlaps >= IOU_THRESHOLD
     out = []
     for flt in filters:
-        eligible = [flt.eligible(g) for g in gts]
-        elig_idx = [i for i, e in enumerate(eligible) if e]
-        ignore_idx = [i for i, e in enumerate(eligible) if not e]
-        flags = []
-        matched = [False] * len(elig_idx)
-        for row in overlaps:
-            best_j = -1
-            best_iou = 0.0
-            for slot, gi in enumerate(elig_idx):
-                v = row[gi]
-                if not matched[slot] and v >= IOU_THRESHOLD and v > best_iou:
-                    best_iou = v
-                    best_j = slot
-            if best_j >= 0:
-                matched[best_j] = True
-                flags.append(TP)
-            elif any(row[gi] >= IOU_THRESHOLD for gi in ignore_idx):
-                flags.append(IGNORED)
-            else:
-                flags.append(FP)
-        out.append(ImageMatch(scores=scores, flags=np.array(flags, dtype=np.int8),
-                              eligible_gt=len(elig_idx),
-                              gt_matched=np.array(matched, dtype=bool)))
+        eligible = np.asarray(flt.eligible(gts), dtype=bool)
+        flags = np.where((hits & ~eligible).any(axis=1), IGNORED, FP).astype(np.int8)
+        free = eligible.copy()
+        for k in np.flatnonzero((hits & eligible).any(axis=1)).tolist():
+            claim = np.where(hits[k] & free, overlaps[k], 0.0)
+            if claim.any():  # the best free eligible overlap, the first on ties
+                free[claim.argmax()] = False
+                flags[k] = TP
+        out.append(ImageMatch(scores=dets.scores[order], flags=flags,
+                              eligible_gt=int(eligible.sum()), gt_matched=~free[eligible]))
     return out
 
 
@@ -163,8 +155,8 @@ class EvalCurve:
 
 
 def evaluate_detections(
-    dets_by_image: dict[str, list[Detection]],
-    gts_by_image: dict[str, list[GroundTruthBox]],
+    dets_by_image: dict[str, ScoredBoxes],
+    gts_by_image: dict[str, GroundTruth],
     filters,
 ) -> list[list[ImageMatch]]:
     """Match every annotated image under each filter, one list of matches per filter.
@@ -177,7 +169,7 @@ def evaluate_detections(
     if unknown:
         raise DataError(f"detections reference unannotated images: {sorted(unknown)[:5]}")
     per_image = [
-        match_image(dets_by_image.get(image_id, []), gts, filters)
+        match_image(dets_by_image.get(image_id, ScoredBoxes()), gts, filters)
         for image_id, gts in gts_by_image.items()
     ]
     return [[m[k] for m in per_image] for k in range(len(filters))]
@@ -264,8 +256,8 @@ def _or_none(metric, *args):
 
 
 def summary_and_curves(
-    dets_by_image: dict[str, list[Detection]],
-    gts_by_image: dict[str, list[GroundTruthBox]],
+    dets_by_image: dict[str, ScoredBoxes],
+    gts_by_image: dict[str, GroundTruth],
 ) -> tuple[dict, dict[str, EvalCurve]]:
     """``metrics_summary``'s bundle plus the curves behind MR-2 and moderate AP.
 
@@ -297,8 +289,8 @@ def summary_and_curves(
 
 
 def metrics_summary(
-    dets_by_image: dict[str, list[Detection]],
-    gts_by_image: dict[str, list[GroundTruthBox]],
+    dets_by_image: dict[str, ScoredBoxes],
+    gts_by_image: dict[str, GroundTruth],
 ) -> dict:
     """The standard metric bundle: MR-2 and MR-4, per-difficulty AP, counts.
 
@@ -348,6 +340,8 @@ def read_curve_csv(path) -> EvalCurve:
     for lineno, sample in enumerate(samples, start=3):
         if not all(math.isfinite(v) for v in sample):
             raise DataError(f"{path}:{lineno}: non-finite curve sample {list(sample)}")
-    if math.isnan(summary) and samples:
-        raise DataError(f"{path}: curve with samples but no summary")
+    # MR and AP lie in [0, 1]: only an empty curve, whose metric is
+    # undefined, may carry a nan summary, and no curve an infinite one.
+    if math.isinf(summary) or (samples and math.isnan(summary)):
+        raise DataError(f"{path}: curve summary {summary} is not finite")
     return EvalCurve(kind=kind, samples=samples, summary=summary)

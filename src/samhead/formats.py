@@ -16,16 +16,24 @@ Single-plane maps (``_write/_read_plane``): magic | version u32 (=1) | H u32
 holds uint8 classes and refuses one past 20; EMAP (``write/read_edge_map``)
 holds float32 and refuses one outside [0, 1], naming its flat index.
 
+Box files hold an image's boxes as one ``GroundTruth`` or ``ScoredBoxes``
+(see ``geometry``).  A reader checks one column at a time, once for the
+whole file (``_BoxFile``), naming the line of its first offending box.
+
 Box rows (``_write/_read_box_rows``): JSON lines of ``{"image_id": "...",
 "boxes": [...]}``.  A ground-truth box (``write/read_ground_truth_jsonl``)
-holds x, y, w, h, occl, trunc and ignore; a proposal
-(``write/read_proposals_jsonl``) x, y, w, h and score.  Refused, naming the
-line: invalid JSON, a row of another shape, a second row for an image id, a
-missing coordinate or score, a value that is not a JSON number (a bool is
-not), an ignore that is not true or false, a box its type rejects.
+holds x, y, w, h, occl, trunc and ignore (occl and trunc default to 0,
+ignore to false); a proposal (``write/read_proposals_jsonl``) x, y, w, h and
+score.  Refused, naming the line: invalid JSON, a row of another shape, a
+second row for an image id; then, column by column, a coordinate that is
+missing or not a JSON number (a bool is not) in float range, a box not
+finite or not of positive extent, a score, occl or trunc outside [0, 1], an
+ignore that is not true or false.
 
 Detections CSV (``write/read_detections_csv``): header
-``image_id,x,y,w,h,score``; a wrong header, row width or value is refused.
+``image_id,x,y,w,h,score``, values by ``repr``.  Refused: a wrong header;
+naming the line, a row width or number, a box as above, a score not finite.
+An image's rows need not be adjacent; ids keep the order of their first row.
 
 JSON documents (``write/read_json``): sorted keys, indent 2, final newline;
 invalid JSON is refused.  ``pipeline.save_model`` writes model files compact.
@@ -34,7 +42,9 @@ invalid JSON is refused.  ``pipeline.save_model`` writes model files compact.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import operator
 import struct
 from contextlib import contextmanager
 from pathlib import Path
@@ -42,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .geometry import Box, Candidate, Detection, GroundTruthBox
+from .geometry import GroundTruth, ScoredBoxes
 from .maps import NUM_LABEL_CLASSES, EdgeMap, FeatureMap, LabelMap
 
 FMAP_VERSION = 2
@@ -234,20 +244,87 @@ def read_edge_map(path: str | Path) -> EdgeMap:
         raise ValueRangeError(f"{path}: edge value outside [0, 1]", int(bad[0])) from None
 
 
-# --- JSON-lines box files -------------------------------------------------
+# --- box files: JSON lines and the detections CSV --------------------------
+
+_COORDS = ("x", "y", "w", "h")
 
 
-def _write_box_rows(path: str | Path, by_image: dict[str, list], fields) -> None:
-    """One ``{"image_id", "boxes"}`` line per image; ``fields`` maps an item to a box object."""
+class _BoxFile:
+    """A box file's boxes in file order (for JSON lines, their ``objects``) and their lines."""
+
+    def __init__(self, path, kind: str, lines, objects=()):
+        self.path, self.kind, self.objects = path, kind, objects
+        self.lines = np.asarray(lines, dtype=np.int64)
+
+    def refuse(self, bad: np.ndarray, message) -> None:
+        """Refuse the file at the line of the first box ``bad`` flags; ``message(i)`` says why."""
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise FormatError(f"{self.path}:{self.lines[i]}: bad {self.kind} box ({message(i)})")
+
+    def boxes(self, columns) -> np.ndarray:
+        """The x, y, w, h ``columns`` as rows, each finite with a positive extent."""
+        boxes = np.column_stack(columns).reshape(-1, 4)
+        self.refuse(~np.isfinite(boxes).all(axis=1),
+                    lambda i: f"box coordinates must be finite, got {tuple(boxes[i].tolist())}")
+        self.refuse((boxes[:, 2:] <= 0).any(axis=1),
+                    lambda i: f"box extent must be positive, got w={boxes[i, 2]} h={boxes[i, 3]}")
+        return boxes
+
+    def fraction(self, values: np.ndarray, name: str) -> np.ndarray:
+        self.refuse(~((values >= 0.0) & (values <= 1.0)),
+                    lambda i: f"{name} must be in [0, 1], got {values[i]}")
+        return values
+
+    def column(self, key: str, default=None, types=frozenset((int, float))) -> np.ndarray:
+        """``key`` of every box object, float64 (bool for ``types`` {bool}); ``default``
+        fills an absent key."""
+        get = (operator.itemgetter(key) if default is None
+               else operator.methodcaller("get", key, default))
+        dtype, what = (bool, "true or false") if types == {bool} else (np.float64, "a number")
+        try:
+            values = list(map(get, self.objects))
+            if set(map(type, values)) <= types:
+                return np.array(values, dtype=dtype)
+        except (KeyError, OverflowError):  # OverflowError: a JSON integer past float range
+            pass
+
+        def check(box):
+            if type(value := get(box)) not in types:
+                raise ValueError(f"{key} must be {what}, got {value!r}")
+            np.array(value, dtype=dtype)
+
+        self.scan(self.objects, check)
+
+    def scan(self, items, check):
+        """Refuse the file at the first box ``check`` raises on: a failed column's rescan."""
+        for item, line in zip(items, self.lines):
+            try:
+                check(item)
+            except (KeyError, ValueError, OverflowError) as e:
+                raise FormatError(f"{self.path}:{line}: bad {self.kind} box ({e})") from None
+        raise FormatError(f"{self.path}: bad {self.kind} box")
+
+
+def _split(counts: dict[str, int], make) -> dict:
+    """``make(rows)`` for each image id's slice of the file-order columns."""
+    ends = itertools.accumulate(counts.values())
+    return {image_id: make(slice(end - n, end)) for (image_id, n), end in zip(counts.items(), ends)}
+
+
+def _write_box_rows(path: str | Path, by_image: dict, columns) -> None:
+    """One ``{"image_id", "boxes"}`` line per image; ``columns(record)`` maps keys to values."""
     with open(path, "w", encoding="utf-8") as f:
-        for image_id, items in by_image.items():
-            row = {"image_id": image_id, "boxes": [fields(item) for item in items]}
-            f.write(json.dumps(row, sort_keys=True) + "\n")
+        for image_id, record in by_image.items():
+            cols = columns(record)
+            boxes = [dict(zip(cols, values)) for values in zip(*cols.values())]
+            f.write(json.dumps({"image_id": image_id, "boxes": boxes}, sort_keys=True) + "\n")
 
 
-def _read_box_rows(path: str | Path, kind: str, make) -> dict[str, list]:
-    """The rows ``_write_box_rows`` wrote; ``make`` builds an item from a box object."""
-    out: dict[str, list] = {}
+def _read_box_rows(path: str | Path, kind: str) -> tuple[_BoxFile, dict[str, int]]:
+    """The rows ``_write_box_rows`` wrote: every box object, and each image's box count."""
+    counts: dict[str, int] = {}
+    lines, objects = [], []
     with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -259,97 +336,86 @@ def _read_box_rows(path: str | Path, kind: str, make) -> dict[str, list]:
                 raise FormatError(f"{path}:{lineno}: invalid JSON ({e})") from None
             if not (isinstance(row, dict) and isinstance(row.get("image_id"), str)
                     and isinstance(row.get("boxes"), list)
-                    and all(isinstance(b, dict) for b in row["boxes"])):
+                    and set(map(type, row["boxes"])) <= {dict}):
                 raise FormatError(
                     f"{path}:{lineno}: expected an object with image_id (a string) "
                     "and a list of box objects"
                 )
             image_id = row["image_id"]
-            if image_id in out:
+            if image_id in counts:
                 raise FormatError(f"{path}:{lineno}: image id {image_id!r} has a second row")
-            # OverflowError: float() of a JSON integer past float range.
-            try:
-                out[image_id] = [make(b) for b in row["boxes"]]
-            except (KeyError, ValueError, OverflowError) as e:
-                raise FormatError(f"{path}:{lineno}: bad {kind} box ({e})") from None
-    return out
+            counts[image_id] = len(row["boxes"])
+            lines += [lineno] * len(row["boxes"])
+            objects += row["boxes"]
+    return _BoxFile(path, kind, lines, objects), counts
 
 
-def _number(box: dict, key: str, default: float | None = None) -> float:
-    """``box[key]``, or ``default`` if given and the key is absent; a bool is not a number."""
-    value = box[key] if default is None else box.get(key, default)
-    if type(value) not in (int, float):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _box(b: dict) -> Box:
-    return Box(_number(b, "x"), _number(b, "y"), _number(b, "w"), _number(b, "h"))
-
-
-def _ground_truth(b: dict) -> GroundTruthBox:
-    ignore = b.get("ignore", False)
-    if type(ignore) is not bool:
-        raise ValueError(f"ignore must be true or false, got {ignore!r}")
-    return GroundTruthBox(_box(b), occlusion=_number(b, "occl", 0.0),
-                          truncation=_number(b, "trunc", 0.0), ignore=ignore)
-
-
-def write_ground_truth_jsonl(path: str | Path, by_image: dict[str, list[GroundTruthBox]]) -> None:
+def write_ground_truth_jsonl(path: str | Path, by_image: dict[str, GroundTruth]) -> None:
     _write_box_rows(path, by_image, lambda g: {
-        "x": g.box.x, "y": g.box.y, "w": g.box.w, "h": g.box.h,
-        "occl": g.occlusion, "trunc": g.truncation, "ignore": g.ignore,
+        **dict(zip(_COORDS, g.boxes.T.tolist())), "occl": g.occl.tolist(),
+        "trunc": g.trunc.tolist(), "ignore": g.ignore.tolist(),
     })
 
 
-def read_ground_truth_jsonl(path: str | Path) -> dict[str, list[GroundTruthBox]]:
-    return _read_box_rows(path, "ground-truth", _ground_truth)
+def read_ground_truth_jsonl(path: str | Path) -> dict[str, GroundTruth]:
+    f, counts = _read_box_rows(path, "ground-truth")
+    boxes = f.boxes([f.column(k) for k in _COORDS])
+    occl, trunc = (f.fraction(f.column(k, 0.0), k) for k in ("occl", "trunc"))
+    ignore = f.column("ignore", False, {bool})
+    return _split(counts, lambda r: GroundTruth(boxes[r], occl[r], trunc[r], ignore[r]))
 
 
-def write_proposals_jsonl(path: str | Path, by_image: dict[str, list[Candidate]]) -> None:
+def write_proposals_jsonl(path: str | Path, by_image: dict[str, ScoredBoxes]) -> None:
     _write_box_rows(path, by_image, lambda c: {
-        "x": c.box.x, "y": c.box.y, "w": c.box.w, "h": c.box.h, "score": c.score,
+        **dict(zip(_COORDS, c.boxes.T.tolist())), "score": c.scores.tolist(),
     })
 
 
-def read_proposals_jsonl(path: str | Path) -> dict[str, list[Candidate]]:
-    return _read_box_rows(path, "proposal", lambda b: Candidate(_box(b), _number(b, "score")))
+def read_proposals_jsonl(path: str | Path) -> dict[str, ScoredBoxes]:
+    f, counts = _read_box_rows(path, "proposal")
+    boxes = f.boxes([f.column(k) for k in _COORDS])
+    scores = f.fraction(f.column("score"), "score")
+    return _split(counts, lambda r: ScoredBoxes(boxes[r], scores[r]))
 
 
-# --- detections CSV and JSON documents ------------------------------------
+_CSV_HEADER = ["image_id", "x", "y", "w", "h", "score"]
 
 
-def write_detections_csv(path: str | Path, by_image: dict[str, list[Detection]]) -> None:
+def write_detections_csv(path: str | Path, by_image: dict[str, ScoredBoxes]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["image_id", "x", "y", "w", "h", "score"])
+        writer.writerow(_CSV_HEADER)
         for image_id, dets in by_image.items():
-            for d in dets:
-                writer.writerow([image_id, repr(d.box.x), repr(d.box.y),
-                                 repr(d.box.w), repr(d.box.h), repr(d.score)])
+            columns = (*dets.boxes.T.tolist(), dets.scores.tolist())
+            writer.writerows(zip(itertools.repeat(image_id), *(map(repr, c) for c in columns)))
 
 
-def read_detections_csv(path: str | Path) -> dict[str, list[Detection]]:
-    out: dict[str, list[Detection]] = {}
+def read_detections_csv(path: str | Path) -> dict[str, ScoredBoxes]:
+    """Detections per image id, ids in the order of their first row; rows keep file order."""
     with open_text(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
-        if header != ["image_id", "x", "y", "w", "h", "score"]:
+        if header != _CSV_HEADER:
             raise FormatError(f"{path}: unexpected header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 6:
-                raise FormatError(f"{path}:{lineno}: expected 6 fields, got {len(row)}")
-            try:
-                det = Detection(
-                    Box(float(row[1]), float(row[2]), float(row[3]), float(row[4])),
-                    score=float(row[5]),
-                )
-            except (ValueError, DataError) as e:
-                raise FormatError(f"{path}:{lineno}: {e}") from None
-            out.setdefault(row[0], []).append(det)
-    return out
+        rows = list(reader)
+    widths = np.array(list(map(len, rows)), dtype=np.int64)
+    rows = list(itertools.compress(rows, widths))  # a blank line is no row
+    f = _BoxFile(path, "detection", np.flatnonzero(widths) + 2)
+    widths = widths[widths > 0]
+    f.refuse(widths != 6, lambda i: f"expected 6 fields, got {widths[i]}")
+    ids, *columns = zip(*rows) if rows else ((),) * 6
+    try:
+        values = [np.array(list(map(float, c)), dtype=np.float64) for c in columns]
+    except ValueError:
+        f.scan(rows, lambda row: list(map(float, row[1:])))
+    boxes, scores = f.boxes(values[:4]), values[4]
+    f.refuse(~np.isfinite(scores), lambda i: f"score must be finite, got {scores[i]}")
+    # Rows grouped by image id: a stable sort on the rank of each id's first row.
+    rank = dict(zip(dict.fromkeys(ids), itertools.count()))
+    image = np.array(list(map(rank.__getitem__, ids)), dtype=np.int64)
+    order = np.argsort(image, kind="stable")
+    counts = dict(zip(rank, np.bincount(image, minlength=len(rank)).tolist()))
+    return _split(counts, lambda r: ScoredBoxes(boxes[order[r]], scores[order[r]]))
 
 
 def write_json(path: str | Path, doc) -> None:

@@ -1,141 +1,107 @@
-"""Boxes, overlap and greedy suppression."""
+"""Per-image box records, overlap and greedy suppression.
+
+A box is an (x, y, w, h) row: top-left corner plus extent, in pixels.  An
+image's boxes travel together, from file to metric, as one record of
+equal-length numpy columns:
+
+* ``ScoredBoxes``: ``boxes`` ((n, 4) float64) and ``scores`` ((n,)
+  float64).  Proposals score in [0, 1]; detections carry the forest's
+  real-valued margin.
+* ``GroundTruth``: ``boxes``, plus the occluded and truncated fractions
+  ``occl`` and ``trunc`` ((n,) float64, in [0, 1]) and the ``ignore`` flags
+  ((n,) bool).
+
+A record does not check its values.  The readers in ``formats`` check each
+column of a file once; synthesis and detection make valid records by
+construction.  A record is falsy exactly when it holds no box, and two
+records are equal (a plain bool) when their types and columns are.
+"""
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned box given as top-left corner plus extent, in pixels."""
+class _Columns:
+    """Equal-length columns; the first is ``boxes``."""
 
-    x: float
-    y: float
-    w: float
-    h: float
+    __slots__ = ()
+    _COLUMNS: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)
-                and math.isfinite(self.w) and math.isfinite(self.h)):
-            raise ValueError(f"box coordinates must be finite, got {self!r}")
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"box extent must be positive, got w={self.w} h={self.h}")
+    def __len__(self) -> int:
+        return self.boxes.shape[0]
 
-    @property
-    def x2(self) -> float:
-        return self.x + self.w
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, c), getattr(other, c)) for c in self._COLUMNS)
 
-    @property
-    def y2(self) -> float:
-        return self.y + self.h
+    __hash__ = None
 
-    @property
-    def cx(self) -> float:
-        return self.x + 0.5 * self.w
+    def take(self, index):
+        """The record of the rows ``index`` selects (a mask or positions), in its order."""
+        return type(self)(*(getattr(self, c)[index] for c in self._COLUMNS))
 
-    @property
-    def cy(self) -> float:
-        return self.y + 0.5 * self.h
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.x, self.y, self.w, self.h)
+    def __repr__(self) -> str:
+        cols = ", ".join(f"{c}={getattr(self, c).tolist()!r}" for c in self._COLUMNS)
+        return f"{type(self).__name__}({cols})"
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """A proposal box with an objectness score in [0, 1]."""
-
-    box: Box
-    score: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
-            raise ValueError(f"candidate score must be in [0, 1], got {self.score}")
+def _boxes(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).reshape(-1, 4)
 
 
-@dataclass(frozen=True)
-class GroundTruthBox:
-    """An annotated object with occlusion/truncation fractions and an ignore flag."""
-
-    box: Box
-    occlusion: float = 0.0
-    truncation: float = 0.0
-    ignore: bool = False
-
-    def __post_init__(self) -> None:
-        for name, v in (("occlusion", self.occlusion), ("truncation", self.truncation)):
-            if not (math.isfinite(v) and 0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-
-
-@dataclass(frozen=True)
-class Detection:
-    """A final detection: box plus a real-valued classifier score."""
-
-    box: Box
-    score: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.score):
-            raise ValueError(f"detection score must be finite, got {self.score}")
-
-
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union of two boxes."""
-    ix = min(a.x2, b.x2) - max(a.x, b.x)
-    iy = min(a.y2, b.y2) - max(a.y, b.y)
-    if ix <= 0 or iy <= 0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a.area + b.area - inter)
-
-
-def box_array(boxes: list[Box]) -> np.ndarray:
-    """Boxes as an (N, 4) float64 array of (x, y, w, h) rows."""
-    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
-
-
-def _corners(boxes: list[Box]) -> tuple[np.ndarray, ...]:
-    """(x, y, x2, y2, area) arrays, each computed as ``Box`` computes it."""
-    x, y, w, h = box_array(boxes).T
-    return x, y, x + w, y + h, w * h
-
-
-def _iou_matrix(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> np.ndarray:
-    x, y, x2, y2, area = a
-    bx, by, bx2, by2, b_area = b
-    ix = np.minimum(x2[:, None], bx2[None, :]) - np.maximum(x[:, None], bx[None, :])
-    iy = np.minimum(y2[:, None], by2[None, :]) - np.maximum(y[:, None], by[None, :])
-    inter = ix * iy
-    out = np.zeros_like(inter)
-    np.divide(inter, area[:, None] + b_area[None, :] - inter, out=out, where=(ix > 0) & (iy > 0))
+def _vector(values, dtype, n: int) -> np.ndarray:
+    """``values`` as an (n,) column; None is a column of zeros."""
+    out = np.zeros(n, dtype) if values is None else np.asarray(values, dtype=dtype).reshape(-1)
+    if out.shape[0] != n:
+        raise ValueError(f"a column of {out.shape[0]} values beside {n} boxes")
     return out
 
 
-def iou_matrix(a: list[Box], b: list[Box]) -> np.ndarray:
-    """IoU of each box of ``a`` with each box of ``b``, entry (i, j) bit-equal to ``iou(a[i], b[j])``.
+class ScoredBoxes(_Columns):
+    """One image's proposals or detections: ``boxes`` and their ``scores``."""
 
-    Uses ``iou``'s formula in float64 with the same operation order, including
-    its rule that boxes whose overlap has no positive width or height have
-    IoU 0.
+    __slots__ = ("boxes", "scores")
+    _COLUMNS = __slots__
+
+    def __init__(self, boxes=(), scores=()):
+        self.boxes = _boxes(boxes)
+        self.scores = _vector(scores, np.float64, len(self.boxes))
+
+
+class GroundTruth(_Columns):
+    """One image's annotations: ``boxes``, ``occl``, ``trunc`` and ``ignore``."""
+
+    __slots__ = ("boxes", "occl", "trunc", "ignore")
+    _COLUMNS = __slots__
+
+    def __init__(self, boxes=(), occl=None, trunc=None, ignore=None):
+        self.boxes = _boxes(boxes)
+        n = len(self.boxes)
+        self.occl, self.trunc = _vector(occl, np.float64, n), _vector(trunc, np.float64, n)
+        self.ignore = _vector(ignore, bool, n)
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of each (x, y, w, h) row of ``a`` with each row of ``b``, shape (len(a), len(b)).
+
+    Entry (i, j) is ``inter / (area_i + area_j - inter)`` in float64, with
+    ``x2 = x + w`` and ``area = w * h``; boxes whose overlap has no positive
+    width or height have IoU 0.
     """
-    return _iou_matrix(_corners(a), _corners(b))
+    x, y, w, h = _boxes(a).T
+    bx, by, bw, bh = _boxes(b).T
+    ix = np.minimum((x + w)[:, None], (bx + bw)[None, :]) - np.maximum(x[:, None], bx[None, :])
+    iy = np.minimum((y + h)[:, None], (by + bh)[None, :]) - np.maximum(y[:, None], by[None, :])
+    inter = ix * iy
+    out = np.zeros_like(inter)
+    np.divide(inter, (w * h)[:, None] + (bw * bh)[None, :] - inter, out=out,
+              where=(ix > 0) & (iy > 0))
+    return out
 
 
-def pairwise_iou(boxes: list[Box]) -> np.ndarray:
-    """``iou_matrix(boxes, boxes)``: IoU of every pair of boxes."""
-    corners = _corners(boxes)
-    return _iou_matrix(corners, corners)
-
-
-def nms(detections: list[Detection], threshold: float) -> list[Detection]:
+def nms(detections: ScoredBoxes, threshold: float) -> ScoredBoxes:
     """Greedy non-maximum suppression.
 
     Detections are visited in descending score order (ties keep input order);
@@ -144,12 +110,13 @@ def nms(detections: list[Detection], threshold: float) -> list[Detection]:
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"nms threshold must be in [0, 1], got {threshold}")
-    order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
-    overlaps = pairwise_iou([detections[i].box for i in order]) > threshold
+    order = np.argsort(-detections.scores, kind="stable")
+    boxes = detections.boxes[order]
+    overlaps = iou_matrix(boxes, boxes) > threshold
     suppressed = np.zeros(len(order), dtype=bool)
-    kept: list[Detection] = []
-    for rank, i in enumerate(order):
+    kept = []
+    for rank in range(len(order)):
         if not suppressed[rank]:
-            kept.append(detections[i])
+            kept.append(rank)
             suppressed |= overlaps[rank]
-    return kept
+    return detections.take(order[kept])

@@ -10,11 +10,9 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,17 +22,19 @@ from .errors import ConfigError, DataError
 from .evaluation import EvalProtocol, evaluate_detections, log_average_miss_rate
 from .forest import Forest, TrainConfig, TrainingError, bootstrap_train
 from .formats import read_json
-from .geometry import Box, Candidate, Detection, iou, iou_matrix, nms
+from .geometry import ScoredBoxes, iou_matrix, nms
 from .maps import ImageRecord
 from .pca import PcaError, PcaProjector, fit_pca
-from .routing import (
+# pool_bin_cells is not called here; it stays importable from this module
+# because perfbench/tracing.py hooks it here.
+from .routing import (  # noqa: F401
     ChannelConfig,
     DescriptorExtractor,
     RoutingTable,
     ScaleBin,
     default_routing_table,
     pool_bin_cells,
-    route,
+    pool_bin_stacks,
 )
 
 MODEL_FORMAT = "samhead-model"
@@ -98,26 +98,20 @@ def prior_logits(scores) -> np.ndarray:
     return np.clip(np.log(s / (1.0 - s)), -PRIOR_LOGIT_CLAMP, PRIOR_LOGIT_CLAMP)
 
 
-def _inside_image(box: Box, record: ImageRecord) -> bool:
-    return box.x < record.image_w and box.y < record.image_h and box.x2 > 0 and box.y2 > 0
+def _inside(record: ImageRecord, boxes: np.ndarray) -> np.ndarray:
+    """Which (x, y, w, h) boxes overlap the image with a positive area."""
+    x, y, w, h = boxes.T
+    return (x < record.image_w) & (y < record.image_h) & (x + w > 0) & (y + h > 0)
 
 
-class _Candidates(NamedTuple):
-    """The proposals of one image that get scored, best first."""
-
-    boxes: list[Box]
-    scores: np.ndarray
-
-
-def _candidates(record: ImageRecord, proposals: list[Candidate], k: int) -> _Candidates:
-    """The image's top-k proposals by score (ties keep input order) that lie inside it."""
-    scores = np.array([c.score for c in proposals], dtype=np.float64)
-    top = np.argsort(-scores, kind="stable")[:k]
-    picked = np.array([i for i in top if _inside_image(proposals[i].box, record)], dtype=np.int64)
-    return _Candidates([proposals[i].box for i in picked], scores[picked])
+def _candidates(record: ImageRecord, proposals: ScoredBoxes, k: int) -> ScoredBoxes:
+    """The image's top-k proposals by score (ties keep input order) that lie inside it,
+    best first."""
+    top = np.argsort(-proposals.scores, kind="stable")[:k]
+    return proposals.take(top[_inside(record, proposals.boxes[top])])
 
 
-def _best_iou(boxes: list[Box], others: list[Box]) -> np.ndarray:
+def _best_iou(boxes: np.ndarray, others: np.ndarray) -> np.ndarray:
     """Each box's highest IoU with any of ``others``; 0 when there are none."""
     return iou_matrix(boxes, others).max(axis=1, initial=0.0)
 
@@ -146,34 +140,31 @@ def _training_samples(dataset: Dataset, extractor: DescriptorExtractor, cfg: Tra
     table = extractor.table
     images = [(s, _candidates(s.record, s.proposals, TRAIN_TOP_K)) for s in dataset]
 
-    def extract(boxes_per_image: list[list[Box]]) -> np.ndarray:
-        rows = [extractor.extract_many(s.record, boxes)
-                for (s, _), boxes in zip(images, boxes_per_image) if boxes]
-        return np.vstack(rows) if rows else np.empty((0, extractor.length), dtype=np.float32)
+    def extract(boxes_per_image: list[np.ndarray]) -> np.ndarray:
+        return np.vstack([np.empty((0, extractor.length), dtype=np.float32)] + [
+            extractor.extract_many(s.record, b) for (s, _), b in zip(images, boxes_per_image)
+            if len(b)])
 
     def select(masks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Descriptors and priors of the candidates each image's mask keeps."""
-        picks = [np.flatnonzero(m) for m in masks]
-        X = extract([[c.boxes[j] for j in sel] for (_, c), sel in zip(images, picks)])
-        priors = [prior_logits(c.scores[sel]) for (_, c), sel in zip(images, picks)]
+        X = extract([c.boxes[m] for (_, c), m in zip(images, masks)])
+        priors = [prior_logits(c.scores[m]) for (_, c), m in zip(images, masks)]
         return X, np.concatenate([np.empty(0), *priors])
 
+    gt_boxes = [s.ground_truth.boxes for s, _ in images]
     positive = []
-    for s, c in images:
-        real = [g.box for g in s.ground_truth if not g.ignore]
+    for (s, c), gt in zip(images, gt_boxes):
+        real = gt[~s.ground_truth.ignore]
         # An image without a real annotation gives no positive, even at POS_IOU 0.
         positive.append(
-            _best_iou(c.boxes, real) >= POS_IOU if real else np.zeros(len(c.boxes), bool)
+            _best_iou(c.boxes, real) >= POS_IOU if len(real) else np.zeros(len(c), bool)
         )
-    per_bin = Counter(
-        route(table, c.boxes[j].h)
-        for (_, c), mask in zip(images, positive)
-        for j in np.flatnonzero(mask)
-    )
-    if not per_bin:
+    heights = np.concatenate([np.empty(0), *(c.boxes[m, 3] for (_, c), m in zip(images, positive))])
+    if not heights.size:
         raise TrainingError(f"no proposal reaches IoU {POS_IOU} with a non-ignored annotation")
-    for i, b in enumerate(table.bins):
-        if per_bin[i] == 0:
+    per_bin = np.bincount(table.route(heights), minlength=len(table.bins))
+    for b, n in zip(table.bins, per_bin.tolist()):
+        if n == 0:
             raise TrainingError(
                 f"scale bin {b.projector_id!r} [{b.min_height}, {b.max_height}) "
                 "received no positive samples; restrict the routing table or widen "
@@ -181,13 +172,10 @@ def _training_samples(dataset: Dataset, extractor: DescriptorExtractor, cfg: Tra
             )
     positives = select(positive)
 
-    gt_boxes = [[g.box for g in s.ground_truth] for s, _ in images]
+    def clear_of_annotations(i: int, box: np.ndarray) -> bool:
+        return iou_matrix(box, gt_boxes[i]).max(initial=0.0) < NEG_IOU
 
-    # One box per draw: the scalar ``iou`` beats a one-row ``iou_matrix`` 4x.
-    def clear_of_annotations(i: int, box: Box) -> bool:
-        return max((iou(box, g) for g in gt_boxes[i]), default=0.0) < NEG_IOU
-
-    drawn = _draw_background_boxes(
+    image, boxes = _draw_background_boxes(
         np.random.default_rng(cfg.seed),
         [s.record for s, _ in images],
         table.bins[0].min_height,
@@ -195,16 +183,13 @@ def _training_samples(dataset: Dataset, extractor: DescriptorExtractor, cfg: Tra
         cfg.initial_negatives,
         keep=clear_of_annotations,
     )
-    boxes_per_image: list[list[Box]] = [[] for _ in images]
-    for i, box in drawn:
-        boxes_per_image[i].append(box)
-    X = extract(boxes_per_image)
+    X = extract([boxes[image == i] for i in range(len(images))])
     background = X, np.full(X.shape[0], prior_logits(BACKGROUND_PRIOR_SCORE), dtype=np.float64)
 
     if len(cfg.stage_tree_counts) > 1 and cfg.hard_negatives_per_stage > 0:
         pool = select([_best_iou(c.boxes, gt) < NEG_IOU for (_, c), gt in zip(images, gt_boxes)])
     else:  # no stage mines
-        pool = extract([[] for _ in images]), np.empty(0)
+        pool = extract([]), np.empty(0)
     return positives, background, pool
 
 
@@ -215,24 +200,25 @@ def _draw_background_boxes(
     max_height: float | None,
     count: int,
     keep=None,
-) -> list[tuple[int, Box]]:
-    """Rejection-sample up to ``count`` random boxes, as (record index, box) in draw order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rejection-sample up to ``count`` random boxes: (record index, (x, y, w, h) row) arrays
+    in draw order.
 
     Each attempt picks an image tall enough for ``min_height``, a height in
     [min_height, max_height) capped by the image, a width of ``_BG_ASPECT``
     times the height, and a position inside the image; ``keep(i, box)`` may
     still reject the box.  Attempts are capped at ``200 * count + 1000``;
     placing no box at all is a TrainingError, placing fewer than ``count``
-    a warning.
+    a warning.  An attempt's draws depend on the one before, so they run one by one.
     """
     usable = [i for i, rec in enumerate(records) if rec.image_h - 2.0 > min_height]
     if not usable:
         raise TrainingError(
             f"no image is tall enough to hold a height->{min_height} background box"
         )
-    drawn: list[tuple[int, Box]] = []
+    image, boxes = [], []
     attempts, max_attempts = 0, 200 * count + 1000
-    while len(drawn) < count and attempts < max_attempts:
+    while len(boxes) < count and attempts < max_attempts:
         attempts += 1
         i = usable[int(rng.integers(len(usable)))]
         rec = records[i]
@@ -244,26 +230,23 @@ def _draw_background_boxes(
         w = _BG_ASPECT * h
         if w >= rec.image_w - 2.0:
             continue
-        box = Box(
-            float(rng.uniform(0.0, rec.image_w - w - 1.0)),
-            float(rng.uniform(0.0, rec.image_h - h - 1.0)),
-            w,
-            h,
-        )
+        box = np.array([rng.uniform(0.0, rec.image_w - w - 1.0),
+                        rng.uniform(0.0, rec.image_h - h - 1.0), w, h])
         if keep is not None and not keep(i, box):
             continue
-        drawn.append((i, box))
-    if count > 0 and not drawn:
+        image.append(i)
+        boxes.append(box)
+    if count > 0 and not boxes:
         raise TrainingError(
             f"could not place a single background box of height >= {min_height} "
             f"in {max_attempts} attempts"
         )
-    if len(drawn) < count:
+    if len(boxes) < count:
         warnings.warn(
-            f"background sampling placed {len(drawn)} of {count} requested boxes",
+            f"background sampling placed {len(boxes)} of {count} requested boxes",
             stacklevel=3,
         )
-    return drawn
+    return np.array(image, dtype=np.int64), np.array(boxes).reshape(-1, 4)
 
 
 def _collect_pca_samples(
@@ -283,15 +266,18 @@ def _collect_pca_samples(
     """
     rng = np.random.default_rng(seed)
     spec = table.bins[bin_index]
-    pos_rows = []
+
+    def pooled(record: ImageRecord, boxes: np.ndarray) -> np.ndarray:
+        """Each box's per-cell channel vectors, (N, m*n, D)."""
+        return pool_bin_stacks(record, boxes, table, bin_index).transpose(0, 2, 1)
+
+    pos_rows = [np.empty((0, bin_dim), dtype=np.float32)]
     for s in dataset:
-        for g in s.ground_truth:
-            if g.ignore or route(table, g.box.h) != bin_index:
-                continue
-            if not _inside_image(g.box, s.record):
-                continue
-            pos_rows.append(pool_bin_cells(s.record, g.box, table, bin_index))
-    pos = np.vstack(pos_rows) if pos_rows else np.empty((0, bin_dim), dtype=np.float32)
+        g = s.ground_truth
+        mine = ~g.ignore & (table.route(g.boxes[:, 3]) == bin_index) & _inside(s.record, g.boxes)
+        if mine.any():
+            pos_rows.append(pooled(s.record, g.boxes[mine]).reshape(-1, bin_dim))
+    pos = np.vstack(pos_rows)
     half = PCA_SAMPLE_CAP // 2
     if pos.shape[0] > half:
         sel = rng.choice(pos.shape[0], size=half, replace=False)
@@ -301,15 +287,17 @@ def _collect_pca_samples(
     bg_needed = max(pos.shape[0], min_total - pos.shape[0])
     bg_needed = min(bg_needed, PCA_SAMPLE_CAP - pos.shape[0])
 
-    # Every background box adds one row per grid cell.
+    # Every background box adds one row per grid cell.  Each image's boxes
+    # are pooled at once, and their rows go back to draw order.
     cells = table.grid.cells
     records = [s.record for s in dataset]
-    drawn = _draw_background_boxes(
+    image, boxes = _draw_background_boxes(
         rng, records, spec.min_height, spec.max_height, max(0, -(-bg_needed // cells))
     )
-    bg_rows = [pool_bin_cells(records[i], box, table, bin_index) for i, box in drawn]
-    bg = np.vstack(bg_rows) if bg_rows else np.empty((0, bin_dim), dtype=np.float32)
-    return np.vstack([pos, bg]).astype(np.float64), pos.shape[0]
+    bg = np.empty((len(boxes), cells, bin_dim), dtype=np.float32)
+    for i in np.unique(image).tolist():
+        bg[image == i] = pooled(records[i], boxes[image == i])
+    return np.vstack([pos, bg.reshape(-1, bin_dim)]).astype(np.float64), pos.shape[0]
 
 
 @dataclass
@@ -424,25 +412,25 @@ def train_detector(dataset: Dataset, settings: TrainSettings) -> tuple[DetectorM
 
 
 def detect_image(
-    model: DetectorModel, record: ImageRecord, proposals: list[Candidate]
-) -> list[Detection]:
+    model: DetectorModel, record: ImageRecord, proposals: ScoredBoxes
+) -> ScoredBoxes:
     """Score the image's candidates and return NMS survivors, best first.
 
     The candidates are the top ``caps.test_top_k`` proposals by score that
-    lie inside the image, the same rule training draws its samples by.
+    lie inside the image, the same rule training draws its samples by.  A
+    detection's score is the forest's margin.
     """
     c = _candidates(record, proposals, model.caps.test_top_k)
-    if not c.boxes:
-        return []
+    if not c:
+        return c
     X = model.extractor.extract_many(record, c.boxes)
     margins = model.forest.score(X, prior_logits(c.scores))
-    dets = [Detection(box=b, score=float(m)) for b, m in zip(c.boxes, margins)]
-    return nms(dets, NMS_THRESHOLD)
+    return nms(ScoredBoxes(c.boxes, margins), NMS_THRESHOLD)
 
 
 def detect_dataset(
     model: DetectorModel, dataset: Dataset, threads: int = 1
-) -> dict[str, list[Detection]]:
+) -> dict[str, ScoredBoxes]:
     """Detections per image id; thread count never changes the result."""
     import os
 

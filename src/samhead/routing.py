@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .geometry import Box, box_array
 from .maps import ImageRecord, NUM_LABEL_CLASSES
 from .pca import PcaProjector
 # roi_edge_pool, roi_histogram_pool and roi_max_pool are not called here:
@@ -61,11 +60,6 @@ class ScaleBin:
         if len(set(self.layers)) != len(self.layers):
             raise ConfigError(f"bin layers contain duplicates: {self.layers}")
 
-    def contains(self, height: float) -> bool:
-        if height < self.min_height:
-            return False
-        return self.max_height is None or height < self.max_height
-
 
 @dataclass(frozen=True)
 class RoutingTable:
@@ -92,15 +86,11 @@ class RoutingTable:
         if len(set(ids)) != len(ids):
             raise ConfigError(f"projector ids must be unique, got {ids}")
 
-
-def route(table: RoutingTable, height: float) -> int:
-    """Bin index for a candidate height; heights below the first bin route to it."""
-    if not (math.isfinite(height) and height > 0):
-        raise DataError(f"candidate height must be positive and finite, got {height}")
-    for i, b in enumerate(table.bins):
-        if b.contains(height):
-            return i
-    return 0  # below the first bin's minimum
+    def route(self, heights: np.ndarray) -> np.ndarray:
+        """Bin index of each height: the first bin whose ``max_height`` exceeds it (so a
+        height below every bin routes to the first)."""
+        edges = [b.max_height for b in self.bins[:-1]]
+        return np.searchsorted(edges, heights, side="right")
 
 
 def default_routing_table(grid: PoolGrid | None = None, target_dim: int = 0) -> RoutingTable:
@@ -141,10 +131,11 @@ def pool_bin_stacks(
 
 
 def pool_bin_cells(
-    record: ImageRecord, box: Box, table: RoutingTable, bin_index: int
+    record: ImageRecord, box: np.ndarray, table: RoutingTable, bin_index: int
 ) -> np.ndarray:
-    """Per-cell stacked channel vectors for one bin's layers, shape (m*n, D_bin)."""
-    return pool_bin_stacks(record, box_array([box]), table, bin_index)[0].T
+    """Per-cell stacked channel vectors of one bin's layers for one (x, y, w, h) box,
+    shape (m*n, D_bin).  Unused here; perfbench/tracing.py hooks it by name."""
+    return pool_bin_stacks(record, np.reshape(box, (1, 4)), table, bin_index)[0].T
 
 
 #: Quantized edge strengths per cell of the edge histogram channel.
@@ -239,19 +230,18 @@ class DescriptorExtractor:
                 blocks.append(grid_max_pool(emap.data[..., None], rects, grid))
         return [b.reshape(len(boxes), -1) for b in blocks]
 
-    def extract_many(self, record: ImageRecord, boxes: list[Box]) -> np.ndarray:
-        """Descriptors for all boxes of one image, pooled bin by bin."""
+    def extract_many(self, record: ImageRecord, boxes: np.ndarray) -> np.ndarray:
+        """Descriptors for one image's (x, y, w, h) boxes, pooled bin by bin."""
         out = np.empty((len(boxes), self.length), dtype=np.float32)
-        if not boxes:
+        if not len(boxes):
             return out
-        xywh = box_array(boxes)
-        bins = np.array([route(self.table, b.h) for b in boxes])
+        bins = self.table.route(boxes[:, 3])
         cnn = self.cell_dim * self.table.grid.cells
         for i, spec in enumerate(self.table.bins):
             sel = np.flatnonzero(bins == i)
             if not sel.size:
                 continue
-            stacks = pool_bin_stacks(record, xywh[sel], self.table, i)
+            stacks = pool_bin_stacks(record, boxes[sel], self.table, i)
             proj = self.projectors.get(spec.projector_id)
             width = proj.input_dim if proj else self.cell_dim
             if stacks.shape[1] != width:
@@ -266,7 +256,7 @@ class DescriptorExtractor:
             cells = stacks.transpose(0, 2, 1)
             out[sel, :cnn] = (proj.project(cells) if proj else cells).reshape(sel.size, -1)
         col = cnn
-        for block in self._aux_blocks(record, xywh):
+        for block in self._aux_blocks(record, boxes):
             out[:, col : col + block.shape[1]] = block
             col += block.shape[1]
         return out

@@ -44,8 +44,10 @@ dataset rest on it:
 7. one prior-score noise value per proposal, in proposal order.
 
 One draw of ``n`` values gives the same values as ``n`` single draws, so a
-step may batch its draws (the deposit draws all its noise at once, the
-proposals all their noise at once) as long as this order stays.
+step may batch its draws as long as this order stays: the deposit draws all
+its noise at once, the proposals their jitter, their background uniforms
+and their score noise.  An image's objects and proposals are (x, y, w, h)
+rows, its boxes a ``GroundTruth`` and a ``ScoredBoxes`` (see ``geometry``).
 ``tests/oracles.py`` keeps the draw-by-draw generator as the referee.
 """
 
@@ -58,7 +60,7 @@ import numpy as np
 
 from .dataset import Dataset, ImageSample
 from .errors import ConfigError
-from .geometry import Box, Candidate, GroundTruthBox, box_array, iou, iou_matrix
+from .geometry import GroundTruth, ScoredBoxes, iou_matrix
 from .maps import VALID_STRIDES, EdgeMap, FeatureMap, ImageRecord, LabelMap, NUM_LABEL_CLASSES
 from .pooling import map_boxes_to_feature_coords
 
@@ -173,12 +175,6 @@ class SynthConfig:
             )
 
 
-@dataclass(frozen=True)
-class _Object:
-    box: Box
-    sign: float  # +1 pedestrian, -1 distractor
-
-
 @dataclass
 class _Pattern:
     """Which channels of a layer carry which signal.
@@ -238,11 +234,11 @@ def _sample_height(rng: np.random.Generator) -> float:
     return float(rng.uniform(lo, hi))
 
 
-def _place_box(h: float, rng: np.random.Generator) -> Box:
+def _place_box(h: float, rng: np.random.Generator) -> tuple[float, float, float, float]:
     w = PED_WIDTH_RATIO * h
     x = float(rng.uniform(1.0, IMAGE_W - w - 1.0))
     y = float(rng.uniform(1.0, IMAGE_H - h - 1.0))
-    return Box(x, y, w, h)
+    return (x, y, w, h)
 
 
 def _taper(coords: np.ndarray, lo: float | np.ndarray, hi: float | np.ndarray) -> np.ndarray:
@@ -294,7 +290,7 @@ class _Footprint:
     strip_rects: list[tuple[int, int, int, int]]
 
 
-def _footprints(boxes: list[Box], stride: int, H: int, W: int) -> list[_Footprint]:
+def _footprints(boxes: np.ndarray, stride: int, H: int, W: int) -> list[_Footprint]:
     """Each object's footprint on an (H, W) map of one stride.  Every box of
     every object (body, slabs, strips) goes to cells in one mapping call."""
     # One slab per part band, shared by the band's class channels.  Silhouette
@@ -303,20 +299,20 @@ def _footprints(boxes: list[Box], stride: int, H: int, W: int) -> list[_Footprin
     # distractors alike.  A crop pinned to one corner keeps only that
     # corner's sides; a centered interior crop keeps none, and max pooling
     # cannot counterfeit the absent sides.
+    boxes = boxes.tolist()
     parts, slabs = [], []
-    for box in boxes:
-        slabs.append([(box.y + plo * box.h, box.y + phi * box.h) for plo, phi in _PART_BANDS])
-        t = max(1.25 * stride, 0.06 * box.h)
-        parts += [box.as_tuple(), *((box.x, y0, box.w, y1 - y0) for y0, y1 in slabs[-1]),
-                  (box.x, box.y, box.w, t), (box.x, box.y2 - t, box.w, t),
-                  (box.x, box.y, t, box.h), (box.x2 - t, box.y, t, box.h)]
+    for x, y, w, h in boxes:
+        slabs.append([(y + plo * h, y + phi * h) for plo, phi in _PART_BANDS])
+        t = max(1.25 * stride, 0.06 * h)
+        parts += [(x, y, w, h), *((x, y0, w, y1 - y0) for y0, y1 in slabs[-1]),
+                  (x, y, w, t), (x, y + h - t, w, t), (x, y, t, h), (x + w - t, y, t, h)]
     rects = iter(map(tuple, map_boxes_to_feature_coords(parts, stride, H, W).tolist()))
     out = []
-    for box, box_slabs in zip(boxes, slabs):
+    for (x, y, w, h), box_slabs in zip(boxes, slabs):
         rect = rs, re, cs, ce = next(rects)
         slab_rects = [next(rects) for _ in box_slabs]
         prof_x, prof_y, *slab_ys = _tapers(
-            [(cs, ce, box.x / stride, box.x2 / stride), (rs, re, box.y / stride, box.y2 / stride)]
+            [(cs, ce, x / stride, (x + w) / stride), (rs, re, y / stride, (y + h) / stride)]
             + [(r0, r1, y0 / stride, y1 / stride)
                for (r0, r1, _, _), (y0, y1) in zip(slab_rects, box_slabs)]
         )
@@ -328,9 +324,9 @@ def _footprints(boxes: list[Box], stride: int, H: int, W: int) -> list[_Footprin
     return out
 
 
-def _deposit(data: np.ndarray, fp: _Footprint, spec: LayerSpec, pat: _Pattern, obj: _Object,
-             cfg: SynthConfig, rng: np.random.Generator) -> None:
-    g = band_gain(obj.box.h, spec.band_center, BAND_LOG_WIDTH)
+def _deposit(data: np.ndarray, fp: _Footprint, spec: LayerSpec, pat: _Pattern, height: float,
+             sign: float, cfg: SynthConfig, rng: np.random.Generator) -> None:
+    g = band_gain(height, spec.band_center, BAND_LOG_WIDTH)
     amp = min(max(1.0 + 0.1 * rng.standard_normal(), 0.7), 1.3)
     # The deposit's noise comes from one draw, cut into one block per channel
     # in the draw order of the module docstring.
@@ -345,11 +341,11 @@ def _deposit(data: np.ndarray, fp: _Footprint, spec: LayerSpec, pat: _Pattern, o
         SHARED_AMP * g * amp * fp.profile + noise[:n_shared].reshape(-1, re - rs, ce - cs)
     )
     at = n_shared
-    for sign, idx, band, (r0, r1, c0, c1) in zip(pat.class_sign, pat.class_idx,
-                                                 pat.class_band, class_rects):
+    for channel_sign, idx, band, (r0, r1, c0, c1) in zip(pat.class_sign, pat.class_idx,
+                                                         pat.class_band, class_rects):
         n = (r1 - r0) * (c1 - c0)
         data[idx, r0:r1, c0:c1] += (
-            obj.sign * sign * cfg.class_amp * g * amp * fp.slab_profiles[band]
+            sign * channel_sign * cfg.class_amp * g * amp * fp.slab_profiles[band]
             + noise[at : at + n].reshape(r1 - r0, c1 - c0)
         )
         at += n
@@ -369,24 +365,30 @@ def _outline(arr: np.ndarray, rect: list[int], value: float) -> None:
         arr[side] = np.maximum(arr[side], value)
 
 
-def _jittered(box: Box, rel: float, rng: np.random.Generator) -> Box:
-    w = box.w * math.exp(rng.normal(0.0, rel))
-    h = box.h * math.exp(rng.normal(0.0, rel))
-    x = box.x + rng.normal(0.0, rel * box.w)
-    y = box.y + rng.normal(0.0, rel * box.h)
-    w = min(max(w, 4.0), IMAGE_W - 1.0)
-    h = min(max(h, 4.0), IMAGE_H - 1.0)
-    x = min(max(x, 0.0), IMAGE_W - w)
-    y = min(max(y, 0.0), IMAGE_H - h)
-    return Box(float(x), float(y), float(w), float(h))
+def _jittered(boxes: np.ndarray, rel: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """A jittered copy of each (x, y, w, h) row at its relative scale ``rel``.
+
+    Each copy draws four normals, for w, h, x and y; one call draws them all,
+    at scales ``rel``, ``rel``, ``rel * w`` and ``rel * h``.
+    """
+    x, y, w, h = boxes.T
+    noise = rng.normal(0.0, np.column_stack([rel, rel, rel * w, rel * h]))
+    # math.exp, value by value: numpy's exp can differ from it in the last bit.
+    growth = np.array(list(map(math.exp, noise[:, :2].ravel().tolist()))).reshape(-1, 2)
+    w = np.minimum(np.maximum(w * growth[:, 0], 4.0), IMAGE_W - 1.0)
+    h = np.minimum(np.maximum(h * growth[:, 1], 4.0), IMAGE_H - 1.0)
+    x = np.minimum(np.maximum(x + noise[:, 2], 0.0), IMAGE_W - w)
+    y = np.minimum(np.maximum(y + noise[:, 3], 0.0), IMAGE_H - h)
+    return np.column_stack([x, y, w, h])
 
 
-def _random_box(rng: np.random.Generator) -> Box:
-    h = float(rng.uniform(SMALL_HEIGHTS[0], LARGE_HEIGHTS[1]))
+def _random_boxes(n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` random boxes.  One ``random`` call draws each box's h, x and y uniforms in
+    turn, mapped as ``uniform`` maps them, ``low + (high - low) * u`` (x and y: low 0)."""
+    u = rng.random((n, 3))
+    h = SMALL_HEIGHTS[0] + (LARGE_HEIGHTS[1] - SMALL_HEIGHTS[0]) * u[:, 0]
     w = PED_WIDTH_RATIO * h
-    x = float(rng.uniform(0.0, IMAGE_W - w - 1.0))
-    y = float(rng.uniform(0.0, IMAGE_H - h - 1.0))
-    return Box(x, y, w, h)
+    return np.column_stack([(IMAGE_W - w - 1.0) * u[:, 1], (IMAGE_H - h - 1.0) * u[:, 2], w, h])
 
 
 def generate_dataset(cfg: SynthConfig, seed: int) -> Dataset:
@@ -412,16 +414,17 @@ def generate_dataset(cfg: SynthConfig, seed: int) -> Dataset:
         n_dis = int(rng.integers(DISTRACTORS_PER_IMAGE[0], DISTRACTORS_PER_IMAGE[1] + 1))
         # Rejection placement: overlapping opposite-sign deposits would cancel
         # each other, so a crowded draw is retried and eventually dropped.
-        objects: list[_Object] = []
+        placed, signs = [], []  # sign +1 for a pedestrian, -1 for a distractor
         for sign, count in ((1.0, n_ped), (-1.0, n_dis)):
             for _ in range(count):
                 for _attempt in range(40):
                     box = _place_box(_sample_height(rng), rng)
-                    if all(iou(box, o.box) <= PLACEMENT_MAX_IOU for o in objects):
-                        objects.append(_Object(box, sign))
+                    if (iou_matrix(box, placed) <= PLACEMENT_MAX_IOU).all():
+                        placed.append(box)
+                        signs.append(sign)
                         break
-        peds = [o for o in objects if o.sign > 0]
-        distractors = [o for o in objects if o.sign < 0]
+        boxes, peds = np.array(placed).reshape(-1, 4), np.array(signs) > 0
+        n_ped, n_dis = int(peds.sum()), int((~peds).sum())  # placement may drop some
 
         feature_maps = {}
         footprints: dict[int, list[_Footprint]] = {}  # layers of one stride share them
@@ -431,14 +434,13 @@ def generate_dataset(cfg: SynthConfig, seed: int) -> Dataset:
             W = -(-IMAGE_W // spec.stride)
             data = rng.normal(0.0, BG_SIGMA, (spec.channels, H, W)).astype(np.float32)
             if spec.stride not in footprints:
-                footprints[spec.stride] = _footprints([o.box for o in objects], spec.stride, H, W)
-            for obj, fp in zip(objects, footprints[spec.stride]):
-                _deposit(data, fp, spec, patterns[name], obj, cfg, rng)
+                footprints[spec.stride] = _footprints(boxes, spec.stride, H, W)
+            for height, sign, fp in zip(boxes[:, 3].tolist(), signs, footprints[spec.stride]):
+                _deposit(data, fp, spec, patterns[name], height, sign, cfg, rng)
             feature_maps[name] = FeatureMap(name, spec.stride, data)
 
         # Each object's pixel rect on the label and edge maps.
-        pixels = dict(zip(objects, map_boxes_to_feature_coords(
-            box_array([o.box for o in objects]), 1, IMAGE_H, IMAGE_W).tolist()))
+        pixels = map_boxes_to_feature_coords(boxes, 1, IMAGE_H, IMAGE_W).tolist()
         label = np.zeros((IMAGE_H, IMAGE_W), dtype=np.uint8)
         for _ in range(CLUTTER_RECTS):
             cw = int(rng.integers(IMAGE_W // 8, IMAGE_W // 3 + 1))
@@ -446,15 +448,15 @@ def generate_dataset(cfg: SynthConfig, seed: int) -> Dataset:
             cx = int(rng.integers(0, IMAGE_W - cw + 1))
             cy = int(rng.integers(0, IMAGE_H - chh + 1))
             label[cy : cy + chh, cx : cx + cw] = int(rng.choice(_CLUTTER_CLASSES))
-        for obj in distractors:
+        for k in np.flatnonzero(~peds).tolist():
             if rng.random() < DISTRACTOR_MISLABEL_RATE:
                 cls = PED_CLASS
             else:
                 cls = int(rng.choice(DISTRACTOR_CLASSES))
-            r0, r1, c0, c1 = pixels[obj]
+            r0, r1, c0, c1 = pixels[k]
             label[r0:r1, c0:c1] = cls
-        for obj in peds:
-            r0, r1, c0, c1 = pixels[obj]
+        for k in np.flatnonzero(peds).tolist():
+            r0, r1, c0, c1 = pixels[k]
             label[r0:r1, c0:c1] = PED_CLASS
 
         edge = rng.uniform(0.0, 0.12, (IMAGE_H, IMAGE_W)).astype(np.float32)
@@ -469,46 +471,33 @@ def generate_dataset(cfg: SynthConfig, seed: int) -> Dataset:
                 yy = int(rng.integers(0, IMAGE_H - length))
                 xx = int(rng.integers(0, IMAGE_W))
                 edge[yy : yy + length, xx] = np.maximum(edge[yy : yy + length, xx], strength)
-        for obj in objects:
-            _outline(edge, pixels[obj], float(rng.uniform(0.6, 1.0)))
+        for rect in pixels:
+            _outline(edge, rect, float(rng.uniform(0.6, 1.0)))
 
-        ground_truth = []
-        for obj in peds:
+        occl, trunc = np.empty(n_ped), np.empty(n_ped)
+        for k in range(n_ped):
             if rng.random() < OCCLUDED_FRACTION:
-                occl = float(rng.uniform(0.45, 0.7))
+                occl[k] = rng.uniform(0.45, 0.7)
             else:
-                occl = float(rng.uniform(0.0, 0.1))
-            ground_truth.append(
-                GroundTruthBox(obj.box, occlusion=occl,
-                               truncation=float(rng.uniform(0.0, 0.08)))
-            )
+                occl[k] = rng.uniform(0.0, 0.1)
+            trunc[k] = rng.uniform(0.0, 0.08)
+        ground_truth = GroundTruth(boxes[peds], occl, trunc)
 
-        boxes: list[Box] = []
-        bonuses: list[float] = []
-        for obj in peds:
-            for _ in range(PROPOSALS_PER_GT):
-                boxes.append(_jittered(obj.box, PROPOSAL_JITTER, rng))
-                bonuses.append(0.0)
-            # Loose duplicates imitate the sloppy end of a region-proposal
-            # stage; they give training its only box-accuracy contrast.
-            for _ in range(ROUGH_PROPOSALS_PER_GT):
-                boxes.append(_jittered(obj.box, ROUGH_JITTER, rng))
-                bonuses.append(0.0)
-        for obj in distractors:
-            for _ in range(DISTRACTOR_PROPOSALS):
-                boxes.append(_jittered(obj.box, PROPOSAL_JITTER, rng))
-                bonuses.append(DISTRACTOR_PRIOR_BONUS)
-        for _ in range(cfg.background_proposals):
-            boxes.append(_random_box(rng))
-            bonuses.append(0.0)
-        if ground_truth:
-            best = iou_matrix(boxes, [g.box for g in ground_truth]).max(axis=1)
-        else:
-            best = np.zeros(len(boxes))
-        scores = (PRIOR_BASE + PRIOR_IOU_WEIGHT * best + np.array(bonuses)
-                  + rng.normal(0.0, PRIOR_NOISE, len(boxes)))
-        proposals = [Candidate(box, min(max(score, 0.01), 0.99))
-                     for box, score in zip(boxes, scores.tolist())]
+        # Each pedestrian's fine then rough jittered copies, then each
+        # distractor's, then the background boxes.  The loose duplicates
+        # imitate the sloppy end of a region-proposal stage; they give
+        # training its only box-accuracy contrast.
+        per_ped = [PROPOSAL_JITTER] * PROPOSALS_PER_GT + [ROUGH_JITTER] * ROUGH_PROPOSALS_PER_GT
+        per_dis = [PROPOSAL_JITTER] * DISTRACTOR_PROPOSALS
+        copies = np.repeat(boxes, np.where(peds, len(per_ped), len(per_dis)), axis=0)
+        jittered = _jittered(copies, np.array(per_ped * n_ped + per_dis * n_dis), rng)
+        props = np.vstack([jittered, _random_boxes(cfg.background_proposals, rng)])
+        bonus = np.zeros(len(props))
+        bonus[len(per_ped) * n_ped : len(jittered)] = DISTRACTOR_PRIOR_BONUS
+        best = iou_matrix(props, ground_truth.boxes).max(axis=1, initial=0.0)
+        scores = (PRIOR_BASE + PRIOR_IOU_WEIGHT * best + bonus
+                  + rng.normal(0.0, PRIOR_NOISE, len(props)))
+        proposals = ScoredBoxes(props, np.minimum(np.maximum(scores, 0.01), 0.99))
 
         record = ImageRecord(
             image_id=image_id,

@@ -9,14 +9,59 @@ in float32 so comparisons against the package can be exact.
 import math
 from dataclasses import asdict, fields
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from samhead.dataset import Dataset, ImageSample
-from samhead.geometry import Box, Candidate, Detection, GroundTruthBox, iou
+from samhead.geometry import GroundTruth, ScoredBoxes
 from samhead.maps import NUM_LABEL_CLASSES, EdgeMap, FeatureMap, ImageRecord, LabelMap
 from samhead.pooling import FeatureRect, PoolGrid
 from samhead.synth import PED_WIDTH_RATIO
+
+
+class Box(NamedTuple):
+    """One box, top-left corner plus extent: the per-box form the oracles reason in."""
+
+    x: float
+    y: float
+    w: float
+    h: float
+
+    @property
+    def x2(self):
+        return self.x + self.w
+
+    @property
+    def y2(self):
+        return self.y + self.h
+
+    @property
+    def cx(self):
+        return self.x + 0.5 * self.w
+
+    @property
+    def cy(self):
+        return self.y + 0.5 * self.h
+
+    @property
+    def area(self):
+        return self.w * self.h
+
+
+def boxes_of(record):
+    """The (x, y, w, h) rows of a package record, as ``Box`` values."""
+    return [Box(*row) for row in record.boxes.tolist()]
+
+
+def iou(a, b):
+    """Intersection over union of two boxes, by the textbook formula."""
+    ix = min(a.x2, b.x2) - max(a.x, b.x)
+    iy = min(a.y2, b.y2) - max(a.y, b.y)
+    if ix <= 0 or iy <= 0:
+        return 0.0
+    inter = ix * iy
+    return inter / (a.area + b.area - inter)
 
 
 def oracle_windows(extent, k):
@@ -125,18 +170,14 @@ def random_match_instance(rng, max_boxes=6):
                    float(rng.uniform(5, 60)), float(rng.uniform(20, 100)))
 
     gts = [
-        GroundTruthBox(
-            rand_box(),
-            occlusion=float(rng.uniform(0, 0.5)),
-            truncation=float(rng.uniform(0, 0.3)),
-            ignore=bool(rng.random() < 0.2),
-        )
+        (rand_box(), float(rng.uniform(0, 0.5)), float(rng.uniform(0, 0.3)),
+         bool(rng.random() < 0.2))
         for _ in range(int(rng.integers(0, max_boxes + 1)))
     ]
-    dets = []
+    dets, scores = [], []
     for _ in range(int(rng.integers(0, max_boxes + 1))):
         if gts and rng.random() < 0.6:
-            g = gts[int(rng.integers(0, len(gts)))].box
+            g = gts[int(rng.integers(0, len(gts)))][0]
             b = Box(
                 g.x + float(rng.uniform(-5, 5)),
                 g.y + float(rng.uniform(-5, 5)),
@@ -145,8 +186,9 @@ def random_match_instance(rng, max_boxes=6):
             )
         else:
             b = rand_box()
-        dets.append(Detection(b, round(float(rng.uniform(0, 1)), 1)))
-    return dets, gts
+        dets.append(b)
+        scores.append(round(float(rng.uniform(0, 1)), 1))
+    return ScoredBoxes(dets, scores), GroundTruth(*zip(*gts)) if gts else GroundTruth()
 
 
 def oracle_greedy_match(detections, ground_truth, iou_threshold, eligible_flags):
@@ -159,12 +201,14 @@ def oracle_greedy_match(detections, ground_truth, iou_threshold, eligible_flags)
     enough, else is a false positive.  Returns (ordered scores, flags,
     eligible count) with flags 1=TP, 0=FP, -1=ignored.
     """
+    det_scores = detections.scores.tolist()
+    detections, ground_truth = boxes_of(detections), boxes_of(ground_truth)
     remaining = list(range(len(detections)))
     order = []
     while remaining:
         best = remaining[0]
         for idx in remaining[1:]:
-            if detections[idx].score > detections[best].score:
+            if det_scores[idx] > det_scores[best]:
                 best = idx
         remaining.remove(best)
         order.append(best)
@@ -178,7 +222,7 @@ def oracle_greedy_match(detections, ground_truth, iou_threshold, eligible_flags)
         for k, gt in enumerate(ground_truth):
             if not eligible_flags[k] or claimed[k]:
                 continue
-            overlap = iou(det.box, gt.box)
+            overlap = iou(det, gt)
             if overlap >= iou_threshold and overlap > best_overlap:
                 best_overlap = overlap
                 best_k = k
@@ -190,12 +234,12 @@ def oracle_greedy_match(detections, ground_truth, iou_threshold, eligible_flags)
         for k, gt in enumerate(ground_truth):
             if eligible_flags[k]:
                 continue
-            if iou(det.box, gt.box) >= iou_threshold:
+            if iou(det, gt) >= iou_threshold:
                 ignored = True
                 break
         flags.append(-1 if ignored else 0)
 
-    scores = [detections[idx].score for idx in order]
+    scores = [det_scores[idx] for idx in order]
     eligible = sum(1 for f in eligible_flags if f)
     return scores, flags, eligible
 
@@ -214,17 +258,17 @@ def oracle_training_candidates(dataset, top_k, pos_iou, neg_iou):
     positives, pool = [], []
     for i, s in enumerate(dataset):
         w, h = s.record.image_w, s.record.image_h
-        ranked = sorted(enumerate(s.proposals), key=lambda t: (-t[1].score, t[0]))[:top_k]
-        real = [g.box for g in s.ground_truth if not g.ignore]
-        every = [g.box for g in s.ground_truth]
-        for _, c in ranked:
-            b = c.box
+        proposals = zip(boxes_of(s.proposals), s.proposals.scores.tolist())
+        ranked = sorted(enumerate(proposals), key=lambda t: (-t[1][1], t[0]))[:top_k]
+        every = boxes_of(s.ground_truth)
+        real = [g for g, ignore in zip(every, s.ground_truth.ignore.tolist()) if not ignore]
+        for _, (b, score) in ranked:
             if not (b.x < w and b.y < h and b.x + b.w > 0 and b.y + b.h > 0):
                 continue
             if real and max(iou(b, g) for g in real) >= pos_iou:
-                positives.append((i, b, c.score))
+                positives.append((i, b, score))
             if max((iou(b, g) for g in every), default=0.0) < neg_iou:
-                pool.append((i, b, c.score))
+                pool.append((i, b, score))
     return positives, pool
 
 
@@ -237,7 +281,9 @@ def oracle_cnn_descriptor(record, box, table, projectors):
     bin's projector, or, for a bin without one, through an explicit
     ``(v - 0) @ eye(D)``.
     """
-    spec = next((b for b in table.bins if b.contains(box.h)), table.bins[0])
+    spec = next((b for b in table.bins
+                 if b.min_height <= box.h and (b.max_height is None or box.h < b.max_height)),
+                table.bins[0])
     m, n = table.grid.m, table.grid.n
     parts = []
     for name in spec.layers:
@@ -284,7 +330,7 @@ def oracle_background_draws(dataset, min_height, max_height, count, neg_iou, see
         x = float(rng.uniform(0.0, w_img - w - 1.0))
         y = float(rng.uniform(0.0, h_img - h - 1.0))
         box = Box(x, y, w, h)
-        if max((iou(box, g.box) for g in s.ground_truth), default=0.0) >= neg_iou:
+        if max((iou(box, g) for g in boxes_of(s.ground_truth)), default=0.0) >= neg_iou:
             rejected += 1
             continue
         kept.append((i, box))
@@ -664,10 +710,7 @@ def oracle_generate_dataset(cfg, seed):
                 occl = float(rng.uniform(0.45, 0.7))
             else:
                 occl = float(rng.uniform(0.0, 0.1))
-            ground_truth.append(
-                GroundTruthBox(obj.box, occlusion=occl,
-                               truncation=float(rng.uniform(0.0, 0.08)))
-            )
+            ground_truth.append((obj.box, occl, float(rng.uniform(0.0, 0.08))))
 
         boxes = []
         bonuses = []
@@ -685,12 +728,12 @@ def oracle_generate_dataset(cfg, seed):
         for _ in range(cfg.background_proposals):
             boxes.append(_oracle_random_box(cfg, rng))
             bonuses.append(0.0)
-        proposals = []
+        scores = []
         for box, bonus in zip(boxes, bonuses):
-            best = max((iou(box, g.box) for g in ground_truth), default=0.0)
+            best = max((iou(box, g) for g, _, _ in ground_truth), default=0.0)
             score = (cfg.prior_base + cfg.prior_iou_weight * best + bonus
                      + float(rng.normal(0.0, cfg.prior_noise)))
-            proposals.append(Candidate(box, float(np.clip(score, 0.01, 0.99))))
+            scores.append(float(np.clip(score, 0.01, 0.99)))
 
         record = ImageRecord(
             image_id=image_id,
@@ -700,8 +743,11 @@ def oracle_generate_dataset(cfg, seed):
             label_map=LabelMap(label),
             edge_map=EdgeMap(edge),
         )
-        samples.append(ImageSample(record=record, ground_truth=ground_truth,
-                                   proposals=proposals))
+        samples.append(ImageSample(
+            record=record,
+            ground_truth=GroundTruth(*zip(*ground_truth)) if ground_truth else GroundTruth(),
+            proposals=ScoredBoxes(boxes, scores),
+        ))
 
     meta = {
         "generator": "samhead.synth",

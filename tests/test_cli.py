@@ -784,6 +784,16 @@ class TestEval:
         assert payload["message"] == f"{curve}:3: non-finite curve sample [0.9, nan, 0.2]"
         assert not svg.exists()
 
+    @pytest.mark.parametrize("summary", ["inf", "-inf", "nan"])
+    def test_plot_refuses_a_non_finite_summary(self, tmp_path, capsys, summary):
+        curve, svg = tmp_path / "curve.csv", tmp_path / "curve.svg"
+        curve.write_text(f"kind,pr,{summary}\nthreshold,recall,precision\n0.9,0.5,1.0\n",
+                         encoding="utf-8")
+        code = main(["plot", "--curve", str(curve), "--out", str(svg)])
+        payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
+        assert payload["message"] == f"{curve}: curve summary {summary} is not finite"
+        assert not svg.exists()
+
     # Every evaluation value that is now a constant of samhead.evaluation or a
     # height range only the layer sweep sets, at its former default.
     _REMOVED = {

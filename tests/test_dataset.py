@@ -10,6 +10,7 @@ import pytest
 from conftest import integer_ids, rename_image_id, tiny_synth_config
 from samhead.dataset import Dataset, ImageSample
 from samhead.errors import DataError
+from samhead.geometry import GroundTruth
 from samhead.maps import FeatureMap, ImageRecord
 from samhead.synth import generate_dataset
 
@@ -38,6 +39,16 @@ class TestRoundTrip:
                                           b.record.label_map.data)
             np.testing.assert_array_equal(a.record.edge_map.data,
                                           b.record.edge_map.data)
+
+    def test_load_then_save_reproduces_every_file(self, disk_set, tmp_path):
+        one, two = tmp_path / "a", tmp_path / "b"
+        disk_set.save(one)
+        Dataset.load(one).save(two)
+        files = sorted(p.relative_to(one) for p in one.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(two) for p in two.rglob("*") if p.is_file())
+        assert len(files) == 3 + 3 * len(disk_set)
+        for rel in files:
+            assert (one / rel).read_bytes() == (two / rel).read_bytes(), str(rel)
 
     def test_saving_twice_produces_identical_files(self, disk_set, tmp_path):
         one, two = tmp_path / "a", tmp_path / "b"
@@ -206,21 +217,27 @@ class TestSubsetByHeight:
         cut = disk_set.subset_by_height(80.0, None)
         for orig, view in zip(disk_set.samples, cut.samples):
             assert view.proposals == orig.proposals
-            for g_orig, g_view in zip(orig.ground_truth, view.ground_truth):
-                if g_orig.box.h >= 80.0:
-                    assert g_view == g_orig
-                else:
-                    assert g_view.ignore
-                    assert g_view.box == g_orig.box
+            g_orig, g_view = orig.ground_truth, view.ground_truth
+            np.testing.assert_array_equal(g_view.boxes, g_orig.boxes)
+            np.testing.assert_array_equal(g_view.occl, g_orig.occl)
+            np.testing.assert_array_equal(g_view.trunc, g_orig.trunc)
+            tall = g_orig.boxes[:, 3] >= 80.0
+            np.testing.assert_array_equal(g_view.ignore, g_orig.ignore | ~tall)
+        assert any(s.ground_truth.ignore.any() for s in cut.samples)
         # The source dataset is untouched.
-        assert all(not g.ignore for s in disk_set.samples for g in s.ground_truth)
+        assert not any(s.ground_truth.ignore.any() for s in disk_set.samples)
 
     def test_bounded_interval(self, disk_set):
         cut = disk_set.subset_by_height(50.0, 80.0)
         for s in cut.samples:
-            for g in s.ground_truth:
-                expected = 50.0 <= g.box.h < 80.0
-                assert g.ignore == (not expected)
+            h = s.ground_truth.boxes[:, 3]
+            np.testing.assert_array_equal(s.ground_truth.ignore, ~((50.0 <= h) & (h < 80.0)))
+
+    def test_an_ignored_box_stays_ignored(self):
+        gts = GroundTruth([(0, 0, 10, 60), (0, 0, 10, 90)], ignore=[True, False])
+        ds = Dataset([ImageSample(ImageRecord("a", 16, 16), gts)])
+        assert ds.subset_by_height(50.0, None).samples[0].ground_truth.ignore.tolist() == [
+            True, False]
 
 
 class TestLayerChannels:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_greedy_match, random_match_instance
+from oracles import Box, oracle_greedy_match, random_match_instance
 from samhead.errors import ConfigError, DataError
 from samhead.evaluation import (
     EVAL_REGION,
@@ -34,17 +34,28 @@ from samhead.evaluation import (
     summary_and_curves,
     write_curve_csv,
 )
-from samhead.geometry import Box, Detection, GroundTruthBox
+from samhead.geometry import GroundTruth, ScoredBoxes
 
 PROTO = EvalProtocol()
 
 
-def gt(x, y=0.0, w=30.0, h=60.0, **kw):
-    return GroundTruthBox(Box(x, y, w, h), **kw)
+def gt(x, y=0.0, w=30.0, h=60.0, occlusion=0.0, truncation=0.0, ignore=False):
+    """One annotation, as a one-box record."""
+    return GroundTruth([(x, y, w, h)], [occlusion], [truncation], [ignore])
 
 
 def det(score, x, y=0.0, w=30.0, h=60.0):
-    return Detection(Box(x, y, w, h), score)
+    """One detection, as a one-box record."""
+    return ScoredBoxes([(x, y, w, h)], [score])
+
+
+def cat(*records):
+    """The boxes of one-image records of one type, in order, as one record."""
+    if isinstance(records[0], GroundTruth):
+        columns = ("boxes", "occl", "trunc", "ignore")
+        return GroundTruth(*(np.concatenate([getattr(r, c) for r in records]) for c in columns))
+    return ScoredBoxes(np.concatenate([r.boxes for r in records]),
+                       np.concatenate([r.scores for r in records]))
 
 
 @pytest.fixture
@@ -56,13 +67,13 @@ def miss_rate_fixture():
     point at the same fppi); points at or above 1/3 read 1/4.
     """
     gts = {
-        "img1": [gt(0.0), gt(100.0)],
-        "img2": [gt(0.0)],
-        "img3": [gt(0.0)],
+        "img1": cat(gt(0.0), gt(100.0)),
+        "img2": gt(0.0),
+        "img3": gt(0.0),
     }
     dets = {
-        "img1": [det(0.9, 0.0), det(0.8, 100.0)],
-        "img2": [det(0.7, 200.0), det(0.6, 0.0)],
+        "img1": cat(det(0.9, 0.0), det(0.8, 100.0)),
+        "img2": cat(det(0.7, 200.0), det(0.6, 0.0)),
     }
     return dets, gts
 
@@ -74,63 +85,63 @@ def ap_fixture():
     Recall [1/3, 1/3, 2/3, 2/3, 1], precision [1, 1/2, 2/3, 1/2, 3/5];
     11-point AP = (4*1 + 3*(2/3) + 4*(3/5)) / 11 = 8.4/11.
     """
-    gts = {"i": [gt(0.0), gt(100.0), gt(200.0)]}
-    dets = {"i": [det(0.9, 0.0), det(0.8, 400.0), det(0.7, 100.0),
-                  det(0.6, 500.0), det(0.5, 200.0)]}
+    gts = {"i": cat(gt(0.0), gt(100.0), gt(200.0))}
+    dets = {"i": cat(det(0.9, 0.0), det(0.8, 400.0), det(0.7, 100.0),
+                  det(0.6, 500.0), det(0.5, 200.0))}
     return dets, gts
 
 
 class TestMatchImage:
     def test_basic_assignment(self):
-        gts = [gt(0.0), gt(100.0)]
-        dets = [det(0.9, 1.0), det(0.8, 101.0)]
+        gts = cat(gt(0.0), gt(100.0))
+        dets = cat(det(0.9, 1.0), det(0.8, 101.0))
         (m,) = match_image(dets, gts, (PROTO,))
         np.testing.assert_array_equal(m.flags, [TP, TP])
         assert m.eligible_gt == 2
         np.testing.assert_array_equal(m.gt_matched, [True, True])
 
     def test_second_hit_on_claimed_box_is_fp(self):
-        gts = [gt(0.0)]
-        dets = [det(0.9, 0.0), det(0.8, 1.0)]
+        gts = gt(0.0)
+        dets = cat(det(0.9, 0.0), det(0.8, 1.0))
         (m,) = match_image(dets, gts, (PROTO,))
         np.testing.assert_array_equal(m.flags, [TP, FP])
 
     def test_score_tie_resolves_to_input_order(self):
-        gts = [gt(0.0)]
-        dets = [det(0.5, 0.0), det(0.5, 0.0)]
+        gts = gt(0.0)
+        dets = cat(det(0.5, 0.0), det(0.5, 0.0))
         (m,) = match_image(dets, gts, (PROTO,))
         np.testing.assert_array_equal(m.flags, [TP, FP])
 
     def test_best_overlap_wins_not_first(self):
-        gts = [gt(0.0), gt(20.0)]
-        dets = [det(0.9, 18.0)]  # overlaps both; much closer to the second
+        gts = cat(gt(0.0), gt(20.0))
+        dets = det(0.9, 18.0)  # overlaps both; much closer to the second
         (m,) = match_image(dets, gts, (PROTO,))
         np.testing.assert_array_equal(m.flags, [TP])
         np.testing.assert_array_equal(m.gt_matched, [False, True])
 
     def test_ignored_ground_truth_absorbs_detections(self):
-        gts = [gt(0.0, ignore=True)]
-        dets = [det(0.9, 0.0), det(0.8, 300.0)]
+        gts = gt(0.0, ignore=True)
+        dets = cat(det(0.9, 0.0), det(0.8, 300.0))
         (m,) = match_image(dets, gts, (PROTO,))
         np.testing.assert_array_equal(m.flags, [IGNORED, FP])
         assert m.eligible_gt == 0
 
     def test_short_ground_truth_acts_as_ignore_region(self):
-        gts = [gt(0.0, h=30.0, w=15.0)]
-        dets = [Detection(Box(0.0, 0.0, 15.0, 30.0), 0.9)]
+        gts = gt(0.0, h=30.0, w=15.0)
+        dets = ScoredBoxes([(0.0, 0.0, 15.0, 30.0)], [0.9])
         (m,) = match_image(dets, gts, (PROTO,))
         np.testing.assert_array_equal(m.flags, [IGNORED])
 
     def test_gt_matched_indexes_eligible_boxes_only(self):
-        gts = [gt(0.0, ignore=True), gt(100.0)]
-        dets = [det(0.9, 100.0)]
+        gts = cat(gt(0.0, ignore=True), gt(100.0))
+        dets = det(0.9, 100.0)
         (m,) = match_image(dets, gts, (PROTO,))
         assert m.eligible_gt == 1
         np.testing.assert_array_equal(m.gt_matched, [True])
 
     def test_flags_follow_descending_score_order(self):
-        gts = [gt(0.0)]
-        dets = [det(0.2, 500.0), det(0.9, 0.0)]
+        gts = gt(0.0)
+        dets = cat(det(0.2, 500.0), det(0.9, 0.0))
         (m,) = match_image(dets, gts, (PROTO,))
         np.testing.assert_array_equal(m.scores, [0.9, 0.2])
         np.testing.assert_array_equal(m.flags, [TP, FP])
@@ -169,7 +180,7 @@ class TestMatcherAgainstBruteForce:
         for _ in range(400):
             dets, gts = random_match_instance(rng)
             (m,) = match_image(dets, gts, (PROTO,))
-            eligible_flags = [PROTO.eligible(g) for g in gts]
+            eligible_flags = PROTO.eligible(gts).tolist()
             scores, flags, eligible = oracle_greedy_match(
                 dets, gts, IOU_THRESHOLD, eligible_flags
             )
@@ -209,14 +220,23 @@ class TestEligibility:
 
     def test_kitti_difficulties_nest(self):
         rng = np.random.default_rng(31)
-        for _ in range(300):
-            g = gt(0.0, h=float(rng.uniform(10, 120)),
-                   occlusion=float(rng.uniform(0, 1)),
-                   truncation=float(rng.uniform(0, 1)))
-            flags = [d.eligible(g) for d in KITTI_DIFFICULTIES]
-            # easy -> moderate -> hard
-            assert not (flags[0] and not flags[1])
-            assert not (flags[1] and not flags[2])
+        n = 300
+        g = GroundTruth(np.column_stack([np.zeros(n), np.zeros(n), np.full(n, 30.0),
+                                         rng.uniform(10, 120, n)]),
+                        rng.uniform(0, 1, n), rng.uniform(0, 1, n))
+        easy, moderate, hard = (d.eligible(g) for d in KITTI_DIFFICULTIES)
+        assert easy.any() and (moderate & ~easy).any() and (hard & ~moderate).any()
+        # easy -> moderate -> hard
+        assert not (easy & ~moderate).any()
+        assert not (moderate & ~hard).any()
+
+    def test_eligibility_is_one_flag_per_box(self):
+        gts = cat(gt(0.0, ignore=True), gt(300.0, 200.0), gt(300.0, 200.0, h=40.0),
+                  gt(300.0, 200.0, occlusion=0.4))
+        assert PROTO.eligible(gts).tolist() == [False, True, False, False]
+        assert KITTI_EASY.eligible(gts).tolist() == [False, True, True, False]
+        assert KITTI_MODERATE.eligible(gts).tolist() == [False, True, True, True]
+        assert PROTO.eligible(GroundTruth()).shape == (0,)
 
     def test_protocol_validation(self):
         with pytest.raises(ConfigError):
@@ -236,10 +256,9 @@ class TestEvalRegion:
     @staticmethod
     def summaries(x, y):
         """Summaries with the edge box detected, then with only the inner box detected."""
-        inner, edge = gt(300.0, 200.0), gt(x, y)
-        gts = {"a": [inner, edge]}
-        both = {"a": [Detection(inner.box, 0.9), Detection(edge.box, 0.8)]}
-        return metrics_summary(both, gts), metrics_summary({"a": both["a"][:1]}, gts)
+        gts = {"a": cat(gt(300.0, 200.0), gt(x, y))}
+        both = {"a": ScoredBoxes(gts["a"].boxes, [0.9, 0.8])}
+        return metrics_summary(both, gts), metrics_summary({"a": both["a"].take([0])}, gts)
 
     def test_region_constant(self):
         assert EVAL_REGION == (5.0, 635.0, 5.0, 475.0)
@@ -267,7 +286,8 @@ class TestEvalRegion:
     @settings(max_examples=100, deadline=None)
     def test_clause_matches_center_arithmetic(self, cx, cy):
         g = gt(cx - 15.0, cy - 30.0)
-        assert PROTO.eligible(g) == (5.0 <= g.box.cx <= 635.0 and 5.0 <= g.box.cy <= 475.0)
+        box = Box(*g.boxes[0].tolist())
+        assert PROTO.eligible(g)[0] == (5.0 <= box.cx <= 635.0 and 5.0 <= box.cy <= 475.0)
 
 
 class TestLogAverageMissRate:
@@ -293,8 +313,8 @@ class TestLogAverageMissRate:
     def test_perfect_detector_hits_the_floor(self, miss_rate_fixture):
         _, gts = miss_rate_fixture
         dets = {
-            image_id: [Detection(g.box, 0.9 - 0.01 * i) for i, g in enumerate(boxes)]
-            for image_id, boxes in gts.items()
+            image_id: ScoredBoxes(g.boxes, 0.9 - 0.01 * np.arange(len(g)))
+            for image_id, g in gts.items()
         }
         (matches,) = evaluate_detections(dets, gts, (PROTO,))
         mr, _ = log_average_miss_rate(matches, -2.0)
@@ -308,8 +328,8 @@ class TestLogAverageMissRate:
         assert curve.samples == []
 
     def test_duplicate_scores_collapse_to_one_point(self):
-        gts = {"a": [gt(0.0), gt(100.0)]}
-        dets = {"a": [det(0.5, 0.0), det(0.5, 100.0)]}
+        gts = {"a": cat(gt(0.0), gt(100.0))}
+        dets = {"a": cat(det(0.5, 0.0), det(0.5, 100.0))}
         (matches,) = evaluate_detections(dets, gts, (PROTO,))
         _, curve = log_average_miss_rate(matches, -2.0)
         assert len(curve.samples) == 1
@@ -318,7 +338,7 @@ class TestLogAverageMissRate:
     def test_undefined_without_images_or_ground_truth(self):
         with pytest.raises(MetricUndefinedError):
             log_average_miss_rate([], -2.0)
-        gts = {"a": [gt(0.0, ignore=True)]}
+        gts = {"a": gt(0.0, ignore=True)}
         (matches,) = evaluate_detections({}, gts, (PROTO,))
         with pytest.raises(MetricUndefinedError):
             log_average_miss_rate(matches, -2.0)
@@ -326,7 +346,7 @@ class TestLogAverageMissRate:
     def test_unknown_image_rejected(self, miss_rate_fixture):
         dets, gts = miss_rate_fixture
         dets = dict(dets)
-        dets["mystery"] = [det(0.5, 0.0)]
+        dets["mystery"] = det(0.5, 0.0)
         with pytest.raises(DataError):
             evaluate_detections(dets, gts, (PROTO,))
 
@@ -345,7 +365,7 @@ class TestAveragePrecision:
     def test_perfect_and_empty_limits(self, ap_fixture):
         _, gts = ap_fixture
         perfect = {
-            "i": [Detection(g.box, 0.9 - 0.01 * k) for k, g in enumerate(gts["i"])]
+            "i": ScoredBoxes(gts["i"].boxes, 0.9 - 0.01 * np.arange(len(gts["i"])))
         }
         (matches,) = evaluate_detections(perfect, gts, (PROTO,))
         assert average_precision(matches)[0] == 1.0
@@ -389,7 +409,7 @@ class TestMetricsSummary:
             assert out[f"ap_{diff.name}"] == want
 
     def test_metrics_null_when_nothing_eligible(self):
-        gts = {"a": [gt(0.0, ignore=True)]}
+        gts = {"a": gt(0.0, ignore=True)}
         out = metrics_summary({}, gts)
         assert out["mr2"] is None
         assert out["mr4"] is None
@@ -398,8 +418,8 @@ class TestMetricsSummary:
 
     def test_moderate_pool_can_exceed_easy(self):
         # A heavily occluded box counts for moderate/hard but not easy.
-        gts = {"a": [gt(0.0, occlusion=0.4, h=60.0)]}
-        dets = {"a": [det(0.9, 0.0)]}
+        gts = {"a": gt(0.0, occlusion=0.4, h=60.0)}
+        dets = {"a": det(0.9, 0.0)}
         with pytest.raises(MetricUndefinedError):
             average_precision(*evaluate_detections(dets, gts, (KITTI_EASY,)))
         ap_mod, _ = average_precision(*evaluate_detections(dets, gts, (KITTI_MODERATE,)))
@@ -420,11 +440,11 @@ class TestSummaryAndCurves:
 
     def test_a_curve_is_left_out_when_its_metric_is_undefined(self):
         # 40 px tall: below the Caltech 50 px floor, above KITTI moderate's 25 px.
-        gts = {"a": [gt(0.0, h=40.0)]}
+        gts = {"a": gt(0.0, h=40.0)}
         summary, curves = summary_and_curves({}, gts)
         assert summary["mr2"] is None and summary["ap_moderate"] == 0.0
         assert list(curves) == ["pr"]
-        _, curves = summary_and_curves({}, {"a": [gt(0.0, ignore=True)]})
+        _, curves = summary_and_curves({}, {"a": gt(0.0, ignore=True)})
         assert curves == {}
 
 
@@ -485,6 +505,23 @@ class TestCurveCsv:
         path = tmp_path / "bad.csv"
         path.write_text(text)
         with pytest.raises(DataError, match=message):
+            read_curve_csv(path)
+
+    @pytest.mark.parametrize("summary", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("kind", ["fppi_miss", "pr"])
+    def test_a_curve_with_samples_needs_a_finite_summary(self, tmp_path, kind, summary):
+        path = tmp_path / "bad.csv"
+        header = ",".join(["threshold", "fppi", "miss_rate"] if kind == "fppi_miss"
+                          else ["threshold", "recall", "precision"])
+        path.write_text(f"kind,{kind},{summary}\n{header}\n0.9,0.1,0.5\n")
+        with pytest.raises(DataError, match=rf"bad\.csv: curve summary {summary} is not finite"):
+            read_curve_csv(path)
+
+    @pytest.mark.parametrize("summary", ["inf", "-inf"])
+    def test_an_empty_curve_refuses_an_infinite_summary(self, tmp_path, summary):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"kind,pr,{summary}\nthreshold,recall,precision\n")
+        with pytest.raises(DataError, match=rf"bad\.csv: curve summary {summary} is not finite"):
             read_curve_csv(path)
 
     def test_empty_curve_with_nan_summary_survives(self, tmp_path):

@@ -28,7 +28,7 @@ from samhead.formats import (
     write_label_map,
     write_proposals_jsonl,
 )
-from samhead.geometry import Box, Candidate, Detection, GroundTruthBox
+from samhead.geometry import GroundTruth, ScoredBoxes
 from samhead.maps import EdgeMap, FeatureMap, LabelMap
 
 
@@ -250,18 +250,16 @@ class TestLabelAndEdgeFiles:
 class TestJsonlBoxes:
     def test_ground_truth_round_trip(self, tmp_path):
         by_image = {
-            "img0": [
-                GroundTruthBox(Box(1, 2, 3, 4), occlusion=0.2, truncation=0.1),
-                GroundTruthBox(Box(5, 6, 7, 8), ignore=True),
-            ],
-            "img1": [],
+            "img0": GroundTruth([(1, 2, 3, 4), (5, 6, 7, 8)], occl=[0.2, 0.0],
+                                trunc=[0.1, 0.0], ignore=[False, True]),
+            "img1": GroundTruth(),
         }
         path = tmp_path / "gt.jsonl"
         write_ground_truth_jsonl(path, by_image)
         assert read_ground_truth_jsonl(path) == by_image
 
     def test_proposals_round_trip(self, tmp_path):
-        by_image = {"img0": [Candidate(Box(1, 2, 3, 4), 0.25)]}
+        by_image = {"img0": ScoredBoxes([(1, 2, 3, 4)], [0.25]), "img1": ScoredBoxes()}
         path = tmp_path / "props.jsonl"
         write_proposals_jsonl(path, by_image)
         assert read_proposals_jsonl(path) == by_image
@@ -287,7 +285,7 @@ class TestJsonlBoxes:
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "gt.jsonl"
         path.write_text('\n{"image_id": "a", "boxes": []}\n\n')
-        assert read_ground_truth_jsonl(path) == {"a": []}
+        assert read_ground_truth_jsonl(path) == {"a": GroundTruth()}
 
     @pytest.mark.parametrize("reader", [read_ground_truth_jsonl, read_proposals_jsonl])
     @pytest.mark.parametrize(
@@ -345,11 +343,70 @@ class TestJsonlBoxes:
             read_ground_truth_jsonl(path)
 
 
+    _READERS = {"ground-truth": read_ground_truth_jsonl, "proposal": read_proposals_jsonl}
+
+    def _write_second_row_box(self, tmp_path, **change):
+        path = tmp_path / "boxes.jsonl"
+        rows = [{"image_id": "a", "boxes": [self._BOX, self._BOX]},
+                {"image_id": "b", "boxes": [self._BOX, {**self._BOX, **change}]}]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        return path
+
+    @pytest.mark.parametrize("kind", sorted(_READERS))
+    @pytest.mark.parametrize("key", ["x", "y", "w", "h"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_a_coordinate_that_is_not_finite_is_refused_at_its_line(self, tmp_path, kind, key,
+                                                                    bad):
+        path = self._write_second_row_box(tmp_path, **{key: bad})
+        with pytest.raises(FormatError, match=rf"boxes\.jsonl:2: bad {kind} box \(box "
+                                              "coordinates must be finite"):
+            self._READERS[kind](path)
+
+    @pytest.mark.parametrize("kind", sorted(_READERS))
+    @pytest.mark.parametrize("key", ["w", "h"])
+    @pytest.mark.parametrize("bad", [0, -1.5])
+    def test_an_extent_that_is_not_positive_is_refused_at_its_line(self, tmp_path, kind, key,
+                                                                   bad):
+        path = self._write_second_row_box(tmp_path, **{key: bad})
+        with pytest.raises(FormatError, match=rf"boxes\.jsonl:2: bad {kind} box \(box "
+                                              "extent must be positive"):
+            self._READERS[kind](path)
+
+    @pytest.mark.parametrize("kind, key", [("proposal", "score"), ("ground-truth", "occl"),
+                                           ("ground-truth", "trunc")])
+    @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")], ids=["above", "below", "nan"])
+    def test_a_fraction_outside_the_unit_interval_is_refused_at_its_line(self, tmp_path, kind,
+                                                                        key, bad):
+        path = self._write_second_row_box(tmp_path, **{key: bad})
+        with pytest.raises(FormatError, match=rf"boxes\.jsonl:2: bad {kind} box \({key} "
+                                              r"must be in \[0, 1\]"):
+            self._READERS[kind](path)
+
+    def test_a_missing_score_is_refused_at_its_line(self, tmp_path):
+        path = tmp_path / "boxes.jsonl"
+        box = {k: v for k, v in self._BOX.items() if k != "score"}
+        path.write_text(json.dumps({"image_id": "a", "boxes": [self._BOX]}) + "\n"
+                        + json.dumps({"image_id": "b", "boxes": [box]}) + "\n")
+        with pytest.raises(FormatError, match=r"boxes\.jsonl:2: bad proposal box \('score'\)"):
+            read_proposals_jsonl(path)
+
+    def test_columns_are_checked_in_turn(self, tmp_path):
+        # A score out of range on line 1 and a coordinate that is not finite
+        # on line 2: the coordinates are checked first.
+        path = tmp_path / "boxes.jsonl"
+        rows = [{"image_id": "a", "boxes": [{**self._BOX, "score": 2.0}]},
+                {"image_id": "b", "boxes": [{**self._BOX, "x": float("nan")}]}]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        with pytest.raises(FormatError, match=r"boxes\.jsonl:2: bad proposal box \(box coord"):
+            read_proposals_jsonl(path)
+
+
 class TestDetectionsCsv:
     def test_round_trip_is_exact(self, tmp_path):
         by_image = {
-            "img0": [Detection(Box(0.1, 0.2, 3.033333333333333, 4.7), -1.23456789012345)],
-            "img1": [Detection(Box(5, 6, 7, 8), 2.0)],
+            "img0": ScoredBoxes([(0.1, 0.2, 3.033333333333333, 4.7)], [-1.23456789012345]),
+            "img1": ScoredBoxes([(5, 6, 7, 8), (1e-300, -0.0, 1e300, 0.1)], [2.0, -0.0]),
         }
         path = tmp_path / "dets.csv"
         write_detections_csv(path, by_image)
@@ -372,6 +429,50 @@ class TestDetectionsCsv:
         path.write_text("image_id,x,y,w,h,score\nimg0,1,2,0,4,0.5\n")
         with pytest.raises(FormatError):
             read_detections_csv(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("img1,abc,2,3,4,0.5", "could not convert string to float: 'abc'"),
+        ("img1,1,2,3,4,", "could not convert string to float: ''"),
+        ("img1,nan,2,3,4,0.5", "box coordinates must be finite"),
+        ("img1,1,2,inf,4,0.5", "box coordinates must be finite"),
+        ("img1,1,2,0,4,0.5", "box extent must be positive, got w=0.0 h=4.0"),
+        ("img1,1,2,3,-4,0.5", "box extent must be positive"),
+        ("img1,1,2,3,4,inf", "score must be finite"),
+        ("img1,1,2,3,4,nan", "score must be finite"),
+    ], ids=["word", "empty", "nan-x", "inf-w", "zero-w", "negative-h", "inf-score",
+            "nan-score"])
+    def test_a_bad_value_is_refused_at_its_line(self, tmp_path, row, message):
+        path = tmp_path / "dets.csv"
+        path.write_text(f"image_id,x,y,w,h,score\nimg0,1,2,3,4,0.5\n\n{row}\n")
+        with pytest.raises(FormatError, match=rf"dets\.csv:4: bad detection box \({message}"):
+            read_detections_csv(path)
+
+    def test_an_images_rows_need_not_be_adjacent(self, tmp_path):
+        path = tmp_path / "dets.csv"
+        path.write_text("image_id,x,y,w,h,score\nb,1,1,1,1,0.1\na,2,2,2,2,0.2\n"
+                        "b,3,3,3,3,0.3\n\na,4,4,4,4,0.4\n")
+        got = read_detections_csv(path)
+        assert list(got) == ["b", "a"]
+        assert got["b"] == ScoredBoxes([(1, 1, 1, 1), (3, 3, 3, 3)], [0.1, 0.3])
+        assert got["a"] == ScoredBoxes([(2, 2, 2, 2), (4, 4, 4, 4)], [0.2, 0.4])
+
+    def test_header_only_reads_as_no_images(self, tmp_path):
+        path = tmp_path / "dets.csv"
+        path.write_text("image_id,x,y,w,h,score\n")
+        assert read_detections_csv(path) == {}
+
+    def test_write_read_write_reproduces_the_bytes(self, tmp_path):
+        rng = np.random.default_rng(3)
+        by_image = {}
+        for k, n in enumerate([3, 0, 7, 1]):
+            boxes = np.column_stack([rng.normal(50, 30, n), rng.normal(50, 30, n),
+                                     rng.uniform(1e-3, 80, n), rng.uniform(1e-3, 160, n)])
+            scores = rng.normal(0, 5, n) * 10.0 ** rng.integers(-8, 8, n)
+            by_image[f"img{k}"] = ScoredBoxes(boxes, scores)
+        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+        write_detections_csv(one, by_image)
+        write_detections_csv(two, read_detections_csv(one))
+        assert one.read_bytes() == two.read_bytes()
 
 
 def test_metrics_json_round_trip(tmp_path):

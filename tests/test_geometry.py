@@ -1,22 +1,12 @@
-"""Boxes, IoU and NMS."""
-
-import math
+"""Box records, IoU and NMS."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from samhead.geometry import (
-    Box,
-    Candidate,
-    Detection,
-    GroundTruthBox,
-    iou,
-    iou_matrix,
-    nms,
-    pairwise_iou,
-)
+from oracles import Box, iou
+from samhead.geometry import GroundTruth, ScoredBoxes, iou_matrix, nms
 
 
 def boxes_strategy():
@@ -25,84 +15,102 @@ def boxes_strategy():
     return st.builds(Box, coord, coord, extent, extent)
 
 
-class TestBox:
-    def test_derived_coordinates(self):
-        b = Box(2.0, 3.0, 10.0, 20.0)
-        assert (b.x2, b.y2) == (12.0, 23.0)
-        assert (b.cx, b.cy) == (7.0, 13.0)
-        assert b.area == 200.0
-        assert b.as_tuple() == (2.0, 3.0, 10.0, 20.0)
+def one_iou(a, b) -> float:
+    return float(iou_matrix(np.array([a]), np.array([b]))[0, 0])
 
-    @pytest.mark.parametrize("w,h", [(0.0, 5.0), (5.0, 0.0), (-1.0, 5.0)])
-    def test_rejects_empty_extent(self, w, h):
-        with pytest.raises(ValueError):
-            Box(0.0, 0.0, w, h)
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Box(float("nan"), 0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            Box(0.0, 0.0, float("inf"), 1.0)
+class TestRecords:
+    def test_columns_take_their_dtypes_and_shapes(self):
+        dets = ScoredBoxes([(1, 2, 3, 4), (5, 6, 7, 8)], [0.5, 2])
+        assert dets.boxes.dtype == np.float64 and dets.boxes.shape == (2, 4)
+        assert dets.scores.dtype == np.float64 and dets.scores.tolist() == [0.5, 2.0]
+        gts = GroundTruth([(1, 2, 3, 4)], ignore=[1])
+        assert gts.occl.tolist() == [0.0] and gts.trunc.tolist() == [0.0]
+        assert gts.ignore.dtype == bool and gts.ignore.tolist() == [True]
 
-    @pytest.mark.parametrize("field", range(4))
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    def test_rejects_non_finite_in_any_field(self, field, bad):
-        coords = [0.0, 0.0, 1.0, 1.0]
-        coords[field] = bad
-        with pytest.raises(ValueError, match="finite"):
-            Box(*coords)
+    @pytest.mark.parametrize("make", [ScoredBoxes, GroundTruth])
+    def test_empty_record_is_falsy_with_four_columns_of_boxes(self, make):
+        record = make()
+        assert not record and len(record) == 0
+        assert record.boxes.shape == (0, 4)
+        assert make([(0, 0, 1, 1)], *([[0.5]] if make is ScoredBoxes else []))
 
-    def test_candidate_score_range(self):
-        Candidate(Box(0, 0, 1, 1), 0.0)
-        Candidate(Box(0, 0, 1, 1), 1.0)
-        with pytest.raises(ValueError):
-            Candidate(Box(0, 0, 1, 1), 1.5)
+    def test_equality_is_a_plain_bool(self):
+        a = ScoredBoxes([(1, 2, 3, 4)], [0.5])
+        assert (a == ScoredBoxes([(1, 2, 3, 4)], [0.5])) is True
+        assert (a == ScoredBoxes([(1, 2, 3, 4)], [0.25])) is False
+        assert (a == ScoredBoxes([(1, 2, 3, 5)], [0.5])) is False
+        assert (a == ScoredBoxes()) is False
+        assert (a != ScoredBoxes()) is True
+        assert ({"i": a} == {"i": ScoredBoxes([(1, 2, 3, 4)], [0.5])}) is True
+        assert (GroundTruth([(1, 2, 3, 4)]) == GroundTruth([(1, 2, 3, 4)], ignore=[True])) is False
+        assert (GroundTruth() == ScoredBoxes()) is False
 
-    def test_ground_truth_fraction_range(self):
+    def test_take_keeps_the_index_order(self):
+        dets = ScoredBoxes([(0, 0, 1, 1), (1, 0, 1, 1), (2, 0, 1, 1)], [0.1, 0.2, 0.3])
+        assert dets.take([2, 0]) == ScoredBoxes([(2, 0, 1, 1), (0, 0, 1, 1)], [0.3, 0.1])
+        assert dets.take(np.array([False, True, False])) == ScoredBoxes([(1, 0, 1, 1)], [0.2])
+
+    def test_a_column_of_another_length_is_refused(self):
+        with pytest.raises(ValueError, match="a column of 1 values beside 2 boxes"):
+            ScoredBoxes([(0, 0, 1, 1), (1, 0, 1, 1)], [0.5])
         with pytest.raises(ValueError):
-            GroundTruthBox(Box(0, 0, 1, 1), occlusion=1.2)
-        with pytest.raises(ValueError):
-            GroundTruthBox(Box(0, 0, 1, 1), truncation=-0.1)
+            GroundTruth([(0, 0, 1, 1)], occl=[0.1, 0.2])
 
 
 class TestIou:
     def test_half_offset_thirds(self):
         # Overlap 50, union 150.
-        assert iou(Box(0, 0, 10, 10), Box(5, 0, 10, 10)) == pytest.approx(1.0 / 3.0)
+        assert one_iou((0, 0, 10, 10), (5, 0, 10, 10)) == pytest.approx(1.0 / 3.0)
 
     def test_identical_boxes(self):
-        b = Box(3.0, 4.0, 7.0, 11.0)
-        assert iou(b, b) == 1.0
+        b = (3.0, 4.0, 7.0, 11.0)
+        assert one_iou(b, b) == 1.0
 
     def test_disjoint_and_touching(self):
-        assert iou(Box(0, 0, 10, 10), Box(20, 0, 10, 10)) == 0.0
+        assert one_iou((0, 0, 10, 10), (20, 0, 10, 10)) == 0.0
         # Shared edge has zero area.
-        assert iou(Box(0, 0, 10, 10), Box(10, 0, 10, 10)) == 0.0
+        assert one_iou((0, 0, 10, 10), (10, 0, 10, 10)) == 0.0
 
     def test_contained_box_is_area_ratio(self):
-        outer = Box(0, 0, 10, 10)
-        inner = Box(2, 2, 5, 4)
-        assert iou(outer, inner) == pytest.approx(20.0 / 100.0)
+        assert one_iou((0, 0, 10, 10), (2, 2, 5, 4)) == pytest.approx(20.0 / 100.0)
 
     @given(boxes_strategy(), boxes_strategy())
     @settings(max_examples=200, deadline=None)
     def test_symmetric_and_bounded(self, a, b):
-        v = iou(a, b)
+        v = one_iou(a, b)
         assert 0.0 <= v <= 1.0
-        assert iou(b, a) == pytest.approx(v, abs=1e-12)
+        assert one_iou(b, a) == pytest.approx(v, abs=1e-12)
+
+    def test_matrix_equals_the_oracle_exactly(self):
+        rng = np.random.default_rng(13)
+
+        def boxes(n):
+            return [Box(float(rng.uniform(-20, 60)), float(rng.uniform(-20, 60)),
+                        float(rng.uniform(0.5, 40)), float(rng.uniform(0.5, 40)))
+                    for _ in range(n)]
+
+        a, b = boxes(30) + [Box(0.0, 0.0, 10.0, 10.0)], boxes(7) + [Box(10.0, 0.0, 5.0, 10.0)]
+        for left, right in ((a, b), (a, a)):
+            matrix = iou_matrix(np.array(left), np.array(right))
+            assert matrix.shape == (len(left), len(right))
+            for i, p in enumerate(left):
+                for j, q in enumerate(right):
+                    assert matrix[i, j] == iou(p, q)
+        empty = np.empty((0, 4))
+        assert iou_matrix(np.array(a), empty).shape == (31, 0)
+        assert iou_matrix(empty, np.array(b)).shape == (0, 8)
+        assert iou_matrix(empty, empty).shape == (0, 0)
 
 
 def nms_oracle(detections, threshold):
-    """Direct restatement of the suppression rule, no shortcuts."""
-    order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
+    """Direct restatement of the suppression rule, no shortcuts: the kept indices."""
+    boxes, scores = [Box(*row) for row in detections.boxes.tolist()], detections.scores.tolist()
+    order = sorted(range(len(boxes)), key=lambda i: (-scores[i], i))
     kept = []
     for i in order:
-        ok = True
-        for k in kept:
-            if iou(detections[i].box, k.box) > threshold:
-                ok = False
-        if ok:
-            kept.append(detections[i])
+        if all(iou(boxes[i], boxes[k]) <= threshold for k in kept):
+            kept.append(i)
     return kept
 
 
@@ -110,20 +118,14 @@ class TestNms:
     def test_matches_oracle_on_random_sets(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
-            dets = [
-                Detection(
-                    Box(
-                        float(rng.uniform(0, 60)),
-                        float(rng.uniform(0, 60)),
-                        float(rng.uniform(4, 30)),
-                        float(rng.uniform(4, 30)),
-                    ),
-                    float(rng.normal()),
-                )
-                for _ in range(int(rng.integers(0, 12)))
-            ]
+            n = int(rng.integers(0, 12))
+            dets = ScoredBoxes(
+                np.column_stack([rng.uniform(0, 60, n), rng.uniform(0, 60, n),
+                                 rng.uniform(4, 30, n), rng.uniform(4, 30, n)]),
+                rng.normal(size=n),
+            )
             thr = float(rng.uniform(0.0, 1.0))
-            assert nms(dets, thr) == nms_oracle(dets, thr)
+            assert nms(dets, thr) == dets.take(nms_oracle(dets, thr))
 
     @given(
         n=st.integers(0, 200),
@@ -135,75 +137,36 @@ class TestNms:
         # Integer grid coordinates make touching edges, duplicate boxes and
         # tied scores common.
         rng = np.random.default_rng(seed)
-        dets = []
+        boxes, scores = [], []
         for _ in range(n):
-            if dets and rng.random() < 0.2:
-                box = dets[int(rng.integers(0, len(dets)))].box
+            if boxes and rng.random() < 0.2:
+                boxes.append(boxes[int(rng.integers(0, len(boxes)))])
             else:
-                box = Box(*(float(v) for v in rng.integers(0, 40, size=2)),
-                          *(float(v) for v in rng.integers(1, 20, size=2)))
-            dets.append(Detection(box, float(rng.integers(0, 8)) / 4.0))
-        got = nms(dets, threshold)
-        want = nms_oracle(dets, threshold)
-        assert [id(d) for d in got] == [id(d) for d in want]
-
-    def test_pairwise_iou_equals_iou_exactly(self):
-        rng = np.random.default_rng(12)
-        boxes = [Box(float(rng.uniform(-20, 60)), float(rng.uniform(-20, 60)),
-                     float(rng.uniform(0.5, 40)), float(rng.uniform(0.5, 40)))
-                 for _ in range(40)]
-        boxes += [Box(0.0, 0.0, 10.0, 10.0), Box(10.0, 0.0, 5.0, 10.0), Box(0, 0, 10, 10)]
-        matrix = pairwise_iou(boxes)
-        for i, a in enumerate(boxes):
-            for j, b in enumerate(boxes):
-                assert matrix[i, j] == iou(a, b)
-        assert pairwise_iou([]).shape == (0, 0)
-
-    def test_iou_matrix_equals_iou_exactly(self):
-        rng = np.random.default_rng(13)
-        def boxes(n):
-            return [Box(float(rng.uniform(-20, 60)), float(rng.uniform(-20, 60)),
-                        float(rng.uniform(0.5, 40)), float(rng.uniform(0.5, 40)))
-                    for _ in range(n)]
-        a, b = boxes(30) + [Box(0.0, 0.0, 10.0, 10.0)], boxes(7) + [Box(10.0, 0.0, 5.0, 10.0)]
-        matrix = iou_matrix(a, b)
-        assert matrix.shape == (31, 8)
-        for i, p in enumerate(a):
-            for j, q in enumerate(b):
-                assert matrix[i, j] == iou(p, q)
-        assert iou_matrix(a, []).shape == (31, 0)
-        assert iou_matrix([], b).shape == (0, 8)
+                boxes.append((*rng.integers(0, 40, size=2).tolist(),
+                              *rng.integers(1, 20, size=2).tolist()))
+            scores.append(float(rng.integers(0, 8)) / 4.0)
+        dets = ScoredBoxes(boxes, scores)
+        assert nms(dets, threshold) == dets.take(nms_oracle(dets, threshold))
 
     def test_keeps_all_at_threshold_one(self):
-        dets = [Detection(Box(0, 0, 10, 10), 1.0), Detection(Box(1, 1, 10, 10), 0.5)]
+        dets = ScoredBoxes([(0, 0, 10, 10), (1, 1, 10, 10)], [1.0, 0.5])
         assert len(nms(dets, 1.0)) == 2
 
     def test_suppresses_duplicates_at_zero(self):
-        dets = [Detection(Box(0, 0, 10, 10), 1.0), Detection(Box(0, 0, 10, 10), 0.9)]
-        kept = nms(dets, 0.0)
-        assert kept == [dets[0]]
+        dets = ScoredBoxes([(0, 0, 10, 10), (0, 0, 10, 10)], [1.0, 0.9])
+        assert nms(dets, 0.0) == dets.take([0])
 
     def test_survivors_sorted_by_score(self):
-        dets = [
-            Detection(Box(0, 0, 10, 10), 0.2),
-            Detection(Box(40, 0, 10, 10), 0.9),
-            Detection(Box(80, 0, 10, 10), 0.5),
-        ]
-        kept = nms(dets, 0.5)
-        assert [d.score for d in kept] == [0.9, 0.5, 0.2]
+        dets = ScoredBoxes([(0, 0, 10, 10), (40, 0, 10, 10), (80, 0, 10, 10)], [0.2, 0.9, 0.5])
+        assert nms(dets, 0.5).scores.tolist() == [0.9, 0.5, 0.2]
 
     def test_ties_keep_input_order(self):
-        dets = [Detection(Box(0, 0, 10, 10), 0.5), Detection(Box(2, 0, 10, 10), 0.5)]
+        dets = ScoredBoxes([(0, 0, 10, 10), (2, 0, 10, 10)], [0.5, 0.5])
         assert nms(dets, 0.9) == dets
 
     def test_empty_input(self):
-        assert nms([], 0.5) == []
+        assert nms(ScoredBoxes(), 0.5) == ScoredBoxes()
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            nms([], 1.5)
-
-
-def test_detection_requires_finite_score():
-    with pytest.raises(ValueError):
-        Detection(Box(0, 0, 1, 1), math.inf)
+            nms(ScoredBoxes(), 1.5)

@@ -11,13 +11,15 @@ from oracles import oracle_background_draws, oracle_training_candidates
 from samhead import config, pipeline
 from samhead.dataset import Dataset, ImageSample
 from samhead.forest import Forest, TrainConfig, TrainingError
-from samhead.formats import write_detections_csv
-from samhead.geometry import Box, Candidate, GroundTruthBox
+from samhead.formats import read_detections_csv, write_detections_csv
+from samhead.geometry import GroundTruth, ScoredBoxes
 from samhead.maps import EdgeMap, FeatureMap, ImageRecord, LabelMap
 from samhead.pipeline import (
+    _collect_pca_samples,
     _training_samples,
     ablation_sweep,
     detect_dataset,
+    detect_image,
     load_model,
     prior_logits,
     save_model,
@@ -25,7 +27,14 @@ from samhead.pipeline import (
     write_sweep_csv,
 )
 from samhead.pooling import PoolGrid
-from samhead.routing import ChannelConfig, DescriptorExtractor, RoutingTable, ScaleBin
+from samhead.routing import (
+    ChannelConfig,
+    DescriptorExtractor,
+    RoutingTable,
+    ScaleBin,
+    default_routing_table,
+    pool_bin_cells,
+)
 
 
 AUX = ChannelConfig(semantic=True, edge=True, edge_pooling="hist")
@@ -95,7 +104,7 @@ def test_model_with_one_fitted_bin_round_trips(tiny_train_set, tiny_test_set, tm
     trained = detect_dataset(model, tiny_test_set)
     write_detections_csv(tmp_path / "trained.csv", trained)
     write_detections_csv(tmp_path / "loaded.csv", detect_dataset(loaded, tiny_test_set))
-    heights = [d.box.h for dets in trained.values() for d in dets]
+    heights = np.concatenate([dets.boxes[:, 3] for dets in trained.values()])
     assert min(heights) < 80.0 <= max(heights)
     assert (tmp_path / "loaded.csv").read_bytes() == (tmp_path / "trained.csv").read_bytes()
 
@@ -117,11 +126,11 @@ def test_boxes_past_floor_sized_maps_are_detected(trained, tiny_train_set):
     record = ImageRecord("floor", 66, 130, maps,
                          LabelMap(rng.integers(0, 21, size=(129, 65)).astype(np.uint8)),
                          EdgeMap(rng.random((129, 65)).astype(np.float32)))
-    boxes = [Box(64.5, 2, 1, 55), Box(64.5, 45, 1.2, 84), Box(10, 20, 25, 60)]
-    dataset = Dataset([ImageSample(record, [], [Candidate(b, 0.5) for b in boxes])])
+    boxes = [(64.5, 2.0, 1.0, 55.0), (64.5, 45.0, 1.2, 84.0), (10.0, 20.0, 25.0, 60.0)]
+    dataset = Dataset([ImageSample(record, GroundTruth(), ScoredBoxes(boxes, [0.5] * 3))])
     with time_limit(20):
         dets = detect_dataset(trained, dataset)["floor"]
-    assert sorted(d.box.as_tuple() for d in dets) == sorted(b.as_tuple() for b in boxes)
+    assert sorted(map(tuple, dets.boxes.tolist())) == sorted(boxes)
 
 
 def test_training_is_repeatable(tiny_train_set, tmp_path):
@@ -218,13 +227,12 @@ def hand_made_dataset():
         return ImageSample(
             ImageRecord(name, 64, 128, maps),
             ground_truth,
-            [Candidate(Box(*b), score) for b, score in boxes_and_scores],
+            ScoredBoxes([b for b, _ in boxes_and_scores], [s for _, s in boxes_and_scores]),
         )
 
     return Dataset([
         image("annotated",
-              [GroundTruthBox(Box(10, 20, 20, 50)),
-               GroundTruthBox(Box(40, 60, 15, 40), ignore=True)],
+              GroundTruth([(10, 20, 20, 50), (40, 60, 15, 40)], ignore=[False, True]),
               [((11, 21, 20, 50), 0.9),
                ((-30, 10, 20, 50), 0.95),  # best score, left of the image
                ((10, 20, 20, 50), 0.9),  # ties with the first, comes after it
@@ -234,12 +242,12 @@ def hand_made_dataset():
                ((5, 100, 20, 40), 0.3),  # runs past the bottom edge
                ((30, 70, 20, 50), 0.4),
                ((0, 0, 10, 30), 0.01)]),
-        image("unannotated", [],
+        image("unannotated", GroundTruth(),
               [((0, 0, 20, 50), 0.8), ((10, -60, 20, 50), 0.9), ((30, 60, 20, 50), 0.2)]),
-        image("only-ignored", [GroundTruthBox(Box(20, 40, 20, 50), ignore=True)],
+        image("only-ignored", GroundTruth([(20, 40, 20, 50)], ignore=[True]),
               [((20, 40, 20, 50), 0.6), ((21, 42, 20, 50), 0.5), ((0, 70, 20, 50), 0.4)]),
-        image("no-proposals", [GroundTruthBox(Box(20, 40, 20, 50))], []),
-        image("tied", [GroundTruthBox(Box(20, 40, 20, 50))],  # eight boxes per score
+        image("no-proposals", GroundTruth([(20, 40, 20, 50)]), []),
+        image("tied", GroundTruth([(20, 40, 20, 50)]),  # eight boxes per score
               [((2.0 * k, 3.0 * k, 20, 50), (0.3, 0.5, 0.7)[k % 3]) for k in range(24)]),
     ])
 
@@ -266,7 +274,7 @@ def _expected_samples(extractor, dataset, selected):
     for i, s in enumerate(dataset):
         mine = [pick for pick in selected if pick[0] == i]
         if mine:
-            rows.append(extractor.extract_many(s.record, [pick[1] for pick in mine]))
+            rows.append(extractor.extract_many(s.record, np.array([pick[1] for pick in mine])))
             priors.extend(prior_logits([pick[2] for pick in mine]))
     X = np.vstack(rows) if rows else np.empty((0, extractor.length), dtype=np.float32)
     return X, np.asarray(priors, dtype=np.float64)
@@ -284,7 +292,7 @@ def test_training_samples_follow_the_candidate_rule(
     monkeypatch.setattr(pipeline, "TRAIN_TOP_K", top_k)
     # At NEG_IOU 0 no background box qualifies; the draw has its own test.
     monkeypatch.setattr(pipeline, "_draw_background_boxes",
-                        lambda *args, **kwargs: [(0, Box(0, 0, 10, 30))])
+                        lambda *args, **kwargs: (np.array([0]), np.array([[0.0, 0, 10, 30]])))
     extractor = _conv4a_extractor(dataset)
     want_positives, want_pool = oracle_training_candidates(dataset, top_k, pos_iou, neg_iou)
 
@@ -319,10 +327,12 @@ def test_background_negatives_keep_the_oracle_draws(tiny_train_set, monkeypatch,
     _, (X, priors), _ = _training_samples(tiny_train_set, extractor, MINING)
     want, rejected = oracle_background_draws(tiny_train_set, 1.0, None, 300, neg_iou, seed=7)
     assert rejected > 0
-    assert drawn == [want]
+    ((image, boxes),) = drawn
+    assert image.tolist() == [i for i, _ in want]
+    assert boxes.tolist() == [list(b) for _, b in want]
     samples = list(tiny_train_set)
     rows = [
-        extractor.extract_many(s.record, [b for i, b in want if i == k])
+        extractor.extract_many(s.record, np.array([b for i, b in want if i == k]))
         for k, s in enumerate(samples)
         if any(i == k for i, _ in want)
     ]
@@ -368,3 +378,50 @@ def test_mining_can_take_every_pool_row_whatever_the_image_ids(tiny_train_set):
     settings = fast_train_settings(hard_negatives_per_stage=len(pool))
     _, manifest = train_detector(renamed, settings)
     assert [s["hard_added"] for s in manifest["stages"]] == [0, len(pool)]
+
+
+def test_detections_read_back_and_write_the_same_csv(trained, tiny_test_set, tmp_path):
+    dets = detect_dataset(trained, tiny_test_set)
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    write_detections_csv(one, dets)
+    read = read_detections_csv(one)
+    assert read == {k: v for k, v in dets.items() if v}
+    write_detections_csv(two, read)
+    assert one.read_bytes() == two.read_bytes()
+
+
+def test_an_image_without_candidates_detects_an_empty_record(trained, tiny_test_set):
+    sample = tiny_test_set.samples[0]
+    for proposals in (ScoredBoxes(), ScoredBoxes([(-50.0, 0.0, 20.0, 50.0)], [0.9])):
+        dets = detect_image(trained, sample.record, proposals)
+        assert dets == ScoredBoxes() and not dets
+
+
+def test_pca_rows_are_positives_image_by_image_then_background_in_draw_order(
+    tiny_train_set, monkeypatch
+):
+    table = default_routing_table(grid=PoolGrid(3, 2))
+    drawn = []
+    draw = pipeline._draw_background_boxes
+
+    def recording_draw(*args, **kwargs):
+        drawn.append(draw(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(pipeline, "_draw_background_boxes", recording_draw)
+    samples, n_pos = _collect_pca_samples(tiny_train_set, table, 1, 128, 64, 5)
+    # One pooled box at a time, in the documented order.  Synthesis places
+    # every pedestrian inside its image.
+    want = []
+    for s in tiny_train_set:
+        g = s.ground_truth
+        for box, ignore in zip(g.boxes, g.ignore.tolist()):
+            if not ignore and box[3] >= 80.0:
+                want.append(pool_bin_cells(s.record, box, table, 1))
+    assert n_pos == len(want) * table.grid.cells > 0
+    ((image, boxes),) = drawn
+    assert len(set(image.tolist())) > 1
+    records = [s.record for s in tiny_train_set]
+    want += [pool_bin_cells(records[i], box, table, 1) for i, box in zip(image.tolist(), boxes)]
+    assert samples.dtype == np.float64
+    assert samples.tobytes() == np.vstack(want).astype(np.float64).tobytes()

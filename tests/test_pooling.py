@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    Box,
     _oracle_feature_rect,
     oracle_edge_hist_pool,
     oracle_histogram_pool,
@@ -14,7 +15,6 @@ from oracles import (
     random_pool_instance,
 )
 from samhead.errors import DataError
-from samhead.geometry import Box, box_array
 from samhead.maps import EdgeMap, FeatureMap, LabelMap
 from samhead.pooling import (
     DegenerateRoiError,
@@ -113,7 +113,7 @@ class TestMapToFeatureCoords:
             w, h = rng.uniform(0.5, 1.1 * image_w), rng.uniform(0.5, 1.1 * image_h)
             if x + w > 0 and y + h > 0:
                 boxes.append(Box(float(x), float(y), float(w), float(h)))
-        rects = map_boxes_to_feature_coords(box_array(boxes), stride, map_h, map_w)
+        rects = map_boxes_to_feature_coords(np.array(boxes), stride, map_h, map_w)
         assert [FeatureRect(*r) for r in rects.tolist()] == [
             _oracle_feature_rect(box, stride, map_h, map_w) for box in boxes
         ]
@@ -300,7 +300,7 @@ class TestBatchedGridPool:
         rng = np.random.default_rng(seed)
         fmap, labels, edges, _, grid = random_pool_instance(rng)
         boxes = random_boxes(rng, fmap, count)
-        rects = map_boxes_to_feature_coords(box_array(boxes), fmap.stride,
+        rects = map_boxes_to_feature_coords(np.array(boxes), fmap.stride,
                                             fmap.height, fmap.width)
         pooled = grid_max_pool(fmap.hwc, rects, grid)
         hist = grid_histogram_pool(labels.data, rects, grid, 21)
@@ -322,7 +322,7 @@ class TestBatchedGridPool:
         rng = np.random.default_rng(11)
         fmap = FeatureMap("conv3", 4, rng.normal(size=(3, 12, 9)).astype(np.float32))
         boxes = random_boxes(rng, fmap, 40)
-        rects = map_boxes_to_feature_coords(box_array(boxes), 4, 12, 9)
+        rects = map_boxes_to_feature_coords(np.array(boxes), 4, 12, 9)
         whole = grid_max_pool(fmap.hwc, rects, PoolGrid(3, 2))
         monkeypatch.setattr(pooling, "_GATHER_FLOATS", 1)
         assert np.array_equal(grid_max_pool(fmap.hwc, rects, PoolGrid(3, 2)), whole)
@@ -333,7 +333,7 @@ class TestBatchedGridPool:
         conv3, conv4a = (FeatureMap(name, 4, rng.normal(size=(c, 7, 9)).astype(np.float32))
                          for name, c in (("conv3", 3), ("conv4a", 5)))
         boxes = random_boxes(rng, conv3, 20)
-        rects = map_boxes_to_feature_coords(box_array(boxes), 4, 7, 9)
+        rects = map_boxes_to_feature_coords(np.array(boxes), 4, 7, 9)
         windows = max_windows(rects, grid, 7, 9)
         for fmap in (conv3, conv4a):
             shared = window_max(fmap.hwc, windows)
@@ -352,7 +352,7 @@ class TestBatchedGridPool:
         assert grid_histogram_pool(labels, rects, PoolGrid(2, 2), 21).shape == (0, 84)
 
     def test_one_box_outside_the_map_is_degenerate(self):
-        boxes = box_array([Box(0, 0, 5, 5), Box(-10, -10, 5, 5)])
+        boxes = np.array([Box(0, 0, 5, 5), Box(-10, -10, 5, 5)])
         with pytest.raises(DegenerateRoiError, match="-10.0"):
             map_boxes_to_feature_coords(boxes, 4, 10, 10)
 

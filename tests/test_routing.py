@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from samhead.errors import ConfigError, DataError
-from samhead.geometry import Box
+from samhead.errors import ConfigError
 from samhead.maps import EdgeMap, FeatureMap, ImageRecord, LabelMap
 from samhead.pca import PcaProjector, fit_pca
 from samhead.pooling import PoolGrid
@@ -18,10 +17,11 @@ from samhead.routing import (
     ScaleBin,
     default_routing_table,
     pool_bin_cells,
-    route,
+    pool_bin_stacks,
 )
 
 from oracles import (
+    Box,
     _oracle_feature_rect,
     oracle_cnn_descriptor,
     oracle_edge_hist_pool,
@@ -90,19 +90,6 @@ def oracle_cells(record, box, layers, grid):
 
 
 class TestScaleBin:
-    def test_contains_is_half_open(self):
-        b = ScaleBin(50.0, 80.0, ("conv3",), "small")
-        assert b.contains(50.0)
-        assert b.contains(79.999)
-        assert not b.contains(80.0)
-        assert not b.contains(49.999)
-
-    def test_unbounded_bin_has_no_upper_limit(self):
-        b = ScaleBin(80.0, None, ("conv5a",), "large")
-        assert b.contains(80.0)
-        assert b.contains(1e9)
-        assert not b.contains(79.0)
-
     def test_rejects_nonpositive_min_height(self):
         with pytest.raises(ConfigError):
             ScaleBin(0.0, 80.0, ("conv3",), "s")
@@ -184,32 +171,39 @@ class TestRoutingTable:
             )
 
 
+def routed(table, *heights):
+    return table.route(np.array(heights)).tolist()
+
+
+def first_bin_holding(table, height):
+    """The first bin whose half-open range holds ``height``, or the first bin if none does."""
+    return next((i for i, b in enumerate(table.bins)
+                 if b.min_height <= height and (b.max_height is None or height < b.max_height)),
+                0)
+
+
 class TestRoute:
     def test_routes_by_height(self):
         table = default_routing_table()
-        assert route(table, 50.0) == 0
-        assert route(table, 79.9) == 0
-        assert route(table, 80.0) == 1
-        assert route(table, 640.0) == 1
+        assert routed(table, 50.0, 79.9, 79.999, 80.0, 640.0, 1e9) == [0, 0, 0, 1, 1, 1]
 
     def test_height_below_first_bin_routes_to_it(self):
         table = default_routing_table()
-        assert route(table, 49.9) == 0
-        assert route(table, 1.0) == 0
+        assert routed(table, 49.9, 1.0) == [0, 0]
 
-    @pytest.mark.parametrize("height", [0.0, -3.0, float("nan"), float("inf")])
-    def test_rejects_bad_heights(self, height):
-        with pytest.raises(DataError):
-            route(default_routing_table(), height)
+    def test_no_heights_route_to_no_bins(self):
+        assert routed(default_routing_table()) == []
 
-    @given(st.floats(min_value=0.5, max_value=1e6))
-    def test_returned_bin_covers_the_height(self, height):
+    def test_three_bins(self):
+        table = RoutingTable(bins=(ScaleBin(30.0, 50.0, ("conv3",), "far"),
+                                   ScaleBin(50.0, 80.0, ("conv3",), "medium"),
+                                   ScaleBin(80.0, None, ("conv5a",), "near")))
+        assert routed(table, 10.0, 30.0, 49.99, 50.0, 79.99, 80.0) == [0, 0, 0, 1, 1, 2]
+
+    @given(st.lists(st.floats(min_value=0.5, max_value=1e6), max_size=30))
+    def test_each_height_goes_to_the_first_bin_holding_it(self, heights):
         table = default_routing_table()
-        i = route(table, height)
-        if height >= table.bins[0].min_height:
-            assert table.bins[i].contains(height)
-        else:
-            assert i == 0
+        assert routed(table, *heights) == [first_bin_holding(table, h) for h in heights]
 
 
 class TestPoolBinCells:
@@ -238,6 +232,19 @@ class TestPoolBinCells:
         )
         with pytest.raises(MissingLayerError, match="img7.*conv4a"):
             pool_bin_cells(partial, LARGE_BOX, two_bin_table(), 1)
+
+
+class TestPoolBinStacks:
+    def test_one_call_per_image_stacks_each_boxs_cells(self):
+        record = make_record()
+        table = two_bin_table()
+        boxes = np.array([LARGE_BOX, (0.0, 0.0, 30.0, 48.0), (20.5, 3.25, 22.0, 90.0)])
+        stacks = pool_bin_stacks(record, boxes, table, 1)
+        assert stacks.shape == (3, 3, GRID.cells)
+        for box, stack in zip(boxes, stacks):
+            assert np.array_equal(stack.T, pool_bin_cells(record, box, table, 1))
+            assert np.array_equal(stack.T, oracle_cells(record, Box(*box.tolist()),
+                                                        ("conv4a", "conv5a"), GRID))
 
 
 class TestChannelConfig:
@@ -275,7 +282,7 @@ class TestDescriptorExtractor:
         extractor = DescriptorExtractor(
             one_bin_table(target_dim=5), {}, ChannelConfig(semantic=True, edge=True)
         )
-        got = extractor.extract_many(record, [SMALL_BOX])[0]
+        got = extractor.extract_many(record, np.array([SMALL_BOX]))[0]
         rect1 = _oracle_feature_rect(SMALL_BOX, 1, 48, 64)
         expected = np.concatenate(
             [
@@ -293,7 +300,7 @@ class TestDescriptorExtractor:
             one_bin_table(target_dim=5), {},
             ChannelConfig(edge=True, edge_pooling="hist"),
         )
-        got = extractor.extract_many(record, [SMALL_BOX])[0]
+        got = extractor.extract_many(record, np.array([SMALL_BOX]))[0]
         rect1 = _oracle_feature_rect(SMALL_BOX, 1, 48, 64)
         expected_aux = oracle_edge_hist_pool(record.edge_map.data, rect1, GRID.m, GRID.n, 16)
         assert got.shape == (5 * 6 + 16 * 6,)
@@ -302,8 +309,8 @@ class TestDescriptorExtractor:
     def test_routing_switches_bins_by_box_height(self):
         record = make_record()
         extractor = DescriptorExtractor(two_bin_table(target_dim=3), {})
-        small = extractor.extract_many(record, [SMALL_BOX])[0]
-        large = extractor.extract_many(record, [LARGE_BOX])[0]
+        small = extractor.extract_many(record, np.array([SMALL_BOX]))[0]
+        large = extractor.extract_many(record, np.array([LARGE_BOX]))[0]
         exp_small = oracle_cells(record, SMALL_BOX, ("conv3",), GRID).reshape(-1)
         exp_large = oracle_cells(record, LARGE_BOX, ("conv4a", "conv5a"), GRID).reshape(-1)
         assert np.array_equal(small, exp_small.astype(np.float32))
@@ -319,7 +326,7 @@ class TestDescriptorExtractor:
         )
         proj, _ = fit_pca(training, components=2)
         extractor = DescriptorExtractor(table, {"only": proj})
-        got = extractor.extract_many(record, [boxes[0]])[0]
+        got = extractor.extract_many(record, np.array(boxes[:1]))[0]
         cells = pool_bin_cells(record, boxes[0], table, 0)
         expected = ((cells.astype(np.float64) - proj.mean) @ proj.basis.T).reshape(-1)
         assert extractor.length == 2 * GRID.cells
@@ -334,23 +341,23 @@ class TestDescriptorExtractor:
             training = np.concatenate([pool_bin_cells(record, b, table, i) for b in boxes])
             projectors[pid], _ = fit_pca(training, components=2)
         extractor = DescriptorExtractor(table, projectors, ChannelConfig(semantic=True))
-        got = extractor.extract_many(record, boxes)
+        got = extractor.extract_many(record, np.array(boxes))
         for k, b in enumerate(boxes):
-            i = route(table, b.h)
+            i = first_bin_holding(table, b.h)
             proj = projectors[table.bins[i].projector_id]
             expected = proj.project(pool_bin_cells(record, b, table, i)).reshape(-1)
             assert np.array_equal(got[k, : 2 * GRID.cells], expected.astype(np.float32))
-            assert np.array_equal(got[k], extractor.extract_many(record, [b])[0])
+            assert np.array_equal(got[k], extractor.extract_many(record, np.array([b]))[0])
 
     def test_extract_many_stacks_extract(self):
         record = make_record()
         extractor = DescriptorExtractor(one_bin_table(target_dim=5), {}, ChannelConfig(edge=True))
         boxes = [SMALL_BOX, LARGE_BOX, Box(0.0, 0.0, 30.0, 48.0)]
-        got = extractor.extract_many(record, boxes)
+        got = extractor.extract_many(record, np.array(boxes))
         assert got.shape == (3, extractor.length)
         assert got.dtype == np.float32
         for i, b in enumerate(boxes):
-            assert np.array_equal(got[i], extractor.extract_many(record, [b])[0])
+            assert np.array_equal(got[i], extractor.extract_many(record, np.array([b]))[0])
 
     def test_fresh_extractor_matches_batched_extract(self):
         record = make_record()
@@ -358,10 +365,10 @@ class TestDescriptorExtractor:
         projectors = {}
         channels = ChannelConfig(semantic=True)
         one_shot = DescriptorExtractor(table, projectors, channels).extract_many(
-            record, [SMALL_BOX]
+            record, np.array([SMALL_BOX])
         )[0]
         extracted = DescriptorExtractor(table, projectors, channels).extract_many(
-            record, [LARGE_BOX, SMALL_BOX]
+            record, np.array([LARGE_BOX, SMALL_BOX])
         )[1]
         assert np.array_equal(one_shot, extracted)
 
@@ -396,17 +403,17 @@ class TestDescriptorExtractor:
             one_bin_table(target_dim=2), {"only": axes_projector(4, 2)}
         )
         with pytest.raises(ConfigError, match="expects 4"):
-            extractor.extract_many(record, [SMALL_BOX])[0]
+            extractor.extract_many(record, np.array([SMALL_BOX]))[0]
 
     def test_projector_less_bin_of_another_width_fails_at_extract(self):
         record = make_record()
         extractor = DescriptorExtractor(
             two_bin_table(target_dim=2), {"large": axes_projector(3, 2)}
         )
-        assert extractor.extract_many(record, [LARGE_BOX]).shape == (1, 2 * GRID.cells)
+        assert extractor.extract_many(record, np.array([LARGE_BOX])).shape == (1, 2 * GRID.cells)
         message = "bin 'small' pools 3 channels per cell but it has no projector and the target is 2"
         with pytest.raises(ConfigError, match=message):
-            extractor.extract_many(record, [LARGE_BOX, SMALL_BOX])
+            extractor.extract_many(record, np.array([LARGE_BOX, SMALL_BOX]))
 
     def test_mixed_table_matches_the_oracle(self, monkeypatch):
         # "small" pools conv3 alone (3 channels, the target) and has no
@@ -432,8 +439,8 @@ class TestDescriptorExtractor:
             return project(self, v)
 
         monkeypatch.setattr(PcaProjector, "project", counting_project)
-        got = extractor.extract_many(record, boxes)
-        bins = [route(table, b.h) for b in boxes]
+        got = extractor.extract_many(record, np.array(boxes))
+        bins = [first_bin_holding(table, b.h) for b in boxes]
         assert 0 < bins.count(0) < len(boxes)
         assert calls == [projectors["large"]]
         for k, b in enumerate(boxes):
@@ -442,7 +449,7 @@ class TestDescriptorExtractor:
         calls.clear()
         small_only = [b for b, i in zip(boxes, bins) if i == 0]
         assert np.array_equal(
-            extractor.extract_many(record, small_only), got[np.array(bins) == 0]
+            extractor.extract_many(record, np.array(small_only)), got[np.array(bins) == 0]
         )
         assert calls == []
 
@@ -452,10 +459,10 @@ class TestDescriptorExtractor:
             one_bin_table(target_dim=5), {}, ChannelConfig(semantic=True)
         )
         with pytest.raises(MissingLayerError, match="label map"):
-            extractor.extract_many(record, [SMALL_BOX])[0]
+            extractor.extract_many(record, np.array([SMALL_BOX]))[0]
 
     def test_missing_edge_map_is_reported(self):
         record = make_record(with_edge=False)
         extractor = DescriptorExtractor(one_bin_table(target_dim=5), {}, ChannelConfig(edge=True))
         with pytest.raises(MissingLayerError, match="edge map"):
-            extractor.extract_many(record, [SMALL_BOX])[0]
+            extractor.extract_many(record, np.array([SMALL_BOX]))[0]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_synth_config
+from oracles import boxes_of, iou
 from samhead.errors import ConfigError
 from samhead.synth import (
     DISTRACTOR_PROPOSALS,
@@ -64,27 +65,26 @@ class TestGeometry:
     def test_ground_truth_boxes_are_plausible(self, small_set):
         cfg = tiny_synth_config(num_images=6)
         for sample in small_set:
-            assert len(sample.ground_truth) <= cfg.peds_per_image[1]
-            for g in sample.ground_truth:
-                h = g.box.h
+            gts = sample.ground_truth
+            assert len(gts) <= cfg.peds_per_image[1]
+            for box, occl, trunc in zip(boxes_of(gts), gts.occl.tolist(), gts.trunc.tolist()):
+                h = box.h
                 in_small = SMALL_HEIGHTS[0] <= h <= SMALL_HEIGHTS[1]
                 in_large = LARGE_HEIGHTS[0] <= h <= LARGE_HEIGHTS[1]
                 assert in_small or in_large
-                assert g.box.w == pytest.approx(PED_WIDTH_RATIO * h)
-                assert g.box.x >= 0 and g.box.x2 <= IMAGE_W
-                assert g.box.y >= 0 and g.box.y2 <= IMAGE_H
-                assert (0.0 <= g.occlusion <= 0.1) or (0.45 <= g.occlusion <= 0.7)
-                assert 0.0 <= g.truncation <= 0.08
-                assert not g.ignore
+                assert box.w == pytest.approx(PED_WIDTH_RATIO * h)
+                assert box.x >= 0 and box.x2 <= IMAGE_W
+                assert box.y >= 0 and box.y2 <= IMAGE_H
+                assert (0.0 <= occl <= 0.1) or (0.45 <= occl <= 0.7)
+                assert 0.0 <= trunc <= 0.08
+            assert not gts.ignore.any()
 
     def test_objects_do_not_pile_up(self, small_set):
-        from samhead.geometry import iou
-
         for sample in small_set:
-            gts = sample.ground_truth
+            gts = boxes_of(sample.ground_truth)
             for i in range(len(gts)):
                 for j in range(i + 1, len(gts)):
-                    assert iou(gts[i].box, gts[j].box) <= PLACEMENT_MAX_IOU
+                    assert iou(gts[i], gts[j]) <= PLACEMENT_MAX_IOU
 
     def test_proposals_cover_every_object(self, small_set):
         cfg = tiny_synth_config(num_images=6)
@@ -95,10 +95,10 @@ class TestGeometry:
             ) + cfg.background_proposals
             ceil = floor + DISTRACTORS_PER_IMAGE[1] * DISTRACTOR_PROPOSALS
             assert floor <= n <= ceil
-            for c in sample.proposals:
-                assert 0.01 <= c.score <= 0.99
-                assert c.box.x >= 0 and c.box.x2 <= IMAGE_W
-                assert c.box.y >= 0 and c.box.y2 <= IMAGE_H
+            assert ((0.01 <= sample.proposals.scores) & (sample.proposals.scores <= 0.99)).all()
+            for box in boxes_of(sample.proposals):
+                assert box.x >= 0 and box.x2 <= IMAGE_W
+                assert box.y >= 0 and box.y2 <= IMAGE_H
 
     def test_map_shapes_follow_strides(self, small_set):
         cfg = tiny_synth_config(num_images=6)
@@ -116,16 +116,16 @@ class TestGeometry:
     def test_pedestrians_are_labeled(self, small_set):
         for sample in small_set:
             label = sample.record.label_map.data
-            for g in sample.ground_truth:
-                cx = int(g.box.x + g.box.w / 2)
-                cy = int(g.box.y + g.box.h / 2)
+            for g in boxes_of(sample.ground_truth):
+                cx = int(g.x + g.w / 2)
+                cy = int(g.y + g.h / 2)
                 assert label[cy, cx] == PED_CLASS
 
     def test_object_outlines_reach_the_edge_map(self, small_set):
         for sample in small_set:
             edge = sample.record.edge_map.data
-            for g in sample.ground_truth:
-                top = edge[int(g.box.y), int(g.box.x) : int(math.ceil(g.box.x2))]
+            for g in boxes_of(sample.ground_truth):
+                top = edge[int(g.y), int(g.x) : int(math.ceil(g.x2))]
                 assert top.max() >= 0.6
 
 

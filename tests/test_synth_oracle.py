@@ -54,6 +54,8 @@ def _hard_synth():
 
 CONFIGS = {
     "tiny": lambda: tiny_synth_config(num_images=3),
+    # Crowded enough that placement drops some objects.
+    "crowded": lambda: SynthConfig(num_images=3, peds_per_image=(16, 16), background_proposals=5),
     "hard_conv3_32": _hard_synth,
     "strides_1_2_16": lambda: tiny_synth_config(
         num_images=2,
