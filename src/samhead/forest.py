@@ -14,24 +14,38 @@ per-column, per-node reference (``tests/oracles.py``):
   Distinct values are counted from adjacent differences of the sorted rows,
   as ``np.unique`` counts them, and the quantile cuts of dense columns repeat
   ``np.quantile``'s linear rule on the sorted rows operation for operation
-  (see ``_sorted_quantiles``).  Bins are stored feature-major, ``(features,
-  samples)`` uint8, so a node reads each feature's bins for its samples as
-  one contiguous row.
+  (see ``_sorted_quantiles``).  The bins come from the same rows, with one
+  search per cut rather than per value: one ``bincount`` and one ``cumsum``
+  bin a block in sorted order, and ``argsort`` returns the bins to the
+  samples (see ``_column_bins``).  Bins are stored feature-major,
+  ``(features, samples)`` uint8, so a node reads each feature's bins for its
+  samples as one contiguous row.
 - ``train_tree`` builds a node's histograms ``SCAN_BLOCK`` features at a
-  time with one ``bincount`` per block.  The key of a sample's bin carries
-  the label as a plane offset (negatives first, positives one plane on), so
-  one pass yields both W- and W+.  ``bincount`` adds each bin's weights in
-  sample order, the order a sample-major histogram adds them in; a plane
-  only skips the other label's samples, whose weights would add 0.0 there,
-  which leaves a nonnegative sum unchanged.
-- The split scan runs per block too: cumulative sums along the bins, Z, the
-  mask of unusable cuts and an argmin over the whole bin width (the last bin
-  is never a cut, so it is masked rather than sliced off).  A block's minimum
-  replaces the best so far only when strictly smaller, so among equal Z the
-  lowest feature and then the lowest cut win, as one argmin over all
-  features would choose; a NaN Z anywhere ends the node as a leaf, as that
-  argmin would.  Each block's arrays stay in cache where one whole-node pass
-  streamed megabytes through memory.
+  time with one ``bincount`` per block.  A sample's key interleaves the two
+  labels, ``2 * (k * B + b)`` for a positive in bin b of the block's k-th
+  feature and one more for a negative (at most 2**15 - 1, so the keys of a
+  tree are one uint16 array built once), so the histogram read as
+  complex128 holds ``W+ + 1j * W-`` per bin.  ``bincount`` adds each bin's
+  weights in sample order, the order a sample-major histogram adds them in;
+  a label's entry only skips the other label's samples, whose weights would
+  add 0.0 there, which leaves a nonnegative sum unchanged.
+- The split scan runs per block too.  One complex ``cumsum`` along the bins
+  gives the left sums of both labels: complex addition is two independent
+  float additions, so each part is bit-equal to its own float ``cumsum``;
+  the right sums are one complex subtraction.  Those sums and their two
+  square roots go into buffers allocated once per tree, every step with
+  ``out=``.  The scan minimizes Z / 2, since halving is exact and orders
+  cuts as Z does, over the whole bin width, and masks lazily: it takes the
+  first minimum of the unmasked Z, and only when that cut is unusable (the
+  last bin or past the feature's cuts, or a side without weight) sets every
+  unusable cut to inf and takes the argmin again.  A usable first minimum is
+  also the masked first minimum: masking only raises entries to inf, so no
+  earlier entry can fall to or below it, and an earlier NaN would have been
+  the unmasked argmin.  A block's minimum replaces the best so far only when
+  strictly smaller, so among equal Z the lowest feature and then the lowest
+  cut win, as one argmin over all features would choose; a NaN Z anywhere
+  ends the node as a leaf, as that argmin would.  Each block's arrays stay
+  in cache where one whole-node pass streamed megabytes through memory.
 - Trees are grown in the model file's layout (``Tree``): preorder nodes,
   each with a ``feature``, a ``right`` child and one float ``value``, a
   split's threshold or a leaf's score.  A split's left child is the next
@@ -114,9 +128,10 @@ class FeatureBinner:
         # the float64 copies alive at once.
         for f0 in range(0, n_features, _BINNER_BLOCK):
             columns = np.array(X[:, f0 : f0 + _BINNER_BLOCK].T, dtype=np.float64, order="C")
-            for f, (col, cuts) in enumerate(zip(columns, _column_cuts(columns, max_bins))):
-                self.cuts.append(cuts)
-                bins[f0 + f] = np.searchsorted(cuts, col, side="left")
+            ordered = np.sort(columns, axis=1)
+            cuts = _column_cuts(ordered, max_bins)
+            self.cuts += cuts
+            bins[f0 : f0 + len(cuts)] = _column_bins(columns, ordered, cuts)
         self.bins_by_feature = bins
         self.n_cuts = np.array([c.size for c in self.cuts], dtype=np.int64)
         self.width = int(self.n_cuts.max(initial=0)) + 1
@@ -126,9 +141,8 @@ class FeatureBinner:
 _BINNER_BLOCK = 256
 
 
-def _column_cuts(columns: np.ndarray, max_bins: int) -> list[np.ndarray]:
-    """Candidate cuts of each row of ``columns`` (one feature per row)."""
-    ordered = np.sort(columns, axis=1)
+def _column_cuts(ordered: np.ndarray, max_bins: int) -> list[np.ndarray]:
+    """Candidate cuts of each row of ``ordered`` (one feature per row, sorted)."""
     # Sorted rows put -inf first and +inf and NaN last.
     if ordered.shape[1] and not np.isfinite(ordered[:, [0, -1]]).all():
         raise TrainingError("features must be finite")
@@ -144,6 +158,26 @@ def _column_cuts(columns: np.ndarray, max_bins: int) -> list[np.ndarray]:
             uniq = row[first]
             cuts.append((uniq[:-1] + uniq[1:]) / 2.0)
     return cuts
+
+
+def _column_bins(columns: np.ndarray, ordered: np.ndarray, cuts: list[np.ndarray]) -> np.ndarray:
+    """``searchsorted(cuts[f], columns[f], side="left")`` for every row f, as uint8.
+
+    A cut's count of values at or below it is one search in the sorted row.
+    The j-th smallest value exceeds exactly the cuts whose count is at most
+    j, so the bins in sorted order are a cumulative sum of those counts'
+    histogram, and ``argsort`` carries them back to the samples.  Values
+    that compare equal share a bin, so how a sort orders ties (-0.0 and
+    +0.0 among them) cannot change it.
+    """
+    rows, n = columns.shape
+    counts = [np.searchsorted(row, c, side="right") + f * (n + 1)
+              for f, (row, c) in enumerate(zip(ordered, cuts))]
+    at_most = np.bincount(np.concatenate(counts), minlength=rows * (n + 1))
+    ranked = np.cumsum(at_most.reshape(rows, n + 1)[:, :n], axis=1, dtype=np.uint8)
+    bins = np.empty((rows, n), dtype=np.uint8)
+    np.put_along_axis(bins, np.argsort(columns, axis=1), ranked, axis=1)
+    return bins
 
 
 def _sorted_quantiles(ordered: np.ndarray, max_bins: int) -> np.ndarray:
@@ -174,8 +208,8 @@ def _leaf_score(wp: float, wn: float, eps: float) -> float:
 
 
 #: Features per block of the histogram and split scan.  A block's keys,
-#: weights and Z temporaries stay in cache, and its histogram keys fit in
-#: uint16: two label planes of SCAN_BLOCK * 256 bins are 2**15 keys.
+#: weights and Z buffers stay in cache, and its histogram keys fit in
+#: uint16: two labels in each of SCAN_BLOCK * 256 bins are 2**15 keys.
 SCAN_BLOCK = 64
 
 
@@ -205,41 +239,58 @@ def train_tree(
     w_neg = np.where(pos, 0.0, w)
     B = binner.width
     F = binner.n_features
-    # Histogram key of bin b of the block's k-th feature: k * B + b for a
-    # negative sample, one plane of SCAN_BLOCK * B keys further for a positive.
-    block_offset = (np.arange(SCAN_BLOCK, dtype=np.uint16) * B)[:, None]
-    plane = np.where(pos, SCAN_BLOCK * B, 0).astype(np.uint16)
-    # Candidate cut b of feature f is only meaningful when b < n_cuts[f]; the
-    # last bin, b = B - 1, never is.
-    invalid = np.arange(B, dtype=np.int64)[None, :] >= binner.n_cuts[:, None]
+    # Histogram key of bin b of the block's k-th feature: 2 * (k * B + b) for a
+    # positive sample, one more for a negative, so a block's histogram read
+    # as complex128 holds W+ + 1j * W- per (feature, bin).
+    keys = bins.astype(np.uint16)
+    keys *= 2
+    keys += (np.arange(F) % SCAN_BLOCK * (2 * B)).astype(np.uint16)[:, None]
+    keys += ~pos
+    n_cuts = binner.n_cuts
+    # A block's left and right sums, W+ + 1j * W-, and their two square
+    # roots, reused by every block of every node.  ``masses`` views the sums
+    # as (side, feature, bin, W+ or W-) floats.
+    sums = np.empty((2, SCAN_BLOCK, B), dtype=np.complex128)
+    masses = sums.view(np.float64).reshape(2, SCAN_BLOCK, B, 2)
+    roots = np.empty((2, SCAN_BLOCK, B), dtype=np.float64)
 
     feature: list[int] = []
     right: list[int] = []
     value: list[float] = []
 
     def best_split(idx: np.ndarray, wp: float, wn: float) -> tuple[int, int] | None:
-        key_base = block_offset + plane[idx]
         weights = np.tile(w[idx], SCAN_BLOCK)
         best_z, best = np.inf, None
         for f0 in range(0, F, SCAN_BLOCK):
-            block = slice(f0, f0 + SCAN_BLOCK)
-            keys = np.add(bins[block, idx], key_base[: min(F - f0, SCAN_BLOCK)])
-            hist = np.bincount(keys.reshape(-1), weights=weights[: keys.size],
+            nf = min(F - f0, SCAN_BLOCK)
+            block_keys = keys[f0 : f0 + nf, idx]
+            hist = np.bincount(block_keys.reshape(-1), weights=weights[: block_keys.size],
                                minlength=2 * SCAN_BLOCK * B)
-            hn, hp = hist.reshape(2, SCAN_BLOCK, B)[:, : keys.shape[0]]
-            cp = np.cumsum(hp, axis=1)
-            cn = np.cumsum(hn, axis=1)
+            left, right = sums[:, :nf]
+            np.cumsum(hist.view(np.complex128).reshape(SCAN_BLOCK, B)[:nf], axis=1, out=left)
+            np.subtract(complex(wp, wn), left, out=right)
             # Right-side masses are differences of nearly equal sums; roundoff
             # can push them a hair below zero, which sqrt would turn into NaN.
-            rp = np.maximum(wp - cp, 0.0)
-            rn = np.maximum(wn - cn, 0.0)
-            z = 2.0 * (np.sqrt(cp * cn) + np.sqrt(rp * rn))
-            z[invalid[block] | ((cp + cn) <= 0.0) | ((rp + rn) <= 0.0)] = np.inf
-            k = int(np.argmin(z))
-            if z.flat[k] < best_z:
-                f, b = divmod(k, B)
-                best_z, best = z.flat[k], (f0 + f, b)
-            elif np.isnan(z.flat[k]):
+            m = masses[:, :nf]
+            np.maximum(m[1], 0.0, out=m[1])
+            r = roots[:, :nf]
+            np.multiply(m[..., 0], m[..., 1], out=r)
+            np.sqrt(r, out=r)
+            # Z / 2: halving is exact, so it orders the cuts as Z does.
+            z = np.add(r[0], r[1], out=r[0])
+            f, b = divmod(int(np.argmin(z)), B)
+            (lp, ln), (rp, rn) = m[:, f, b]
+            # Cut b of feature f is usable when b < n_cuts[f] (the last bin,
+            # b = B - 1, never is) and both sides hold weight.  When the
+            # first minimum is not, every unusable cut is masked.
+            if b >= n_cuts[f0 + f] or lp + ln <= 0.0 or rp + rn <= 0.0:
+                side = m[..., 0] + m[..., 1]
+                unusable = np.arange(B)[None, :] >= n_cuts[f0 : f0 + nf, None]
+                z[unusable | (side[0] <= 0.0) | (side[1] <= 0.0)] = np.inf
+                f, b = divmod(int(np.argmin(z)), B)
+            if z[f, b] < best_z:
+                best_z, best = z[f, b], (f0 + f, b)
+            elif np.isnan(z[f, b]):
                 # A NaN Z anywhere is what a single argmin over all features
                 # would have picked; it ends the node as a leaf.
                 return None
@@ -320,6 +371,8 @@ class TrainConfig:
             raise ConfigError(f"max_depth must be >= 1, got {self.max_depth}")
         if not 2 <= self.max_bins <= 256:
             raise ConfigError(f"max_bins must be in [2, 256], got {self.max_bins}")
+        if not math.isfinite(self.prior_weight):
+            raise ConfigError(f"prior_weight must be finite, got {self.prior_weight}")
 
 
 #: Bound on |margin| before exponentiation in RealBoost's sample weights and loss.
@@ -474,6 +527,8 @@ class Forest:
         """The forest ``to_dict`` wrote; one ``score`` could not walk is a DataError."""
         d = config.section(d, "forest", ("prior_weight", "n_features", "sizes", *_NODE_KEYS))
         prior_weight = config.read(float, d["prior_weight"], "prior_weight")
+        if not math.isfinite(prior_weight):
+            raise DataError(f"prior_weight must be finite, got {prior_weight}")
         n_features = config.read(int, d["n_features"], "n_features")
         sizes = config.read_array(d["sizes"], "<i4", "forest: sizes")
         if (sizes <= 0).any():

@@ -3,6 +3,7 @@
 import base64
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -423,6 +424,21 @@ class TestMissingOrBrokenData:
         assert payload["message"] == f"malformed model file: {message}"
         assert not (tmp_path / "dets.csv").exists()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_a_prior_weight_that_is_not_finite_exits_3(self, synth_dir, tmp_path, capsys,
+                                                        model_path, value):
+        # json writes these as the tokens NaN, Infinity and -Infinity, which
+        # its reader accepts.
+        model = json.loads(model_path.read_text(encoding="utf-8"))
+        model["forest"]["prior_weight"] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(model), encoding="utf-8")
+        code = main(["detect", "--data", str(synth_dir), "--model", str(bad),
+                     "--out", str(tmp_path / "dets.csv")])
+        payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
+        assert payload["message"] == f"malformed model file: prior_weight must be finite, got {value}"
+        assert not (tmp_path / "dets.csv").exists()
+
     @pytest.mark.parametrize(
         "key, case",
         [(key, case) for key in ("sizes", "feature", "right", "value", "mean", "basis")
@@ -687,6 +703,22 @@ class TestTrainKeys:
                      "--out", str(tmp_path / "m.json")])
         payload = _assert_failed(capsys, code, EXIT_CONFIG, "ConfigError")
         assert message in payload["message"]
+
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_a_prior_weight_that_is_not_finite_exits_2_and_writes_no_model(
+            self, synth_dir, tmp_path, capsys, value):
+        # A short schedule, so that a build which let the value through would
+        # fail this test quickly instead of training the paper's schedule.
+        forest = {"stage_tree_counts": [2], "initial_negatives": 20, "max_depth": 1,
+                  "prior_weight": value}
+        config = _write_config(tmp_path, {"train": {"forest": forest}})
+        out = tmp_path / "m.json"
+        code = main(["train", "--config", config, "--data", str(synth_dir), "--out", str(out)])
+        payload = _assert_failed(capsys, code, EXIT_CONFIG, "ConfigError")
+        assert f"prior_weight must be finite, got {value}" in payload["message"]
+        assert not out.exists()
+        assert not (tmp_path / "m.json.manifest.json").exists()
 
 
 class TestSweep:

@@ -43,6 +43,18 @@ def trees_of(forest):
     ]
 
 
+def assert_tree_is_the_oracles(got, want):
+    """``got`` (a ``Tree``) holds ``oracle_train_tree``'s tree bit for bit."""
+    # In the oracle's explicit arrays a split's left child is the next node,
+    # so its tree has the file layout: a split's value is its threshold.
+    split = want.feature >= 0
+    assert (want.left[split] == np.flatnonzero(split) + 1).all()
+    want_value = np.where(split, want.threshold, want.value)
+    for name, b in (("feature", want.feature), ("right", want.right), ("value", want_value)):
+        a = getattr(got, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 def random_tree(rng, n_features, max_depth, p_split=0.7):
     """A preorder tree whose root splits and whose deeper nodes split with ``p_split``.
 
@@ -235,6 +247,57 @@ class TestTrainTree:
         assert tree.value[0] == 0.0  # equal class weights
         assert log.losses == [1.0]
 
+    def test_a_first_block_without_a_usable_cut_defers_to_the_next(self):
+        # The first block's features are constant, so every one of its cuts
+        # is unusable.  Its unmasked minimum, at the no-split value
+        # sqrt(W+ * W-) = 4, ties the second block's only cut, which splits
+        # each label's weight in half: 2 + 2.  The first block must be
+        # masked for the second block's cut to win.
+        X = np.full((8, SCAN_BLOCK + 2), 7.0)
+        X[4:, SCAN_BLOCK + 1] = 8.0
+        y = np.array([1.0, -1.0] * 4)
+        w = np.ones(8)
+        binner = FeatureBinner(X)
+        cuts, bins = oracle_binner(X, 256)
+        got = train_tree(binner, w, y, 2, 0.01)
+        want = oracle_train_tree(cuts, bins, w, y, 2, 0.01)
+        assert got.feature.tolist() == [SCAN_BLOCK + 1, -1, -1]
+        assert_tree_is_the_oracles(got, want)
+
+    def test_a_cut_with_no_weight_on_one_side_is_never_chosen(self):
+        # Feature 0's only cut has no weight on its left, and its Z ties
+        # feature 1's uninformative cut at the no-split value; only feature
+        # 1's cut is usable.
+        X = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+        y = np.array([1.0, 1.0, -1.0, 1.0, -1.0])
+        w = np.array([0.0, 1.0, 1.0, 1.0, 1.0])
+        binner = FeatureBinner(X)
+        cuts, bins = oracle_binner(X, 256)
+        got = train_tree(binner, w, y, 1, 0.01)
+        want = oracle_train_tree(cuts, bins, w, y, 1, 0.01)
+        assert got.feature[0] == 1
+        assert_tree_is_the_oracles(got, want)
+
+    def test_the_largest_histogram_key_fits(self):
+        # 256 bins and a 64th feature whose last bin holds both labels: that
+        # bin's negatives take key 2 * (63 * 256 + 255) + 1 = 2**15 - 1, the
+        # last entry of a block's histogram.
+        rng = np.random.default_rng(12)
+        n = 600
+        X = rng.normal(size=(n, SCAN_BLOCK + 6))
+        X[:, SCAN_BLOCK - 1] = rng.permutation(n)
+        y = np.where(rng.random(n) < 0.4, 1.0, -1.0)
+        y[X[:, SCAN_BLOCK - 1] >= n - 3] = [1.0, -1.0, 1.0]
+        w = rng.random(n)
+        binner = FeatureBinner(X, max_bins=256)
+        assert binner.width == 256
+        last_bin = binner.bins_by_feature[SCAN_BLOCK - 1] == 255
+        assert set(y[last_bin]) == {-1.0, 1.0}
+        cuts, bins = oracle_binner(X, 256)
+        for depth in (1, 4):
+            assert_tree_is_the_oracles(train_tree(binner, w, y, depth, 1e-3),
+                                       oracle_train_tree(cuts, bins, w, y, depth, 1e-3))
+
     @given(
         n=st.integers(2, 400),
         n_features=st.integers(1, 200),
@@ -246,10 +309,14 @@ class TestTrainTree:
     def test_binner_and_tree_match_oracles_bitwise(self, n, n_features, max_bins, depth, seed):
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(n, n_features))
-        kinds = rng.integers(0, 4, size=n_features)
+        kinds = rng.integers(0, 6, size=n_features)
         for f in np.flatnonzero(kinds == 1):
             X[:, f] = rng.integers(0, int(rng.integers(1, 2 * max_bins + 2)), size=n)
         X[:, kinds == 2] = 3.0  # constant
+        for f in np.flatnonzero(kinds == 4):  # zeros of both signs, which compare equal
+            X[:, f] = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        for f in np.flatnonzero(kinds == 5):  # a copy of another column
+            X[:, f] = X[:, int(rng.integers(0, n_features))]
         if n_features > SCAN_BLOCK:
             X[:, SCAN_BLOCK] = X[:, SCAN_BLOCK - 1]
         X = X.astype(np.float32)
@@ -268,17 +335,7 @@ class TestTrainTree:
         assume(binner.width > 1)  # the oracle needs at least one cut
         eps = 1.0 / (2.0 * n)
         got = train_tree(binner, w, y, depth, eps)
-        want = oracle_train_tree(cuts, bins, w, y, depth, eps)
-        # In the oracle's explicit arrays a split's left child is the next
-        # node, so its tree has the file layout: a split's value is its
-        # threshold.
-        split = want.feature >= 0
-        assert (want.left[split] == np.flatnonzero(split) + 1).all()
-        want_value = np.where(split, want.threshold, want.value)
-        for name, b in (("feature", want.feature), ("right", want.right),
-                        ("value", want_value)):
-            a = getattr(got, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert_tree_is_the_oracles(got, oracle_train_tree(cuts, bins, w, y, depth, eps))
 
     def test_validation(self):
         binner = FeatureBinner(XOR_X)
@@ -469,6 +526,14 @@ class TestForest:
         with pytest.raises(DataError, match=f"^{re.escape(message)}"):
             Forest.from_dict(d)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_from_dict_refuses_a_prior_weight_that_is_not_finite(self, value):
+        leaf = Tree(feature=np.array([-1]), right=np.array([-1]), value=np.array([0.5]))
+        d = Forest.pack([leaf], n_features=3).to_dict()
+        d["prior_weight"] = value
+        with pytest.raises(DataError, match=f"^prior_weight must be finite, got {value}$"):
+            Forest.from_dict(d)
+
     def test_feature_count_enforced(self):
         X, y = separable_blobs(n_per_class=5)
         forest, _ = realboost_fit(X, y, rounds=2)
@@ -513,6 +578,11 @@ class TestSchedules:
             TrainConfig(max_depth=0)
         with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
             TrainConfig(seed=-1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_prior_weight_must_be_finite(self, value):
+        with pytest.raises(ConfigError, match=f"^prior_weight must be finite, got {value}$"):
+            TrainConfig(prior_weight=value)
 
 
 def hard_negative_oracle(scores, k, taken):
