@@ -20,8 +20,9 @@ exits 2 before data is read.
 
 Values the paper fixes are constants, not config keys: the sample overlap
 thresholds, training proposal budget, PCA sample counts, prior clamp and
-background prior, and NMS overlap in ``samhead.pipeline``; the margin clamp
-and leaf smoothing in ``samhead.forest``; the edge histogram width in
+background prior, and NMS overlap in ``samhead.pipeline``; leaf smoothing and
+the margin past which boosting weights are computed relative to the smallest
+margin in ``samhead.forest``; the edge histogram width in
 ``samhead.routing``; the label class count in ``samhead.maps``; and in
 ``samhead.evaluation`` the IoU threshold, occlusion cutoff, evaluation
 region, miss-rate and AP sample counts and the Caltech and KITTI

@@ -345,8 +345,9 @@ class TrainConfig:
     boxes (``pipeline._training_samples``) and seeds the draw and the
     projector fits' sampling with ``seed``.  The defaults are the paper's
     six-stage schedule: 64..2048 trees, 30k initial negatives, +5k per
-    stage.  Leaf smoothing (``1 / (2 * sample count)``) and the margin
-    clamp (``MARGIN_CLAMP``) are fixed; the sample overlap thresholds are
+    stage.  Leaf smoothing (``1 / (2 * sample count)``) and the margin at
+    which sample weights start to be computed relative to the smallest
+    margin (``SHIFT_MARGIN``) are fixed; the sample overlap thresholds are
     ``pipeline.POS_IOU`` and ``pipeline.NEG_IOU``.
     """
 
@@ -375,13 +376,19 @@ class TrainConfig:
             raise ConfigError(f"prior_weight must be finite, got {self.prior_weight}")
 
 
-#: Bound on |margin| before exponentiation in RealBoost's sample weights and loss.
-MARGIN_CLAMP = 50.0
+#: Once the smallest margin passes +/- this bound, RealBoost exponentiates
+#: margins relative to it (see ``realboost_fit``).
+SHIFT_MARGIN = 50.0
 
 
 @dataclass
 class RoundLog:
-    """Diagnostics recorded while boosting one stage."""
+    """Diagnostics recorded while boosting one stage.
+
+    ``losses[r]`` is the log exponential loss ``log mean exp(-y F(x))``
+    after round r.  ``clamp_events`` counts the sample weights that
+    underflowed to zero, summed over the initial weights and every round's.
+    """
 
     losses: list[float] = field(default_factory=list)
     weight_sum_errors: list[float] = field(default_factory=list)
@@ -394,7 +401,11 @@ class RoundLog:
 
 @dataclass
 class StageLog:
-    """Bookkeeping for one bootstrapping stage."""
+    """Bookkeeping for one bootstrapping stage.
+
+    ``final_loss`` and ``clamp_events`` are the stage's ``RoundLog``
+    ``final_loss`` (a log loss) and ``clamp_events`` (underflowed weights).
+    """
 
     stage: int
     tree_count: int
@@ -582,13 +593,17 @@ def realboost_fit(
     """Fit ``rounds`` trees by RealBoost.
 
     Of ``config`` only the boosting knobs are read: ``max_depth``,
-    ``max_bins`` and ``prior_weight``.  Sample weights start at
-    ``exp(-y * prior_weight * prior)`` (uniform without priors), are
-    renormalized to sum to one every round, and margins are clamped to
-    ``+/- MARGIN_CLAMP`` before exponentiation (occurrences are counted in
-    the log).  Leaf scores are smoothed by ``1 / (2 * sample count)``.  The
-    recorded exponential loss is non-increasing round over round; an
-    increase raises TrainingError.
+    ``max_bins`` and ``prior_weight``.  The margins start at
+    ``y * prior_weight * prior`` (0 without priors); a prior margin that is
+    not finite raises TrainingError.  Each round's sample weights are
+    ``exp(-margin)`` normalized to sum to one, computed as
+    ``exp(-(margin - c))``: ``c`` is 0 while the smallest margin lies within
+    ``+/- SHIFT_MARGIN`` and that margin beyond, the same normalized weights
+    in exact arithmetic with no overflow.  Weights that still underflow to
+    zero are counted in the log.  Leaf scores are smoothed by
+    ``1 / (2 * sample count)``.  The loss is recorded as
+    ``log mean exp(-margin) = log mean exp(-(margin - c)) - c``; it is
+    non-increasing round over round, and an increase raises TrainingError.
     """
     X = np.asarray(X, dtype=np.float32)
     y = np.asarray(y, dtype=np.float64)
@@ -606,32 +621,38 @@ def realboost_fit(
         margins = np.zeros(n, dtype=np.float64)
     else:
         priors = np.asarray(priors, dtype=np.float64)
-        margins = config.prior_weight * priors * 1.0
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            margins = config.prior_weight * priors * 1.0
     margins = y * margins  # signed margin y * F(x)
+    if not np.isfinite(margins).all():
+        raise TrainingError(
+            f"prior margins must be finite; prior_weight is {config.prior_weight}"
+        )
 
     eps = 1.0 / (2.0 * n)
     binner = FeatureBinner(X, max_bins=config.max_bins)
     log = RoundLog()
 
-    def clamped(m: np.ndarray) -> np.ndarray:
-        over = np.abs(m) > MARGIN_CLAMP
-        log.clamp_events += int(over.sum())
-        return np.clip(m, -MARGIN_CLAMP, MARGIN_CLAMP)
+    def shifted_exp(m: np.ndarray) -> tuple[np.ndarray, float]:
+        """``exp(-(m - c))`` and the log loss ``log mean exp(-m)``."""
+        low = float(m.min())
+        c = low if abs(low) > SHIFT_MARGIN else 0.0
+        e = np.exp(c - m)  # exp(-m) itself when c is 0
+        log.clamp_events += int(np.count_nonzero(e == 0.0))
+        return e, math.log(float(np.mean(e))) - c
 
     trees: list[Tree] = []
-    # One round's exp(-margin) gives its loss and the next round's weights.
-    exp_loss = np.exp(-clamped(margins))
-    prev_loss = float(np.mean(exp_loss))
+    # One round's exp(-(margin - c)) gives its loss and the next round's weights.
+    exp_loss, prev_loss = shifted_exp(margins)
     for _ in range(rounds):
         w = exp_loss / exp_loss.sum()
         log.weight_sum_errors.append(abs(float(w.sum()) - 1.0))
         tree = train_tree(binner, w, y, config.max_depth, eps)
         trees.append(tree)
         margins += y * tree.apply(X)
-        exp_loss = np.exp(-clamped(margins))
-        loss = float(np.mean(exp_loss))
+        exp_loss, loss = shifted_exp(margins)
         if loss > prev_loss + 1e-12:
-            raise TrainingError(f"exponential loss increased: {prev_loss} -> {loss}")
+            raise TrainingError(f"exponential loss increased: log loss {prev_loss} -> {loss}")
         log.losses.append(loss)
         prev_loss = loss
 

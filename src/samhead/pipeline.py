@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -84,6 +85,18 @@ class TrainSettings:
     channels: ChannelConfig = field(default_factory=ChannelConfig)
     forest: TrainConfig = field(default_factory=TrainConfig)
     caps: Caps = field(default_factory=Caps)
+
+    def __post_init__(self) -> None:
+        _check_prior_weight(self.forest.prior_weight)
+
+
+def _check_prior_weight(prior_weight: float) -> None:
+    """ConfigError unless ``prior_weight`` times every prior logit is finite."""
+    if not math.isfinite(prior_weight * PRIOR_LOGIT_CLAMP):
+        raise ConfigError(
+            f"prior_weight {prior_weight} times the prior logit bound {PRIOR_LOGIT_CLAMP} "
+            "is not finite"
+        )
 
 
 def settings_hash(settings: TrainSettings) -> str:
@@ -311,6 +324,7 @@ class DetectorModel:
     caps: Caps = field(default_factory=Caps)
 
     def __post_init__(self) -> None:
+        _check_prior_weight(self.forest.prior_weight)
         self._extractor = DescriptorExtractor(self.table, self.projectors, self.channels)
         if self.forest.n_features != self._extractor.length:
             raise ConfigError(

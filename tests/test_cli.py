@@ -33,6 +33,7 @@ from samhead.formats import (
 from samhead.pipeline import (
     MODEL_FORMAT,
     MODEL_VERSION,
+    PRIOR_LOGIT_CLAMP,
     TrainSettings,
     model_from_dict,
     save_model,
@@ -439,6 +440,23 @@ class TestMissingOrBrokenData:
         assert payload["message"] == f"malformed model file: prior_weight must be finite, got {value}"
         assert not (tmp_path / "dets.csv").exists()
 
+    @pytest.mark.parametrize("value", [1e308, -1e308])
+    def test_a_prior_weight_whose_prior_margins_overflow_exits_3(
+            self, synth_dir, tmp_path, capsys, model_path, value):
+        # A finite weight that times a prior logit of 10 overflows would score
+        # proposals +/-inf.
+        model = json.loads(model_path.read_text(encoding="utf-8"))
+        model["forest"]["prior_weight"] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(model), encoding="utf-8")
+        code = main(["detect", "--data", str(synth_dir), "--model", str(bad),
+                     "--out", str(tmp_path / "dets.csv")])
+        payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
+        assert payload["message"] == (
+            f"malformed model file: prior_weight {value} times the prior logit bound "
+            f"{PRIOR_LOGIT_CLAMP} is not finite")
+        assert not (tmp_path / "dets.csv").exists()
+
     @pytest.mark.parametrize(
         "key, case",
         [(key, case) for key in ("sizes", "feature", "right", "value", "mean", "basis")
@@ -717,6 +735,21 @@ class TestTrainKeys:
         code = main(["train", "--config", config, "--data", str(synth_dir), "--out", str(out)])
         payload = _assert_failed(capsys, code, EXIT_CONFIG, "ConfigError")
         assert f"prior_weight must be finite, got {value}" in payload["message"]
+        assert not out.exists()
+        assert not (tmp_path / "m.json.manifest.json").exists()
+
+    @pytest.mark.parametrize("value", [1e308, -1e308])
+    def test_a_prior_weight_whose_prior_margins_overflow_exits_2_and_writes_no_model(
+            self, synth_dir, tmp_path, capsys, value):
+        forest = {"stage_tree_counts": [2], "initial_negatives": 20, "max_depth": 1,
+                  "prior_weight": value}
+        config = _write_config(tmp_path, {"train": {"forest": forest}})
+        out = tmp_path / "m.json"
+        code = main(["train", "--config", config, "--data", str(synth_dir), "--out", str(out)])
+        payload = _assert_failed(capsys, code, EXIT_CONFIG, "ConfigError")
+        assert payload["message"] == (
+            f"prior_weight {value} times the prior logit bound {PRIOR_LOGIT_CLAMP} "
+            "is not finite")
         assert not out.exists()
         assert not (tmp_path / "m.json.manifest.json").exists()
 

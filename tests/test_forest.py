@@ -24,6 +24,7 @@ from samhead.forest import (
     bootstrap_train,
     realboost_fit,
     SCAN_BLOCK,
+    SHIFT_MARGIN,
     select_hard_negatives,
     train_tree,
 )
@@ -99,6 +100,15 @@ def separable_blobs(n_per_class=40, seed=123):
     X = np.vstack([pos, neg])
     y = np.concatenate([np.ones(n_per_class), -np.ones(n_per_class)])
     return X, y
+
+
+def anti_tree(binner, w, y, max_depth, eps):
+    """A stump that votes against every label of ``separable_blobs``."""
+    return Tree(
+        feature=np.array([0, -1, -1]),
+        right=np.array([2, -1, -1]),
+        value=np.array([0.0, 1.0, -1.0]),
+    )
 
 
 class TestFeatureBinner:
@@ -245,7 +255,7 @@ class TestTrainTree:
         assert tree.n_nodes == 1
         assert tree.feature[0] == -1
         assert tree.value[0] == 0.0  # equal class weights
-        assert log.losses == [1.0]
+        assert log.losses == [0.0]  # log of an exponential loss of 1
 
     def test_a_first_block_without_a_usable_cut_defers_to_the_next(self):
         # The first block's features are constant, so every one of its cuts
@@ -349,7 +359,7 @@ class TestRealboost:
     def test_separable_data_drives_loss_down(self):
         X, y = separable_blobs()
         forest, log = realboost_fit(X, y, rounds=32, config=TrainConfig(max_depth=2))
-        assert log.losses[-1] < 0.05
+        assert log.losses[-1] < math.log(0.05)
         assert np.all(np.sign(forest.score(X)) == y)
 
     def test_weight_sums_stay_normalized(self):
@@ -366,14 +376,6 @@ class TestRealboost:
     def test_loss_increase_raises_training_error(self, monkeypatch):
         # A stump that votes against every label drives the loss up.
         X, y = separable_blobs(n_per_class=10)
-
-        def anti_tree(binner, w, y, max_depth, eps):
-            return Tree(
-                feature=np.array([0, -1, -1]),
-                right=np.array([2, -1, -1]),
-                value=np.array([0.0, 1.0, -1.0]),
-            )
-
         monkeypatch.setattr(forest_module, "train_tree", anti_tree)
         with pytest.raises(TrainingError, match="exponential loss increased"):
             realboost_fit(X, y, rounds=1)
@@ -386,12 +388,72 @@ class TestRealboost:
         )
         np.testing.assert_array_equal(forest.score(X, priors), 2.5 * priors)
 
-    def test_margin_clamp_is_counted(self):
+    def test_loss_increase_past_the_shift_margin_raises(self, monkeypatch):
+        # Priors put every margin at 60, past SHIFT_MARGIN; the anti-tree
+        # takes each to 59, so the log loss rises from -60 to -59.
+        X, y = separable_blobs(n_per_class=10)
+        monkeypatch.setattr(forest_module, "train_tree", anti_tree)
+        with pytest.raises(TrainingError, match="exponential loss increased"):
+            realboost_fit(X, y, rounds=1, priors=60.0 * y)
+
+    def test_margins_past_the_shift_margin_keep_learning(self):
+        # Overlapping blobs whose priors put every margin at 60: the trees
+        # must keep raising the smallest margin, not fit flat weights.
+        rng = np.random.default_rng(0)
+        y = np.repeat([-1.0, 1.0], 40)
+        X = rng.normal(size=(80, 2)) + 0.6 * y[:, None]
+        lows = []
+        for rounds in (8, 16, 32):
+            forest, log = realboost_fit(X, y, rounds, TrainConfig(max_depth=2), priors=60.0 * y)
+            lows.append(float(np.min(y * forest.score(X, 60.0 * y))))
+            assert log.clamp_events == 0
+        assert lows[0] < lows[1] < lows[2]
+        assert lows[0] > SHIFT_MARGIN
+
+    @pytest.mark.parametrize("margins, shift", [((-10.0, 30.0, 70.0, 5.3), 0.0),
+                                                 ((60.0, 70.0, 65.1, 90.0), 60.0)])
+    def test_weights_are_shifted_only_past_the_shift_margin(self, monkeypatch, margins, shift):
+        # Unshifted weights are exp(-m) to the last bit, as before the shift
+        # existed, wherever the smallest margin lies within SHIFT_MARGIN.
+        seen = []
+
+        def leaf(binner, w, y, max_depth, eps):
+            seen.append(w.copy())
+            return Tree(feature=np.array([-1]), right=np.array([-1]), value=np.array([0.0]))
+
+        monkeypatch.setattr(forest_module, "train_tree", leaf)
+        m = np.array(margins)
+        y = np.array([1.0, 1.0, -1.0, -1.0])
+        realboost_fit(np.eye(4, 2), y, rounds=1, priors=y * m)
+        e = np.exp(-(m - shift))
+        np.testing.assert_array_equal(seen[0], e / e.sum())
+
+    def test_weights_that_underflow_are_counted(self):
+        # Margins 60 and 60 give both samples weight exp(0); margins 0 and
+        # -800 are taken relative to -800, and the sample at margin 0 gets
+        # exp(-800), which is 0.0 in float64.
         X = np.array([[0.0, 1.0], [1.0, 0.0]])
         y = np.array([1.0, -1.0])
-        priors = np.array([60.0, -60.0])
-        _, log = realboost_fit(X, y, rounds=0, priors=priors)
-        assert log.clamp_events == 2
+        _, log = realboost_fit(X, y, rounds=0, priors=np.array([60.0, -60.0]))
+        assert log.clamp_events == 0
+        _, log = realboost_fit(X, y, rounds=0, priors=np.array([0.0, 800.0]))
+        assert log.clamp_events == 1
+
+    def test_log_loss_is_exact_past_the_shift_margin(self):
+        # Every margin at -1000: exp(1000) overflows, its log does not.
+        X, y = separable_blobs(n_per_class=4)
+        _, log = realboost_fit(X, y, rounds=1, config=TrainConfig(max_depth=1),
+                               priors=-1000.0 * y)
+        assert log.clamp_events == 0
+        assert 900.0 < log.final_loss <= 1000.0
+
+    @pytest.mark.parametrize("prior", [math.inf, -math.inf, math.nan, 1e308])
+    def test_prior_margins_that_are_not_finite_raise(self, prior):
+        X, y = separable_blobs(n_per_class=4)
+        priors = np.zeros(8)
+        priors[3] = prior
+        with pytest.raises(TrainingError, match="prior margins must be finite"):
+            realboost_fit(X, y, rounds=1, config=TrainConfig(prior_weight=10.0), priors=priors)
 
     def test_deterministic(self):
         X, y = separable_blobs(seed=3)
