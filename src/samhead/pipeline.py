@@ -64,6 +64,11 @@ PRIOR_LOGIT_CLAMP = 10.0
 BACKGROUND_PRIOR_SCORE = 0.1
 # NMS drops a detection whose IoU with a better-scored survivor exceeds this.
 NMS_THRESHOLD = 0.5
+# Descriptor floats one batch of images holds at most (4 MiB of float32),
+# beside pooling's gather bound.  Detection and training extract images in
+# consecutive batches under it; it bounds memory and never changes a result,
+# so it is not a setting.
+_BATCH_FLOATS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -124,6 +129,41 @@ def _candidates(record: ImageRecord, proposals: ScoredBoxes, k: int) -> ScoredBo
     return proposals.take(top[_inside(record, proposals.boxes[top])])
 
 
+def _batches(counts: list[int], row_floats: int) -> list[tuple[int, int]]:
+    """Consecutive image ranges ``[a, b)`` whose rows, ``counts[i]`` per image of
+    ``row_floats`` floats each, hold at most ``_BATCH_FLOATS`` floats together.
+
+    An image whose rows alone exceed the bound is a batch of its own.
+    """
+    spans, first, floats = [], 0, 0
+    for i, n in enumerate(counts):
+        if i > first and floats + n * row_floats > _BATCH_FLOATS:
+            spans.append((first, i))
+            first, floats = i, 0
+        floats += n * row_floats
+    if first < len(counts):
+        spans.append((first, len(counts)))
+    return spans
+
+
+def _extract(
+    extractor: DescriptorExtractor, records: list[ImageRecord], boxes_per_image: list[np.ndarray]
+) -> np.ndarray:
+    """Descriptor rows of each image's boxes, image after image, extracted in batches."""
+    counts = [len(b) for b in boxes_per_image]
+    out = np.empty((sum(counts), extractor.length), dtype=np.float32)
+    row = 0
+    for a, b in _batches(counts, extractor.length):
+        n = sum(counts[a:b])
+        if n:
+            image = np.repeat(np.arange(b - a), counts[a:b])
+            out[row : row + n] = extractor.extract_many(
+                records[a:b], np.concatenate(boxes_per_image[a:b]), image
+            )
+        row += n
+    return out
+
+
 def _best_iou(boxes: np.ndarray, others: np.ndarray) -> np.ndarray:
     """Each box's highest IoU with any of ``others``; 0 when there are none."""
     return iou_matrix(boxes, others).max(axis=1, initial=0.0)
@@ -152,11 +192,10 @@ def _training_samples(dataset: Dataset, extractor: DescriptorExtractor, cfg: Tra
     """
     table = extractor.table
     images = [(s, _candidates(s.record, s.proposals, TRAIN_TOP_K)) for s in dataset]
+    records = [s.record for s, _ in images]
 
     def extract(boxes_per_image: list[np.ndarray]) -> np.ndarray:
-        return np.vstack([np.empty((0, extractor.length), dtype=np.float32)] + [
-            extractor.extract_many(s.record, b) for (s, _), b in zip(images, boxes_per_image)
-            if len(b)])
+        return _extract(extractor, records, boxes_per_image)
 
     def select(masks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Descriptors and priors of the candidates each image's mask keeps."""
@@ -190,7 +229,7 @@ def _training_samples(dataset: Dataset, extractor: DescriptorExtractor, cfg: Tra
 
     image, boxes = _draw_background_boxes(
         np.random.default_rng(cfg.seed),
-        [s.record for s, _ in images],
+        records,
         table.bins[0].min_height,
         table.bins[-1].max_height,
         cfg.initial_negatives,
@@ -279,18 +318,21 @@ def _collect_pca_samples(
     """
     rng = np.random.default_rng(seed)
     spec = table.bins[bin_index]
+    records = [s.record for s in dataset]
 
-    def pooled(record: ImageRecord, boxes: np.ndarray) -> np.ndarray:
-        """Each box's per-cell channel vectors, (N, m*n, D)."""
-        return pool_bin_stacks(record, boxes, table, bin_index).transpose(0, 2, 1)
+    def pooled(boxes: np.ndarray, image: np.ndarray) -> np.ndarray:
+        """Each box's per-cell channel vectors, (N, m*n, bin_dim); boxes grouped by image."""
+        if not len(boxes):
+            return np.empty((0, table.grid.cells, bin_dim), dtype=np.float32)
+        return pool_bin_stacks(records, boxes, image, table, bin_index).transpose(0, 2, 1)
 
-    pos_rows = [np.empty((0, bin_dim), dtype=np.float32)]
+    mine = []
     for s in dataset:
         g = s.ground_truth
-        mine = ~g.ignore & (table.route(g.boxes[:, 3]) == bin_index) & _inside(s.record, g.boxes)
-        if mine.any():
-            pos_rows.append(pooled(s.record, g.boxes[mine]).reshape(-1, bin_dim))
-    pos = np.vstack(pos_rows)
+        mine.append(g.boxes[~g.ignore & (table.route(g.boxes[:, 3]) == bin_index)
+                            & _inside(s.record, g.boxes)])
+    pos = pooled(np.concatenate(mine),
+                 np.repeat(np.arange(len(mine)), [len(b) for b in mine])).reshape(-1, bin_dim)
     half = PCA_SAMPLE_CAP // 2
     if pos.shape[0] > half:
         sel = rng.choice(pos.shape[0], size=half, replace=False)
@@ -300,16 +342,15 @@ def _collect_pca_samples(
     bg_needed = max(pos.shape[0], min_total - pos.shape[0])
     bg_needed = min(bg_needed, PCA_SAMPLE_CAP - pos.shape[0])
 
-    # Every background box adds one row per grid cell.  Each image's boxes
-    # are pooled at once, and their rows go back to draw order.
+    # Every background box adds one row per grid cell.  The boxes are pooled
+    # grouped by image, and their rows go back to draw order.
     cells = table.grid.cells
-    records = [s.record for s in dataset]
     image, boxes = _draw_background_boxes(
         rng, records, spec.min_height, spec.max_height, max(0, -(-bg_needed // cells))
     )
+    order = np.argsort(image, kind="stable")
     bg = np.empty((len(boxes), cells, bin_dim), dtype=np.float32)
-    for i in np.unique(image).tolist():
-        bg[image == i] = pooled(records[i], boxes[image == i])
+    bg[order] = pooled(boxes[order], image[order])
     return np.vstack([pos, bg.reshape(-1, bin_dim)]).astype(np.float64), pos.shape[0]
 
 
@@ -425,6 +466,24 @@ def train_detector(dataset: Dataset, settings: TrainSettings) -> tuple[DetectorM
 # --- inference ----------------------------------------------------------------
 
 
+def _detect_batch(
+    model: DetectorModel, records: list[ImageRecord], proposals: list[ScoredBoxes]
+) -> list[ScoredBoxes]:
+    """``detect_image`` of each image, with every image's candidates scored as one batch."""
+    cands = [_candidates(r, p, model.caps.test_top_k) for r, p in zip(records, proposals)]
+    counts = [len(c) for c in cands]
+    if not any(counts):
+        return cands
+    boxes = np.concatenate([c.boxes for c in cands])
+    X = model.extractor.extract_many(records, boxes, np.repeat(np.arange(len(cands)), counts))
+    margins = model.forest.score(X, prior_logits(np.concatenate([c.scores for c in cands])))
+    out, row = [], 0
+    for c, n in zip(cands, counts):
+        out.append(nms(ScoredBoxes(c.boxes, margins[row : row + n]), NMS_THRESHOLD) if n else c)
+        row += n
+    return out
+
+
 def detect_image(
     model: DetectorModel, record: ImageRecord, proposals: ScoredBoxes
 ) -> ScoredBoxes:
@@ -432,33 +491,45 @@ def detect_image(
 
     The candidates are the top ``caps.test_top_k`` proposals by score that
     lie inside the image, the same rule training draws its samples by.  A
-    detection's score is the forest's margin.
+    detection's score is the forest's margin.  This is ``detect_dataset``'s
+    batch path run on a batch of one image, so both give the same bytes.
     """
-    c = _candidates(record, proposals, model.caps.test_top_k)
-    if not c:
-        return c
-    X = model.extractor.extract_many(record, c.boxes)
-    margins = model.forest.score(X, prior_logits(c.scores))
-    return nms(ScoredBoxes(c.boxes, margins), NMS_THRESHOLD)
+    return _detect_batch(model, [record], [proposals])[0]
 
 
 def detect_dataset(
     model: DetectorModel, dataset: Dataset, threads: int = 1
 ) -> dict[str, ScoredBoxes]:
-    """Detections per image id; thread count never changes the result."""
+    """Detections per image id, as ``detect_image`` gives them.
+
+    Images are scored in consecutive batches, each holding at most
+    ``_BATCH_FLOATS`` descriptor floats for its images' candidate caps.  The
+    bound caps memory and is not a setting: a box's descriptor and margin do
+    not depend on its batch.  Per batch, routing, box mapping, pooling
+    windows, each bin's PCA projection and forest scoring run once; only the
+    gather from each image's maps (over its slice of the batch windows,
+    trimmed to its own longest span) and NMS run per image.  With
+    ``threads`` > 1 a thread pool works through the batches (``threads`` < 1
+    means one per CPU); the thread count never changes the result.
+    """
     import os
 
     samples = list(dataset)
     if threads < 1:
         threads = os.cpu_count() or 1
+    caps = [min(len(s.proposals), model.caps.test_top_k) for s in samples]
+
+    def run(span: tuple[int, int]) -> list[ScoredBoxes]:
+        batch = samples[span[0] : span[1]]
+        return _detect_batch(model, [s.record for s in batch], [s.proposals for s in batch])
+
+    spans = _batches(caps, model.extractor.length)
     if threads == 1:
-        results = [detect_image(model, s.record, s.proposals) for s in samples]
+        results = [run(span) for span in spans]
     else:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(
-                ex.map(lambda s: detect_image(model, s.record, s.proposals), samples)
-            )
-    return {s.image_id: r for s, r in zip(samples, results)}
+            results = list(ex.map(run, spans))
+    return {s.image_id: d for s, d in zip(samples, (d for r in results for d in r))}
 
 
 # --- model serialization --------------------------------------------------------

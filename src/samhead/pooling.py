@@ -1,7 +1,7 @@
-"""RoI pooling over strided maps: one batched grid primitive for every box of an image.
+"""RoI pooling over strided maps: one batched grid primitive for the boxes of a batch of images.
 
 Every box in image pixels reaches a map through one rule,
-``map_boxes_to_feature_coords``: it maps all of an image's boxes at once to
+``map_boxes_to_feature_coords``: it maps a batch of boxes at once to
 half-open cell rectangles on the target map (stride-aware, clamped, never
 empty).  Each rectangle is then split into an m x n grid.  Along an extent
 ``e`` split into ``k`` slots, slot ``i`` covers
@@ -22,15 +22,26 @@ Two reductions run over those windows, each for all boxes in one call:
   computes the windows once for maps of one geometry and ``window_max``
   pools a map over them.
 * ``grid_histogram_pool`` counts integer codes (class labels, quantized edge
-  strengths) with one ``bincount`` per box keyed by ``cell * bins + code``.
-  Counts are exact integers; they are divided in float32 by float32 cell
-  sizes, the same division a per-cell count makes, so each cell sums to one.
+  strengths) with one ``bincount`` per box keyed by ``cell * bins + code``,
+  in the narrowest unsigned dtype that holds ``m * n * bins`` keys.  Counts
+  are exact integers; they are divided in float32 by float32 cell sizes, the
+  same division a per-cell count makes, so each cell sums to one.
+
+``BoxBatch`` runs both over the boxes of several images at once, grouped by
+image.  Per map geometry (stride, H, W) it maps all boxes of the images
+whose maps share that geometry and builds their windows in one pass; only
+the gather runs image by image, on each image's own map.  Each image's slice
+of the batch windows is trimmed to that image's own longest span, so a batch
+gathers no more than its images would one by one: padding every image to
+the batch's longest span would gather about twice as much.  Histograms
+count every box of the batch in one loop.
 
 Rects are checked against the map only where a caller hands them in:
 ``grid_max_pool`` and ``grid_histogram_pool`` reject a rect that does not
-fit.  ``max_windows`` trusts its rects, which come from the mapping.  The
-single-box functions ``roi_max_pool``, ``roi_histogram_pool`` and
-``roi_edge_pool`` are batch-of-one wrappers over the two reductions.
+fit.  ``max_windows`` and ``BoxBatch`` trust their rects, which come from
+the mapping.  The single-box functions ``roi_max_pool``,
+``roi_histogram_pool`` and ``roi_edge_pool`` are batch-of-one wrappers over
+the two reductions.
 """
 
 from __future__ import annotations
@@ -97,6 +108,8 @@ def map_boxes_to_feature_coords(
     the edge cell, as a box overhanging the map is.  Only a box that ends at
     or before 0, or starts a full cell or more past the map's far edge
     (``x >= (map_w + 1) * stride``, likewise for ``y``), is degenerate.
+    Cells are clamped while still floats, so a finite box of any size maps
+    to the cells it covers.
     """
     if stride < 1 or map_h < 1 or map_w < 1:
         raise ValueError(f"bad map geometry: stride={stride}, shape=({map_h}, {map_w})")
@@ -109,11 +122,11 @@ def map_boxes_to_feature_coords(
             f"box {tuple(float(v) for v in (x[i], y[i], w[i], h[i]))} lies outside a "
             f"stride-{stride} map of ({map_h}, {map_w}) cells"
         )
-    rs = np.clip(np.floor(y / stride).astype(np.int64), 0, map_h - 1)
-    cs = np.clip(np.floor(x / stride).astype(np.int64), 0, map_w - 1)
-    re = np.minimum(np.maximum(np.ceil(y2 / stride).astype(np.int64), rs + 1), map_h)
-    ce = np.minimum(np.maximum(np.ceil(x2 / stride).astype(np.int64), cs + 1), map_w)
-    return np.stack([rs, re, cs, ce], axis=1)
+    rs = np.minimum(np.maximum(np.floor(y / stride), 0.0), map_h - 1)
+    cs = np.minimum(np.maximum(np.floor(x / stride), 0.0), map_w - 1)
+    re = np.minimum(np.maximum(np.ceil(y2 / stride), rs + 1), map_h)
+    ce = np.minimum(np.maximum(np.ceil(x2 / stride), cs + 1), map_w)
+    return np.stack([rs, re, cs, ce], axis=1).astype(np.int64)
 
 
 def grid_bounds(start: np.ndarray, extent: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -121,13 +134,12 @@ def grid_bounds(start: np.ndarray, extent: np.ndarray, k: int) -> tuple[np.ndarr
 
     Returns ``(lo, hi)``, both (N, k), in the coordinates of ``start``.
     """
-    i = np.arange(k)
     e = np.asarray(extent, dtype=np.int64)[:, None]
-    lo = (i * e) // k
-    hi = ((i + 1) * e) // k
-    empty = hi <= lo
-    lo = np.where(empty, np.minimum(lo, e - 1), lo)
-    hi = np.where(empty, lo + 1, hi)
+    # Slot i starts at floor(i * e / k) <= e - 1 and ends where slot i + 1
+    # starts, or one cell after its start where that would leave it empty.
+    bounds = (np.arange(k + 1) * e) // k
+    lo = bounds[:, :-1]
+    hi = np.maximum(bounds[:, 1:], lo + 1)
     start = np.asarray(start, dtype=np.int64)[:, None]
     return start + lo, start + hi
 
@@ -154,14 +166,36 @@ class MaxWindows:
 
     Member a of a window is ``min(lo + a, hi - 1)``: short windows repeat
     their last member up to the longest window's span.  ``rows`` is
-    (span_r, N, m) and ``cols`` (span_c, N, n).  Maps of one geometry share
-    one ``MaxWindows``.
+    (span_r, N, m*n) and ``cols`` (span_c, N, m*n): entry [a, k, i*n + j] is
+    member a of the row (column) window of box k's cell (i, j).  Laid out
+    per cell, the two broadcast over the member axes alone, which keeps the
+    gather's index arithmetic in long contiguous runs.  Maps of one geometry
+    share one ``MaxWindows``.
     """
 
     map_h: int
     map_w: int
     rows: np.ndarray
     cols: np.ndarray
+
+    def split(self, offsets: list[int]) -> list["MaxWindows"]:
+        """The windows of rects ``[offsets[j], offsets[j + 1])`` for each j, as views.
+
+        Each part is trimmed to its own longest span, so it gathers what
+        windows built for its rects alone would.  Every part must be non-empty.
+        """
+        if len(offsets) == 2:
+            return [self]
+        starts = offsets[:-1]
+        # Window by window, the last member less the first is the span less one.
+        spans = [
+            (np.maximum.reduceat((a[-1] - a[0]).max(axis=1), starts) + 1).tolist()
+            for a in (self.rows, self.cols)
+        ]
+        return [
+            MaxWindows(self.map_h, self.map_w, self.rows[:sr, a:b], self.cols[:sc, a:b])
+            for a, b, sr, sc in zip(starts, offsets[1:], *spans)
+        ]
 
 
 def max_windows(rects: np.ndarray, grid: PoolGrid, map_h: int, map_w: int) -> MaxWindows:
@@ -174,30 +208,35 @@ def max_windows(rects: np.ndarray, grid: PoolGrid, map_h: int, map_w: int) -> Ma
     span_r, span_c = int((r1 - r0).max(initial=1)), int((c1 - c0).max(initial=1))
     rows = np.minimum(r0 + np.arange(span_r)[:, None, None], r1 - 1)
     cols = np.minimum(c0 + np.arange(span_c)[:, None, None], c1 - 1)
-    return MaxWindows(map_h, map_w, rows, cols)
+    return MaxWindows(map_h, map_w, np.repeat(rows, grid.n, axis=2), np.tile(cols, (1, 1, grid.m)))
 
 
-def window_max(hwc: np.ndarray, windows: MaxWindows) -> np.ndarray:
-    """Per-cell channel-wise max of an (H, W, C) map over each box's windows: (N, C, m*n)."""
+def window_max(hwc: np.ndarray, windows: MaxWindows, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-cell channel-wise max of an (H, W, C) map over each box's windows: (N, C, m*n).
+
+    The maxima are written channel-last into ``out``, an (N, m*n, C) float32
+    array (it may be a strided view), or a new one; the result is its
+    transpose.
+    """
     map_h, map_w, channels = hwc.shape
     if (map_h, map_w) != (windows.map_h, windows.map_w):
         raise DataError(f"windows for a ({windows.map_h}, {windows.map_w}) map "
                         f"applied to a ({map_h}, {map_w}) map")
     rows, cols = windows.rows, windows.cols
-    span_r, n_box, m = rows.shape
-    span_c, _, n = cols.shape
-    out = np.empty((n_box, m, n, channels), dtype=np.float32)
+    span_r, n_box, cells = rows.shape
+    span_c = cols.shape[0]
+    if out is None:
+        out = np.empty((n_box, cells, channels), dtype=np.float32)
     # Each member is one pixel's row of C contiguous floats.
     flat = hwc.reshape(-1, channels)
-    step = max(1, _GATHER_FLOATS // (span_r * span_c * m * n * channels))
+    step = max(1, _GATHER_FLOATS // (span_r * span_c * cells * channels))
     for a in range(0, n_box, step):
         b = min(a + step, n_box)
-        pix = rows[:, None, a:b, :, None] * map_w + cols[None, :, a:b, None, :]
-        members = flat.take(pix.reshape(-1), axis=0).reshape(
-            span_r * span_c, b - a, m, n, channels
-        )
-        out[a:b] = members.max(axis=0)
-    return out.reshape(n_box, m * n, channels).transpose(0, 2, 1)
+        pix = rows[:, None, a:b] * map_w + cols[None, :, a:b]
+        members = flat.take(pix.reshape(-1), axis=0)
+        # A reduction straight into a strided ``out`` runs several times slower.
+        out[a:b] = members.reshape(span_r * span_c, b - a, cells, channels).max(axis=0)
+    return out.transpose(0, 2, 1)
 
 
 def grid_max_pool(hwc: np.ndarray, rects: np.ndarray, grid: PoolGrid) -> np.ndarray:
@@ -218,44 +257,137 @@ def grid_histogram_pool(
     rects = _check_rects(rects, map_h, map_w)
     if codes.size and int(codes.max()) >= bins:
         raise DataError(f"map holds code {int(codes.max())} outside [0, {bins - 1}]")
+    return _histograms([codes], [0, rects.shape[0]], rects, grid, bins)
+
+
+def _histograms(
+    maps: list[np.ndarray], offsets: list[int], rects: np.ndarray, grid: PoolGrid, bins: int
+) -> np.ndarray:
+    """Histogram rows of rects ``[offsets[j], offsets[j + 1])`` on code map ``maps[j]``."""
     n_box, m, n = rects.shape[0], grid.m, grid.n
+    key_dtype = np.min_scalar_type(m * n * bins - 1)
     r0, r1, c0, c1 = _windows(rects, grid)
-    rows, row_key, row_split = _members(r0, r1, n * bins)
-    cols, col_key, col_split = _members(c0, c1, bins)
+    rows, row_key, row_split = _members(r0, r1, n * bins, key_dtype)
+    cols, col_key, col_split = _members(c0, c1, bins, key_dtype)
     counts = np.empty((n_box, m * n * bins), dtype=np.float32)
-    for i, (rs, re, cs, ce) in enumerate(rects.tolist()):
-        ra, rb = row_split[i], row_split[i + 1]
-        ca, cb = col_split[i], col_split[i + 1]
-        sub = codes[rs:re, cs:ce]
-        # Members outnumber the extent only where slots overlap (extent < k).
-        if rb - ra != re - rs:
-            sub = sub[rows[ra:rb] - rs]
-        if cb - ca != ce - cs:
-            sub = sub[:, cols[ca:cb] - cs]
-        key = sub + (row_key[ra:rb, None] + col_key[ca:cb])
-        counts[i] = np.bincount(key.reshape(-1), minlength=m * n * bins)
+    boxes = rects.tolist()
+    for codes, first, last in zip(maps, offsets, offsets[1:]):
+        for i in range(first, last):
+            rs, re, cs, ce = boxes[i]
+            ra, rb = row_split[i], row_split[i + 1]
+            ca, cb = col_split[i], col_split[i + 1]
+            sub = codes[rs:re, cs:ce]
+            # Members outnumber the extent only where slots overlap (extent < k).
+            if rb - ra != re - rs:
+                sub = sub[rows[ra:rb] - rs]
+            if cb - ca != ce - cs:
+                sub = sub[:, cols[ca:cb] - cs]
+            key = sub + (row_key[ra:rb, None] + col_key[ca:cb])
+            counts[i] = np.bincount(key.reshape(-1), minlength=m * n * bins)
     counts = counts.reshape(n_box, m, n, bins)
     size = (r1 - r0)[:, :, None] * (c1 - c0)[:, None, :]
     counts /= size[..., None].astype(np.float32)
     return counts.reshape(n_box, m * n * bins)
 
 
-def _members(lo: np.ndarray, hi: np.ndarray, key_step: int):
+def _members(lo: np.ndarray, hi: np.ndarray, key_step: int, key_dtype):
     """Every window's members, box by box: (index, slot * key_step, box offsets)."""
     n_box, k = lo.shape
     size = (hi - lo).reshape(-1)
     end = np.cumsum(size)
     index = np.arange(size.sum()) + np.repeat(lo.reshape(-1) - (end - size), size)
-    key = np.repeat(np.tile(np.arange(k) * key_step, n_box), size)
+    key = np.repeat(np.tile((np.arange(k) * key_step).astype(key_dtype), n_box), size)
     split = [0] + end.reshape(n_box, k)[:, -1].tolist()
     return index, key, split
 
 
 def edge_codes(edges: np.ndarray, bins: int) -> np.ndarray:
-    """Edge strengths in [0, 1] quantized to ``bins`` uniform bins; 1.0 lands in the top bin."""
+    """Edge strengths in [0, 1] quantized to ``bins`` uniform bins; 1.0 lands in the top bin.
+
+    Codes come in the narrowest unsigned dtype that holds ``bins - 1``.
+    """
     if bins < 1:
         raise ValueError(f"edge histogram needs at least 1 bin, got {bins}")
-    return np.minimum((edges * bins).astype(np.int64), bins - 1)
+    return np.minimum((edges * bins).astype(np.int64), bins - 1).astype(
+        np.min_scalar_type(bins - 1)
+    )
+
+
+class BoxBatch:
+    """(x, y, w, h) boxes of a batch of images, grouped by image, pooled map by map.
+
+    ``image`` holds each box's image index, which never decreases along the
+    boxes.  A pooling call takes one map per image that has boxes, keyed by
+    image index (``images`` lists them).  Boxes are mapped and windowed
+    once per map geometry (stride, H, W) and set of images sharing it, and
+    the result is reused by every later map of that geometry.
+    """
+
+    def __init__(self, boxes: np.ndarray, image: np.ndarray, grid: PoolGrid):
+        self.boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+        image = np.asarray(image, dtype=np.int64).reshape(-1)
+        if image.shape[0] != self.boxes.shape[0]:
+            raise ValueError(f"{image.shape[0]} image indices for {self.boxes.shape[0]} boxes")
+        self.grid = grid
+        # The images that have boxes, and the box offsets of each one's run.
+        step = image[1:] - image[:-1]
+        if not len(image):
+            self.images, self.offsets = [], [0]
+        elif not step.any():
+            self.images, self.offsets = [int(image[0])], [0, len(image)]
+        elif (step < 0).any():
+            raise ValueError("boxes must come grouped by image, in image order")
+        else:
+            self.offsets = [0, *(np.flatnonzero(step) + 1).tolist(), len(image)]
+            self.images = image[self.offsets[:-1]].tolist()
+        self._mapped: dict = {}
+
+    def __len__(self) -> int:
+        return self.boxes.shape[0]
+
+    def _groups(self, geometry: dict[int, tuple[int, int, int]]):
+        """Per map geometry: its images' positions in ``images``, and the cached
+        mapping of their boxes (``sel`` of the batch, ``offsets`` of each
+        image's run within them, ``rects``, and later their ``windows``)."""
+        groups: dict[tuple[int, int, int], list[int]] = {}
+        for k, i in enumerate(self.images):
+            groups.setdefault(geometry[i], []).append(k)
+        for geo, ks in groups.items():
+            whole = len(ks) == len(self.images)
+            key = geo if whole else (geo, tuple(ks))
+            if key not in self._mapped:
+                if whole:
+                    sel, offsets = slice(None), self.offsets
+                else:
+                    sel = np.concatenate([np.arange(self.offsets[k], self.offsets[k + 1])
+                                          for k in ks])
+                    sizes = [self.offsets[k + 1] - self.offsets[k] for k in ks]
+                    offsets = np.cumsum([0] + sizes).tolist()
+                rects = map_boxes_to_feature_coords(self.boxes[sel], *geo)
+                self._mapped[key] = {"sel": sel, "offsets": offsets, "rects": rects}
+            yield geo, ks, self._mapped[key]
+
+    def max_pool(self, maps: dict[int, tuple[int, np.ndarray]], out: np.ndarray) -> None:
+        """Fill ``out``, (N, m*n, C) channel-last, with ``window_max`` of each box on
+        its image's (stride, (H, W, C) map) entry of ``maps``."""
+        geometry = {i: (s, *hwc.shape[:2]) for i, (s, hwc) in maps.items()}
+        for (_, map_h, map_w), ks, mapped in self._groups(geometry):
+            if "windows" not in mapped:
+                windows = max_windows(mapped["rects"], self.grid, map_h, map_w)
+                mapped["windows"] = windows.split(mapped["offsets"])
+            for k, windows in zip(ks, mapped["windows"]):
+                a, b = self.offsets[k], self.offsets[k + 1]
+                window_max(maps[self.images[k]][1], windows, out[a:b])
+
+    def histogram_pool(self, maps: dict[int, np.ndarray], bins: int) -> np.ndarray:
+        """``grid_histogram_pool`` rows, (N, m*n*bins), of each box on its image's
+        stride-1 map of codes, which are trusted to lie in [0, bins)."""
+        out = np.empty((len(self), self.grid.cells * bins), dtype=np.float32)
+        geometry = {i: (1, *codes.shape) for i, codes in maps.items()}
+        for _, ks, mapped in self._groups(geometry):
+            out[mapped["sel"]] = _histograms([maps[self.images[k]] for k in ks],
+                                             mapped["offsets"], mapped["rects"], self.grid, bins)
+        return out
 
 
 def _one_rect(rect: FeatureRect) -> np.ndarray:

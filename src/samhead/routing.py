@@ -5,11 +5,18 @@ A bin whose layers pool the table's target dimension per cell keeps its pooled
 stack; PCA runs only where widths differ, mapping that bin's per-cell stack to
 the target, so descriptors have one length no matter which bin produced them.
 Optional semantic and edge channels are appended after the CNN block.
+
+Descriptors are built for a batch of images at once: routing, the
+box-to-cell mapping of each map geometry, the pooling windows, and each
+bin's PCA projection run once per batch, and only the gather from each
+image's own maps runs image by image (see ``pooling.BoxBatch``).  Callers
+bound a batch by memory; its size never changes a descriptor.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,17 +28,12 @@ from .pca import PcaProjector
 # descriptors use the batched functions.  They stay importable from
 # this module because perfbench/tracing.py hooks them here.
 from .pooling import (  # noqa: F401
-    MaxWindows,
+    BoxBatch,
     PoolGrid,
     edge_codes,
-    grid_histogram_pool,
-    grid_max_pool,
-    map_boxes_to_feature_coords,
-    max_windows,
     roi_edge_pool,
     roi_histogram_pool,
     roi_max_pool,
-    window_max,
 )
 
 
@@ -105,37 +107,63 @@ def default_routing_table(grid: PoolGrid | None = None, target_dim: int = 0) -> 
     )
 
 
-def pool_bin_stacks(
-    record: ImageRecord, boxes: np.ndarray, table: RoutingTable, bin_index: int
-) -> np.ndarray:
-    """Channel-major pooled stacks of one bin's layers for (x, y, w, h) boxes.
+def _layer_map(record: ImageRecord, name: str) -> tuple[int, np.ndarray]:
+    """The stride and (H, W, C) map of the record's layer ``name``."""
+    try:
+        fmap = record.layer(name)
+    except DataError:
+        raise MissingLayerError(f"image {record.image_id!r} lacks routed layer {name!r}") from None
+    return fmap.stride, fmap.hwc
 
-    Shape (N, D_bin, m*n): layer blocks in bin order, each (C_layer, m*n).
-    Layers of one (stride, H, W) geometry share the boxes' windows.
+
+def _image_index(records: Sequence[ImageRecord], image) -> np.ndarray:
+    image = np.asarray(image, dtype=np.int64).reshape(-1)
+    if image.size and not (0 <= image[0] and image[-1] < len(records)):
+        raise ValueError(f"image indices must lie in [0, {len(records)})")
+    return image
+
+
+def pool_bin_stacks(
+    records: Sequence[ImageRecord],
+    boxes: np.ndarray,
+    image: np.ndarray,
+    table: RoutingTable,
+    bin_index: int,
+) -> np.ndarray:
+    """Channel-major pooled stacks of one bin's layers for (x, y, w, h) boxes of a
+    batch of images.
+
+    Box k lies in ``records[image[k]]``; boxes come grouped by image.  Shape
+    (N, D_bin, m*n): layer blocks in bin order, each (C_layer, m*n), as a
+    view of a C-ordered (N, m*n, D_bin) array, so each box's (m*n, D_bin)
+    block is C-contiguous.  Boxes are mapped and windowed once per map
+    geometry (see ``BoxBatch``).
     """
-    windows: dict[tuple[int, int, int], MaxWindows] = {}
-    parts = []
-    for name in table.bins[bin_index].layers:
-        try:
-            fmap = record.layer(name)
-        except DataError:
-            raise MissingLayerError(
-                f"image {record.image_id!r} lacks routed layer {name!r}"
-            ) from None
-        geometry = (fmap.stride, fmap.height, fmap.width)
-        if geometry not in windows:
-            rects = map_boxes_to_feature_coords(boxes, *geometry)
-            windows[geometry] = max_windows(rects, table.grid, fmap.height, fmap.width)
-        parts.append(window_max(fmap.hwc, windows[geometry]))
-    return np.concatenate(parts, axis=1)
+    batch = BoxBatch(boxes, _image_index(records, image), table.grid)
+    layers = table.bins[bin_index].layers
+    maps = [{i: _layer_map(records[i], name) for i in batch.images} for name in layers]
+    widths = []
+    for name, layer_maps in zip(layers, maps):
+        channels = {hwc.shape[2] for _, hwc in layer_maps.values()}
+        if len(channels) > 1:
+            raise DataError(f"layer {name!r} has inconsistent channel counts")
+        widths.append(channels.pop() if channels else 0)
+    out = np.empty((len(batch), table.grid.cells, sum(widths)), dtype=np.float32)
+    col = 0
+    for layer_maps, width in zip(maps, widths):
+        batch.max_pool(layer_maps, out[:, :, col : col + width])
+        col += width
+    return out.transpose(0, 2, 1)
 
 
 def pool_bin_cells(
     record: ImageRecord, box: np.ndarray, table: RoutingTable, bin_index: int
 ) -> np.ndarray:
     """Per-cell stacked channel vectors of one bin's layers for one (x, y, w, h) box,
-    shape (m*n, D_bin).  Unused here; perfbench/tracing.py hooks it by name."""
-    return pool_bin_stacks(record, np.reshape(box, (1, 4)), table, bin_index)[0].T
+    shape (m*n, D_bin): ``pool_bin_stacks`` for a batch of one box.  Unused here;
+    perfbench/tracing.py hooks it by name."""
+    return pool_bin_stacks([record], np.reshape(box, (1, 4)), np.zeros(1, np.int64),
+                           table, bin_index)[0].T
 
 
 #: Quantized edge strengths per cell of the edge histogram channel.
@@ -207,41 +235,32 @@ class DescriptorExtractor:
         grid = self.table.grid
         return self.cell_dim * grid.cells + self.channels.block_length(grid)
 
-    def _aux_blocks(self, record: ImageRecord, boxes: np.ndarray) -> list[np.ndarray]:
-        grid = self.table.grid
-        ch = self.channels
-        blocks = []
-        if ch.semantic:
-            lmap = record.label_map
-            if lmap is None:
-                raise MissingLayerError(f"image {record.image_id!r} lacks a label map")
-            rects = map_boxes_to_feature_coords(boxes, 1, lmap.height, lmap.width)
-            blocks.append(grid_histogram_pool(lmap.data, rects, grid, NUM_LABEL_CLASSES))
-        if ch.edge:
-            emap = record.edge_map
-            if emap is None:
-                raise MissingLayerError(f"image {record.image_id!r} lacks an edge map")
-            rects = map_boxes_to_feature_coords(boxes, 1, emap.height, emap.width)
-            if ch.edge_pooling == "hist":
-                blocks.append(grid_histogram_pool(
-                    edge_codes(emap.data, EDGE_BINS), rects, grid, EDGE_BINS
-                ))
-            else:
-                blocks.append(grid_max_pool(emap.data[..., None], rects, grid))
-        return [b.reshape(len(boxes), -1) for b in blocks]
+    def extract_many(
+        self, records: Sequence[ImageRecord], boxes: np.ndarray, image: np.ndarray
+    ) -> np.ndarray:
+        """Descriptors of (x, y, w, h) boxes of a batch of images: (N, length) float32.
 
-    def extract_many(self, record: ImageRecord, boxes: np.ndarray) -> np.ndarray:
-        """Descriptors for one image's (x, y, w, h) boxes, pooled bin by bin."""
+        Box k lies in ``records[image[k]]``, and boxes come grouped by image
+        (``image`` never decreases); an image may have no box.  Routing, the
+        box-to-cell mapping per map geometry, the pooling windows, and one
+        PCA projection per bin run once for the whole batch.  Only the
+        gather from each image's maps runs image by image, over that image's
+        slice of the batch windows trimmed to its own longest span (see
+        ``BoxBatch``).  A box's row does not depend on the rest of the batch.
+        """
+        boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+        image = _image_index(records, image)
         out = np.empty((len(boxes), self.length), dtype=np.float32)
         if not len(boxes):
             return out
+        grid = self.table.grid
         bins = self.table.route(boxes[:, 3])
-        cnn = self.cell_dim * self.table.grid.cells
+        cnn = self.cell_dim * grid.cells
         for i, spec in enumerate(self.table.bins):
             sel = np.flatnonzero(bins == i)
             if not sel.size:
                 continue
-            stacks = pool_bin_stacks(record, boxes[sel], self.table, i)
+            stacks = pool_bin_stacks(records, boxes[sel], image[sel], self.table, i)
             proj = self.projectors.get(spec.projector_id)
             width = proj.input_dim if proj else self.cell_dim
             if stacks.shape[1] != width:
@@ -250,13 +269,37 @@ class DescriptorExtractor:
                     f"bin {spec.projector_id!r} pools {stacks.shape[1]} channels per cell "
                     f"but {need} {width}"
                 )
-            # Each box's (cells, D) block is the transpose of its C-ordered
-            # (D, cells) stack.  The block's memory order picks the BLAS
-            # kernel, and with it the last bits of a real PCA projection.
+            # Each box's (cells, D) block is C-contiguous, as it was when
+            # pooled image by image.  The block's memory order picks the
+            # BLAS kernel, and with it the last bits of a real PCA projection.
             cells = stacks.transpose(0, 2, 1)
             out[sel, :cnn] = (proj.project(cells) if proj else cells).reshape(sel.size, -1)
+        ch = self.channels
+        if not (ch.semantic or ch.edge):
+            return out
+        # The label and edge maps share one stride-1 mapping.
+        batch = BoxBatch(boxes, image, grid)
         col = cnn
-        for block in self._aux_blocks(record, boxes):
+        if ch.semantic:
+            labels = {i: _aux_map(records[i], "label_map", "a label map")
+                      for i in batch.images}
+            block = batch.histogram_pool(labels, NUM_LABEL_CLASSES)
             out[:, col : col + block.shape[1]] = block
             col += block.shape[1]
+        if ch.edge:
+            edges = {i: _aux_map(records[i], "edge_map", "an edge map") for i in batch.images}
+            if ch.edge_pooling == "hist":
+                codes = {i: edge_codes(e, EDGE_BINS) for i, e in edges.items()}
+                out[:, col:] = batch.histogram_pool(codes, EDGE_BINS)
+            else:
+                batch.max_pool({i: (1, e[..., None]) for i, e in edges.items()},
+                               out[:, col:, None])
         return out
+
+
+def _aux_map(record: ImageRecord, attr: str, what: str) -> np.ndarray:
+    """The data of the record's label or edge map (``attr``)."""
+    amap = getattr(record, attr)
+    if amap is None:
+        raise MissingLayerError(f"image {record.image_id!r} lacks {what}")
+    return amap.data

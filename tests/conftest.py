@@ -8,6 +8,7 @@ import json
 import signal
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from samhead import config
@@ -48,6 +49,11 @@ def fast_train_settings(**forest_overrides) -> TrainSettings:
 
 #: The arrays of a saved forest and their file types.
 FOREST_ARRAYS = {"sizes": "<i4", "feature": "<i4", "right": "<i4", "value": "<f8"}
+
+
+def extract_one(extractor, record, boxes):
+    """``extractor.extract_many`` of one image's boxes, as a batch of one image."""
+    return extractor.extract_many([record], boxes, np.zeros(len(boxes), dtype=np.int64))
 
 
 def forest_arrays(section) -> dict:

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import fast_train_settings, forest_arrays, time_limit
+from conftest import extract_one, fast_train_settings, forest_arrays, time_limit
 from oracles import oracle_background_draws, oracle_training_candidates
 from samhead import config, pipeline
 from samhead.dataset import Dataset, ImageSample
@@ -113,6 +113,38 @@ def test_thread_count_does_not_change_detections(trained, tiny_test_set):
     assert detect_dataset(trained, tiny_test_set, threads=2) == detect_dataset(
         trained, tiny_test_set, threads=1
     )
+
+
+@pytest.mark.parametrize("bound", [1, 1 << 18, 1 << 40])
+def test_batch_bound_never_changes_detections(trained, tiny_test_set, monkeypatch, bound):
+    # One image per batch, a few images, or all of them: each batch gives
+    # what detect_image, a batch of one, gives image by image.
+    want = {s.image_id: detect_image(trained, s.record, s.proposals) for s in tiny_test_set}
+    monkeypatch.setattr(pipeline, "_BATCH_FLOATS", bound)
+    caps = [min(len(s.proposals), trained.caps.test_top_k) for s in tiny_test_set]
+    n = len(tiny_test_set)
+    batches = len(pipeline._batches(caps, trained.extractor.length))
+    assert batches in {1: {n}, 1 << 18: set(range(2, n)), 1 << 40: {1}}[bound]
+    assert detect_dataset(trained, tiny_test_set) == want
+    assert detect_dataset(trained, tiny_test_set, threads=2) == want
+
+
+def test_batches_are_runs_of_images_under_the_bound(monkeypatch):
+    monkeypatch.setattr(pipeline, "_BATCH_FLOATS", 100)
+    assert pipeline._batches([3, 0, 5, 2, 20, 1], 10) == [(0, 4), (4, 5), (5, 6)]
+    assert pipeline._batches([], 10) == []
+    monkeypatch.setattr(pipeline, "_BATCH_FLOATS", 1)
+    assert pipeline._batches([3, 0, 5], 10) == [(0, 1), (1, 2), (2, 3)]
+
+
+def test_training_samples_do_not_depend_on_the_batch_bound(tiny_train_set, monkeypatch):
+    extractor = _conv4a_extractor(tiny_train_set)
+    whole = _training_samples(tiny_train_set, extractor, MINING)
+    monkeypatch.setattr(pipeline, "_BATCH_FLOATS", 1)
+    for (X, priors), (want_X, want_priors) in zip(
+        _training_samples(tiny_train_set, extractor, MINING), whole
+    ):
+        assert np.array_equal(X, want_X) and np.array_equal(priors, want_priors)
 
 
 def test_boxes_past_floor_sized_maps_are_detected(trained, tiny_train_set):
@@ -274,7 +306,7 @@ def _expected_samples(extractor, dataset, selected):
     for i, s in enumerate(dataset):
         mine = [pick for pick in selected if pick[0] == i]
         if mine:
-            rows.append(extractor.extract_many(s.record, np.array([pick[1] for pick in mine])))
+            rows.append(extract_one(extractor, s.record, np.array([pick[1] for pick in mine])))
             priors.extend(prior_logits([pick[2] for pick in mine]))
     X = np.vstack(rows) if rows else np.empty((0, extractor.length), dtype=np.float32)
     return X, np.asarray(priors, dtype=np.float64)
@@ -332,7 +364,7 @@ def test_background_negatives_keep_the_oracle_draws(tiny_train_set, monkeypatch,
     assert boxes.tolist() == [list(b) for _, b in want]
     samples = list(tiny_train_set)
     rows = [
-        extractor.extract_many(s.record, np.array([b for i, b in want if i == k]))
+        extract_one(extractor, s.record, np.array([b for i, b in want if i == k]))
         for k, s in enumerate(samples)
         if any(i == k for i, _ in want)
     ]
@@ -351,8 +383,8 @@ def test_only_a_schedule_that_mines_extracts_and_scores_the_pool(
     extracted, scored = [], []
     extract_many, score = DescriptorExtractor.extract_many, Forest.score
     monkeypatch.setattr(DescriptorExtractor, "extract_many",
-                        lambda self, record, boxes: extracted.append(len(boxes))
-                        or extract_many(self, record, boxes))
+                        lambda self, records, boxes, image: extracted.append(len(boxes))
+                        or extract_many(self, records, boxes, image))
     monkeypatch.setattr(Forest, "score", lambda *a, **k: scored.append(1) or score(*a, **k))
     settings = fast_train_settings(stage_tree_counts=schedule, hard_negatives_per_stage=budget)
     _, manifest = train_detector(tiny_train_set, settings)

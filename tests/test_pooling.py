@@ -17,6 +17,7 @@ from oracles import (
 from samhead.errors import DataError
 from samhead.maps import EdgeMap, FeatureMap, LabelMap
 from samhead.pooling import (
+    BoxBatch,
     DegenerateRoiError,
     FeatureRect,
     PoolGrid,
@@ -78,6 +79,13 @@ class TestMapToFeatureCoords:
             one_rect(260, 10, 1, 60, stride=4, map_h=20, map_w=64)
         with pytest.raises(DegenerateRoiError):
             one_rect(10, 84, 8, 3, stride=4, map_h=20, map_w=64)
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_finite_box_maps_to_the_cells_it_covers(self):
+        # Cells are clamped before the integer cast, so a box past int64's
+        # range neither warns nor wraps around.
+        assert one_rect(-1e30, 10, 2e30, 50, stride=4, map_h=20, map_w=64) == (2, 15, 0, 64)
+        assert one_rect(10, -1e300, 5, 1e301, stride=1, map_h=20, map_w=64) == (0, 20, 10, 15)
 
     @given(
         x=st.floats(-40, 150), y=st.floats(-40, 150),
@@ -360,3 +368,80 @@ class TestBatchedGridPool:
         labels = np.array([[0, 5]], dtype=np.uint8)
         with pytest.raises(DataError, match="code 5"):
             grid_histogram_pool(labels, np.array([[0, 1, 0, 2]]), PoolGrid(1, 1), 5)
+
+
+class TestHistogramKeyWidths:
+    """Keys take the narrowest unsigned dtype that holds m*n*bins; each width's edge."""
+
+    @pytest.mark.parametrize("grid, bins", [((2, 2), 64), ((1, 1), 257), ((1, 1), 65536),
+                                            ((1, 1), 65537)])
+    def test_code_histograms_match_the_oracle(self, grid, bins):
+        rng = np.random.default_rng(bins)
+        codes = rng.integers(0, bins, size=(9, 11)).astype(np.min_scalar_type(bins - 1))
+        codes[-1, -1] = bins - 1  # the largest key: last cell, top code
+        rects = np.array([[0, 9, 0, 11], [2, 7, 3, 5], [8, 9, 10, 11]])
+        got = grid_histogram_pool(codes, rects, PoolGrid(*grid), bins)
+        assert got.shape == (3, grid[0] * grid[1] * bins)
+        for rect, row in zip(rects.tolist(), got):
+            want = oracle_histogram_pool(codes, FeatureRect(*rect), *grid, bins)
+            assert np.array_equal(row, want)
+
+    @pytest.mark.parametrize("grid, bins", [((4, 4), 16), ((1, 1), 257), ((1, 1), 65536),
+                                            ((1, 1), 65537)])
+    def test_edge_histograms_match_the_oracle(self, grid, bins):
+        rng = np.random.default_rng(bins)
+        edges = rng.random(size=(9, 11)).astype(np.float32)
+        edges[-1, -1] = 1.0
+        emap = EdgeMap(edges)
+        assert edge_codes(emap.data, bins).dtype == np.min_scalar_type(bins - 1)
+        for rect in (FeatureRect(0, 9, 0, 11), FeatureRect(2, 7, 3, 5), FeatureRect(8, 9, 10, 11)):
+            got = roi_edge_pool(emap, rect, PoolGrid(*grid), mode="hist", bins=bins)
+            assert np.array_equal(got, oracle_edge_hist_pool(edges, rect, *grid, bins))
+
+    def test_edge_codes_of_the_edge_channel_are_bytes(self):
+        assert edge_codes(np.array([[0.0, 0.5, 1.0]], dtype=np.float32), 16).dtype == np.uint8
+
+
+class TestBoxBatch:
+    """Boxes of several images, windowed once per geometry, gathered per image."""
+
+    def test_split_windows_match_windows_built_for_each_part(self):
+        rng = np.random.default_rng(5)
+        grid = PoolGrid(3, 2)
+        fmap = FeatureMap("conv3", 4, rng.normal(size=(2, 9, 12)).astype(np.float32))
+        rects = map_boxes_to_feature_coords(np.array(random_boxes(rng, fmap, 12)), 4, 9, 12)
+        offsets = [0, 5, 6, 12]
+        parts = max_windows(rects, grid, 9, 12).split(offsets)
+        for part, a, b in zip(parts, offsets, offsets[1:]):
+            alone = max_windows(rects[a:b], grid, 9, 12)
+            assert np.array_equal(part.rows, alone.rows)
+            assert np.array_equal(part.cols, alone.cols)
+
+    def test_each_box_pools_its_own_images_maps(self):
+        rng = np.random.default_rng(9)
+        grid = PoolGrid(3, 2)
+        # Images 0 and 2 share a geometry, image 3 has another, image 1 has no box.
+        shapes = [(9, 12), (9, 12), (9, 12), (11, 7)]
+        fmaps = [FeatureMap("conv3", 4, rng.normal(size=(2, *hw)).astype(np.float32))
+                 for hw in shapes]
+        codes = [rng.integers(0, 21, size=(4 * h, 4 * w)).astype(np.uint8) for h, w in shapes]
+        counts = {0: 4, 2: 3, 3: 5}
+        boxes = np.array([b for i, n in counts.items() for b in random_boxes(rng, fmaps[i], n)])
+        image = np.repeat(list(counts), list(counts.values()))
+        batch = BoxBatch(boxes, image, grid)
+        assert batch.images == [0, 2, 3]
+        pooled = np.empty((len(boxes), grid.cells, 2), dtype=np.float32)
+        batch.max_pool({i: (4, fmaps[i].hwc) for i in batch.images}, pooled)
+        hist = batch.histogram_pool({i: codes[i] for i in batch.images}, 21)
+        for k, i in enumerate(image.tolist()):
+            rect = map_boxes_to_feature_coords(boxes[k : k + 1], 4, *shapes[i])
+            assert np.array_equal(pooled[k].T, grid_max_pool(fmaps[i].hwc, rect, grid)[0])
+            rect = map_boxes_to_feature_coords(boxes[k : k + 1], 1, *codes[i].shape)
+            assert np.array_equal(hist[k], grid_histogram_pool(codes[i], rect, grid, 21)[0])
+
+    def test_boxes_must_come_grouped_by_image(self):
+        boxes = np.tile([0.0, 0.0, 5.0, 5.0], (3, 1))
+        with pytest.raises(ValueError, match="grouped by image"):
+            BoxBatch(boxes, np.array([0, 1, 0]), PoolGrid(1, 1))
+        with pytest.raises(ValueError, match="2 image indices for 3 boxes"):
+            BoxBatch(boxes, np.array([0, 1]), PoolGrid(1, 1))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from samhead.errors import ConfigError
+from samhead.errors import ConfigError, DataError
 from samhead.maps import EdgeMap, FeatureMap, ImageRecord, LabelMap
 from samhead.pca import PcaProjector, fit_pca
 from samhead.pooling import PoolGrid
@@ -20,6 +20,7 @@ from samhead.routing import (
     pool_bin_stacks,
 )
 
+from conftest import extract_one
 from oracles import (
     Box,
     _oracle_feature_rect,
@@ -35,22 +36,24 @@ SMALL_BOX = Box(10.0, 2.0, 18.0, 60.0)
 LARGE_BOX = Box(4.0, 0.0, 40.0, 100.0)
 
 
-def make_record(channels=(3, 2, 1), with_label=True, with_edge=True, seed=0):
-    """64x48 image with conv3/conv4a at stride 4 and conv5a at stride 8."""
+def make_record(channels=(3, 2, 1), with_label=True, with_edge=True, seed=0, size=(64, 48),
+                image_id="img0"):
+    """A 64x48 (or ``size``) image with conv3/conv4a at stride 4 and conv5a at stride 8."""
     rng = np.random.default_rng(seed)
     c3, c4, c5 = channels
+    w, h = size
     fmaps = {
-        "conv3": FeatureMap("conv3", 4, rng.normal(size=(c3, 12, 16))),
-        "conv4a": FeatureMap("conv4a", 4, rng.normal(size=(c4, 12, 16))),
-        "conv5a": FeatureMap("conv5a", 8, rng.normal(size=(c5, 6, 8))),
+        "conv3": FeatureMap("conv3", 4, rng.normal(size=(c3, h // 4, w // 4))),
+        "conv4a": FeatureMap("conv4a", 4, rng.normal(size=(c4, h // 4, w // 4))),
+        "conv5a": FeatureMap("conv5a", 8, rng.normal(size=(c5, h // 8, w // 8))),
     }
     return ImageRecord(
-        image_id="img0",
-        image_w=64,
-        image_h=48,
+        image_id=image_id,
+        image_w=w,
+        image_h=h,
         feature_maps=fmaps,
-        label_map=LabelMap(rng.integers(0, 21, size=(48, 64))) if with_label else None,
-        edge_map=EdgeMap(rng.random(size=(48, 64))) if with_edge else None,
+        label_map=LabelMap(rng.integers(0, 21, size=(h, w))) if with_label else None,
+        edge_map=EdgeMap(rng.random(size=(h, w))) if with_edge else None,
     )
 
 
@@ -87,6 +90,19 @@ def oracle_cells(record, box, layers, grid):
         pooled = oracle_max_pool(fmap.data, rect, grid.m, grid.n)
         parts.append(pooled.reshape(fmap.channels, grid.cells))
     return np.concatenate(parts, axis=0).T
+
+
+def mixed_table():
+    """Two bins: "small" pools conv3 alone (3 channels, the target) and needs no
+    projector; "large" pools conv3 and conv4a (5 channels) and needs one to 3."""
+    return RoutingTable(
+        bins=(
+            ScaleBin(50.0, 80.0, ("conv3",), "small"),
+            ScaleBin(80.0, None, ("conv3", "conv4a"), "large"),
+        ),
+        grid=GRID,
+        target_dim=3,
+    )
 
 
 class TestScaleBin:
@@ -239,7 +255,7 @@ class TestPoolBinStacks:
         record = make_record()
         table = two_bin_table()
         boxes = np.array([LARGE_BOX, (0.0, 0.0, 30.0, 48.0), (20.5, 3.25, 22.0, 90.0)])
-        stacks = pool_bin_stacks(record, boxes, table, 1)
+        stacks = pool_bin_stacks([record], boxes, np.zeros(len(boxes), int), table, 1)
         assert stacks.shape == (3, 3, GRID.cells)
         for box, stack in zip(boxes, stacks):
             assert np.array_equal(stack.T, pool_bin_cells(record, box, table, 1))
@@ -282,7 +298,7 @@ class TestDescriptorExtractor:
         extractor = DescriptorExtractor(
             one_bin_table(target_dim=5), {}, ChannelConfig(semantic=True, edge=True)
         )
-        got = extractor.extract_many(record, np.array([SMALL_BOX]))[0]
+        got = extract_one(extractor, record, np.array([SMALL_BOX]))[0]
         rect1 = _oracle_feature_rect(SMALL_BOX, 1, 48, 64)
         expected = np.concatenate(
             [
@@ -300,7 +316,7 @@ class TestDescriptorExtractor:
             one_bin_table(target_dim=5), {},
             ChannelConfig(edge=True, edge_pooling="hist"),
         )
-        got = extractor.extract_many(record, np.array([SMALL_BOX]))[0]
+        got = extract_one(extractor, record, np.array([SMALL_BOX]))[0]
         rect1 = _oracle_feature_rect(SMALL_BOX, 1, 48, 64)
         expected_aux = oracle_edge_hist_pool(record.edge_map.data, rect1, GRID.m, GRID.n, 16)
         assert got.shape == (5 * 6 + 16 * 6,)
@@ -309,8 +325,8 @@ class TestDescriptorExtractor:
     def test_routing_switches_bins_by_box_height(self):
         record = make_record()
         extractor = DescriptorExtractor(two_bin_table(target_dim=3), {})
-        small = extractor.extract_many(record, np.array([SMALL_BOX]))[0]
-        large = extractor.extract_many(record, np.array([LARGE_BOX]))[0]
+        small = extract_one(extractor, record, np.array([SMALL_BOX]))[0]
+        large = extract_one(extractor, record, np.array([LARGE_BOX]))[0]
         exp_small = oracle_cells(record, SMALL_BOX, ("conv3",), GRID).reshape(-1)
         exp_large = oracle_cells(record, LARGE_BOX, ("conv4a", "conv5a"), GRID).reshape(-1)
         assert np.array_equal(small, exp_small.astype(np.float32))
@@ -326,7 +342,7 @@ class TestDescriptorExtractor:
         )
         proj, _ = fit_pca(training, components=2)
         extractor = DescriptorExtractor(table, {"only": proj})
-        got = extractor.extract_many(record, np.array(boxes[:1]))[0]
+        got = extract_one(extractor, record, np.array(boxes[:1]))[0]
         cells = pool_bin_cells(record, boxes[0], table, 0)
         expected = ((cells.astype(np.float64) - proj.mean) @ proj.basis.T).reshape(-1)
         assert extractor.length == 2 * GRID.cells
@@ -341,35 +357,33 @@ class TestDescriptorExtractor:
             training = np.concatenate([pool_bin_cells(record, b, table, i) for b in boxes])
             projectors[pid], _ = fit_pca(training, components=2)
         extractor = DescriptorExtractor(table, projectors, ChannelConfig(semantic=True))
-        got = extractor.extract_many(record, np.array(boxes))
+        got = extract_one(extractor, record, np.array(boxes))
         for k, b in enumerate(boxes):
             i = first_bin_holding(table, b.h)
             proj = projectors[table.bins[i].projector_id]
             expected = proj.project(pool_bin_cells(record, b, table, i)).reshape(-1)
             assert np.array_equal(got[k, : 2 * GRID.cells], expected.astype(np.float32))
-            assert np.array_equal(got[k], extractor.extract_many(record, np.array([b]))[0])
+            assert np.array_equal(got[k], extract_one(extractor, record, np.array([b]))[0])
 
     def test_extract_many_stacks_extract(self):
         record = make_record()
         extractor = DescriptorExtractor(one_bin_table(target_dim=5), {}, ChannelConfig(edge=True))
         boxes = [SMALL_BOX, LARGE_BOX, Box(0.0, 0.0, 30.0, 48.0)]
-        got = extractor.extract_many(record, np.array(boxes))
+        got = extract_one(extractor, record, np.array(boxes))
         assert got.shape == (3, extractor.length)
         assert got.dtype == np.float32
         for i, b in enumerate(boxes):
-            assert np.array_equal(got[i], extractor.extract_many(record, np.array([b]))[0])
+            assert np.array_equal(got[i], extract_one(extractor, record, np.array([b]))[0])
 
     def test_fresh_extractor_matches_batched_extract(self):
         record = make_record()
         table = one_bin_table(target_dim=5)
         projectors = {}
         channels = ChannelConfig(semantic=True)
-        one_shot = DescriptorExtractor(table, projectors, channels).extract_many(
-            record, np.array([SMALL_BOX])
-        )[0]
-        extracted = DescriptorExtractor(table, projectors, channels).extract_many(
-            record, np.array([LARGE_BOX, SMALL_BOX])
-        )[1]
+        one_shot = extract_one(DescriptorExtractor(table, projectors, channels), record,
+                               np.array([SMALL_BOX]))[0]
+        extracted = extract_one(DescriptorExtractor(table, projectors, channels), record,
+                                np.array([LARGE_BOX, SMALL_BOX]))[1]
         assert np.array_equal(one_shot, extracted)
 
     def test_projector_less_table_needs_a_target_dim(self):
@@ -403,30 +417,21 @@ class TestDescriptorExtractor:
             one_bin_table(target_dim=2), {"only": axes_projector(4, 2)}
         )
         with pytest.raises(ConfigError, match="expects 4"):
-            extractor.extract_many(record, np.array([SMALL_BOX]))[0]
+            extract_one(extractor, record, np.array([SMALL_BOX]))[0]
 
     def test_projector_less_bin_of_another_width_fails_at_extract(self):
         record = make_record()
         extractor = DescriptorExtractor(
             two_bin_table(target_dim=2), {"large": axes_projector(3, 2)}
         )
-        assert extractor.extract_many(record, np.array([LARGE_BOX])).shape == (1, 2 * GRID.cells)
+        assert extract_one(extractor, record, np.array([LARGE_BOX])).shape == (1, 2 * GRID.cells)
         message = "bin 'small' pools 3 channels per cell but it has no projector and the target is 2"
         with pytest.raises(ConfigError, match=message):
-            extractor.extract_many(record, np.array([LARGE_BOX, SMALL_BOX]))
+            extract_one(extractor, record, np.array([LARGE_BOX, SMALL_BOX]))
 
     def test_mixed_table_matches_the_oracle(self, monkeypatch):
-        # "small" pools conv3 alone (3 channels, the target) and has no
-        # projector; "large" pools 5 channels and gets a fitted PCA to 3.
         record = make_record(seed=3)
-        table = RoutingTable(
-            bins=(
-                ScaleBin(50.0, 80.0, ("conv3",), "small"),
-                ScaleBin(80.0, None, ("conv3", "conv4a"), "large"),
-            ),
-            grid=GRID,
-            target_dim=3,
-        )
+        table = mixed_table()
         boxes = [Box(2.0 + 3 * i, 1.0 + 2 * i, 20.0, 41.0 + 7 * i) for i in range(10)]
         training = np.concatenate([pool_bin_cells(record, b, table, 1) for b in boxes])
         projectors = {"large": fit_pca(training, components=3)[0]}
@@ -439,7 +444,7 @@ class TestDescriptorExtractor:
             return project(self, v)
 
         monkeypatch.setattr(PcaProjector, "project", counting_project)
-        got = extractor.extract_many(record, np.array(boxes))
+        got = extract_one(extractor, record, np.array(boxes))
         bins = [first_bin_holding(table, b.h) for b in boxes]
         assert 0 < bins.count(0) < len(boxes)
         assert calls == [projectors["large"]]
@@ -449,7 +454,7 @@ class TestDescriptorExtractor:
         calls.clear()
         small_only = [b for b, i in zip(boxes, bins) if i == 0]
         assert np.array_equal(
-            extractor.extract_many(record, np.array(small_only)), got[np.array(bins) == 0]
+            extract_one(extractor, record, np.array(small_only)), got[np.array(bins) == 0]
         )
         assert calls == []
 
@@ -459,10 +464,67 @@ class TestDescriptorExtractor:
             one_bin_table(target_dim=5), {}, ChannelConfig(semantic=True)
         )
         with pytest.raises(MissingLayerError, match="label map"):
-            extractor.extract_many(record, np.array([SMALL_BOX]))[0]
+            extract_one(extractor, record, np.array([SMALL_BOX]))[0]
 
     def test_missing_edge_map_is_reported(self):
         record = make_record(with_edge=False)
         extractor = DescriptorExtractor(one_bin_table(target_dim=5), {}, ChannelConfig(edge=True))
         with pytest.raises(MissingLayerError, match="edge map"):
-            extractor.extract_many(record, np.array([SMALL_BOX]))[0]
+            extract_one(extractor, record, np.array([SMALL_BOX]))[0]
+
+
+class TestBatchedExtract:
+    """One batch of several images, pooled at once, equal row by row to the oracles."""
+
+    @pytest.mark.parametrize("edge_pooling", ["hist", "max"])
+    def test_rows_match_the_oracles(self, edge_pooling):
+        # Two image sizes, so two geometries per layer; image 1 has no candidate.
+        records = [make_record(seed=3),
+                   make_record(seed=4, size=(80, 56), image_id="big4"),
+                   make_record(seed=5, size=(80, 56), image_id="big5"),
+                   make_record(seed=6, image_id="img6")]
+        table = mixed_table()
+        heights = (45.0, 90.0, 60.0, 100.0, 55.0, 85.0, 70.0, 95.0, 50.0, 110.0)
+        boxes = [Box(2.0 + 3 * i, 1.0 + 2 * i, 20.0, h) for i, h in enumerate(heights)]
+        training = np.concatenate([pool_bin_cells(records[0], b, table, 1) for b in boxes])
+        projectors = {"large": fit_pca(training, components=3)[0]}
+        channels = ChannelConfig(semantic=True, edge=True, edge_pooling=edge_pooling)
+        extractor = DescriptorExtractor(table, projectors, channels)
+        image = np.array([0, 0, 0, 0, 2, 2, 2, 3, 3, 3])
+        got = extractor.extract_many(records, np.array(boxes), image)
+        assert got.shape == (10, extractor.length)
+        bins = [first_bin_holding(table, b.h) for b in boxes]
+        for i in (0, 2, 3):
+            assert {bins[k] for k in np.flatnonzero(image == i)} == {0, 1}
+        m, n = GRID.m, GRID.n
+        for k, (i, box) in enumerate(zip(image.tolist(), boxes)):
+            rec = records[i]
+            rect1 = _oracle_feature_rect(box, 1, rec.image_h, rec.image_w)
+            if edge_pooling == "hist":
+                edge = oracle_edge_hist_pool(rec.edge_map.data, rect1, m, n, 16)
+            else:
+                edge = oracle_max_pool(rec.edge_map.data[None], rect1, m, n)
+            want = np.concatenate([
+                oracle_cnn_descriptor(rec, box, table, projectors),
+                oracle_histogram_pool(rec.label_map.data, rect1, m, n, 21),
+                edge,
+            ]).astype(np.float32)
+            assert np.array_equal(got[k], want)
+        for i, rec in enumerate(records):
+            mine = np.array(boxes)[image == i]
+            assert np.array_equal(extract_one(extractor, rec, mine), got[image == i])
+
+    def test_a_layer_must_have_one_width_across_the_batch(self):
+        records = [make_record(seed=3), make_record(channels=(4, 2, 1), seed=4)]
+        extractor = DescriptorExtractor(mixed_table(), {"large": axes_projector(5, 3)})
+        with pytest.raises(DataError, match="layer 'conv3' has inconsistent channel counts"):
+            extractor.extract_many(records, np.array([SMALL_BOX, SMALL_BOX]), np.array([0, 1]))
+
+    def test_boxes_must_come_grouped_by_image(self):
+        records = [make_record(seed=3), make_record(seed=4)]
+        extractor = DescriptorExtractor(one_bin_table(target_dim=5), {})
+        boxes = np.array([SMALL_BOX, LARGE_BOX, SMALL_BOX])
+        with pytest.raises(ValueError, match="grouped by image"):
+            extractor.extract_many(records, boxes, np.array([0, 1, 0]))
+        with pytest.raises(ValueError, match=r"image indices must lie in \[0, 2\)"):
+            extractor.extract_many(records, boxes, np.array([0, 1, 2]))
