@@ -139,6 +139,8 @@ def cmd_detect(args) -> int:
             "out": str(args.out),
             "images": len(ds),
             "detections": sum(len(v) for v in dets.values()),
+            "columns_read": int(model.forest.columns.size),
+            "descriptor_length": model.extractor.length,
         }
     )
     return 0

@@ -61,6 +61,13 @@ per-column, per-node reference (``tests/oracles.py``):
   that sits at a leaf stays there, and the walk ends by reading the float
   of the node it reached.  ``Forest.score`` still adds the trees' values
   one tree at a time, in order.
+- A forest reads only the features it splits on.  ``Forest`` derives them
+  once, sorted and distinct, as ``columns``.  ``Forest.on_columns`` is the
+  same forest with each split's feature renumbered to its position in
+  ``columns``; it scores ``X[:, columns]`` as the forest scores ``X``, bit
+  for bit, since every comparison and every tree's value stay where they
+  were.  Detection extracts those columns alone and scores them with it;
+  training and mining score full rows.
 """
 
 from __future__ import annotations
@@ -433,7 +440,9 @@ class Forest:
     leaf gets feature 0 and itself as both children, so every (tree, sample)
     pair can take ``depth`` steps with no test for having reached a leaf.
     ``next_node[k]`` holds node k's (right, left) children, the node a
-    sample moves to when ``x <= value[k]`` is false or true.
+    sample moves to when ``x <= value[k]`` is false or true.  ``columns``
+    holds the features the splits read, sorted and distinct (empty when no
+    node splits).
     """
 
     def __init__(
@@ -454,6 +463,7 @@ class Forest:
         self.value = np.asarray(value, dtype=np.float64)
         node = np.arange(self.feature.size)
         split = self.feature >= 0
+        self.columns = np.unique(self.feature[split])
         self.walk_feature = np.where(split, self.feature, 0)
         self.next_node = np.stack(
             [np.where(split, self.right + np.repeat(self.offsets, self.sizes), node),
@@ -488,6 +498,14 @@ class Forest:
     @property
     def n_trees(self) -> int:
         return len(self.sizes)
+
+    def on_columns(self) -> "Forest":
+        """This forest reading ``X[:, columns]``: each split's feature becomes its
+        position in ``columns``.  Every other array is shared, so its scores of
+        those columns equal this forest's scores of ``X`` bit for bit."""
+        feature = np.where(self.feature >= 0, np.searchsorted(self.columns, self.feature), -1)
+        return Forest(self.sizes, feature, self.right, self.value,
+                      prior_weight=self.prior_weight, n_features=self.columns.size)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Every tree's leaf value for every sample, shape (trees, samples)."""

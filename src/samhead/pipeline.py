@@ -3,6 +3,12 @@
 Wires the pieces together: fit per-bin projectors, build descriptors for
 proposal boxes, run the staged boosting schedule, then score and NMS test
 proposals.  Also holds model (de)serialization and the layer-ablation sweep.
+
+Training extracts full descriptor rows.  Detection extracts only the
+columns the forest splits on (``Forest.columns``; see ``routing`` for how
+they are pooled) and scores them with the forest renumbered onto those
+columns (``Forest.on_columns``), built once per ``DetectorModel``.  Every
+margin, and so every detection, is bit-equal to scoring full rows.
 """
 
 from __future__ import annotations
@@ -356,7 +362,11 @@ def _collect_pca_samples(
 
 @dataclass
 class DetectorModel:
-    """A trained detector: routing, the fitted projectors, channel config, and the forest."""
+    """A trained detector: routing, the fitted projectors, channel config, and the forest.
+
+    Construction also builds the descriptor extractor and the forest that
+    detection scores with, renumbered onto the columns it reads.
+    """
 
     table: RoutingTable
     projectors: dict[str, PcaProjector]
@@ -372,6 +382,7 @@ class DetectorModel:
                 f"forest scores {self.forest.n_features} features but descriptors "
                 f"have {self._extractor.length}"
             )
+        self._detect_forest = self.forest.on_columns()
 
     @property
     def extractor(self) -> DescriptorExtractor:
@@ -475,8 +486,10 @@ def _detect_batch(
     if not any(counts):
         return cands
     boxes = np.concatenate([c.boxes for c in cands])
-    X = model.extractor.extract_many(records, boxes, np.repeat(np.arange(len(cands)), counts))
-    margins = model.forest.score(X, prior_logits(np.concatenate([c.scores for c in cands])))
+    X = model.extractor.extract_many(records, boxes, np.repeat(np.arange(len(cands)), counts),
+                                     columns=model.forest.columns)
+    priors = prior_logits(np.concatenate([c.scores for c in cands]))
+    margins = model._detect_forest.score(X, priors)
     out, row = [], 0
     for c, n in zip(cands, counts):
         out.append(nms(ScoredBoxes(c.boxes, margins[row : row + n]), NMS_THRESHOLD) if n else c)

@@ -20,7 +20,9 @@ Two reductions run over those windows, each for all boxes in one call:
   their last member, which cannot change a maximum; max is exact in any
   order, so the result is bit-equal to a per-cell scan.  ``max_windows``
   computes the windows once for maps of one geometry and ``window_max``
-  pools a map over them.
+  pools a map over them.  ``window_max_pairs`` pools only chosen (cell,
+  channel) pairs, gathering one float per pair and member at flat index
+  ``pixel * C + channel``.
 * ``grid_histogram_pool`` counts integer codes (class labels, quantized edge
   strengths) with one ``bincount`` per box keyed by ``cell * bins + code``,
   in the narrowest unsigned dtype that holds ``m * n * bins`` keys.  Counts
@@ -34,7 +36,8 @@ the gather runs image by image, on each image's own map.  Each image's slice
 of the batch windows is trimmed to that image's own longest span, so a batch
 gathers no more than its images would one by one: padding every image to
 the batch's longest span would gather about twice as much.  Histograms
-count every box of the batch in one loop.
+count every box of the batch in one loop.  ``BoxBatch.max_pool_pairs`` is
+``max_pool`` at chosen (cell, channel) pairs, over the same windows.
 
 Rects are checked against the map only where a caller hands them in:
 ``grid_max_pool`` and ``grid_histogram_pool`` reject a rect that does not
@@ -178,6 +181,12 @@ class MaxWindows:
     rows: np.ndarray
     cols: np.ndarray
 
+    def check(self, hwc: np.ndarray) -> None:
+        """DataError unless ``hwc`` is an (H, W, C) map of the windows' (H, W)."""
+        if hwc.shape[:2] != (self.map_h, self.map_w):
+            raise DataError(f"windows for a ({self.map_h}, {self.map_w}) map "
+                            f"applied to a ({hwc.shape[0]}, {hwc.shape[1]}) map")
+
     def split(self, offsets: list[int]) -> list["MaxWindows"]:
         """The windows of rects ``[offsets[j], offsets[j + 1])`` for each j, as views.
 
@@ -218,10 +227,8 @@ def window_max(hwc: np.ndarray, windows: MaxWindows, out: np.ndarray | None = No
     array (it may be a strided view), or a new one; the result is its
     transpose.
     """
+    windows.check(hwc)
     map_h, map_w, channels = hwc.shape
-    if (map_h, map_w) != (windows.map_h, windows.map_w):
-        raise DataError(f"windows for a ({windows.map_h}, {windows.map_w}) map "
-                        f"applied to a ({map_h}, {map_w}) map")
     rows, cols = windows.rows, windows.cols
     span_r, n_box, cells = rows.shape
     span_c = cols.shape[0]
@@ -237,6 +244,35 @@ def window_max(hwc: np.ndarray, windows: MaxWindows, out: np.ndarray | None = No
         # A reduction straight into a strided ``out`` runs several times slower.
         out[a:b] = members.reshape(span_r * span_c, b - a, cells, channels).max(axis=0)
     return out.transpose(0, 2, 1)
+
+
+def window_max_pairs(
+    hwc: np.ndarray, windows: MaxWindows, cell: np.ndarray, channel: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """``window_max`` of an (H, W, C) map at (cell, channel) pairs only, into ``out``,
+    an (N, P) float32 array (it may be a view), which it returns.
+
+    Entry [k, p] is the max of channel ``channel[p]`` over box k's window of
+    cell ``cell[p]``, bit-equal to ``window_max(hwc, windows)[k, channel[p],
+    cell[p]]``.  Each member is one float, read at flat index
+    ``pixel * C + channel``, so a call gathers P floats per window member
+    where ``window_max`` gathers m*n*C.
+    """
+    windows.check(hwc)
+    map_h, map_w, channels = hwc.shape
+    span_r, n_box, _ = windows.rows.shape
+    span_c = windows.cols.shape[0]
+    # The flat offsets of each pair's row members and of its column members.
+    rows = windows.rows[:, :, cell] * (map_w * channels)
+    cols = windows.cols[:, :, cell] * channels + channel
+    flat = hwc.reshape(-1)
+    step = max(1, _GATHER_FLOATS // (span_r * span_c * max(1, len(cell))))
+    for a in range(0, n_box, step):
+        b = min(a + step, n_box)
+        members = flat.take((rows[:, None, a:b] + cols[None, :, a:b]).reshape(-1))
+        out[a:b] = members.reshape(span_r * span_c, b - a, len(cell)).max(axis=0)
+    return out
 
 
 def grid_max_pool(hwc: np.ndarray, rects: np.ndarray, grid: PoolGrid) -> np.ndarray:
@@ -367,17 +403,32 @@ class BoxBatch:
                 self._mapped[key] = {"sel": sel, "offsets": offsets, "rects": rects}
             yield geo, ks, self._mapped[key]
 
-    def max_pool(self, maps: dict[int, tuple[int, np.ndarray]], out: np.ndarray) -> None:
-        """Fill ``out``, (N, m*n, C) channel-last, with ``window_max`` of each box on
-        its image's (stride, (H, W, C) map) entry of ``maps``."""
+    def _max_windows(self, maps: dict[int, tuple[int, np.ndarray]]):
+        """Per image with boxes: its (H, W, C) map, its boxes' slice of the batch,
+        and their ``MaxWindows`` on that map."""
         geometry = {i: (s, *hwc.shape[:2]) for i, (s, hwc) in maps.items()}
         for (_, map_h, map_w), ks, mapped in self._groups(geometry):
             if "windows" not in mapped:
                 windows = max_windows(mapped["rects"], self.grid, map_h, map_w)
                 mapped["windows"] = windows.split(mapped["offsets"])
             for k, windows in zip(ks, mapped["windows"]):
-                a, b = self.offsets[k], self.offsets[k + 1]
-                window_max(maps[self.images[k]][1], windows, out[a:b])
+                part = slice(self.offsets[k], self.offsets[k + 1])
+                yield maps[self.images[k]][1], part, windows
+
+    def max_pool(self, maps: dict[int, tuple[int, np.ndarray]], out: np.ndarray) -> None:
+        """Fill ``out``, (N, m*n, C) channel-last, with ``window_max`` of each box on
+        its image's (stride, (H, W, C) map) entry of ``maps``."""
+        for hwc, part, windows in self._max_windows(maps):
+            window_max(hwc, windows, out[part])
+
+    def max_pool_pairs(
+        self, maps: dict[int, tuple[int, np.ndarray]], cell: np.ndarray, channel: np.ndarray
+    ) -> np.ndarray:
+        """``max_pool`` at (cell, channel) pairs only: (N, P), by ``window_max_pairs``."""
+        out = np.empty((len(self), len(cell)), dtype=np.float32)
+        for hwc, part, windows in self._max_windows(maps):
+            window_max_pairs(hwc, windows, cell, channel, out[part])
+        return out
 
     def histogram_pool(self, maps: dict[int, np.ndarray], bins: int) -> np.ndarray:
         """``grid_histogram_pool`` rows, (N, m*n*bins), of each box on its image's

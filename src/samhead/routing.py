@@ -11,6 +11,25 @@ box-to-cell mapping of each map geometry, the pooling windows, and each
 bin's PCA projection run once per batch, and only the gather from each
 image's own maps runs image by image (see ``pooling.BoxBatch``).  Callers
 bound a batch by memory; its size never changes a descriptor.
+
+Training pools full rows.  Detection asks ``extract_many`` for only the
+columns its forest splits on (``Forest.columns``), and gets those columns
+of the full rows bit for bit:
+
+* A bin without a projector reads each layer's used (cell, channel) pairs
+  one float at a time, straight from the channel-last map (flat index
+  ``pixel * C + channel``), while they are at most ``PAIR_GATHER_SHARE`` =
+  0.1 of the layer's m*n*C pooled values.  Above that share the layer
+  gathers whole pixel rows, as for full rows, and keeps its used values: a
+  lone float costs several times what it costs inside a pixel row.  The
+  constant is the measured crossover: on each of the eight (bin, layer)
+  pairs of the two benchmark workloads, the pair gather took 0.73-1.05 of
+  the row gather's time at a used share of 0.10, and 0.80-1.12 at 0.12.
+* A bin with a projector pools and projects its full stacks, then keeps
+  its used columns.  The stacks' memory order picks the BLAS kernel, and
+  with it the last bits of the projection.
+* A semantic or edge block is pooled whole and sliced, or skipped when no
+  column of it is used.
 """
 
 from __future__ import annotations
@@ -140,7 +159,13 @@ def pool_bin_stacks(
     geometry (see ``BoxBatch``).
     """
     batch = BoxBatch(boxes, _image_index(records, image), table.grid)
-    layers = table.bins[bin_index].layers
+    maps, widths = _bin_maps(records, batch, table.bins[bin_index].layers)
+    return _stacks(batch, maps, widths).transpose(0, 2, 1)
+
+
+def _bin_maps(records: Sequence[ImageRecord], batch: BoxBatch, layers: tuple[str, ...]):
+    """Per layer, the (stride, (H, W, C) map) of each image of the batch, keyed by
+    image index; and each layer's channel count, which every image must share."""
     maps = [{i: _layer_map(records[i], name) for i in batch.images} for name in layers]
     widths = []
     for name, layer_maps in zip(layers, maps):
@@ -148,12 +173,17 @@ def pool_bin_stacks(
         if len(channels) > 1:
             raise DataError(f"layer {name!r} has inconsistent channel counts")
         widths.append(channels.pop() if channels else 0)
-    out = np.empty((len(batch), table.grid.cells, sum(widths)), dtype=np.float32)
+    return maps, widths
+
+
+def _stacks(batch: BoxBatch, maps: list[dict], widths: list[int]) -> np.ndarray:
+    """Each box's per-cell stack of the layers' channels: (N, m*n, sum(widths))."""
+    out = np.empty((len(batch), batch.grid.cells, sum(widths)), dtype=np.float32)
     col = 0
     for layer_maps, width in zip(maps, widths):
         batch.max_pool(layer_maps, out[:, :, col : col + width])
         col += width
-    return out.transpose(0, 2, 1)
+    return out
 
 
 def pool_bin_cells(
@@ -168,6 +198,11 @@ def pool_bin_cells(
 
 #: Quantized edge strengths per cell of the edge histogram channel.
 EDGE_BINS = 16
+
+#: The largest share of a layer's m*n*C pooled values that ``extract_many``
+#: gathers as (cell, channel) pairs; above it, whole pixel rows cost less.
+#: Measured, not a setting (see the module docstring).
+PAIR_GATHER_SHARE = 0.1
 
 
 @dataclass(frozen=True)
@@ -236,7 +271,11 @@ class DescriptorExtractor:
         return self.cell_dim * grid.cells + self.channels.block_length(grid)
 
     def extract_many(
-        self, records: Sequence[ImageRecord], boxes: np.ndarray, image: np.ndarray
+        self,
+        records: Sequence[ImageRecord],
+        boxes: np.ndarray,
+        image: np.ndarray,
+        columns: np.ndarray | None = None,
     ) -> np.ndarray:
         """Descriptors of (x, y, w, h) boxes of a batch of images: (N, length) float32.
 
@@ -247,53 +286,116 @@ class DescriptorExtractor:
         gather from each image's maps runs image by image, over that image's
         slice of the batch windows trimmed to its own longest span (see
         ``BoxBatch``).  A box's row does not depend on the rest of the batch.
+
+        ``columns``, increasing descriptor indices, asks for those columns
+        only: the result is ``extract_many(records, boxes, image)[:, columns]``
+        bit for bit, and pools only what they need (see the module
+        docstring).  A layer or block none of whose columns is asked for is
+        not pooled, but its maps are still checked, so a missing map, a
+        width that differs between images or a bin width that its projector
+        or the target does not take raises as it does for full rows.  Boxes
+        are mapped only onto maps that are pooled, so a box outside a map
+        that is not pooled raises no ``DegenerateRoiError``; a box that
+        overlaps its image never lies outside any of its maps.
         """
         boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
         image = _image_index(records, image)
-        out = np.empty((len(boxes), self.length), dtype=np.float32)
+        if columns is not None:
+            columns = np.asarray(columns, dtype=np.int64).reshape(-1)
+            if columns.size and not (0 <= columns[0] and columns[-1] < self.length
+                                     and (columns[1:] > columns[:-1]).all()):
+                raise ValueError(f"columns must be increasing indices in [0, {self.length})")
+
+        def block(start: int, stop: int) -> tuple[slice, np.ndarray | None]:
+            """Where descriptor columns [start, stop) land in the result, and which of
+            them it holds, counted from ``start`` (None: all of them)."""
+            if columns is None:
+                return slice(start, stop), None
+            lo, hi = np.searchsorted(columns, (start, stop)).tolist()
+            return slice(lo, hi), columns[lo:hi] - start
+
+        out = np.empty((len(boxes), self.length if columns is None else columns.size),
+                       dtype=np.float32)
         if not len(boxes):
             return out
         grid = self.table.grid
         bins = self.table.route(boxes[:, 3])
-        cnn = self.cell_dim * grid.cells
+        dest, used = block(0, self.cell_dim * grid.cells)
         for i, spec in enumerate(self.table.bins):
             sel = np.flatnonzero(bins == i)
             if not sel.size:
                 continue
-            stacks = pool_bin_stacks(records, boxes[sel], image[sel], self.table, i)
+            batch = BoxBatch(boxes[sel], image[sel], grid)
+            maps, widths = _bin_maps(records, batch, spec.layers)
             proj = self.projectors.get(spec.projector_id)
             width = proj.input_dim if proj else self.cell_dim
-            if stacks.shape[1] != width:
+            if sum(widths) != width:
                 need = "its projector expects" if proj else "it has no projector and the target is"
                 raise ConfigError(
-                    f"bin {spec.projector_id!r} pools {stacks.shape[1]} channels per cell "
+                    f"bin {spec.projector_id!r} pools {sum(widths)} channels per cell "
                     f"but {need} {width}"
                 )
+            if used is not None and not used.size:
+                continue
+            if used is not None and not proj:
+                out[sel, dest] = self._pool_columns(batch, maps, widths, used)
+                continue
             # Each box's (cells, D) block is C-contiguous, as it was when
             # pooled image by image.  The block's memory order picks the
             # BLAS kernel, and with it the last bits of a real PCA projection.
-            cells = stacks.transpose(0, 2, 1)
-            out[sel, :cnn] = (proj.project(cells) if proj else cells).reshape(sel.size, -1)
+            cells = _stacks(batch, maps, widths)
+            rows = (proj.project(cells) if proj else cells).reshape(sel.size, -1)
+            out[sel, dest] = rows if used is None else rows[:, used]
         ch = self.channels
         if not (ch.semantic or ch.edge):
             return out
         # The label and edge maps share one stride-1 mapping.
         batch = BoxBatch(boxes, image, grid)
-        col = cnn
+        start = self.cell_dim * grid.cells
         if ch.semantic:
             labels = {i: _aux_map(records[i], "label_map", "a label map")
                       for i in batch.images}
-            block = batch.histogram_pool(labels, NUM_LABEL_CLASSES)
-            out[:, col : col + block.shape[1]] = block
-            col += block.shape[1]
+            stop = start + NUM_LABEL_CLASSES * grid.cells
+            dest, used = block(start, stop)
+            if used is None or used.size:
+                rows = batch.histogram_pool(labels, NUM_LABEL_CLASSES)
+                out[:, dest] = rows if used is None else rows[:, used]
+            start = stop
         if ch.edge:
             edges = {i: _aux_map(records[i], "edge_map", "an edge map") for i in batch.images}
-            if ch.edge_pooling == "hist":
-                codes = {i: edge_codes(e, EDGE_BINS) for i, e in edges.items()}
-                out[:, col:] = batch.histogram_pool(codes, EDGE_BINS)
-            else:
-                batch.max_pool({i: (1, e[..., None]) for i, e in edges.items()},
-                               out[:, col:, None])
+            dest, used = block(start, self.length)
+            if used is None or used.size:
+                if ch.edge_pooling == "hist":
+                    codes = {i: edge_codes(e, EDGE_BINS) for i, e in edges.items()}
+                    rows = batch.histogram_pool(codes, EDGE_BINS)
+                else:
+                    rows = np.empty((len(boxes), grid.cells, 1), dtype=np.float32)
+                    batch.max_pool({i: (1, e[..., None]) for i, e in edges.items()}, rows)
+                    rows = rows.reshape(len(boxes), -1)
+                out[:, dest] = rows if used is None else rows[:, used]
+        return out
+
+    def _pool_columns(
+        self, batch: BoxBatch, maps: list[dict], widths: list[int], used: np.ndarray
+    ) -> np.ndarray:
+        """The ``used`` columns of a projector-less bin's CNN block: (N, used.size).
+
+        ``used`` counts from the block's start; column j is channel
+        ``j % cell_dim`` of the bin's stack at cell ``j // cell_dim``.
+        """
+        cell, dim = np.divmod(used, self.cell_dim)
+        out = np.empty((len(batch), used.size), dtype=np.float32)
+        cells = self.table.grid.cells
+        start = 0
+        for layer_maps, width in zip(maps, widths):
+            mine = np.flatnonzero((start <= dim) & (dim < start + width))
+            if mine.size > PAIR_GATHER_SHARE * cells * width:
+                pooled = np.empty((len(batch), cells, width), dtype=np.float32)
+                batch.max_pool(layer_maps, pooled)
+                out[:, mine] = pooled[:, cell[mine], dim[mine] - start]
+            elif mine.size:
+                out[:, mine] = batch.max_pool_pairs(layer_maps, cell[mine], dim[mine] - start)
+            start += width
         return out
 
 

@@ -3,7 +3,9 @@
 Everything here favors obviousness over speed: per-pixel Python loops and
 exhaustive scans, no vectorization, no code shared with the package beyond
 its public data types.  Divisions that define float32 outputs are performed
-in float32 so comparisons against the package can be exact.
+in float32 so comparisons against the package can be exact.  The one
+exception is ``oracle_detections``, which runs the package's own full-row
+extraction and forest as the reference for detection's column path.
 """
 
 import math
@@ -14,8 +16,9 @@ from typing import NamedTuple
 import numpy as np
 
 from samhead.dataset import Dataset, ImageSample
-from samhead.geometry import GroundTruth, ScoredBoxes
+from samhead.geometry import GroundTruth, ScoredBoxes, nms
 from samhead.maps import NUM_LABEL_CLASSES, EdgeMap, FeatureMap, ImageRecord, LabelMap
+from samhead.pipeline import NMS_THRESHOLD, prior_logits
 from samhead.pooling import FeatureRect, PoolGrid
 from samhead.synth import PED_WIDTH_RATIO
 
@@ -297,6 +300,31 @@ def oracle_cnn_descriptor(record, box, table, projectors):
     else:
         mean, basis = proj.mean, proj.basis
     return ((cells - mean) @ basis.T).reshape(-1).astype(np.float32)
+
+
+def oracle_detections(model, dataset):
+    """Detections per image id from full descriptor rows, image by image.
+
+    Per image: rank the proposals by descending score (ties in input order),
+    keep the first ``caps.test_top_k`` that overlap the image, score each
+    one's full descriptor row (``extract_many`` without ``columns``) with the
+    model's own forest and its prior, and keep the NMS survivors.
+    """
+    out = {}
+    for s in dataset:
+        w, h = s.record.image_w, s.record.image_h
+        scores = s.proposals.scores.tolist()
+        ranked = sorted(range(len(scores)), key=lambda k: (-scores[k], k))
+        boxes = boxes_of(s.proposals)
+        inside = [k for k in ranked[: model.caps.test_top_k]
+                  if boxes[k].x < w and boxes[k].y < h and boxes[k].x2 > 0 and boxes[k].y2 > 0]
+        cands = s.proposals.take(np.array(inside, dtype=np.int64))
+        if len(cands):
+            X = model.extractor.extract_many([s.record], cands.boxes, np.zeros(len(cands), int))
+            margins = model.forest.score(X, prior_logits(cands.scores))
+            cands = nms(ScoredBoxes(cands.boxes, margins), NMS_THRESHOLD)
+        out[s.image_id] = cands
+    return out
 
 
 def oracle_background_draws(dataset, min_height, max_height, count, neg_iou, seed):

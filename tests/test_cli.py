@@ -22,12 +22,14 @@ from samhead import evaluation
 from samhead.cli import EXIT_CONFIG, EXIT_DATA, _train_settings, main
 from samhead.dataset import Dataset
 from samhead.errors import ConfigError
+from samhead.maps import FeatureMap
 from samhead.evaluation import metrics_summary, read_curve_csv
-from samhead.forest import Forest
+from samhead.forest import Forest, Tree
 from samhead.formats import (
     read_detections_csv,
     read_feature_maps,
     read_json,
+    write_detections_csv,
     write_feature_maps,
 )
 from samhead.pipeline import (
@@ -35,10 +37,13 @@ from samhead.pipeline import (
     MODEL_VERSION,
     PRIOR_LOGIT_CLAMP,
     TrainSettings,
+    detect_dataset,
+    load_model,
     model_from_dict,
     save_model,
     train_detector,
 )
+from samhead.routing import ChannelConfig
 from samhead.synth import generate_dataset
 
 SYNTH_SECTION = {"num_images": 2, "peds_per_image": [2, 3], "background_proposals": 30}
@@ -317,8 +322,17 @@ class TestMissingOrBrokenData:
         assert code == 0
         stdout, stderr = capsys.readouterr()
         assert stderr == ""
-        assert _one_json_line(stdout)["images"] == 2
-        assert out.exists()
+        model = load_model(model_path)
+        dets = detect_dataset(model, Dataset.load(synth_dir))
+        columns = model.forest.columns.size
+        assert 0 < columns < model.extractor.length
+        assert _one_json_line(stdout) == {
+            "command": "detect", "out": str(out), "images": 2,
+            "detections": sum(len(d) for d in dets.values()),
+            "columns_read": columns, "descriptor_length": model.extractor.length,
+        }
+        write_detections_csv(tmp_path / "want.csv", dets)
+        assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     @pytest.mark.parametrize(
         "path, value, message",
@@ -593,6 +607,87 @@ class TestMissingOrBrokenData:
         payload = _assert_failed(capsys, code, EXIT_DATA, "DataError")
         assert payload["message"].startswith(f"malformed model file: {where}: ")
         assert not (tmp_path / "dets.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def aux_model(tiny_train_set):
+    settings = dataclasses.replace(fast_train_settings(), channels=ChannelConfig(
+        semantic=True, edge=True, edge_pooling="hist"))
+    return train_detector(tiny_train_set, settings)[0]
+
+
+class TestDetectMapErrors:
+    """Maps detection cannot pool from exit as before, whether or not the forest reads
+    any of their columns."""
+
+    @staticmethod
+    def _model(tmp_path, model, forest):
+        if forest == "no split":
+            leaf = Tree(np.array([-1]), np.array([-1]), np.array([0.5]))
+            model = dataclasses.replace(model, forest=Forest.pack(
+                [leaf], model.forest.prior_weight, model.forest.n_features))
+            assert model.forest.columns.size == 0
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        return path
+
+    @staticmethod
+    def _rewrite_conv4a(synth_dir, image_ids, channels):
+        """Keep the first ``channels`` of conv4a's channels in each image's maps;
+        0 drops the layer."""
+        for image_id in image_ids:
+            path = synth_dir / "maps" / f"{image_id}.fmap"
+            layers = []
+            for fm in read_feature_maps(path):
+                if fm.layer_name == "conv4a":
+                    if not channels:
+                        continue
+                    fm = FeatureMap(fm.layer_name, fm.stride, fm.data[:channels])
+                layers.append(fm)
+            write_feature_maps(path, layers)
+
+    def _detect(self, synth_dir, tmp_path, model_path):
+        out = tmp_path / "dets.csv"
+        code = main(["detect", "--data", str(synth_dir), "--model", str(model_path),
+                     "--out", str(out)])
+        assert not out.exists()
+        return code
+
+    @pytest.mark.parametrize("forest", ["trained", "no split"])
+    def test_missing_routed_layer_exits_3(self, synth_dir, tmp_path, capsys, model_path, forest):
+        path = self._model(tmp_path, load_model(model_path), forest)
+        self._rewrite_conv4a(synth_dir, ["img0001"], 0)
+        payload = _assert_failed(capsys, self._detect(synth_dir, tmp_path, path), EXIT_DATA,
+                                 "MissingLayerError")
+        assert payload["message"] == "image 'img0001' lacks routed layer 'conv4a'"
+
+    @pytest.mark.parametrize("forest", ["trained", "no split"])
+    @pytest.mark.parametrize("suffix, what", [(".lmap", "a label map"), (".emap", "an edge map")])
+    def test_missing_channel_map_exits_3(self, synth_dir, tmp_path, capsys, aux_model, forest,
+                                         suffix, what):
+        path = self._model(tmp_path, aux_model, forest)
+        (synth_dir / "maps" / f"img0001{suffix}").unlink()
+        payload = _assert_failed(capsys, self._detect(synth_dir, tmp_path, path), EXIT_DATA,
+                                 "MissingLayerError")
+        assert payload["message"] == f"image 'img0001' lacks {what}"
+
+    @pytest.mark.parametrize("forest", ["trained", "no split"])
+    def test_inconsistent_channel_counts_exit_3(self, synth_dir, tmp_path, capsys, model_path,
+                                                forest):
+        path = self._model(tmp_path, load_model(model_path), forest)
+        self._rewrite_conv4a(synth_dir, ["img0001"], 32)
+        payload = _assert_failed(capsys, self._detect(synth_dir, tmp_path, path), EXIT_DATA,
+                                 "DataError")
+        assert payload["message"] == "layer 'conv4a' has inconsistent channel counts"
+
+    @pytest.mark.parametrize("forest", ["trained", "no split"])
+    def test_bin_width_mismatch_exits_2(self, synth_dir, tmp_path, capsys, model_path, forest):
+        path = self._model(tmp_path, load_model(model_path), forest)
+        self._rewrite_conv4a(synth_dir, ["img0000", "img0001"], 32)
+        payload = _assert_failed(capsys, self._detect(synth_dir, tmp_path, path), EXIT_CONFIG,
+                                 "ConfigError")
+        assert "pools 96 channels per cell but it has no projector and the target is 128" in (
+            payload["message"])
 
 
 class TestNonUtf8Input:

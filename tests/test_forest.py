@@ -550,6 +550,32 @@ class TestForest:
         assert forest.depth == 40
         assert forest.score(np.array([[-1.0], [1.0]])).tolist() == [0.5, 0.5]
 
+    @given(seed=st.integers(0, 2**32 - 1), n_trees=st.integers(0, 12),
+           n_features=st.integers(1, 300))
+    def test_on_columns_scores_the_read_columns_as_the_forest_scores_all(
+            self, seed, n_trees, n_features):
+        rng = np.random.default_rng(seed)
+        trees = [random_tree(rng, n_features, max_depth=int(rng.integers(0, 5)))
+                 for _ in range(n_trees)]
+        forest = Forest.pack(trees, prior_weight=0.7, n_features=n_features)
+        split = [f for t in trees for f in t.feature.tolist() if f >= 0]
+        assert forest.columns.tolist() == sorted(set(split))
+        assert reloaded(forest).columns.tolist() == forest.columns.tolist()
+        X = rng.integers(-5, 6, size=(20, n_features)) / 2.0
+        priors = rng.normal(size=20)
+        narrow = forest.on_columns()
+        assert narrow.n_features == forest.columns.size
+        assert narrow.depth == forest.depth
+        got = narrow.score(X[:, forest.columns], priors)
+        assert got.tobytes() == forest.score(X, priors).tobytes()
+
+    def test_a_forest_of_leaves_reads_no_column(self):
+        leaf = Tree(np.array([-1]), np.array([-1]), np.array([0.5]))
+        forest = Forest.pack([leaf, leaf], n_features=7)
+        assert forest.columns.size == 0 and forest.columns.dtype == np.int64
+        X = np.zeros((3, 7))
+        assert forest.on_columns().score(X[:, forest.columns]).tolist() == [1.0, 1.0, 1.0]
+
     def test_empty_forest_scores_the_prior(self):
         forest = Forest.pack([], prior_weight=2.0)
         X = np.zeros((3, 2))

@@ -6,11 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import extract_one, fast_train_settings, forest_arrays, time_limit
-from oracles import oracle_background_draws, oracle_training_candidates
-from samhead import config, pipeline
+from conftest import extract_one, fast_train_settings, forest_arrays, time_limit, tiny_synth_config
+from oracles import oracle_background_draws, oracle_detections, oracle_training_candidates
+from samhead import config, pipeline, routing
 from samhead.dataset import Dataset, ImageSample
-from samhead.forest import Forest, TrainConfig, TrainingError
+from samhead.forest import Forest, TrainConfig, TrainingError, Tree
 from samhead.formats import read_detections_csv, write_detections_csv
 from samhead.geometry import GroundTruth, ScoredBoxes
 from samhead.maps import EdgeMap, FeatureMap, ImageRecord, LabelMap
@@ -35,6 +35,7 @@ from samhead.routing import (
     default_routing_table,
     pool_bin_cells,
 )
+from samhead.synth import default_synth_layers, generate_dataset
 
 
 AUX = ChannelConfig(semantic=True, edge=True, edge_pooling="hist")
@@ -457,3 +458,52 @@ def test_pca_rows_are_positives_image_by_image_then_background_in_draw_order(
     want += [pool_bin_cells(records[i], box, table, 1) for i, box in zip(image.tolist(), boxes)]
     assert samples.dtype == np.float64
     assert samples.tobytes() == np.vstack(want).astype(np.float64).tobytes()
+
+
+# The benchmark's settings at test size: speed_train's 6x3 grid on the
+# default world; quality_aux's 4x2 grid, 32-channel conv3, and semantic and
+# edge-histogram channels.  Depth-5 trees on 256 bins read more columns than
+# depth-2 trees on 32.
+BENCHMARK_LIKE = {
+    "speed_train": ((6, 3), 64, ChannelConfig()),
+    "quality_aux": ((4, 2), 32, AUX),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(BENCHMARK_LIKE))
+def benchmark_like(request):
+    grid, conv3, channels = BENCHMARK_LIKE[request.param]
+    layers = dict(default_synth_layers())
+    layers["conv3"] = replace(layers["conv3"], channels=conv3)
+    train = generate_dataset(tiny_synth_config(layers=layers), seed=3)
+    test = generate_dataset(tiny_synth_config(num_images=8, layers=layers), seed=4)
+    settings = replace(fast_train_settings(max_depth=5, max_bins=256),
+                       routing=default_routing_table(grid=PoolGrid(*grid)), channels=channels)
+    model, _ = train_detector(train, settings)
+    return model, test
+
+
+def same_bits(got: dict, want: dict) -> bool:
+    return list(got) == list(want) and all(
+        got[k].boxes.tobytes() == want[k].boxes.tobytes()
+        and got[k].scores.tobytes() == want[k].scores.tobytes() for k in want)
+
+
+@pytest.mark.parametrize("rows_only", [False, True])
+@pytest.mark.parametrize("splits", [True, False])
+def test_detection_matches_the_full_descriptor_reference(benchmark_like, monkeypatch,
+                                                         rows_only, splits):
+    model, test = benchmark_like
+    if splits:
+        assert 0 < model.forest.columns.size < model.extractor.length
+    else:
+        leaf = Tree(np.array([-1]), np.array([-1]), np.array([0.25]))
+        model = replace(model, forest=Forest.pack(
+            [leaf], model.forest.prior_weight, model.forest.n_features))
+        assert model.forest.columns.size == 0
+    if rows_only:  # every layer with a used column takes the pixel-row gather
+        monkeypatch.setattr(routing, "PAIR_GATHER_SHARE", 0.0)
+    want = oracle_detections(model, test)
+    assert sum(len(d) for d in want.values()) > 0
+    assert same_bits(detect_dataset(model, test), want)
+    assert same_bits({s.image_id: detect_image(model, s.record, s.proposals) for s in test}, want)

@@ -31,6 +31,7 @@ from samhead.pooling import (
     roi_histogram_pool,
     roi_max_pool,
     window_max,
+    window_max_pairs,
 )
 
 
@@ -334,6 +335,38 @@ class TestBatchedGridPool:
         whole = grid_max_pool(fmap.hwc, rects, PoolGrid(3, 2))
         monkeypatch.setattr(pooling, "_GATHER_FLOATS", 1)
         assert np.array_equal(grid_max_pool(fmap.hwc, rects, PoolGrid(3, 2)), whole)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 12), pairs=st.integers(1, 40))
+    def test_pairs_match_the_pooled_cells(self, seed, count, pairs):
+        # Any (cell, channel) pairs, repeated and in any order.
+        rng = np.random.default_rng(seed)
+        fmap, _, _, _, grid = random_pool_instance(rng)
+        rects = map_boxes_to_feature_coords(np.array(random_boxes(rng, fmap, count)),
+                                            fmap.stride, fmap.height, fmap.width)
+        windows = max_windows(rects, grid, fmap.height, fmap.width)
+        cell = rng.integers(0, grid.cells, pairs)
+        channel = rng.integers(0, fmap.channels, pairs)
+        out = np.empty((count, pairs), dtype=np.float32)
+        assert window_max_pairs(fmap.hwc, windows, cell, channel, out) is out
+        want = window_max(fmap.hwc, windows)[:, channel, cell]
+        assert out.tobytes() == want.tobytes()
+
+    def test_pairs_split_into_chunks_without_changing_results(self, monkeypatch):
+        import samhead.pooling as pooling
+
+        rng = np.random.default_rng(12)
+        fmap = FeatureMap("conv3", 4, rng.normal(size=(3, 12, 9)).astype(np.float32))
+        rects = map_boxes_to_feature_coords(np.array(random_boxes(rng, fmap, 40)), 4, 12, 9)
+        windows = max_windows(rects, PoolGrid(3, 2), 12, 9)
+        cell, channel = np.array([0, 5, 2, 2]), np.array([2, 0, 1, 2])
+        want = window_max(fmap.hwc, windows)[:, channel, cell]
+        monkeypatch.setattr(pooling, "_GATHER_FLOATS", 1)
+        got = window_max_pairs(fmap.hwc, windows, cell, channel, np.empty((40, 4), np.float32))
+        assert got.tobytes() == want.tobytes()
+        with pytest.raises(DataError, match=r"\(12, 9\) map applied to a \(12, 8\) map"):
+            window_max_pairs(np.zeros((12, 8, 3), dtype=np.float32), windows, cell, channel,
+                             np.empty((40, 4), np.float32))
 
     def test_maps_of_one_geometry_share_windows(self):
         rng = np.random.default_rng(17)

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from samhead.errors import ConfigError, DataError
 from samhead.maps import EdgeMap, FeatureMap, ImageRecord, LabelMap
+from samhead import routing as routing_module
 from samhead.pca import PcaProjector, fit_pca
-from samhead.pooling import PoolGrid
+from samhead.pooling import BoxBatch, PoolGrid
 from samhead.routing import (
     ChannelConfig,
     DescriptorExtractor,
@@ -528,3 +529,165 @@ class TestBatchedExtract:
             extractor.extract_many(records, boxes, np.array([0, 1, 0]))
         with pytest.raises(ValueError, match=r"image indices must lie in \[0, 2\)"):
             extractor.extract_many(records, boxes, np.array([0, 1, 2]))
+
+
+def column_records():
+    """Four images of two sizes; image 1 gets no candidate in ``COLUMN_IMAGE``."""
+    return [make_record(seed=3), make_record(seed=4, size=(80, 56), image_id="big4"),
+            make_record(seed=5, size=(80, 56), image_id="big5"),
+            make_record(seed=6, image_id="img6")]
+
+
+COLUMN_HEIGHTS = (45.0, 90.0, 60.0, 100.0, 55.0, 85.0, 70.0, 95.0, 50.0, 110.0)
+COLUMN_BOXES = np.array([Box(2.0 + 3 * i, 1.0 + 2 * i, 20.0, h)
+                         for i, h in enumerate(COLUMN_HEIGHTS)])
+COLUMN_IMAGE = np.array([0, 0, 0, 0, 2, 2, 2, 3, 3, 3])
+
+
+def column_extractor(table_kind, edge_pooling):
+    """A mixed table with a fitted projector, or a projector-less one- or two-bin table,
+    each with the semantic and edge channels."""
+    channels = ChannelConfig(semantic=True, edge=True, edge_pooling=edge_pooling)
+    if table_kind == "one bin":
+        return DescriptorExtractor(one_bin_table(target_dim=5), {}, channels)
+    if table_kind == "two bins":
+        return DescriptorExtractor(two_bin_table(target_dim=3), {}, channels)
+    table = mixed_table()
+    training = np.concatenate([pool_bin_cells(make_record(seed=3), b, table, 1)
+                               for b in COLUMN_BOXES])
+    return DescriptorExtractor(table, {"large": fit_pca(training, components=3)[0]}, channels)
+
+
+TABLE_KINDS = ["mixed", "one bin", "two bins"]
+
+
+class TestColumns:
+    """``extract_many(..., columns=c)`` is ``extract_many(...)[:, c]``, bit for bit."""
+
+    @staticmethod
+    def check(extractor, columns, boxes=COLUMN_BOXES, image=COLUMN_IMAGE):
+        records = column_records()
+        columns = np.asarray(columns, dtype=np.int64)
+        got = extractor.extract_many(records, boxes, image, columns=columns)
+        want = extractor.extract_many(records, boxes, image)[:, columns]
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("edge_pooling", ["hist", "max"])
+    @pytest.mark.parametrize("table_kind", TABLE_KINDS)
+    @given(data=st.data())
+    def test_random_columns(self, table_kind, edge_pooling, data):
+        extractor = column_extractor(table_kind, edge_pooling)
+        n = extractor.length
+        self.check(extractor, sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n))))
+
+    @pytest.mark.parametrize("edge_pooling", ["hist", "max"])
+    @pytest.mark.parametrize("table_kind", TABLE_KINDS)
+    @pytest.mark.parametrize("subset", ["none", "all", "cnn", "aux", "semantic", "edge"])
+    def test_named_columns(self, table_kind, edge_pooling, subset):
+        extractor = column_extractor(table_kind, edge_pooling)
+        cnn = extractor.cell_dim * GRID.cells
+        semantic = cnn + 21 * GRID.cells
+        self.check(extractor, {
+            "none": [], "all": range(extractor.length), "cnn": range(cnn),
+            "aux": range(cnn, extractor.length), "semantic": range(cnn, semantic),
+            "edge": range(semantic, extractor.length),
+        }[subset])
+
+    @pytest.mark.parametrize("heights", ["projected bin", "projector-less bin"])
+    def test_boxes_of_one_bin(self, heights):
+        extractor = column_extractor("mixed", "hist")
+        mine = (COLUMN_BOXES[:, 3] >= 80.0) == (heights == "projected bin")
+        rng = np.random.default_rng(1)
+        for size in (1, 5, extractor.length // 2):
+            columns = np.sort(rng.choice(extractor.length, size, replace=False))
+            self.check(extractor, columns, COLUMN_BOXES[mine], COLUMN_IMAGE[mine])
+
+    def test_no_boxes(self):
+        extractor = column_extractor("mixed", "max")
+        got = extractor.extract_many(column_records(), np.empty((0, 4)), np.empty(0, np.int64),
+                                     columns=[1, 7])
+        assert got.shape == (0, 2) and got.dtype == np.float32
+
+    @pytest.mark.parametrize("share", [0.0, 1.0])
+    @pytest.mark.parametrize("table_kind", TABLE_KINDS)
+    def test_pair_and_row_gathers_agree(self, monkeypatch, table_kind, share):
+        # Share 0 sends every used layer to the pixel-row gather, share 1 to
+        # the pair gather.
+        monkeypatch.setattr(routing_module, "PAIR_GATHER_SHARE", share)
+        calls = []
+        pairs = BoxBatch.max_pool_pairs
+
+        def counting_pairs(self, *args):
+            calls.append(len(args[1]))
+            return pairs(self, *args)
+
+        monkeypatch.setattr(BoxBatch, "max_pool_pairs", counting_pairs)
+        extractor = column_extractor(table_kind, "hist")
+        rng = np.random.default_rng(2)
+        for size in (1, 4, 30, extractor.length):
+            self.check(extractor, np.sort(rng.choice(extractor.length, size, replace=False)))
+        assert bool(calls) == (share == 1.0)
+
+    @pytest.mark.parametrize("columns", [[3, 3], [4, 2], [-1], [10**6]])
+    def test_columns_must_be_increasing_indices(self, columns):
+        extractor = column_extractor("mixed", "max")
+        with pytest.raises(ValueError, match="columns must be increasing indices"):
+            extractor.extract_many(column_records(), COLUMN_BOXES, COLUMN_IMAGE, columns=columns)
+
+
+def cells_of(dims, cell_dim, cells=GRID.cells):
+    """The CNN-block columns of per-cell dims ``dims``, every cell."""
+    return [c * cell_dim + d for c in range(cells) for d in dims]
+
+
+class TestColumnErrors:
+    """A layer or block none of whose columns is asked for still raises as for full rows."""
+
+    @pytest.mark.parametrize("columns", ["none", "other layer"])
+    def test_missing_routed_layer(self, columns):
+        record = make_record()
+        del record.feature_maps["conv4a"]
+        extractor = DescriptorExtractor(one_bin_table(target_dim=5), {})
+        cols = [] if columns == "none" else cells_of(range(3), 5)  # conv3's
+        with pytest.raises(MissingLayerError, match="lacks routed layer 'conv4a'"):
+            extractor.extract_many([record], np.array([SMALL_BOX]), np.zeros(1, int),
+                                   columns=cols)
+
+    @pytest.mark.parametrize("columns", ["none", "cnn"])
+    @pytest.mark.parametrize("missing", ["label", "edge"])
+    def test_missing_channel_map(self, missing, columns):
+        record = make_record(with_label=missing != "label", with_edge=missing != "edge")
+        extractor = DescriptorExtractor(one_bin_table(target_dim=5), {},
+                                        ChannelConfig(semantic=True, edge=True))
+        cols = [] if columns == "none" else range(5 * GRID.cells)
+        with pytest.raises(MissingLayerError, match=f"lacks an? {missing} map"):
+            extractor.extract_many([record], np.array([SMALL_BOX]), np.zeros(1, int),
+                                   columns=cols)
+
+    @pytest.mark.parametrize("columns", ["none", "other layer"])
+    def test_inconsistent_channel_counts(self, columns):
+        records = [make_record(seed=3), make_record(channels=(3, 4, 1), seed=4)]
+        extractor = DescriptorExtractor(one_bin_table(target_dim=5), {})
+        cols = [] if columns == "none" else cells_of(range(3), 5)  # conv3's
+        with pytest.raises(DataError, match="layer 'conv4a' has inconsistent channel counts"):
+            extractor.extract_many(records, np.array([SMALL_BOX, SMALL_BOX]), np.array([0, 1]),
+                                   columns=cols)
+
+    @pytest.mark.parametrize("columns", ["none", "some"])
+    @pytest.mark.parametrize("projector", [True, False])
+    def test_bin_width_mismatch(self, projector, columns):
+        record = make_record()
+        if projector:  # the bin pools 5 channels, its projector takes 4
+            extractor = DescriptorExtractor(one_bin_table(target_dim=2),
+                                            {"only": axes_projector(4, 2)})
+            message = "bin 'only' pools 5 channels per cell but its projector expects 4"
+        else:  # the small bin pools 3 channels and has no projector to 2
+            extractor = DescriptorExtractor(two_bin_table(target_dim=2),
+                                            {"large": axes_projector(3, 2)})
+            message = ("bin 'small' pools 3 channels per cell but it has no projector "
+                       "and the target is 2")
+        cols = [] if columns == "none" else [0, 1]
+        with pytest.raises(ConfigError, match=message):
+            extractor.extract_many([record], np.array([SMALL_BOX, LARGE_BOX]),
+                                   np.zeros(2, int), columns=cols)
