@@ -162,9 +162,8 @@ def _extract(
     for a, b in _batches(counts, extractor.length):
         n = sum(counts[a:b])
         if n:
-            image = np.repeat(np.arange(b - a), counts[a:b])
             out[row : row + n] = extractor.extract_many(
-                records[a:b], np.concatenate(boxes_per_image[a:b]), image
+                records[a:b], np.concatenate(boxes_per_image[a:b]), counts[a:b]
             )
         row += n
     return out
@@ -326,19 +325,18 @@ def _collect_pca_samples(
     spec = table.bins[bin_index]
     records = [s.record for s in dataset]
 
-    def pooled(boxes: np.ndarray, image: np.ndarray) -> np.ndarray:
-        """Each box's per-cell channel vectors, (N, m*n, bin_dim); boxes grouped by image."""
+    def pooled(boxes: np.ndarray, counts) -> np.ndarray:
+        """Each box's per-cell channel vectors, (N, m*n, bin_dim), as ``pool_bin_stacks``."""
         if not len(boxes):
             return np.empty((0, table.grid.cells, bin_dim), dtype=np.float32)
-        return pool_bin_stacks(records, boxes, image, table, bin_index).transpose(0, 2, 1)
+        return pool_bin_stacks(records, boxes, counts, table, bin_index)
 
     mine = []
     for s in dataset:
         g = s.ground_truth
         mine.append(g.boxes[~g.ignore & (table.route(g.boxes[:, 3]) == bin_index)
                             & _inside(s.record, g.boxes)])
-    pos = pooled(np.concatenate(mine),
-                 np.repeat(np.arange(len(mine)), [len(b) for b in mine])).reshape(-1, bin_dim)
+    pos = pooled(np.concatenate(mine), [len(b) for b in mine]).reshape(-1, bin_dim)
     half = PCA_SAMPLE_CAP // 2
     if pos.shape[0] > half:
         sel = rng.choice(pos.shape[0], size=half, replace=False)
@@ -356,7 +354,7 @@ def _collect_pca_samples(
     )
     order = np.argsort(image, kind="stable")
     bg = np.empty((len(boxes), cells, bin_dim), dtype=np.float32)
-    bg[order] = pooled(boxes[order], image[order])
+    bg[order] = pooled(boxes[order], np.bincount(image, minlength=len(records)))
     return np.vstack([pos, bg.reshape(-1, bin_dim)]).astype(np.float64), pos.shape[0]
 
 
@@ -486,8 +484,7 @@ def _detect_batch(
     if not any(counts):
         return cands
     boxes = np.concatenate([c.boxes for c in cands])
-    X = model.extractor.extract_many(records, boxes, np.repeat(np.arange(len(cands)), counts),
-                                     columns=model.forest.columns)
+    X = model.extractor.extract_many(records, boxes, counts, columns=model.forest.columns)
     priors = prior_logits(np.concatenate([c.scores for c in cands]))
     margins = model._detect_forest.score(X, priors)
     out, row = [], 0
@@ -518,10 +515,10 @@ def detect_dataset(
     Images are scored in consecutive batches, each holding at most
     ``_BATCH_FLOATS`` descriptor floats for its images' candidate caps.  The
     bound caps memory and is not a setting: a box's descriptor and margin do
-    not depend on its batch.  Per batch, routing, box mapping, pooling
-    windows, each bin's PCA projection and forest scoring run once; only the
-    gather from each image's maps (over its slice of the batch windows,
-    trimmed to its own longest span) and NMS run per image.  With
+    not depend on its batch.  A batch's candidates go to ``extract_many``
+    image after image, with each image's candidate count.  Per batch, routing,
+    box mapping, pooling windows, each bin's PCA projection and forest scoring
+    run once; only the gather from each image's maps and NMS run per image.  With
     ``threads`` > 1 a thread pool works through the batches (``threads`` < 1
     means one per CPU); the thread count never changes the result.
     """

@@ -29,8 +29,9 @@ Two reductions run over those windows, each for all boxes in one call:
   are exact integers; they are divided in float32 by float32 cell sizes, the
   same division a per-cell count makes, so each cell sums to one.
 
-``BoxBatch`` runs both over the boxes of several images at once, grouped by
-image.  Per map geometry (stride, H, W) it maps all boxes of the images
+``BoxBatch`` runs both over the boxes of several images at once, given
+image after image with one box count per image.  Per map geometry
+(stride, H, W) it maps all boxes of the images
 whose maps share that geometry and builds their windows in one pass; only
 the gather runs image by image, on each image's own map.  Each image's slice
 of the batch windows is trimmed to that image's own longest span, so a batch
@@ -49,6 +50,7 @@ the two reductions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +63,7 @@ _GATHER_FLOATS = 1 << 22
 
 
 class DegenerateRoiError(DataError):
-    """The box lies entirely outside the map."""
+    """The box lies entirely outside the map, or one of its edges is NaN."""
 
 
 @dataclass(frozen=True)
@@ -110,20 +112,26 @@ def map_boxes_to_feature_coords(
     ``ImageRecord``), so a box that starts in that last strip is pinned to
     the edge cell, as a box overhanging the map is.  Only a box that ends at
     or before 0, or starts a full cell or more past the map's far edge
-    (``x >= (map_w + 1) * stride``, likewise for ``y``), is degenerate.
-    Cells are clamped while still floats, so a finite box of any size maps
-    to the cells it covers.
+    (``x >= (map_w + 1) * stride``, likewise for ``y``), is degenerate, as
+    is a box with a NaN ``x``, ``y``, ``x + w`` or ``y + h`` (so ``x = -inf``
+    with ``w = inf``).  Cells are clamped while still floats, so a box of any
+    size, an infinite one included, maps to the cells it covers.
     """
     if stride < 1 or map_h < 1 or map_w < 1:
         raise ValueError(f"bad map geometry: stride={stride}, shape=({map_h}, {map_w})")
     x, y, w, h = np.asarray(boxes, dtype=np.float64).reshape(-1, 4).T
-    x2, y2 = x + w, y + h
-    outside = (x >= (map_w + 1) * stride) | (y >= (map_h + 1) * stride) | (x2 <= 0) | (y2 <= 0)
-    if outside.any():
-        i = int(np.argmax(outside))
+    # -inf + inf is a NaN edge, refused below; a finite sum past float64 is inf.
+    with np.errstate(invalid="ignore", over="ignore"):
+        x2, y2 = x + w, y + h
+    # What a box must satisfy: a NaN edge fails every comparison, so it fails here.
+    bad = ~((x < (map_w + 1) * stride) & (y < (map_h + 1) * stride) & (x2 > 0) & (y2 > 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        box = tuple(float(v) for v in (x[i], y[i], w[i], h[i]))
+        if np.isnan([x[i], y[i], x2[i], y2[i]]).any():
+            raise DegenerateRoiError(f"box {box} has a NaN edge")
         raise DegenerateRoiError(
-            f"box {tuple(float(v) for v in (x[i], y[i], w[i], h[i]))} lies outside a "
-            f"stride-{stride} map of ({map_h}, {map_w}) cells"
+            f"box {box} lies outside a stride-{stride} map of ({map_h}, {map_w}) cells"
         )
     rs = np.minimum(np.maximum(np.floor(y / stride), 0.0), map_h - 1)
     cs = np.minimum(np.maximum(np.floor(x / stride), 0.0), map_w - 1)
@@ -350,70 +358,62 @@ def edge_codes(edges: np.ndarray, bins: int) -> np.ndarray:
 
 
 class BoxBatch:
-    """(x, y, w, h) boxes of a batch of images, grouped by image, pooled map by map.
+    """(x, y, w, h) boxes of a batch of images, image after image, pooled map by map.
 
-    ``image`` holds each box's image index, which never decreases along the
-    boxes.  A pooling call takes one map per image that has boxes, keyed by
-    image index (``images`` lists them).  Boxes are mapped and windowed
-    once per map geometry (stride, H, W) and set of images sharing it, and
-    the result is reused by every later map of that geometry.
+    The first ``counts[0]`` boxes belong to image 0, the next ``counts[1]``
+    to image 1, and so on; anything but a 1-D run of non-negative integers
+    summing to the box count is a ValueError.  A pooling call takes one map
+    per image that has boxes, keyed by image index (``images`` lists them).
+    Boxes are mapped and windowed once per map geometry (stride, H, W) and
+    set of images sharing it, and the result is reused by every later map
+    of that geometry.
     """
 
-    def __init__(self, boxes: np.ndarray, image: np.ndarray, grid: PoolGrid):
+    def __init__(self, boxes: np.ndarray, counts, grid: PoolGrid):
         self.boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-        image = np.asarray(image, dtype=np.int64).reshape(-1)
-        if image.shape[0] != self.boxes.shape[0]:
-            raise ValueError(f"{image.shape[0]} image indices for {self.boxes.shape[0]} boxes")
+        counts = np.asarray(counts)
+        self.counts = counts.tolist()  # Python ints, whose sum cannot wrap
+        if not (counts.ndim == 1 and (counts.dtype.kind in "iu" or not counts.size)
+                and min(self.counts, default=0) >= 0 and sum(self.counts) == len(self.boxes)):
+            raise ValueError(f"box counts must be 1-D non-negative integers summing to the "
+                             f"{len(self.boxes)} boxes, got {counts!r}")
         self.grid = grid
-        # The images that have boxes, and the box offsets of each one's run.
-        step = image[1:] - image[:-1]
-        if not len(image):
-            self.images, self.offsets = [], [0]
-        elif not step.any():
-            self.images, self.offsets = [int(image[0])], [0, len(image)]
-        elif (step < 0).any():
-            raise ValueError("boxes must come grouped by image, in image order")
-        else:
-            self.offsets = [0, *(np.flatnonzero(step) + 1).tolist(), len(image)]
-            self.images = image[self.offsets[:-1]].tolist()
+        # The images that have boxes; image i's boxes are [offsets[i], offsets[i + 1]).
+        self.images = [i for i, n in enumerate(self.counts) if n]
+        self.offsets = [0, *itertools.accumulate(self.counts)]
         self._mapped: dict = {}
 
     def __len__(self) -> int:
         return self.boxes.shape[0]
 
     def _groups(self, geometry: dict[int, tuple[int, int, int]]):
-        """Per map geometry: its images' positions in ``images``, and the cached
+        """Per map geometry: the images with boxes that have it, and the cached
         mapping of their boxes (``sel`` of the batch, ``offsets`` of each
         image's run within them, ``rects``, and later their ``windows``)."""
         groups: dict[tuple[int, int, int], list[int]] = {}
-        for k, i in enumerate(self.images):
-            groups.setdefault(geometry[i], []).append(k)
-        for geo, ks in groups.items():
-            whole = len(ks) == len(self.images)
-            key = geo if whole else (geo, tuple(ks))
+        for i in self.images:
+            groups.setdefault(geometry[i], []).append(i)
+        for geo, images in groups.items():
+            whole = len(images) == len(self.images)
+            key = geo if whole else (geo, tuple(images))
             if key not in self._mapped:
-                if whole:
-                    sel, offsets = slice(None), self.offsets
-                else:
-                    sel = np.concatenate([np.arange(self.offsets[k], self.offsets[k + 1])
-                                          for k in ks])
-                    sizes = [self.offsets[k + 1] - self.offsets[k] for k in ks]
-                    offsets = np.cumsum([0] + sizes).tolist()
+                sel = slice(None) if whole else np.concatenate(
+                    [np.arange(*self.offsets[i : i + 2]) for i in images])
+                offsets = [0, *itertools.accumulate(self.counts[i] for i in images)]
                 rects = map_boxes_to_feature_coords(self.boxes[sel], *geo)
                 self._mapped[key] = {"sel": sel, "offsets": offsets, "rects": rects}
-            yield geo, ks, self._mapped[key]
+            yield geo, images, self._mapped[key]
 
     def _max_windows(self, maps: dict[int, tuple[int, np.ndarray]]):
         """Per image with boxes: its (H, W, C) map, its boxes' slice of the batch,
         and their ``MaxWindows`` on that map."""
         geometry = {i: (s, *hwc.shape[:2]) for i, (s, hwc) in maps.items()}
-        for (_, map_h, map_w), ks, mapped in self._groups(geometry):
+        for (_, map_h, map_w), images, mapped in self._groups(geometry):
             if "windows" not in mapped:
                 windows = max_windows(mapped["rects"], self.grid, map_h, map_w)
                 mapped["windows"] = windows.split(mapped["offsets"])
-            for k, windows in zip(ks, mapped["windows"]):
-                part = slice(self.offsets[k], self.offsets[k + 1])
-                yield maps[self.images[k]][1], part, windows
+            for i, windows in zip(images, mapped["windows"]):
+                yield maps[i][1], slice(self.offsets[i], self.offsets[i + 1]), windows
 
     def max_pool(self, maps: dict[int, tuple[int, np.ndarray]], out: np.ndarray) -> None:
         """Fill ``out``, (N, m*n, C) channel-last, with ``window_max`` of each box on
@@ -435,9 +435,9 @@ class BoxBatch:
         stride-1 map of codes, which are trusted to lie in [0, bins)."""
         out = np.empty((len(self), self.grid.cells * bins), dtype=np.float32)
         geometry = {i: (1, *codes.shape) for i, codes in maps.items()}
-        for _, ks, mapped in self._groups(geometry):
-            out[mapped["sel"]] = _histograms([maps[self.images[k]] for k in ks],
-                                             mapped["offsets"], mapped["rects"], self.grid, bins)
+        for _, images, mapped in self._groups(geometry):
+            out[mapped["sel"]] = _histograms([maps[i] for i in images], mapped["offsets"],
+                                             mapped["rects"], self.grid, bins)
         return out
 
 

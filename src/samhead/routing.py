@@ -6,11 +6,12 @@ stack; PCA runs only where widths differ, mapping that bin's per-cell stack to
 the target, so descriptors have one length no matter which bin produced them.
 Optional semantic and edge channels are appended after the CNN block.
 
-Descriptors are built for a batch of images at once: routing, the
-box-to-cell mapping of each map geometry, the pooling windows, and each
-bin's PCA projection run once per batch, and only the gather from each
-image's own maps runs image by image (see ``pooling.BoxBatch``).  Callers
-bound a batch by memory; its size never changes a descriptor.
+Descriptors are built for a batch of images at once, given as the
+records, their boxes image after image, and one box count per record (see
+``pooling.BoxBatch``).  Routing, the box-to-cell mapping of each map
+geometry, the pooling windows, and each bin's PCA projection run once per
+batch, and only the gather from each image's own maps runs image by image.
+Callers bound a batch by memory; its size never changes a descriptor.
 
 Training pools full rows.  Detection asks ``extract_many`` for only the
 columns its forest splits on (``Forest.columns``), and gets those columns
@@ -135,32 +136,32 @@ def _layer_map(record: ImageRecord, name: str) -> tuple[int, np.ndarray]:
     return fmap.stride, fmap.hwc
 
 
-def _image_index(records: Sequence[ImageRecord], image) -> np.ndarray:
-    image = np.asarray(image, dtype=np.int64).reshape(-1)
-    if image.size and not (0 <= image[0] and image[-1] < len(records)):
-        raise ValueError(f"image indices must lie in [0, {len(records)})")
-    return image
+def _batch(records: Sequence[ImageRecord], boxes, counts, grid: PoolGrid) -> BoxBatch:
+    """The ``BoxBatch`` of ``boxes``, ``counts[i]`` of them in ``records[i]``."""
+    batch = BoxBatch(boxes, counts, grid)
+    if len(batch.counts) != len(records):
+        raise ValueError(f"{len(batch.counts)} box counts for {len(records)} images")
+    return batch
 
 
 def pool_bin_stacks(
     records: Sequence[ImageRecord],
     boxes: np.ndarray,
-    image: np.ndarray,
+    counts,
     table: RoutingTable,
     bin_index: int,
 ) -> np.ndarray:
-    """Channel-major pooled stacks of one bin's layers for (x, y, w, h) boxes of a
-    batch of images.
+    """Cell-major pooled stacks of one bin's layers for (x, y, w, h) boxes of a
+    batch of images: a C-ordered (N, m*n, D_bin) float32 array.
 
-    Box k lies in ``records[image[k]]``; boxes come grouped by image.  Shape
-    (N, D_bin, m*n): layer blocks in bin order, each (C_layer, m*n), as a
-    view of a C-ordered (N, m*n, D_bin) array, so each box's (m*n, D_bin)
-    block is C-contiguous.  Boxes are mapped and windowed once per map
+    ``counts[i]`` boxes lie in ``records[i]``, image after image, as for
+    ``DescriptorExtractor.extract_many``.  Each cell holds the bin's layers'
+    channels in bin order.  Boxes are mapped and windowed once per map
     geometry (see ``BoxBatch``).
     """
-    batch = BoxBatch(boxes, _image_index(records, image), table.grid)
+    batch = _batch(records, boxes, counts, table.grid)
     maps, widths = _bin_maps(records, batch, table.bins[bin_index].layers)
-    return _stacks(batch, maps, widths).transpose(0, 2, 1)
+    return _stacks(batch, maps, widths)
 
 
 def _bin_maps(records: Sequence[ImageRecord], batch: BoxBatch, layers: tuple[str, ...]):
@@ -192,8 +193,7 @@ def pool_bin_cells(
     """Per-cell stacked channel vectors of one bin's layers for one (x, y, w, h) box,
     shape (m*n, D_bin): ``pool_bin_stacks`` for a batch of one box.  Unused here;
     perfbench/tracing.py hooks it by name."""
-    return pool_bin_stacks([record], np.reshape(box, (1, 4)), np.zeros(1, np.int64),
-                           table, bin_index)[0].T
+    return pool_bin_stacks([record], np.reshape(box, (1, 4)), [1], table, bin_index)[0]
 
 
 #: Quantized edge strengths per cell of the edge histogram channel.
@@ -274,13 +274,15 @@ class DescriptorExtractor:
         self,
         records: Sequence[ImageRecord],
         boxes: np.ndarray,
-        image: np.ndarray,
+        counts,
         columns: np.ndarray | None = None,
     ) -> np.ndarray:
         """Descriptors of (x, y, w, h) boxes of a batch of images: (N, length) float32.
 
-        Box k lies in ``records[image[k]]``, and boxes come grouped by image
-        (``image`` never decreases); an image may have no box.  Routing, the
+        The first ``counts[0]`` boxes lie in ``records[0]``, the next
+        ``counts[1]`` in ``records[1]``, and so on; an image may have no box.
+        Counts other than one non-negative integer per record, summing to N,
+        are a ValueError before any map is read.  Routing, the
         box-to-cell mapping per map geometry, the pooling windows, and one
         PCA projection per bin run once for the whole batch.  Only the
         gather from each image's maps runs image by image, over that image's
@@ -288,7 +290,7 @@ class DescriptorExtractor:
         ``BoxBatch``).  A box's row does not depend on the rest of the batch.
 
         ``columns``, increasing descriptor indices, asks for those columns
-        only: the result is ``extract_many(records, boxes, image)[:, columns]``
+        only: the result is ``extract_many(records, boxes, counts)[:, columns]``
         bit for bit, and pools only what they need (see the module
         docstring).  A layer or block none of whose columns is asked for is
         not pooled, but its maps are still checked, so a missing map, a
@@ -298,8 +300,8 @@ class DescriptorExtractor:
         that is not pooled raises no ``DegenerateRoiError``; a box that
         overlaps its image never lies outside any of its maps.
         """
-        boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-        image = _image_index(records, image)
+        whole = _batch(records, boxes, counts, self.table.grid)
+        boxes = whole.boxes
         if columns is not None:
             columns = np.asarray(columns, dtype=np.int64).reshape(-1)
             if columns.size and not (0 <= columns[0] and columns[-1] < self.length
@@ -320,12 +322,13 @@ class DescriptorExtractor:
             return out
         grid = self.table.grid
         bins = self.table.route(boxes[:, 3])
+        image = np.repeat(np.arange(len(records)), whole.counts)
         dest, used = block(0, self.cell_dim * grid.cells)
         for i, spec in enumerate(self.table.bins):
             sel = np.flatnonzero(bins == i)
             if not sel.size:
                 continue
-            batch = BoxBatch(boxes[sel], image[sel], grid)
+            batch = BoxBatch(boxes[sel], np.bincount(image[sel], minlength=len(records)), grid)
             maps, widths = _bin_maps(records, batch, spec.layers)
             proj = self.projectors.get(spec.projector_id)
             width = proj.input_dim if proj else self.cell_dim
@@ -350,27 +353,26 @@ class DescriptorExtractor:
         if not (ch.semantic or ch.edge):
             return out
         # The label and edge maps share one stride-1 mapping.
-        batch = BoxBatch(boxes, image, grid)
         start = self.cell_dim * grid.cells
         if ch.semantic:
             labels = {i: _aux_map(records[i], "label_map", "a label map")
-                      for i in batch.images}
+                      for i in whole.images}
             stop = start + NUM_LABEL_CLASSES * grid.cells
             dest, used = block(start, stop)
             if used is None or used.size:
-                rows = batch.histogram_pool(labels, NUM_LABEL_CLASSES)
+                rows = whole.histogram_pool(labels, NUM_LABEL_CLASSES)
                 out[:, dest] = rows if used is None else rows[:, used]
             start = stop
         if ch.edge:
-            edges = {i: _aux_map(records[i], "edge_map", "an edge map") for i in batch.images}
+            edges = {i: _aux_map(records[i], "edge_map", "an edge map") for i in whole.images}
             dest, used = block(start, self.length)
             if used is None or used.size:
                 if ch.edge_pooling == "hist":
                     codes = {i: edge_codes(e, EDGE_BINS) for i, e in edges.items()}
-                    rows = batch.histogram_pool(codes, EDGE_BINS)
+                    rows = whole.histogram_pool(codes, EDGE_BINS)
                 else:
                     rows = np.empty((len(boxes), grid.cells, 1), dtype=np.float32)
-                    batch.max_pool({i: (1, e[..., None]) for i, e in edges.items()}, rows)
+                    whole.max_pool({i: (1, e[..., None]) for i, e in edges.items()}, rows)
                     rows = rows.reshape(len(boxes), -1)
                 out[:, dest] = rows if used is None else rows[:, used]
         return out

@@ -8,7 +8,6 @@ import json
 import signal
 from contextlib import contextmanager
 
-import numpy as np
 import pytest
 
 from samhead import config
@@ -53,7 +52,7 @@ FOREST_ARRAYS = {"sizes": "<i4", "feature": "<i4", "right": "<i4", "value": "<f8
 
 def extract_one(extractor, record, boxes):
     """``extractor.extract_many`` of one image's boxes, as a batch of one image."""
-    return extractor.extract_many([record], boxes, np.zeros(len(boxes), dtype=np.int64))
+    return extractor.extract_many([record], boxes, [len(boxes)])
 
 
 def forest_arrays(section) -> dict:

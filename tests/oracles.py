@@ -320,7 +320,7 @@ def oracle_detections(model, dataset):
                   if boxes[k].x < w and boxes[k].y < h and boxes[k].x2 > 0 and boxes[k].y2 > 0]
         cands = s.proposals.take(np.array(inside, dtype=np.int64))
         if len(cands):
-            X = model.extractor.extract_many([s.record], cands.boxes, np.zeros(len(cands), int))
+            X = model.extractor.extract_many([s.record], cands.boxes, [len(cands)])
             margins = model.forest.score(X, prior_logits(cands.scores))
             cands = nms(ScoredBoxes(cands.boxes, margins), NMS_THRESHOLD)
         out[s.image_id] = cands

@@ -384,8 +384,8 @@ def test_only_a_schedule_that_mines_extracts_and_scores_the_pool(
     extracted, scored = [], []
     extract_many, score = DescriptorExtractor.extract_many, Forest.score
     monkeypatch.setattr(DescriptorExtractor, "extract_many",
-                        lambda self, records, boxes, image: extracted.append(len(boxes))
-                        or extract_many(self, records, boxes, image))
+                        lambda self, records, boxes, counts: extracted.append(len(boxes))
+                        or extract_many(self, records, boxes, counts))
     monkeypatch.setattr(Forest, "score", lambda *a, **k: scored.append(1) or score(*a, **k))
     settings = fast_train_settings(stage_tree_counts=schedule, hard_negatives_per_stage=budget)
     _, manifest = train_detector(tiny_train_set, settings)

@@ -59,6 +59,20 @@ class TestMapToFeatureCoords:
         with pytest.raises(DegenerateRoiError):
             one_rect(200, 0, 5, 5, stride=4, map_h=10, map_w=10)
 
+    @pytest.mark.parametrize("box", [
+        [np.nan, 2, 18, 60], [10, np.nan, 18, 60], [10, 2, np.nan, 60], [10, 2, 18, np.nan],
+        [-np.inf, 2, np.inf, 60], [10, -np.inf, 18, np.inf],
+    ])
+    def test_a_nan_edge_is_degenerate(self, box):
+        with pytest.raises(DegenerateRoiError, match="NaN edge"):
+            map_boxes_to_feature_coords([box], 4, 12, 16)
+
+    def test_an_infinite_extent_maps_to_the_maps_edge(self):
+        assert one_rect(10, 2, np.inf, 60, stride=4, map_h=12, map_w=16) == (0, 12, 2, 16)
+        assert one_rect(10, 2, 18, np.inf, stride=4, map_h=12, map_w=16) == (0, 12, 2, 7)
+        assert one_rect(-1e300, -1e300, np.inf, np.inf, stride=4, map_h=12, map_w=16) == (
+            0, 12, 0, 16)
+
     def test_bad_geometry_rejected(self):
         with pytest.raises(ValueError):
             one_rect(0, 0, 5, 5, stride=0, map_h=10, map_w=10)
@@ -458,11 +472,11 @@ class TestBoxBatch:
         fmaps = [FeatureMap("conv3", 4, rng.normal(size=(2, *hw)).astype(np.float32))
                  for hw in shapes]
         codes = [rng.integers(0, 21, size=(4 * h, 4 * w)).astype(np.uint8) for h, w in shapes]
-        counts = {0: 4, 2: 3, 3: 5}
-        boxes = np.array([b for i, n in counts.items() for b in random_boxes(rng, fmaps[i], n)])
-        image = np.repeat(list(counts), list(counts.values()))
-        batch = BoxBatch(boxes, image, grid)
-        assert batch.images == [0, 2, 3]
+        counts = [4, 0, 3, 5]
+        boxes = np.array([b for i, n in enumerate(counts) for b in random_boxes(rng, fmaps[i], n)])
+        image = np.repeat(np.arange(4), counts)
+        batch = BoxBatch(boxes, counts, grid)
+        assert batch.images == [0, 2, 3] and batch.offsets == [0, 4, 4, 7, 12]
         pooled = np.empty((len(boxes), grid.cells, 2), dtype=np.float32)
         batch.max_pool({i: (4, fmaps[i].hwc) for i in batch.images}, pooled)
         hist = batch.histogram_pool({i: codes[i] for i in batch.images}, 21)
@@ -472,9 +486,17 @@ class TestBoxBatch:
             rect = map_boxes_to_feature_coords(boxes[k : k + 1], 1, *codes[i].shape)
             assert np.array_equal(hist[k], grid_histogram_pool(codes[i], rect, grid, 21)[0])
 
-    def test_boxes_must_come_grouped_by_image(self):
+    @pytest.mark.parametrize("counts", [
+        [1, 1], [2, 2], [], [4, -1], [1.5, 1.5], [1.0, 2.0], ["1", "2"], 3, [[1, 2]],
+        np.array([2**64 - 1, 4], dtype=np.uint64),  # 3 in wrapping uint64 arithmetic
+    ])
+    def test_counts_must_be_non_negative_integers_summing_to_the_boxes(self, counts):
         boxes = np.tile([0.0, 0.0, 5.0, 5.0], (3, 1))
-        with pytest.raises(ValueError, match="grouped by image"):
-            BoxBatch(boxes, np.array([0, 1, 0]), PoolGrid(1, 1))
-        with pytest.raises(ValueError, match="2 image indices for 3 boxes"):
-            BoxBatch(boxes, np.array([0, 1]), PoolGrid(1, 1))
+        with pytest.raises(ValueError, match="box counts must be 1-D non-negative integers "
+                                             "summing to the 3 boxes"):
+            BoxBatch(boxes, counts, PoolGrid(1, 1))
+
+    def test_a_batch_without_boxes_has_no_images(self):
+        for counts in ([], [0, 0]):
+            batch = BoxBatch(np.empty((0, 4)), counts, PoolGrid(1, 1))
+            assert len(batch) == 0 and batch.images == []

@@ -1,15 +1,17 @@
 """Scale-bin routing tables and descriptor assembly."""
 
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from samhead.errors import ConfigError, DataError
 from samhead.maps import EdgeMap, FeatureMap, ImageRecord, LabelMap
 from samhead import routing as routing_module
 from samhead.pca import PcaProjector, fit_pca
-from samhead.pooling import BoxBatch, PoolGrid
+from samhead.pooling import BoxBatch, DegenerateRoiError, PoolGrid
 from samhead.routing import (
     ChannelConfig,
     DescriptorExtractor,
@@ -256,12 +258,12 @@ class TestPoolBinStacks:
         record = make_record()
         table = two_bin_table()
         boxes = np.array([LARGE_BOX, (0.0, 0.0, 30.0, 48.0), (20.5, 3.25, 22.0, 90.0)])
-        stacks = pool_bin_stacks([record], boxes, np.zeros(len(boxes), int), table, 1)
-        assert stacks.shape == (3, 3, GRID.cells)
+        stacks = pool_bin_stacks([record], boxes, [len(boxes)], table, 1)
+        assert stacks.shape == (3, GRID.cells, 3) and stacks.flags.c_contiguous
         for box, stack in zip(boxes, stacks):
-            assert np.array_equal(stack.T, pool_bin_cells(record, box, table, 1))
-            assert np.array_equal(stack.T, oracle_cells(record, Box(*box.tolist()),
-                                                        ("conv4a", "conv5a"), GRID))
+            assert np.array_equal(stack, pool_bin_cells(record, box, table, 1))
+            assert np.array_equal(stack, oracle_cells(record, Box(*box.tolist()),
+                                                      ("conv4a", "conv5a"), GRID))
 
 
 class TestChannelConfig:
@@ -491,8 +493,9 @@ class TestBatchedExtract:
         projectors = {"large": fit_pca(training, components=3)[0]}
         channels = ChannelConfig(semantic=True, edge=True, edge_pooling=edge_pooling)
         extractor = DescriptorExtractor(table, projectors, channels)
-        image = np.array([0, 0, 0, 0, 2, 2, 2, 3, 3, 3])
-        got = extractor.extract_many(records, np.array(boxes), image)
+        counts = [4, 0, 3, 3]
+        image = np.repeat(np.arange(4), counts)
+        got = extractor.extract_many(records, np.array(boxes), counts)
         assert got.shape == (10, extractor.length)
         bins = [first_bin_holding(table, b.h) for b in boxes]
         for i in (0, 2, 3):
@@ -519,20 +522,66 @@ class TestBatchedExtract:
         records = [make_record(seed=3), make_record(channels=(4, 2, 1), seed=4)]
         extractor = DescriptorExtractor(mixed_table(), {"large": axes_projector(5, 3)})
         with pytest.raises(DataError, match="layer 'conv3' has inconsistent channel counts"):
-            extractor.extract_many(records, np.array([SMALL_BOX, SMALL_BOX]), np.array([0, 1]))
+            extractor.extract_many(records, np.array([SMALL_BOX, SMALL_BOX]), [1, 1])
 
-    def test_boxes_must_come_grouped_by_image(self):
+    @pytest.mark.parametrize("call", ["extract_many", "pool_bin_stacks"])
+    @pytest.mark.parametrize("counts, message", [
+        ([3], "1 box counts for 2 images"),
+        ([1, 1, 1], "3 box counts for 2 images"),
+        ([[1, 2]], "box counts must be 1-D"),
+        ([1, 1], "summing to the 3 boxes"),
+        ([4, -1], "non-negative"),
+        ([1.5, 1.5], "integers"),
+        ([1.0, 2.0], "integers"),
+    ])
+    def test_counts_must_give_each_image_its_boxes(self, call, counts, message):
+        # The records hold no feature map, so reading one would raise MissingLayerError.
         records = [make_record(seed=3), make_record(seed=4)]
-        extractor = DescriptorExtractor(one_bin_table(target_dim=5), {})
+        for record in records:
+            record.feature_maps.clear()
         boxes = np.array([SMALL_BOX, LARGE_BOX, SMALL_BOX])
-        with pytest.raises(ValueError, match="grouped by image"):
-            extractor.extract_many(records, boxes, np.array([0, 1, 0]))
-        with pytest.raises(ValueError, match=r"image indices must lie in \[0, 2\)"):
-            extractor.extract_many(records, boxes, np.array([0, 1, 2]))
+        table = one_bin_table(target_dim=5)
+        with pytest.raises(ValueError, match=message):
+            if call == "extract_many":
+                DescriptorExtractor(table, {}).extract_many(records, boxes, counts)
+            else:
+                pool_bin_stacks(records, boxes, counts, table, 0)
+
+    @pytest.mark.parametrize("coordinate", ["x", "h"])
+    def test_a_box_with_a_nan_edge_is_degenerate(self, coordinate):
+        box = np.array([SMALL_BOX], dtype=np.float64)
+        box[0, "xywh".index(coordinate)] = np.nan
+        extractor = DescriptorExtractor(two_bin_table(target_dim=3), {})
+        with pytest.raises(DegenerateRoiError, match="NaN edge"):
+            extractor.extract_many([make_record()], box, [1])
+
+    @pytest.mark.parametrize("table_kind", ["mixed", "two bins"])
+    @settings(max_examples=25, deadline=None, report_multiple_bugs=False)
+    @given(data=st.data())
+    def test_each_images_rows_are_its_batch_of_one_rows(self, table_kind, data):
+        # Per-image counts with zeros in between, on images of two map sizes.
+        counts = data.draw(st.lists(st.integers(0, 3), max_size=len(MIXED_RECORDS)))
+        corner = st.tuples(st.floats(0, 30), st.floats(0, 20), st.floats(45, 110))
+        drawn = data.draw(st.lists(corner, min_size=sum(counts), max_size=sum(counts)))
+        boxes = np.array([(x, y, 0.41 * h, h) for x, y, h in drawn]).reshape(-1, 4)
+        extractor = cached_column_extractor(table_kind)
+        columns = data.draw(st.none() | st.sets(st.integers(0, extractor.length - 1),
+                                               max_size=40).map(sorted))
+        records = MIXED_RECORDS[: len(counts)]
+        got = extractor.extract_many(records, boxes, counts, columns)
+        ends = np.cumsum([0, *counts]).tolist()
+        for record, a, b in zip(records, ends, ends[1:]):
+            alone = extractor.extract_many([record], boxes[a:b], [b - a], columns)
+            assert alone.tobytes() == got[a:b].tobytes()
+
+
+#: Images of two sizes, so two map geometries per layer.
+MIXED_RECORDS = [make_record(seed=20 + i, size=((64, 48), (80, 56))[i % 2], image_id=f"img{i}")
+                 for i in range(5)]
 
 
 def column_records():
-    """Four images of two sizes; image 1 gets no candidate in ``COLUMN_IMAGE``."""
+    """Four images of two sizes; image 1 gets no candidate in ``COLUMN_COUNTS``."""
     return [make_record(seed=3), make_record(seed=4, size=(80, 56), image_id="big4"),
             make_record(seed=5, size=(80, 56), image_id="big5"),
             make_record(seed=6, image_id="img6")]
@@ -541,7 +590,7 @@ def column_records():
 COLUMN_HEIGHTS = (45.0, 90.0, 60.0, 100.0, 55.0, 85.0, 70.0, 95.0, 50.0, 110.0)
 COLUMN_BOXES = np.array([Box(2.0 + 3 * i, 1.0 + 2 * i, 20.0, h)
                          for i, h in enumerate(COLUMN_HEIGHTS)])
-COLUMN_IMAGE = np.array([0, 0, 0, 0, 2, 2, 2, 3, 3, 3])
+COLUMN_COUNTS = [4, 0, 3, 3]
 
 
 def column_extractor(table_kind, edge_pooling):
@@ -561,15 +610,21 @@ def column_extractor(table_kind, edge_pooling):
 TABLE_KINDS = ["mixed", "one bin", "two bins"]
 
 
+@functools.lru_cache(maxsize=None)
+def cached_column_extractor(table_kind):
+    """``column_extractor(table_kind, "hist")``, built once per kind."""
+    return column_extractor(table_kind, "hist")
+
+
 class TestColumns:
     """``extract_many(..., columns=c)`` is ``extract_many(...)[:, c]``, bit for bit."""
 
     @staticmethod
-    def check(extractor, columns, boxes=COLUMN_BOXES, image=COLUMN_IMAGE):
+    def check(extractor, columns, boxes=COLUMN_BOXES, counts=COLUMN_COUNTS):
         records = column_records()
         columns = np.asarray(columns, dtype=np.int64)
-        got = extractor.extract_many(records, boxes, image, columns=columns)
-        want = extractor.extract_many(records, boxes, image)[:, columns]
+        got = extractor.extract_many(records, boxes, counts, columns=columns)
+        want = extractor.extract_many(records, boxes, counts)[:, columns]
         assert got.dtype == np.float32 and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -601,11 +656,12 @@ class TestColumns:
         rng = np.random.default_rng(1)
         for size in (1, 5, extractor.length // 2):
             columns = np.sort(rng.choice(extractor.length, size, replace=False))
-            self.check(extractor, columns, COLUMN_BOXES[mine], COLUMN_IMAGE[mine])
+            image = np.repeat(np.arange(4), COLUMN_COUNTS)[mine]
+            self.check(extractor, columns, COLUMN_BOXES[mine], np.bincount(image, minlength=4))
 
     def test_no_boxes(self):
         extractor = column_extractor("mixed", "max")
-        got = extractor.extract_many(column_records(), np.empty((0, 4)), np.empty(0, np.int64),
+        got = extractor.extract_many(column_records(), np.empty((0, 4)), [0, 0, 0, 0],
                                      columns=[1, 7])
         assert got.shape == (0, 2) and got.dtype == np.float32
 
@@ -633,7 +689,7 @@ class TestColumns:
     def test_columns_must_be_increasing_indices(self, columns):
         extractor = column_extractor("mixed", "max")
         with pytest.raises(ValueError, match="columns must be increasing indices"):
-            extractor.extract_many(column_records(), COLUMN_BOXES, COLUMN_IMAGE, columns=columns)
+            extractor.extract_many(column_records(), COLUMN_BOXES, COLUMN_COUNTS, columns=columns)
 
 
 def cells_of(dims, cell_dim, cells=GRID.cells):
@@ -651,7 +707,7 @@ class TestColumnErrors:
         extractor = DescriptorExtractor(one_bin_table(target_dim=5), {})
         cols = [] if columns == "none" else cells_of(range(3), 5)  # conv3's
         with pytest.raises(MissingLayerError, match="lacks routed layer 'conv4a'"):
-            extractor.extract_many([record], np.array([SMALL_BOX]), np.zeros(1, int),
+            extractor.extract_many([record], np.array([SMALL_BOX]), [1],
                                    columns=cols)
 
     @pytest.mark.parametrize("columns", ["none", "cnn"])
@@ -662,7 +718,7 @@ class TestColumnErrors:
                                         ChannelConfig(semantic=True, edge=True))
         cols = [] if columns == "none" else range(5 * GRID.cells)
         with pytest.raises(MissingLayerError, match=f"lacks an? {missing} map"):
-            extractor.extract_many([record], np.array([SMALL_BOX]), np.zeros(1, int),
+            extractor.extract_many([record], np.array([SMALL_BOX]), [1],
                                    columns=cols)
 
     @pytest.mark.parametrize("columns", ["none", "other layer"])
@@ -671,7 +727,7 @@ class TestColumnErrors:
         extractor = DescriptorExtractor(one_bin_table(target_dim=5), {})
         cols = [] if columns == "none" else cells_of(range(3), 5)  # conv3's
         with pytest.raises(DataError, match="layer 'conv4a' has inconsistent channel counts"):
-            extractor.extract_many(records, np.array([SMALL_BOX, SMALL_BOX]), np.array([0, 1]),
+            extractor.extract_many(records, np.array([SMALL_BOX, SMALL_BOX]), [1, 1],
                                    columns=cols)
 
     @pytest.mark.parametrize("columns", ["none", "some"])
@@ -690,4 +746,4 @@ class TestColumnErrors:
         cols = [] if columns == "none" else [0, 1]
         with pytest.raises(ConfigError, match=message):
             extractor.extract_many([record], np.array([SMALL_BOX, LARGE_BOX]),
-                                   np.zeros(2, int), columns=cols)
+                                   [2], columns=cols)
